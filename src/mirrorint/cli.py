@@ -244,8 +244,25 @@ def _series_names(bundle: MirrorBundle) -> list[tuple[str, MSeries]]:
     return out
 
 
+def _write_atomic(path: str, blob: bytes):
+    """Write ``blob`` under a temporary name, then rename it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
-    """Write every series as canonical JSON plus a manifest with hashes."""
+    """Write every series as canonical JSON plus a manifest with hashes.
+
+    Each file appears whole or not at all, and the manifest comes last, so
+    a crashed writer leaves a cache miss rather than a half-written bundle.
+    """
     key = _cache_key(bundle.sys, bundle.order)
     root = os.path.join(cache_dir, key)
     os.makedirs(root, exist_ok=True)
@@ -253,8 +270,7 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
     for name, series in _series_names(bundle):
         blob = _canonical(series.to_dict())
         fname = name + ".json"
-        with open(os.path.join(root, fname), "wb") as fh:
-            fh.write(blob)
+        _write_atomic(os.path.join(root, fname), blob)
         files[name] = {"file": fname, "sha256": hashlib.sha256(blob).hexdigest()}
     manifest = {
         "system": bundle.sys.to_dict(),
@@ -262,8 +278,7 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
         "flagged": bundle.flagged,
         "series": files,
     }
-    with open(os.path.join(root, "manifest.json"), "wb") as fh:
-        fh.write(_canonical(manifest))
+    _write_atomic(os.path.join(root, "manifest.json"), _canonical(manifest))
     return manifest
 
 
@@ -273,17 +288,22 @@ def load_bundle(sys_: FormSystem, order: int, cache_dir: str) -> Optional[Mirror
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
         return None
-    with open(manifest_path, "rb") as fh:
-        manifest = json.loads(fh.read())
+    try:
+        with open(manifest_path, "rb") as fh:
+            manifest = json.loads(fh.read())
+        entries = [(name, e["file"], e["sha256"]) for name, e in manifest["series"].items()]
+        flagged = bool(manifest["flagged"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CacheCorruptionError(f"unreadable manifest {manifest_path}: {exc!r}") from None
     series = {}
-    for name, entry in manifest["series"].items():
-        path = os.path.join(root, entry["file"])
+    for name, fname, digest in entries:
+        path = os.path.join(root, fname)
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError as exc:
             raise CacheCorruptionError(f"missing cache file {path}: {exc}") from None
-        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
+        if hashlib.sha256(blob).hexdigest() != digest:
             raise CacheCorruptionError(f"hash mismatch for {path}")
         series[name] = MSeries.from_dict(json.loads(blob))
     d = sys_.d
@@ -294,17 +314,20 @@ def load_bundle(sys_: FormSystem, order: int, cache_dir: str) -> Optional[Mirror
             GL[tuple(int(c) for c in name[3:].split("_"))] = s
         elif name.startswith("qL_"):
             qL[tuple(int(c) for c in name[3:].split("_"))] = s
-    return MirrorBundle(
-        sys=sys_,
-        order=order,
-        F=series["F"],
-        G=tuple(series[f"G_{k + 1}"] for k in range(d)),
-        GL=GL,
-        q=tuple(series[f"q_{k + 1}"] for k in range(d)),
-        qL=qL,
-        zofq=tuple(series[f"z_{k + 1}"] for k in range(d)),
-        flagged=bool(manifest["flagged"]),
-    )
+    try:
+        return MirrorBundle(
+            sys=sys_,
+            order=order,
+            F=series["F"],
+            G=tuple(series[f"G_{k + 1}"] for k in range(d)),
+            GL=GL,
+            q=tuple(series[f"q_{k + 1}"] for k in range(d)),
+            qL=qL,
+            zofq=tuple(series[f"z_{k + 1}"] for k in range(d)),
+            flagged=flagged,
+        )
+    except KeyError as exc:
+        raise CacheCorruptionError(f"manifest {manifest_path} lacks series {exc}") from None
 
 
 def _bundle_for(job: Job, args) -> tuple[MirrorBundle, dict]:

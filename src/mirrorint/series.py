@@ -4,11 +4,15 @@ An :class:`MSeries` stores finitely many monomials ``coeff * z^v`` with
 exponent vectors of total degree at most ``order``; everything beyond the
 truncation order is unknown rather than zero.  Ring operations, reciprocal,
 exp and log of units, coordinatewise power substitution, univariate
-specialization and compositional inversion of diagonal-unit maps are all
-exact.  No floating point enters anywhere.
+specialization, composition and compositional inversion of diagonal-unit
+maps are all exact.  No floating point enters anywhere.
 
-Truncation is by TOTAL degree, which keeps the graded recursions for
-exp/log and the degree-by-degree fixed point of the inversion sound.
+Truncation is by TOTAL degree.  That keeps the graded recursions for
+exp/log sound, and it lets the valuation of a series bound how far each
+part of a computation must be carried: ``compose`` runs Horner's rule over
+grouped monomials with shared power tables, and ``invert_diagonal`` runs a
+Newton iteration that doubles the exact order at each step and checks
+q(z(q)) = q at the end.
 
 ``LogSeries`` is the univariate pair A(z) + log(z) B(z) needed for formal
 checks of differential operators written in powers of theta = z d/dz.
@@ -327,39 +331,86 @@ def _from_slices(d, order, slices) -> MSeries:
     return MSeries(d, order, data)
 
 
-# -- functional aliases -------------------------------------------------------
+# -- composition and inversion ---------------------------------------------
 
 
-def add(a: MSeries, b: MSeries) -> MSeries:
-    return a + b
+class _Substitution:
+    """Substituents shared by several compositions, with their power tables.
 
+    ``compose`` groups the monomials of ``a`` by their leading exponents and
+    runs Horner's rule in one variable per level.  At the last level a group
+    is a linear combination of the powers of the last substituent, read from
+    a table, with no products; every level above adds one product per group.
+    Each part is formed only to the degree that can still reach the
+    truncation order: a factor s_i^e has valuation at least e.
+    """
 
-def mul(a: MSeries, b: MSeries) -> MSeries:
-    return a * b
+    def __init__(self, subs: Sequence[MSeries]):
+        first = subs[0]
+        for s in subs:
+            if s.d != first.d or s.order != first.order:
+                raise ValueError("substituents must share dimension and order")
+            if s.constant_term != 0:
+                raise ValueError("substituents must have zero constant term")
+        self.subs = list(subs)
+        self.d, self.order = first.d, first.order
+        self._powers: list[list[MSeries]] = [[MSeries.one(self.d, self.order)] for _ in subs]
+        self._graded: dict[int, list[dict[Exponent, Fraction]]] = {}
+        self._cuts: dict[tuple[int, int, int], MSeries] = {}
 
+    def _power(self, i: int, e: int) -> MSeries:
+        """subs[i] ** e at the full order."""
+        col = self._powers[i]
+        while len(col) <= e:
+            n = len(col) - 1  # col[n] has valuation >= n
+            col.append(col[n] * self._cut(i, 1, self.order - n).truncate(self.order))
+        return col[e]
 
-def scalar_mul(c, a: MSeries) -> MSeries:
-    return a * c
+    def _cut(self, i: int, e: int, k: int) -> MSeries:
+        """subs[i] ** e as a series of order k."""
+        key = (i, e, k)
+        if key not in self._cuts:
+            base = self.subs[i] if e == 1 else self._power(i, e)
+            self._cuts[key] = base.truncate(k)
+        return self._cuts[key]
 
+    def _last_power_slices(self, e: int) -> list[dict[Exponent, Fraction]]:
+        """Degree slices of the e-th power of the last substituent."""
+        if e not in self._graded:
+            self._graded[e] = self._power(len(self.subs) - 1, e)._slices()
+        return self._graded[e]
 
-def reciprocal(a: MSeries) -> MSeries:
-    return a.reciprocal()
+    def compose(self, a: MSeries) -> MSeries:
+        return self._horner(list(a._terms.items()), 0, self.order)
 
-
-def exp(a: MSeries) -> MSeries:
-    return a.exp()
-
-
-def log(a: MSeries) -> MSeries:
-    return a.log()
-
-
-def substitute_pth_power(a: MSeries, p: int) -> MSeries:
-    return a.substitute_pth_power(p)
-
-
-def specialize(a: MSeries, M: Sequence[int], Nexp: Sequence[int]) -> MSeries:
-    return a.specialize(M, Nexp)
+    def _horner(self, terms, i: int, limit: int) -> MSeries:
+        """Sum of c * prod_(j >= i) subs[j] ** v[j] over ``terms``, at order ``limit``."""
+        if i == len(self.subs) - 1:
+            acc: dict[Exponent, Fraction] = {}
+            for v, c in terms:
+                e = v[i]
+                if e > limit:
+                    continue
+                for part in self._last_power_slices(e)[e : limit + 1]:
+                    for w, x in part.items():
+                        acc[w] = acc.get(w, 0) + c * x
+            return MSeries(self.d, limit, acc)
+        groups: dict[int, list] = {}
+        for v, c in terms:
+            if v[i] <= limit:
+                groups.setdefault(v[i], []).append((v, c))
+        acc = None
+        prev = 0
+        for e in sorted(groups, reverse=True):
+            inner = self._horner(groups[e], i + 1, limit - e)
+            if acc is not None:
+                inner = inner + acc.truncate(limit - e) * self._cut(i, prev - e, limit - e)
+            acc, prev = inner, e
+        if acc is None:
+            return MSeries.zero(self.d, limit)
+        if prev:
+            acc = acc.truncate(limit) * self._cut(i, prev, limit)
+        return acc
 
 
 def compose(a: MSeries, subs: Sequence[MSeries]) -> MSeries:
@@ -370,68 +421,102 @@ def compose(a: MSeries, subs: Sequence[MSeries]) -> MSeries:
     """
     if len(subs) != a.d:
         raise ValueError("one substituent per variable is required")
-    first = subs[0]
-    for s in subs:
-        if s.d != first.d or s.order != first.order:
-            raise ValueError("substituents must share dimension and order")
-        if s.constant_term != 0:
-            raise ValueError("substituents must have zero constant term")
-    out_d, order = first.d, first.order
-    one = MSeries.one(out_d, order)
-    powers: list[list[MSeries]] = [[one] for _ in range(a.d)]
+    return _Substitution(subs).compose(a)
 
-    def power(i: int, e: int) -> MSeries:
-        col = powers[i]
-        while len(col) <= e:
-            col.append(col[-1] * subs[i])
-        return col[e]
 
-    acc = MSeries.zero(out_d, order)
-    for v, c in a.items():
-        if sum(v) > order:
-            continue
-        term = MSeries.constant(out_d, order, c)
-        for i, e in enumerate(v):
-            if e:
-                term = term * power(i, e)
-        acc = acc + term
-    return acc
+def _partial(a: MSeries, j: int) -> MSeries:
+    """The partial derivative of ``a`` in z_j, exact to one order less."""
+    terms = {}
+    for v, c in a._terms.items():
+        if v[j]:
+            terms[v[:j] + (v[j] - 1,) + v[j + 1 :]] = v[j] * c
+    return MSeries(a.d, max(a.order - 1, 0), terms)
+
+
+def _solve_unit_system(J: list[list[MSeries]], r: list[MSeries]) -> list[MSeries]:
+    """Solve J x = r by Gauss-Jordan elimination over series, with J(0) = I.
+
+    Every pivot then has constant term 1, so it is a unit and ``reciprocal``
+    applies.  J may carry a lower order than r; its products with r are
+    formed at the order of r, which is exact when the terms J lacks can only
+    meet terms of r beyond that order.
+    """
+    d, order = len(r), r[0].order
+    J = [list(row) for row in J]
+    x = list(r)
+    for c in range(d):
+        inv = J[c][c].reciprocal()
+        J[c] = [entry * inv for entry in J[c]]
+        x[c] = x[c] * inv.truncate(order)
+        for i in range(d):
+            f = J[i][c]
+            if i != c and f:
+                J[i] = [a - f * b for a, b in zip(J[i], J[c])]
+                x[i] = x[i] - f.truncate(order) * x[c]
+    return x
+
+
+def _newton_step(qs: Sequence[MSeries], zs: list[MSeries], n: int, m: int) -> list[MSeries]:
+    """From z(w) exact to order n, the inverse exact to order m <= 2n."""
+    d = len(qs)
+    z_m = [z.truncate(m) for z in zs]
+    at_z = _Substitution(z_m)
+    residual = [
+        at_z.compose(q.truncate(m)) - MSeries.variable(d, m, k) for k, q in enumerate(qs)
+    ]
+    # The residual has valuation > n, so the Jacobian matters only below
+    # degree m - n, where z is already exact.
+    p = m - n - 1
+    at_zp = _Substitution([z.truncate(p) for z in zs])
+    jac = [[at_zp.compose(_partial(q.truncate(p + 1), j)) for j in range(d)] for q in qs]
+    step = _solve_unit_system(jac, residual)
+    return [z - s for z, s in zip(z_m, step)]
 
 
 def invert_diagonal(qs: Sequence[MSeries]) -> list[MSeries]:
-    """Compositional inverse of a map q_k = z_k * (unit), degree by degree.
+    """Compositional inverse of a map q_k = z_k * (unit), by Newton iteration.
 
     Each input must be z_k times a unit with constant term 1.  The output
     gives z as a series in the q variables with q(z(q)) = q up to the
-    truncation order, found by iterating z_k <- q_k / unit_k(z).
+    truncation order N.
+
+    Write w for the q variables and z* for the exact inverse.  The start
+    z = w is exact to order 1.  If z is exact to order n, its error
+    e = z - z* has valuation n + 1, and q(z) - w = J e + O(e^2), where J is
+    the Jacobian dq_k/dz_j at z*.  The Newton step z <- z - J^-1 (q(z) - w)
+    leaves an error of valuation 2n + 2, so the exact order doubles at each
+    step: 1 -> 2 -> 4 -> ... -> N.  Because q(z) - w has valuation n + 1, a
+    step to order m <= 2n needs the residual at order m but J only at order
+    m - n - 1 < n, below which z is already exact; J is evaluated there.
+    J(0) = I, so the linear system is solved by elimination with unit
+    pivots, for any number of variables.
+
+    At the end q_k(z) = w_k is checked once for every k; a failure raises
+    ArithmeticError instead of returning an unconverged map.
     """
     d = len(qs)
     if d == 0:
         raise ValueError("empty map")
     order = qs[0].order
-    units = []
     for k, q in enumerate(qs):
         if q.d != d or q.order != order:
             raise ValueError("all components must share dimension and order")
-        shifted = {}
-        for v, c in q._terms.items():
+        for v in q._terms:
             if v[k] < 1:
                 raise ValueError(f"component {k} is not divisible by its variable")
-            shifted[tuple(e - (1 if i == k else 0) for i, e in enumerate(v))] = c
-        u = MSeries(d, order, shifted)
-        if u.constant_term != 1:
+        # At order 0 every q_k and z_k is the zero series: z_k lies beyond it.
+        if order and q.coeff(tuple(int(i == k) for i in range(d))) != 1:
             raise ValueError(f"component {k} must have unit coefficient 1 on z_{k}")
-        units.append(u)
-    zq = [MSeries.variable(d, order, k) for k in range(d)]
-    for _ in range(order + 1):
-        new = [
-            MSeries.variable(d, order, k) * compose(units[k], zq).reciprocal()
-            for k in range(d)
-        ]
-        if new == zq:
-            break
-        zq = new
-    return zq
+    n = min(order, 1)
+    zs = [MSeries.variable(d, n, k) for k in range(d)]
+    while n < order:
+        m = min(2 * n, order)
+        zs = _newton_step(qs, zs, n, m)
+        n = m
+    for k, q in enumerate(qs):
+        if compose(q, zs) != MSeries.variable(d, order, k):
+            raise ArithmeticError(f"inversion check failed: q_{k}(z(q)) != q_{k}")
+    return zs
 
 
 # -- univariate log-series -----------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mirrorint import cli
 from mirrorint.cli import (
     EXIT_BUDGET,
     EXIT_CACHE,
@@ -151,6 +152,69 @@ class TestScanAndCache:
         code, _, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK
 
+    def test_corrupt_manifest_exits_3(self, tmp_path, capsys, cache_args):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 6}
+        )
+        code, _, _ = run(capsys, ["bundle", job, *cache_args])
+        assert code == EXIT_OK
+        manifest = next((tmp_path / "cache").rglob("manifest.json"))
+        intact = manifest.read_bytes()
+        without_z1 = json.loads(intact)
+        del without_z1["series"]["z_1"]
+        for broken in (intact[:40], b'{"series": 3}', json.dumps(without_z1).encode()):
+            manifest.write_bytes(broken)
+            code, _, err = run(capsys, ["scan", job, *cache_args])
+            assert code == EXIT_CACHE
+            assert "cache corruption" in err
+        code, _, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
+        assert code == EXIT_OK
+
+    def test_writes_are_renamed_into_place_manifest_last(
+        self, tmp_path, capsys, cache_args, monkeypatch
+    ):
+        targets = []
+        real_replace = cli.os.replace
+
+        def replace(src, dst):
+            targets.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "cubic-2d"}, "order": 3}
+        )
+        code, out, _ = run(capsys, ["bundle", job, *cache_args])
+        assert code == EXIT_OK
+        files = sorted(p.name for p in (tmp_path / "cache").rglob("*") if p.is_file())
+        assert files == sorted(p.rsplit("/", 1)[-1] for p in targets)
+        assert targets[-1].endswith("manifest.json")
+        assert len(files) == len(json.loads(out)["series"]) + 1  # no temporary left
+
+    def test_crashed_write_leaves_a_cache_miss(self, tmp_path, capsys, cache_args, monkeypatch):
+        real_replace = cli.os.replace
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 6}
+        )
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            main(["bundle", job, *cache_args])
+        monkeypatch.setattr(cli.os, "replace", real_replace)
+        names = [p.name for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+        assert len(names) == 2 and "manifest.json" not in names
+        code, warm, _ = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_OK
+        code, fresh, _ = run(capsys, ["scan", job, "--no-cache"])
+        assert warm == fresh
+
     def test_no_cache_leaves_no_files(self, tmp_path, capsys):
         job = write_job(
             tmp_path,
@@ -182,6 +246,21 @@ class TestScanAndCache:
         first = json.loads(out.splitlines()[0])
         assert first["classifier"]["tag"] == "EStrictlyBigger"
         assert code == EXIT_FAIL  # non-integrality expected in this regime
+
+
+class TestLowOrders:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["cubic-2d", "central-binomial"])
+    def test_scan_and_bundle(self, tmp_path, capsys, cache_args, name, order):
+        job = write_job(tmp_path, "a.json", {"system": {"name": name}, "order": order})
+        code, out, _ = run(capsys, ["bundle", job, *cache_args])
+        assert code == EXIT_OK
+        assert json.loads(out)["order"] == order
+        code, out, _ = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_OK
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert {l["series"] for l in lines} >= {"q_1", "z_1"}
+        assert all(l["total"] == 0 for l in lines)
 
 
 class TestDwork:

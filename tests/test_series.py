@@ -1,4 +1,9 @@
-"""Truncated multivariate series: ring ops, exp/log, substitution, inversion."""
+"""Truncated multivariate series: ring ops, exp/log, substitution, inversion.
+
+The per-monomial ``oracle_compose`` and the degree-by-degree fixed point
+``oracle_invert_diagonal`` are the slow, direct algorithms; the property
+tests check the grouped composition and the Newton inversion against them.
+"""
 
 import json
 import math
@@ -7,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mirrorint import series
 from mirrorint.series import (
     LogSeries,
     MSeries,
@@ -15,6 +21,64 @@ from mirrorint.series import (
     invert_diagonal,
     theta,
 )
+
+
+def oracle_compose(a, subs):
+    """compose() one monomial at a time, each a product of cached powers."""
+    if len(subs) != a.d:
+        raise ValueError("one substituent per variable is required")
+    first = subs[0]
+    for s in subs:
+        if s.d != first.d or s.order != first.order:
+            raise ValueError("substituents must share dimension and order")
+        if s.constant_term != 0:
+            raise ValueError("substituents must have zero constant term")
+    out_d, order = first.d, first.order
+    one = MSeries.one(out_d, order)
+    powers = [[one] for _ in range(a.d)]
+
+    def power(i, e):
+        col = powers[i]
+        while len(col) <= e:
+            col.append(col[-1] * subs[i])
+        return col[e]
+
+    acc = MSeries.zero(out_d, order)
+    for v, c in a.items():
+        if sum(v) > order:
+            continue
+        term = MSeries.constant(out_d, order, c)
+        for i, e in enumerate(v):
+            if e:
+                term = term * power(i, e)
+        acc = acc + term
+    return acc
+
+
+def oracle_invert_diagonal(qs):
+    """invert_diagonal() by the fixed point z_k <- q_k / unit_k(z), one
+    degree per round; needs order >= 1 (it reads the unit's constant term)."""
+    d = len(qs)
+    order = qs[0].order
+    units = []
+    for k, q in enumerate(qs):
+        shifted = {}
+        for v, c in q._terms.items():
+            assert v[k] >= 1
+            shifted[tuple(e - (1 if i == k else 0) for i, e in enumerate(v))] = c
+        u = MSeries(d, order, shifted)
+        assert u.constant_term == 1
+        units.append(u)
+    zq = [MSeries.variable(d, order, k) for k in range(d)]
+    for _ in range(order + 1):
+        new = [
+            MSeries.variable(d, order, k) * oracle_compose(units[k], zq).reciprocal()
+            for k in range(d)
+        ]
+        if new == zq:
+            break
+        zq = new
+    return zq
 
 
 def series_1d(coeffs, order=None):
@@ -170,6 +234,52 @@ class TestInversion:
         assert compose(q, inv) == z  # q(z(q)) = q as a series in q
         assert compose(inv[0], [q]) == z  # z(q(z)) = z
 
+    def test_three_variable_map_round_trip(self):
+        N = 5
+        z = [MSeries.variable(3, N, k) for k in range(3)]
+        one = MSeries.one(3, N)
+        q = [
+            z[0] * (one + z[1] * z[2]),
+            z[1] * (one + Fraction(1, 2) * z[0] - z[2] * z[2]),
+            z[2] * (z[0] + z[1]).exp(),
+        ]
+        inv = invert_diagonal(q)
+        assert inv == oracle_invert_diagonal(q)
+        for k in range(3):
+            assert compose(q[k], inv) == z[k]
+            assert compose(inv[k], q) == z[k]
+
+    def test_order_zero_and_one(self):
+        # at order 0 the map and its inverse are zero series; at order 1
+        # both are the identity
+        for d in (1, 2):
+            assert invert_diagonal([MSeries.zero(d, 0)] * d) == [MSeries.zero(d, 0)] * d
+            ident = [MSeries.variable(d, 1, k) for k in range(d)]
+            assert invert_diagonal(ident) == ident
+        with pytest.raises(ValueError):
+            invert_diagonal([MSeries.one(1, 0)])
+
+    def test_failed_final_check_raises(self, monkeypatch):
+        # a Newton step that never corrects leaves q(z) != w; the final
+        # check must refuse to return it
+        def no_correction(qs, zs, n, m):
+            return [z.truncate(m) for z in zs]
+
+        monkeypatch.setattr(series, "_newton_step", no_correction)
+        z = MSeries.variable(1, 4, 0)
+        with pytest.raises(ArithmeticError):
+            invert_diagonal([z * z.exp()])
+
+    def test_compose_validation(self):
+        z = MSeries.variable(2, 3, 0)
+        a = MSeries(2, 3, {(1, 1): 1})
+        with pytest.raises(ValueError):
+            compose(a, [z])
+        with pytest.raises(ValueError):
+            compose(a, [z, MSeries.variable(2, 4, 1)])
+        with pytest.raises(ValueError):
+            compose(a, [z, z + 1])
+
     def test_wrong_shape_rejected(self):
         N = 4
         with pytest.raises(ValueError):
@@ -274,3 +384,59 @@ def test_exp_log_round_trip_random(a):
 def test_reciprocal_random(a):
     u = a - MSeries.constant(2, a.order, a.constant_term) + MSeries.one(2, a.order)
     assert u * u.reciprocal() == MSeries.one(2, a.order)
+
+
+def fractions_nonintegral():
+    return st.builds(
+        Fraction, st.integers(-20, 20).filter(bool), st.integers(2, 9)
+    ).filter(lambda c: c.denominator != 1)
+
+
+@st.composite
+def sparse_series(draw, d, order, min_degree=0, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        v = tuple(draw(st.integers(0, order)) for _ in range(d))
+        if min_degree <= sum(v) <= order:
+            terms[v] = draw(fractions_nonintegral())
+    return MSeries(d, order, terms)
+
+
+@st.composite
+def diagonal_unit_maps(draw):
+    """q_k = z_k * (1 + sparse terms), d = 1, 2, 3, orders 0-8."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    qs = []
+    for k in range(d):
+        rest = draw(sparse_series(d, order, min_degree=1))
+        qs.append(MSeries.variable(d, order, k) * (MSeries.one(d, order) + rest))
+    return qs
+
+
+@settings(max_examples=40, deadline=None)
+@given(qs=diagonal_unit_maps())
+def test_newton_inversion_matches_fixed_point(qs):
+    d, order = qs[0].d, qs[0].order
+    got = invert_diagonal(qs)
+    if order == 0:
+        assert got == [MSeries.zero(d, 0)] * d
+    else:
+        assert got == oracle_invert_diagonal(qs)
+
+
+@st.composite
+def compositions(draw):
+    d = draw(st.integers(1, 3))
+    out_d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    a = draw(sparse_series(d, order, max_terms=6))
+    subs = [draw(sparse_series(out_d, order, min_degree=1)) for _ in range(d)]
+    return a, subs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=compositions())
+def test_grouped_compose_matches_per_monomial(case):
+    a, subs = case
+    assert compose(a, subs) == oracle_compose(a, subs)
