@@ -10,6 +10,10 @@ Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
 column sum, 20 budget exceeded / uncertified); report commands exit 0
 iff every line passes; malformed input exits 2; cache corruption exits 3.
+Input a check cannot take also exits 2, with one line on stderr and no
+report line: ``dwork`` on a system whose F is not p-integral (such as
+inverse-binomial), ``congruences`` on unequal column sums of e and f.
+JSON ``true`` and ``false`` are never taken for integers.
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
@@ -86,6 +90,8 @@ _TOP_KEYS = {
     "ranges",
 }
 _STRATEGY_KEYS = {"budget", "grid_multiplier", "random_samples", "seed", "allow_fallback"}
+# least value of each integer strategy knob
+_STRATEGY_MIN = {"budget": 0, "grid_multiplier": 1, "random_samples": 0, "seed": None}
 _RANGE_KEYS = {"s_max", "k_bound", "m_bound"}
 
 
@@ -106,6 +112,15 @@ def _fail_schema(msg: str):
     raise SchemaError(msg)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonnegative_int(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
 def _parse_system(spec) -> FormSystem:
     if not isinstance(spec, dict):
         _fail_schema("system must be an object")
@@ -124,12 +139,12 @@ def _parse_system(spec) -> FormSystem:
         if side not in spec or not isinstance(spec[side], list) or not spec[side]:
             _fail_schema(f"system.{side} must be a non-empty array of integer vectors")
         for v in spec[side]:
-            if not isinstance(v, list) or not v or not all(
-                isinstance(c, int) and c >= 0 for c in v
-            ):
+            if not isinstance(v, list) or not v or not all(map(_nonnegative_int, v)):
                 _fail_schema(f"system.{side} entries must be arrays of nonnegative integers")
+    if not isinstance(spec.get("raw", False), bool):
+        _fail_schema("system.raw must be true or false")
     try:
-        return FormSystem(spec["e"], spec["f"], raw=bool(spec.get("raw", False)))
+        return FormSystem(spec["e"], spec["f"], raw=spec.get("raw", False))
     except ValueError as exc:
         _fail_schema(str(exc))
 
@@ -151,19 +166,29 @@ def parse_job(doc: dict, command: str) -> Job:
             _fail_schema(f"job does not list command {command!r}")
     system = _parse_system(doc["system"]) if "system" in doc else None
     order = doc.get("order")
-    if order is not None and (not isinstance(order, int) or order < 0):
+    if order is not None and not _nonnegative_int(order):
         _fail_schema("order must be a nonnegative integer")
     primes = doc.get("primes", [2, 3, 5])
     if not isinstance(primes, list) or not all(
-        isinstance(p, int) and is_prime(p) for p in primes
+        _is_int(p) and is_prime(p) for p in primes
     ):
         _fail_schema("primes must be an array of prime numbers")
     sdoc = doc.get("strategy", {})
     if not isinstance(sdoc, dict) or set(sdoc) - _STRATEGY_KEYS:
         _fail_schema(f"strategy keys must be a subset of {sorted(_STRATEGY_KEYS)}")
+    for key, value in sdoc.items():
+        if key == "allow_fallback":
+            if not isinstance(value, bool):
+                _fail_schema("strategy.allow_fallback must be true or false")
+            continue
+        least = _STRATEGY_MIN[key]
+        if not _is_int(value) or (least is not None and value < least):
+            _fail_schema(
+                f"strategy.{key} must be an integer" + ("" if least is None else f" >= {least}")
+            )
     strategy = SamplingStrategy(**sdoc)
     if "budget" in doc:
-        if not isinstance(doc["budget"], int) or doc["budget"] < 0:
+        if not _nonnegative_int(doc["budget"]):
             _fail_schema("budget must be a nonnegative integer")
         strategy.budget = doc["budget"]
     cache_dir = doc.get("cache_dir")
@@ -184,6 +209,9 @@ def parse_job(doc: dict, command: str) -> Job:
     rdoc = doc.get("ranges", {})
     if not isinstance(rdoc, dict) or set(rdoc) - _RANGE_KEYS:
         _fail_schema(f"ranges keys must be a subset of {sorted(_RANGE_KEYS)}")
+    for key, value in rdoc.items():
+        if not _nonnegative_int(value):
+            _fail_schema(f"ranges.{key} must be a nonnegative integer")
     ranges = CongruenceRanges(**rdoc)
     return Job(
         system=system,
@@ -282,8 +310,11 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
     return manifest
 
 
-def load_bundle(sys_: FormSystem, order: int, cache_dir: str) -> Optional[MirrorBundle]:
-    """Rebuild a bundle from cache; None on miss, raises on hash mismatch."""
+def load_bundle(
+    sys_: FormSystem, order: int, cache_dir: str
+) -> Optional[tuple[MirrorBundle, dict]]:
+    """Rebuild a bundle and its manifest from cache; None on miss, raises on
+    hash mismatch."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -315,7 +346,7 @@ def load_bundle(sys_: FormSystem, order: int, cache_dir: str) -> Optional[Mirror
         elif name.startswith("qL_"):
             qL[tuple(int(c) for c in name[3:].split("_"))] = s
     try:
-        return MirrorBundle(
+        bundle = MirrorBundle(
             sys=sys_,
             order=order,
             F=series["F"],
@@ -328,6 +359,7 @@ def load_bundle(sys_: FormSystem, order: int, cache_dir: str) -> Optional[Mirror
         )
     except KeyError as exc:
         raise CacheCorruptionError(f"manifest {manifest_path} lacks series {exc}") from None
+    return bundle, manifest
 
 
 def _bundle_for(job: Job, args) -> tuple[MirrorBundle, dict]:
@@ -349,9 +381,7 @@ def _bundle_for(job: Job, args) -> tuple[MirrorBundle, dict]:
     if not args.rebuild_cache:
         cached = load_bundle(job.system, order, cache_dir)
         if cached is not None:
-            root = os.path.join(cache_dir, _cache_key(job.system, order))
-            with open(os.path.join(root, "manifest.json"), "rb") as fh:
-                return cached, json.loads(fh.read())
+            return cached
     bundle = build_bundle(job.system, order)
     manifest = save_bundle(bundle, cache_dir)
     return bundle, manifest
@@ -386,7 +416,8 @@ def cmd_classify(job: Job, args) -> int:
 
 def cmd_bundle(job: Job, args) -> int:
     bundle, manifest = _bundle_for(job, args)
-    _emit(manifest)
+    # sorted keys: the same bytes whether the manifest was built or read back
+    _sys.stdout.write(json.dumps(manifest, sort_keys=True) + "\n")
     _summary(
         f"bundle ready: order {bundle.order}, {len(bundle.qL)} mirror-type maps"
         + (", flagged (unequal column sums)" if bundle.flagged else "")
@@ -417,23 +448,27 @@ def cmd_scan(job: Job, args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 def cmd_dwork(job: Job, args) -> int:
-    failures = 0
-    lines = 0
     if job.fixture is not None:
         F, G = job.fixture
-        for p in job.primes:
-            for rep in dieudonne_dwork_check(F, G, p):
-                lines += 1
-                failures += 0 if rep.passed else 1
-                _emit({"prime": p, "series": "fixture"} | json.loads(rep.to_json()))
+        targets = [("fixture", G)]
     else:
         bundle, _ = _bundle_for(job, args)
-        for p in job.primes:
-            for k in range(bundle.sys.d):
-                for rep in dieudonne_dwork_check(bundle.F, bundle.G[k], p):
-                    lines += 1
-                    failures += 0 if rep.passed else 1
-                    _emit({"prime": p, "series": f"G_{k + 1}"} | json.loads(rep.to_json()))
+        F = bundle.F
+        targets = [(f"G_{k + 1}", G) for k, G in enumerate(bundle.G)]
+    # every check runs before the first line, so a rejected input prints none
+    try:
+        runs = [
+            (p, name, dieudonne_dwork_check(F, G, p)) for p in job.primes for name, G in targets
+        ]
+    except ValueError as exc:
+        raise SchemaError(f"dwork cannot check this input: {exc}") from None
+    failures = 0
+    lines = 0
+    for p, name, reports in runs:
+        for rep in reports:
+            lines += 1
+            failures += 0 if rep.passed else 1
+            _emit({"prime": p, "series": name} | json.loads(rep.to_json()))
     _summary(f"dieudonne-dwork: {lines} coefficient checks, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
@@ -444,11 +479,12 @@ def cmd_congruences(job: Job, args) -> int:
     failures = 0
     for p in job.primes:
         ctx = PadicContext(p, job.system)
-        for rep in verify_formal_congruences(ctx, job.ranges):
-            failures += 0 if rep.passed else 1
-            _emit({"prime": p} | json.loads(rep.to_json()))
-        if job.system.sum_e == job.system.sum_f:
-            rep = q_ratio_congruence_sweep(ctx, s_max=job.ranges.s_max)
+        try:
+            reports = verify_formal_congruences(ctx, job.ranges)
+        except ValueError as exc:
+            raise SchemaError(f"congruences cannot check this system: {exc}") from None
+        reports.append(q_ratio_congruence_sweep(ctx, s_max=job.ranges.s_max))
+        for rep in reports:
             failures += 0 if rep.passed else 1
             _emit({"prime": p} | json.loads(rep.to_json()))
     _summary(f"formal congruences over primes {job.primes}: {failures} failures")
@@ -529,6 +565,8 @@ def _apply_flags(job: Job, args) -> Job:
                 _fail_schema(f"--prime {p} is not prime")
         job.primes = list(args.prime)
     if args.budget is not None:
+        if args.budget < 0:
+            _fail_schema("--budget must be nonnegative")
         job.strategy.budget = args.budget
     if args.strategy == "exhaustive":
         job.strategy.allow_fallback = False

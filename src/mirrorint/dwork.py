@@ -21,6 +21,37 @@ v_p(x) >= t + v_p(g).  The module provides
 
 All sweeps are deterministic: tuples are visited in lexicographic order
 and reports carry the worst locus encountered.
+
+The formal-congruence harness compares p-adic valuations with finite
+bounds, so its hot loops avoid the big rationals they would otherwise
+build and throw away.  Every reported ``achieved`` value is still exact:
+
+  * Jump-region tests are integer tests: for 0 <= u < q, the point {u/q}
+    lies in the jump region exactly when some form w has w.u >= q.  The
+    weight mu and the good-residue and excluded-index sets use it.
+  * Q(n) is written p^v * u with u a p-adic unit.  v is a Legendre sum;
+    u is known mod p^R (R is the private constant ``_R``).  The unit part
+    of N! is prod_(i >= 0) F[floor(N/p^i)], where F[M] is the product of
+    the k <= M prime to p, that is |Gamma_p(M+1)| for Morita's Gamma_p.
+    One prefix table of F and of its inverse per context gives the unit
+    parts of every Q(n) and their inverses.
+  * p^e1 x1 - p^e2 x2 has valuation min(e1, e2) when e1 != e2, and
+    e + v_p(t) when e1 = e2 = e and the unit difference t is nonzero mod
+    p^R; then v_p(t) < R is exact too.  Only t = 0 mod p^R is undecided,
+    and those loci are recomputed with exact Fractions.  So R sets how
+    often the exact path runs, never a report byte.
+  * The conclusion runs on exact values.  An integral Q(n) is kept as an
+    int; a non-integral system stays on Fractions with the same formulas.
+    Block sums are built by level: a level-(s+1) block is the sum of the
+    p^d level-s blocks under it, so each level is one pass over the table.
+    Only the nonempty blocks, m <= K // p^s, are visited.  An empty block
+    sums to zero, an INFINITY valuation changes a worst-locus tracker only
+    as its first update, and the first update, at (a, K, s, m) = 0, is a
+    nonempty block; so skipping empty blocks changes no report.  The
+    blocks of one level partition [0, K], so the telescoping total is the
+    sum of the whole table for every s and is computed once per (a, K).
+    Once a worst margin M is known, a block sum that is 0 mod
+    p^(required + M) cannot set a new one, and its valuation is not taken.
 """
 
 from __future__ import annotations
@@ -30,6 +61,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .forms import (
@@ -40,10 +72,10 @@ from .forms import (
     factorial_ratio,
     harmonic,
     is_prime,
+    vp_int,
     vp_of_rational,
     vp_ratio_legendre,
 )
-from .landau import in_jump_region
 from .series import MSeries
 
 IntVec = tuple[int, ...]
@@ -84,6 +116,96 @@ def gamma_p_check(n: int, k: int, s: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # ambient context
 
+# p-adic digits carried by the unit parts of Q.  A difference whose unit
+# part vanishes mod p^_R is recomputed with exact rationals, so this
+# constant sets how often that happens, never what a report says.
+_R = 30
+
+Rational = Union[int, Fraction]
+
+
+class _Units:
+    """v_p(Q(n)) and the unit part of Q(n) mod p^_R, read off tables of N!.
+
+    With F[M] the product of the k <= M prime to p (that is |Gamma_p(M+1)|),
+    N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].  The tables hold
+    v_p(N!), that unit part mod p^_R and its inverse for N <= top; Q(n) is
+    the product of (w.n)!^k over the distinct forms w with net multiplicity
+    k (count in e minus count in f), so the inverse of a unit part costs no
+    modular inversion.
+    """
+
+    def __init__(self, p: int, terms: list[tuple[IntVec, int]], top: int):
+        mod = p**_R
+        F = [1] * (top + 1)
+        for k in range(1, top + 1):
+            F[k] = F[k - 1] * k % mod if k % p else F[k - 1]
+        Finv = [1] * (top + 1)
+        Finv[top] = pow(F[top], -1, mod)
+        for k in range(top, 0, -1):
+            Finv[k - 1] = Finv[k] * k % mod if k % p else Finv[k]
+        vf, uf, ui = [0] * (top + 1), [1] * (top + 1), [1] * (top + 1)
+        for N in range(1, top + 1):
+            M = N // p
+            vf[N] = M + vf[M]
+            uf[N] = F[N] * uf[M] % mod
+            ui[N] = Finv[N] * ui[M] % mod
+        self.mod, self.top = mod, top
+        # (w, k v_p(N!), unit^k, unit^-k), the last three indexed by N = w.n
+        self.tables = []
+        for w, k in terms:
+            up, down = (uf, ui) if k > 0 else (ui, uf)
+            if abs(k) != 1:
+                up = [pow(x, abs(k), mod) for x in up]
+                down = [pow(x, abs(k), mod) for x in down]
+            self.tables.append((w, [k * x for x in vf], up, down))
+
+    def dots(self, n: IntVec) -> tuple[int, ...]:
+        """The form values w.n, one per table."""
+        return tuple(sum(map(mul, w, n)) for w, _, _, _ in self.tables)
+
+    def inverse(self, n: IntVec) -> tuple[int, int]:
+        """(v_p(Q(n)), inverse of the unit part mod p^_R) for n >= 0."""
+        mod = self.mod
+        v, ui = 0, 1
+        for w, V, _, D in self.tables:
+            N = sum(map(mul, w, n))
+            v += V[N]
+            ui = ui * D[N] % mod
+        return v, ui
+
+    def shifted(self, base: tuple[int, ...], q: int, md: tuple[int, ...]) -> tuple[int, int]:
+        """(v_p, unit part) of Q at the index with form values base + q * md."""
+        mod = self.mod
+        v, u = 0, 1
+        for (_, V, U, _), b, x in zip(self.tables, base, md):
+            N = b + q * x
+            v += V[N]
+            u = u * U[N] % mod
+        return v, u
+
+
+def _gap(e1: int, x1: int, e2: int, x2: int, p: int, mod: int) -> Optional[int]:
+    """v_p(p^e1 x1 - p^e2 x2) for p-adic units known mod ``mod`` = p^_R.
+
+    Unequal exponents give min(e1, e2) exactly; equal ones give
+    e1 + v_p(x1 - x2) unless x1 = x2 mod p^_R, the one case the residues
+    cannot decide, which returns None.
+    """
+    if e1 != e2:
+        return min(e1, e2)
+    t = (x1 - x2) % mod
+    return e1 + vp_int(t, p) if t else None
+
+
+def _vp(x: Rational, p: int) -> Valuation:
+    """v_p of an int or a Fraction, for a prime p checked beforehand."""
+    if not x:
+        return INFINITY
+    if type(x) is int:
+        return vp_int(x, p)
+    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
 
 class PadicContext:
     """A prime together with a form system; memoizes Q values and weights."""
@@ -93,15 +215,26 @@ class PadicContext:
             raise ValueError(f"{p} is not prime")
         self.p = int(p)
         self.sys = sys
-        self._q_cache: dict[IntVec, Fraction] = {}
+        self._q_cache: dict[IntVec, Rational] = {}
         self._mu_cache: dict[IntVec, int] = {}
+        self._forms = tuple(dict.fromkeys(sys.forms))
+        net = {w: sys.e.count(w) - sys.f.count(w) for w in self._forms}
+        self._terms = [(w, k) for w, k in net.items() if k]
+        self._unit_tables: Optional[_Units] = None
 
-    def Q(self, n: Sequence[int]) -> Fraction:
-        """Factorial ratio extended by zero on vectors with a negative entry."""
+    def Q(self, n: Sequence[int]) -> Rational:
+        """Factorial ratio extended by zero on vectors with a negative entry.
+
+        An integral value is an ``int``, any other a ``Fraction``.
+        """
         n = tuple(int(c) for c in n)
         out = self._q_cache.get(n)
         if out is None:
-            out = Fraction(0) if any(c < 0 for c in n) else factorial_ratio(self.sys, n)
+            if any(c < 0 for c in n):
+                out = 0
+            else:
+                x = factorial_ratio(self.sys, n)
+                out = x.numerator if x.denominator == 1 else x
             self._q_cache[n] = out
         return out
 
@@ -109,21 +242,30 @@ class PadicContext:
         """Valuation of Q(n) for nonnegative n, via Legendre sums."""
         return vp_ratio_legendre(self.sys, n, self.p)
 
+    def _units(self, bound: int) -> _Units:
+        """Unit-part tables covering every index with entries <= bound."""
+        top = max((sum(w) for w, _ in self._terms), default=0) * bound
+        if self._unit_tables is None or self._unit_tables.top < top:
+            self._unit_tables = _Units(self.p, self._terms, top)
+        return self._unit_tables
+
     def mu(self, m: Sequence[int]) -> int:
         """Number of l >= 1 with the fractional part of m / p^l in the jump region."""
         m = tuple(int(c) for c in m)
         out = self._mu_cache.get(m)
-        if out is not None:
-            return out
-        top = max((dot(v, m) for v in self.sys.forms), default=0)
+        if out is None:
+            out = self._mu_cache[m] = self._count_mu(m)
+        return out
+
+    def _count_mu(self, m: IntVec) -> int:
+        # {m/q} = (m mod q)/q, and past the largest form value no level counts
+        top = max((sum(map(mul, w, m)) for w in self._forms), default=0)
         count = 0
         q = self.p
         while q <= top:
-            frac = tuple(Fraction(c % q, q) for c in m)
-            if in_jump_region(self.sys, frac):
+            if _in_region_scaled(self, [c % q for c in m], q):
                 count += 1
             q *= self.p
-        self._mu_cache[m] = count
         return count
 
     def g(self, m: Sequence[int]) -> int:
@@ -141,8 +283,11 @@ def padic_weight(ctx: PadicContext, m: Sequence[int]) -> tuple[int, int]:
 
 
 def _in_region_scaled(ctx: PadicContext, u: IntVec, q: int) -> bool:
-    """Whether {u/q} lies in the jump region, for 0 <= u < q componentwise."""
-    return in_jump_region(ctx.sys, tuple(Fraction(c, q) for c in u))
+    """Whether {u/q} lies in the jump region, for 0 <= u < q componentwise.
+
+    Integer form of the test: w.(u/q) >= 1 exactly when w.u >= q.
+    """
+    return any(sum(map(mul, w, u)) >= q for w in ctx._forms)
 
 
 def _good_residue_fractional(ctx: PadicContext, u: IntVec, s: int) -> bool:
@@ -273,6 +418,20 @@ class _Worst:
             self.margin = margin
             self.locus, self.required, self.achieved = locus, required, achieved
 
+    def update_value(self, locus: tuple, required: int, x: Rational, p: int):
+        """``update`` with achieved = v_p(x), for a finite ``required``.
+
+        Once a margin M is known, an integer x = 0 mod p^(required + M) has
+        a margin of at least M and cannot become the worst, so its exact
+        valuation is never taken; only such x skip ``update``.
+        """
+        if self.margin is not None and type(x) is int:
+            limit = required + self.margin
+            if limit <= 0 or x % p**limit == 0:
+                self.count += 1
+                return
+        self.update(locus, required, _vp(x, p))
+
     def report(self) -> CongruenceReport:
         if self.margin is None:
             passed = True
@@ -393,17 +552,37 @@ def _box(hi: IntVec, lo: Optional[IntVec] = None):
 # the double convolution sums
 
 
-def _u_term(ctx: PadicContext, a: IntVec, K: IntVec, j: IntVec) -> Fraction:
-    p = ctx.p
-    Kj = tuple(x - y for x, y in zip(K, j))
-    first = ctx.Q(tuple(x + p * y for x, y in zip(a, Kj))) * ctx.Q(j)
-    second = ctx.Q(Kj) * ctx.Q(tuple(x + p * y for x, y in zip(a, j)))
-    return first - second
+def _u_table(K: IntVec, P, Q) -> dict[IntVec, Rational]:
+    """The terms Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) over 0 <= j <= K, keyed by j.
+
+    ``P`` maps x to Q(a + px) and ``Q`` maps x to Q(x), both over the box
+    [0, K].  The box in reverse lexicographic order lists K - j.
+    """
+    js = list(_box(K))
+    return {j: P[kj] * Q[j] - Q[kj] * P[j] for j, kj in zip(js, reversed(js))}
+
+
+def _block_sums(table: dict[IntVec, Rational], p: int, s_max: int) -> list[dict]:
+    """Block sums of a term table by level.
+
+    Level s maps m to the sum of the terms with m p^s <= j <= (m+1) p^s - 1,
+    for the nonempty blocks only (m <= K // p^s).  Level s+1 adds the p^d
+    level-s blocks under each of its blocks, so each level costs one pass
+    over the level below it.
+    """
+    levels = [table]
+    for _ in range(s_max):
+        up: dict[IntVec, Rational] = {}
+        for m, x in levels[-1].items():
+            key = tuple(c // p for c in m)
+            up[key] = up.get(key, 0) + x
+        levels.append(up)
+    return levels
 
 
 def convolution_sum(
     ctx: PadicContext, a: Sequence[int], K: Sequence[int], s: int, m: Sequence[int]
-) -> Fraction:
+) -> Rational:
     """The block sum over m p^s <= j <= (m+1) p^s - 1 of
     Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj), with Q zero-extended.
 
@@ -412,22 +591,16 @@ def convolution_sum(
     a = tuple(int(c) for c in a)
     K = tuple(int(c) for c in K)
     m = tuple(int(c) for c in m)
-    if any(not 0 <= c < ctx.p for c in a):
+    p = ctx.p
+    if any(not 0 <= c < p for c in a):
         raise ValueError("residue entries must lie in [0, p)")
-    if any(c < 0 for c in m):
-        raise ValueError("m must be componentwise nonnegative")
-    q = ctx.p**s
-    lo = tuple(c * q for c in m)
-    hi = tuple((c + 1) * q - 1 for c in m)
-    # Terms vanish unless 0 <= j <= K, so clip the block.
-    lo = tuple(max(low, 0) for low in lo)
-    hi = tuple(min(h, k) for h, k in zip(hi, K))
-    if any(h < low for low, h in zip(lo, hi)):
-        return Fraction(0)
-    total = Fraction(0)
-    for j in _box(hi, lo):
-        total += _u_term(ctx, a, K, j)
-    return total
+    if any(c < 0 for c in m) or s < 0:
+        raise ValueError("m and s must be nonnegative")
+    # Terms vanish unless 0 <= j <= K, so the table of that box covers the block.
+    box = list(_box(K))
+    P = {x: ctx.Q(tuple(c + p * y for c, y in zip(a, x))) for x in box}
+    Q = {x: ctx.Q(x) for x in box}
+    return _block_sums(_u_table(K, P, Q), p, s)[s].get(m, 0)
 
 
 @dataclass
@@ -470,93 +643,105 @@ def verify_formal_congruences(
         raise ValueError("the congruence harness needs equal column sums")
     p, d = ctx.p, ctx.sys.d
     s_max, k_bound, m_bound = ranges.resolved(p)
+    mbox = list(_box((m_bound,) * d))
+    mus = [ctx.mu(m) for m in mbox]
     reports = []
 
-    w = _Worst("unit-at-zero")
     v0 = ctx.vpQ((0,) * d)
-    w.update(((0,) * d,), 0, v0)
-    rep = w.report()
-    reports.append(
-        CongruenceReport(rep.check, rep.locus, 0, v0, passed=(v0 == 0))
-    )
+    reports.append(CongruenceReport("unit-at-zero", ((0,) * d,), 0, v0, passed=(v0 == 0)))
 
     w = _Worst("weight-lower-bound")
-    for m in _box((m_bound,) * d):
-        w.update((m,), ctx.mu(m), ctx.vpQ(m))
+    for m, mu_m in zip(mbox, mus):
+        w.update((m,), mu_m, ctx.vpQ(m))
     reports.append(w.report())
 
-    wa = _Worst("ratio-congruence")
-    wa1 = _Worst("ratio-congruence-good")
-    wa2 = _Worst("ratio-congruence-excluded")
-    for s in range(s_max + 1):
-        for u in good_residues(ctx, s):
-            qu = ctx.Q(u)
-            vqu = ctx.vpQ(u)
-            for v in itertools.product(range(p), repeat=d):
-                vup = tuple(x + p * y for x, y in zip(v, u))
-                good_next = _good_residue_fractional(ctx, vup, s + 1)
-                mu_vup = ctx.mu(vup)
-                vq_vup = ctx.vpQ(vup)
-                q_vup = ctx.Q(vup)
-                for m in _box((m_bound,) * d):
-                    mu_m = ctx.mu(m)
-                    locus = (s, u, v, m)
-                    if good_next:
-                        diff = ctx.Q(
-                            tuple(x + y * p ** (s + 1) for x, y in zip(vup, m))
-                        ) / q_vup - ctx.Q(
-                            tuple(x + y * p**s for x, y in zip(u, m))
-                        ) / qu
-                        ach = vp_of_rational(diff, p)
-                        wa.update(locus, s + 1 + mu_m - vq_vup, ach)
-                        wa1.update(locus, s + 1 + mu_m - mu_vup, ach)
-                    else:
-                        diff = ctx.Q(
-                            tuple(x + y * p ** (s + 1) for x, y in zip(vup, m))
-                        ) / q_vup - ctx.Q(
-                            tuple(x + y * p**s for x, y in zip(u, m))
-                        ) / qu
-                        wa.update(locus, s + 1 + mu_m - vq_vup, vp_of_rational(diff, p))
-                        ach2 = ctx.vpQ(tuple(x + y * p**s for x, y in zip(u, m))) - vqu
-                        wa2.update(locus, s + 1 + mu_m - mu_vup, ach2)
-    reports.extend([wa.report(), wa1.report(), wa2.report()])
+    reports.extend(_ratio_reports(ctx, s_max, m_bound, mbox, mus))
 
     w = _Worst("weight-shift")
     for n, t in excluded_indices(ctx, s_max):
         pt = p**t
-        for m in _box((m_bound,) * d):
+        for m, mu_m in zip(mbox, mus):
             shifted = tuple(x + pt * y for x, y in zip(n, m))
-            w.update((n, t, m), t + ctx.mu(m), ctx.mu(shifted))
+            w.update((n, t, m), t + mu_m, ctx._count_mu(shifted))
     reports.append(w.report())
 
+    reports.extend(_conclusion_reports(ctx, s_max, k_bound, m_bound, dict(zip(mbox, mus))))
+    return reports
+
+
+def _ratio_reports(
+    ctx: PadicContext, s_max: int, m_bound: int, mbox: list, mus: list
+) -> list:
+    """The three ratio congruences: Q(vup + m p^(s+1)) / Q(vup) against
+    Q(u + m p^s) / Q(u), for good u mod p^s, v mod p and vup = v + p u."""
+    p, d = ctx.p, ctx.sys.d
+    units = ctx._units((m_bound + 1) * p ** (s_max + 1))
+    mod = units.mod
+    mdots = [units.dots(m) for m in mbox]
+    wa = _Worst("ratio-congruence")
+    wa1 = _Worst("ratio-congruence-good")
+    wa2 = _Worst("ratio-congruence-excluded")
+    for s in range(s_max + 1):
+        q0, q1 = p**s, p ** (s + 1)
+        for u in good_residues(ctx, s):
+            v_u, ui_u = units.inverse(u)
+            base_u = units.dots(u)
+            below = [units.shifted(base_u, q0, md) for md in mdots]
+            for v in itertools.product(range(p), repeat=d):
+                vup = tuple(x + p * y for x, y in zip(v, u))
+                good_next = _good_residue_fractional(ctx, vup, s + 1)
+                mu_vup = ctx.mu(vup)
+                v_vup, ui_vup = units.inverse(vup)
+                base_vup = units.dots(vup)
+                for m, md, mu_m, (v_b, x_b) in zip(mbox, mdots, mus, below):
+                    v_a, x_a = units.shifted(base_vup, q1, md)
+                    e_b = v_b - v_u
+                    ach = _gap(v_a - v_vup, x_a * ui_vup, e_b, x_b * ui_u, p, mod)
+                    if ach is None:
+                        top = tuple(x + q1 * y for x, y in zip(vup, m))
+                        bot = tuple(x + q0 * y for x, y in zip(u, m))
+                        ach = _vp(
+                            Fraction(ctx.Q(top)) / ctx.Q(vup) - Fraction(ctx.Q(bot)) / ctx.Q(u),
+                            p,
+                        )
+                    locus = (s, u, v, m)
+                    wa.update(locus, s + 1 + mu_m - v_vup, ach)
+                    if good_next:
+                        wa1.update(locus, s + 1 + mu_m - mu_vup, ach)
+                    else:
+                        wa2.update(locus, s + 1 + mu_m - mu_vup, e_b)
+    return [wa.report(), wa1.report(), wa2.report()]
+
+
+def _conclusion_reports(
+    ctx: PadicContext, s_max: int, k_bound: int, m_bound: int, mu: dict
+) -> list:
+    """The conclusion for every block sum and the telescoping of complete ones.
+
+    Only the nonempty blocks, m <= K // p^s, are visited.  An empty block
+    sums to zero, and an update with an INFINITY valuation changes a
+    ``_Worst`` only when it is the first update; the first update, at
+    (a, K, s, m) = 0, has a nonempty block.  So skipping the empty ones
+    leaves every report as it is.  The blocks of one level partition
+    [0, K], so the telescoping total is the sum of the whole table for
+    every s: it is computed once per (a, K) and reported for each s.
+    """
+    p, d = ctx.p, ctx.sys.d
+    kbox = list(_box((k_bound,) * d))
+    Q = {x: ctx.Q(x) for x in kbox}
     wc = _Worst("conclusion")
     wt = _Worst("telescoping")
-    zero = Fraction(0)
     for a in itertools.product(range(p), repeat=d):
-        for K in _box((k_bound,) * d):
-            # Every term with j outside [0, K] vanishes by zero-extension,
-            # so one table of the box covers all blocks below.
-            table = {j: _u_term(ctx, a, K, j) for j in _box(K)}
-
-            def block(s: int, m: IntVec) -> Fraction:
+        P = {x: ctx.Q(tuple(c + p * y for c, y in zip(a, x))) for x in kbox}
+        for K in kbox:
+            table = _u_table(K, P, Q)
+            total = _vp(sum(table.values()), p)
+            for s, level in enumerate(_block_sums(table, p, s_max)):
                 q = p**s
-                lo = tuple(max(c * q, 0) for c in m)
-                hi = tuple(min((c + 1) * q - 1, k) for c, k in zip(m, K))
-                if any(h < low for low, h in zip(lo, hi)):
-                    return zero
-                return sum((table[j] for j in _box(hi, lo)), zero)
-
-            for s in range(s_max + 1):
-                q = p**s
-                for m in _box((m_bound,) * d):
-                    wc.update(
-                        (a, K, s, m), s + 1 + ctx.mu(m), vp_of_rational(block(s, m), p)
-                    )
-                T = tuple(c // q for c in K)
-                total = sum((block(s, m) for m in _box(T)), zero)
-                wt.update((a, K, s), INFINITY, vp_of_rational(total, p))
-    reports.extend([wc.report(), wt.report()])
-    return reports
+                for m in _box(tuple(min(k // q, m_bound) for k in K)):
+                    wc.update_value((a, K, s, m), s + 1 + mu[m], level[m], p)
+                wt.update((a, K, s), INFINITY, total)
+    return [wc.report(), wt.report()]
 
 
 def q_ratio_congruence_sweep(
@@ -571,16 +756,31 @@ def q_ratio_congruence_sweep(
     if ctx.sys.sum_e != ctx.sys.sum_f:
         raise ValueError("the congruence needs equal column sums")
     p, d = ctx.p, ctx.sys.d
+    units = ctx._units((m_bound + 1) * p ** (s_max + 1))
+    mod = units.mod
+    mbox = list(_box((m_bound,) * d))
+    mdots = [units.dots(m) for m in mbox]
     w = _Worst("unit-ratio-congruence")
     for s in range(s_max + 1):
-        for c in itertools.product(range(p**s), repeat=d):
+        q0, q1 = p**s, p ** (s + 1)
+        for c in itertools.product(range(q0), repeat=d):
             cp = tuple(x * p for x in c)
-            qc, qcp = ctx.Q(c), ctx.Q(cp)
-            for m in _box((m_bound,) * d):
-                top = ctx.Q(tuple(x * p + y * p ** (s + 1) for x, y in zip(c, m)))
-                bot = ctx.Q(tuple(x + y * p**s for x, y in zip(c, m)))
-                ratio = (qc * top) / (qcp * bot)
-                w.update((s, c, m), s + 1, vp_of_rational(ratio - 1, p))
+            v_c, ui_c = units.inverse(c)
+            v_cp, ui_cp = units.inverse(cp)
+            base_c, base_cp = units.dots(c), units.dots(cp)
+            for m, md in zip(mbox, mdots):
+                # the ratio is (Q(top)/Q(cp)) / (Q(bot)/Q(c))
+                v_t, x_t = units.shifted(base_cp, q1, md)
+                v_b, x_b = units.shifted(base_c, q0, md)
+                e_b = v_b - v_c
+                gap = _gap(v_t - v_cp, x_t * ui_cp, e_b, x_b * ui_c, p, mod)
+                if gap is None:
+                    top = ctx.Q(tuple(x * p + y * q1 for x, y in zip(c, m)))
+                    bot = ctx.Q(tuple(x + y * q0 for x, y in zip(c, m)))
+                    ach = _vp(Fraction(ctx.Q(c) * top) / (ctx.Q(cp) * bot) - 1, p)
+                else:
+                    ach = gap - e_b
+                w.update((s, c, m), s + 1, ach)
     return w.report()
 
 

@@ -105,6 +105,11 @@ class TestSchema:
         code, _, _ = run(capsys, ["scan", job, "--prime", "6", "--no-cache"])
         assert code == EXIT_SCHEMA
 
+    def test_negative_budget_flag(self, tmp_path, capsys):
+        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
+        code, _, _ = run(capsys, ["classify", job, "--budget", "-1"])
+        assert code == EXIT_SCHEMA
+
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -113,6 +118,39 @@ class TestSchema:
 
     def test_unknown_bundled_name(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": {"name": "nope"}})
+        code, _, _ = run(capsys, ["classify", job])
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("congruences", {"ranges": {"s_max": "x"}}),
+            ("congruences", {"ranges": {"s_max": -1}}),
+            ("congruences", {"ranges": {"k_bound": True}}),
+            ("congruences", {"ranges": {"m_bound": -2}}),
+            ("classify", {"strategy": {"budget": "lots"}}),
+            ("classify", {"strategy": {"grid_multiplier": 0}}),
+            ("classify", {"strategy": {"seed": False}}),
+            ("classify", {"strategy": {"allow_fallback": 1}}),
+            ("classify", {"budget": True}),
+            ("scan", {"order": True}),
+            ("scan", {"primes": [True]}),
+        ],
+    )
+    def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys, command, extra):
+        doc = {"system": {"name": "central-binomial"}, "primes": [2], **extra}
+        job = write_job(tmp_path, "a.json", doc)
+        code, out, err = run(capsys, [command, job, "--no-cache"])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_booleans_are_not_form_entries(self, tmp_path, capsys):
+        job = write_job(tmp_path, "a.json", {"system": {"e": [[2]], "f": [[1], [True]]}})
+        code, _, _ = run(capsys, ["classify", job])
+        assert code == EXIT_SCHEMA
+        job = write_job(
+            tmp_path, "b.json", {"system": {"e": [[2]], "f": [[1], [1]], "raw": "no"}}
+        )
         code, _, _ = run(capsys, ["classify", job])
         assert code == EXIT_SCHEMA
 
@@ -126,6 +164,15 @@ class TestScanAndCache:
         code2, out2, _ = run(capsys, ["scan", job, "--prime", "2", *cache_args])
         assert code1 == code2 == EXIT_OK
         assert out1 == out2  # warm cache reruns are byte-identical
+
+    def test_bundle_prints_the_same_bytes_cold_and_warm(self, tmp_path, capsys, cache_args):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 2}
+        )
+        code1, cold, _ = run(capsys, ["bundle", job, *cache_args])
+        code2, warm, _ = run(capsys, ["bundle", job, *cache_args])
+        assert code1 == code2 == EXIT_OK
+        assert cold == warm
 
     def test_violations_fail(self, tmp_path, capsys, cache_args):
         job = write_job(
@@ -276,6 +323,15 @@ class TestDwork:
         bad = [l for l in lines if not l["pass"]]
         assert bad and bad[0]["locus"] == [[2]]
 
+    def test_non_p_integral_F_exits_2(self, tmp_path, capsys):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "inverse-binomial"}, "order": 4}
+        )
+        code, out, err = run(capsys, ["dwork", job, "--no-cache"])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        assert "p-integral" in err
+
     def test_bundle_dwork_passes(self, tmp_path, capsys, cache_args):
         job = write_job(
             tmp_path,
@@ -302,6 +358,13 @@ class TestCongruences:
         assert code == EXIT_OK
         checks = [json.loads(l)["check"] for l in out.splitlines()]
         assert "conclusion" in checks and "unit-ratio-congruence" in checks
+
+    def test_unequal_column_sums_exit_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, "a.json", {"system": {"e": [[2]], "f": [[1]]}})
+        code, out, err = run(capsys, ["congruences", job])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        assert "equal column sums" in err
 
 
 class TestCase:

@@ -4,10 +4,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mirrorint import dwork
 from mirrorint.dwork import (
     CongruenceRanges,
+    CongruenceReport,
     PadicContext,
+    _Worst,
     convolution_sum,
     dd_coefficient_L,
     dd_coefficient_k,
@@ -24,10 +28,167 @@ from mirrorint.dwork import (
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
-from mirrorint.forms import FormSystem, vp_ratio_legendre
+from mirrorint.forms import (
+    INFINITY,
+    FormSystem,
+    factorial_ratio,
+    vp_of_rational,
+    vp_ratio_legendre,
+)
+from mirrorint.landau import in_jump_region
 from mirrorint.mirror import build_F, build_GL, build_Gk, exponents_upto
 from mirrorint.series import MSeries
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D, CUBIC_SPLIT, INVERSE_BINOMIAL
+
+
+# ---------------------------------------------------------------------------
+# the exact harness, the oracle the residue-arithmetic one must match report
+# for report: Fraction values of Q, jump-region tests on Fraction points,
+# every block summed from its own box
+
+
+class _OracleContext:
+    def __init__(self, p, sys):
+        self.p, self.sys = p, sys
+        self._q = {}
+        self._mu = {}
+
+    def Q(self, n):
+        n = tuple(n)
+        if n not in self._q:
+            self._q[n] = (
+                Fraction(0) if any(c < 0 for c in n) else factorial_ratio(self.sys, n)
+            )
+        return self._q[n]
+
+    def vpQ(self, n):
+        return vp_ratio_legendre(self.sys, n, self.p)
+
+    def in_region(self, u, q):
+        return in_jump_region(self.sys, tuple(Fraction(c, q) for c in u))
+
+    def mu(self, m):
+        m = tuple(m)
+        if m not in self._mu:
+            top = max((sum(a * b for a, b in zip(v, m)) for v in self.sys.forms), default=0)
+            count, q = 0, self.p
+            while q <= top:
+                count += self.in_region(tuple(c % q for c in m), q)
+                q *= self.p
+            self._mu[m] = count
+        return self._mu[m]
+
+    def good(self, u, s):
+        return s == 0 or not self.in_region(u, self.p**s)
+
+    def good_residues(self, s):
+        return [
+            u
+            for u in itertools.product(range(self.p**s), repeat=self.sys.d)
+            if self.good(u, s)
+        ]
+
+    def excluded_indices(self, t_max):
+        p = self.p
+        return [
+            (n, t)
+            for t in range(1, t_max + 1)
+            for n in itertools.product(range(p**t), repeat=self.sys.d)
+            if all(self.in_region(tuple(c % p**l for c in n), p**l) for l in range(1, t + 1))
+        ]
+
+
+def _obox(hi, lo=None):
+    lo = lo or (0,) * len(hi)
+    return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+
+
+def oracle_verify_formal_congruences(p, sys, ranges):
+    ctx = _OracleContext(p, sys)
+    d = sys.d
+    s_max, k_bound, m_bound = ranges.resolved(p)
+    reports = []
+
+    v0 = ctx.vpQ((0,) * d)
+    reports.append(CongruenceReport("unit-at-zero", ((0,) * d,), 0, v0, v0 == 0))
+
+    w = _Worst("weight-lower-bound")
+    for m in _obox((m_bound,) * d):
+        w.update((m,), ctx.mu(m), ctx.vpQ(m))
+    reports.append(w.report())
+
+    wa = _Worst("ratio-congruence")
+    wa1 = _Worst("ratio-congruence-good")
+    wa2 = _Worst("ratio-congruence-excluded")
+    for s in range(s_max + 1):
+        for u in ctx.good_residues(s):
+            qu, vqu = ctx.Q(u), ctx.vpQ(u)
+            for v in itertools.product(range(p), repeat=d):
+                vup = tuple(x + p * y for x, y in zip(v, u))
+                good_next = ctx.good(vup, s + 1)
+                mu_vup, vq_vup, q_vup = ctx.mu(vup), ctx.vpQ(vup), ctx.Q(vup)
+                for m in _obox((m_bound,) * d):
+                    mu_m = ctx.mu(m)
+                    locus = (s, u, v, m)
+                    top = tuple(x + y * p ** (s + 1) for x, y in zip(vup, m))
+                    bot = tuple(x + y * p**s for x, y in zip(u, m))
+                    ach = vp_of_rational(ctx.Q(top) / q_vup - ctx.Q(bot) / qu, p)
+                    wa.update(locus, s + 1 + mu_m - vq_vup, ach)
+                    if good_next:
+                        wa1.update(locus, s + 1 + mu_m - mu_vup, ach)
+                    else:
+                        wa2.update(locus, s + 1 + mu_m - mu_vup, ctx.vpQ(bot) - vqu)
+    reports.extend([wa.report(), wa1.report(), wa2.report()])
+
+    w = _Worst("weight-shift")
+    for n, t in ctx.excluded_indices(s_max):
+        for m in _obox((m_bound,) * d):
+            shifted = tuple(x + p**t * y for x, y in zip(n, m))
+            w.update((n, t, m), t + ctx.mu(m), ctx.mu(shifted))
+    reports.append(w.report())
+
+    wc = _Worst("conclusion")
+    wt = _Worst("telescoping")
+    zero = Fraction(0)
+    for a in itertools.product(range(p), repeat=d):
+        for K in _obox((k_bound,) * d):
+            table = {}
+            for j in _obox(K):
+                Kj = tuple(x - y for x, y in zip(K, j))
+                table[j] = ctx.Q(tuple(x + p * y for x, y in zip(a, Kj))) * ctx.Q(
+                    j
+                ) - ctx.Q(Kj) * ctx.Q(tuple(x + p * y for x, y in zip(a, j)))
+
+            def block(s, m):
+                q = p**s
+                lo = tuple(c * q for c in m)
+                hi = tuple(min((c + 1) * q - 1, k) for c, k in zip(m, K))
+                if any(h < low for low, h in zip(lo, hi)):
+                    return zero
+                return sum((table[j] for j in _obox(hi, lo)), zero)
+
+            for s in range(s_max + 1):
+                for m in _obox((m_bound,) * d):
+                    wc.update((a, K, s, m), s + 1 + ctx.mu(m), vp_of_rational(block(s, m), p))
+                T = tuple(c // p**s for c in K)
+                total = sum((block(s, m) for m in _obox(T)), zero)
+                wt.update((a, K, s), INFINITY, vp_of_rational(total, p))
+    reports.extend([wc.report(), wt.report()])
+    return reports
+
+
+def oracle_q_ratio_congruence_sweep(p, sys, s_max, m_bound):
+    ctx = _OracleContext(p, sys)
+    w = _Worst("unit-ratio-congruence")
+    for s in range(s_max + 1):
+        for c in itertools.product(range(p**s), repeat=sys.d):
+            cp = tuple(x * p for x in c)
+            qc, qcp = ctx.Q(c), ctx.Q(cp)
+            for m in _obox((m_bound,) * sys.d):
+                top = ctx.Q(tuple(x * p + y * p ** (s + 1) for x, y in zip(c, m)))
+                bot = ctx.Q(tuple(x + y * p**s for x, y in zip(c, m)))
+                w.update((s, c, m), s + 1, vp_of_rational((qc * top) / (qcp * bot) - 1, p))
+    return w.report()
 
 
 class TestGammaP:
@@ -295,3 +456,67 @@ class TestNegativityWitness:
 
     def test_integral_system_has_no_witness(self):
         assert landau_negative_witness(CENTRAL_BINOMIAL, 5, bound=8) is None
+
+
+class TestHarnessAgainstOracle:
+    """The residue-arithmetic harness against the exact one, report by report."""
+
+    @staticmethod
+    def assert_same(p, sys, ranges):
+        fast = verify_formal_congruences(PadicContext(p, sys), ranges)
+        slow = oracle_verify_formal_congruences(p, sys, ranges)
+        assert [r.to_json() for r in fast] == [r.to_json() for r in slow]
+        s_max, _, m_bound = ranges.resolved(p)
+        fast = q_ratio_congruence_sweep(PadicContext(p, sys), s_max, m_bound)
+        assert fast.to_json() == oracle_q_ratio_congruence_sweep(p, sys, s_max, m_bound).to_json()
+
+    @staticmethod
+    @st.composite
+    def jobs(draw):
+        """An equal-column-sum system in d = 1 or 2, a prime and small ranges.
+
+        f splits the column sums of e at random; swapping e and f gives
+        Q = 1 / (integral ratio), a system that is not p-integral.
+        """
+        d = draw(st.integers(1, 2))
+        e = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=2))
+        f = [[0] * d for _ in range(draw(st.integers(1, 3)))]
+        for i in range(d):
+            for _ in range(sum(v[i] for v in e)):
+                f[draw(st.integers(0, len(f) - 1))][i] += 1
+        if draw(st.booleans()):
+            e, f = f, e
+        p = draw(st.sampled_from((2, 3, 5)))
+        ranges = CongruenceRanges(
+            draw(st.integers(0, 2 if p == 2 else 1)),
+            draw(st.integers(0, 3)),
+            draw(st.integers(0, 3)),
+        )
+        return p, FormSystem(e, f, raw=True), ranges
+
+    @settings(max_examples=60, deadline=None)
+    @given(jobs())
+    def test_drawn_systems(self, job):
+        self.assert_same(*job)
+
+    @pytest.mark.parametrize(
+        "p, sys, ranges",
+        [
+            (2, CUBIC_2D, CongruenceRanges()),
+            (3, CUBIC_SPLIT, CongruenceRanges(1, 3, 3)),
+            (3, INVERSE_BINOMIAL, CongruenceRanges(2, 4, 4)),
+            (5, CENTRAL_BINOMIAL, CongruenceRanges(2, 6, 6)),
+        ],
+    )
+    def test_exact_fallback_everywhere(self, monkeypatch, p, sys, ranges):
+        # one p-adic digit: every unit difference divisible by p takes the
+        # exact path, including every ratio that is right to that digit
+        monkeypatch.setattr(dwork, "_R", 1)
+        self.assert_same(p, sys, ranges)
+
+    def test_cubic_2d_at_five(self):
+        self.assert_same(5, CUBIC_2D, CongruenceRanges(1, 4, 4))
+
+    def test_bundled_systems_at_default_ranges(self):
+        for p, sys in ((2, CUBIC_SPLIT), (3, CENTRAL_BINOMIAL), (3, INVERSE_BINOMIAL)):
+            self.assert_same(p, sys, CongruenceRanges())
