@@ -6,15 +6,12 @@
 # (3) the weight/good-residue machinery, (4) the generalized formal
 # congruence harness with its exact telescoping identity.
 
-from fractions import Fraction
-
 from mirrorint import (
     MSeries,
     PadicContext,
     dieudonne_dwork_check,
     good_residues,
     landau_negative_witness,
-    padic_weight,
     verify_formal_congruences,
     vp_ratio_legendre,
 )
@@ -44,8 +41,8 @@ print()
 print("=== weights and good residues (p = 2, central binomial) ===")
 ctx = PadicContext(2, CENTRAL_BINOMIAL)
 for m in ((1,), (3,), (4,)):
-    mu, g = padic_weight(ctx, m)
-    print(f"  mu({m[0]}) = {mu}, weight = {g}")
+    mu = ctx.mu(m)
+    print(f"  mu({m[0]}) = {mu}, weight = {ctx.p**mu}")
 print("good residues mod 4:", good_residues(ctx, 2))
 
 print()

@@ -6,7 +6,7 @@
 # solution.  The verification is entirely formal: expand, specialize,
 # apply the operator, compare coefficients.
 
-from mirrorint import apply_operator, classify, integrality_scan
+from mirrorint import classify, integrality_scan
 from mirrorint.mirror import build_F, build_Gk
 from mirrorint.operators import case30_record
 from mirrorint.series import LogSeries, MSeries
@@ -24,8 +24,8 @@ print("specialized series starts:", [int(F_spec.coeff((n,))) for n in range(4)])
 print("(the n=1 coefficient 144 is 12 * 12: head factor times binomial sum)")
 
 print()
-killed_f = apply_operator(rec.operator, LogSeries.pure(F_spec))
-killed_g = apply_operator(rec.operator, LogSeries(G_spec, F_spec))
+killed_f = rec.operator(LogSeries.pure(F_spec))
+killed_g = rec.operator(LogSeries(G_spec, F_spec))
 print(f"operator annihilates F to order {killed_f.order}:", killed_f.is_zero())
 print(f"operator annihilates G + log(z) F to order {killed_g.order}:", killed_g.is_zero())
 

@@ -60,10 +60,8 @@ from .dwork import (
     gamma_p_check,
     good_residues,
     harmonic_obstruction,
-    is_good_residue,
     landau_negative_witness,
     obstruction_ratio,
-    padic_weight,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
@@ -71,8 +69,6 @@ from .operators import (
     AnnihilationReport,
     CaseRecord,
     ThetaOperator,
-    apply_operator,
-    case30_landau_check,
     case30_record,
     verify_annihilation,
 )

@@ -12,8 +12,16 @@ column sum, 20 budget exceeded / uncertified); report commands exit 0
 iff every line passes; malformed input exits 2; cache corruption exits 3.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
-inverse-binomial), ``congruences`` on unequal column sums of e and f.
-JSON ``true`` and ``false`` are never taken for integers.
+inverse-binomial), ``congruences`` on unequal column sums of e and f,
+``case`` at an order below the z-degree of its operator.  JSON ``true``
+and ``false`` are never taken for integers.
+
+A job's ``ranges`` bound the formal-congruence sweeps.  Where ``m_bound``
+is not set, the hypotheses and the conclusion run m up to p^2 but the
+unit-ratio sweep keeps its own default of 4.
+
+The classifier takes ``strategy.budget`` (also ``--budget``) and
+``strategy.allow_fallback``; its grid and sample sizes are fixed.
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
@@ -83,15 +91,12 @@ _TOP_KEYS = {
     "primes",
     "commands",
     "strategy",
-    "budget",
     "cache_dir",
     "case",
     "fixture",
     "ranges",
 }
-_STRATEGY_KEYS = {"budget", "grid_multiplier", "random_samples", "seed", "allow_fallback"}
-# least value of each integer strategy knob
-_STRATEGY_MIN = {"budget": 0, "grid_multiplier": 1, "random_samples": 0, "seed": None}
+_STRATEGY_KEYS = {"budget", "allow_fallback"}
 _RANGE_KEYS = {"s_max", "k_bound", "m_bound"}
 
 
@@ -176,21 +181,11 @@ def parse_job(doc: dict, command: str) -> Job:
     sdoc = doc.get("strategy", {})
     if not isinstance(sdoc, dict) or set(sdoc) - _STRATEGY_KEYS:
         _fail_schema(f"strategy keys must be a subset of {sorted(_STRATEGY_KEYS)}")
-    for key, value in sdoc.items():
-        if key == "allow_fallback":
-            if not isinstance(value, bool):
-                _fail_schema("strategy.allow_fallback must be true or false")
-            continue
-        least = _STRATEGY_MIN[key]
-        if not _is_int(value) or (least is not None and value < least):
-            _fail_schema(
-                f"strategy.{key} must be an integer" + ("" if least is None else f" >= {least}")
-            )
+    if "budget" in sdoc and not _nonnegative_int(sdoc["budget"]):
+        _fail_schema("strategy.budget must be a nonnegative integer")
+    if not isinstance(sdoc.get("allow_fallback", True), bool):
+        _fail_schema("strategy.allow_fallback must be true or false")
     strategy = SamplingStrategy(**sdoc)
-    if "budget" in doc:
-        if not _nonnegative_int(doc["budget"]):
-            _fail_schema("budget must be a nonnegative integer")
-        strategy.budget = doc["budget"]
     cache_dir = doc.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
         _fail_schema("cache_dir must be a string")
@@ -476,6 +471,10 @@ def cmd_dwork(job: Job, args) -> int:
 def cmd_congruences(job: Job, args) -> int:
     if job.system is None:
         _fail_schema("congruences needs a system")
+    # an unset m_bound is p^2 for the harness but the sweep's own 4 here
+    sweep = {"s_max": job.ranges.s_max}
+    if job.ranges.m_bound is not None:
+        sweep["m_bound"] = job.ranges.m_bound
     failures = 0
     for p in job.primes:
         ctx = PadicContext(p, job.system)
@@ -483,7 +482,7 @@ def cmd_congruences(job: Job, args) -> int:
             reports = verify_formal_congruences(ctx, job.ranges)
         except ValueError as exc:
             raise SchemaError(f"congruences cannot check this system: {exc}") from None
-        reports.append(q_ratio_congruence_sweep(ctx, s_max=job.ranges.s_max))
+        reports.append(q_ratio_congruence_sweep(ctx, **sweep))
         for rep in reports:
             failures += 0 if rep.passed else 1
             _emit({"prime": p} | json.loads(rep.to_json()))
@@ -508,6 +507,10 @@ def _load_case(job: Job) -> CaseRecord:
 def cmd_case(job: Job, args) -> int:
     rec = _load_case(job)
     order = job.order if job.order is not None else 12
+    if order < rec.operator.z_degree:
+        _fail_schema(
+            f"case {rec.name} needs order >= {rec.operator.z_degree}, the z-degree of its operator"
+        )
     report = verify_annihilation(rec, order)
     for c in report.checks:
         _emit(

@@ -9,8 +9,7 @@ v_p(x) >= t + v_p(g).  The module provides
   * the weight mu_p counting how many p-adic rescalings of an index land
     in the jump region, with g_p = p^mu_p;
   * good residues mod p^s: vectors whose scaled fractional part avoids
-    the jump region, decided both by fractional parts and by a digit-word
-    suffix rule (the two must agree);
+    the jump region;
   * the Dieudonne-Dwork product test for exp(G/F), per exponent;
   * closed convolution formulas for single coefficients of the
     Dieudonne-Dwork combination;
@@ -268,15 +267,6 @@ class PadicContext:
             q *= self.p
         return count
 
-    def g(self, m: Sequence[int]) -> int:
-        return self.p ** self.mu(m)
-
-
-def padic_weight(ctx: PadicContext, m: Sequence[int]) -> tuple[int, int]:
-    """The pair (mu_p(m), p^mu_p(m))."""
-    mu = ctx.mu(m)
-    return mu, ctx.p**mu
-
 
 # ---------------------------------------------------------------------------
 # good residues
@@ -290,54 +280,12 @@ def _in_region_scaled(ctx: PadicContext, u: IntVec, q: int) -> bool:
     return any(sum(map(mul, w, u)) >= q for w in ctx._forms)
 
 
-def _good_residue_fractional(ctx: PadicContext, u: IntVec, s: int) -> bool:
-    if s == 0:
-        return True
-    return not _in_region_scaled(ctx, u, ctx.p**s)
-
-
-def _good_residue_words(ctx: PadicContext, u: IntVec, s: int) -> bool:
-    # u is excluded iff for some t <= s its top t base-p digit vectors form
-    # an index n whose first t rescalings all land in the jump region.
-    p = ctx.p
-    for t in range(1, s + 1):
-        n = tuple(c // p ** (s - t) for c in u)
-        if all(
-            _in_region_scaled(ctx, tuple(c % p**l for c in n), p**l)
-            for l in range(1, t + 1)
-        ):
-            return False
-    return True
-
-
-def is_good_residue(ctx: PadicContext, u: Sequence[int], s: int) -> bool:
-    """Membership of u in the good residue set mod p^s.
-
-    Good residues are the u in {0..p^s-1}^d whose scaled fractional part
-    {u/p^s} avoids the jump region.  The equivalent digit-word suffix rule
-    is evaluated as well and must agree.
-    """
-    u = tuple(int(c) for c in u)
-    if len(u) != ctx.sys.d:
-        raise ValueError("residue vector has the wrong dimension")
-    if any(not 0 <= c < ctx.p**s for c in u):
-        raise ValueError(f"residue entries must lie in [0, p^{s})")
-    a = _good_residue_fractional(ctx, u, s)
-    b = _good_residue_words(ctx, u, s)
-    if a != b:
-        raise RuntimeError(
-            f"good-residue criteria disagree at u={u}, s={s}: "
-            f"fractional={a}, words={b}"
-        )
-    return a
-
-
 def good_residues(ctx: PadicContext, s: int) -> list[IntVec]:
     """All good residues mod p^s, lexicographically."""
     return [
         u
         for u in itertools.product(range(ctx.p**s), repeat=ctx.sys.d)
-        if _good_residue_fractional(ctx, u, s)
+        if not _in_region_scaled(ctx, u, ctx.p**s)
     ]
 
 
@@ -689,7 +637,7 @@ def _ratio_reports(
             below = [units.shifted(base_u, q0, md) for md in mdots]
             for v in itertools.product(range(p), repeat=d):
                 vup = tuple(x + p * y for x, y in zip(v, u))
-                good_next = _good_residue_fractional(ctx, vup, s + 1)
+                good_next = not _in_region_scaled(ctx, vup, q1)
                 mu_vup = ctx.mu(vup)
                 v_vup, ui_vup = units.inverse(vup)
                 base_vup = units.dots(vup)

@@ -15,7 +15,10 @@ infinitely many p-adic failures.
 strategies: exact arrangement-vertex enumeration and a dense rational grid.
 Neither alone is proven to see every full-dimensional cell of the floor
 arrangement, so the two must agree; disagreement raises instead of
-returning a wrong certificate.
+returning a wrong certificate.  The grid's denominator is the lcm of the
+form entries times ``GRID_MULTIPLIER``; the sampled fallback, taken when
+the budget is exceeded, adds ``RANDOM_SAMPLES`` points from a generator
+seeded with ``SAMPLE_SEED``.  All three are fixed constants.
 """
 
 from __future__ import annotations
@@ -206,14 +209,18 @@ class CriterionVerdict:
         return out
 
 
+# grid resolution and sampled fallback (see the module docstring); the
+# fixed seed makes sampled verdicts reproducible
+GRID_MULTIPLIER = 4
+RANDOM_SAMPLES = 512
+SAMPLE_SEED = 0
+
+
 @dataclass
 class SamplingStrategy:
-    """Knobs for the classifier's candidate generation."""
+    """The classifier's point budget and whether it may fall back to sampling."""
 
     budget: int = 2_000_000
-    grid_multiplier: int = 4
-    random_samples: int = 512
-    seed: int = 0
     allow_fallback: bool = True
 
 
@@ -285,30 +292,24 @@ def vertex_candidates(sys: FormSystem, budget: int = 2_000_000) -> list[Point]:
     return sorted(pts)
 
 
-def grid_denominator(sys: FormSystem, multiplier: int = 4) -> int:
+def grid_denominator(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> int:
     """Denominator used by the grid strategy: lcm of entries times a multiplier."""
     entries = [c for v in sys.forms for c in v if c != 0]
     return math.lcm(*entries) * multiplier
 
 
-def grid_points(sys: FormSystem, multiplier: int = 4) -> list[Point]:
+def grid_points(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> list[Point]:
     """The full denominator-N grid of [0,1)^d for the cross-check strategy."""
     N = grid_denominator(sys, multiplier)
     axis = [Fraction(i, N) for i in range(N)]
     return [tuple(p) for p in itertools.product(axis, repeat=sys.d)]
 
 
-def up_right_epsilon(sys: FormSystem, multiplier: int = 4) -> Fraction:
-    """Diagonal probe step, strictly below any cell width at grid resolution."""
-    dmax = max(sum(v) for v in sys.forms)
-    return Fraction(1, 2 * grid_denominator(sys, multiplier) * dmax)
-
-
-def _random_points(sys: FormSystem, strategy: SamplingStrategy) -> list[Point]:
-    rng = random.Random(strategy.seed)
-    base = grid_denominator(sys, strategy.grid_multiplier)
+def _random_points(sys: FormSystem) -> list[Point]:
+    rng = random.Random(SAMPLE_SEED)
+    base = grid_denominator(sys)
     pts = set()
-    for _ in range(strategy.random_samples):
+    for _ in range(RANDOM_SAMPLES):
         den = base * rng.randint(1, 8)
         pts.add(tuple(Fraction(rng.randrange(den), den) for _ in range(sys.d)))
     return sorted(pts)
@@ -360,28 +361,29 @@ def classify(
     Runs the exhaustive vertex strategy and the grid strategy and requires
     them to agree on the tag (the vertex verdict, with its deterministic
     lexicographic witness choice, is returned).  When the arrangement is
-    too large for the budget the classifier falls back to grid plus seeded
-    random sampling and marks the verdict as sampled; with
-    ``allow_fallback=False`` it raises ``BudgetExceededError`` instead.
+    too large for the budget the classifier falls back to the grid plus
+    ``RANDOM_SAMPLES`` points drawn with seed ``SAMPLE_SEED`` and marks the
+    verdict as sampled; with ``allow_fallback=False`` it raises
+    ``BudgetExceededError`` instead.
     """
     if strategy is None:
         strategy = SamplingStrategy()
-    grid_size = grid_denominator(sys, strategy.grid_multiplier) ** sys.d
+    grid_size = grid_denominator(sys) ** sys.d
     if grid_size > strategy.budget:
         if not strategy.allow_fallback:
             raise BudgetExceededError(
                 f"grid of {grid_size} points exceeds the budget of {strategy.budget}"
             )
         coarse = grid_points(sys, 1) if grid_denominator(sys, 1) ** sys.d <= strategy.budget else []
-        pts = sorted(set(coarse) | set(_random_points(sys, strategy)))
+        pts = sorted(set(coarse) | set(_random_points(sys)))
         return _verdict_from_points(sys, pts, sampled=True)
-    grid = grid_points(sys, strategy.grid_multiplier)
+    grid = grid_points(sys)
     try:
         vertices = vertex_candidates(sys, budget=strategy.budget)
     except BudgetExceededError:
         if not strategy.allow_fallback:
             raise
-        pts = sorted(set(grid) | set(_random_points(sys, strategy)))
+        pts = sorted(set(grid) | set(_random_points(sys)))
         return _verdict_from_points(sys, pts, sampled=True)
     vertex_verdict = _verdict_from_points(sys, vertices, sampled=False)
     grid_verdict = _verdict_from_points(sys, grid, sampled=False)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .forms import FormSystem, harmonic
-from .landau import CriterionVerdict, SamplingStrategy, classify
+from .forms import FormSystem
 from .mirror import build_F, build_Gk, integrality_scan
 from .series import LogSeries, MSeries, apply_theta_poly
+from .systems import CASE30
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -66,33 +66,10 @@ class ThetaOperator:
         return [list(p) for p in self.polys]
 
 
-def apply_operator(opr: ThetaOperator, s: LogSeries) -> LogSeries:
-    """Apply the operator formally; the result is truncated to order N - v."""
-    return opr(s)
-
-
 # ---------------------------------------------------------------------------
 # closed-form registry
 
 ClosedForm = Callable[[int], Fraction]
-
-_CLOSED_FORMS: dict[str, ClosedForm] = {}
-
-
-def register_closed_form(name: str, fn: ClosedForm):
-    _CLOSED_FORMS[name] = fn
-
-
-def closed_form(name: str) -> ClosedForm:
-    key = name.removeprefix("builtin:")
-    try:
-        return _CLOSED_FORMS[key]
-    except KeyError:
-        raise KeyError(f"no registered closed form {name!r}") from None
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 def case30_coefficient(n: int) -> Fraction:
@@ -101,32 +78,21 @@ def case30_coefficient(n: int) -> Fraction:
         math.factorial(4 * n), math.factorial(n) ** 2 * math.factorial(2 * n)
     )
     tail = sum(
-        4**k * _binom(2 * (n - k), n - k) ** 2 * _binom(2 * k, k)
+        4**k * math.comb(2 * (n - k), n - k) ** 2 * math.comb(2 * k, k)
         for k in range(n + 1)
     )
     return head * tail
 
 
-def case30_log_coefficient(n: int) -> Fraction:
-    """Coefficient of the log companion in closed form: the same binomial
-    sum weighted by 4 H(4n) - 2 H(n) - 2 H(2n) + 4 H(2(n-k)) - 4 H(n-k)."""
-    head = Fraction(
-        math.factorial(4 * n), math.factorial(n) ** 2 * math.factorial(2 * n)
-    )
-    tail = Fraction(0)
-    for k in range(n + 1):
-        weight = (
-            4 * harmonic(4 * n)
-            - 2 * harmonic(n)
-            - 2 * harmonic(2 * n)
-            + 4 * harmonic(2 * (n - k))
-            - 4 * harmonic(n - k)
-        )
-        tail += 4**k * _binom(2 * (n - k), n - k) ** 2 * _binom(2 * k, k) * weight
-    return head * tail
+_CLOSED_FORMS: dict[str, ClosedForm] = {"case30": case30_coefficient}
 
 
-register_closed_form("case30", case30_coefficient)
+def closed_form(name: str) -> ClosedForm:
+    key = name.removeprefix("builtin:")
+    try:
+        return _CLOSED_FORMS[key]
+    except KeyError:
+        raise KeyError(f"no registered closed form {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +147,11 @@ def case30_operator() -> ThetaOperator:
     return ThetaOperator((p0, p1, p2))
 
 
-def case30_system() -> FormSystem:
-    return FormSystem(
-        e=[(4, 4), (2, 0), (2, 0), (0, 2)],
-        f=[(2, 2), (1, 1), (1, 1), (1, 0), (1, 0), (1, 0), (1, 0), (0, 1), (0, 1)],
-    )
-
-
 def case30_record() -> CaseRecord:
     return CaseRecord(
         name="case30",
         operator=case30_operator(),
-        system=case30_system(),
+        system=CASE30,
         M=(1, 4),
         Nexp=(1, 1),
         k=1,
@@ -263,7 +222,7 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
         )
     )
 
-    killed_f = apply_operator(rec.operator, LogSeries.pure(F_spec))
+    killed_f = rec.operator(LogSeries.pure(F_spec))
     checks.append(
         CheckResult(
             "annihilates-series",
@@ -274,7 +233,7 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
         )
     )
 
-    killed_g = apply_operator(rec.operator, LogSeries(G_spec, F_spec))
+    killed_g = rec.operator(LogSeries(G_spec, F_spec))
     checks.append(
         CheckResult(
             "annihilates-log-companion",
@@ -299,9 +258,3 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     )
     return AnnihilationReport(rec.name, order, tuple(checks))
 
-
-def case30_landau_check(
-    strategy: Optional[SamplingStrategy] = None,
-) -> CriterionVerdict:
-    """Classify the case-30 form system (expected: the everywhere >= 1 branch)."""
-    return classify(case30_system(), strategy)

@@ -170,18 +170,12 @@ class MSeries:
             return NotImplemented
         self._check_compatible(other)
         order = self.order
+        a, b = self._slices(), other._slices()
         data: dict[Exponent, Fraction] = {}
-        for va, ca in self._terms.items():
-            da = sum(va)
-            for vb, cb in other._terms.items():
-                if da + sum(vb) > order:
-                    continue
-                v = tuple(a + b for a, b in zip(va, vb))
-                s = data.get(v, Fraction(0)) + ca * cb
-                if s:
-                    data[v] = s
-                elif v in data:
-                    del data[v]
+        for i, xs in enumerate(a):
+            if xs:
+                for ys in b[: order - i + 1]:
+                    _conv_into(data, xs, ys)
         return MSeries(self.d, order, data)
 
     __rmul__ = __mul__
@@ -214,12 +208,12 @@ class MSeries:
         """Multiplicative inverse of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("reciprocal requires constant term 1")
-        u = self._slices()
+        neg = [{v: -c for v, c in sl.items()} for sl in self._slices()]
         r: list[dict[Exponent, Fraction]] = [{(0,) * self.d: Fraction(1)}]
         for k in range(1, self.order + 1):
             acc: dict[Exponent, Fraction] = {}
             for j in range(1, k + 1):
-                _conv_into(acc, u[j], r[k - j], -1)
+                _conv_into(acc, neg[j], r[k - j])
             r.append(acc)
         return _from_slices(self.d, self.order, r)
 
@@ -227,13 +221,14 @@ class MSeries:
         """Exponential of a series with zero constant term."""
         if self.constant_term != 0:
             raise ValueError("exp requires zero constant term")
-        a = self._slices()
+        # e_k = (1/k) sum_j (j a_j) e_(k-j), the graded form of e' = a' e
+        ja = [{v: j * c for v, c in sl.items()} for j, sl in enumerate(self._slices())]
         e: list[dict[Exponent, Fraction]] = [{(0,) * self.d: Fraction(1)}]
         for k in range(1, self.order + 1):
             acc: dict[Exponent, Fraction] = {}
             for j in range(1, k + 1):
-                if a[j]:
-                    _conv_into(acc, a[j], e[k - j], j)
+                if ja[j]:
+                    _conv_into(acc, ja[j], e[k - j])
             e.append({v: c / k for v, c in acc.items() if c})
         return _from_slices(self.d, self.order, e)
 
@@ -241,14 +236,17 @@ class MSeries:
         """Logarithm of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("log requires constant term 1")
+        # lg_k = u_k - (1/k) sum_(j<k) (j lg_j) u_(k-j), from u lg' = u'
         u = self._slices()
         lg: list[dict[Exponent, Fraction]] = [dict()]
+        neg_jlg: list[dict[Exponent, Fraction]] = [dict()]
         for k in range(1, self.order + 1):
             acc = {v: Fraction(k) * c for v, c in u[k].items()}
             for j in range(1, k):
-                if lg[j]:
-                    _conv_into(acc, lg[j], u[k - j], -j)
+                if neg_jlg[j]:
+                    _conv_into(acc, neg_jlg[j], u[k - j])
             lg.append({v: c / k for v, c in acc.items() if c})
+            neg_jlg.append({v: -k * c for v, c in lg[k].items()})
         return _from_slices(self.d, self.order, lg)
 
     # -- substitutions ---------------------------------------------------------
@@ -313,11 +311,12 @@ class MSeries:
         return cls(int(data["d"]), int(data["order"]), terms)
 
 
-def _conv_into(acc, xs, ys, weight):
+def _conv_into(acc, xs, ys):
+    """Add the product of the homogeneous parts xs and ys into acc."""
     for va, ca in xs.items():
         for vb, cb in ys.items():
             v = tuple(a + b for a, b in zip(va, vb))
-            s = acc.get(v, Fraction(0)) + weight * ca * cb
+            s = acc.get(v, Fraction(0)) + ca * cb
             if s:
                 acc[v] = s
             elif v in acc:

@@ -16,6 +16,8 @@ from mirrorint.cli import (
     EXIT_SCHEMA,
     main,
 )
+from mirrorint.dwork import PadicContext, q_ratio_congruence_sweep
+from mirrorint.systems import CENTRAL_BINOMIAL
 
 
 def write_job(tmp_path, name, doc):
@@ -60,7 +62,9 @@ class TestClassify:
         assert json.loads(out)["coordinate"] == 1
 
     def test_budget_exceeded_in_strict_mode(self, tmp_path, capsys):
-        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}, "budget": 1})
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "cubic-2d"}, "strategy": {"budget": 1}}
+        )
         code, _, err = run(capsys, ["classify", job, "--strategy", "exhaustive"])
         assert code == EXIT_BUDGET
 
@@ -135,6 +139,9 @@ class TestSchema:
             ("classify", {"budget": True}),
             ("scan", {"order": True}),
             ("scan", {"primes": [True]}),
+            ("classify", {"strategy": {"budget": -1}}),
+            ("classify", {"budget": 1}),  # the budget lives under strategy
+            ("classify", {"strategy": {"random_samples": 64}}),  # not a knob
         ],
     )
     def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys, command, extra):
@@ -359,6 +366,31 @@ class TestCongruences:
         checks = [json.loads(l)["check"] for l in out.splitlines()]
         assert "conclusion" in checks and "unit-ratio-congruence" in checks
 
+    @pytest.mark.parametrize("m_bound", [0, 1, 2])
+    def test_unit_ratio_sweep_honours_m_bound(self, tmp_path, capsys, m_bound):
+        ranges = {"s_max": 1, "k_bound": 0, "m_bound": m_bound}
+        doc = {"system": {"name": "central-binomial"}, "primes": [2, 3], "ranges": ranges}
+        code, out, _ = run(capsys, ["congruences", write_job(tmp_path, "a.json", doc)])
+        assert code == EXIT_OK
+        sweeps = [l for l in map(json.loads, out.splitlines())
+                  if l["check"] == "unit-ratio-congruence"]
+        assert len(sweeps) == 2
+        for line in sweeps:
+            _, _, m = line["locus"]
+            assert max(m) <= m_bound
+            ctx = PadicContext(line["prime"], CENTRAL_BINOMIAL)
+            expected = q_ratio_congruence_sweep(ctx, s_max=1, m_bound=m_bound)
+            assert line == {"prime": line["prime"]} | json.loads(expected.to_json())
+
+    def test_unit_ratio_sweep_keeps_its_default_m_bound(self, tmp_path, capsys):
+        doc = {"system": {"name": "central-binomial"}, "primes": [2],
+               "ranges": {"s_max": 1, "k_bound": 0}}
+        code, out, _ = run(capsys, ["congruences", write_job(tmp_path, "a.json", doc)])
+        assert code == EXIT_OK
+        line = json.loads(out.splitlines()[-1])
+        expected = q_ratio_congruence_sweep(PadicContext(2, CENTRAL_BINOMIAL), s_max=1)
+        assert line == {"prime": 2} | json.loads(expected.to_json())
+
     def test_unequal_column_sums_exit_2(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": {"e": [[2]], "f": [[1]]}})
         code, out, err = run(capsys, ["congruences", job])
@@ -384,6 +416,23 @@ class TestCase:
         job = write_job(tmp_path, "a.json", {"case": str(rec_path), "order": 6})
         code, _, _ = run(capsys, ["case", job])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_order_below_operator_degree_exits_2(self, tmp_path, capsys, order):
+        job = write_job(tmp_path, "a.json", {"case": "case30"})
+        code, out, err = run(capsys, ["case", job, "--order", str(order)])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        job = write_job(tmp_path, "b.json", {"case": "case30", "order": order})
+        code, out, err = run(capsys, ["case", job])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_order_equal_to_operator_degree_runs(self, tmp_path, capsys):
+        job = write_job(tmp_path, "a.json", {"case": "case30", "order": 2})
+        code, out, _ = run(capsys, ["case", job])
+        assert code == EXIT_OK
+        assert all(json.loads(l)["pass"] for l in out.splitlines())
 
     def test_unknown_case(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"case": "case999"})

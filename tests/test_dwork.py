@@ -21,10 +21,8 @@ from mirrorint.dwork import (
     gamma_p_check,
     good_residues,
     harmonic_obstruction,
-    is_good_residue,
     landau_negative_witness,
     obstruction_ratio,
-    padic_weight,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
@@ -38,7 +36,13 @@ from mirrorint.forms import (
 from mirrorint.landau import in_jump_region
 from mirrorint.mirror import build_F, build_GL, build_Gk, exponents_upto
 from mirrorint.series import MSeries
-from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D, CUBIC_SPLIT, INVERSE_BINOMIAL
+from mirrorint.systems import (
+    BUNDLED,
+    CENTRAL_BINOMIAL,
+    CUBIC_2D,
+    CUBIC_SPLIT,
+    INVERSE_BINOMIAL,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +233,9 @@ class TestGammaP:
 class TestWeights:
     def test_binomial_weights(self):
         ctx = PadicContext(2, CENTRAL_BINOMIAL)
-        assert padic_weight(ctx, (1,)) == (1, 2)
-        assert padic_weight(ctx, (3,)) == (2, 4)
-        assert padic_weight(ctx, (0,)) == (0, 1)
+        assert ctx.mu((1,)) == 1
+        assert ctx.mu((3,)) == 2
+        assert ctx.mu((0,)) == 0
 
     def test_weight_below_valuation(self):
         for p in (2, 3):
@@ -245,30 +249,43 @@ class TestWeights:
             PadicContext(6, CENTRAL_BINOMIAL)
 
 
+def oracle_good_residue_words(sys, p, u, s):
+    """The digit-word rule for good residues, on Fraction points.
+
+    u is excluded iff for some t <= s its top t base-p digit vectors form
+    an index n whose first t rescalings all land in the jump region.
+    """
+    for t in range(1, s + 1):
+        n = tuple(c // p ** (s - t) for c in u)
+        if all(
+            in_jump_region(sys, tuple(Fraction(c % p**l, p**l) for c in n))
+            for l in range(1, t + 1)
+        ):
+            return False
+    return True
+
+
 class TestGoodResidues:
     def test_level_zero(self):
         ctx = PadicContext(2, CENTRAL_BINOMIAL)
         assert good_residues(ctx, 0) == [(0,)]
-        assert is_good_residue(ctx, (0,), 0)
 
     def test_binomial_levels(self):
         ctx = PadicContext(2, CENTRAL_BINOMIAL)
-        assert is_good_residue(ctx, (0,), 1)
-        assert not is_good_residue(ctx, (1,), 1)
-        assert not is_good_residue(ctx, (2,), 2)
-
-    def test_out_of_range(self):
-        ctx = PadicContext(2, CENTRAL_BINOMIAL)
-        with pytest.raises(ValueError):
-            is_good_residue(ctx, (4,), 2)
+        assert good_residues(ctx, 1) == [(0,)]
+        assert (2,) not in good_residues(ctx, 2)
 
     def test_fractional_and_word_criteria_agree(self):
         for p in (2, 3):
-            for sys in (CUBIC_2D, CENTRAL_BINOMIAL, CUBIC_SPLIT):
+            for sys in BUNDLED.values():
                 ctx = PadicContext(p, sys)
                 for s in range(3):
-                    for u in itertools.product(range(p**s), repeat=sys.d):
-                        is_good_residue(ctx, u, s)  # raises on disagreement
+                    words = [
+                        u
+                        for u in itertools.product(range(p**s), repeat=sys.d)
+                        if oracle_good_residue_words(sys, p, u, s)
+                    ]
+                    assert good_residues(ctx, s) == words, (p, sys, s)
 
     def test_excluded_indices_rescale_into_region(self):
         ctx = PadicContext(2, CENTRAL_BINOMIAL)

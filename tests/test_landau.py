@@ -14,11 +14,11 @@ from mirrorint.landau import (
     classify,
     delta_at,
     enumerate_weight_vectors,
+    grid_denominator,
     grid_points,
     in_jump_region,
     jump_criterion_check,
     univariate_jump_profile,
-    up_right_epsilon,
     vertex_candidates,
     _verdict_from_points,
 )
@@ -215,7 +215,7 @@ class TestClassifier:
         assert delta_at(sys, v.witness) < 0
 
     def test_budget_fallback_and_strict_mode(self):
-        tight = SamplingStrategy(budget=2, random_samples=64)
+        tight = SamplingStrategy(budget=2)
         v = classify(CUBIC_2D, tight)
         assert v.sampled
         assert v.tag is Tag.CASE_I
@@ -229,6 +229,11 @@ class TestClassifier:
             assert vertex.tag is grid.tag
 
     def test_up_right_constancy_at_candidates(self):
+        def up_right_epsilon(sys):
+            # diagonal probe step, strictly below any cell width at grid resolution
+            dmax = max(sum(v) for v in sys.forms)
+            return Fraction(1, 2 * grid_denominator(sys) * dmax)
+
         for sys in (CUBIC_2D, CUBIC_SPLIT, CASE30):
             eps = up_right_epsilon(sys)
             for x in vertex_candidates(sys):

@@ -1,25 +1,43 @@
 """Theta operators and the bundled catalog case."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from mirrorint.landau import Tag, delta_at, in_jump_region
+from mirrorint.forms import harmonic
+from mirrorint.landau import Tag, classify, delta_at, in_jump_region
 from mirrorint.mirror import build_Gk
 from mirrorint.operators import (
     CaseRecord,
     ThetaOperator,
-    apply_operator,
     case30_coefficient,
-    case30_landau_check,
-    case30_log_coefficient,
     case30_operator,
     case30_record,
-    case30_system,
     poly_from_factors,
     verify_annihilation,
 )
 from mirrorint.series import LogSeries, MSeries
+from mirrorint.systems import CASE30
+
+
+def case30_log_coefficient(n: int) -> Fraction:
+    """Coefficient of the log companion in closed form: the same binomial
+    sum weighted by 4 H(4n) - 2 H(n) - 2 H(2n) + 4 H(2(n-k)) - 4 H(n-k)."""
+    head = Fraction(
+        math.factorial(4 * n), math.factorial(n) ** 2 * math.factorial(2 * n)
+    )
+    tail = Fraction(0)
+    for k in range(n + 1):
+        weight = (
+            4 * harmonic(4 * n)
+            - 2 * harmonic(n)
+            - 2 * harmonic(2 * n)
+            + 4 * harmonic(2 * (n - k))
+            - 4 * harmonic(n - k)
+        )
+        tail += 4**k * math.comb(2 * (n - k), n - k) ** 2 * math.comb(2 * k, k) * weight
+    return head * tail
 
 
 def poly_eval(coeffs, x):
@@ -50,20 +68,20 @@ class TestApplyOperator:
     def test_theta_on_power(self):
         op = ThetaOperator(((0, 1),))
         s = LogSeries.pure(MSeries(1, 5, {(3,): 1}))
-        out = apply_operator(op, s)
+        out = op(s)
         assert out.regular == MSeries(1, 5, {(3,): 3})
 
     def test_theta_squared_on_log(self):
         op = ThetaOperator(((0, 0, 1),))
         s = LogSeries(MSeries.zero(1, 5), MSeries.one(1, 5))
-        assert apply_operator(op, s).is_zero()
+        assert op(s).is_zero()
 
     def test_theta_kills_constants(self):
         op = ThetaOperator(((0, 1),))
-        assert apply_operator(op, LogSeries.pure(MSeries.one(1, 4))).is_zero()
+        assert op(LogSeries.pure(MSeries.one(1, 4))).is_zero()
 
     def test_case30_on_plain_variable(self):
-        out = apply_operator(case30_operator(), LogSeries.pure(MSeries.variable(1, 8, 0)))
+        out = case30_operator()(LogSeries.pure(MSeries.variable(1, 8, 0)))
         assert out.regular.coeff((1,)) == 1  # theta^4 z = z; z P_1(theta) adds z^2 up
         assert not out.logpart
 
@@ -71,8 +89,8 @@ class TestApplyOperator:
         op = case30_operator()
         a = LogSeries(MSeries(1, 8, {(1,): 2}), MSeries(1, 8, {(2,): 1}))
         b = LogSeries(MSeries(1, 8, {(3,): -5}), MSeries(1, 8, {(0,): 1}))
-        lhs = apply_operator(op, a) + apply_operator(op, b)
-        rhs = apply_operator(op, a + b)
+        lhs = op(a) + op(b)
+        rhs = op(a + b)
         assert lhs.regular == rhs.regular and lhs.logpart == rhs.logpart
 
 
@@ -82,7 +100,7 @@ class TestApplyOperator:
 )
 def test_theta_polynomial_scales_monomials(coeffs, n):
     op = ThetaOperator((tuple(coeffs),))
-    out = apply_operator(op, LogSeries.pure(MSeries(1, 6, {(n,): 1})))
+    out = op(LogSeries.pure(MSeries(1, 6, {(n,): 1})))
     value = sum(c * n**j for j, c in enumerate(coeffs))
     assert out.regular.coeff((n,)) == value
     assert len(out.regular) <= 1 and not out.logpart
@@ -110,10 +128,10 @@ class TestCase30:
             assert G_spec.coeff((n,)) == case30_log_coefficient(n)
 
     def test_landau_dichotomy(self):
-        assert case30_landau_check().tag is Tag.CASE_I
+        assert classify(CASE30).tag is Tag.CASE_I
 
     def test_region_samples(self):
-        sys = case30_system()
+        sys = CASE30
         assert not in_jump_region(sys, (0, 0))
         x = (Fraction(1, 4), Fraction(1, 4))
         assert in_jump_region(sys, x)

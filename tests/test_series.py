@@ -3,6 +3,9 @@
 The per-monomial ``oracle_compose`` and the degree-by-degree fixed point
 ``oracle_invert_diagonal`` are the slow, direct algorithms; the property
 tests check the grouped composition and the Newton inversion against them.
+Likewise ``oracle_mul`` (every pair of terms, with a degree test per pair)
+and the weighted recursions ``oracle_reciprocal``, ``oracle_exp`` and
+``oracle_log`` check the one graded convolution kernel of the package.
 """
 
 import json
@@ -79,6 +82,71 @@ def oracle_invert_diagonal(qs):
             break
         zq = new
     return zq
+
+
+def oracle_mul(a, b):
+    """a * b over every pair of terms, dropping pairs past the order."""
+    data = {}
+    for va, ca in a._terms.items():
+        for vb, cb in b._terms.items():
+            if sum(va) + sum(vb) <= a.order:
+                v = tuple(x + y for x, y in zip(va, vb))
+                data[v] = data.get(v, 0) + ca * cb
+    return MSeries(a.d, a.order, data)
+
+
+def _oracle_slices(a):
+    out = [{} for _ in range(a.order + 1)]
+    for v, c in a._terms.items():
+        out[sum(v)][v] = c
+    return out
+
+
+def _oracle_conv(acc, xs, ys, weight):
+    for va, ca in xs.items():
+        for vb, cb in ys.items():
+            v = tuple(x + y for x, y in zip(va, vb))
+            acc[v] = acc.get(v, 0) + weight * ca * cb
+
+
+def _oracle_merge(a, slices):
+    return MSeries(a.d, a.order, {v: c for sl in slices for v, c in sl.items()})
+
+
+def oracle_reciprocal(a):
+    """r_k = -sum_(j=1..k) a_j r_(k-j), degree by degree."""
+    u = _oracle_slices(a)
+    r = [{(0,) * a.d: Fraction(1)}]
+    for k in range(1, a.order + 1):
+        acc = {}
+        for j in range(1, k + 1):
+            _oracle_conv(acc, u[j], r[k - j], -1)
+        r.append(acc)
+    return _oracle_merge(a, r)
+
+
+def oracle_exp(a):
+    """e_k = (1/k) sum_(j=1..k) j a_j e_(k-j), degree by degree."""
+    u = _oracle_slices(a)
+    e = [{(0,) * a.d: Fraction(1)}]
+    for k in range(1, a.order + 1):
+        acc = {}
+        for j in range(1, k + 1):
+            _oracle_conv(acc, u[j], e[k - j], j)
+        e.append({v: c / k for v, c in acc.items()})
+    return _oracle_merge(a, e)
+
+
+def oracle_log(a):
+    """l_k = (1/k) (k a_k - sum_(j=1..k-1) j l_j a_(k-j)), degree by degree."""
+    u = _oracle_slices(a)
+    lg = [{}]
+    for k in range(1, a.order + 1):
+        acc = {v: k * c for v, c in u[k].items()}
+        for j in range(1, k):
+            _oracle_conv(acc, lg[j], u[k - j], -j)
+        lg.append({v: Fraction(c) / k for v, c in acc.items()})
+    return _oracle_merge(a, lg)
 
 
 def series_1d(coeffs, order=None):
@@ -440,3 +508,34 @@ def compositions(draw):
 def test_grouped_compose_matches_per_monomial(case):
     a, subs = case
     assert compose(a, subs) == oracle_compose(a, subs)
+
+
+@st.composite
+def graded_operands(draw):
+    """Two series at d = 1-3 and orders 0-6, with non-integral coefficients."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 6))
+    a = draw(sparse_series(d, order, max_terms=8))
+    b = draw(sparse_series(d, order, max_terms=8))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=graded_operands())
+def test_product_matches_pairwise_oracle(case):
+    a, b = case
+    assert a * b == oracle_mul(a, b)
+    assert a * a == oracle_mul(a, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=graded_operands())
+def test_unit_operations_match_weighted_recursions(case):
+    a, _ = case
+    d, order = a.d, a.order
+    # a with its constant term removed: exp's argument, and 1 + that a unit
+    nil = a - MSeries.constant(d, order, a.constant_term)
+    unit = MSeries.one(d, order) + nil
+    assert unit.reciprocal() == oracle_reciprocal(unit)
+    assert nil.exp() == oracle_exp(nil)
+    assert unit.log() == oracle_log(unit)
