@@ -21,7 +21,6 @@ from .landau import (
     CriterionVerdict,
     JumpProfile,
     SamplingStrategy,
-    StrategyDisagreementError,
     Tag,
     classify,
     delta_at,

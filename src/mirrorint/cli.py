@@ -9,7 +9,10 @@ Commands: classify, bundle, scan, dwork, congruences, case.
 Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
 column sum, 20 budget exceeded / uncertified); report commands exit 0
-iff every line passes; malformed input exits 2; cache corruption exits 3.
+iff every line passes; malformed input exits 2; cache corruption (a hash
+mismatch, or a manifest that does not list exactly the system's series)
+exits 3.  ``scan`` on a flagged system and ``case`` run the classifier
+too, and exit 20 with no report line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
 inverse-binomial), ``congruences`` on unequal column sums of e and f,
@@ -49,6 +52,7 @@ from .dwork import (
 )
 from .forms import FormSystem, is_prime
 from .landau import BudgetExceededError, SamplingStrategy, Tag, classify
+from .landau import enumerate_weight_vectors
 from .mirror import MirrorBundle, build_bundle, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
 from .series import MSeries
@@ -252,19 +256,27 @@ def _cache_key(sys_: FormSystem, order: int) -> str:
     ).hexdigest()[:24]
 
 
-def _series_names(bundle: MirrorBundle) -> list[tuple[str, MSeries]]:
-    out = [("F", bundle.F)]
-    for k in range(bundle.sys.d):
-        out.append((f"G_{k + 1}", bundle.G[k]))
-    for L in sorted(bundle.GL):
-        out.append(("GL_" + "_".join(map(str, L)), bundle.GL[L]))
-    for k in range(bundle.sys.d):
-        out.append((f"q_{k + 1}", bundle.q[k]))
-    for L in sorted(bundle.qL):
-        out.append(("qL_" + "_".join(map(str, L)), bundle.qL[L]))
-    for k in range(bundle.sys.d):
-        out.append((f"z_{k + 1}", bundle.zofq[k]))
-    return out
+def _series_table(sys_: FormSystem) -> list[tuple[str, str, object]]:
+    """Name, ``MirrorBundle`` field and key of every series of a bundle.
+
+    The one statement of the naming scheme: cache files, manifest entries
+    and scan lines take their names, and their order, from it.
+    """
+    ks = range(sys_.d)
+    Ls = [(L, "_".join(map(str, L))) for L in enumerate_weight_vectors(sys_)]
+    return (
+        [("F", "F", None)]
+        + [(f"G_{k + 1}", "G", k) for k in ks]
+        + [(f"GL_{tag}", "GL", L) for L, tag in Ls]
+        + [(f"q_{k + 1}", "q", k) for k in ks]
+        + [(f"qL_{tag}", "qL", L) for L, tag in Ls]
+        + [(f"z_{k + 1}", "zofq", k) for k in ks]
+    )
+
+
+def _series_of(bundle: MirrorBundle, field: str, key) -> MSeries:
+    value = getattr(bundle, field)
+    return value if key is None else value[key]
 
 
 def _write_atomic(path: str, blob: bytes):
@@ -290,8 +302,8 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
     root = os.path.join(cache_dir, key)
     os.makedirs(root, exist_ok=True)
     files = {}
-    for name, series in _series_names(bundle):
-        blob = _canonical(series.to_dict())
+    for name, field, key in _series_table(bundle.sys):
+        blob = _canonical(_series_of(bundle, field, key).to_dict())
         fname = name + ".json"
         _write_atomic(os.path.join(root, fname), blob)
         files[name] = {"file": fname, "sha256": hashlib.sha256(blob).hexdigest()}
@@ -309,7 +321,7 @@ def load_bundle(
     sys_: FormSystem, order: int, cache_dir: str
 ) -> Optional[tuple[MirrorBundle, dict]]:
     """Rebuild a bundle and its manifest from cache; None on miss, raises on
-    hash mismatch."""
+    hash mismatch or on a manifest that does not list the system's series."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -317,12 +329,20 @@ def load_bundle(
     try:
         with open(manifest_path, "rb") as fh:
             manifest = json.loads(fh.read())
-        entries = [(name, e["file"], e["sha256"]) for name, e in manifest["series"].items()]
+        entries = {name: (e["file"], e["sha256"]) for name, e in manifest["series"].items()}
         flagged = bool(manifest["flagged"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CacheCorruptionError(f"unreadable manifest {manifest_path}: {exc!r}") from None
-    series = {}
-    for name, fname, digest in entries:
+    table = _series_table(sys_)
+    expected = {name for name, _, _ in table}
+    if set(entries) != expected:
+        raise CacheCorruptionError(
+            f"manifest {manifest_path} does not list this system's series (missing"
+            f" {sorted(expected - set(entries))}, unexpected {sorted(set(entries) - expected)})"
+        )
+    fields: dict[str, dict] = {f: {} for f in ("F", "G", "GL", "q", "qL", "zofq")}
+    for name, field, key in table:
+        fname, digest = entries[name]
         path = os.path.join(root, fname)
         try:
             with open(path, "rb") as fh:
@@ -331,29 +351,12 @@ def load_bundle(
             raise CacheCorruptionError(f"missing cache file {path}: {exc}") from None
         if hashlib.sha256(blob).hexdigest() != digest:
             raise CacheCorruptionError(f"hash mismatch for {path}")
-        series[name] = MSeries.from_dict(json.loads(blob))
-    d = sys_.d
-    GL = {}
-    qL = {}
-    for name, s in series.items():
-        if name.startswith("GL_"):
-            GL[tuple(int(c) for c in name[3:].split("_"))] = s
-        elif name.startswith("qL_"):
-            qL[tuple(int(c) for c in name[3:].split("_"))] = s
-    try:
-        bundle = MirrorBundle(
-            sys=sys_,
-            order=order,
-            F=series["F"],
-            G=tuple(series[f"G_{k + 1}"] for k in range(d)),
-            GL=GL,
-            q=tuple(series[f"q_{k + 1}"] for k in range(d)),
-            qL=qL,
-            zofq=tuple(series[f"z_{k + 1}"] for k in range(d)),
-            flagged=flagged,
-        )
-    except KeyError as exc:
-        raise CacheCorruptionError(f"manifest {manifest_path} lacks series {exc}") from None
+        fields[field][key] = MSeries.from_dict(json.loads(blob))
+    bundle = MirrorBundle(
+        sys_, order, F=fields["F"][None], G=tuple(fields["G"].values()), GL=fields["GL"],
+        q=tuple(fields["q"].values()), qL=fields["qL"], zofq=tuple(fields["zofq"].values()),
+        flagged=flagged,
+    )
     return bundle, manifest
 
 
@@ -397,11 +400,7 @@ def _summary(msg: str):
 def cmd_classify(job: Job, args) -> int:
     if job.system is None:
         _fail_schema("classify needs a system")
-    try:
-        verdict = classify(job.system, job.strategy)
-    except BudgetExceededError as exc:
-        _summary(f"budget exceeded: {exc}")
-        return EXIT_BUDGET
+    verdict = classify(job.system, job.strategy)
     _emit(verdict.to_dict())
     _summary(f"classification: {verdict.tag.value}" + (" (sampled)" if verdict.sampled else ""))
     if verdict.sampled and verdict.tag in (Tag.CASE_I, Tag.E_STRICTLY_BIGGER):
@@ -426,13 +425,11 @@ def cmd_scan(job: Job, args) -> int:
     if bundle.flagged:
         verdict = classify(bundle.sys, job.strategy)
         _emit({"classifier": verdict.to_dict()})
-    targets = []
-    for k in range(bundle.sys.d):
-        targets.append((f"q_{k + 1}", bundle.q[k]))
-    for L in sorted(bundle.qL):
-        targets.append(("qL_" + "_".join(map(str, L)), bundle.qL[L]))
-    for k in range(bundle.sys.d):
-        targets.append((f"z_{k + 1}", bundle.zofq[k]))
+    targets = [
+        (name, _series_of(bundle, field, key))
+        for name, field, key in _series_table(bundle.sys)
+        if field in ("q", "qL", "zofq")
+    ]
     primes: list[Optional[int]] = [None] + job.primes
     for name, series in targets:
         for p in primes:
@@ -512,12 +509,13 @@ def cmd_case(job: Job, args) -> int:
             f"case {rec.name} needs order >= {rec.operator.z_degree}, the z-degree of its operator"
         )
     report = verify_annihilation(rec, order)
+    # classified before the first line, so a budget exit prints no report
+    verdict = classify(rec.system, job.strategy)
     for c in report.checks:
         _emit(
             {"case": rec.name, "order": order, "check": c.name, "pass": c.passed}
             | ({"detail": c.detail} if c.detail else {})
         )
-    verdict = classify(rec.system, job.strategy)
     landau_ok = verdict.tag is Tag.CASE_I
     _emit({"case": rec.name, "check": "landau-dichotomy", "pass": landau_ok}
           | {"tag": verdict.tag.value})
@@ -591,6 +589,9 @@ def main(argv=None) -> int:
     except CacheCorruptionError as exc:
         _summary(f"cache corruption: {exc} (use --rebuild-cache or --no-cache)")
         code = EXIT_CACHE
+    except BudgetExceededError as exc:
+        _summary(f"budget exceeded: {exc}")
+        code = EXIT_BUDGET
     return code
 
 

@@ -11,14 +11,15 @@ form value reaches 1) the dichotomy "delta >= 1 everywhere" versus "delta
 has a zero" separates integral canonical coordinates from ones with
 infinitely many p-adic failures.
 
-``classify`` decides the dichotomy with two independent sampling
-strategies: exact arrangement-vertex enumeration and a dense rational grid.
-Neither alone is proven to see every full-dimensional cell of the floor
-arrangement, so the two must agree; disagreement raises instead of
-returning a wrong certificate.  The grid's denominator is the lcm of the
-form entries times ``GRID_MULTIPLIER``; the sampled fallback, taken when
-the budget is exceeded, adds ``RANDOM_SAMPLES`` points from a generator
-seeded with ``SAMPLE_SEED``.  All three are fixed constants.
+``classify`` evaluates delta exactly at the floor-arrangement vertices,
+then on a dense rational grid.  A point of either set with delta < 0, or
+with delta = 0 on the jump region, proves the verdict it gives.  Case I
+rests on neither set refuting it: complete only if the two sets together
+meet every full-dimensional cell of the arrangement, which is not proven.
+The grid's denominator is the lcm of the form entries times
+``GRID_MULTIPLIER``; the sampled fallback, taken when the budget is
+exceeded, adds ``RANDOM_SAMPLES`` points from a generator seeded with
+``SAMPLE_SEED``.  All three are fixed constants.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .forms import FormSystem, dot
 
@@ -38,10 +39,6 @@ Point = tuple[Fraction, ...]
 
 class BudgetExceededError(RuntimeError):
     """Raised when exhaustive candidate enumeration would exceed its budget."""
-
-
-class StrategyDisagreementError(RuntimeError):
-    """Raised when the two sampling strategies classify a system differently."""
 
 
 def _as_point(sys: FormSystem, x: Sequence) -> Point:
@@ -316,36 +313,36 @@ def _random_points(sys: FormSystem) -> list[Point]:
 
 
 def _verdict_from_points(
-    sys: FormSystem, points: Sequence[Point], sampled: bool
+    sys: FormSystem, points: Sequence[Point], sampled: bool, refuters: Iterable[Point] = ()
 ) -> CriterionVerdict:
-    neg_witness = None
+    """The verdict delta proves at ``points``, then at ``refuters``; the
+    first witness found wins, and a Case I certificate lists ``points`` only."""
     zero_witness = None
     certificate = []
     for x in points:
         val = delta_at(sys, x)
         if val < 0:
-            neg_witness = x
-            break
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
         if in_jump_region(sys, x):
             if val == 0:
                 if zero_witness is None:
                     zero_witness = x
             else:
                 certificate.append((x, val))
-    if neg_witness is not None:
-        return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=neg_witness, sampled=sampled)
+    # Closed-box corners: at the k-th unit corner delta equals the
+    # coordinate margin, so a strictly smaller e-column sum is a negativity
+    # witness the half-open box cannot show.
+    for k in range(sys.d):
+        if sys.sum_e[k] < sys.sum_f[k]:
+            corner = tuple(Fraction(int(i == k)) for i in range(sys.d))
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner, sampled=sampled)
+    for x in refuters:
+        val = delta_at(sys, x)
+        if val < 0:
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
+        if zero_witness is None and val == 0 and in_jump_region(sys, x):
+            zero_witness = x
     if sys.sum_e != sys.sum_f:
-        # Closed-box corners: at the k-th unit corner delta equals the
-        # coordinate margin, so a strictly smaller e-column sum is a
-        # negativity witness the half-open box cannot show.
-        for k in range(sys.d):
-            if sys.sum_e[k] < sys.sum_f[k]:
-                corner = tuple(
-                    Fraction(1) if i == k else Fraction(0) for i in range(sys.d)
-                )
-                return CriterionVerdict(
-                    Tag.NOT_NONNEGATIVE, witness=corner, sampled=sampled
-                )
         k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
         return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1, sampled=sampled)
     if zero_witness is not None:
@@ -358,9 +355,10 @@ def classify(
 ) -> CriterionVerdict:
     """Decide the integrality dichotomy for a form system.
 
-    Runs the exhaustive vertex strategy and the grid strategy and requires
-    them to agree on the tag (the vertex verdict, with its deterministic
-    lexicographic witness choice, is returned).  When the arrangement is
+    Walks the arrangement vertices, then the grid, in one pass: the first
+    exact witness settles the verdict, and a smaller e-column sum answers
+    with its closed-box corner before the grid is walked.  A Case I
+    certificate lists the vertex values.  When the arrangement is
     too large for the budget the classifier falls back to the grid plus
     ``RANDOM_SAMPLES`` points drawn with seed ``SAMPLE_SEED`` and marks the
     verdict as sampled; with ``allow_fallback=False`` it raises
@@ -385,11 +383,4 @@ def classify(
             raise
         pts = sorted(set(grid) | set(_random_points(sys)))
         return _verdict_from_points(sys, pts, sampled=True)
-    vertex_verdict = _verdict_from_points(sys, vertices, sampled=False)
-    grid_verdict = _verdict_from_points(sys, grid, sampled=False)
-    if vertex_verdict.tag is not grid_verdict.tag:
-        raise StrategyDisagreementError(
-            f"vertex strategy says {vertex_verdict.tag.value}, "
-            f"grid strategy says {grid_verdict.tag.value}"
-        )
-    return vertex_verdict
+    return _verdict_from_points(sys, vertices, False, grid)

@@ -1,6 +1,7 @@
 """Command-line driver: job parsing, exit codes, caching, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from mirrorint.cli import (
     main,
 )
 from mirrorint.dwork import PadicContext, q_ratio_congruence_sweep
+from mirrorint.forms import FormSystem
+from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.systems import CENTRAL_BINOMIAL
 
 
@@ -35,6 +38,19 @@ def run(capsys, argv):
 @pytest.fixture()
 def cache_args(tmp_path):
     return ["--cache-dir", str(tmp_path / "cache")]
+
+
+# the vertices miss its delta = 0 cell on the jump region; the grid meets it
+ITEM_ONE = {"e": [[2, 1]], "f": [[1, 1], [1, 0]]}
+FLAGGED = {"e": [[2, 1]], "f": [[1, 0], [0, 1]]}
+STRICT_ZERO_BUDGET = ["--strategy", "exhaustive", "--budget", "0"]
+
+
+def drop_from_manifest(cache_root, name):
+    manifest = next(cache_root.rglob("manifest.json"))
+    doc = json.loads(manifest.read_text())
+    del doc["series"][name]
+    manifest.write_text(json.dumps(doc))
 
 
 class TestClassify:
@@ -78,6 +94,19 @@ class TestClassify:
         job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-split"}})
         code, out, _ = run(capsys, ["classify", job, "--strategy", "sampled"])
         assert code == EXIT_CASE_II
+
+
+    def test_zero_found_by_the_grid_alone_is_case_ii(self, tmp_path, capsys):
+        job = write_job(tmp_path, "a.json", {"system": ITEM_ONE})
+        code, out, _ = run(capsys, ["classify", job])
+        assert code == EXIT_CASE_II
+        (line,) = out.splitlines()
+        verdict = json.loads(line)
+        assert verdict["tag"] == "CaseII"
+        sys_ = FormSystem(ITEM_ONE["e"], ITEM_ONE["f"])
+        witness = tuple(Fraction(c) for c in verdict["witness"])
+        assert all(0 <= c < 1 for c in witness)
+        assert in_jump_region(sys_, witness) and delta_at(sys_, witness) == 0
 
 
 class TestSchema:
@@ -223,6 +252,33 @@ class TestScanAndCache:
             assert "cache corruption" in err
         code, _, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("name", ["qL_1", "GL_2", "F"])
+    def test_manifest_missing_a_series_exits_3(self, tmp_path, capsys, cache_args, name):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4}
+        )
+        code, cold, _ = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_OK and len(cold.splitlines()) == 16
+        drop_from_manifest(tmp_path / "cache", name)
+        code, out, err = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_CACHE
+        assert out == "" and name in err
+        code, warm, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
+        assert code == EXIT_OK and warm == cold
+
+    def test_manifest_with_an_unexpected_series_exits_3(self, tmp_path, capsys, cache_args):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4}
+        )
+        run(capsys, ["bundle", job, *cache_args])
+        manifest = next((tmp_path / "cache").rglob("manifest.json"))
+        doc = json.loads(manifest.read_text())
+        doc["series"]["qL_3"] = doc["series"]["qL_2"]
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_CACHE
+        assert out == "" and "qL_3" in err
 
     def test_writes_are_renamed_into_place_manifest_last(
         self, tmp_path, capsys, cache_args, monkeypatch
@@ -438,3 +494,35 @@ class TestCase:
         job = write_job(tmp_path, "a.json", {"case": "case999"})
         code, _, _ = run(capsys, ["case", job])
         assert code == EXIT_SCHEMA
+
+
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
+                    EXIT_NOT_NONNEGATIVE, EXIT_E_BIGGER, EXIT_BUDGET}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, broken_series, expected",
+    [
+        ("scan", {"system": FLAGGED, "order": 3}, ["--no-cache", *STRICT_ZERO_BUDGET], None,
+         EXIT_BUDGET),
+        ("case", {"case": "case30"}, STRICT_ZERO_BUDGET, None, EXIT_BUDGET),
+        ("classify", {"system": ITEM_ONE}, [], None, EXIT_CASE_II),
+        ("scan", {"system": {"name": "cubic-2d"}, "order": 0}, [], None, EXIT_OK),
+        ("case", {"case": "case30", "order": 0}, [], None, EXIT_SCHEMA),
+        ("scan", {"system": {"name": "central-binomial"}, "order": 4}, [], "qL_1", EXIT_CACHE),
+    ],
+)
+def test_cli_contract_has_no_tracebacks(
+    tmp_path, capsys, cache_args, command, doc, flags, broken_series, expected
+):
+    job = write_job(tmp_path, "a.json", doc)
+    if broken_series is not None:
+        assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK
+        drop_from_manifest(tmp_path / "cache", broken_series)
+    code, out, err = run(capsys, [command, job, *flags, *cache_args])
+    assert code in DOCUMENTED_EXITS
+    assert code == expected
+    assert "Traceback" not in err
+    if code in (EXIT_SCHEMA, EXIT_CACHE, EXIT_BUDGET):
+        # refused input, a bad cache and a budget exit print no partial report
+        assert out == "" and len(err.splitlines()) == 1

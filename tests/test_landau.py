@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mirrorint.forms import FormSystem
 from mirrorint.landau import (
@@ -246,7 +246,79 @@ class TestClassifier:
             expected = _verdict_from_points(sys, grid_points(sys, 6), sampled=False)
             assert classify(sys).tag is expected.tag
 
+    def test_bundled_verdicts_are_the_vertex_verdicts(self):
+        # the grid refutes none of them, so the one-pass verdict keeps its bytes
+        for sys in BUNDLED.values():
+            vertex = _verdict_from_points(sys, vertex_candidates(sys), False)
+            assert classify(sys).to_dict() == vertex.to_dict()
+
+    def test_grid_zero_refutes_a_vertex_case_i(self):
+        # the vertices miss the delta = 0 cell; the grid's exact zero settles it
+        sys = FormSystem([(2, 1)], [(1, 1), (1, 0)])
+        assert _verdict_from_points(sys, vertex_candidates(sys), False).tag is Tag.CASE_I
+        v = classify(sys)
+        assert v.tag is Tag.CASE_II
+        assert in_jump_region(sys, v.witness) and delta_at(sys, v.witness) == 0
+
+    def test_corner_witness_precedes_grid_negatives(self):
+        # no vertex is negative, the grid is; the closed-box corner still wins
+        sys = FormSystem([(0, 1)], [(1, 1)])
+        assert delta_at(sys, (Fraction(1, 4), Fraction(3, 4))) < 0
+        v = classify(sys)
+        assert v.tag is Tag.NOT_NONNEGATIVE
+        assert v.witness == (Fraction(1), Fraction(0))
+
     def test_verdict_serialization(self):
         d = classify(CUBIC_SPLIT).to_dict()
         assert d["tag"] == "CaseII"
         assert d["witness"] == ["1/2", "0"]
+
+
+_STRENGTH = {Tag.CASE_I: 0, Tag.E_STRICTLY_BIGGER: 0, Tag.CASE_II: 1, Tag.NOT_NONNEGATIVE: 2}
+
+
+def _form_systems(d, max_e, max_f):
+    vec = st.tuples(*[st.integers(0, 3)] * d).filter(any)
+    return st.tuples(
+        st.lists(vec, min_size=1, max_size=max_e), st.lists(vec, min_size=1, max_size=max_f)
+    )
+
+
+def _assert_exact(sys, v):
+    if v.tag is Tag.NOT_NONNEGATIVE:
+        assert delta_at(sys, v.witness) < 0
+    elif v.tag is Tag.CASE_II:
+        assert in_jump_region(sys, v.witness) and delta_at(sys, v.witness) == 0
+    elif v.tag is Tag.E_STRICTLY_BIGGER:
+        assert all(a >= b for a, b in zip(sys.sum_e, sys.sum_f))
+        assert sys.sum_e[v.coordinate - 1] > sys.sum_f[v.coordinate - 1]
+    else:
+        for pt, val in v.certificate:
+            assert in_jump_region(sys, pt) and delta_at(sys, pt) == val >= 1
+
+
+def _check_one_pass(e, f):
+    assume(not set(e) & set(f))
+    sys = FormSystem(e, f)
+    v = classify(sys)  # never raises at the default budget
+    assert not v.sampled
+    _assert_exact(sys, v)
+    for points in (vertex_candidates(sys), grid_points(sys)):
+        alone = _verdict_from_points(sys, points, False)
+        _assert_exact(sys, alone)
+        assert _STRENGTH[v.tag] >= _STRENGTH[alone.tag]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_form_systems(2, 2, 3))
+@example(([(2, 1)], [(1, 1), (1, 0)]))  # only the grid holds the zero
+@example(([(0, 1)], [(1, 1)]))  # only the grid holds a negative point
+def test_one_pass_verdict_is_exact_and_never_weaker_2d(ef):
+    _check_one_pass(*ef)
+
+
+# a 3-D grid has up to 24^3 points, so fewer draws
+@settings(max_examples=6, deadline=None)
+@given(_form_systems(3, 1, 2))
+def test_one_pass_verdict_is_exact_and_never_weaker_3d(ef):
+    _check_one_pass(*ef)
