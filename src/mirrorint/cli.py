@@ -10,9 +10,11 @@ Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
 column sum, 20 budget exceeded / uncertified); report commands exit 0
 iff every line passes; malformed input exits 2; cache corruption (a hash
-mismatch, or a manifest that does not list exactly the system's series)
-exits 3.  ``scan`` on a flagged system and ``case`` run the classifier
-too, and exit 20 with no report line when it exceeds its budget.
+mismatch, a manifest that does not list exactly the system's series, or a
+series file that ``MSeries.from_dict`` rejects or that has another
+dimension or order than the bundle) exits 3.  ``scan`` on a flagged
+system and ``case`` run the classifier too, and exit 20 with no report
+line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
 inverse-binomial), ``congruences`` on unequal column sums of e and f,
@@ -320,8 +322,11 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
 def load_bundle(
     sys_: FormSystem, order: int, cache_dir: str
 ) -> Optional[tuple[MirrorBundle, dict]]:
-    """Rebuild a bundle and its manifest from cache; None on miss, raises on
-    hash mismatch or on a manifest that does not list the system's series."""
+    """Rebuild a bundle and its manifest from cache; None on miss.
+
+    Raises CacheCorruptionError on a hash mismatch, on a manifest that does
+    not list the system's series, and on a series file that is malformed or
+    of another dimension or order than the bundle."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -351,7 +356,16 @@ def load_bundle(
             raise CacheCorruptionError(f"missing cache file {path}: {exc}") from None
         if hashlib.sha256(blob).hexdigest() != digest:
             raise CacheCorruptionError(f"hash mismatch for {path}")
-        fields[field][key] = MSeries.from_dict(json.loads(blob))
+        try:
+            series = MSeries.from_dict(json.loads(blob))
+        except ValueError as exc:
+            raise CacheCorruptionError(f"malformed series in {path}: {exc}") from None
+        if series.d != sys_.d or series.order != order:
+            raise CacheCorruptionError(
+                f"{path} holds a series with d={series.d}, order={series.order};"
+                f" expected d={sys_.d}, order={order}"
+            )
+        fields[field][key] = series
     bundle = MirrorBundle(
         sys_, order, F=fields["F"][None], G=tuple(fields["G"].values()), GL=fields["GL"],
         q=tuple(fields["q"].values()), qL=fields["qL"], zofq=tuple(fields["zofq"].values()),

@@ -1,4 +1,4 @@
-"""Sparse truncated multivariate power series over exact rationals.
+"""Truncated multivariate power series with exact rational coefficients.
 
 An :class:`MSeries` stores finitely many monomials ``coeff * z^v`` with
 exponent vectors of total degree at most ``order``; everything beyond the
@@ -14,24 +14,80 @@ grouped monomials with shared power tables, and ``invert_diagonal`` runs a
 Newton iteration that doubles the exact order at each step and checks
 q(z(q)) = q at the end.
 
+What a series shows (``coeff``, ``items``, ``to_dict``) is a dict from
+exponent to reduced ``Fraction``.  Products, the unit operations and
+composition run on the integer kernel in ``kronecker`` instead: each
+converts its operands once, works on ints, and makes the Fractions of its
+result once, when it emits it.
+
+* **Integer form.**  A series at order N becomes its numerators over one
+  common denominator D, the lcm of its denominators, keyed by the
+  Kronecker index
+
+      key(v) = v_0 + v_1 B + ... + v_(d-2) B^(d-2) + |v| B^(d-1),  B = N + 1,
+
+  with the total degree |v| in the top digit.  The key is additive, so
+  multiplying monomials adds keys, and the keys of degree <= L are exactly
+  those below B^(d-1) (L + 1).  A sum of two exponents can exceed N in a
+  coordinate only when its total degree exceeds N, so a carry can only move
+  a product term up to a key past the truncation, never down into it.  This
+  takes (N + 1)^d keys, where base 2N + 1 in every coordinate takes
+  (2N + 1)^d.
+* **Products (Kronecker substitution).**  Each operand becomes one Python
+  int with its numerators in slots of s bits at their keys; positive and
+  negative numerators are packed apart and subtracted, so the int carries
+  the signs.  One big-int product then holds every coefficient of the
+  product at its key.  Given a term of a, at most one term of b meets it at
+  a given key, so a slot sums at most min(#a, #b) products and is bounded
+  by max|a| max|b| min(#a, #b); s is that bound's bit length plus a sign
+  bit, rounded up to whole bytes, so no slot overflows into its neighbour.
+  Adding 2^(s-1) to every slot makes each slot a digit in [1, 2^s), read
+  off the bytes of the int.  Operands are cut first to the degrees that
+  can still reach the truncation given the other's valuation.
+* **Unit operations.**  ``reciprocal``, ``exp`` and ``log`` run their
+  graded recursions on integer slices, the homogeneous parts keyed within
+  their degree.  With U_j the numerators of the degree-j part u_j over D
+  and V_j = U_j D^(j-1), so that u_j = V_j / D^j:
+
+      reciprocal  r_k = R_k / D^k,       R_k = -sum_(j=1..k) V_j R_(k-j)
+      exp         e_k = E_k / (k! D^k),  E_k = sum_(j=1..k) j (k-1)!/(k-j)! V_j E_(k-j)
+      log         l_k = M_k / (k D^k),   M_k = k V_k - sum_(j=1..k-1) V_j M_(k-j)
+
+  These are the Fraction recursions r_k = -sum u_j r_(k-j),
+  k e_k = sum j u_j e_(k-j) and, from u E(l) = E(u) with E the operator
+  that multiplies degree j by j, k l_k = k u_k - sum_(j<k) u_j (k-j) l_(k-j),
+  multiplied through by D^k, k! D^k and D^k.  The weights -1, k and
+  j (k-1)!/(k-j)! = j (k-1)(k-2)...(k-j+1) are integers, so by induction
+  every slice of R, E and M is integral over its denominator.  Each step
+  sums its products as Kronecker ints of one slot width that bounds the
+  whole sum.
+
 ``LogSeries`` is the univariate pair A(z) + log(z) B(z) needed for formal
 checks of differential operators written in powers of theta = z d/dz.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
+
+from . import kronecker
 
 Exponent = tuple[int, ...]
-Scalar = Union[int, Fraction]
 
 
 def _as_coeff(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("floating point coefficients are not allowed")
     return Fraction(c)
+
+
+def _check_length(v: Exponent, d: int):
+    if len(v) != d:
+        raise ValueError(f"exponent {v} has length {len(v)}, expected {d}")
 
 
 class MSeries:
@@ -48,8 +104,7 @@ class MSeries:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for v, c in items:
             v = tuple(int(e) for e in v)
-            if len(v) != d:
-                raise ValueError(f"exponent {v} has length {len(v)}, expected {d}")
+            _check_length(v, d)
             if any(e < 0 for e in v):
                 raise ValueError(f"negative exponent in {v}")
             if sum(v) > order:
@@ -62,9 +117,20 @@ class MSeries:
                     data[v] = c
                 elif v in data:
                     del data[v]
+        self._set(d, order, data)
+
+    def _set(self, d, order, terms):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def _trusted(cls, d: int, order: int, terms: dict) -> "MSeries":
+        """A series from clean terms: exponent tuples of length d and degree
+        <= order, nonzero reduced Fractions."""
+        s = object.__new__(cls)
+        s._set(d, order, terms)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("MSeries is immutable")
@@ -94,7 +160,9 @@ class MSeries:
     # -- access ------------------------------------------------------------
 
     def coeff(self, v: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(int(e) for e in v), Fraction(0))
+        v = tuple(int(e) for e in v)
+        _check_length(v, self.d)
+        return self._terms.get(v, Fraction(0))
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """Terms sorted lexicographically by exponent (deterministic)."""
@@ -120,8 +188,9 @@ class MSeries:
 
     def truncate(self, order: int) -> "MSeries":
         if order >= self.order:
-            return MSeries(self.d, order, self._terms)
-        return MSeries(self.d, order, {v: c for v, c in self._terms.items() if sum(v) <= order})
+            return MSeries._trusted(self.d, order, self._terms)
+        terms = {v: c for v, c in self._terms.items() if sum(v) <= order}
+        return MSeries._trusted(self.d, order, terms)
 
     def _check_compatible(self, other: "MSeries"):
         if self.d != other.d or self.order != other.order:
@@ -129,6 +198,12 @@ class MSeries:
                 f"incompatible series: (d={self.d}, order={self.order}) vs "
                 f"(d={other.d}, order={other.order})"
             )
+
+    def _numerators(self) -> tuple[int, dict[int, int]]:
+        """The integer form: (D, key -> numerator over D)."""
+        key = kronecker.grading(self.d, self.order).key
+        D = math.lcm(*(c.denominator for c in self._terms.values()))
+        return D, {key[v]: c.numerator * (D // c.denominator) for v, c in self._terms.items()}
 
     # -- ring operations ----------------------------------------------------
 
@@ -140,17 +215,17 @@ class MSeries:
         self._check_compatible(other)
         data = dict(self._terms)
         for v, c in other._terms.items():
-            s = data.get(v, Fraction(0)) + c
+            s = data.get(v, 0) + c
             if s:
                 data[v] = s
             elif v in data:
                 del data[v]
-        return MSeries(self.d, self.order, data)
+        return MSeries._trusted(self.d, self.order, data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MSeries(self.d, self.order, {v: -c for v, c in self._terms.items()})
+        return MSeries._trusted(self.d, self.order, {v: -c for v, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,18 +240,14 @@ class MSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             c = _as_coeff(other)
-            return MSeries(self.d, self.order, {v: c * w for v, w in self._terms.items()})
+            terms = {v: c * w for v, w in self._terms.items()} if c else {}
+            return MSeries._trusted(self.d, self.order, terms)
         if not isinstance(other, MSeries):
             return NotImplemented
         self._check_compatible(other)
-        order = self.order
-        a, b = self._slices(), other._slices()
-        data: dict[Exponent, Fraction] = {}
-        for i, xs in enumerate(a):
-            if xs:
-                for ys in b[: order - i + 1]:
-                    _conv_into(data, xs, ys)
-        return MSeries(self.d, order, data)
+        g = kronecker.grading(self.d, self.order)
+        ints = kronecker.multiply(g, self.order, self._numerators(), other._numerators())
+        return _emit(g, self.order, *ints)
 
     __rmul__ = __mul__
 
@@ -194,60 +265,50 @@ class MSeries:
             n >>= 1
         return out
 
-    # -- graded slices -------------------------------------------------------
-
-    def _slices(self) -> list[dict[Exponent, Fraction]]:
-        out: list[dict[Exponent, Fraction]] = [dict() for _ in range(self.order + 1)]
-        for v, c in self._terms.items():
-            out[sum(v)][v] = c
-        return out
-
     # -- unit operations -----------------------------------------------------
+
+    def _scaled_slices(self):
+        """The grading, D, and V_j = D^(j-1) U_j for each degree j, keyed
+        within the degree (U_j: the degree-j numerators over D)."""
+        g = kronecker.grading(self.d, self.order)
+        D, ints = self._numerators()
+        top = g.top
+        slices: list[dict[int, int]] = [{} for _ in range(self.order + 1)]
+        for k, c in ints.items():
+            j = k // top
+            slices[j][k - j * top] = c
+        if D != 1:
+            scale = 1
+            for j in range(2, self.order + 1):
+                scale *= D
+                slices[j] = {k: c * scale for k, c in slices[j].items()}
+        return g, D, slices
 
     def reciprocal(self) -> "MSeries":
         """Multiplicative inverse of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("reciprocal requires constant term 1")
-        neg = [{v: -c for v, c in sl.items()} for sl in self._slices()]
-        r: list[dict[Exponent, Fraction]] = [{(0,) * self.d: Fraction(1)}]
-        for k in range(1, self.order + 1):
-            acc: dict[Exponent, Fraction] = {}
-            for j in range(1, k + 1):
-                _conv_into(acc, neg[j], r[k - j])
-            r.append(acc)
-        return _from_slices(self.d, self.order, r)
+        g, D, v = self._scaled_slices()
+        r = kronecker.recurrence(g.local, v, {0: 1}, lambda k, j: -1)
+        return _emit_slices(g, self.order, r, [D**k for k in range(self.order + 1)])
 
     def exp(self) -> "MSeries":
         """Exponential of a series with zero constant term."""
         if self.constant_term != 0:
             raise ValueError("exp requires zero constant term")
-        # e_k = (1/k) sum_j (j a_j) e_(k-j), the graded form of e' = a' e
-        ja = [{v: j * c for v, c in sl.items()} for j, sl in enumerate(self._slices())]
-        e: list[dict[Exponent, Fraction]] = [{(0,) * self.d: Fraction(1)}]
-        for k in range(1, self.order + 1):
-            acc: dict[Exponent, Fraction] = {}
-            for j in range(1, k + 1):
-                if ja[j]:
-                    _conv_into(acc, ja[j], e[k - j])
-            e.append({v: c / k for v, c in acc.items() if c})
-        return _from_slices(self.d, self.order, e)
+        g, D, v = self._scaled_slices()
+        e = kronecker.recurrence(g.local, v, {0: 1}, lambda k, j: j * math.perm(k - 1, j - 1))
+        dens = [math.factorial(k) * D**k for k in range(self.order + 1)]
+        return _emit_slices(g, self.order, e, dens)
 
     def log(self) -> "MSeries":
         """Logarithm of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("log requires constant term 1")
-        # lg_k = u_k - (1/k) sum_(j<k) (j lg_j) u_(k-j), from u lg' = u'
-        u = self._slices()
-        lg: list[dict[Exponent, Fraction]] = [dict()]
-        neg_jlg: list[dict[Exponent, Fraction]] = [dict()]
-        for k in range(1, self.order + 1):
-            acc = {v: Fraction(k) * c for v, c in u[k].items()}
-            for j in range(1, k):
-                if neg_jlg[j]:
-                    _conv_into(acc, neg_jlg[j], u[k - j])
-            lg.append({v: c / k for v, c in acc.items() if c})
-            neg_jlg.append({v: -k * c for v, c in lg[k].items()})
-        return _from_slices(self.d, self.order, lg)
+        g, D, v = self._scaled_slices()
+        lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(v)]
+        m = kronecker.recurrence(g.local, v, {}, lambda k, j: -1, lead)
+        return _emit_slices(g, self.order, m, [max(k, 1) * D**k for k in range(self.order + 1)])
 
     # -- substitutions ---------------------------------------------------------
 
@@ -259,7 +320,7 @@ class MSeries:
         for v, c in self._terms.items():
             if p * sum(v) <= self.order:
                 data[tuple(p * e for e in v)] = c
-        return MSeries(self.d, self.order, data)
+        return MSeries._trusted(self.d, self.order, data)
 
     def specialize(self, M: Sequence[int], Nexp: Sequence[int]) -> "MSeries":
         """Substitute z_i = M_i * t^(N_i), collapsing to a univariate series.
@@ -288,7 +349,7 @@ class MSeries:
                 data[(n,)] = s
             elif (n,) in data:
                 del data[(n,)]
-        return MSeries(1, self.order, data)
+        return MSeries._trusted(1, self.order, data)
 
     # -- serialization -----------------------------------------------------------
 
@@ -303,31 +364,64 @@ class MSeries:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MSeries":
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(int(data["d"]), int(data["order"]), terms)
+    def from_dict(cls, data) -> "MSeries":
+        """The series ``to_dict`` wrote; anything else raises ValueError.
+
+        ``d`` and ``order`` are ints, each term has an ``exp`` list of d
+        nonnegative ints of degree <= order, and ``num``/``den`` are the
+        decimal strings of a nonzero reduced fraction with ``den`` > 0.
+        No exponent appears twice.
+        """
+        if not isinstance(data, dict) or set(data) != {"d", "order", "terms"}:
+            raise ValueError("a series is an object with exactly d, order and terms")
+        d, order, terms = data["d"], data["order"], data["terms"]
+        if type(d) is not int or d < 1 or type(order) is not int or order < 0:
+            raise ValueError("d must be a positive and order a nonnegative integer")
+        if not isinstance(terms, list):
+            raise ValueError("terms must be a list")
+        out: dict[Exponent, Fraction] = {}
+        for t in terms:
+            if not isinstance(t, dict) or set(t) != {"exp", "num", "den"}:
+                raise ValueError(f"a term is an object with exactly exp, num and den: {t!r}")
+            exp, num, den = t["exp"], t["num"], t["den"]
+            if not (
+                isinstance(exp, list)
+                and len(exp) == d
+                and all(type(e) is int and e >= 0 for e in exp)
+                and sum(exp) <= order
+            ):
+                raise ValueError(f"bad exponent {exp!r} for d={d}, order={order}")
+            if not (isinstance(num, str) and _NONZERO.fullmatch(num)):
+                raise ValueError(f"num must be a nonzero decimal integer string: {num!r}")
+            if not (isinstance(den, str) and _POSITIVE.fullmatch(den)):
+                raise ValueError(f"den must be a positive decimal integer string: {den!r}")
+            v, c = tuple(exp), Fraction(int(num), int(den))
+            if c.denominator != int(den):
+                raise ValueError(f"{num}/{den} is not reduced")
+            if v in out:
+                raise ValueError(f"exponent {exp} appears twice")
+            out[v] = c
+        return cls._trusted(d, order, out)
 
 
-def _conv_into(acc, xs, ys):
-    """Add the product of the homogeneous parts xs and ys into acc."""
-    for va, ca in xs.items():
-        for vb, cb in ys.items():
-            v = tuple(a + b for a, b in zip(va, vb))
-            s = acc.get(v, Fraction(0)) + ca * cb
-            if s:
-                acc[v] = s
-            elif v in acc:
-                del acc[v]
+_NONZERO = re.compile(r"-?[1-9][0-9]*")
+_POSITIVE = re.compile(r"[1-9][0-9]*")
 
 
-def _from_slices(d, order, slices) -> MSeries:
-    data = {}
-    for sl in slices:
-        data.update(sl)
-    return MSeries(d, order, data)
+def _emit(g: kronecker.Grading, order: int, D: int, ints: dict[int, int]) -> MSeries:
+    """The series at ``order`` whose coefficient at key k is ints[k] / D."""
+    exp = g.exp
+    terms = {exp[k]: Fraction(c, D) for k, c in ints.items()}
+    return MSeries._trusted(g.d, order, terms)
+
+
+def _emit_slices(g: kronecker.Grading, order: int, xs, dens) -> MSeries:
+    """The series whose degree-k part is xs[k] / dens[k]."""
+    exp, top = g.exp, g.top
+    terms = {
+        exp[k * top + i]: Fraction(c, dens[k]) for k, sl in enumerate(xs) for i, c in sl.items()
+    }
+    return MSeries._trusted(g.d, order, terms)
 
 
 # -- composition and inversion ---------------------------------------------
@@ -337,11 +431,11 @@ class _Substitution:
     """Substituents shared by several compositions, with their power tables.
 
     ``compose`` groups the monomials of ``a`` by their leading exponents and
-    runs Horner's rule in one variable per level.  At the last level a group
-    is a linear combination of the powers of the last substituent, read from
-    a table, with no products; every level above adds one product per group.
-    Each part is formed only to the degree that can still reach the
-    truncation order: a factor s_i^e has valuation at least e.
+    runs Horner's rule in one variable per level, in integer form.  At the
+    last level a group is a linear combination of the powers of the last
+    substituent, read from a table, with no products; every level above adds
+    one product per group.  A factor s_i^e has valuation at least e, so each
+    product cuts its operands to the degrees that can still reach the order.
     """
 
     def __init__(self, subs: Sequence[MSeries]):
@@ -351,49 +445,34 @@ class _Substitution:
                 raise ValueError("substituents must share dimension and order")
             if s.constant_term != 0:
                 raise ValueError("substituents must have zero constant term")
-        self.subs = list(subs)
         self.d, self.order = first.d, first.order
-        self._powers: list[list[MSeries]] = [[MSeries.one(self.d, self.order)] for _ in subs]
-        self._graded: dict[int, list[dict[Exponent, Fraction]]] = {}
-        self._cuts: dict[tuple[int, int, int], MSeries] = {}
+        self._grading = kronecker.grading(self.d, self.order)
+        self._powers = [[(1, {0: 1}), s._numerators()] for s in subs]
 
-    def _power(self, i: int, e: int) -> MSeries:
-        """subs[i] ** e at the full order."""
+    def _power(self, i: int, e: int):
+        """The integer form of subs[i] ** e."""
         col = self._powers[i]
         while len(col) <= e:
-            n = len(col) - 1  # col[n] has valuation >= n
-            col.append(col[n] * self._cut(i, 1, self.order - n).truncate(self.order))
+            col.append(kronecker.multiply(self._grading, self.order, col[-1], col[1]))
         return col[e]
 
-    def _cut(self, i: int, e: int, k: int) -> MSeries:
-        """subs[i] ** e as a series of order k."""
-        key = (i, e, k)
-        if key not in self._cuts:
-            base = self.subs[i] if e == 1 else self._power(i, e)
-            self._cuts[key] = base.truncate(k)
-        return self._cuts[key]
-
-    def _last_power_slices(self, e: int) -> list[dict[Exponent, Fraction]]:
-        """Degree slices of the e-th power of the last substituent."""
-        if e not in self._graded:
-            self._graded[e] = self._power(len(self.subs) - 1, e)._slices()
-        return self._graded[e]
-
     def compose(self, a: MSeries) -> MSeries:
-        return self._horner(list(a._terms.items()), 0, self.order)
+        ints = self._horner(list(a._terms.items()), 0, self.order)
+        return _emit(self._grading, self.order, *ints)
 
-    def _horner(self, terms, i: int, limit: int) -> MSeries:
-        """Sum of c * prod_(j >= i) subs[j] ** v[j] over ``terms``, at order ``limit``."""
-        if i == len(self.subs) - 1:
-            acc: dict[Exponent, Fraction] = {}
-            for v, c in terms:
-                e = v[i]
-                if e > limit:
-                    continue
-                for part in self._last_power_slices(e)[e : limit + 1]:
-                    for w, x in part.items():
-                        acc[w] = acc.get(w, 0) + c * x
-            return MSeries(self.d, limit, acc)
+    def _horner(self, terms, i: int, limit: int):
+        """Sum of c * prod_(j >= i) subs[j] ** v[j] over ``terms``, to degree ``limit``."""
+        if i == len(self._powers) - 1:
+            parts = [(c, self._power(i, v[i])) for v, c in terms if v[i] <= limit]
+            D = math.lcm(*(c.denominator * den for c, (den, _) in parts))
+            cut = self._grading.top * (limit + 1)
+            total: dict[int, int] = {}
+            for c, (den, ints) in parts:
+                w = c.numerator * (D // (c.denominator * den))
+                for k, x in ints.items():
+                    if k < cut:
+                        total[k] = total.get(k, 0) + w * x
+            return kronecker.reduced(D, {k: x for k, x in total.items() if x})
         groups: dict[int, list] = {}
         for v, c in terms:
             if v[i] <= limit:
@@ -403,12 +482,13 @@ class _Substitution:
         for e in sorted(groups, reverse=True):
             inner = self._horner(groups[e], i + 1, limit - e)
             if acc is not None:
-                inner = inner + acc.truncate(limit - e) * self._cut(i, prev - e, limit - e)
+                step = kronecker.multiply(self._grading, limit - e, acc, self._power(i, prev - e))
+                inner = kronecker.add(inner, step)
             acc, prev = inner, e
         if acc is None:
-            return MSeries.zero(self.d, limit)
+            return 1, {}
         if prev:
-            acc = acc.truncate(limit) * self._cut(i, prev, limit)
+            acc = kronecker.multiply(self._grading, limit, acc, self._power(i, prev))
         return acc
 
 
@@ -429,7 +509,7 @@ def _partial(a: MSeries, j: int) -> MSeries:
     for v, c in a._terms.items():
         if v[j]:
             terms[v[:j] + (v[j] - 1,) + v[j + 1 :]] = v[j] * c
-    return MSeries(a.d, max(a.order - 1, 0), terms)
+    return MSeries._trusted(a.d, max(a.order - 1, 0), terms)
 
 
 def _solve_unit_system(J: list[list[MSeries]], r: list[MSeries]) -> list[MSeries]:
@@ -570,7 +650,7 @@ def theta(s):
         return LogSeries(theta(s.regular) + s.logpart, theta(s.logpart))
     if s.d != 1:
         raise ValueError("theta acts on univariate series")
-    return MSeries(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
+    return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
 
 
 def apply_theta_poly(polys: Sequence[Sequence[int]], s: LogSeries) -> LogSeries:

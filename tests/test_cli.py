@@ -1,5 +1,6 @@
 """Command-line driver: job parsing, exit codes, caching, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -51,6 +52,52 @@ def drop_from_manifest(cache_root, name):
     doc = json.loads(manifest.read_text())
     del doc["series"][name]
     manifest.write_text(json.dumps(doc))
+
+
+def reseal(cache_root, name, edit):
+    """Apply ``edit`` to one series file of a cache entry and record its new hash,
+    so that only the reader's own checks can catch the change."""
+    manifest = next(cache_root.rglob("manifest.json"))
+    doc = json.loads(manifest.read_text())
+    path = manifest.parent / doc["series"][name]["file"]
+    series = json.loads(path.read_text())
+    edit(series)
+    blob = json.dumps(series).encode()
+    path.write_bytes(blob)
+    doc["series"][name]["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest.write_text(json.dumps(doc))
+
+
+def _set_first_term(key, value):
+    def edit(series):
+        series["terms"][0][key] = value
+
+    return edit
+
+
+def _lower_order(series):
+    series["order"] -= 1
+    series["terms"] = [t for t in series["terms"] if sum(t["exp"]) <= series["order"]]
+
+
+def _add_a_variable(series):
+    series["d"] += 1
+    for t in series["terms"]:
+        t["exp"].append(0)
+
+
+# series documents that MSeries.from_dict rejects
+MALFORMED_SERIES = {
+    "float num": _set_first_term("num", 1.5),
+    "decimal num": _set_first_term("num", "1.5"),
+    "zero den": _set_first_term("den", "0"),
+    "short exp": _set_first_term("exp", []),
+    "bool exp": _set_first_term("exp", [True]),
+    "no terms": lambda series: series.pop("terms"),
+    "repeated exp": lambda series: series["terms"].append(dict(series["terms"][0])),
+}
+# well-formed series of another shape than the cached bundle
+MISFIT_SERIES = {"lower order": _lower_order, "another dimension": _add_a_variable}
 
 
 class TestClassify:
@@ -253,6 +300,23 @@ class TestScanAndCache:
         code, _, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "edit", [*MALFORMED_SERIES.values(), *MISFIT_SERIES.values()],
+        ids=[*MALFORMED_SERIES, *MISFIT_SERIES],
+    )
+    def test_malformed_series_file_exits_3(self, tmp_path, capsys, cache_args, edit):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4}
+        )
+        code, cold, _ = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_OK
+        reseal(tmp_path / "cache", "q_1", edit)
+        code, out, err = run(capsys, ["scan", job, *cache_args])
+        assert code == EXIT_CACHE
+        assert out == "" and len(err.splitlines()) == 1 and "q_1" in err
+        code, warm, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
+        assert code == EXIT_OK and warm == cold
+
     @pytest.mark.parametrize("name", ["qL_1", "GL_2", "F"])
     def test_manifest_missing_a_series_exits_3(self, tmp_path, capsys, cache_args, name):
         job = write_job(
@@ -385,6 +449,17 @@ class TestDwork:
         lines = [json.loads(l) for l in out.splitlines()]
         bad = [l for l in lines if not l["pass"]]
         assert bad and bad[0]["locus"] == [[2]]
+
+    @pytest.mark.parametrize("edit", MALFORMED_SERIES.values(), ids=MALFORMED_SERIES)
+    def test_malformed_fixture_exits_2(self, tmp_path, capsys, edit):
+        G = {"d": 1, "order": 6, "terms": [{"exp": [1], "num": "1", "den": "1"}]}
+        edit(G)
+        F = {"d": 1, "order": 6, "terms": [{"exp": [0], "num": "1", "den": "1"}]}
+        fixture = {"F": F, "G": G}
+        job = write_job(tmp_path, "a.json", {"fixture": fixture, "primes": [2]})
+        code, out, err = run(capsys, ["dwork", job])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1 and "bad fixture series" in err
 
     def test_non_p_integral_F_exits_2(self, tmp_path, capsys):
         job = write_job(

@@ -4,10 +4,12 @@ The per-monomial ``oracle_compose`` and the degree-by-degree fixed point
 ``oracle_invert_diagonal`` are the slow, direct algorithms; the property
 tests check the grouped composition and the Newton inversion against them.
 Likewise ``oracle_mul`` (every pair of terms, with a degree test per pair)
-and the weighted recursions ``oracle_reciprocal``, ``oracle_exp`` and
-``oracle_log`` check the one graded convolution kernel of the package.
+and the Fraction recursions ``oracle_reciprocal``, ``oracle_exp`` and
+``oracle_log`` check the integer kernel (``mirrorint.kronecker``): its
+Kronecker products and its integer graded recursions.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -539,3 +541,187 @@ def test_unit_operations_match_weighted_recursions(case):
     assert unit.reciprocal() == oracle_reciprocal(unit)
     assert nil.exp() == oracle_exp(nil)
     assert unit.log() == oracle_log(unit)
+
+
+def _first_term(**fields):
+    return lambda doc: doc["terms"][0].update(fields)
+
+
+# edits of a series document into something to_dict never writes
+NOT_WRITTEN_BY_TO_DICT = {
+    "float num": _first_term(num=1.5),
+    "int num": _first_term(num=3),
+    "decimal num": _first_term(num="1.5"),
+    "plus sign": _first_term(num="+3"),
+    "leading zero": _first_term(num="03"),
+    "space": _first_term(num=" 3"),
+    "zero num": _first_term(num="0"),
+    "zero den": _first_term(den="0"),
+    "negative den": _first_term(den="-4"),
+    "unreduced": _first_term(num="6", den="8"),
+    "short exp": _first_term(exp=[1]),
+    "bool exp": _first_term(exp=[1, True]),
+    "negative exp": _first_term(exp=[1, -1]),
+    "float exp": _first_term(exp=[1, 1.0]),
+    "tuple exp": _first_term(exp=(1, 1)),
+    "exp past order": _first_term(exp=[4, 0]),
+    "no den": lambda doc: doc["terms"][0].pop("den"),
+    "extra term key": _first_term(extra=1),
+    "repeated exp": lambda doc: doc["terms"].append(dict(doc["terms"][0])),
+    "list term": lambda doc: doc["terms"].append([[0, 0], "1", "1"]),
+    "terms object": lambda doc: doc.update(terms={}),
+    "no terms": lambda doc: doc.pop("terms"),
+    "bool d": lambda doc: doc.update(d=True),
+    "zero d": lambda doc: doc.update(d=0),
+    "string order": lambda doc: doc.update(order="3"),
+    "negative order": lambda doc: doc.update(order=-1),
+    "extra key": lambda doc: doc.update(extra=None),
+}
+
+
+class TestAccessAndSerializationChecks:
+    def test_coeff_rejects_an_exponent_of_the_wrong_length(self):
+        s = MSeries(2, 3, {(1, 0): 1})
+        with pytest.raises(ValueError) as from_init:
+            MSeries(2, 3, {(1,): 1})
+        with pytest.raises(ValueError) as from_coeff:
+            s.coeff((1,))
+        assert str(from_coeff.value) == str(from_init.value)
+        assert s.coeff((1, 0)) == 1 and s.coeff([0, 1]) == 0
+
+    def test_from_dict_reads_what_to_dict_writes(self):
+        s = MSeries(3, 4, {(1, 0, 2): Fraction(-5, 12), (0, 0, 0): 7, (4, 0, 0): Fraction(1, 3)})
+        assert MSeries.from_dict(json.loads(json.dumps(s.to_dict()))) == s
+        assert MSeries.from_dict(MSeries.zero(2, 0).to_dict()) == MSeries.zero(2, 0)
+
+    @pytest.mark.parametrize("edit", NOT_WRITTEN_BY_TO_DICT.values(), ids=NOT_WRITTEN_BY_TO_DICT)
+    def test_from_dict_rejects_anything_else(self, edit):
+        doc = MSeries(2, 3, {(1, 1): Fraction(-3, 4), (0, 2): 2}).to_dict()
+        edit(doc)
+        with pytest.raises(ValueError):
+            MSeries.from_dict(doc)
+
+    def test_from_dict_rejects_a_non_object(self):
+        for doc in ([], None, "series", 3):
+            with pytest.raises(ValueError):
+                MSeries.from_dict(doc)
+
+
+# -- the integer kernel: Kronecker products and integer recursions ----------------
+
+KERNEL_ORDERS = {1: 12, 2: 8, 3: 5}
+
+
+def assert_canonical(s):
+    """Every stored term is an exponent of the right shape and a nonzero reduced Fraction."""
+    for v, c in s._terms.items():
+        assert type(v) is tuple and len(v) == s.d and sum(v) <= s.order
+        assert all(type(e) is int and e >= 0 for e in v)
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def big_fractions():
+    """Mixed-sign numerators up to 2^256 over denominators up to 2^64."""
+    return st.builds(
+        Fraction, st.integers(-(2**256), 2**256).filter(bool), st.integers(1, 2**64)
+    )
+
+
+@st.composite
+def kernel_series(draw, d, order, coeffs, min_degree=0):
+    """Sparse or dense series at (d, order) with coefficients from ``coeffs``."""
+    exps = [
+        v for v in itertools.product(range(order + 1), repeat=d) if min_degree <= sum(v) <= order
+    ]
+    if draw(st.booleans()):
+        chosen = exps
+    else:
+        chosen = draw(st.lists(st.sampled_from(exps), max_size=8)) if exps else []
+    return MSeries(d, order, {v: draw(coeffs) for v in chosen})
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two series at d = 1-3 up to orders 12, 8 and 5, small or huge coefficients."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, KERNEL_ORDERS[d]))
+    coeffs = draw(st.sampled_from([fractions_nonintegral(), big_fractions()]))
+    return draw(kernel_series(d, order, coeffs)), draw(kernel_series(d, order, coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_operands())
+def test_kernel_product_matches_pairwise_oracle(case):
+    a, b = case
+    ab = oracle_mul(a, b)
+    for got, want in ((a * b, ab), (b * a, ab), (a * a, oracle_mul(a, a))):
+        assert got == want
+        assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_operands())
+def test_kernel_cancelling_products_store_no_zero(case):
+    # (f + z_0 g)(f - z_0 g) = f^2 - z_0^2 g^2: every cross term cancels exactly
+    f, g = case
+    z = MSeries.variable(f.d, f.order, 0)
+    got = (f + z * g) * (f - z * g)
+    assert got == oracle_mul(f, f) - oracle_mul(oracle_mul(z, z), oracle_mul(g, g))
+    assert_canonical(got)
+    assert (f - f) * g == MSeries.zero(f.d, f.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_operands())
+def test_kernel_unit_operations_match_weighted_recursions(case):
+    a, _ = case
+    d, order = a.d, a.order
+    nil = a - MSeries.constant(d, order, a.constant_term)
+    unit = MSeries.one(d, order) + nil
+    for got, want in (
+        (unit.reciprocal(), oracle_reciprocal(unit)),
+        (nil.exp(), oracle_exp(nil)),
+        (unit.log(), oracle_log(unit)),
+    ):
+        assert got == want
+        assert_canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=kernel_operands(), c=st.one_of(st.integers(-(2**70), 2**70), big_fractions()))
+def test_kernel_scalar_and_zero_products(case, c):
+    a, _ = case
+    d, order = a.d, a.order
+    want = oracle_mul(MSeries.constant(d, order, c), a)
+    for got in (a * c, c * a, MSeries.constant(d, order, c) * a):
+        assert got == want
+        assert_canonical(got)
+    zero = MSeries.zero(d, order)
+    assert a * 0 == 0 * a == a * zero == zero * a == zero
+    assert zero.exp() == MSeries.one(d, order)
+    assert MSeries.one(d, order).reciprocal() == MSeries.one(d, order)
+    assert MSeries.one(d, order).log() == zero
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+def test_kernel_slots_hold_their_bound_exactly(sign, n):
+    # a = M (1 + z + ... + z^n) at order 2n: the product's middle coefficient
+    # is sign M^2 (n + 1), exactly max|a| max|b| min(#a, #b); over t = 1..64
+    # its bit length meets every residue mod 8, byte boundaries included
+    for t in range(1, 65):
+        M = 2**t - 1
+        a = MSeries(1, 2 * n, {(i,): M for i in range(n + 1)})
+        b = sign * a
+        got = a * b
+        assert got.coeff((n,)) == sign * M * M * (n + 1)
+        assert got == oracle_mul(a, b)
+
+
+def test_kernel_products_past_the_order_vanish():
+    # valuations 3 and 3 at order 5: nothing of the product survives
+    a = MSeries(2, 5, {(3, 0): 7, (1, 2): Fraction(-1, 2)})
+    b = MSeries(2, 5, {(0, 3): 5})
+    assert a * b == MSeries.zero(2, 5)
+    assert (a * b)._terms == {}
