@@ -18,8 +18,8 @@ v_p(x) >= t + v_p(g).  The module provides
     telescoping identity;
   * the obstruction functionals used by the non-integrality witnesses.
 
-All sweeps are deterministic: tuples are visited in lexicographic order
-and reports carry the worst locus encountered.
+All sweeps are deterministic: each report carries the first locus, in
+the lexicographic order of its tuples, with the least margin.
 
 The formal-congruence harness compares p-adic valuations with finite
 bounds, so its hot loops avoid the big rationals they would otherwise
@@ -41,16 +41,23 @@ build and throw away.  Every reported ``achieved`` value is still exact:
     often the exact path runs, never a report byte.
   * The conclusion runs on exact values.  An integral Q(n) is kept as an
     int; a non-integral system stays on Fractions with the same formulas.
-    Block sums are built by level: a level-(s+1) block is the sum of the
-    p^d level-s blocks under it, so each level is one pass over the table.
-    Only the nonempty blocks, m <= K // p^s, are visited.  An empty block
-    sums to zero, an INFINITY valuation changes a worst-locus tracker only
-    as its first update, and the first update, at (a, K, s, m) = 0, is a
-    nonempty block; so skipping empty blocks changes no report.  The
-    blocks of one level partition [0, K], so the telescoping total is the
-    sum of the whole table for every s and is computed once per (a, K).
-    Once a worst margin M is known, a block sum that is 0 mod
-    p^(required + M) cannot set a new one, and its valuation is not taken.
+    The box [0, K] and its blocks depend on K alone, so they are indexed
+    once per K and serve every residue a.  Block sums are built by level:
+    a level-(s+1) block is the sum of the p^d level-s blocks under it, so
+    each level is one pass over the level below.  Only the nonempty
+    blocks, m <= K // p^s, are visited.  An empty block sums to zero, an
+    INFINITY valuation changes a worst-locus tracker only as its first
+    update, and the first update, at (a, K, s, m) = 0, is a nonempty
+    block; so skipping empty blocks changes no report.  The blocks of one
+    level partition [0, K], so the telescoping total is the sum of the
+    whole table for every s and is computed once per (a, K).  Once a worst
+    margin M is known, a block sum that is 0 mod p^(required + M) cannot
+    set a new one, and its valuation is not taken.
+  * The conclusion visits K outermost, yet its loci are ordered by
+    (a, K, s, m).  Each residue a has its own tracker, which sees its
+    (K, s, m) in order and so holds the first least margin of a.  Merged
+    in residue order, a later tracker replacing the result only with a
+    strictly smaller margin, they give the first least margin of all.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from .forms import (
     dot,
     factorial_ratio,
     harmonic,
+    harmonic_weight,
     is_prime,
     vp_int,
     vp_of_rational,
@@ -184,19 +192,6 @@ class _Units:
         return v, u
 
 
-def _gap(e1: int, x1: int, e2: int, x2: int, p: int, mod: int) -> Optional[int]:
-    """v_p(p^e1 x1 - p^e2 x2) for p-adic units known mod ``mod`` = p^_R.
-
-    Unequal exponents give min(e1, e2) exactly; equal ones give
-    e1 + v_p(x1 - x2) unless x1 = x2 mod p^_R, the one case the residues
-    cannot decide, which returns None.
-    """
-    if e1 != e2:
-        return min(e1, e2)
-    t = (x1 - x2) % mod
-    return e1 + vp_int(t, p) if t else None
-
-
 def _vp(x: Rational, p: int) -> Valuation:
     """v_p of an int or a Fraction, for a prime p checked beforehand."""
     if not x:
@@ -236,10 +231,6 @@ class PadicContext:
                 out = x.numerator if x.denominator == 1 else x
             self._q_cache[n] = out
         return out
-
-    def vpQ(self, n: Sequence[int]) -> int:
-        """Valuation of Q(n) for nonnegative n, via Legendre sums."""
-        return vp_ratio_legendre(self.sys, n, self.p)
 
     def _units(self, bound: int) -> _Units:
         """Unit-part tables covering every index with entries <= bound."""
@@ -328,18 +319,12 @@ class CongruenceReport:
         return json.dumps(
             {
                 "check": self.check,
-                "locus": _locus_json(self.locus),
+                "locus": self.locus,
                 "required": enc(self.required),
                 "achieved": enc(self.achieved),
                 "pass": self.passed,
             }
         )
-
-
-def _locus_json(obj):
-    if isinstance(obj, tuple):
-        return [_locus_json(x) for x in obj]
-    return obj
 
 
 class _Worst:
@@ -379,6 +364,14 @@ class _Worst:
                 self.count += 1
                 return
         self.update(locus, required, _vp(x, p))
+
+    def extend(self, later: "_Worst"):
+        """Continue this sweep with ``later``'s, whose loci all come after
+        this one's: its result, fed to ``update``, wins only where one sweep
+        over both would have taken it."""
+        if later.count:
+            self.update(later.locus, later.required, later.achieved)
+            self.count += later.count - 1
 
     def report(self) -> CongruenceReport:
         if self.margin is None:
@@ -440,23 +433,7 @@ def dd_coefficient_k(
     sys = ctx.sys
     if not 1 <= k <= sys.d:
         raise ValueError(f"coordinate {k} out of range")
-    a, K = _check_residue_pair(ctx, a, K)
-    kk = k - 1
-    p = ctx.p
-    total = Fraction(0)
-    for j in _box(K):
-        Kj = tuple(x - y for x, y in zip(K, j))
-        apj = tuple(x + p * y for x, y in zip(a, j))
-        w = Fraction(0)
-        for v in sys.e:
-            if v[kk]:
-                w += v[kk] * (harmonic(dot(v, Kj)) - p * harmonic(dot(v, apj)))
-        for v in sys.f:
-            if v[kk]:
-                w -= v[kk] * (harmonic(dot(v, Kj)) - p * harmonic(dot(v, apj)))
-        if w:
-            total += ctx.Q(Kj) * ctx.Q(apj) * w
-    return total
+    return _dd_sum(ctx, a, K, lambda n: harmonic_weight(sys, k - 1, n))
 
 
 def dd_coefficient_L(
@@ -464,19 +441,12 @@ def dd_coefficient_L(
 ) -> Fraction:
     """Coefficient of z^(a+pK) in F(z) G_L(z^p) - p F(z^p) G_L(z), in closed form."""
     L = tuple(int(c) for c in L)
-    a, K = _check_residue_pair(ctx, a, K)
-    p = ctx.p
-    total = Fraction(0)
-    for j in _box(K):
-        Kj = tuple(x - y for x, y in zip(K, j))
-        apj = tuple(x + p * y for x, y in zip(a, j))
-        w = harmonic(dot(L, Kj)) - p * harmonic(dot(L, apj))
-        if w:
-            total += ctx.Q(Kj) * ctx.Q(apj) * w
-    return total
+    return _dd_sum(ctx, a, K, lambda n: harmonic(dot(L, n)))
 
 
-def _check_residue_pair(ctx, a, K):
+def _dd_sum(ctx: PadicContext, a: Sequence[int], K: Sequence[int], weight) -> Fraction:
+    """sum over 0 <= j <= K of Q(K-j) Q(a+pj) (weight(K-j) - p weight(a+pj)),
+    where G has coefficients Q(n) weight(n)."""
     a = tuple(int(c) for c in a)
     K = tuple(int(c) for c in K)
     if len(a) != ctx.sys.d or len(K) != ctx.sys.d:
@@ -485,47 +455,64 @@ def _check_residue_pair(ctx, a, K):
         raise ValueError("residue entries must lie in [0, p)")
     if any(c < 0 for c in K):
         raise ValueError("K must be componentwise nonnegative")
-    return a, K
+    p = ctx.p
+    total = Fraction(0)
+    for j in _box(K):
+        Kj = tuple(x - y for x, y in zip(K, j))
+        apj = tuple(x + p * y for x, y in zip(a, j))
+        w = weight(Kj) - p * weight(apj)
+        if w:
+            total += ctx.Q(Kj) * ctx.Q(apj) * w
+    return total
 
 
-def _box(hi: IntVec, lo: Optional[IntVec] = None):
-    """Lexicographic iteration of the integer box [lo, hi] (both inclusive)."""
-    if lo is None:
-        lo = (0,) * len(hi)
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return itertools.product(*ranges)
+def _box(hi: IntVec):
+    """Lexicographic iteration of the integer box [0, hi] (inclusive)."""
+    return itertools.product(*(range(c + 1) for c in hi))
 
 
 # ---------------------------------------------------------------------------
 # the double convolution sums
 
 
-def _u_table(K: IntVec, P, Q) -> dict[IntVec, Rational]:
-    """The terms Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) over 0 <= j <= K, keyed by j.
+def _position(top: IntVec, m: IntVec) -> int:
+    """The place of m in the lexicographic listing of the box [0, top]."""
+    i = 0
+    for c, t in zip(m, top):
+        i = i * (t + 1) + c
+    return i
 
-    ``P`` maps x to Q(a + px) and ``Q`` maps x to Q(x), both over the box
-    [0, K].  The box in reverse lexicographic order lists K - j.
+
+class _Blocks:
+    """The box [0, K] and its blocks, level by level, for one K >= 0.
+
+    ``js`` lists the box lexicographically, so that reversed it lists K - j.
+    The level-s blocks m p^s <= j <= (m+1) p^s - 1 that meet the box are
+    those with m in [0, ``tops[s]``], ``tops[s]`` = K // p^s; a level lists
+    them lexicographically, and ``up[s]`` maps each level-s block to the
+    place of the level-(s+1) block that holds it.
     """
-    js = list(_box(K))
-    return {j: P[kj] * Q[j] - Q[kj] * P[j] for j, kj in zip(js, reversed(js))}
 
+    def __init__(self, K: IntVec, p: int, s_max: int):
+        self.js = list(_box(K))
+        self.tops = [K]
+        self.up = []
+        for _ in range(s_max):
+            below = self.tops[-1]
+            top = tuple(c // p for c in below)
+            self.up.append([_position(top, tuple(c // p for c in m)) for m in _box(below)])
+            self.tops.append(top)
 
-def _block_sums(table: dict[IntVec, Rational], p: int, s_max: int) -> list[dict]:
-    """Block sums of a term table by level.
-
-    Level s maps m to the sum of the terms with m p^s <= j <= (m+1) p^s - 1,
-    for the nonempty blocks only (m <= K // p^s).  Level s+1 adds the p^d
-    level-s blocks under each of its blocks, so each level costs one pass
-    over the level below it.
-    """
-    levels = [table]
-    for _ in range(s_max):
-        up: dict[IntVec, Rational] = {}
-        for m, x in levels[-1].items():
-            key = tuple(c // p for c in m)
-            up[key] = up.get(key, 0) + x
-        levels.append(up)
-    return levels
+    def sums(self, P: list, Q: list) -> list[list]:
+        """The block sums of Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) by level,
+        from P = Q(a + pj) and Q = Q(j) listed like ``js``."""
+        levels = [[pk * qj - qk * pj for pk, qj, qk, pj in zip(reversed(P), Q, reversed(Q), P)]]
+        for up, top in zip(self.up, self.tops[1:]):
+            level = [0] * math.prod(c + 1 for c in top)
+            for i, x in zip(up, levels[-1]):
+                level[i] += x
+            levels.append(level)
+        return levels
 
 
 def convolution_sum(
@@ -544,11 +531,13 @@ def convolution_sum(
         raise ValueError("residue entries must lie in [0, p)")
     if any(c < 0 for c in m) or s < 0:
         raise ValueError("m and s must be nonnegative")
-    # Terms vanish unless 0 <= j <= K, so the table of that box covers the block.
-    box = list(_box(K))
-    P = {x: ctx.Q(tuple(c + p * y for c, y in zip(a, x))) for x in box}
-    Q = {x: ctx.Q(x) for x in box}
-    return _block_sums(_u_table(K, P, Q), p, s)[s].get(m, 0)
+    # Terms vanish unless 0 <= j <= K, so only the blocks of that box are nonzero.
+    if any(c < 0 for c in K) or any(c > k // p**s for c, k in zip(m, K)):
+        return 0
+    blocks = _Blocks(K, p, s)
+    P = [ctx.Q(tuple(c + p * y for c, y in zip(a, j))) for j in blocks.js]
+    Q = [ctx.Q(j) for j in blocks.js]
+    return blocks.sums(P, Q)[s][_position(blocks.tops[s], m)]
 
 
 @dataclass
@@ -595,15 +584,15 @@ def verify_formal_congruences(
     mus = [ctx.mu(m) for m in mbox]
     reports = []
 
-    v0 = ctx.vpQ((0,) * d)
+    v0 = vp_ratio_legendre(ctx.sys, (0,) * d, p)
     reports.append(CongruenceReport("unit-at-zero", ((0,) * d,), 0, v0, passed=(v0 == 0)))
 
     w = _Worst("weight-lower-bound")
     for m, mu_m in zip(mbox, mus):
-        w.update((m,), mu_m, ctx.vpQ(m))
+        w.update((m,), mu_m, vp_ratio_legendre(ctx.sys, m, p))
     reports.append(w.report())
 
-    reports.extend(_ratio_reports(ctx, s_max, m_bound, mbox, mus))
+    reports.extend(_ratio_reports(ctx, s_max, m_bound, mus))
 
     w = _Worst("weight-shift")
     for n, t in excluded_indices(ctx, s_max):
@@ -617,41 +606,66 @@ def verify_formal_congruences(
     return reports
 
 
-def _ratio_reports(
-    ctx: PadicContext, s_max: int, m_bound: int, mbox: list, mus: list
-) -> list:
+class _Ratios:
+    """v_p(Q(hi + m p^(s+1)) / Q(hi) - Q(lo + m p^s) / Q(lo)) over the box
+    m <= m_bound, for s <= s_max, hi < p^(s+1) and lo < p^s."""
+
+    def __init__(self, ctx: PadicContext, s_max: int, m_bound: int):
+        self.ctx = ctx
+        self.units = ctx._units((m_bound + 1) * ctx.p ** (s_max + 1))
+        self.mbox = list(_box((m_bound,) * ctx.sys.d))
+        self.mdots = [self.units.dots(m) for m in self.mbox]
+
+    def differences(self, s: int, lo: IntVec, his: list) -> tuple[list, list]:
+        """(e, rows): e lists e_m = v_p(Q(lo + m p^s) / Q(lo)) over the m box,
+        and rows holds, per hi in ``his``, v_p(Q(hi)) and the valuations of
+        the difference over the m box."""
+        ctx, units = self.ctx, self.units
+        p, mod = ctx.p, units.mod
+        q0, q1 = p**s, p ** (s + 1)
+        v_lo, ui_lo = units.inverse(lo)
+        base_lo = units.dots(lo)
+        low = [units.shifted(base_lo, q0, md) for md in self.mdots]
+        e = [v_b - v_lo for v_b, _ in low]
+        x_lo = [x_b * ui_lo for _, x_b in low]
+        rows = []
+        for hi in his:
+            v_hi, ui_hi = units.inverse(hi)
+            base_hi = units.dots(hi)
+            row = []
+            for m, md, e_b, x_b in zip(self.mbox, self.mdots, e, x_lo):
+                v_a, x_a = units.shifted(base_hi, q1, md)
+                e_a = v_a - v_hi
+                if e_a != e_b:
+                    row.append(min(e_a, e_b))
+                elif t := (x_a * ui_hi - x_b) % mod:
+                    row.append(e_a + vp_int(t, p))
+                else:
+                    top = tuple(x + q1 * y for x, y in zip(hi, m))
+                    bot = tuple(x + q0 * y for x, y in zip(lo, m))
+                    diff = Fraction(ctx.Q(top)) / ctx.Q(hi) - Fraction(ctx.Q(bot)) / ctx.Q(lo)
+                    row.append(_vp(diff, p))
+            rows.append((v_hi, row))
+        return e, rows
+
+
+def _ratio_reports(ctx: PadicContext, s_max: int, m_bound: int, mus: list) -> list:
     """The three ratio congruences: Q(vup + m p^(s+1)) / Q(vup) against
     Q(u + m p^s) / Q(u), for good u mod p^s, v mod p and vup = v + p u."""
     p, d = ctx.p, ctx.sys.d
-    units = ctx._units((m_bound + 1) * p ** (s_max + 1))
-    mod = units.mod
-    mdots = [units.dots(m) for m in mbox]
+    ratios = _Ratios(ctx, s_max, m_bound)
+    vs = list(itertools.product(range(p), repeat=d))
     wa = _Worst("ratio-congruence")
     wa1 = _Worst("ratio-congruence-good")
     wa2 = _Worst("ratio-congruence-excluded")
     for s in range(s_max + 1):
-        q0, q1 = p**s, p ** (s + 1)
         for u in good_residues(ctx, s):
-            v_u, ui_u = units.inverse(u)
-            base_u = units.dots(u)
-            below = [units.shifted(base_u, q0, md) for md in mdots]
-            for v in itertools.product(range(p), repeat=d):
-                vup = tuple(x + p * y for x, y in zip(v, u))
-                good_next = not _in_region_scaled(ctx, vup, q1)
+            vups = [tuple(x + p * y for x, y in zip(v, u)) for v in vs]
+            e, rows = ratios.differences(s, u, vups)
+            for v, vup, (v_vup, row) in zip(vs, vups, rows):
+                good_next = not _in_region_scaled(ctx, vup, p ** (s + 1))
                 mu_vup = ctx.mu(vup)
-                v_vup, ui_vup = units.inverse(vup)
-                base_vup = units.dots(vup)
-                for m, md, mu_m, (v_b, x_b) in zip(mbox, mdots, mus, below):
-                    v_a, x_a = units.shifted(base_vup, q1, md)
-                    e_b = v_b - v_u
-                    ach = _gap(v_a - v_vup, x_a * ui_vup, e_b, x_b * ui_u, p, mod)
-                    if ach is None:
-                        top = tuple(x + q1 * y for x, y in zip(vup, m))
-                        bot = tuple(x + q0 * y for x, y in zip(u, m))
-                        ach = _vp(
-                            Fraction(ctx.Q(top)) / ctx.Q(vup) - Fraction(ctx.Q(bot)) / ctx.Q(u),
-                            p,
-                        )
+                for m, mu_m, e_b, ach in zip(ratios.mbox, mus, e, row):
                     locus = (s, u, v, m)
                     wa.update(locus, s + 1 + mu_m - v_vup, ach)
                     if good_next:
@@ -664,32 +678,37 @@ def _ratio_reports(
 def _conclusion_reports(
     ctx: PadicContext, s_max: int, k_bound: int, m_bound: int, mu: dict
 ) -> list:
-    """The conclusion for every block sum and the telescoping of complete ones.
-
-    Only the nonempty blocks, m <= K // p^s, are visited.  An empty block
-    sums to zero, and an update with an INFINITY valuation changes a
-    ``_Worst`` only when it is the first update; the first update, at
-    (a, K, s, m) = 0, has a nonempty block.  So skipping the empty ones
-    leaves every report as it is.  The blocks of one level partition
-    [0, K], so the telescoping total is the sum of the whole table for
-    every s: it is computed once per (a, K) and reported for each s.
-    """
+    """The conclusion for every block sum and the telescoping of complete
+    ones, K outermost with one tracker per residue (see the module notes)."""
     p, d = ctx.p, ctx.sys.d
-    kbox = list(_box((k_bound,) * d))
-    Q = {x: ctx.Q(x) for x in kbox}
-    wc = _Worst("conclusion")
-    wt = _Worst("telescoping")
-    for a in itertools.product(range(p), repeat=d):
-        P = {x: ctx.Q(tuple(c + p * y for c, y in zip(a, x))) for x in kbox}
-        for K in kbox:
-            table = _u_table(K, P, Q)
-            total = _vp(sum(table.values()), p)
-            for s, level in enumerate(_block_sums(table, p, s_max)):
-                q = p**s
-                for m in _box(tuple(min(k // q, m_bound) for k in K)):
-                    wc.update_value((a, K, s, m), s + 1 + mu[m], level[m], p)
-                wt.update((a, K, s), INFINITY, total)
-    return [wc.report(), wt.report()]
+    top = (k_bound,) * d
+    kbox = list(_box(top))
+    residues = list(itertools.product(range(p), repeat=d))
+    # Q(x) and, per residue a, Q(a + px), listed like the K box
+    Q = [ctx.Q(x) for x in kbox]
+    P = [[ctx.Q(tuple(c + p * y for c, y in zip(a, x))) for x in kbox] for a in residues]
+    wc = [_Worst("conclusion") for _ in residues]
+    wt = [_Worst("telescoping") for _ in residues]
+    for K in kbox:
+        blocks = _Blocks(K, p, s_max)
+        at = [_position(top, j) for j in blocks.js]
+        QK = [Q[i] for i in at]
+        # per level: (m, its place in the level, the required valuation)
+        visits = [
+            [(m, _position(t, m), s + 1 + mu[m]) for m in _box(tuple(min(c, m_bound) for c in t))]
+            for s, t in enumerate(blocks.tops)
+        ]
+        for a, Pa, wc_a, wt_a in zip(residues, P, wc, wt):
+            levels = blocks.sums([Pa[i] for i in at], QK)
+            total = _vp(sum(levels[0]), p)
+            for s, (level, visit) in enumerate(zip(levels, visits)):
+                for m, i, required in visit:
+                    wc_a.update_value((a, K, s, m), required, level[i], p)
+                wt_a.update((a, K, s), INFINITY, total)
+    for trackers in (wc, wt):
+        for later in trackers[1:]:
+            trackers[0].extend(later)
+    return [wc[0].report(), wt[0].report()]
 
 
 def q_ratio_congruence_sweep(
@@ -699,36 +718,20 @@ def q_ratio_congruence_sweep(
     lies in 1 + p^(s+1) Z_p, over all c mod p^s and bounded m.
 
     Requires equal column sums of e and f.  Returns one aggregated report
-    with the worst locus.
+    with the worst locus.  The ratio less 1 is the difference
+    Q(cp + m p^(s+1)) / Q(cp) - Q(c + m p^s) / Q(c) over Q(c + m p^s) / Q(c).
     """
     if ctx.sys.sum_e != ctx.sys.sum_f:
         raise ValueError("the congruence needs equal column sums")
     p, d = ctx.p, ctx.sys.d
-    units = ctx._units((m_bound + 1) * p ** (s_max + 1))
-    mod = units.mod
-    mbox = list(_box((m_bound,) * d))
-    mdots = [units.dots(m) for m in mbox]
+    ratios = _Ratios(ctx, s_max, m_bound)
     w = _Worst("unit-ratio-congruence")
     for s in range(s_max + 1):
-        q0, q1 = p**s, p ** (s + 1)
-        for c in itertools.product(range(q0), repeat=d):
+        for c in itertools.product(range(p**s), repeat=d):
             cp = tuple(x * p for x in c)
-            v_c, ui_c = units.inverse(c)
-            v_cp, ui_cp = units.inverse(cp)
-            base_c, base_cp = units.dots(c), units.dots(cp)
-            for m, md in zip(mbox, mdots):
-                # the ratio is (Q(top)/Q(cp)) / (Q(bot)/Q(c))
-                v_t, x_t = units.shifted(base_cp, q1, md)
-                v_b, x_b = units.shifted(base_c, q0, md)
-                e_b = v_b - v_c
-                gap = _gap(v_t - v_cp, x_t * ui_cp, e_b, x_b * ui_c, p, mod)
-                if gap is None:
-                    top = ctx.Q(tuple(x * p + y * q1 for x, y in zip(c, m)))
-                    bot = ctx.Q(tuple(x + y * q0 for x, y in zip(c, m)))
-                    ach = _vp(Fraction(ctx.Q(c) * top) / (ctx.Q(cp) * bot) - 1, p)
-                else:
-                    ach = gap - e_b
-                w.update((s, c, m), s + 1, ach)
+            e, [(_, row)] = ratios.differences(s, c, [cp])
+            for m, e_b, gap in zip(ratios.mbox, e, row):
+                w.update((s, c, m), s + 1, gap if gap is INFINITY else gap - e_b)
     return w.report()
 
 
@@ -745,16 +748,7 @@ def harmonic_obstruction(sys: FormSystem, k: int, x: Sequence) -> Fraction:
     """
     if not 1 <= k <= sys.d:
         raise ValueError(f"coordinate {k} out of range")
-    x = tuple(Fraction(c) for c in x)
-    kk = k - 1
-    total = Fraction(0)
-    for v in sys.e:
-        if v[kk]:
-            total += v[kk] * harmonic(math.floor(dot(v, x)))
-    for v in sys.f:
-        if v[kk]:
-            total -= v[kk] * harmonic(math.floor(dot(v, x)))
-    return total
+    return harmonic_weight(sys, k - 1, tuple(Fraction(c) for c in x))
 
 
 def obstruction_ratio(sys: FormSystem, k: int, witness: Sequence, X: int) -> Fraction:

@@ -194,6 +194,19 @@ def harmonic(m: int) -> Fraction:
     return _HARMONIC[m]
 
 
+def harmonic_weight(sys: FormSystem, k: int, x: Sequence) -> Fraction:
+    """sum_i e_i[k] H(floor(e_i.x)) - sum_j f_j[k] H(floor(f_j.x)), the
+    harmonic weight of coordinate k (0-based) at a point x >= 0, exact."""
+    total = Fraction(0)
+    for v in sys.e:
+        if v[k]:
+            total += v[k] * harmonic(math.floor(dot(v, x)))
+    for v in sys.f:
+        if v[k]:
+            total -= v[k] * harmonic(math.floor(dot(v, x)))
+    return total
+
+
 def is_prime(p: int) -> bool:
     """Trial-division primality test, ample for desk-scale primes."""
     if p < 2:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .forms import FormSystem, dot, factorial_ratio, harmonic, vp_of_rational
+from .forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight, vp_of_rational
 from .landau import enumerate_weight_vectors
 from .series import MSeries, invert_diagonal
 
@@ -46,17 +46,6 @@ def build_F(sys: FormSystem, order: int) -> MSeries:
     return MSeries(sys.d, order, terms)
 
 
-def _gk_weight(sys: FormSystem, k: int, n: Exponent) -> Fraction:
-    w = Fraction(0)
-    for v in sys.e:
-        if v[k]:
-            w += v[k] * harmonic(dot(v, n))
-    for v in sys.f:
-        if v[k]:
-            w -= v[k] * harmonic(dot(v, n))
-    return w
-
-
 def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
     """Harmonic companion for coordinate k (1-based): Q(n) times the
     weight sum(e_i[k] H(e_i.n)) - sum(f_j[k] H(f_j.n))."""
@@ -64,7 +53,7 @@ def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
         raise ValueError(f"coordinate {k} out of range 1..{sys.d}")
     terms = {}
     for v in exponents_upto(sys.d, order):
-        w = _gk_weight(sys, k - 1, v)
+        w = harmonic_weight(sys, k - 1, v)
         if w:
             terms[v] = factorial_ratio(sys, v) * w
     return MSeries(sys.d, order, terms)
