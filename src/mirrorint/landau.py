@@ -20,6 +20,16 @@ The grid's denominator is the lcm of the form entries times
 ``GRID_MULTIPLIER``; the sampled fallback, taken when the budget is
 exceeded, adds ``RANDOM_SAMPLES`` points from a generator seeded with
 ``SAMPLE_SEED``.  All three are fixed constants.
+
+Every evaluation is integer arithmetic.  A point x = i/D is given by
+integer numerators i over one common denominator D > 0; each form v
+contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
+lies on the jump region iff some t >= D.  ``delta_at``,
+``in_jump_region``, the classifier's vertices, grid and samples, and the
+univariate jump profiles all go through this one kernel.  The vertices
+come from fraction-free (Bareiss) elimination on integer plane rows;
+Fractions are made only for the vertices inside the box and for the
+points a verdict returns.
 """
 
 from __future__ import annotations
@@ -27,12 +37,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .forms import FormSystem, dot
+from .forms import FormSystem
 
 Point = tuple[Fraction, ...]
 
@@ -48,17 +59,38 @@ def _as_point(sys: FormSystem, x: Sequence) -> Point:
     return x
 
 
+def _scale(x: Point) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of ``x`` over the lcm D of its denominators, and D."""
+    D = math.lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (D // c.denominator) for c in x), D
+
+
+def _delta_jump(
+    e: Sequence[Sequence[int]], f: Sequence[Sequence[int]], num: Sequence[int], D: int
+) -> tuple[int, bool]:
+    """Landau value and jump-region membership at the point num/D.
+
+    With t = v.num for each form v, floor(v.x) = t // D exactly, and the
+    point reaches the jump region iff some t >= D.
+    """
+    delta = top = 0
+    for v in e:
+        t = sum(map(operator.mul, v, num))
+        delta += t // D
+        top = max(top, t)
+    for v in f:
+        t = sum(map(operator.mul, v, num))
+        delta -= t // D
+        top = max(top, t)
+    return delta, top >= D
+
+
 def delta_at(sys: FormSystem, x: Sequence) -> int:
     """Evaluate the Landau function at an exact rational point ``x >= 0``."""
     x = _as_point(sys, x)
     if any(c < 0 for c in x):
         raise ValueError("delta is evaluated at componentwise nonnegative points")
-    total = 0
-    for v in sys.e:
-        total += math.floor(dot(v, x))
-    for v in sys.f:
-        total -= math.floor(dot(v, x))
-    return total
+    return _delta_jump(sys.e, sys.f, *_scale(x))[0]
 
 
 def in_jump_region(sys: FormSystem, x: Sequence) -> bool:
@@ -70,7 +102,7 @@ def in_jump_region(sys: FormSystem, x: Sequence) -> bool:
     x = _as_point(sys, x)
     if any(c < 0 or c >= 1 for c in x):
         raise ValueError("membership is defined for points of [0,1)^d")
-    return any(dot(v, x) >= 1 for v in sys.forms)
+    return _delta_jump(sys.e, sys.f, *_scale(x))[1]
 
 
 def enumerate_weight_vectors(sys: FormSystem) -> list[tuple[int, ...]]:
@@ -109,10 +141,6 @@ class JumpProfile:
         return sum(self.amplitudes[:i])
 
 
-def _delta_1d(E: Sequence[int], F: Sequence[int], x: Fraction) -> int:
-    return sum(math.floor(c * x) for c in E) - sum(math.floor(c * x) for c in F)
-
-
 def univariate_jump_profile(E: Sequence[int], F: Sequence[int]) -> JumpProfile:
     """Jump profile of the univariate Landau function of integers E, F.
 
@@ -128,14 +156,18 @@ def univariate_jump_profile(E: Sequence[int], F: Sequence[int]) -> JumpProfile:
         raise ValueError("E and F must be disjoint")
     if not E and not F:
         raise ValueError("at least one entry is required")
-    points = sorted({Fraction(j, a) for a in E + F for j in range(1, a + 1)})
+    # every abscissa j/a is n/L over the common denominator L
+    L = math.lcm(*E, *F)
+    nums = sorted({j * (L // a) for a in E + F for j in range(1, a + 1)})
+    e = [(c,) for c in E]
+    f = [(c,) for c in F]
     amplitudes = []
     prev = 0
-    for g in points:
-        val = _delta_1d(E, F, g)
+    for n in nums:
+        val = _delta_jump(e, f, (n,), L)[0]
         amplitudes.append(val - prev)
         prev = val
-    return JumpProfile(tuple(points), tuple(amplitudes))
+    return JumpProfile(tuple(Fraction(n, L) for n in nums), tuple(amplitudes))
 
 
 def jump_criterion_check(E: Sequence[int], F: Sequence[int], i0: int) -> bool:
@@ -221,19 +253,22 @@ class SamplingStrategy:
     allow_fallback: bool = True
 
 
-def _hyperplanes(sys: FormSystem) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Normalized hyperplanes c.x = m crossing [0,1)^d, plus x_i = 0."""
+def _hyperplanes(sys: FormSystem) -> list[tuple[int, ...]]:
+    """Planes c.x = m crossing [0,1)^d, plus x_i = 0, as integer rows.
+
+    Each plane appears once, as the row (a_1, ..., a_d, b) of a.x = b with
+    a primitive normal scaled by the denominator of its lowest-terms offset.
+    """
     seen = set()
-    planes = []
+    rows = []
 
     def add(normal, offset):
         g = math.gcd(*normal)
-        normal = tuple(c // g for c in normal)
-        offset = Fraction(offset, g)
-        key = (normal, offset)
-        if key not in seen:
-            seen.add(key)
-            planes.append(key)
+        h = math.gcd(offset, g)
+        row = tuple(c // g * (g // h) for c in normal) + (offset // h,)
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
 
     for i in range(sys.d):
         unit = tuple(1 if j == i else 0 for j in range(sys.d))
@@ -244,28 +279,37 @@ def _hyperplanes(sys: FormSystem) -> list[tuple[tuple[int, ...], Fraction]]:
         top = sum(v)
         for m in range(top):
             add(v, m)
-    return planes
+    return rows
 
 
-def _solve_exact(rows: list[tuple[tuple[int, ...], Fraction]]) -> Optional[Point]:
-    """Solve the d x d rational system given by (normal, offset) rows.
+def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[int], int]]:
+    """Solve the d x d system with augmented integer rows, fraction-free.
 
-    Returns None when the system is singular.
+    Bareiss's Gauss-Jordan elimination keeps every entry an integer (each
+    division is exact); it returns the numerators and the positive common
+    denominator of the solution, or None when the system is singular.
     """
     d = len(rows)
-    mat = [[Fraction(c) for c in normal] + [offset] for normal, offset in rows]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if pivot is None:
+    m = [list(r) for r in rows]
+    prev = 1
+    for k in range(d):
+        p = next((r for r in range(k, d) if m[r][k]), None)
+        if p is None:
             return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [c * inv for c in mat[col]]
-        for r in range(d):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return tuple(mat[r][d] for r in range(d))
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(d):
+            if i != k:
+                row = m[i]
+                a = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        prev = pivot
+    num = [row[d] for row in m]
+    if prev < 0:
+        return [-c for c in num], -prev
+    return num, prev
 
 
 def vertex_candidates(sys: FormSystem, budget: int = 2_000_000) -> list[Point]:
@@ -273,7 +317,9 @@ def vertex_candidates(sys: FormSystem, budget: int = 2_000_000) -> list[Point]:
 
     Intersects every d-subset of the hyperplane family; the floor
     convention makes the value of delta at a vertex equal its value on the
-    cell immediately up-right, so these points represent cells.
+    cell immediately up-right, so these points represent cells.  Each
+    subset is solved on integers; only the distinct points inside the box
+    become Fractions.
     """
     planes = _hyperplanes(sys)
     n_subsets = math.comb(len(planes), sys.d)
@@ -283,10 +329,14 @@ def vertex_candidates(sys: FormSystem, budget: int = 2_000_000) -> list[Point]:
         )
     pts = set()
     for subset in itertools.combinations(planes, sys.d):
-        x = _solve_exact(list(subset))
-        if x is not None and all(0 <= c < 1 for c in x):
-            pts.add(x)
-    return sorted(pts)
+        solved = _solve_bareiss(subset)
+        if solved is None:
+            continue
+        num, den = solved
+        if all(0 <= c < den for c in num):
+            g = math.gcd(den, *num)
+            pts.add((tuple(c // g for c in num), den // g))
+    return sorted(tuple(Fraction(c, den) for c in num) for num, den in pts)
 
 
 def grid_denominator(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> int:
@@ -302,33 +352,55 @@ def grid_points(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> list[Poin
     return [tuple(p) for p in itertools.product(axis, repeat=sys.d)]
 
 
-def _random_points(sys: FormSystem) -> list[Point]:
+def _sample_points(sys: FormSystem, grid_den: int) -> list[tuple[tuple[int, ...], int]]:
+    """The sampled fallback's points, sorted, over one common denominator.
+
+    ``RANDOM_SAMPLES`` seeded draws of denominator N*k (N the grid
+    denominator, 1 <= k <= 8), plus the denominator-``grid_den`` grid
+    unless ``grid_den`` is 0.
+    """
+    N = grid_denominator(sys)
+    D = N * math.lcm(*range(1, 9))
     rng = random.Random(SAMPLE_SEED)
-    base = grid_denominator(sys)
     pts = set()
     for _ in range(RANDOM_SAMPLES):
-        den = base * rng.randint(1, 8)
-        pts.add(tuple(Fraction(rng.randrange(den), den) for _ in range(sys.d)))
-    return sorted(pts)
+        den = N * rng.randint(1, 8)
+        pts.add(tuple(rng.randrange(den) * (D // den) for _ in range(sys.d)))
+    if grid_den:
+        step = D // grid_den
+        pts.update(
+            tuple(c * step for c in i)
+            for i in itertools.product(range(grid_den), repeat=sys.d)
+        )
+    return [(num, D) for num in sorted(pts)]
 
 
-def _verdict_from_points(
-    sys: FormSystem, points: Sequence[Point], sampled: bool, refuters: Iterable[Point] = ()
+def _verdict(
+    sys: FormSystem,
+    points: Iterable[tuple[Sequence[int], int]],
+    sampled: bool,
+    refuters: Iterable[tuple[Sequence[int], int]] = (),
 ) -> CriterionVerdict:
-    """The verdict delta proves at ``points``, then at ``refuters``; the
-    first witness found wins, and a Case I certificate lists ``points`` only."""
+    """The verdict delta proves at ``points``, then at ``refuters``, each
+    given as (numerators, denominator) pairs; the first witness found wins,
+    and a Case I certificate lists ``points`` only."""
+    e, f = sys.e, sys.f
+
+    def point(num, D) -> Point:
+        return tuple(Fraction(c, D) for c in num)
+
     zero_witness = None
     certificate = []
-    for x in points:
-        val = delta_at(sys, x)
+    for num, D in points:
+        val, jump = _delta_jump(e, f, num, D)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
-        if in_jump_region(sys, x):
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D), sampled=sampled)
+        if jump:
             if val == 0:
                 if zero_witness is None:
-                    zero_witness = x
+                    zero_witness = point(num, D)
             else:
-                certificate.append((x, val))
+                certificate.append((point(num, D), val))
     # Closed-box corners: at the k-th unit corner delta equals the
     # coordinate margin, so a strictly smaller e-column sum is a negativity
     # witness the half-open box cannot show.
@@ -336,12 +408,12 @@ def _verdict_from_points(
         if sys.sum_e[k] < sys.sum_f[k]:
             corner = tuple(Fraction(int(i == k)) for i in range(sys.d))
             return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner, sampled=sampled)
-    for x in refuters:
-        val = delta_at(sys, x)
+    for num, D in refuters:
+        val, jump = _delta_jump(e, f, num, D)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
-        if zero_witness is None and val == 0 and in_jump_region(sys, x):
-            zero_witness = x
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D), sampled=sampled)
+        if zero_witness is None and val == 0 and jump:
+            zero_witness = point(num, D)
     if sys.sum_e != sys.sum_f:
         k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
         return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1, sampled=sampled)
@@ -358,7 +430,11 @@ def classify(
     Walks the arrangement vertices, then the grid, in one pass: the first
     exact witness settles the verdict, and a smaller e-column sum answers
     with its closed-box corner before the grid is walked.  A Case I
-    certificate lists the vertex values.  When the arrangement is
+    certificate lists the vertex values.  Delta is evaluated on integers
+    by floor division: a vertex (exact, from Bareiss elimination) as its
+    numerators over their lcm, a grid point as its index tuple over the
+    grid denominator N; the grid makes Fractions only for a witness it
+    returns.  When the arrangement is
     too large for the budget the classifier falls back to the grid plus
     ``RANDOM_SAMPLES`` points drawn with seed ``SAMPLE_SEED`` and marks the
     verdict as sampled; with ``allow_fallback=False`` it raises
@@ -366,21 +442,21 @@ def classify(
     """
     if strategy is None:
         strategy = SamplingStrategy()
-    grid_size = grid_denominator(sys) ** sys.d
+    N = grid_denominator(sys)
+    grid_size = N ** sys.d
     if grid_size > strategy.budget:
         if not strategy.allow_fallback:
             raise BudgetExceededError(
                 f"grid of {grid_size} points exceeds the budget of {strategy.budget}"
             )
-        coarse = grid_points(sys, 1) if grid_denominator(sys, 1) ** sys.d <= strategy.budget else []
-        pts = sorted(set(coarse) | set(_random_points(sys)))
-        return _verdict_from_points(sys, pts, sampled=True)
-    grid = grid_points(sys)
+        coarse = grid_denominator(sys, 1)
+        pts = _sample_points(sys, coarse if coarse ** sys.d <= strategy.budget else 0)
+        return _verdict(sys, pts, sampled=True)
     try:
         vertices = vertex_candidates(sys, budget=strategy.budget)
     except BudgetExceededError:
         if not strategy.allow_fallback:
             raise
-        pts = sorted(set(grid) | set(_random_points(sys)))
-        return _verdict_from_points(sys, pts, sampled=True)
-    return _verdict_from_points(sys, vertices, False, grid)
+        return _verdict(sys, _sample_points(sys, N), sampled=True)
+    grid = zip(itertools.product(range(N), repeat=sys.d), itertools.repeat(N))
+    return _verdict(sys, map(_scale, vertices), False, grid)

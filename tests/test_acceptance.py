@@ -31,7 +31,6 @@ from mirrorint.landau import (
     delta_at,
     grid_points,
     vertex_candidates,
-    _verdict_from_points,
 )
 from mirrorint.mirror import (
     build_F,
@@ -52,6 +51,7 @@ from mirrorint.systems import (
     CUBIC_SPLIT,
     INVERSE_BINOMIAL,
 )
+from test_landau import oracle_verdict  # the Fraction verdict loop
 
 
 class Criterion:
@@ -252,7 +252,7 @@ def test_criterion_09_inversion_round_trips_and_equivalence():
 def test_criterion_10_strategy_agreement():
     with Criterion(10, "vertex and grid strategies agree on bundled systems", 60):
         for name, sys in BUNDLED.items():
-            vertex = _verdict_from_points(sys, vertex_candidates(sys), sampled=False)
-            grid = _verdict_from_points(sys, grid_points(sys), sampled=False)
+            vertex = oracle_verdict(sys, vertex_candidates(sys), sampled=False)
+            grid = oracle_verdict(sys, grid_points(sys), sampled=False)
             assert vertex.tag is grid.tag, name
             assert classify(sys).tag is vertex.tag, name

@@ -1,14 +1,19 @@
 """Landau function, jump profiles and the dichotomy classifier."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mirrorint.forms import FormSystem
+from mirrorint.forms import FormSystem, dot
 from mirrorint.landau import (
+    RANDOM_SAMPLES,
+    SAMPLE_SEED,
     BudgetExceededError,
+    CriterionVerdict,
     SamplingStrategy,
     Tag,
     classify,
@@ -20,7 +25,8 @@ from mirrorint.landau import (
     jump_criterion_check,
     univariate_jump_profile,
     vertex_candidates,
-    _verdict_from_points,
+    _delta_jump,
+    _solve_bareiss,
 )
 from mirrorint.systems import (
     BUNDLED,
@@ -32,6 +38,155 @@ from mirrorint.systems import (
 )
 
 RAW_2D = FormSystem([(1, 1)], [(2, 0)], raw=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: delta, the arrangement vertices and the classifier evaluated in
+# Fractions, the way the integer kernel must reproduce bit for bit
+
+
+def oracle_delta(sys, x):
+    return sum(math.floor(dot(v, x)) for v in sys.e) - sum(math.floor(dot(v, x)) for v in sys.f)
+
+
+def oracle_in_jump_region(sys, x):
+    return any(dot(v, x) >= 1 for v in sys.forms)
+
+
+def _solve_exact(rows):
+    """Solve the d x d rational system given by (normal, offset) rows.
+
+    Returns None when the system is singular.
+    """
+    d = len(rows)
+    mat = [[Fraction(c) for c in normal] + [Fraction(offset)] for normal, offset in rows]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [c * inv for c in mat[col]]
+        for r in range(d):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return tuple(mat[r][d] for r in range(d))
+
+
+def oracle_hyperplanes(sys):
+    """Normalized hyperplanes c.x = m crossing [0,1)^d, plus x_i = 0."""
+    planes = []
+    for i in range(sys.d):
+        planes.append((tuple(int(j == i) for j in range(sys.d)), Fraction(0)))
+    for v in set(sys.forms):
+        if any(v):
+            g = math.gcd(*v)
+            planes += [(tuple(c // g for c in v), Fraction(m, g)) for m in range(sum(v))]
+    return list(dict.fromkeys(planes))
+
+
+def oracle_vertex_candidates(sys, budget=2_000_000):
+    planes = oracle_hyperplanes(sys)
+    if math.comb(len(planes), sys.d) > budget:
+        raise BudgetExceededError("vertex budget")
+    pts = set()
+    for subset in itertools.combinations(planes, sys.d):
+        x = _solve_exact(list(subset))
+        if x is not None and all(0 <= c < 1 for c in x):
+            pts.add(x)
+    return sorted(pts)
+
+
+def oracle_random_points(sys):
+    rng = random.Random(SAMPLE_SEED)
+    base = grid_denominator(sys)
+    pts = set()
+    for _ in range(RANDOM_SAMPLES):
+        den = base * rng.randint(1, 8)
+        pts.add(tuple(Fraction(rng.randrange(den), den) for _ in range(sys.d)))
+    return sorted(pts)
+
+
+def oracle_verdict(sys, points, sampled, refuters=()):
+    """The verdict delta proves at ``points``, then at ``refuters``; the
+    first witness found wins, and a Case I certificate lists ``points`` only."""
+    zero_witness = None
+    certificate = []
+    for x in points:
+        val = oracle_delta(sys, x)
+        if val < 0:
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
+        if oracle_in_jump_region(sys, x):
+            if val == 0:
+                if zero_witness is None:
+                    zero_witness = x
+            else:
+                certificate.append((x, val))
+    for k in range(sys.d):
+        if sys.sum_e[k] < sys.sum_f[k]:
+            corner = tuple(Fraction(int(i == k)) for i in range(sys.d))
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner, sampled=sampled)
+    for x in refuters:
+        val = oracle_delta(sys, x)
+        if val < 0:
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
+        if zero_witness is None and val == 0 and oracle_in_jump_region(sys, x):
+            zero_witness = x
+    if sys.sum_e != sys.sum_f:
+        k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
+        return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1, sampled=sampled)
+    if zero_witness is not None:
+        return CriterionVerdict(Tag.CASE_II, witness=zero_witness, sampled=sampled)
+    return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate), sampled=sampled)
+
+
+def oracle_classify(sys, strategy=None):
+    """The classifier's contract in Fractions: vertices, closed-box corner,
+    then grid; on a blown budget the grid (or the multiplier-1 grid, if the
+    full one is too big) plus the seeded random points, marked sampled."""
+    strategy = strategy or SamplingStrategy()
+    grid_size = grid_denominator(sys) ** sys.d
+    if grid_size > strategy.budget:
+        if not strategy.allow_fallback:
+            raise BudgetExceededError("grid budget")
+        coarse = grid_points(sys, 1) if grid_denominator(sys, 1) ** sys.d <= strategy.budget else []
+        pts = sorted(set(coarse) | set(oracle_random_points(sys)))
+        return oracle_verdict(sys, pts, sampled=True)
+    grid = grid_points(sys)
+    try:
+        vertices = oracle_vertex_candidates(sys, budget=strategy.budget)
+    except BudgetExceededError:
+        if not strategy.allow_fallback:
+            raise
+        pts = sorted(set(grid) | set(oracle_random_points(sys)))
+        return oracle_verdict(sys, pts, sampled=True)
+    return oracle_verdict(sys, vertices, False, grid)
+
+
+@st.composite
+def raw_or_standard_systems(draw, max_d=3, max_entry=4, max_forms=3):
+    """Systems of dimension 1..max_d with entries <= max_entry and at most
+    max_forms vectors a side; a raw system may hold zero vectors and
+    vectors shared by e and f."""
+    d = draw(st.integers(1, max_d))
+    raw = draw(st.booleans())
+    vec = st.tuples(*[st.integers(0, max_entry)] * d)
+    if not raw:
+        vec = vec.filter(any)
+    e = draw(st.lists(vec, min_size=1, max_size=max_forms))
+    f = draw(st.lists(vec, min_size=0, max_size=max_forms))
+    assume(raw or not set(e) & set(f))
+    return FormSystem(e, f, raw=raw)
+
+
+def _rationals(d):
+    """Nonnegative points with mixed denominators and zero coordinates."""
+    coord = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(0, 36), st.integers(1, 12)),
+    )
+    return st.tuples(*[coord] * d)
 
 
 class TestDelta:
@@ -165,6 +320,7 @@ class TestJumpProfile:
 def test_profile_prefix_invariant_random(e, f):
     f = [c for c in f if c not in set(e)]
     prof = univariate_jump_profile(e, f)
+    assert prof.abscissas == tuple(sorted({Fraction(j, a) for a in e + f for j in range(1, a + 1)}))
     for i, g in enumerate(prof.abscissas, start=1):
         direct = sum(math.floor(c * g) for c in e) - sum(math.floor(c * g) for c in f)
         assert prof.prefix_value(i) == direct
@@ -224,8 +380,8 @@ class TestClassifier:
 
     def test_vertex_and_grid_strategies_agree_on_bundled(self):
         for sys in BUNDLED.values():
-            vertex = _verdict_from_points(sys, vertex_candidates(sys), sampled=False)
-            grid = _verdict_from_points(sys, grid_points(sys), sampled=False)
+            vertex = oracle_verdict(sys, vertex_candidates(sys), sampled=False)
+            grid = oracle_verdict(sys, grid_points(sys), sampled=False)
             assert vertex.tag is grid.tag
 
     def test_up_right_constancy_at_candidates(self):
@@ -243,19 +399,19 @@ class TestClassifier:
     def test_classifier_agrees_with_dense_grid_oracle(self):
         # brute force: exhaustive denominator-N grid with a larger multiplier
         for sys in BUNDLED.values():
-            expected = _verdict_from_points(sys, grid_points(sys, 6), sampled=False)
+            expected = oracle_verdict(sys, grid_points(sys, 6), sampled=False)
             assert classify(sys).tag is expected.tag
 
     def test_bundled_verdicts_are_the_vertex_verdicts(self):
         # the grid refutes none of them, so the one-pass verdict keeps its bytes
         for sys in BUNDLED.values():
-            vertex = _verdict_from_points(sys, vertex_candidates(sys), False)
+            vertex = oracle_verdict(sys, vertex_candidates(sys), False)
             assert classify(sys).to_dict() == vertex.to_dict()
 
     def test_grid_zero_refutes_a_vertex_case_i(self):
         # the vertices miss the delta = 0 cell; the grid's exact zero settles it
         sys = FormSystem([(2, 1)], [(1, 1), (1, 0)])
-        assert _verdict_from_points(sys, vertex_candidates(sys), False).tag is Tag.CASE_I
+        assert oracle_verdict(sys, vertex_candidates(sys), False).tag is Tag.CASE_I
         v = classify(sys)
         assert v.tag is Tag.CASE_II
         assert in_jump_region(sys, v.witness) and delta_at(sys, v.witness) == 0
@@ -304,7 +460,7 @@ def _check_one_pass(e, f):
     assert not v.sampled
     _assert_exact(sys, v)
     for points in (vertex_candidates(sys), grid_points(sys)):
-        alone = _verdict_from_points(sys, points, False)
+        alone = oracle_verdict(sys, points, False)
         _assert_exact(sys, alone)
         assert _STRENGTH[v.tag] >= _STRENGTH[alone.tag]
 
@@ -322,3 +478,80 @@ def test_one_pass_verdict_is_exact_and_never_weaker_2d(ef):
 @given(_form_systems(3, 1, 2))
 def test_one_pass_verdict_is_exact_and_never_weaker_3d(ef):
     _check_one_pass(*ef)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction oracles
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_fraction_evaluation(data):
+    sys = data.draw(raw_or_standard_systems())
+    x = data.draw(_rationals(sys.d))
+    assert delta_at(sys, x) == oracle_delta(sys, x)
+    box = tuple(c - math.floor(c) for c in x)
+    assert in_jump_region(sys, box) is oracle_in_jump_region(sys, box)
+    # any common denominator gives the same values, not only the lcm
+    scale = data.draw(st.integers(1, 5))
+    D = math.lcm(*(c.denominator for c in box)) * scale
+    num = tuple(int(c * D) for c in box)
+    assert _delta_jump(sys.e, sys.f, num, D) == (oracle_delta(sys, box), oracle_in_jump_region(sys, box))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bareiss_matches_fraction_elimination(data):
+    d = data.draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-4, 4)] * (d + 1))
+    rows = data.draw(st.lists(row, min_size=d, max_size=d))
+    if data.draw(st.booleans()):  # a repeated row makes the system singular
+        rows[-1] = rows[0]
+    expected = _solve_exact([(r[:-1], r[-1]) for r in rows])
+    got = _solve_bareiss(rows)
+    if expected is None:
+        assert got is None
+    else:
+        num, den = got
+        assert den > 0 and tuple(Fraction(c, den) for c in num) == expected
+
+
+# the oracle solves ~10^4 subsets a second, so at most two vectors a side
+@settings(max_examples=40, deadline=None)
+@given(raw_or_standard_systems(max_forms=2))
+@example(FormSystem([(2, 3, 3)], [(1, 1, 1), (1, 2, 2)]))
+def test_vertex_candidates_match_oracle(sys):
+    assert vertex_candidates(sys) == oracle_vertex_candidates(sys)
+
+
+# the Fraction oracle costs ~0.1 ms a point, so the exhaustive comparison
+# runs on grids of at most this many points
+_ORACLE_GRID = 4096
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw_or_standard_systems(max_forms=2))
+@example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # grid zero refutes the vertices
+@example(FormSystem([(0, 1)], [(1, 1)]))  # closed-box corner
+@example(RAW_2D)
+def test_classify_matches_fraction_oracle(sys):
+    # sampled alone, sampled with the multiplier-1 grid, then exhaustive
+    budgets = [0, grid_denominator(sys, 1) ** sys.d]
+    if grid_denominator(sys) ** sys.d <= _ORACLE_GRID:
+        budgets.append(SamplingStrategy().budget)
+    for budget in budgets:
+        strategy = SamplingStrategy(budget=budget)
+        assert classify(sys, strategy).to_dict() == oracle_classify(sys, strategy).to_dict()
+    with pytest.raises(BudgetExceededError):
+        classify(sys, SamplingStrategy(budget=0, allow_fallback=False))
+
+
+def test_vertex_budget_fallback_walks_the_full_grid():
+    # 66 vertex subsets against an 8 x 8 grid: only the vertices blow a budget of 64
+    sys = FormSystem([(1, 2)], [(2, 1), (2, 2)])
+    assert math.comb(len(oracle_hyperplanes(sys)), 2) == 66 > grid_denominator(sys) ** 2 == 64
+    v = classify(sys, SamplingStrategy(budget=64))
+    assert v.sampled
+    assert v.to_dict() == oracle_classify(sys, SamplingStrategy(budget=64)).to_dict()
+    with pytest.raises(BudgetExceededError, match="candidate systems"):
+        classify(sys, SamplingStrategy(budget=64, allow_fallback=False))
