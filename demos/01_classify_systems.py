@@ -14,7 +14,6 @@ from mirrorint import (
     classify,
     delta_at,
     in_jump_region,
-    jump_criterion_check,
     univariate_jump_profile,
 )
 from mirrorint.systems import BUNDLED
@@ -44,5 +43,6 @@ print("=== univariate jump profiles ===")
 prof = univariate_jump_profile([3], [2, 1])
 for g, m in zip(prof.abscissas, prof.amplitudes):
     print(f"  jump at {g}: amplitude {m:+d}")
-print("weighted prefix positivity (used by the non-integrality witnesses):",
-      jump_criterion_check([3], [2, 1], 1))
+values = [prof.prefix_value(i) for i in range(1, len(prof.abscissas) + 1)]
+print(f"values from each jump on: {values}")
+print("the 0 from 1/2 on is the jump-region zero behind cubic-split's CaseII verdict.")

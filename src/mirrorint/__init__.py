@@ -26,7 +26,6 @@ from .landau import (
     delta_at,
     enumerate_weight_vectors,
     in_jump_region,
-    jump_criterion_check,
     univariate_jump_profile,
 )
 from .series import (

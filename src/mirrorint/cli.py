@@ -25,8 +25,9 @@ A job's ``ranges`` bound the formal-congruence sweeps.  Where ``m_bound``
 is not set, the hypotheses and the conclusion run m up to p^2 but the
 unit-ratio sweep keeps its own default of 4.
 
-The classifier takes ``strategy.budget`` (also ``--budget``) and
-``strategy.allow_fallback``; its grid and sample sizes are fixed.
+The classifier takes ``strategy.budget`` (also ``--budget``), the number
+of plane subsets its exhaustive cell walk may solve, and
+``strategy.allow_fallback``; the sampled fallback's size and seed are fixed.
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
@@ -569,6 +570,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves the parser unchanged
+_PARSER = _build_parser()
+
+
 def _apply_flags(job: Job, args) -> Job:
     if args.order is not None:
         if args.order < 0:
@@ -592,7 +597,7 @@ def _apply_flags(job: Job, args) -> Job:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = _read_job(args.job)
         job = _apply_flags(parse_job(doc, args.command), args)

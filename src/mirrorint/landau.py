@@ -12,24 +12,22 @@ has a zero" separates integral canonical coordinates from ones with
 infinitely many p-adic failures.
 
 ``classify`` evaluates delta exactly at the floor-arrangement vertices,
-then on a dense rational grid.  A point of either set with delta < 0, or
-with delta = 0 on the jump region, proves the verdict it gives.  Case I
-rests on neither set refuting it: complete only if the two sets together
-meet every full-dimensional cell of the arrangement, which is not proven.
-The grid's denominator is the lcm of the form entries times
-``GRID_MULTIPLIER``; the sampled fallback, taken when the budget is
-exceeded, adds ``RANDOM_SAMPLES`` points from a generator seeded with
-``SAMPLE_SEED``.  All three are fixed constants.
+then at one point of every open cell, found by a cylindrical
+(slice-and-recurse) walk.  A point with delta < 0, or with delta = 0 on
+the jump region, proves the verdict it gives; every value delta takes on
+the box is taken on an open cell, so Case I is proven when no cell point
+refutes it.  Beyond its budget of solved plane subsets the classifier
+evaluates ``RANDOM_SAMPLES`` points seeded with ``SAMPLE_SEED``, over
+denominators built from ``GRID_MULTIPLIER``, all fixed constants.
 
 Every evaluation is integer arithmetic.  A point x = i/D is given by
 integer numerators i over one common denominator D > 0; each form v
 contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
 lies on the jump region iff some t >= D.  ``delta_at``,
-``in_jump_region``, the classifier's vertices, grid and samples, and the
-univariate jump profiles all go through this one kernel.  The vertices
-come from fraction-free (Bareiss) elimination on integer plane rows;
-Fractions are made only for the vertices inside the box and for the
-points a verdict returns.
+``in_jump_region``, the classifier's vertices, cell points and samples,
+and the univariate jump profiles all go through this one kernel.  Every
+vertex, at every level of the walk, comes from one loop of fraction-free
+(Bareiss) eliminations on integer plane rows.
 """
 
 from __future__ import annotations
@@ -41,11 +39,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .forms import FormSystem
 
 Point = tuple[Fraction, ...]
+Scaled = tuple[tuple[int, ...], int]  # numerators over one positive denominator
 
 
 class BudgetExceededError(RuntimeError):
@@ -59,7 +58,7 @@ def _as_point(sys: FormSystem, x: Sequence) -> Point:
     return x
 
 
-def _scale(x: Point) -> tuple[tuple[int, ...], int]:
+def _scale(x: Point) -> Scaled:
     """Integer numerators of ``x`` over the lcm D of its denominators, and D."""
     D = math.lcm(*(c.denominator for c in x))
     return tuple(c.numerator * (D // c.denominator) for c in x), D
@@ -170,31 +169,6 @@ def univariate_jump_profile(E: Sequence[int], F: Sequence[int]) -> JumpProfile:
     return JumpProfile(tuple(Fraction(n, L) for n in nums), tuple(amplitudes))
 
 
-def jump_criterion_check(E: Sequence[int], F: Sequence[int], i0: int) -> bool:
-    """Positivity of the 1/abscissa-weighted jump sums up to index i0.
-
-    Requires the profile's function to be nonnegative on the first i0
-    jump intervals; a violation is reported with its abscissa.  Returns
-    True iff both sum(m_k / g_k) > 0 and prod(1 + 1/g_k)^(m_k) > 1, taken
-    over k <= i0, hold in exact rational arithmetic.
-    """
-    prof = univariate_jump_profile(E, F)
-    if not 1 <= i0 <= len(prof.abscissas):
-        raise ValueError("jump index out of range")
-    for i in range(1, i0 + 1):
-        if prof.prefix_value(i) < 0:
-            raise ValueError(
-                f"function is negative at abscissa {prof.abscissas[i - 1]}"
-            )
-    weighted = sum(
-        Fraction(m) / g for m, g in zip(prof.amplitudes[:i0], prof.abscissas[:i0])
-    )
-    prod = Fraction(1)
-    for m, g in zip(prof.amplitudes[:i0], prof.abscissas[:i0]):
-        prod *= (1 + 1 / g) ** m
-    return weighted > 0 and prod > 1
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -238,8 +212,7 @@ class CriterionVerdict:
         return out
 
 
-# grid resolution and sampled fallback (see the module docstring); the
-# fixed seed makes sampled verdicts reproducible
+# the sampled fallback; the fixed seed makes sampled verdicts reproducible
 GRID_MULTIPLIER = 4
 RANDOM_SAMPLES = 512
 SAMPLE_SEED = 0
@@ -247,39 +220,39 @@ SAMPLE_SEED = 0
 
 @dataclass
 class SamplingStrategy:
-    """The classifier's point budget and whether it may fall back to sampling."""
+    """The plane subsets the exhaustive walk may solve, and the fallback switch."""
 
     budget: int = 2_000_000
     allow_fallback: bool = True
 
 
-def _hyperplanes(sys: FormSystem) -> list[tuple[int, ...]]:
-    """Planes c.x = m crossing [0,1)^d, plus x_i = 0, as integer rows.
+class _Budget:
+    """A running count of solved plane subsets against a limit."""
 
-    Each plane appears once, as the row (a_1, ..., a_d, b) of a.x = b with
-    a primitive normal scaled by the denominator of its lowest-terms offset.
-    """
-    seen = set()
-    rows = []
+    def __init__(self, limit: int):
+        self.limit, self.spent = limit, 0
 
-    def add(normal, offset):
-        g = math.gcd(*normal)
-        h = math.gcd(offset, g)
-        row = tuple(c // g * (g // h) for c in normal) + (offset // h,)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
+    def spend(self, n: int) -> None:
+        self.spent += n
+        if self.spent > self.limit:
+            raise BudgetExceededError(
+                f"{self.spent} plane subsets exceed the budget of {self.limit}"
+            )
 
-    for i in range(sys.d):
-        unit = tuple(1 if j == i else 0 for j in range(sys.d))
-        add(unit, 0)
-    for v in set(sys.forms):
-        if not any(v):
-            continue
-        top = sum(v)
-        for m in range(top):
-            add(v, m)
-    return rows
+
+def _distinct(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The integer rows divided by their gcd, each plane once, in first-seen order."""
+    out = {}
+    for row in rows:
+        g = math.gcd(*row)
+        out[tuple(c // g for c in row)] = None
+    return list(out)
+
+
+def _planes(sys: FormSystem) -> list[tuple[int, ...]]:
+    """The planes v.x = m that cross the open box, 0 < m < sum(v), as
+    integer rows (v_1, ..., v_d, m)."""
+    return _distinct((*v, m) for v in set(sys.forms) for m in range(1, sum(v)))
 
 
 def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[int], int]]:
@@ -312,53 +285,75 @@ def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[int],
     return num, prev
 
 
-def vertex_candidates(sys: FormSystem, budget: int = 2_000_000) -> list[Point]:
-    """All vertices of the floor arrangement inside [0,1)^d.
-
-    Intersects every d-subset of the hyperplane family; the floor
-    convention makes the value of delta at a vertex equal its value on the
-    cell immediately up-right, so these points represent cells.  Each
-    subset is solved on integers; only the distinct points inside the box
-    become Fractions.
-    """
-    planes = _hyperplanes(sys)
-    n_subsets = math.comb(len(planes), sys.d)
-    if n_subsets > budget:
-        raise BudgetExceededError(
-            f"{n_subsets} candidate systems exceed the budget of {budget}"
-        )
+def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) -> set[Scaled]:
+    """Every vertex in [0,1]^k of ``planes`` and the faces x_i = 0, x_i = 1,
+    as numerators over a positive denominator in lowest terms; the number
+    of k-subsets solved is charged to ``budget`` first."""
+    faces = [(*(int(j == i) for j in range(k)), b) for b in (0, 1) for i in range(k)]
+    rows = [*planes, *faces]
+    budget.spend(math.comb(len(rows), k))
     pts = set()
-    for subset in itertools.combinations(planes, sys.d):
+    for subset in itertools.combinations(rows, k):
         solved = _solve_bareiss(subset)
         if solved is None:
             continue
         num, den = solved
-        if all(0 <= c < den for c in num):
+        if all(0 <= c <= den for c in num):
             g = math.gcd(den, *num)
             pts.add((tuple(c // g for c in num), den // g))
-    return sorted(tuple(Fraction(c, den) for c in num) for num, den in pts)
+    return pts
+
+
+def _half_open(vertices: Iterable[Scaled]) -> list[Point]:
+    """The vertices inside [0,1)^d as sorted Fraction points."""
+    inside = ((num, den) for num, den in vertices if all(c < den for c in num))
+    return sorted(tuple(Fraction(c, den) for c in num) for num, den in inside)
+
+
+def vertex_candidates(sys: FormSystem) -> list[Point]:
+    """All vertices of the floor arrangement inside [0,1)^d, where delta
+    takes its value on the cell immediately up-right.  A plane v.x = 0
+    adds none: in [0,1)^d it is the face x_j = 0 for each j in supp v."""
+    return _half_open(_box_vertices(_planes(sys), sys.d, _Budget(math.inf)))
+
+
+def _cell_points(
+    planes: Sequence[tuple[int, ...]], k: int, budget: _Budget, vertices: Iterable[Scaled]
+) -> Iterator[Point]:
+    """One point in every open cell of ``planes`` and the faces in (0,1)^k,
+    in lexicographic order, given their ``vertices`` in [0,1]^k; on the
+    slice x_1 = p/q a plane a.x = b is the row (q a_2, ..., q a_k, q b - p a_1)."""
+    cuts = sorted({Fraction(num[0], den) for num, den in vertices})
+    for c in ((a + b) / 2 for a, b in itertools.pairwise(cuts)):
+        if k == 1:
+            yield (c,)
+            continue
+        p, q = c.numerator, c.denominator
+        slice_rows = ((*(q * a for a in row[1:-1]), q * row[-1] - p * row[0]) for row in planes)
+        rest = _distinct(row for row in slice_rows if 0 < row[-1] < sum(row[:-1]))
+        for tail in _cell_points(rest, k - 1, budget, _box_vertices(rest, k - 1, budget)):
+            yield (c, *tail)
 
 
 def grid_denominator(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> int:
-    """Denominator used by the grid strategy: lcm of entries times a multiplier."""
+    """Lcm of the form entries times a multiplier: with the default, the
+    sampled fallback's base denominator."""
     entries = [c for v in sys.forms for c in v if c != 0]
     return math.lcm(*entries) * multiplier
 
 
 def grid_points(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> list[Point]:
-    """The full denominator-N grid of [0,1)^d for the cross-check strategy."""
+    """The full denominator-N grid of [0,1)^d, N = ``grid_denominator``: a
+    brute-force reference point set, which the classifier does not walk."""
     N = grid_denominator(sys, multiplier)
     axis = [Fraction(i, N) for i in range(N)]
     return [tuple(p) for p in itertools.product(axis, repeat=sys.d)]
 
 
-def _sample_points(sys: FormSystem, grid_den: int) -> list[tuple[tuple[int, ...], int]]:
-    """The sampled fallback's points, sorted, over one common denominator.
-
-    ``RANDOM_SAMPLES`` seeded draws of denominator N*k (N the grid
-    denominator, 1 <= k <= 8), plus the denominator-``grid_den`` grid
-    unless ``grid_den`` is 0.
-    """
+def _sample_points(sys: FormSystem) -> list[Scaled]:
+    """The sampled fallback's points, sorted, over one common denominator:
+    ``RANDOM_SAMPLES`` seeded draws of denominator N*k, N the
+    ``grid_denominator`` and 1 <= k <= 8."""
     N = grid_denominator(sys)
     D = N * math.lcm(*range(1, 9))
     rng = random.Random(SAMPLE_SEED)
@@ -366,12 +361,6 @@ def _sample_points(sys: FormSystem, grid_den: int) -> list[tuple[tuple[int, ...]
     for _ in range(RANDOM_SAMPLES):
         den = N * rng.randint(1, 8)
         pts.add(tuple(rng.randrange(den) * (D // den) for _ in range(sys.d)))
-    if grid_den:
-        step = D // grid_den
-        pts.update(
-            tuple(c * step for c in i)
-            for i in itertools.product(range(grid_den), repeat=sys.d)
-        )
     return [(num, D) for num in sorted(pts)]
 
 
@@ -427,36 +416,41 @@ def classify(
 ) -> CriterionVerdict:
     """Decide the integrality dichotomy for a form system.
 
-    Walks the arrangement vertices, then the grid, in one pass: the first
-    exact witness settles the verdict, and a smaller e-column sum answers
-    with its closed-box corner before the grid is walked.  A Case I
-    certificate lists the vertex values.  Delta is evaluated on integers
-    by floor division: a vertex (exact, from Bareiss elimination) as its
-    numerators over their lcm, a grid point as its index tuple over the
-    grid denominator N; the grid makes Fractions only for a witness it
-    returns.  When the arrangement is
-    too large for the budget the classifier falls back to the grid plus
-    ``RANDOM_SAMPLES`` points drawn with seed ``SAMPLE_SEED`` and marks the
-    verdict as sampled; with ``allow_fallback=False`` it raises
-    ``BudgetExceededError`` instead.
+    The exhaustive path evaluates delta at the arrangement vertices in
+    [0,1)^d, then answers a smaller e-column sum with its closed-box
+    corner, then at one point of every open cell; the first exact witness
+    settles the verdict, and a Case I certificate lists the vertex values.
+    The cell walk is cylindrical: the cut points are the x_1-coordinates
+    of every vertex, in the closed box, of the planes v.x = m
+    (0 < m < sum(v)) and the faces x_i = 0, x_i = 1; the midpoint of each
+    interval between cut points fixes x_1, and the slice there is walked
+    the same way, down to the breakpoints b/a of one variable.  It is
+    complete:
+
+    * an open cell projects onto an open x_1-interval whose ends are cut
+      points, so that interval holds a midpoint, and the cell's slice
+      there is an open cell of the slice arrangement;
+    * every form is >= 0 and nonzero (a zero form adds nothing), so
+      delta(x) = delta(x + eps*1) for small eps > 0, jump-region
+      membership is the same at both points, and x + eps*1 lies in an
+      open cell;
+    * so every (delta, jump) value taken on [0,1)^d is taken at a cell point.
+
+    The budget counts the plane subsets the exhaustive path solves, at
+    every level.  Beyond it the classifier evaluates ``RANDOM_SAMPLES``
+    points drawn with seed ``SAMPLE_SEED``, marked sampled; with
+    ``allow_fallback=False`` it raises ``BudgetExceededError`` instead.
     """
     if strategy is None:
         strategy = SamplingStrategy()
-    N = grid_denominator(sys)
-    grid_size = N ** sys.d
-    if grid_size > strategy.budget:
-        if not strategy.allow_fallback:
-            raise BudgetExceededError(
-                f"grid of {grid_size} points exceeds the budget of {strategy.budget}"
-            )
-        coarse = grid_denominator(sys, 1)
-        pts = _sample_points(sys, coarse if coarse ** sys.d <= strategy.budget else 0)
-        return _verdict(sys, pts, sampled=True)
+    budget = _Budget(strategy.budget)
+    planes = _planes(sys)
+    # the walk is lazy, so the budget can run out inside _verdict
     try:
-        vertices = vertex_candidates(sys, budget=strategy.budget)
+        top = _box_vertices(planes, sys.d, budget)
+        cells = _cell_points(planes, sys.d, budget, top)
+        return _verdict(sys, map(_scale, _half_open(top)), False, map(_scale, cells))
     except BudgetExceededError:
         if not strategy.allow_fallback:
             raise
-        return _verdict(sys, _sample_points(sys, N), sampled=True)
-    grid = zip(itertools.product(range(N), repeat=sys.d), itertools.repeat(N))
-    return _verdict(sys, map(_scale, vertices), False, grid)
+        return _verdict(sys, _sample_points(sys), sampled=True)

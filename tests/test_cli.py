@@ -41,7 +41,7 @@ def cache_args(tmp_path):
     return ["--cache-dir", str(tmp_path / "cache")]
 
 
-# the vertices miss its delta = 0 cell on the jump region; the grid meets it
+# the vertices miss its delta = 0 cell on the jump region; the cell walk meets it
 ITEM_ONE = {"e": [[2, 1]], "f": [[1, 1], [1, 0]]}
 FLAGGED = {"e": [[2, 1]], "f": [[1, 0], [0, 1]]}
 STRICT_ZERO_BUDGET = ["--strategy", "exhaustive", "--budget", "0"]
@@ -154,6 +154,20 @@ class TestClassify:
         witness = tuple(Fraction(c) for c in verdict["witness"])
         assert all(0 <= c < 1 for c in witness)
         assert in_jump_region(sys_, witness) and delta_at(sys_, witness) == 0
+
+
+def test_flags_do_not_carry_into_the_next_main_call(tmp_path, capsys):
+    # main parses every call with one parser built at import
+    job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
+    first = run(capsys, ["classify", job])
+    assert first[0] == EXIT_OK
+    assert run(capsys, ["classify", job, "--budget", "0"])[0] == EXIT_BUDGET
+    assert run(capsys, ["classify", job])[:2] == first[:2]
+    job = write_job(tmp_path, "d.json", {"system": {"name": "central-binomial"}})
+    first = run(capsys, ["dwork", job, "--no-cache"])
+    assert first[0] == EXIT_OK
+    assert run(capsys, ["dwork", job, "--no-cache", "--prime", "7"])[1] != first[1]
+    assert run(capsys, ["dwork", job, "--no-cache"])[:2] == first[:2]
 
 
 class TestSchema:

@@ -22,10 +22,14 @@ from mirrorint.landau import (
     grid_denominator,
     grid_points,
     in_jump_region,
-    jump_criterion_check,
     univariate_jump_profile,
     vertex_candidates,
+    _Budget,
+    _box_vertices,
+    _cell_points,
     _delta_jump,
+    _planes,
+    _scale,
     _solve_bareiss,
 )
 from mirrorint.systems import (
@@ -86,16 +90,59 @@ def oracle_hyperplanes(sys):
     return list(dict.fromkeys(planes))
 
 
-def oracle_vertex_candidates(sys, budget=2_000_000):
+def oracle_vertex_candidates(sys):
     planes = oracle_hyperplanes(sys)
-    if math.comb(len(planes), sys.d) > budget:
-        raise BudgetExceededError("vertex budget")
     pts = set()
     for subset in itertools.combinations(planes, sys.d):
         x = _solve_exact(list(subset))
         if x is not None and all(0 <= c < 1 for c in x):
             pts.add(x)
     return sorted(pts)
+
+
+def _oracle_primitive(normal, offset):
+    g = math.gcd(*normal)
+    return tuple(c // g for c in normal), offset / g
+
+
+def oracle_cell_points(sys, budget, ledger):
+    """One point in every open cell of [0,1)^d, in lexicographic order, by a
+    Fraction slice-and-recurse walk.
+
+    At each level the cut points are the first coordinates of the vertices
+    in the closed box of the planes that cross the open box (integer
+    normal, Fraction offset) and the faces; the midpoints between them fix
+    the first coordinate and the planes are restricted to that slice.  Each
+    level appends its subset count to ``ledger`` and raises
+    ``BudgetExceededError`` once the counts pass ``budget``; the top level
+    is charged before this returns, a slice when the walk reaches it."""
+
+    def cuts(planes, k):
+        faces = [(tuple(int(j == i) for j in range(k)), Fraction(b)) for b in (0, 1) for i in range(k)]
+        rows = planes + faces
+        ledger.append(math.comb(len(rows), k))
+        if sum(ledger) > budget:
+            raise BudgetExceededError("oracle budget")
+        xs = (_solve_exact(list(subset)) for subset in itertools.combinations(rows, k))
+        return sorted({x[0] for x in xs if x is not None and all(0 <= c <= 1 for c in x)})
+
+    def walk(planes, k, cut):
+        for a, b in zip(cut, cut[1:]):
+            c = (a + b) / 2
+            if k == 1:
+                yield (c,)
+                continue
+            rest = [(n[1:], o - n[0] * c) for n, o in planes]
+            rest = list(dict.fromkeys(
+                _oracle_primitive(n, o) for n, o in rest if 0 < o < sum(n)
+            ))
+            for tail in walk(rest, k - 1, cuts(rest, k - 1)):
+                yield (c,) + tail
+
+    planes = list(dict.fromkeys(
+        _oracle_primitive(v, Fraction(m)) for v in sys.forms for m in range(1, sum(v))
+    ))
+    return walk(planes, sys.d, cuts(planes, sys.d))
 
 
 def oracle_random_points(sys):
@@ -141,27 +188,18 @@ def oracle_verdict(sys, points, sampled, refuters=()):
     return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate), sampled=sampled)
 
 
-def oracle_classify(sys, strategy=None):
+def oracle_classify(sys, strategy=None, ledger=None):
     """The classifier's contract in Fractions: vertices, closed-box corner,
-    then grid; on a blown budget the grid (or the multiplier-1 grid, if the
-    full one is too big) plus the seeded random points, marked sampled."""
+    then the cell points; once the walk's subset counts (appended to
+    ``ledger``) pass the budget, the seeded random points, marked sampled."""
     strategy = strategy or SamplingStrategy()
-    grid_size = grid_denominator(sys) ** sys.d
-    if grid_size > strategy.budget:
-        if not strategy.allow_fallback:
-            raise BudgetExceededError("grid budget")
-        coarse = grid_points(sys, 1) if grid_denominator(sys, 1) ** sys.d <= strategy.budget else []
-        pts = sorted(set(coarse) | set(oracle_random_points(sys)))
-        return oracle_verdict(sys, pts, sampled=True)
-    grid = grid_points(sys)
     try:
-        vertices = oracle_vertex_candidates(sys, budget=strategy.budget)
+        cells = oracle_cell_points(sys, strategy.budget, [] if ledger is None else ledger)
+        return oracle_verdict(sys, oracle_vertex_candidates(sys), False, cells)
     except BudgetExceededError:
         if not strategy.allow_fallback:
             raise
-        pts = sorted(set(grid) | set(oracle_random_points(sys)))
-        return oracle_verdict(sys, pts, sampled=True)
-    return oracle_verdict(sys, vertices, False, grid)
+        return oracle_verdict(sys, oracle_random_points(sys), sampled=True)
 
 
 @st.composite
@@ -298,20 +336,6 @@ class TestJumpProfile:
         with pytest.raises(ValueError):
             univariate_jump_profile([2, 3], [3])
 
-    def test_criterion_examples(self):
-        assert jump_criterion_check([2], [1, 1], 1)
-        assert jump_criterion_check([1], [], 1)
-        assert jump_criterion_check([4, 1, 1], [2, 2, 2], 1)
-
-    def test_criterion_full_range_on_nonnegative_profile(self):
-        prof = univariate_jump_profile([2], [1, 1])
-        assert jump_criterion_check([2], [1, 1], len(prof.abscissas))
-
-    def test_criterion_precondition_reported(self):
-        # amplitude dips below zero right after 1/4 for this pair
-        with pytest.raises(ValueError, match="negative at abscissa"):
-            jump_criterion_check([4, 1, 1], [2, 2, 2], 4)
-
 
 @given(
     e=st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -409,7 +433,7 @@ class TestClassifier:
             assert classify(sys).to_dict() == vertex.to_dict()
 
     def test_grid_zero_refutes_a_vertex_case_i(self):
-        # the vertices miss the delta = 0 cell; the grid's exact zero settles it
+        # the vertices miss the delta = 0 cell; a cell point's exact zero settles it
         sys = FormSystem([(2, 1)], [(1, 1), (1, 0)])
         assert oracle_verdict(sys, vertex_candidates(sys), False).tag is Tag.CASE_I
         v = classify(sys)
@@ -417,12 +441,20 @@ class TestClassifier:
         assert in_jump_region(sys, v.witness) and delta_at(sys, v.witness) == 0
 
     def test_corner_witness_precedes_grid_negatives(self):
-        # no vertex is negative, the grid is; the closed-box corner still wins
+        # no vertex is negative, a cell point is; the closed-box corner still wins
         sys = FormSystem([(0, 1)], [(1, 1)])
         assert delta_at(sys, (Fraction(1, 4), Fraction(3, 4))) < 0
         v = classify(sys)
         assert v.tag is Tag.NOT_NONNEGATIVE
         assert v.witness == (Fraction(1), Fraction(0))
+
+    def test_large_entries_walk_exhaustively(self):
+        # entries with lcm 360; the whole walk solves 1099 subsets
+        sys = FormSystem([(9, 8)], [(5, 3), (4, 5)])
+        v = classify(sys)
+        assert not v.sampled
+        assert v.tag is Tag.CASE_II
+        assert in_jump_region(sys, v.witness) and delta_at(sys, v.witness) == 0
 
     def test_verdict_serialization(self):
         d = classify(CUBIC_SPLIT).to_dict()
@@ -467,8 +499,8 @@ def _check_one_pass(e, f):
 
 @settings(max_examples=40, deadline=None)
 @given(_form_systems(2, 2, 3))
-@example(([(2, 1)], [(1, 1), (1, 0)]))  # only the grid holds the zero
-@example(([(0, 1)], [(1, 1)]))  # only the grid holds a negative point
+@example(([(2, 1)], [(1, 1), (1, 0)]))  # the vertices miss the zero
+@example(([(0, 1)], [(1, 1)]))  # the vertices miss the negative points
 def test_one_pass_verdict_is_exact_and_never_weaker_2d(ef):
     _check_one_pass(*ef)
 
@@ -524,34 +556,79 @@ def test_vertex_candidates_match_oracle(sys):
     assert vertex_candidates(sys) == oracle_vertex_candidates(sys)
 
 
-# the Fraction oracle costs ~0.1 ms a point, so the exhaustive comparison
-# runs on grids of at most this many points
-_ORACLE_GRID = 4096
+def _pair(sys, num, D):
+    return _delta_jump(sys.e, sys.f, num, D)
+
+
+# the Fraction oracle solves ~10^4 subsets a second, so it walks at most
+# this many subsets a draw
+_ORACLE_SUBSETS = 2000
+
+
+# grid_points(sys, 6) has (6 lcm)^d points: entries <= 4 in two variables,
+# <= 2 in three
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    raw_or_standard_systems(max_d=2, max_forms=2),
+    raw_or_standard_systems(max_entry=2, max_forms=2),
+))
+@example(FormSystem([(0, 1)], [(1, 1)]))  # the vertices miss the negative cells
+@example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # the vertices miss the zero cell
+def test_cell_points_take_every_value_of_the_box(sys):
+    planes, budget = _planes(sys), _Budget(math.inf)
+    cells = list(_cell_points(planes, sys.d, budget, _box_vertices(planes, sys.d, budget)))
+    if budget.spent <= _ORACLE_SUBSETS:
+        assert cells == list(oracle_cell_points(sys, math.inf, []))
+    pairs = {_pair(sys, *_scale(x)) for x in cells}
+    # below 1/D no form value or coordinate of x + eps*1 reaches the next
+    # multiple of 1/D, so the probe lies in an open cell
+    K = 2 * (max(sum(v) for v in sys.forms) + 1)
+    for num, D in map(_scale, vertex_candidates(sys) + grid_points(sys, 6)):
+        probe = _pair(sys, tuple(c * K + 1 for c in num), D * K)
+        assert probe == _pair(sys, num, D)
+        assert probe in pairs
 
 
 @settings(max_examples=30, deadline=None)
 @given(raw_or_standard_systems(max_forms=2))
-@example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # grid zero refutes the vertices
+@example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # a cell zero refutes the vertices
 @example(FormSystem([(0, 1)], [(1, 1)]))  # closed-box corner
 @example(RAW_2D)
 def test_classify_matches_fraction_oracle(sys):
-    # sampled alone, sampled with the multiplier-1 grid, then exhaustive
-    budgets = [0, grid_denominator(sys, 1) ** sys.d]
-    if grid_denominator(sys) ** sys.d <= _ORACLE_GRID:
-        budgets.append(SamplingStrategy().budget)
+    # sampled alone, the top level solved and the first slice over budget,
+    # then one subset short of the whole walk and the whole walk
+    ledger = []
+    try:
+        exhaustive = oracle_classify(sys, SamplingStrategy(_ORACLE_SUBSETS, False), ledger)
+    except BudgetExceededError:
+        exhaustive = None
+    spent = sum(ledger)
+    if exhaustive is not None:
+        budgets = {0, ledger[0], spent - 1, spent}
+        with pytest.raises(BudgetExceededError):
+            classify(sys, SamplingStrategy(budget=spent - 1, allow_fallback=False))
+    else:
+        budgets = {0} | ({ledger[0]} if len(ledger) > 1 else set())
+    # the oracle walk falls back exactly when the budget is below its count
+    sampled = oracle_verdict(sys, oracle_random_points(sys), sampled=True)
     for budget in budgets:
-        strategy = SamplingStrategy(budget=budget)
-        assert classify(sys, strategy).to_dict() == oracle_classify(sys, strategy).to_dict()
+        expected = exhaustive if exhaustive is not None and budget >= spent else sampled
+        assert classify(sys, SamplingStrategy(budget=budget)).to_dict() == expected.to_dict()
     with pytest.raises(BudgetExceededError):
         classify(sys, SamplingStrategy(budget=0, allow_fallback=False))
 
 
-def test_vertex_budget_fallback_walks_the_full_grid():
-    # 66 vertex subsets against an 8 x 8 grid: only the vertices blow a budget of 64
-    sys = FormSystem([(1, 2)], [(2, 1), (2, 2)])
-    assert math.comb(len(oracle_hyperplanes(sys)), 2) == 66 > grid_denominator(sys) ** 2 == 64
-    v = classify(sys, SamplingStrategy(budget=64))
+def test_budget_counts_the_subsets_of_every_level():
+    # x + y = j/3 (j = 1..5) and four faces give C(9, 2) = 36 pairs at the
+    # top; x cuts at 0, 1/3, 2/3, 1, and each of the three slices holds
+    # three planes y = j/3 - x and two faces, 5 subsets of one row
+    ledger = []
+    exhaustive = oracle_classify(CUBIC_2D, SamplingStrategy(), ledger)
+    assert ledger == [36, 5, 5, 5]
+    v = classify(CUBIC_2D, SamplingStrategy(budget=51))
+    assert not v.sampled and v.to_dict() == exhaustive.to_dict()
+    v = classify(CUBIC_2D, SamplingStrategy(budget=50))
     assert v.sampled
-    assert v.to_dict() == oracle_classify(sys, SamplingStrategy(budget=64)).to_dict()
-    with pytest.raises(BudgetExceededError, match="candidate systems"):
-        classify(sys, SamplingStrategy(budget=64, allow_fallback=False))
+    assert v.to_dict() == oracle_verdict(CUBIC_2D, oracle_random_points(CUBIC_2D), True).to_dict()
+    with pytest.raises(BudgetExceededError, match="plane subsets"):
+        classify(CUBIC_2D, SamplingStrategy(budget=50, allow_fallback=False))
