@@ -50,12 +50,8 @@ from .dwork import (
     CongruenceRanges,
     CongruenceReport,
     PadicContext,
-    convolution_sum,
     dd_coefficient_k,
-    dd_coefficient_L,
     dieudonne_dwork_check,
-    gamma_p,
-    gamma_p_check,
     good_residues,
     harmonic_obstruction,
     landau_negative_witness,

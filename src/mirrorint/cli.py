@@ -18,8 +18,9 @@ line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
 inverse-binomial), ``congruences`` on unequal column sums of e and f,
-``case`` at an order below the z-degree of its operator.  JSON ``true``
-and ``false`` are never taken for integers.
+``case`` at an order below the z-degree of its operator or on a record
+that ``CaseRecord.from_dict`` rejects.  JSON ``true`` and ``false`` are
+never taken for integers.
 
 A job's ``ranges`` bound the formal-congruence sweeps.  Where ``m_bound``
 is not set, the hypotheses and the conclusion run m up to p^2 but the
@@ -511,7 +512,7 @@ def _load_case(job: Job) -> CaseRecord:
         try:
             with open(job.case, "r", encoding="utf-8") as fh:
                 return CaseRecord.from_dict(json.load(fh))
-        except (ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             _fail_schema(f"bad case record: {exc}")
     _fail_schema(f"unknown case {job.case!r} (not bundled, not a readable path)")
 

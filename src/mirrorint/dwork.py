@@ -4,15 +4,13 @@ Everything here works over rationals with p-free denominators, so that
 membership in p^t * g * O turns into the valuation inequality
 v_p(x) >= t + v_p(g).  The module provides
 
-  * Morita's p-adic Gamma on nonnegative integers and its two classical
-    identities (factorial quotient, congruence in the top argument);
   * the weight mu_p counting how many p-adic rescalings of an index land
     in the jump region, with g_p = p^mu_p;
   * good residues mod p^s: vectors whose scaled fractional part avoids
     the jump region;
   * the Dieudonne-Dwork product test for exp(G/F), per exponent;
-  * closed convolution formulas for single coefficients of the
-    Dieudonne-Dwork combination;
+  * a closed convolution formula for single coefficients of the
+    Dieudonne-Dwork combination of G_k;
   * the generalized formal-congruence harness: hypothesis checks and the
     conclusion sweep for the double convolution sums, with an exact
     telescoping identity;
@@ -76,7 +74,6 @@ from .forms import (
     PadicInfinity,
     dot,
     factorial_ratio,
-    harmonic,
     harmonic_weight,
     is_prime,
     vp_int,
@@ -87,37 +84,6 @@ from .series import MSeries
 
 IntVec = tuple[int, ...]
 Valuation = Union[int, PadicInfinity]
-
-
-# ---------------------------------------------------------------------------
-# p-adic Gamma
-
-
-def gamma_p(n: int, p: int) -> int:
-    """Morita-style p-adic Gamma at a nonnegative integer:
-    (-1)^n times the product of k < n coprime to p."""
-    if n < 0:
-        raise ValueError("argument must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    prod = 1
-    for k in range(1, n):
-        if k % p:
-            prod *= k
-    return -prod if n % 2 else prod
-
-
-def gamma_p_check(n: int, k: int, s: int, p: int) -> bool:
-    """Both classical Gamma_p identities, exactly.
-
-    (np)!/n! = p^n * |Gamma_p(1+np)|  and  Gamma_p(k+np^s) = Gamma_p(k)
-    mod p^s.  Returns True iff both hold.
-    """
-    lhs = math.factorial(n * p) // math.factorial(n)
-    unit = gamma_p(1 + n * p, p)
-    first = lhs == p**n * abs(unit)
-    second = (gamma_p(k + n * p**s, p) - gamma_p(k, p)) % p**s == 0
-    return first and second
 
 
 # ---------------------------------------------------------------------------
@@ -426,30 +392,15 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
 def dd_coefficient_k(
     ctx: PadicContext, k: int, a: Sequence[int], K: Sequence[int]
 ) -> Fraction:
-    """Coefficient of z^(a+pK) in F(z) G_k(z^p) - p F(z^p) G_k(z), in closed form.
-
-    The double sum runs over 0 <= j <= K; k is 1-based.
-    """
+    """Coefficient of z^(a+pK) in F(z) G_k(z^p) - p F(z^p) G_k(z), in closed form:
+    the sum over 0 <= j <= K of Q(K-j) Q(a+pj) (w(K-j) - p w(a+pj)), with w
+    the harmonic weight of coordinate k (1-based)."""
     sys = ctx.sys
     if not 1 <= k <= sys.d:
         raise ValueError(f"coordinate {k} out of range")
-    return _dd_sum(ctx, a, K, lambda n: harmonic_weight(sys, k - 1, n))
-
-
-def dd_coefficient_L(
-    ctx: PadicContext, L: Sequence[int], a: Sequence[int], K: Sequence[int]
-) -> Fraction:
-    """Coefficient of z^(a+pK) in F(z) G_L(z^p) - p F(z^p) G_L(z), in closed form."""
-    L = tuple(int(c) for c in L)
-    return _dd_sum(ctx, a, K, lambda n: harmonic(dot(L, n)))
-
-
-def _dd_sum(ctx: PadicContext, a: Sequence[int], K: Sequence[int], weight) -> Fraction:
-    """sum over 0 <= j <= K of Q(K-j) Q(a+pj) (weight(K-j) - p weight(a+pj)),
-    where G has coefficients Q(n) weight(n)."""
     a = tuple(int(c) for c in a)
     K = tuple(int(c) for c in K)
-    if len(a) != ctx.sys.d or len(K) != ctx.sys.d:
+    if len(a) != sys.d or len(K) != sys.d:
         raise ValueError("dimension mismatch")
     if any(not 0 <= c < ctx.p for c in a):
         raise ValueError("residue entries must lie in [0, p)")
@@ -460,7 +411,7 @@ def _dd_sum(ctx: PadicContext, a: Sequence[int], K: Sequence[int], weight) -> Fr
     for j in _box(K):
         Kj = tuple(x - y for x, y in zip(K, j))
         apj = tuple(x + p * y for x, y in zip(a, j))
-        w = weight(Kj) - p * weight(apj)
+        w = harmonic_weight(sys, k - 1, Kj) - p * harmonic_weight(sys, k - 1, apj)
         if w:
             total += ctx.Q(Kj) * ctx.Q(apj) * w
     return total
@@ -513,31 +464,6 @@ class _Blocks:
                 level[i] += x
             levels.append(level)
         return levels
-
-
-def convolution_sum(
-    ctx: PadicContext, a: Sequence[int], K: Sequence[int], s: int, m: Sequence[int]
-) -> Rational:
-    """The block sum over m p^s <= j <= (m+1) p^s - 1 of
-    Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj), with Q zero-extended.
-
-    K may have negative entries; the sum is then empty of nonzero terms.
-    """
-    a = tuple(int(c) for c in a)
-    K = tuple(int(c) for c in K)
-    m = tuple(int(c) for c in m)
-    p = ctx.p
-    if any(not 0 <= c < p for c in a):
-        raise ValueError("residue entries must lie in [0, p)")
-    if any(c < 0 for c in m) or s < 0:
-        raise ValueError("m and s must be nonnegative")
-    # Terms vanish unless 0 <= j <= K, so only the blocks of that box are nonzero.
-    if any(c < 0 for c in K) or any(c > k // p**s for c, k in zip(m, K)):
-        return 0
-    blocks = _Blocks(K, p, s)
-    P = [ctx.Q(tuple(c + p * y for c, y in zip(a, j))) for j in blocks.js]
-    Q = [ctx.Q(j) for j in blocks.js]
-    return blocks.sums(P, Q)[s][_position(blocks.tops[s], m)]
 
 
 @dataclass

@@ -69,6 +69,11 @@ class PadicInfinity:
 INFINITY = PadicInfinity()
 
 
+def _int_list(x) -> bool:
+    """A JSON list of integers (``true`` and ``false`` are not integers)."""
+    return isinstance(x, list) and all(type(c) is int for c in x)
+
+
 def _as_intvec(v: Iterable[int]) -> IntVec:
     out = []
     for c in v:
@@ -145,8 +150,19 @@ class FormSystem:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FormSystem":
-        return cls(data["e"], data["f"], raw=bool(data.get("raw", False)))
+    def from_dict(cls, data) -> "FormSystem":
+        """The system ``to_dict`` wrote; anything else raises ValueError.
+
+        ``e`` and ``f`` are lists of integer lists, ``raw`` is absent or a
+        boolean, and the constructor's own checks hold.
+        """
+        if not isinstance(data, dict) or not {"e", "f"} <= set(data) <= {"e", "f", "raw"}:
+            raise ValueError("a system is an object with e, f and optionally raw")
+        if not all(isinstance(data[s], list) and all(map(_int_list, data[s])) for s in "ef"):
+            raise ValueError("system e and f must be lists of integer lists")
+        if not isinstance(data.get("raw", False), bool):
+            raise ValueError("system raw must be true or false")
+        return cls(data["e"], data["f"], raw=data.get("raw", False))
 
 
 def dot(u: Sequence, v: Sequence):

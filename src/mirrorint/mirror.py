@@ -11,6 +11,9 @@ From a :class:`~mirrorint.forms.FormSystem` this module expands
     inverse, the mirror maps z(q);
   * mirror-type maps q_L = exp(G_L / F).
 
+F, G_k and G_L share the factorial ratio Q(n): a bundle takes all of them
+from one pass over the exponents, which computes each Q(n) once.
+
 The canonical coordinate factors through the mirror-type maps: q_k / z_k
 equals the product of q_(e_i) to the power e_i[k] divided by the product
 of q_(f_j) to the power f_j[k]; ``check_factorization`` verifies this as
@@ -24,6 +27,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight, vp_of_rational
@@ -40,10 +44,21 @@ def exponents_upto(d: int, order: int):
             yield v
 
 
+def _families(sys: FormSystem, order: int, weights) -> list[MSeries]:
+    """The series sum Q(n) w(n) z^n for each weight w, from one pass that
+    takes each Q(n) once; Q(n) != 0, so a term is kept where w(n) != 0."""
+    terms = [{} for _ in weights]
+    for v in exponents_upto(sys.d, order):
+        Q = factorial_ratio(sys, v)
+        for w, t in zip(weights, terms):
+            if x := w(v):
+                t[v] = Q * x
+    return [MSeries._trusted(sys.d, order, t) for t in terms]
+
+
 def build_F(sys: FormSystem, order: int) -> MSeries:
     """The series whose coefficient at z^n is the factorial ratio Q(n)."""
-    terms = {v: factorial_ratio(sys, v) for v in exponents_upto(sys.d, order)}
-    return MSeries(sys.d, order, terms)
+    return _families(sys, order, [lambda v: 1])[0]
 
 
 def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
@@ -51,12 +66,7 @@ def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
     weight sum(e_i[k] H(e_i.n)) - sum(f_j[k] H(f_j.n))."""
     if not 1 <= k <= sys.d:
         raise ValueError(f"coordinate {k} out of range 1..{sys.d}")
-    terms = {}
-    for v in exponents_upto(sys.d, order):
-        w = harmonic_weight(sys, k - 1, v)
-        if w:
-            terms[v] = factorial_ratio(sys, v) * w
-    return MSeries(sys.d, order, terms)
+    return _families(sys, order, [partial(harmonic_weight, sys, k - 1)])[0]
 
 
 def build_GL(sys: FormSystem, L: Sequence[int], order: int) -> MSeries:
@@ -64,12 +74,7 @@ def build_GL(sys: FormSystem, L: Sequence[int], order: int) -> MSeries:
     L = tuple(int(c) for c in L)
     if L not in set(enumerate_weight_vectors(sys)):
         raise ValueError(f"{L} is not dominated by any form vector")
-    terms = {}
-    for v in exponents_upto(sys.d, order):
-        m = dot(L, v)
-        if m:
-            terms[v] = factorial_ratio(sys, v) * harmonic(m)
-    return MSeries(sys.d, order, terms)
+    return _families(sys, order, [lambda v: harmonic(dot(L, v))])[0]
 
 
 @dataclass
@@ -95,18 +100,17 @@ class MirrorBundle:
 
 def build_bundle(sys: FormSystem, order: int) -> MirrorBundle:
     """Construct every series of the bundle, mutually consistent."""
-    F = build_F(sys, order)
+    Ls = enumerate_weight_vectors(sys)
+    ks = [partial(harmonic_weight, sys, k) for k in range(sys.d)]
+    ws = [lambda v, L=L: harmonic(dot(L, v)) for L in Ls]
+    F, *companions = _families(sys, order, [lambda v: 1, *ks, *ws])
+    G, GL = tuple(companions[: sys.d]), dict(zip(Ls, companions[sys.d :]))
     recip_F = F.reciprocal()
-    G = tuple(build_Gk(sys, k, order) for k in range(1, sys.d + 1))
     q = tuple(
         MSeries.variable(sys.d, order, k) * (G[k] * recip_F).exp()
         for k in range(sys.d)
     )
-    GL = {}
-    qL = {}
-    for L in enumerate_weight_vectors(sys):
-        GL[L] = build_GL(sys, L, order)
-        qL[L] = (GL[L] * recip_F).exp()
+    qL = {L: (GL[L] * recip_F).exp() for L in Ls}
     zofq = tuple(invert_diagonal(list(q)))
     return MirrorBundle(
         sys=sys,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .forms import FormSystem
+from .forms import FormSystem, _int_list
 from .mirror import build_F, build_Gk, integrality_scan
 from .series import LogSeries, MSeries, apply_theta_poly
 from .systems import CASE30
@@ -126,17 +126,39 @@ class CaseRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CaseRecord":
-        special = data["special"]
-        return cls(
-            name=data["name"],
-            operator=ThetaOperator(tuple(tuple(p) for p in data["theta_op"])),
-            system=FormSystem.from_dict(data["system"]),
-            M=tuple(int(c) for c in special["M"]),
-            Nexp=tuple(int(c) for c in special["N"]),
-            k=int(special.get("k", 1)),
-            closed_form=data["closed_form"],
-        )
+    def from_dict(cls, data) -> "CaseRecord":
+        """The record ``to_dict`` wrote; anything else raises ValueError.
+
+        Besides the shape, the fields must fit together: M holds d nonzero
+        and N d positive integers for the system's d, k lies in 1..d, and
+        ``closed_form`` names a registered closed form.
+        """
+        if not isinstance(data, dict) or set(data) != _RECORD_KEYS:
+            raise ValueError(f"a case record is an object with exactly {sorted(_RECORD_KEYS)}")
+        name, polys, form = data["name"], data["theta_op"], data["closed_form"]
+        if not isinstance(name, str):
+            raise ValueError("name must be a string")
+        if not (isinstance(polys, list) and polys and all(map(_int_list, polys))):
+            raise ValueError("theta_op must be a non-empty list of integer lists")
+        system = FormSystem.from_dict(data["system"])
+        d, special = system.d, data["special"]
+        if not isinstance(special, dict) or set(special) != {"M", "N", "k"}:
+            raise ValueError("special is an object with exactly M, N and k")
+        M, N, k = special["M"], special["N"], special["k"]
+        if not (_int_list(M) and len(M) == d and all(M)):
+            raise ValueError(f"special.M must list {d} nonzero integers")
+        if not (_int_list(N) and len(N) == d and min(N) >= 1):
+            raise ValueError(f"special.N must list {d} positive integers")
+        if type(k) is not int or not 1 <= k <= d:
+            raise ValueError(f"special.k must be an integer in 1..{d}")
+        if not (isinstance(form, str) and form.startswith("builtin:")
+                and form.removeprefix("builtin:") in _CLOSED_FORMS):
+            raise ValueError(f"closed_form must be builtin:<name>, one of {sorted(_CLOSED_FORMS)}")
+        operator = ThetaOperator(tuple(map(tuple, polys)))
+        return cls(name, operator, system, tuple(M), tuple(N), k, form)
+
+
+_RECORD_KEYS = {"name", "theta_op", "system", "special", "closed_form"}
 
 
 def case30_operator() -> ThetaOperator:

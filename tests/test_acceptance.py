@@ -12,10 +12,9 @@ from fractions import Fraction
 from mirrorint.dwork import (
     CongruenceRanges,
     PadicContext,
-    dd_coefficient_L,
+    _Units,
     dd_coefficient_k,
     dieudonne_dwork_check,
-    gamma_p_check,
     landau_negative_witness,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
@@ -51,6 +50,7 @@ from mirrorint.systems import (
     CUBIC_SPLIT,
     INVERSE_BINOMIAL,
 )
+from test_dwork import oracle_dd_coefficient_L, oracle_gamma_p, oracle_gamma_p_check
 from test_landau import oracle_verdict  # the Fraction verdict loop
 
 
@@ -168,7 +168,7 @@ def test_criterion_05_dieudonne_dwork():
                 a = tuple(c % p for c in w)
                 K = tuple((c - r) // p for c, r in zip(w, a))
                 assert dd_coefficient_k(ctx, 1, a, K) == combo.coeff(w)
-                assert dd_coefficient_L(ctx, (1, 1), a, K) == comboL.coeff(w)
+                assert oracle_dd_coefficient_L(p, CUBIC_2D, (1, 1), a, K) == comboL.coeff(w)
 
 
 def test_criterion_06_formal_congruence_harness():
@@ -186,7 +186,7 @@ def test_criterion_07_gamma_identities_and_unit_ratio():
     with Criterion(7, "Gamma_p identities and unit-ratio congruence", 30):
         for p in (2, 3, 5):
             for n in range(31):
-                assert gamma_p_check(n, 0, 1, p)
+                assert oracle_gamma_p_check(n, 0, 1, p)
         # The top-argument congruence Gamma_p(k + n p^s) = Gamma_p(k) mod p^s
         # is a theorem for odd p; at p = 2 it holds only for s <= 1 (the
         # classical Gamma_2 anomaly: Gamma_2(4) = 3 is not 1 mod 4).  The
@@ -195,12 +195,22 @@ def test_criterion_07_gamma_identities_and_unit_ratio():
             for k in range(21):
                 for n in range(6):
                     for s in range(4):
-                        assert gamma_p_check(n, k, s, p)
+                        assert oracle_gamma_p_check(n, k, s, p)
         for k in range(21):
             for n in range(6):
                 for s in range(2):
-                    assert gamma_p_check(n, k, s, 2)
-        assert not gamma_p_check(1, 0, 2, 2)  # Gamma_2(4) = 3 vs Gamma_2(0) = 1
+                    assert oracle_gamma_p_check(n, k, s, 2)
+        assert not oracle_gamma_p_check(1, 0, 2, 2)  # Gamma_2(4) = 3 vs Gamma_2(0) = 1
+        # the harness's unit tables rest on the first identity: the unit part
+        # of N! is the product of |Gamma_p(floor(N/p^i) + 1)|
+        for p in (2, 3, 5):
+            units = _Units(p, [((1,), 1)], 200)
+            (_, _, U, _), = units.tables
+            for N in range(201):
+                gamma = 1
+                for i in range(N.bit_length()):
+                    gamma *= abs(oracle_gamma_p(N // p**i + 1, p))
+                assert U[N] == gamma % units.mod
         for p in (2, 3):
             for sys in (CUBIC_2D, CENTRAL_BINOMIAL):
                 rep = q_ratio_congruence_sweep(PadicContext(p, sys), s_max=2, m_bound=4)

@@ -559,8 +559,56 @@ class TestCase:
         rec_path = tmp_path / "rec.json"
         rec_path.write_text(json.dumps(case30_record().to_dict()))
         job = write_job(tmp_path, "a.json", {"case": str(rec_path), "order": 6})
-        code, _, _ = run(capsys, ["case", job])
+        code, out, _ = run(capsys, ["case", job])
         assert code == EXIT_OK
+        # the record read back prints what the bundled case prints
+        job = write_job(tmp_path, "b.json", {"case": "case30", "order": 6})
+        assert run(capsys, ["case", job])[:2] == (EXIT_OK, out)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: [r],
+            lambda r: None,
+            lambda r: {**r, "special": [[1, 4], [1, 1], 1]},
+            lambda r: {**r, "theta_op": 3},
+            lambda r: {**r, "theta_op": []},
+            lambda r: {**r, "theta_op": [[0, 1.5]]},
+            lambda r: {**r, "system": 3},
+            lambda r: {**r, "system": {"e": [[1, True]], "f": [[1, 1]]}},
+            lambda r: {**r, "system": {"e": [[1, 1]], "f": [[1]]}},
+            lambda r: {**r, "closed_form": 3},
+            lambda r: {**r, "closed_form": "builtin:nope"},
+            lambda r: {**r, "closed_form": "case30"},
+            lambda r: {**r, "name": 30},
+            lambda r: {**r, "extra": 1},
+            lambda r: {k: v for k, v in r.items() if k != "name"},
+            lambda r: {**r, "special": {**r["special"], "M": [1]}},
+            lambda r: {**r, "special": {**r["special"], "N": [1, 1, 1]}},
+            lambda r: {**r, "special": {**r["special"], "M": [0, 4]}},
+            lambda r: {**r, "special": {**r["special"], "N": [1, 0]}},
+            lambda r: {**r, "special": {**r["special"], "k": 3}},
+            lambda r: {**r, "special": {**r["special"], "k": 0}},
+            lambda r: {**r, "special": {**r["special"], "k": True}},
+            lambda r: {**r, "special": {"M": [1, 4], "N": [1, 1]}},
+        ],
+    )
+    def test_malformed_record_exits_2(self, tmp_path, capsys, edit):
+        from mirrorint.operators import case30_record
+
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(edit(case30_record().to_dict())))
+        job = write_job(tmp_path, "a.json", {"case": str(rec_path), "order": 6})
+        code, out, err = run(capsys, ["case", job])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        assert "bad case record" in err and "Traceback" not in err
+
+    def test_unreadable_record_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, "a.json", {"case": str(tmp_path)})
+        code, out, err = run(capsys, ["case", job])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_order_below_operator_degree_exits_2(self, tmp_path, capsys, order):

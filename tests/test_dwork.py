@@ -1,6 +1,7 @@
-"""p-adic engine: Gamma_p, weights, residues, product test, congruences."""
+"""p-adic engine: unit tables, weights, residues, product test, congruences."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,12 @@ from mirrorint.dwork import (
     CongruenceRanges,
     CongruenceReport,
     PadicContext,
+    _Blocks,
+    _Units,
     _Worst,
-    convolution_sum,
-    dd_coefficient_L,
     dd_coefficient_k,
     dieudonne_dwork_check,
     excluded_indices,
-    gamma_p,
-    gamma_p_check,
     good_residues,
     harmonic_obstruction,
     landau_negative_witness,
@@ -29,7 +28,9 @@ from mirrorint.dwork import (
 from mirrorint.forms import (
     INFINITY,
     FormSystem,
+    dot,
     factorial_ratio,
+    harmonic,
     vp_of_rational,
     vp_ratio_legendre,
 )
@@ -38,6 +39,7 @@ from mirrorint.mirror import build_F, build_GL, build_Gk, exponents_upto
 from mirrorint.series import MSeries
 from mirrorint.systems import (
     BUNDLED,
+    CASE30,
     CENTRAL_BINOMIAL,
     CUBIC_2D,
     CUBIC_SPLIT,
@@ -107,6 +109,29 @@ def _obox(hi, lo=None):
     return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
+def oracle_block_table(ctx, a, K):
+    """Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) at every j of the box [0, K]."""
+    p = ctx.p
+    table = {}
+    for j in _obox(K):
+        Kj = tuple(x - y for x, y in zip(K, j))
+        table[j] = ctx.Q(tuple(x + p * y for x, y in zip(a, Kj))) * ctx.Q(j) - ctx.Q(
+            Kj
+        ) * ctx.Q(tuple(x + p * y for x, y in zip(a, j)))
+    return table
+
+
+def oracle_block(table, p, K, s, m):
+    """The sum of ``table`` over the block m p^s <= j <= (m+1) p^s - 1, cut
+    to the box [0, K]; zero when the block misses the box."""
+    q = p**s
+    lo = tuple(c * q for c in m)
+    hi = tuple(min((c + 1) * q - 1, k) for c, k in zip(m, K))
+    if any(h < low for low, h in zip(lo, hi)):
+        return Fraction(0)
+    return sum((table[j] for j in _obox(hi, lo)), Fraction(0))
+
+
 def oracle_verify_formal_congruences(p, sys, ranges):
     ctx = _OracleContext(p, sys)
     d = sys.d
@@ -153,29 +178,15 @@ def oracle_verify_formal_congruences(p, sys, ranges):
 
     wc = _Worst("conclusion")
     wt = _Worst("telescoping")
-    zero = Fraction(0)
     for a in itertools.product(range(p), repeat=d):
         for K in _obox((k_bound,) * d):
-            table = {}
-            for j in _obox(K):
-                Kj = tuple(x - y for x, y in zip(K, j))
-                table[j] = ctx.Q(tuple(x + p * y for x, y in zip(a, Kj))) * ctx.Q(
-                    j
-                ) - ctx.Q(Kj) * ctx.Q(tuple(x + p * y for x, y in zip(a, j)))
-
-            def block(s, m):
-                q = p**s
-                lo = tuple(c * q for c in m)
-                hi = tuple(min((c + 1) * q - 1, k) for c, k in zip(m, K))
-                if any(h < low for low, h in zip(lo, hi)):
-                    return zero
-                return sum((table[j] for j in _obox(hi, lo)), zero)
-
+            table = oracle_block_table(ctx, a, K)
             for s in range(s_max + 1):
                 for m in _obox((m_bound,) * d):
-                    wc.update((a, K, s, m), s + 1 + ctx.mu(m), vp_of_rational(block(s, m), p))
+                    block = oracle_block(table, p, K, s, m)
+                    wc.update((a, K, s, m), s + 1 + ctx.mu(m), vp_of_rational(block, p))
                 T = tuple(c // p**s for c in K)
-                total = sum((block(s, m) for m in _obox(T)), zero)
+                total = sum((oracle_block(table, p, K, s, m) for m in _obox(T)), Fraction(0))
                 wt.update((a, K, s), INFINITY, vp_of_rational(total, p))
     reports.extend([wc.report(), wt.report()])
     return reports
@@ -195,39 +206,122 @@ def oracle_q_ratio_congruence_sweep(p, sys, s_max, m_bound):
     return w.report()
 
 
+def oracle_gamma_p(n, p):
+    """Morita's p-adic Gamma at a nonnegative integer: (-1)^n times the
+    product of the k < n prime to p."""
+    prod = 1
+    for k in range(1, n):
+        if k % p:
+            prod *= k
+    return -prod if n % 2 else prod
+
+
+def oracle_gamma_p_check(n, k, s, p):
+    """Both classical Gamma_p identities, exactly: (np)!/n! = p^n |Gamma_p(1+np)|
+    and Gamma_p(k + n p^s) = Gamma_p(k) mod p^s."""
+    lhs = math.factorial(n * p) // math.factorial(n)
+    first = lhs == p**n * abs(oracle_gamma_p(1 + n * p, p))
+    second = (oracle_gamma_p(k + n * p**s, p) - oracle_gamma_p(k, p)) % p**s == 0
+    return first and second
+
+
+def oracle_dd_coefficient_L(p, sys, L, a, K):
+    """Coefficient of z^(a+pK) in F(z) G_L(z^p) - p F(z^p) G_L(z): the sum
+    over 0 <= j <= K of Q(K-j) Q(a+pj) (H(L.(K-j)) - p H(L.(a+pj)))."""
+    total = Fraction(0)
+    for j in _obox(K):
+        Kj = tuple(x - y for x, y in zip(K, j))
+        apj = tuple(x + p * y for x, y in zip(a, j))
+        w = harmonic(dot(L, Kj)) - p * harmonic(dot(L, apj))
+        total += factorial_ratio(sys, Kj) * factorial_ratio(sys, apj) * w
+    return total
+
+
+def _split(x, p):
+    """(v_p(x), x / p^v_p(x)) for a nonzero int or Fraction."""
+    x = Fraction(x)
+    v = vp_of_rational(x, p)
+    return v, x / Fraction(p) ** v
+
+
 class TestGammaP:
+    """The Gamma_p oracle, and the unit tables of Q that rest on its identity:
+    the unit part of N! is the product of |Gamma_p(floor(N/p^i) + 1)|."""
+
     def test_values(self):
-        assert gamma_p(0, 5) == 1
-        assert gamma_p(1, 5) == -1
-        assert gamma_p(3, 2) == -1
+        assert oracle_gamma_p(0, 5) == 1
+        assert oracle_gamma_p(1, 5) == -1
+        assert oracle_gamma_p(3, 2) == -1
 
     def test_skips_multiples_of_p(self):
         # product over 1..6 coprime to 3 is 1*2*4*5 = 40, sign (+1)^7... odd n
-        assert gamma_p(7, 3) == -(1 * 2 * 4 * 5)
+        assert oracle_gamma_p(7, 3) == -(1 * 2 * 4 * 5)
 
     def test_identity_examples(self):
-        assert gamma_p_check(1, 0, 1, 2)
-        assert gamma_p_check(0, 0, 2, 5)
-        assert gamma_p_check(1, 2, 2, 3)
+        assert oracle_gamma_p_check(1, 0, 1, 2)
+        assert oracle_gamma_p_check(0, 0, 2, 5)
+        assert oracle_gamma_p_check(1, 2, 2, 3)
 
     def test_identities_sweep(self):
         for p in (2, 3, 5):
             for n in range(12):
-                assert gamma_p_check(n, 0, 1, p)
+                assert oracle_gamma_p_check(n, 0, 1, p)
         for k in range(8):
             for n in range(4):
                 for s in range(3):
-                    assert gamma_p_check(n, k, s, 3)
+                    assert oracle_gamma_p_check(n, k, s, 3)
 
     def test_top_argument_congruence_anomaly_at_two(self):
         # Gamma_2(0 + 1*4) = 3 and Gamma_2(0) = 1 differ by 2, not 0 mod 4:
         # the congruence in the top argument loses one factor of 2 at p = 2.
-        assert gamma_p(4, 2) == 3
-        assert not gamma_p_check(1, 0, 2, 2)
+        assert oracle_gamma_p(4, 2) == 3
+        assert not oracle_gamma_p_check(1, 0, 2, 2)
         # one level down it always holds (all values are odd)
         for k in range(10):
             for n in range(5):
-                assert gamma_p_check(n, k, 1, 2)
+                assert oracle_gamma_p_check(n, k, 1, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_unit_tables_match_exact_factorials(self, p):
+        # one form (1,) with net multiplicities 1, -1 and 2: the tables of
+        # N!, 1/N! and (N!)^2
+        top = 3 * p * p + 5
+        units = _Units(p, [((1,), 1), ((1,), -1), ((1,), 2)], top)
+        mod = units.mod
+        assert mod == p**dwork._R and units.top == top
+        (_, V, U, D), (_, Vi, Ui, Di), (_, V2, U2, D2) = units.tables
+        for N in range(top + 1):
+            v, u = _split(math.factorial(N), p)
+            assert V[N] == v
+            assert U[N] == u % mod
+            assert U[N] * D[N] % mod == 1
+            gamma = math.prod(
+                abs(oracle_gamma_p(N // p**i + 1, p)) for i in range(N.bit_length())
+            )
+            assert U[N] == gamma % mod
+            assert (Vi[N], Ui[N], Di[N]) == (-v, D[N], U[N])
+            assert (V2[N], U2[N]) == (2 * v, u * u % mod)
+            assert U2[N] * D2[N] % mod == 1
+
+    @pytest.mark.parametrize("sys", [CUBIC_2D, CUBIC_SPLIT, INVERSE_BINOMIAL, CASE30])
+    def test_unit_parts_of_Q(self, sys):
+        # inverse(n) and shifted(n + q m) against Q itself, on every index of a box
+        for p in (2, 3, 5, 7):
+            ctx = PadicContext(p, sys)
+            units = ctx._units(12)
+            mod = units.mod
+            for n in _obox((5,) * sys.d):
+                v, u = _split(factorial_ratio(sys, n), p)
+                assert units.inverse(n)[0] == v
+                got = units.inverse(n)[1] * u.numerator % mod
+                assert got == u.denominator % mod
+                for q in (1, p):
+                    m = tuple(c % 2 for c in n)
+                    shifted = tuple(x + q * y for x, y in zip(n, m))
+                    v, u = _split(factorial_ratio(sys, shifted), p)
+                    vs, us = units.shifted(units.dots(n), q, units.dots(m))
+                    assert vs == v
+                    assert us * u.denominator % mod == u.numerator % mod
 
 
 class TestWeights:
@@ -340,13 +434,12 @@ class TestDieudonneDwork:
 class TestCoefficientFormulas:
     def test_value_against_hand_computation(self):
         # d=1 binomial system, weight vector L=2, p=3, a=0, K=1: -144
-        ctx = PadicContext(3, CENTRAL_BINOMIAL)
-        assert dd_coefficient_L(ctx, (2,), (0,), (1,)) == -144
+        assert oracle_dd_coefficient_L(3, CENTRAL_BINOMIAL, (2,), (0,), (1,)) == -144
 
     def test_trivial_at_origin(self):
         ctx = PadicContext(3, CUBIC_2D)
         assert dd_coefficient_k(ctx, 1, (0, 0), (0, 0)) == 0
-        assert dd_coefficient_L(ctx, (1, 1), (0, 0), (0, 0)) == 0
+        assert oracle_dd_coefficient_L(3, CUBIC_2D, (1, 1), (0, 0), (0, 0)) == 0
 
     def test_matches_extracted_coefficients(self):
         N = 6
@@ -361,7 +454,7 @@ class TestCoefficientFormulas:
                 a = tuple(c % p for c in w)
                 K = tuple((c - r) // p for c, r in zip(w, a))
                 assert dd_coefficient_k(ctx, 1, a, K) == combo.coeff(w)
-                assert dd_coefficient_L(ctx, (2, 1), a, K) == comboL.coeff(w)
+                assert oracle_dd_coefficient_L(p, CUBIC_2D, (2, 1), a, K) == comboL.coeff(w)
 
     def test_split_system_residue_formula(self):
         # with K = 0 the double sum collapses to -p Q(a) times the harmonic weight
@@ -380,21 +473,38 @@ class TestCoefficientFormulas:
 
 
 class TestConvolutionSums:
-    def test_zero_extension_makes_negative_K_trivial(self):
-        ctx = PadicContext(2, CUBIC_2D)
-        assert convolution_sum(ctx, (0, 0), (-1, 2), 1, (0, 0)) == 0
-
     def test_complete_sum_telescopes_to_zero(self):
         ctx = PadicContext(2, CUBIC_2D)
-        for s in (0, 1):
-            for K in ((1, 1), (2, 3), (4, 0)):
-                q = 2**s
-                T = tuple(c // q for c in K)
-                total = sum(
-                    convolution_sum(ctx, (1, 0), K, s, m)
-                    for m in itertools.product(*(range(t + 1) for t in T))
-                )
-                assert total == 0
+        a = (1, 0)
+        for K in ((1, 1), (2, 3), (4, 0)):
+            blocks = _Blocks(K, 2, 1)
+            P = [ctx.Q(tuple(c + 2 * y for c, y in zip(a, j))) for j in blocks.js]
+            levels = blocks.sums(P, [ctx.Q(j) for j in blocks.js])
+            for s in (0, 1):
+                assert sum(levels[s]) == 0
+
+    @pytest.mark.parametrize(
+        "p, sys", [(2, CUBIC_2D), (3, CUBIC_2D), (3, CUBIC_SPLIT), (2, INVERSE_BINOMIAL),
+                   (5, CENTRAL_BINOMIAL)]
+    )
+    def test_block_sums_match_direct_sums(self, p, sys):
+        # every block of every level, against the oracle harness's table summed
+        # block by block; the blocks of one level add up to the whole table,
+        # which telescopes to zero
+        ctx = _OracleContext(p, sys)
+        s_max = 2
+        for K in _obox((4,) * sys.d if sys.d == 2 else (12,)):
+            blocks = _Blocks(K, p, s_max)
+            assert blocks.js == list(_obox(K))
+            assert blocks.tops == [tuple(c // p**s for c in K) for s in range(s_max + 1)]
+            for a in itertools.product(range(p), repeat=sys.d):
+                P = [ctx.Q(tuple(c + p * y for c, y in zip(a, j))) for j in blocks.js]
+                levels = blocks.sums(P, [ctx.Q(j) for j in blocks.js])
+                table = oracle_block_table(ctx, a, K)
+                assert sum(table.values()) == 0
+                for s, (level, top) in enumerate(zip(levels, blocks.tops)):
+                    assert level == [oracle_block(table, p, K, s, m) for m in _obox(top)]
+                    assert sum(level) == 0
 
     def test_harness_passes_on_main_system(self):
         # quick ranges here; the full sweep runs in the acceptance suite

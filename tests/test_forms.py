@@ -169,6 +169,30 @@ class TestFormSystem:
     def test_dict_round_trip(self):
         for sys in (CUBIC_2D, INVERSE_BINOMIAL):
             assert FormSystem.from_dict(sys.to_dict()) == sys
+        raw = FormSystem([(1, 0), (0, 0)], [(1, 0)], raw=True)
+        assert FormSystem.from_dict(raw.to_dict()) == raw
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            None,
+            [[[1]], [[1]]],
+            {"e": [[2]]},
+            {"e": [[2]], "f": [[1]], "x": 1},
+            {"e": 2, "f": [[1]]},
+            {"e": [2], "f": [[1]]},
+            {"e": [[2.0]], "f": [[1]]},
+            {"e": [["2"]], "f": [[1]]},
+            {"e": [[True]], "f": [[1]]},
+            {"e": [[2]], "f": [[1]], "raw": 1},
+            {"e": [[2]], "f": [[1, 1]]},
+            {"e": [[-2]], "f": [[1]]},
+            {"e": [[]], "f": [[]]},
+        ],
+    )
+    def test_from_dict_rejects_anything_else(self, doc):
+        with pytest.raises(ValueError):
+            FormSystem.from_dict(doc)
 
 
 @st.composite

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mirrorint.forms import FormSystem, factorial_ratio
+from mirrorint import mirror
+from mirrorint.forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight
+from mirrorint.landau import enumerate_weight_vectors
 from mirrorint.mirror import (
     build_F,
     build_GL,
@@ -16,6 +19,80 @@ from mirrorint.mirror import (
 )
 from mirrorint.series import MSeries, compose
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D, CUBIC_SPLIT
+
+
+# ---------------------------------------------------------------------------
+# the per-series loops, the oracle the one-pass builder must match: each
+# family walks the exponents on its own, takes Q(n) afresh and goes through
+# the validating MSeries constructor
+
+
+def oracle_build_F(sys, order):
+    terms = {v: factorial_ratio(sys, v) for v in exponents_upto(sys.d, order)}
+    return MSeries(sys.d, order, terms)
+
+
+def oracle_build_Gk(sys, k, order):
+    terms = {}
+    for v in exponents_upto(sys.d, order):
+        w = harmonic_weight(sys, k - 1, v)
+        if w:
+            terms[v] = factorial_ratio(sys, v) * w
+    return MSeries(sys.d, order, terms)
+
+
+def oracle_build_GL(sys, L, order):
+    terms = {}
+    for v in exponents_upto(sys.d, order):
+        m = dot(L, v)
+        if m:
+            terms[v] = factorial_ratio(sys, v) * harmonic(m)
+    return MSeries(sys.d, order, terms)
+
+
+@st.composite
+def family_jobs(draw):
+    """A raw system in d = 1 or 2 (zero vectors, overlaps and non-integral
+    Q allowed) and an order in 0..8."""
+    d = draw(st.integers(1, 2))
+    vec = st.tuples(*[st.integers(0, 2)] * d)
+    e = draw(st.lists(vec, min_size=1, max_size=3))
+    f = draw(st.lists(vec, min_size=0, max_size=3))
+    return FormSystem(e, f, raw=True), draw(st.integers(0, 8))
+
+
+class TestOnePassAgainstOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(family_jobs())
+    @example((FormSystem([(1,)], [(2,)]), 8))  # Q(n) = 1 / C(2n, n)
+    @example((FormSystem([(2, 1)], [(1, 1), (1, 0)]), 8))
+    def test_families_match_per_series_loops(self, job):
+        sys, order = job
+        F = oracle_build_F(sys, order).to_dict()
+        G = [oracle_build_Gk(sys, k, order).to_dict() for k in range(1, sys.d + 1)]
+        Ls = enumerate_weight_vectors(sys)
+        GL = {L: oracle_build_GL(sys, L, order).to_dict() for L in Ls}
+        assert build_F(sys, order).to_dict() == F
+        assert [build_Gk(sys, k, order).to_dict() for k in range(1, sys.d + 1)] == G
+        assert {L: build_GL(sys, L, order).to_dict() for L in Ls} == GL
+        b = build_bundle(sys, order)
+        assert b.F.to_dict() == F
+        assert [g.to_dict() for g in b.G] == G
+        assert list(b.GL) == Ls
+        assert {L: g.to_dict() for L, g in b.GL.items()} == GL
+
+    def test_bundle_takes_each_factorial_ratio_once(self, monkeypatch):
+        seen = []
+
+        def counting(sys, n):
+            seen.append(tuple(n))
+            return factorial_ratio(sys, n)
+
+        monkeypatch.setattr(mirror, "factorial_ratio", counting)
+        for sys, order in ((CUBIC_2D, 6), (CENTRAL_BINOMIAL, 10)):
+            seen.clear()
+            build_bundle(sys, order)
+            assert seen == list(exponents_upto(sys.d, order))
 
 
 class TestBuildF:
