@@ -6,6 +6,8 @@
 # (3) the weight/good-residue machinery, (4) the generalized formal
 # congruence harness with its exact telescoping identity.
 
+import json
+
 from mirrorint import (
     MSeries,
     PadicContext,
@@ -28,7 +30,7 @@ print()
 print("=== the product test: exp(z) is not a 2-adic integer series ===")
 F, G = MSeries.one(1, 6), MSeries.variable(1, 6, 0)
 for rep in dieudonne_dwork_check(F, G, 2)[:2]:
-    print("  ", rep.to_json())
+    print("  ", json.dumps(rep.to_dict()))
 
 print()
 print("=== ... but the canonical coordinates of the cubic system are ===")
@@ -48,4 +50,4 @@ print("good residues mod 4:", good_residues(ctx, 2))
 print()
 print("=== the formal congruence harness (aggregated worst loci) ===")
 for rep in verify_formal_congruences(PadicContext(2, CUBIC_2D)):
-    print("  ", rep.to_json())
+    print("  ", json.dumps(rep.to_dict()))

@@ -32,9 +32,12 @@ of plane subsets its exhaustive cell walk may solve, and
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
-byte-identical reports.  Precedence for the cache location: --cache-dir
-flag, then the MIRRORINT_CACHE environment variable, then the job file,
-then ``.mirrorint-cache``.
+byte-identical reports.  Every file of a cache entry is verified on every
+load (the manifest's series set, each hash, well-formedness, dimension and
+order), but only the series a command reads are built: ``scan`` reads q,
+q_L and z(q), ``dwork`` F and G_k, and ``bundle`` none.  Precedence for
+the cache location: --cache-dir flag, then the MIRRORINT_CACHE environment
+variable, then the job file, then ``.mirrorint-cache``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .landau import BudgetExceededError, SamplingStrategy, Tag, classify
 from .landau import enumerate_weight_vectors
 from .mirror import MirrorBundle, build_bundle, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
-from .series import MSeries
+from .series import MSeries, check_dict
 from .systems import BUNDLED, default_order
 
 COMMANDS = ("classify", "bundle", "scan", "dwork", "congruences", "case")
@@ -322,13 +325,15 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
 
 
 def load_bundle(
-    sys_: FormSystem, order: int, cache_dir: str
-) -> Optional[tuple[MirrorBundle, dict]]:
-    """Rebuild a bundle and its manifest from cache; None on miss.
+    sys_: FormSystem, order: int, cache_dir: str, reads
+) -> Optional[tuple[dict[str, MSeries], dict]]:
+    """The series of the ``MirrorBundle`` fields in ``reads``, by name in
+    table order, and the manifest, from cache; None on miss.
 
-    Raises CacheCorruptionError on a hash mismatch, on a manifest that does
-    not list the system's series, and on a series file that is malformed or
-    of another dimension or order than the bundle."""
+    Every file of the entry is verified on every load, and only the series
+    read are built.  Raises CacheCorruptionError on a hash mismatch, on a
+    manifest that does not list the system's series, and on a series file
+    that is malformed or of another dimension or order than the bundle."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -337,7 +342,7 @@ def load_bundle(
         with open(manifest_path, "rb") as fh:
             manifest = json.loads(fh.read())
         entries = {name: (e["file"], e["sha256"]) for name, e in manifest["series"].items()}
-        flagged = bool(manifest["flagged"])
+        manifest["flagged"]  # scan and bundle read it
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CacheCorruptionError(f"unreadable manifest {manifest_path}: {exc!r}") from None
     table = _series_table(sys_)
@@ -347,8 +352,8 @@ def load_bundle(
             f"manifest {manifest_path} does not list this system's series (missing"
             f" {sorted(expected - set(entries))}, unexpected {sorted(set(entries) - expected)})"
         )
-    fields: dict[str, dict] = {f: {} for f in ("F", "G", "GL", "q", "qL", "zofq")}
-    for name, field, key in table:
+    series = {}
+    for name, field, _ in table:
         fname, digest = entries[name]
         path = os.path.join(root, fname)
         try:
@@ -359,46 +364,49 @@ def load_bundle(
         if hashlib.sha256(blob).hexdigest() != digest:
             raise CacheCorruptionError(f"hash mismatch for {path}")
         try:
-            series = MSeries.from_dict(json.loads(blob))
+            d, got, *terms = check_dict(json.loads(blob))
         except ValueError as exc:
             raise CacheCorruptionError(f"malformed series in {path}: {exc}") from None
-        if series.d != sys_.d or series.order != order:
+        if d != sys_.d or got != order:
             raise CacheCorruptionError(
-                f"{path} holds a series with d={series.d}, order={series.order};"
+                f"{path} holds a series with d={d}, order={got};"
                 f" expected d={sys_.d}, order={order}"
             )
-        fields[field][key] = series
-    bundle = MirrorBundle(
-        sys_, order, F=fields["F"][None], G=tuple(fields["G"].values()), GL=fields["GL"],
-        q=tuple(fields["q"].values()), qL=fields["qL"], zofq=tuple(fields["zofq"].values()),
-        flagged=flagged,
-    )
-    return bundle, manifest
+        if field in reads:
+            series[name] = MSeries.from_checked(d, order, *terms)
+    return series, manifest
 
 
-def _bundle_for(job: Job, args) -> tuple[MirrorBundle, dict]:
+def _bundle_for(job: Job, args, reads) -> tuple[dict[str, MSeries], dict]:
+    """The series of the fields in ``reads`` by name, and the manifest, from
+    the cache or built; resolves ``job.order`` to the default when unset."""
     if job.system is None:
         _fail_schema("this command needs a system")
-    order = job.order if job.order is not None else default_order(job.system)
+    if job.order is None:
+        job.order = default_order(job.system)
     cache_dir = args.cache_dir or os.environ.get("MIRRORINT_CACHE") or job.cache_dir
     if cache_dir is None:
         cache_dir = ".mirrorint-cache"
+    if not (args.no_cache or args.rebuild_cache):
+        cached = load_bundle(job.system, job.order, cache_dir, reads)
+        if cached is not None:
+            return cached
+    bundle = build_bundle(job.system, job.order)
     if args.no_cache:
-        bundle = build_bundle(job.system, order)
         manifest = {
             "system": job.system.to_dict(),
-            "order": order,
+            "order": job.order,
             "flagged": bundle.flagged,
             "series": {},
         }
-        return bundle, manifest
-    if not args.rebuild_cache:
-        cached = load_bundle(job.system, order, cache_dir)
-        if cached is not None:
-            return cached
-    bundle = build_bundle(job.system, order)
-    manifest = save_bundle(bundle, cache_dir)
-    return bundle, manifest
+    else:
+        manifest = save_bundle(bundle, cache_dir)
+    series = {
+        name: _series_of(bundle, field, key)
+        for name, field, key in _series_table(job.system)
+        if field in reads
+    }
+    return series, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -425,29 +433,25 @@ def cmd_classify(job: Job, args) -> int:
 
 
 def cmd_bundle(job: Job, args) -> int:
-    bundle, manifest = _bundle_for(job, args)
+    _, manifest = _bundle_for(job, args, reads=())
     # sorted keys: the same bytes whether the manifest was built or read back
     _sys.stdout.write(json.dumps(manifest, sort_keys=True) + "\n")
     _summary(
-        f"bundle ready: order {bundle.order}, {len(bundle.qL)} mirror-type maps"
-        + (", flagged (unequal column sums)" if bundle.flagged else "")
+        f"bundle ready: order {job.order},"
+        f" {len(enumerate_weight_vectors(job.system))} mirror-type maps"
+        + (", flagged (unequal column sums)" if manifest["flagged"] else "")
     )
     return EXIT_OK
 
 
 def cmd_scan(job: Job, args) -> int:
-    bundle, _ = _bundle_for(job, args)
+    targets, manifest = _bundle_for(job, args, reads=("q", "qL", "zofq"))
     failures = 0
-    if bundle.flagged:
-        verdict = classify(bundle.sys, job.strategy)
+    if manifest["flagged"]:
+        verdict = classify(job.system, job.strategy)
         _emit({"classifier": verdict.to_dict()})
-    targets = [
-        (name, _series_of(bundle, field, key))
-        for name, field, key in _series_table(bundle.sys)
-        if field in ("q", "qL", "zofq")
-    ]
     primes: list[Optional[int]] = [None] + job.primes
-    for name, series in targets:
+    for name, series in targets.items():
         for p in primes:
             rep = integrality_scan(series, p)
             failures += 0 if rep.ok else 1
@@ -460,9 +464,9 @@ def cmd_dwork(job: Job, args) -> int:
         F, G = job.fixture
         targets = [("fixture", G)]
     else:
-        bundle, _ = _bundle_for(job, args)
-        F = bundle.F
-        targets = [(f"G_{k + 1}", G) for k, G in enumerate(bundle.G)]
+        series, _ = _bundle_for(job, args, reads=("F", "G"))
+        F = series.pop("F")
+        targets = list(series.items())
     # every check runs before the first line, so a rejected input prints none
     try:
         runs = [
@@ -476,7 +480,7 @@ def cmd_dwork(job: Job, args) -> int:
         for rep in reports:
             lines += 1
             failures += 0 if rep.passed else 1
-            _emit({"prime": p, "series": name} | json.loads(rep.to_json()))
+            _emit({"prime": p, "series": name} | rep.to_dict())
     _summary(f"dieudonne-dwork: {lines} coefficient checks, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
@@ -498,7 +502,7 @@ def cmd_congruences(job: Job, args) -> int:
         reports.append(q_ratio_congruence_sweep(ctx, **sweep))
         for rep in reports:
             failures += 0 if rep.passed else 1
-            _emit({"prime": p} | json.loads(rep.to_json()))
+            _emit({"prime": p} | rep.to_dict())
     _summary(f"formal congruences over primes {job.primes}: {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -61,7 +61,6 @@ build and throw away.  Every reported ``achieved`` value is still exact:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +76,6 @@ from .forms import (
     harmonic_weight,
     is_prime,
     vp_int,
-    vp_of_rational,
     vp_ratio_legendre,
 )
 from .series import MSeries
@@ -278,19 +276,18 @@ class CongruenceReport:
     achieved: Valuation
     passed: bool
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The report line, with INFINITY written as ``"inf"``."""
         def enc(v):
             return "inf" if v is INFINITY else v
 
-        return json.dumps(
-            {
-                "check": self.check,
-                "locus": self.locus,
-                "required": enc(self.required),
-                "achieved": enc(self.achieved),
-                "pass": self.passed,
-            }
-        )
+        return {
+            "check": self.check,
+            "locus": self.locus,
+            "required": enc(self.required),
+            "achieved": enc(self.achieved),
+            "pass": self.passed,
+        }
 
 
 class _Worst:
@@ -368,15 +365,16 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
         raise ValueError(f"{p} is not prime")
     if F.constant_term != 1:
         raise ValueError("F must have constant term 1")
-    for v, c in F.items():
-        if vp_of_rational(c, p) < 0:
-            raise ValueError(f"F has a non p-integral coefficient at {v}")
+    # a reduced coefficient is p-integral iff p does not divide its denominator
+    bad = [v for v, c in F._terms.items() if c.denominator % p == 0]
+    if bad:
+        raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
     if G.constant_term != 0:
         raise ValueError("G must have constant term 0")
     combo = F * G.substitute_pth_power(p) - p * F.substitute_pth_power(p) * G
     out = []
     for v, c in combo.items():
-        ach = vp_of_rational(c, p)
+        ach = _vp(c, p)
         out.append(
             CongruenceReport(
                 check="dieudonne-dwork",

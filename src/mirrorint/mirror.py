@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight, vp_of_rational
+from .forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight, is_prime, vp_int
 from .landau import enumerate_weight_vectors
 from .series import MSeries, invert_diagonal
 
@@ -210,18 +210,19 @@ class ScanReport:
 
 
 def integrality_scan(s: MSeries, p: Optional[int] = None, limit: int = 20) -> ScanReport:
-    """Report every truncation-order coefficient that is not (p-)integral."""
-    found = []
-    total = 0
-    for v, c in s.items():
-        if p is None:
-            bad = c.denominator != 1
-            val = None
-        else:
-            val = vp_of_rational(c, p)
-            bad = val < 0
-        if bad:
-            total += 1
-            if len(found) < limit:
-                found.append(ScanViolation(v, c, val))
-    return ScanReport(prime=p, violations=tuple(found), total=total, limit=limit)
+    """Report every truncation-order coefficient that is not (p-)integral.
+
+    Coefficients are stored reduced, so the denominator decides: c is not
+    integral iff den != 1, and not p-integral iff p | den, and then
+    v_p(c) = -v_p(den).
+    """
+    terms = s._terms
+    if p is None:
+        bad = sorted(v for v, c in terms.items() if c.denominator != 1)
+        found = (ScanViolation(v, terms[v]) for v in bad[:limit])
+    elif is_prime(p):
+        bad = sorted(v for v, c in terms.items() if c.denominator % p == 0)
+        found = (ScanViolation(v, terms[v], -vp_int(terms[v].denominator, p)) for v in bad[:limit])
+    else:
+        raise ValueError(f"{p} is not prime")
+    return ScanReport(prime=p, violations=tuple(found), total=len(bad), limit=limit)

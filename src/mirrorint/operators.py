@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .forms import FormSystem, _int_list
-from .mirror import build_F, build_Gk, integrality_scan
+from .forms import FormSystem, _int_list, harmonic_weight
+from .mirror import _families, integrality_scan
 from .series import LogSeries, MSeries, apply_theta_poly
 from .systems import CASE30
 
@@ -229,8 +230,10 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     """
     sys = rec.system
     evaluator = closed_form(rec.closed_form)
-    F_spec = build_F(sys, order).specialize(rec.M, rec.Nexp)
-    G_spec = build_Gk(sys, rec.k, order).specialize(rec.M, rec.Nexp)
+    # F and G_k from one pass, which takes each Q(n) once
+    F, G = _families(sys, order, [lambda v: 1, partial(harmonic_weight, sys, rec.k - 1)])
+    F_spec = F.specialize(rec.M, rec.Nexp)
+    G_spec = G.specialize(rec.M, rec.Nexp)
     checks = []
 
     mismatch = next(

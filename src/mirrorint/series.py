@@ -72,6 +72,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import kronecker
@@ -365,47 +367,67 @@ class MSeries:
 
     @classmethod
     def from_dict(cls, data) -> "MSeries":
-        """The series ``to_dict`` wrote; anything else raises ValueError.
+        """The series ``to_dict`` wrote; anything else raises ValueError
+        (see ``check_dict``)."""
+        return cls.from_checked(*check_dict(data))
 
-        ``d`` and ``order`` are ints, each term has an ``exp`` list of d
-        nonnegative ints of degree <= order, and ``num``/``den`` are the
-        decimal strings of a nonzero reduced fraction with ``den`` > 0.
-        No exponent appears twice.
-        """
-        if not isinstance(data, dict) or set(data) != {"d", "order", "terms"}:
-            raise ValueError("a series is an object with exactly d, order and terms")
-        d, order, terms = data["d"], data["order"], data["terms"]
-        if type(d) is not int or d < 1 or type(order) is not int or order < 0:
-            raise ValueError("d must be a positive and order a nonnegative integer")
-        if not isinstance(terms, list):
-            raise ValueError("terms must be a list")
-        out: dict[Exponent, Fraction] = {}
-        for t in terms:
-            if not isinstance(t, dict) or set(t) != {"exp", "num", "den"}:
-                raise ValueError(f"a term is an object with exactly exp, num and den: {t!r}")
-            exp, num, den = t["exp"], t["num"], t["den"]
-            if not (
-                isinstance(exp, list)
-                and len(exp) == d
-                and all(type(e) is int and e >= 0 for e in exp)
-                and sum(exp) <= order
-            ):
-                raise ValueError(f"bad exponent {exp!r} for d={d}, order={order}")
-            if not (isinstance(num, str) and _NONZERO.fullmatch(num)):
-                raise ValueError(f"num must be a nonzero decimal integer string: {num!r}")
-            if not (isinstance(den, str) and _POSITIVE.fullmatch(den)):
-                raise ValueError(f"den must be a positive decimal integer string: {den!r}")
-            v, c = tuple(exp), Fraction(int(num), int(den))
-            if c.denominator != int(den):
-                raise ValueError(f"{num}/{den} is not reduced")
-            if v in out:
-                raise ValueError(f"exponent {exp} appears twice")
-            out[v] = c
-        return cls._trusted(d, order, out)
+    @classmethod
+    def from_checked(cls, d: int, order: int, exps, nums, dens) -> "MSeries":
+        """The series of a document that ``check_dict`` accepted, from what it returned."""
+        return cls._trusted(d, order, dict(zip(exps, map(Fraction, nums, dens))))
 
 
-_NONZERO = re.compile(r"-?[1-9][0-9]*")
-_POSITIVE = re.compile(r"[1-9][0-9]*")
+_TERM_KEYS = frozenset(("exp", "num", "den"))
+# comma-joined decimal strings: nonzero numerators, positive denominators
+_NUMS = re.compile(r"-?[1-9][0-9]*(?:,-?[1-9][0-9]*)*")
+_DENS = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
+
+
+def check_dict(data) -> tuple[int, int, list[Exponent], list[int], list[int]]:
+    """Check that ``data`` is a series document as ``MSeries.to_dict`` writes it.
+
+    ``d`` and ``order`` are ints, each term an object with exactly ``exp``,
+    ``num`` and ``den``; ``exp`` is a list of d nonnegative ints of degree
+    <= order, and ``num``/``den`` are the decimal strings of a nonzero
+    reduced fraction with ``den`` > 0.  No exponent appears twice.  Each
+    check is one pass over all terms: an exponent must be a key of the
+    Kronecker grading at (d, order), and each column of strings must match
+    one pattern when joined by commas.
+
+    Returns d, order, the exponent tuples and the numerators and
+    denominators as ints; raises ValueError on anything else.
+    """
+    if not isinstance(data, dict) or set(data) != {"d", "order", "terms"}:
+        raise ValueError("a series is an object with exactly d, order and terms")
+    d, order, terms = data["d"], data["order"], data["terms"]
+    if type(d) is not int or d < 1 or type(order) is not int or order < 0:
+        raise ValueError("d must be a positive and order a nonnegative integer")
+    if not isinstance(terms, list):
+        raise ValueError("terms must be a list")
+    if set(map(type, terms)) - {dict} or set(map(frozenset, terms)) - {_TERM_KEYS}:
+        raise ValueError("a term is an object with exactly exp, num and den")
+    exps = list(map(itemgetter("exp"), terms))
+    # bool and float keys would hash like ints, so the types go first
+    if set(map(type, exps)) - {list} or set(map(type, chain.from_iterable(exps))) - {int}:
+        raise ValueError("an exponent is not a list of ints")
+    vs = list(map(tuple, exps))
+    distinct = set(vs)
+    if distinct and not kronecker.grading(d, order).key.keys() >= distinct:
+        raise ValueError(f"an exponent is not {d} nonnegative ints of degree <= {order}")
+    if len(distinct) != len(vs):
+        raise ValueError("an exponent appears twice")
+    nums = list(map(itemgetter("num"), terms))
+    dens = list(map(itemgetter("den"), terms))
+    if set(map(type, nums + dens)) - {str}:
+        raise ValueError("num and den must be decimal integer strings")
+    for strings, pattern in ((nums, _NUMS), (dens, _DENS)):
+        if strings and not pattern.fullmatch(",".join(strings)):
+            raise ValueError("num must be a nonzero and den a positive decimal integer string")
+    # a string with a comma of its own passes the pattern, but int() rejects it
+    nums, dens = list(map(int, nums)), list(map(int, dens))
+    if set(map(math.gcd, nums, dens)) - {1}:
+        raise ValueError("a fraction is not reduced")
+    return d, order, vs, nums, dens
 
 
 def _emit(g: kronecker.Grading, order: int, D: int, ints: dict[int, int]) -> MSeries:

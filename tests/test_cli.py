@@ -98,6 +98,12 @@ MALFORMED_SERIES = {
 }
 # well-formed series of another shape than the cached bundle
 MISFIT_SERIES = {"lower order": _lower_order, "another dimension": _add_a_variable}
+# on central-binomial: series each report command verifies but does not build
+UNREAD_SERIES = {
+    "scan": ["F", "G_1", "GL_2"],
+    "dwork": ["q_1", "qL_1", "z_1", "GL_2"],
+    "bundle": ["F", "G_1", "GL_1", "q_1", "qL_2", "z_1"],
+}
 
 
 class TestClassify:
@@ -331,6 +337,49 @@ class TestScanAndCache:
         code, warm, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK and warm == cold
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [(c, n) for c, names in UNREAD_SERIES.items() for n in names],
+    )
+    @pytest.mark.parametrize(
+        "edit", [*MALFORMED_SERIES.values(), *MISFIT_SERIES.values()],
+        ids=[*MALFORMED_SERIES, *MISFIT_SERIES],
+    )
+    def test_series_a_command_does_not_read_is_still_verified(
+        self, tmp_path, capsys, cache_args, command, name, edit
+    ):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4}
+        )
+        code, cold, _ = run(capsys, [command, job, *cache_args])
+        assert code == EXIT_OK
+        reseal(tmp_path / "cache", name, edit)
+        code, out, err = run(capsys, [command, job, *cache_args])
+        assert code == EXIT_CACHE
+        assert out == "" and len(err.splitlines()) == 1 and f"/{name}.json" in err
+        code, warm, _ = run(capsys, [command, job, "--rebuild-cache", *cache_args])
+        assert code == EXIT_OK and warm == cold
+
+    @pytest.mark.parametrize(
+        "name, order",
+        [("cubic-2d", None), ("cubic-2d", 4), ("cubic-split", None),
+         ("central-binomial", None), ("inverse-binomial", None), ("case30", None),
+         ("case30", 4)],
+    )
+    def test_warm_reports_print_what_fresh_ones_print(
+        self, tmp_path, capsys, cache_args, name, order
+    ):
+        doc = {"system": {"name": name}, "primes": [2, 3, 5]}
+        if order is not None:
+            doc["order"] = order
+        job = write_job(tmp_path, "a.json", doc)
+        fresh = {c: run(capsys, [c, job, "--no-cache"])[:2] for c in ("scan", "dwork")}
+        # --no-cache lists no files, so the bundle manifest is checked against a cold one
+        fresh["bundle"] = run(capsys, ["bundle", job, *cache_args])[:2]
+        assert fresh["bundle"][0] == EXIT_OK
+        for command in ("bundle", "scan", "dwork"):
+            assert run(capsys, [command, job, *cache_args])[:2] == fresh[command]
+
     @pytest.mark.parametrize("name", ["qL_1", "GL_2", "F"])
     def test_manifest_missing_a_series_exits_3(self, tmp_path, capsys, cache_args, name):
         job = write_job(
@@ -525,7 +574,7 @@ class TestCongruences:
             assert max(m) <= m_bound
             ctx = PadicContext(line["prime"], CENTRAL_BINOMIAL)
             expected = q_ratio_congruence_sweep(ctx, s_max=1, m_bound=m_bound)
-            assert line == {"prime": line["prime"]} | json.loads(expected.to_json())
+            assert line == {"prime": line["prime"]} | json.loads(json.dumps(expected.to_dict()))
 
     def test_unit_ratio_sweep_keeps_its_default_m_bound(self, tmp_path, capsys):
         doc = {"system": {"name": "central-binomial"}, "primes": [2],
@@ -534,7 +583,7 @@ class TestCongruences:
         assert code == EXIT_OK
         line = json.loads(out.splitlines()[-1])
         expected = q_ratio_congruence_sweep(PadicContext(2, CENTRAL_BINOMIAL), s_max=1)
-        assert line == {"prime": 2} | json.loads(expected.to_json())
+        assert line == {"prime": 2} | json.loads(json.dumps(expected.to_dict()))
 
     def test_unequal_column_sums_exit_2(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": {"e": [[2]], "f": [[1]]}})

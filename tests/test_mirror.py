@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mirrorint import mirror
-from mirrorint.forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight
+from mirrorint.forms import (
+    FormSystem,
+    dot,
+    factorial_ratio,
+    harmonic,
+    harmonic_weight,
+    vp_of_rational,
+)
 from mirrorint.landau import enumerate_weight_vectors
 from mirrorint.mirror import (
     build_F,
@@ -242,6 +249,35 @@ class TestScan:
         rep = integrality_scan(s, 2, limit=20)
         assert rep.total == 30
         assert len(rep.violations) == 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.fractions(max_denominator=5**6).filter(bool),
+            max_size=25,
+        ),
+        p=st.sampled_from([None, 2, 3, 5, 7]),
+        limit=st.integers(0, 30),
+    )
+    def test_denominators_decide_like_valuations(self, terms, p, limit):
+        s = MSeries(2, 10, terms)
+        rep = integrality_scan(s, p, limit)
+        # the oracle: every coefficient in exponent order, valuations taken whole
+        bad = [
+            (v, c, None if p is None else vp_of_rational(c, p))
+            for v, c in s.items()
+            if (c.denominator != 1 if p is None else vp_of_rational(c, p) < 0)
+        ]
+        assert rep.total == len(bad) and rep.ok == (not bad)
+        assert rep.prime == p and rep.limit == limit
+        assert [(x.exponent, x.coefficient, x.valuation) for x in rep.violations] == bad[:limit]
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, 15])
+    def test_composite_prime_rejected(self, p):
+        for s in (MSeries.zero(1, 4), MSeries(1, 4, {(1,): Fraction(1, 6)})):
+            with pytest.raises(ValueError):
+                integrality_scan(s, p)
 
     def test_integrality_equivalence_directions(self):
         # all q integral <=> all mirror maps integral, on both dichotomy branches

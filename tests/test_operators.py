@@ -5,9 +5,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from mirrorint.forms import harmonic
+from mirrorint import mirror
+from mirrorint.forms import factorial_ratio, harmonic
 from mirrorint.landau import Tag, classify, delta_at, in_jump_region
-from mirrorint.mirror import build_Gk
+from mirrorint.mirror import build_Gk, exponents_upto
 from mirrorint.operators import (
     CaseRecord,
     ThetaOperator,
@@ -120,6 +121,17 @@ class TestCase30:
             "annihilates-log-companion",
             "q-parameter-integral",
         ]
+
+    def test_verification_takes_each_factorial_ratio_once(self, monkeypatch):
+        seen = []
+
+        def counting(sys, n):
+            seen.append(tuple(n))
+            return factorial_ratio(sys, n)
+
+        monkeypatch.setattr(mirror, "factorial_ratio", counting)
+        assert verify_annihilation(case30_record(), 8).ok
+        assert seen == list(exponents_upto(2, 8))
 
     def test_log_companion_closed_form_matches_construction(self):
         rec = case30_record()

@@ -9,9 +9,11 @@ and the Fraction recursions ``oracle_reciprocal``, ``oracle_exp`` and
 Kronecker products and its integer graded recursions.
 """
 
+import copy
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -543,40 +545,135 @@ def test_unit_operations_match_weighted_recursions(case):
     assert unit.log() == oracle_log(unit)
 
 
-def _first_term(**fields):
-    return lambda doc: doc["terms"][0].update(fields)
+def _term(**fields):
+    """Set ``fields`` on one term (the first unless told otherwise)."""
+    return lambda doc, i=0: doc["terms"][i].update(fields)
 
 
-# edits of a series document into something to_dict never writes
+# edits of a series document into something to_dict never writes; the
+# per-term ones take the index of the term they change
 NOT_WRITTEN_BY_TO_DICT = {
-    "float num": _first_term(num=1.5),
-    "int num": _first_term(num=3),
-    "decimal num": _first_term(num="1.5"),
-    "plus sign": _first_term(num="+3"),
-    "leading zero": _first_term(num="03"),
-    "space": _first_term(num=" 3"),
-    "zero num": _first_term(num="0"),
-    "zero den": _first_term(den="0"),
-    "negative den": _first_term(den="-4"),
-    "unreduced": _first_term(num="6", den="8"),
-    "short exp": _first_term(exp=[1]),
-    "bool exp": _first_term(exp=[1, True]),
-    "negative exp": _first_term(exp=[1, -1]),
-    "float exp": _first_term(exp=[1, 1.0]),
-    "tuple exp": _first_term(exp=(1, 1)),
-    "exp past order": _first_term(exp=[4, 0]),
-    "no den": lambda doc: doc["terms"][0].pop("den"),
-    "extra term key": _first_term(extra=1),
-    "repeated exp": lambda doc: doc["terms"].append(dict(doc["terms"][0])),
-    "list term": lambda doc: doc["terms"].append([[0, 0], "1", "1"]),
-    "terms object": lambda doc: doc.update(terms={}),
-    "no terms": lambda doc: doc.pop("terms"),
-    "bool d": lambda doc: doc.update(d=True),
-    "zero d": lambda doc: doc.update(d=0),
-    "string order": lambda doc: doc.update(order="3"),
-    "negative order": lambda doc: doc.update(order=-1),
-    "extra key": lambda doc: doc.update(extra=None),
+    "float num": _term(num=1.5),
+    "int num": _term(num=3),
+    "decimal num": _term(num="1.5"),
+    "plus sign": _term(num="+3"),
+    "leading zero": _term(num="03"),
+    "space": _term(num=" 3"),
+    "zero num": _term(num="0"),
+    "zero den": _term(den="0"),
+    "negative den": _term(den="-4"),
+    "unreduced": _term(num="6", den="8"),
+    "short exp": _term(exp=[1]),
+    "bool exp": _term(exp=[1, True]),
+    "negative exp": _term(exp=[1, -1]),
+    "float exp": _term(exp=[1, 1.0]),
+    "tuple exp": _term(exp=(1, 1)),
+    "exp past order": _term(exp=[4, 0]),
+    "no den": lambda doc, i=0: doc["terms"][i].pop("den"),
+    "extra term key": _term(extra=1),
+    "repeated exp": lambda doc, i=0: doc["terms"].append(dict(doc["terms"][i])),
+    "list term": lambda doc, i=0: doc["terms"].append([[0, 0], "1", "1"]),
+    "terms object": lambda doc, i=0: doc.update(terms={}),
+    "no terms": lambda doc, i=0: doc.pop("terms"),
+    "bool d": lambda doc, i=0: doc.update(d=True),
+    "zero d": lambda doc, i=0: doc.update(d=0),
+    "string order": lambda doc, i=0: doc.update(order="3"),
+    "negative order": lambda doc, i=0: doc.update(order=-1),
+    "extra key": lambda doc, i=0: doc.update(extra=None),
+    "plus five": _term(num="+5"),
+    "leading zero five": _term(num="05"),
+    "space five": _term(num=" 5"),
+    "underscore num": _term(num="1_0"),
+    "minus zero": _term(num="-0"),
+    "plus den": _term(den="+5"),
+    "leading zero den": _term(den="05"),
+    "space den": _term(den=" 5"),
+    "underscore den": _term(den="1_0"),
+    "comma in num": _term(num="1,3"),
+    "comma in den": _term(den="5,7"),
+    "trailing newline": _term(num="5\n"),
+    "non-ascii digit": _term(num="\u0663"),
+    "float in exp": _term(exp=[1.0, 0]),
+    "true in exp": _term(exp=[True, 0]),
+    "degree above order": _term(exp=[2, 2]),
+    "exp past order in one variable": _term(exp=[0, 4]),
 }
+
+
+def oracle_from_dict(data):
+    """``MSeries.from_dict`` checked one term at a time, as it once was."""
+    if not isinstance(data, dict) or set(data) != {"d", "order", "terms"}:
+        raise ValueError("a series is an object with exactly d, order and terms")
+    d, order, terms = data["d"], data["order"], data["terms"]
+    if type(d) is not int or d < 1 or type(order) is not int or order < 0:
+        raise ValueError("d must be a positive and order a nonnegative integer")
+    if not isinstance(terms, list):
+        raise ValueError("terms must be a list")
+    out = {}
+    for t in terms:
+        if not isinstance(t, dict) or set(t) != {"exp", "num", "den"}:
+            raise ValueError(f"a term is an object with exactly exp, num and den: {t!r}")
+        exp, num, den = t["exp"], t["num"], t["den"]
+        if not (
+            isinstance(exp, list)
+            and len(exp) == d
+            and all(type(e) is int and e >= 0 for e in exp)
+            and sum(exp) <= order
+        ):
+            raise ValueError(f"bad exponent {exp!r} for d={d}, order={order}")
+        if not (isinstance(num, str) and re.fullmatch(r"-?[1-9][0-9]*", num)):
+            raise ValueError(f"num must be a nonzero decimal integer string: {num!r}")
+        if not (isinstance(den, str) and re.fullmatch(r"[1-9][0-9]*", den)):
+            raise ValueError(f"den must be a positive decimal integer string: {den!r}")
+        v, c = tuple(exp), Fraction(int(num), int(den))
+        if c.denominator != int(den):
+            raise ValueError(f"{num}/{den} is not reduced")
+        if v in out:
+            raise ValueError(f"exponent {exp} appears twice")
+        out[v] = c
+    return MSeries._trusted(d, order, out)
+
+
+@st.composite
+def series_documents(draw):
+    """A ``to_dict`` document, at d in 1..3 and order in 0..4, with any
+    coefficients, possibly after one edit at a random term."""
+    d, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    exps = [v for v in itertools.product(range(order + 1), repeat=d) if sum(v) <= order]
+    chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=8))
+    coeff = st.fractions(max_denominator=10**30).filter(bool) | st.integers().filter(bool)
+    doc = MSeries(d, order, {v: draw(coeff) for v in chosen}).to_dict()
+    if chosen:
+        name = draw(st.none() | st.sampled_from(sorted(NOT_WRITTEN_BY_TO_DICT)))
+        if name is not None:
+            NOT_WRITTEN_BY_TO_DICT[name](doc, draw(st.integers(0, len(chosen) - 1)))
+    return doc
+
+
+def _outcome(read, doc):
+    """What ``read`` makes of ``doc``: d, order and terms, or "rejected"."""
+    try:
+        s = read(copy.deepcopy(doc))
+    except ValueError:
+        return "rejected"
+    assert_canonical(s)
+    return s.d, s.order, s._terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=series_documents())
+def test_bulk_checks_match_the_per_term_oracle(doc):
+    assert _outcome(MSeries.from_dict, doc) == _outcome(oracle_from_dict, doc)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_WRITTEN_BY_TO_DICT))
+def test_each_edit_is_rejected_at_every_term(name):
+    terms = {(0, 0): 1, (1, 0): Fraction(-3, 4), (0, 1): 5, (1, 1): Fraction(7, 9), (0, 2): 2}
+    for i in range(len(terms)):
+        doc = MSeries(2, 3, terms).to_dict()
+        NOT_WRITTEN_BY_TO_DICT[name](doc, i)
+        assert _outcome(oracle_from_dict, doc) == "rejected"
+        assert _outcome(MSeries.from_dict, doc) == "rejected"
 
 
 class TestAccessAndSerializationChecks:
