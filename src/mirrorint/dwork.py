@@ -56,6 +56,13 @@ build and throw away.  Every reported ``achieved`` value is still exact:
     (K, s, m) in order and so holds the first least margin of a.  Merged
     in residue order, a later tracker replacing the result only with a
     strictly smaller margin, they give the first least margin of all.
+  * Weight shift: for excluded (n, t), n < p^t, so levels 1..t of n + p^t m
+    are n's own, all in the jump region, and level t + l is in it exactly
+    when some form w has w.(m mod p^l) >= p^l - c_w, with carry c_w =
+    floor(w.n / p^t).  So mu(n + p^t m) = t + kappa_c(m), mu = kappa_0: each
+    distinct c sweeps the m box once, and each (n, t) updates the tracker at
+    its c's first least margin.  As c >= 0, no margin is negative: the weight
+    shift cannot fail, but the sweep still reports its first least margin.
 """
 
 from __future__ import annotations
@@ -208,17 +215,18 @@ class PadicContext:
         m = tuple(int(c) for c in m)
         out = self._mu_cache.get(m)
         if out is None:
-            out = self._mu_cache[m] = self._count_mu(m)
+            out = self._mu_cache[m] = self._levels(m, (0,) * len(self._forms))
         return out
 
-    def _count_mu(self, m: IntVec) -> int:
-        # {m/q} = (m mod q)/q, and past the largest form value no level counts
-        top = max((sum(map(mul, w, m)) for w in self._forms), default=0)
-        count = 0
-        q = self.p
+    def _levels(self, m: IntVec, carry: IntVec) -> int:
+        """kappa_c(m): the number of l >= 1 with w.(m mod p^l) >= p^l - c_w for some
+        form w, carries c_w listed like the forms; none past the largest w.m + c_w."""
+        forms = list(zip(self._forms, carry))
+        top = max((sum(map(mul, w, m)) + c for w, c in forms), default=0)
+        count, q = 0, self.p
         while q <= top:
-            if _in_region_scaled(self, [c % q for c in m], q):
-                count += 1
+            u = [x % q for x in m]
+            count += any(sum(map(mul, w, u)) + c >= q for w, c in forms)
             q *= self.p
         return count
 
@@ -307,9 +315,8 @@ class _Worst:
             if self.count == 1:
                 self.locus, self.required, self.achieved = locus, required, achieved
             return
-        margin = achieved - (0 if required is INFINITY else required)
-        if required is INFINITY:
-            margin = -(10**9)  # finite valuation can never reach an exact-zero demand
+        # a finite valuation can never reach an exact-zero demand
+        margin = -(10**9) if required is INFINITY else achieved - required
         if self.margin is None or margin < self.margin:
             self.margin = margin
             self.locus, self.required, self.achieved = locus, required, achieved
@@ -337,17 +344,8 @@ class _Worst:
             self.count += later.count - 1
 
     def report(self) -> CongruenceReport:
-        if self.margin is None:
-            passed = True
-        else:
-            passed = self.achieved >= self.required
-        return CongruenceReport(
-            check=self.check,
-            locus=self.locus,
-            required=self.required,
-            achieved=self.achieved,
-            passed=passed,
-        )
+        passed = self.margin is None or self.achieved >= self.required
+        return CongruenceReport(self.check, self.locus, self.required, self.achieved, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +517,13 @@ def verify_formal_congruences(
     reports.extend(_ratio_reports(ctx, s_max, m_bound, mus))
 
     w = _Worst("weight-shift")
+    first = {}  # carry c -> place in mbox of the first least margin kappa_c(m) - mu(m)
     for n, t in excluded_indices(ctx, s_max):
-        pt = p**t
-        for m, mu_m in zip(mbox, mus):
-            shifted = tuple(x + pt * y for x, y in zip(n, m))
-            w.update((n, t, m), t + mu_m, ctx._count_mu(shifted))
+        c = tuple(sum(map(mul, f, n)) // p**t for f in ctx._forms)
+        i = first.get(c)
+        if i is None:
+            i = first[c] = min(range(len(mbox)), key=lambda j: ctx._levels(mbox[j], c) - mus[j])
+        w.update((n, t, mbox[i]), t + mus[i], t + ctx._levels(mbox[i], c))
     reports.append(w.report())
 
     reports.extend(_conclusion_reports(ctx, s_max, k_bound, m_bound, dict(zip(mbox, mus))))

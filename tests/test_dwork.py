@@ -176,10 +176,9 @@ def oracle_verify_formal_congruences(p, sys, ranges):
     reports.extend([wa.report(), wa1.report(), wa2.report()])
 
     w = _Worst("weight-shift")
-    for n, t in ctx.excluded_indices(s_max):
-        for m in _obox((m_bound,) * d):
-            shifted = tuple(x + p**t * y for x, y in zip(n, m))
-            w.update((n, t, m), t + ctx.mu(m), ctx.mu(shifted))
+    for rows in oracle_weight_shift_rows(ctx, s_max, m_bound):
+        for row in rows:
+            w.update(*row)
     reports.append(w.report())
 
     wc = _Worst("conclusion")
@@ -196,6 +195,18 @@ def oracle_verify_formal_congruences(p, sys, ranges):
                 wt.update((a, K, s), INFINITY, vp_of_rational(total, p))
     reports.extend([wc.report(), wt.report()])
     return reports
+
+
+def oracle_weight_shift_rows(ctx, s_max, m_bound):
+    """Per excluded (n, t), its weight-shift rows over the m box, index by
+    index: (locus, required t + mu(m), achieved mu(n + p^t m))."""
+    p = ctx.p
+    for n, t in ctx.excluded_indices(s_max):
+        rows = []
+        for m in _obox((m_bound,) * ctx.sys.d):
+            shifted = tuple(x + p**t * y for x, y in zip(n, m))
+            rows.append(((n, t, m), t + ctx.mu(m), ctx.mu(shifted)))
+        yield rows
 
 
 def oracle_q_ratio_congruence_sweep(p, sys, s_max, m_bound):
@@ -659,3 +670,67 @@ class TestHarnessAgainstOracle:
     def test_bundled_systems_at_default_ranges(self):
         for p, sys in ((2, CUBIC_SPLIT), (3, CENTRAL_BINOMIAL), (3, INVERSE_BINOMIAL)):
             self.assert_same(p, sys, CongruenceRanges())
+
+
+class TestWeightShift:
+    """The weight shift by carry class against the index-by-index sweep."""
+
+    @pytest.mark.parametrize(
+        "p, sys",
+        [
+            (3, CUBIC_2D),
+            (3, CUBIC_SPLIT),
+            (3, CASE30),
+            (5, CENTRAL_BINOMIAL),
+            (5, INVERSE_BINOMIAL),
+        ],
+    )
+    def test_report_matches_oracle_at_default_ranges(self, p, sys):
+        ranges = CongruenceRanges()
+        [fast] = [
+            r
+            for r in verify_formal_congruences(PadicContext(p, sys), ranges)
+            if r.check == "weight-shift"
+        ]
+        s_max, _, m_bound = ranges.resolved(p)
+        slow = _Worst("weight-shift")
+        for rows in oracle_weight_shift_rows(_OracleContext(p, sys), s_max, m_bound):
+            for row in rows:
+                slow.update(*row)
+        assert report_line(fast) == report_line(slow.report())
+
+    @settings(max_examples=40, deadline=None)
+    @given(TestHarnessAgainstOracle.jobs())
+    def test_carry_lemma(self, job):
+        # mu(n + p^t m) = t + kappa_c(m) with c_w = floor(w.n / p^t), and the
+        # margin kappa_c(m) - mu(m) is never negative
+        p, sys, _ = job
+        ctx, oracle = PadicContext(p, sys), _OracleContext(p, sys)
+        for n, t in oracle.excluded_indices(2):
+            c = tuple(dot(w, n) // p**t for w in ctx._forms)
+            for m in _obox((2,) * sys.d):
+                kappa = ctx._levels(m, c)
+                assert oracle.mu(tuple(x + p**t * y for x, y in zip(n, m))) == t + kappa
+                assert kappa >= ctx.mu(m) == oracle.mu(m), (n, t, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(TestHarnessAgainstOracle.jobs())
+    def test_each_excluded_index_updates_at_its_first_least_margin(self, job):
+        # the harness feeds the tracker one update per excluded (n, t), in
+        # order, at the first m of the box with the least margin
+        p, sys, _ = job
+        ranges = CongruenceRanges(2 if p**sys.d <= 9 else 1, 0, 2)
+        updates = []
+
+        class Recording(_Worst):
+            def update(self, locus, required, achieved):
+                if self.check == "weight-shift":
+                    updates.append((locus, required, achieved))
+                super().update(locus, required, achieved)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dwork, "_Worst", Recording)
+            verify_formal_congruences(PadicContext(p, sys), ranges)
+        s_max, _, m_bound = ranges.resolved(p)
+        rows = oracle_weight_shift_rows(_OracleContext(p, sys), s_max, m_bound)
+        assert updates == [min(r, key=lambda row: row[2] - row[1]) for r in rows]
