@@ -50,7 +50,6 @@ from .dwork import (
     CongruenceRanges,
     CongruenceReport,
     PadicContext,
-    dd_coefficient_k,
     dieudonne_dwork_check,
     good_residues,
     harmonic_obstruction,

@@ -17,7 +17,8 @@ system and ``case`` run the classifier too, and exit 20 with no report
 line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
-inverse-binomial), ``congruences`` on unequal column sums of e and f,
+inverse-binomial) or on a fixture whose F and G differ in dimension or
+order, ``congruences`` on unequal column sums of e and f,
 ``case`` at an order below the z-degree of its operator or on a record
 that ``CaseRecord.from_dict`` rejects.  JSON ``true`` and ``false`` are
 never taken for integers.
@@ -35,9 +36,14 @@ hash-carrying manifest; re-running a command against a warm cache yields
 byte-identical reports.  Every file of a cache entry is verified on every
 load (the manifest's series set, each hash, well-formedness, dimension and
 order), but only the series a command reads are built: ``scan`` reads q,
-q_L and z(q), ``dwork`` F and G_k, and ``bundle`` none.  Precedence for
-the cache location: --cache-dir flag, then the MIRRORINT_CACHE environment
-variable, then the job file, then ``.mirrorint-cache``.
+q_L and z(q), and ``bundle`` none.  Precedence for the cache location:
+--cache-dir flag, then the MIRRORINT_CACHE environment variable, then the
+job file, then ``.mirrorint-cache``.
+
+``dwork`` needs only F and the G_k, which one coefficient pass gives at
+about the cost of a cache read and without the rest of a bundle; so it
+neither reads nor writes the cache, and the cache flags do not change it.
+Its job gives a system or a ``fixture`` of F and G, not both.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import json
 import os
 import sys as _sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .dwork import (
@@ -57,10 +64,10 @@ from .dwork import (
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
-from .forms import FormSystem, is_prime
+from .forms import FormSystem, harmonic_weight, is_prime
 from .landau import BudgetExceededError, SamplingStrategy, Tag, classify
 from .landau import enumerate_weight_vectors
-from .mirror import MirrorBundle, build_bundle, integrality_scan
+from .mirror import MirrorBundle, _families, build_bundle, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
 from .series import MSeries, check_dict
 from .systems import BUNDLED, default_order
@@ -377,13 +384,19 @@ def load_bundle(
     return series, manifest
 
 
-def _bundle_for(job: Job, args, reads) -> tuple[dict[str, MSeries], dict]:
-    """The series of the fields in ``reads`` by name, and the manifest, from
-    the cache or built; resolves ``job.order`` to the default when unset."""
+def _system(job: Job) -> FormSystem:
+    """The job's system, with ``job.order`` resolved to its default when unset."""
     if job.system is None:
         _fail_schema("this command needs a system")
     if job.order is None:
         job.order = default_order(job.system)
+    return job.system
+
+
+def _bundle_for(job: Job, args, reads) -> tuple[dict[str, MSeries], dict]:
+    """The series of the fields in ``reads`` by name, and the manifest, from
+    the cache or built; resolves ``job.order`` to the default when unset."""
+    _system(job)
     cache_dir = args.cache_dir or os.environ.get("MIRRORINT_CACHE") or job.cache_dir
     if cache_dir is None:
         cache_dir = ".mirrorint-cache"
@@ -459,14 +472,19 @@ def cmd_scan(job: Job, args) -> int:
     _summary(f"scanned {len(targets)} series; {failures} reports with violations")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
+
 def cmd_dwork(job: Job, args) -> int:
     if job.fixture is not None:
+        if job.system is not None:
+            _fail_schema("dwork takes a system or a fixture, not both")
         F, G = job.fixture
         targets = [("fixture", G)]
     else:
-        series, _ = _bundle_for(job, args, reads=("F", "G"))
-        F = series.pop("F")
-        targets = list(series.items())
+        sys_ = _system(job)
+        ks = [partial(harmonic_weight, sys_, k) for k in range(sys_.d)]
+        # F and every G_k from one pass, which takes each Q(n) once
+        F, *Gs = _families(sys_, job.order, [lambda v: 1, *ks])
+        targets = [(name, Gs[k]) for name, field, k in _series_table(sys_) if field == "G"]
     # every check runs before the first line, so a rejected input prints none
     try:
         runs = [

@@ -8,9 +8,8 @@ v_p(x) >= t + v_p(g).  The module provides
     in the jump region, with g_p = p^mu_p;
   * good residues mod p^s: vectors whose scaled fractional part avoids
     the jump region;
-  * the Dieudonne-Dwork product test for exp(G/F), per exponent;
-  * a closed convolution formula for single coefficients of the
-    Dieudonne-Dwork combination of G_k;
+  * the Dieudonne-Dwork product test for exp(G/F), per exponent, on the
+    integer numerators of F and G;
   * the generalized formal-congruence harness: hypothesis checks and the
     conclusion sweep for the double convolution sums, with an exact
     telescoping identity;
@@ -74,6 +73,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
+from . import kronecker
 from .forms import (
     INFINITY,
     FormSystem,
@@ -358,6 +358,13 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
     exp(G/F) has p-integral coefficients iff every coefficient of the
     combination has valuation >= 1; each nonzero coefficient yields one
     report, in lexicographic exponent order.
+
+    The combination is formed on integers: with F = f / D_F and
+    G = h / D_G, it is (f h(z^p) - p f(z^p) h) / (D_F D_G), two Kronecker
+    products and one sum.  The Kronecker key is linear, so z -> z^p maps
+    key k to p k, and the keys below the truncation stay below it exactly
+    when the degree does.  A coefficient c / D has valuation
+    v_p(c) - v_p(D), with no precision to run out of.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -369,10 +376,20 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
         raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
     if G.constant_term != 0:
         raise ValueError("G must have constant term 0")
-    combo = F * G.substitute_pth_power(p) - p * F.substitute_pth_power(p) * G
+    F._check_compatible(G)
+    N = F.order
+    g = kronecker.grading(F.d, N)
+    cut = g.top * (N + 1)
+    (D_F, f), (D_G, h) = F._numerators(), G._numerators()
+    f_p, h_p = ({p * k: c for k, c in x.items() if p * k < cut} for x in (f, h))
+    D, ints = kronecker.add(
+        kronecker.multiply(g, N, (D_F, f), (D_G, h_p)),
+        kronecker.multiply(g, N, (D_F, f_p), (D_G, {k: -p * c for k, c in h.items()})),
+    )
+    v_D = vp_int(D, p)
     out = []
-    for v, c in combo.items():
-        ach = _vp(c, p)
+    for v, c in sorted((g.exp[k], c) for k, c in ints.items()):
+        ach = vp_int(c, p) - v_D
         out.append(
             CongruenceReport(
                 check="dieudonne-dwork",
@@ -385,41 +402,13 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
     return out
 
 
-def dd_coefficient_k(
-    ctx: PadicContext, k: int, a: Sequence[int], K: Sequence[int]
-) -> Fraction:
-    """Coefficient of z^(a+pK) in F(z) G_k(z^p) - p F(z^p) G_k(z), in closed form:
-    the sum over 0 <= j <= K of Q(K-j) Q(a+pj) (w(K-j) - p w(a+pj)), with w
-    the harmonic weight of coordinate k (1-based)."""
-    sys = ctx.sys
-    if not 1 <= k <= sys.d:
-        raise ValueError(f"coordinate {k} out of range")
-    a = tuple(int(c) for c in a)
-    K = tuple(int(c) for c in K)
-    if len(a) != sys.d or len(K) != sys.d:
-        raise ValueError("dimension mismatch")
-    if any(not 0 <= c < ctx.p for c in a):
-        raise ValueError("residue entries must lie in [0, p)")
-    if any(c < 0 for c in K):
-        raise ValueError("K must be componentwise nonnegative")
-    p = ctx.p
-    total = Fraction(0)
-    for j in _box(K):
-        Kj = tuple(x - y for x, y in zip(K, j))
-        apj = tuple(x + p * y for x, y in zip(a, j))
-        w = harmonic_weight(sys, k - 1, Kj) - p * harmonic_weight(sys, k - 1, apj)
-        if w:
-            total += ctx.Q(Kj) * ctx.Q(apj) * w
-    return total
+# ---------------------------------------------------------------------------
+# the double convolution sums
 
 
 def _box(hi: IntVec):
     """Lexicographic iteration of the integer box [0, hi] (inclusive)."""
     return itertools.product(*(range(c + 1) for c in hi))
-
-
-# ---------------------------------------------------------------------------
-# the double convolution sums
 
 
 def _position(top: IntVec, m: IntVec) -> int:

@@ -3,9 +3,9 @@
 An :class:`MSeries` stores finitely many monomials ``coeff * z^v`` with
 exponent vectors of total degree at most ``order``; everything beyond the
 truncation order is unknown rather than zero.  Ring operations, reciprocal,
-exp and log of units, coordinatewise power substitution, univariate
-specialization, composition and compositional inversion of diagonal-unit
-maps are all exact.  No floating point enters anywhere.
+exp and log of units, univariate specialization, composition and
+compositional inversion of diagonal-unit maps are all exact.  No floating
+point enters anywhere.
 
 Truncation is by TOTAL degree.  That keeps the graded recursions for
 exp/log sound, and it lets the valuation of a series bound how far each
@@ -313,16 +313,6 @@ class MSeries:
         return _emit_slices(g, self.order, m, [max(k, 1) * D**k for k in range(self.order + 1)])
 
     # -- substitutions ---------------------------------------------------------
-
-    def substitute_pth_power(self, p: int) -> "MSeries":
-        """Replace every z_i by z_i^p; terms pushed past the order are dropped."""
-        if p < 1:
-            raise ValueError("power must be a positive integer")
-        data = {}
-        for v, c in self._terms.items():
-            if p * sum(v) <= self.order:
-                data[tuple(p * e for e in v)] = c
-        return MSeries._trusted(self.d, self.order, data)
 
     def specialize(self, M: Sequence[int], Nexp: Sequence[int]) -> "MSeries":
         """Substitute z_i = M_i * t^(N_i), collapsing to a univariate series.

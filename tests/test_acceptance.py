@@ -13,7 +13,6 @@ from mirrorint.dwork import (
     CongruenceRanges,
     PadicContext,
     _Units,
-    dd_coefficient_k,
     dieudonne_dwork_check,
     landau_negative_witness,
     q_ratio_congruence_sweep,
@@ -50,7 +49,13 @@ from mirrorint.systems import (
     CUBIC_SPLIT,
     INVERSE_BINOMIAL,
 )
-from test_dwork import oracle_dd_coefficient_L, oracle_gamma_p, oracle_gamma_p_check
+from test_dwork import (
+    oracle_dd_coefficient_k,
+    oracle_dd_coefficient_L,
+    oracle_gamma_p,
+    oracle_gamma_p_check,
+    oracle_pth_power,
+)
 from test_landau import oracle_verdict  # the Fraction verdict loop
 
 
@@ -152,22 +157,19 @@ def test_criterion_05_dieudonne_dwork():
         for p in (2, 3, 5):
             for k in (1, 2):
                 assert all(r.passed for r in dieudonne_dwork_check(F, G[k], p))
-        # closed coefficient formulas match extracted coefficients everywhere
+        # closed coefficient formulas match extracted coefficients everywhere,
+        # and the engine's valuations match the closed form's
         for p in (2, 3, 5):
-            ctx = PadicContext(p, CUBIC_2D)
-            combo = (
-                F * G[1].substitute_pth_power(p)
-                - p * F.substitute_pth_power(p) * G[1]
-            )
+            combo = F * oracle_pth_power(G[1], p) - p * oracle_pth_power(F, p) * G[1]
             GL = build_GL(CUBIC_2D, (1, 1), N)
-            comboL = (
-                F * GL.substitute_pth_power(p)
-                - p * F.substitute_pth_power(p) * GL
-            )
+            comboL = F * oracle_pth_power(GL, p) - p * oracle_pth_power(F, p) * GL
+            engine = {r.locus[0]: r.achieved for r in dieudonne_dwork_check(F, G[1], p)}
             for w in exponents_upto(2, N):
                 a = tuple(c % p for c in w)
                 K = tuple((c - r) // p for c, r in zip(w, a))
-                assert dd_coefficient_k(ctx, 1, a, K) == combo.coeff(w)
+                c = oracle_dd_coefficient_k(p, CUBIC_2D, 1, a, K)
+                assert c == combo.coeff(w)
+                assert engine.get(w) == (vp_of_rational(c, p) if c else None)
                 assert oracle_dd_coefficient_L(p, CUBIC_2D, (1, 1), a, K) == comboL.coeff(w)
 
 

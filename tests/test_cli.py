@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,10 +99,9 @@ MALFORMED_SERIES = {
 }
 # well-formed series of another shape than the cached bundle
 MISFIT_SERIES = {"lower order": _lower_order, "another dimension": _add_a_variable}
-# on central-binomial: series each report command verifies but does not build
+# on central-binomial: series each cache-reading command verifies but does not build
 UNREAD_SERIES = {
     "scan": ["F", "G_1", "GL_2"],
-    "dwork": ["q_1", "qL_1", "z_1", "GL_2"],
     "bundle": ["F", "G_1", "GL_1", "q_1", "qL_2", "z_1"],
 }
 
@@ -373,11 +373,11 @@ class TestScanAndCache:
         if order is not None:
             doc["order"] = order
         job = write_job(tmp_path, "a.json", doc)
-        fresh = {c: run(capsys, [c, job, "--no-cache"])[:2] for c in ("scan", "dwork")}
+        fresh = {"scan": run(capsys, ["scan", job, "--no-cache"])[:2]}
         # --no-cache lists no files, so the bundle manifest is checked against a cold one
         fresh["bundle"] = run(capsys, ["bundle", job, *cache_args])[:2]
         assert fresh["bundle"][0] == EXIT_OK
-        for command in ("bundle", "scan", "dwork"):
+        for command in ("bundle", "scan"):
             assert run(capsys, [command, job, *cache_args])[:2] == fresh[command]
 
     @pytest.mark.parametrize("name", ["qL_1", "GL_2", "F"])
@@ -500,6 +500,14 @@ class TestLowOrders:
         assert all(l["total"] == 0 for l in lines)
 
 
+# the fixture series 1, z and z_1 (in two variables) at order 6
+ONE = {"d": 1, "order": 6, "terms": [{"exp": [0], "num": "1", "den": "1"}]}
+Z = {"d": 1, "order": 6, "terms": [{"exp": [1], "num": "1", "den": "1"}]}
+Z2 = {"d": 2, "order": 6, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}
+# the recorded digests of the benchmark's report jobs
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+
 class TestDwork:
     def test_fixture_fails_at_z_squared(self, tmp_path, capsys):
         fixture = {
@@ -524,24 +532,60 @@ class TestDwork:
         assert code == EXIT_SCHEMA
         assert out == "" and len(err.splitlines()) == 1 and "bad fixture series" in err
 
-    def test_non_p_integral_F_exits_2(self, tmp_path, capsys):
-        job = write_job(
-            tmp_path, "a.json", {"system": {"name": "inverse-binomial"}, "order": 4}
-        )
-        code, out, err = run(capsys, ["dwork", job, "--no-cache"])
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"system": {"name": "inverse-binomial"}, "order": 4}, "p-integral"),
+            ({"fixture": {"F": ONE, "G": Z2}}, "incompatible series"),
+            ({"fixture": {"F": ONE, "G": dict(Z, order=5)}}, "incompatible series"),
+        ],
+        ids=["F not p-integral", "G of another d", "G of another order"],
+    )
+    def test_input_dwork_cannot_check_exits_2(self, tmp_path, capsys, doc, reason):
+        job = write_job(tmp_path, "a.json", doc)
+        code, out, err = run(capsys, ["dwork", job])
         assert code == EXIT_SCHEMA
         assert out == "" and len(err.splitlines()) == 1
-        assert "p-integral" in err
+        assert reason in err
 
-    def test_bundle_dwork_passes(self, tmp_path, capsys, cache_args):
+    def test_system_and_fixture_together_exit_2(self, tmp_path, capsys):
+        doc = {"system": {"name": "cubic-2d"}, "fixture": {"F": ONE, "G": Z}}
+        job = write_job(tmp_path, "a.json", doc)
+        code, out, err = run(capsys, ["dwork", job])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        assert "not both" in err
+
+    def test_no_cache_entry_and_cache_flags_change_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a flag without --cache-dir would write
         job = write_job(
             tmp_path,
             "a.json",
             {"system": {"name": "central-binomial"}, "order": 8, "primes": [2, 3]},
         )
-        code, out, _ = run(capsys, ["dwork", job, *cache_args])
-        assert code == EXIT_OK
+        fresh = tmp_path / "fresh"
+        code, out, _ = run(capsys, ["dwork", job, "--cache-dir", str(fresh)])
+        assert code == EXIT_OK and not fresh.exists()
         assert all(json.loads(l)["pass"] for l in out.splitlines())
+        # a cache entry that scan refuses leaves dwork as it is
+        cache = tmp_path / "cache"
+        assert run(capsys, ["bundle", job, "--cache-dir", str(cache)])[0] == EXIT_OK
+        victim = next(cache.rglob("F.json"))
+        victim.write_bytes(victim.read_bytes() + b" ")
+        assert run(capsys, ["scan", job, "--cache-dir", str(cache)])[0] == EXIT_CACHE
+        for flags in (["--cache-dir", str(cache)], ["--no-cache"], ["--rebuild-cache"]):
+            assert run(capsys, ["dwork", job, *flags])[:2] == (code, out)
+        assert not (tmp_path / ".mirrorint-cache").exists()
+
+    @pytest.mark.parametrize("name", ["cubic-2d", "cubic-split", "central-binomial", "case30"])
+    def test_prints_the_recorded_bytes(self, tmp_path, capsys, monkeypatch, name):
+        recorded = json.loads(REFERENCES.read_text())["warm-reports"][f"dwork/{name}"]
+        monkeypatch.chdir(tmp_path)
+        job = write_job(tmp_path, "a.json", {"system": {"name": name}})
+        code, out, _ = run(capsys, ["dwork", job])
+        assert code == recorded["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded["stdout"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.json"]
 
 
 class TestCongruences:

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorint import dwork
 from mirrorint.dwork import (
@@ -16,7 +16,6 @@ from mirrorint.dwork import (
     _Blocks,
     _Units,
     _Worst,
-    dd_coefficient_k,
     dieudonne_dwork_check,
     excluded_indices,
     good_residues,
@@ -32,6 +31,7 @@ from mirrorint.forms import (
     dot,
     factorial_ratio,
     harmonic,
+    harmonic_weight,
     vp_of_rational,
     vp_ratio_legendre,
 )
@@ -242,6 +242,40 @@ def oracle_gamma_p_check(n, k, s, p):
     return first and second
 
 
+def oracle_pth_power(s, p):
+    """s(z^p): every z_i replaced by z_i^p, terms pushed past the order dropped."""
+    return MSeries(s.d, s.order, {tuple(p * e for e in v): c for v, c in s.items()})
+
+
+def oracle_dieudonne_dwork(F, G, p):
+    """The Dieudonne-Dwork reports from the Fraction series F G(z^p) - p F(z^p) G,
+    one per nonzero coefficient; the engine must match them report for report."""
+    combo = F * oracle_pth_power(G, p) - p * oracle_pth_power(F, p) * G
+    return [
+        CongruenceReport("dieudonne-dwork", (v,), 1, vp_of_rational(c, p),
+                         vp_of_rational(c, p) >= 1)
+        for v, c in combo.items()
+    ]
+
+
+def oracle_dd_coefficient_k(p, sys, k, a, K):
+    """Coefficient of z^(a+pK) in F(z) G_k(z^p) - p F(z^p) G_k(z), in closed
+    form: the sum over 0 <= j <= K of Q(K-j) Q(a+pj) (w(K-j) - p w(a+pj)),
+    with w the harmonic weight of coordinate k (1-based)."""
+    total = Fraction(0)
+    for j in _obox(K):
+        Kj = tuple(x - y for x, y in zip(K, j))
+        apj = tuple(x + p * y for x, y in zip(a, j))
+        w = harmonic_weight(sys, k - 1, Kj) - p * harmonic_weight(sys, k - 1, apj)
+        total += factorial_ratio(sys, Kj) * factorial_ratio(sys, apj) * w
+    return total
+
+
+def engine_valuations(F, G, p):
+    """exponent -> achieved valuation, from ``dieudonne_dwork_check``."""
+    return {r.locus[0]: r.achieved for r in dieudonne_dwork_check(F, G, p)}
+
+
 def oracle_dd_coefficient_L(p, sys, L, a, K):
     """Coefficient of z^(a+pK) in F(z) G_L(z^p) - p F(z^p) G_L(z): the sum
     over 0 <= j <= K of Q(K-j) Q(a+pj) (H(L.(K-j)) - p H(L.(a+pj)))."""
@@ -439,6 +473,13 @@ class TestDieudonneDwork:
         with pytest.raises(ValueError):
             dieudonne_dwork_check(MSeries.one(1, 4), MSeries.one(1, 4), 2)
 
+    @pytest.mark.parametrize(
+        "G", [MSeries.zero(2, 4), MSeries.zero(1, 5)], ids=["another d", "another order"]
+    )
+    def test_series_of_another_shape_are_rejected(self, G):
+        with pytest.raises(ValueError, match="incompatible series"):
+            dieudonne_dwork_check(MSeries.one(1, 4), G, 2)
+
     def test_report_json_shape(self):
         F = MSeries.one(1, 4)
         G = MSeries.variable(1, 4, 0)
@@ -452,37 +493,91 @@ class TestDieudonneDwork:
                                  "achieved": "inf", "pass": True}
 
 
+@st.composite
+def dd_inputs(draw):
+    """(F, G, p, cancel) in d = 1-2 and orders 1-7, for the engine against
+    the Fraction oracle.
+
+    F has constant term 1 and p-free denominators; G has no constant term,
+    and p may divide its denominators.  Numerators carry up to p^12, so
+    valuations run deep.  With ``cancel``, F = 1 and g_v = p g_(pv) wherever
+    pv is in range, so the coefficient at every exponent divisible by p,
+    g_v - p g_(pv), is exactly zero and gives no line.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 7))
+    cancel = draw(st.booleans())
+    exps = list(exponents_upto(d, order))[1:]
+    p_free = st.integers(1, 9).filter(lambda x: x % p)
+
+    def coefficient(den):
+        num = draw(st.integers(-3, 3).filter(bool)) * p ** draw(st.integers(0, 12))
+        return Fraction(num, draw(den))
+
+    def terms(den, least):
+        support = draw(st.lists(st.sampled_from(exps), min_size=least, unique=True))
+        return {v: coefficient(den) for v in support}
+
+    F = MSeries.one(d, order) + MSeries(d, order, terms(p_free, 0))
+    g = terms(st.builds(lambda b, e: b * p**e, st.integers(1, 4), st.integers(0, 3)), 1)
+    if cancel:
+        F = MSeries.one(d, order)
+        for w in sorted(exps, key=sum, reverse=True):
+            if all(e % p == 0 for e in w):
+                g[tuple(e // p for e in w)] = p * g.get(w, 0)
+    return F, MSeries(d, order, g), p, cancel
+
+
+@settings(max_examples=150, deadline=None)
+@given(dd_inputs())
+@example((MSeries.one(1, 8), MSeries.variable(1, 8, 0), 2, False))
+@example((MSeries.one(2, 0), MSeries.zero(2, 0), 3, False))
+@example((MSeries.one(2, 4), MSeries(2, 4, {(1, 0): 2, (2, 0): 1, (4, 0): Fraction(1, 2)}),
+          2, True))
+def test_dieudonne_dwork_matches_the_fraction_oracle(case):
+    F, G, p, cancel = case
+    got = dieudonne_dwork_check(F, G, p)
+    assert got == oracle_dieudonne_dwork(F, G, p)
+    if cancel:
+        assert not any(all(e % p == 0 for e in r.locus[0]) for r in got)
+
+
 class TestCoefficientFormulas:
+    """The closed forms of the combination's coefficients against the
+    Fraction series, and the engine's valuation against the closed form."""
+
     def test_value_against_hand_computation(self):
         # d=1 binomial system, weight vector L=2, p=3, a=0, K=1: -144
         assert oracle_dd_coefficient_L(3, CENTRAL_BINOMIAL, (2,), (0,), (1,)) == -144
 
     def test_trivial_at_origin(self):
-        ctx = PadicContext(3, CUBIC_2D)
-        assert dd_coefficient_k(ctx, 1, (0, 0), (0, 0)) == 0
+        assert oracle_dd_coefficient_k(3, CUBIC_2D, 1, (0, 0), (0, 0)) == 0
         assert oracle_dd_coefficient_L(3, CUBIC_2D, (1, 1), (0, 0), (0, 0)) == 0
+        F, G1 = build_F(CUBIC_2D, 4), build_Gk(CUBIC_2D, 1, 4)
+        assert (0, 0) not in engine_valuations(F, G1, 3)
 
     def test_matches_extracted_coefficients(self):
         N = 6
         F = build_F(CUBIC_2D, N)
         for p in (2, 3):
-            ctx = PadicContext(p, CUBIC_2D)
             G1 = build_Gk(CUBIC_2D, 1, N)
-            combo = F * G1.substitute_pth_power(p) - p * F.substitute_pth_power(p) * G1
+            combo = F * oracle_pth_power(G1, p) - p * oracle_pth_power(F, p) * G1
             GL = build_GL(CUBIC_2D, (2, 1), N)
-            comboL = F * GL.substitute_pth_power(p) - p * F.substitute_pth_power(p) * GL
+            comboL = F * oracle_pth_power(GL, p) - p * oracle_pth_power(F, p) * GL
+            engine = engine_valuations(F, G1, p)
             for w in exponents_upto(2, N):
                 a = tuple(c % p for c in w)
                 K = tuple((c - r) // p for c, r in zip(w, a))
-                assert dd_coefficient_k(ctx, 1, a, K) == combo.coeff(w)
+                c = oracle_dd_coefficient_k(p, CUBIC_2D, 1, a, K)
+                assert c == combo.coeff(w)
+                assert engine.get(w) == (vp_of_rational(c, p) if c else None)
                 assert oracle_dd_coefficient_L(p, CUBIC_2D, (2, 1), a, K) == comboL.coeff(w)
 
     def test_split_system_residue_formula(self):
         # with K = 0 the double sum collapses to -p Q(a) times the harmonic weight
         p = 7
-        ctx = PadicContext(p, CUBIC_SPLIT)
-        from mirrorint.forms import factorial_ratio, harmonic
-
+        engine = engine_valuations(build_F(CUBIC_SPLIT, 6), build_Gk(CUBIC_SPLIT, 1, 6), p)
         for a1 in range(p):
             a = (a1, 0)
             expected = (
@@ -490,7 +585,8 @@ class TestCoefficientFormulas:
                 * factorial_ratio(CUBIC_SPLIT, a)
                 * (3 * harmonic(3 * a1) - 2 * harmonic(2 * a1) - harmonic(a1))
             )
-            assert dd_coefficient_k(ctx, 1, a, (0, 0)) == expected
+            assert oracle_dd_coefficient_k(p, CUBIC_SPLIT, 1, a, (0, 0)) == expected
+            assert engine.get(a) == (vp_of_rational(expected, p) if expected else None)
 
 
 class TestConvolutionSums:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirrorint import series
+from mirrorint import kronecker, series
 from mirrorint.series import (
     LogSeries,
     MSeries,
@@ -224,17 +224,19 @@ class TestUnitOps:
 
 
 class TestSubstitutions:
-    def test_pth_power_coordinates(self):
-        a = MSeries(2, 4, {(1, 0): 1, (0, 1): 1})
-        assert a.substitute_pth_power(2) == MSeries(2, 4, {(2, 0): 1, (0, 2): 1})
-
-    def test_pth_power_constant(self):
-        assert MSeries.one(2, 4).substitute_pth_power(3) == MSeries.one(2, 4)
-
-    def test_pth_power_truncates(self):
-        a = series_1d([1, 6], 5)
-        assert a.substitute_pth_power(3) == MSeries(1, 5, {(0,): 1, (3,): 6})
-        assert a.substitute_pth_power(7) == MSeries.one(1, 5)
+    @pytest.mark.parametrize("d, order", [(1, 5), (2, 4), (3, 6)])
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_pth_power_is_key_scaling(self, d, order, p):
+        # z -> z^p on Kronecker keys, as the Dieudonne-Dwork engine applies it:
+        # p key(v) is a key below the truncation exactly when p |v| <= order,
+        # and then it is the key of p v; the constant's key 0 stays 0
+        g = kronecker.grading(d, order)
+        cut = g.top * (order + 1)
+        for v, k in g.key.items():
+            pv = tuple(p * e for e in v)
+            assert (p * k < cut) == (sum(pv) <= order)
+            if p * k < cut:
+                assert g.key[pv] == p * k
 
     def test_specialize_monomial(self):
         a = MSeries(2, 4, {(1, 1): 1})
