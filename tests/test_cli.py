@@ -99,9 +99,11 @@ MALFORMED_SERIES = {
 }
 # well-formed series of another shape than the cached bundle
 MISFIT_SERIES = {"lower order": _lower_order, "another dimension": _add_a_variable}
-# on central-binomial: series each cache-reading command verifies but does not build
+# on central-binomial: series each cache-reading command verifies but does not build,
+# and series dwork, which builds F and G_k itself and reads no cache, never opens
 UNREAD_SERIES = {
     "scan": ["F", "G_1", "GL_2"],
+    "dwork": ["q_1", "qL_1", "z_1", "GL_2"],
     "bundle": ["F", "G_1", "GL_1", "q_1", "qL_2", "z_1"],
 }
 
@@ -353,10 +355,16 @@ class TestScanAndCache:
         )
         code, cold, _ = run(capsys, [command, job, *cache_args])
         assert code == EXIT_OK
+        if command == "dwork":
+            # dwork writes no entry, so the bundle makes the one to spoil
+            assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK
         reseal(tmp_path / "cache", name, edit)
         code, out, err = run(capsys, [command, job, *cache_args])
-        assert code == EXIT_CACHE
-        assert out == "" and len(err.splitlines()) == 1 and f"/{name}.json" in err
+        if command == "dwork":
+            assert (code, out) == (EXIT_OK, cold)
+        else:
+            assert code == EXIT_CACHE
+            assert out == "" and len(err.splitlines()) == 1 and f"/{name}.json" in err
         code, warm, _ = run(capsys, [command, job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK and warm == cold
 
@@ -532,21 +540,24 @@ class TestDwork:
         assert code == EXIT_SCHEMA
         assert out == "" and len(err.splitlines()) == 1 and "bad fixture series" in err
 
+    def test_non_p_integral_F_exits_2(self, tmp_path, capsys):
+        job = write_job(
+            tmp_path, "a.json", {"system": {"name": "inverse-binomial"}, "order": 4}
+        )
+        code, out, err = run(capsys, ["dwork", job, "--no-cache"])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        assert "p-integral" in err
+
     @pytest.mark.parametrize(
-        "doc, reason",
-        [
-            ({"system": {"name": "inverse-binomial"}, "order": 4}, "p-integral"),
-            ({"fixture": {"F": ONE, "G": Z2}}, "incompatible series"),
-            ({"fixture": {"F": ONE, "G": dict(Z, order=5)}}, "incompatible series"),
-        ],
-        ids=["F not p-integral", "G of another d", "G of another order"],
+        "G", [Z2, dict(Z, order=5)], ids=["G of another d", "G of another order"]
     )
-    def test_input_dwork_cannot_check_exits_2(self, tmp_path, capsys, doc, reason):
-        job = write_job(tmp_path, "a.json", doc)
+    def test_series_of_another_shape_exit_2(self, tmp_path, capsys, G):
+        job = write_job(tmp_path, "a.json", {"fixture": {"F": ONE, "G": G}})
         code, out, err = run(capsys, ["dwork", job])
         assert code == EXIT_SCHEMA
         assert out == "" and len(err.splitlines()) == 1
-        assert reason in err
+        assert "incompatible series" in err
 
     def test_system_and_fixture_together_exit_2(self, tmp_path, capsys):
         doc = {"system": {"name": "cubic-2d"}, "fixture": {"F": ONE, "G": Z}}
