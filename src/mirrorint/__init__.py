@@ -34,7 +34,6 @@ from .series import (
     apply_theta_poly,
     compose,
     invert_diagonal,
-    theta,
 )
 from .mirror import (
     MirrorBundle,

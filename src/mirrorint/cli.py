@@ -18,7 +18,7 @@ line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
 inverse-binomial) or on a fixture whose F and G differ in dimension or
-order, ``congruences`` on unequal column sums of e and f,
+order or that comes with an order (the job's or ``--order``), ``congruences`` on unequal column sums of e and f,
 ``case`` at an order below the z-degree of its operator or on a record
 that ``CaseRecord.from_dict`` rejects.  JSON ``true`` and ``false`` are
 never taken for integers.
@@ -40,8 +40,8 @@ q_L and z(q), and ``bundle`` none.  Precedence for the cache location:
 --cache-dir flag, then the MIRRORINT_CACHE environment variable, then the
 job file, then ``.mirrorint-cache``.
 
-``dwork`` needs only F and the G_k, which one coefficient pass gives at
-about the cost of a cache read and without the rest of a bundle; so it
+``dwork`` needs only F and the G_k, which one integer coefficient pass
+gives for less than a cache read and without the rest of a bundle; so it
 neither reads nor writes the cache, and the cache flags do not change it.
 Its job gives a system or a ``fixture`` of F and G, not both.
 """
@@ -61,13 +61,15 @@ from .dwork import (
     CongruenceRanges,
     PadicContext,
     dieudonne_dwork_check,
+    dieudonne_dwork_forms,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
-from .forms import FormSystem, harmonic_weight, is_prime
+from . import kronecker
+from .forms import FormSystem, is_prime
 from .landau import BudgetExceededError, SamplingStrategy, Tag, classify
 from .landau import enumerate_weight_vectors
-from .mirror import MirrorBundle, _families, build_bundle, integrality_scan
+from .mirror import MirrorBundle, build_bundle, coefficient_forms, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
 from .series import MSeries, check_dict
 from .systems import BUNDLED, default_order
@@ -477,19 +479,23 @@ def cmd_dwork(job: Job, args) -> int:
     if job.fixture is not None:
         if job.system is not None:
             _fail_schema("dwork takes a system or a fixture, not both")
+        if job.order is not None:
+            _fail_schema("a fixture has the order of its series: drop order and --order")
         F, G = job.fixture
-        targets = [("fixture", G)]
+        checks = [("fixture", partial(dieudonne_dwork_check, F, G))]
     else:
         sys_ = _system(job)
-        ks = [partial(harmonic_weight, sys_, k) for k in range(sys_.d)]
+        g = kronecker.grading(sys_.d, job.order)
         # F and every G_k from one pass, which takes each Q(n) once
-        F, *Gs = _families(sys_, job.order, [lambda v: 1, *ks])
-        targets = [(name, Gs[k]) for name, field, k in _series_table(sys_) if field == "G"]
+        f, *hs = coefficient_forms(sys_, job.order, range(sys_.d))
+        checks = [
+            (name, partial(dieudonne_dwork_forms, g, job.order, f, hs[k]))
+            for name, field, k in _series_table(sys_)
+            if field == "G"
+        ]
     # every check runs before the first line, so a rejected input prints none
     try:
-        runs = [
-            (p, name, dieudonne_dwork_check(F, G, p)) for p in job.primes for name, G in targets
-        ]
+        runs = [(p, name, check(p)) for p in job.primes for name, check in checks]
     except ValueError as exc:
         raise SchemaError(f"dwork cannot check this input: {exc}") from None
     failures = 0

@@ -357,48 +357,58 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
 
     exp(G/F) has p-integral coefficients iff every coefficient of the
     combination has valuation >= 1; each nonzero coefficient yields one
-    report, in lexicographic exponent order.
+    report, in lexicographic exponent order.  The test runs on the integer
+    forms of F and G (``dieudonne_dwork_forms``).
+    """
+    g = kronecker.grading(F.d, F.order)
+    f, h = F._numerators(), G._numerators()
+    # p, F and G are judged before their shapes, in the documented order
+    _dd_inputs(g, f, h, p)
+    F._check_compatible(G)
+    return dieudonne_dwork_forms(g, F.order, f, h, p)
 
-    The combination is formed on integers: with F = f / D_F and
-    G = h / D_G, it is (f h(z^p) - p f(z^p) h) / (D_F D_G), two Kronecker
+
+def _dd_inputs(g: kronecker.Grading, f, h, p: int):
+    """Raise ValueError unless p is prime, F = 1 + ... is p-integral and G
+    has no constant term, in that order; key 0 is the constant term."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    (D_F, F), (_, G) = f, h
+    if F.get(0) != D_F:
+        raise ValueError("F must have constant term 1")
+    # c / D_F is p-integral iff p^v_p(D_F) divides c
+    if D_F % p == 0:
+        pv = p ** vp_int(D_F, p)
+        bad = [g.exp[k] for k, c in F.items() if c % pv]
+        if bad:
+            raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
+    if 0 in G:
+        raise ValueError("G must have constant term 0")
+
+
+def dieudonne_dwork_forms(g: kronecker.Grading, N: int, f, h, p: int) -> list[CongruenceReport]:
+    """``dieudonne_dwork_check`` on the integer forms f = (D_F, F) of F and
+    h = (D_G, G) of G, key -> numerator on the grading g at order N.
+
+    The combination is (F G(z^p) - p F(z^p) G) / (D_F D_G), two Kronecker
     products and one sum.  The Kronecker key is linear, so z -> z^p maps
     key k to p k, and the keys below the truncation stay below it exactly
     when the degree does.  A coefficient c / D has valuation
     v_p(c) - v_p(D), with no precision to run out of.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if F.constant_term != 1:
-        raise ValueError("F must have constant term 1")
-    # a reduced coefficient is p-integral iff p does not divide its denominator
-    bad = [v for v, c in F._terms.items() if c.denominator % p == 0]
-    if bad:
-        raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
-    if G.constant_term != 0:
-        raise ValueError("G must have constant term 0")
-    F._check_compatible(G)
-    N = F.order
-    g = kronecker.grading(F.d, N)
+    _dd_inputs(g, f, h, p)
     cut = g.top * (N + 1)
-    (D_F, f), (D_G, h) = F._numerators(), G._numerators()
-    f_p, h_p = ({p * k: c for k, c in x.items() if p * k < cut} for x in (f, h))
+    (D_F, F), (D_G, G) = f, h
+    F_p, G_p = ({p * k: c for k, c in x.items() if p * k < cut} for x in (F, G))
     D, ints = kronecker.add(
-        kronecker.multiply(g, N, (D_F, f), (D_G, h_p)),
-        kronecker.multiply(g, N, (D_F, f_p), (D_G, {k: -p * c for k, c in h.items()})),
+        kronecker.multiply(g, N, f, (D_G, G_p)),
+        kronecker.multiply(g, N, (D_F, F_p), (D_G, {k: -p * c for k, c in G.items()})),
     )
     v_D = vp_int(D, p)
     out = []
     for v, c in sorted((g.exp[k], c) for k, c in ints.items()):
         ach = vp_int(c, p) - v_D
-        out.append(
-            CongruenceReport(
-                check="dieudonne-dwork",
-                locus=(v,),
-                required=1,
-                achieved=ach,
-                passed=ach >= 1,
-            )
-        )
+        out.append(CongruenceReport("dieudonne-dwork", (v,), 1, ach, ach >= 1))
     return out
 
 

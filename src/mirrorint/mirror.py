@@ -11,8 +11,14 @@ From a :class:`~mirrorint.forms.FormSystem` this module expands
     inverse, the mirror maps z(q);
   * mirror-type maps q_L = exp(G_L / F).
 
-F, G_k and G_L share the factorial ratio Q(n): a bundle takes all of them
-from one pass over the exponents, which computes each Q(n) once.
+F, G_k and G_L share the factorial ratio Q(n): ``coefficient_forms`` takes
+all of them from one pass over the exponents, which computes each Q(n)
+once, on integers.  It returns each series as numerators over one
+denominator, keyed on the Kronecker grading of ``kronecker``: F over the
+least common denominator of the Q(n), the companions over that times
+lcm(1..top), with H_m = h_m / lcm(1..top) for integers h_m.  ``dwork``
+and ``case`` read these forms as integers; ``build_F/Gk/GL`` and
+``build_bundle`` make one reduced Fraction per term from them.
 
 The canonical coordinate factors through the mirror-type maps: q_k / z_k
 equals the product of q_(e_i) to the power e_i[k] divided by the product
@@ -24,15 +30,17 @@ be integers (or p-adic integers for a given prime).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from operator import mul
 from typing import Optional, Sequence
 
-from .forms import FormSystem, dot, factorial_ratio, harmonic, harmonic_weight, is_prime, vp_int
+from . import kronecker
+from .forms import FormSystem, is_prime, vp_int
 from .landau import enumerate_weight_vectors
-from .series import MSeries, invert_diagonal
+from .series import MSeries, _emit, invert_diagonal
 
 Exponent = tuple[int, ...]
 
@@ -44,21 +52,68 @@ def exponents_upto(d: int, order: int):
             yield v
 
 
-def _families(sys: FormSystem, order: int, weights) -> list[MSeries]:
-    """The series sum Q(n) w(n) z^n for each weight w, from one pass that
-    takes each Q(n) once; Q(n) != 0, so a term is kept where w(n) != 0."""
-    terms = [{} for _ in weights]
+def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[int, dict]]:
+    """Integer forms (D, key -> numerator) of F, of G_k for each 0-based k in
+    ``ks`` and of G_L for each L in ``Ls``, keyed on the Kronecker grading.
+
+    One pass over the exponents takes each Q(n) once, as a quotient of
+    entries of one factorial table: a form w of net multiplicity m (count in
+    e less count in f) gives (w.n)!^m.  F's D is the least common
+    denominator D_F of the Q(n), 1 when all are integers.  With lam =
+    lcm(1..top), top the largest form value, H_j = h_j / lam with integers
+    h_j, so over D_F lam the numerators are Q(n) D_F sum_w m w[k] h_(w.n)
+    for G_k and Q(n) D_F h_(L.n) for G_L (L.n <= top: L is dominated by a
+    form vector).  Only nonzero numerators are kept.
+    """
+    g = kronecker.grading(sys.d, order)
+    net = Counter(sys.e)
+    net.subtract(sys.f)
+    forms = [(w, m) for w, m in net.items() if m]
+    top = order * max(map(max, sys.forms))
+    fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
+    lam = math.lcm(*range(1, top + 1))
+    h = list(itertools.accumulate((lam // j for j in range(1, top + 1)), initial=0))
+    powers = [fact if abs(m) == 1 else [c ** abs(m) for c in fact] for _, m in forms]
+    ups = [i for i, (_, m) in enumerate(forms) if m > 0]
+    downs = [i for i, (_, m) in enumerate(forms) if m < 0]
+    rows, D = [], 1
     for v in exponents_upto(sys.d, order):
-        Q = factorial_ratio(sys, v)
-        for w, t in zip(weights, terms):
-            if x := w(v):
-                t[v] = Q * x
-    return [MSeries._trusted(sys.d, order, t) for t in terms]
+        x = [sum(map(mul, w, v)) for w, _ in forms]
+        num = den = 1
+        for i in ups:
+            num *= powers[i][x[i]]
+        for i in downs:
+            den *= powers[i][x[i]]
+        Q, r = divmod(num, den)
+        if r:
+            D = math.lcm(D, den // math.gcd(num, den))
+        rows.append((g.key[v], v, x, Q, num, den))
+    weights = [[m * w[k] for w, m in forms] for k in ks]
+    F: dict[int, int] = {}
+    Gs: list[dict[int, int]] = [{} for _ in (*ks, *Ls)]
+    for key, v, x, Q, num, den in rows:
+        if D != 1:
+            Q = num * D // den
+        F[key] = Q
+        hx = [h[c] for c in x]
+        for c, G in zip(weights, Gs):
+            if s := sum(map(mul, c, hx)):
+                G[key] = Q * s
+        for L, G in zip(Ls, Gs[len(weights) :]):
+            if s := h[sum(map(mul, L, v))]:
+                G[key] = Q * s
+    return [(D, F), *(kronecker.reduced(D * lam, G) for G in Gs)]
+
+
+def _series(sys: FormSystem, order: int, ks=(), Ls=()) -> list[MSeries]:
+    """F, the G_k and the G_L of ``coefficient_forms`` as series."""
+    g = kronecker.grading(sys.d, order)
+    return [_emit(g, order, *form) for form in coefficient_forms(sys, order, ks, Ls)]
 
 
 def build_F(sys: FormSystem, order: int) -> MSeries:
     """The series whose coefficient at z^n is the factorial ratio Q(n)."""
-    return _families(sys, order, [lambda v: 1])[0]
+    return _series(sys, order)[0]
 
 
 def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
@@ -66,7 +121,7 @@ def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
     weight sum(e_i[k] H(e_i.n)) - sum(f_j[k] H(f_j.n))."""
     if not 1 <= k <= sys.d:
         raise ValueError(f"coordinate {k} out of range 1..{sys.d}")
-    return _families(sys, order, [partial(harmonic_weight, sys, k - 1)])[0]
+    return _series(sys, order, [k - 1])[1]
 
 
 def build_GL(sys: FormSystem, L: Sequence[int], order: int) -> MSeries:
@@ -74,7 +129,7 @@ def build_GL(sys: FormSystem, L: Sequence[int], order: int) -> MSeries:
     L = tuple(int(c) for c in L)
     if L not in set(enumerate_weight_vectors(sys)):
         raise ValueError(f"{L} is not dominated by any form vector")
-    return _families(sys, order, [lambda v: harmonic(dot(L, v))])[0]
+    return _series(sys, order, Ls=[L])[1]
 
 
 @dataclass
@@ -101,9 +156,7 @@ class MirrorBundle:
 def build_bundle(sys: FormSystem, order: int) -> MirrorBundle:
     """Construct every series of the bundle, mutually consistent."""
     Ls = enumerate_weight_vectors(sys)
-    ks = [partial(harmonic_weight, sys, k) for k in range(sys.d)]
-    ws = [lambda v, L=L: harmonic(dot(L, v)) for L in Ls]
-    F, *companions = _families(sys, order, [lambda v: 1, *ks, *ws])
+    F, *companions = _series(sys, order, range(sys.d), Ls)
     G, GL = tuple(companions[: sys.d]), dict(zip(Ls, companions[sys.d :]))
     recip_F = F.reciprocal()
     q = tuple(

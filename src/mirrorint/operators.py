@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .forms import FormSystem, _int_list, harmonic_weight
-from .mirror import _families, integrality_scan
-from .series import LogSeries, MSeries, apply_theta_poly
+from . import kronecker
+from .forms import FormSystem, _int_list
+from .mirror import coefficient_forms, integrality_scan
+from .series import LogSeries, MSeries, apply_theta_poly, specialize_form
 from .systems import CASE30
 
 
@@ -230,10 +230,12 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     """
     sys = rec.system
     evaluator = closed_form(rec.closed_form)
-    # F and G_k from one pass, which takes each Q(n) once
-    F, G = _families(sys, order, [lambda v: 1, partial(harmonic_weight, sys, rec.k - 1)])
-    F_spec = F.specialize(rec.M, rec.Nexp)
-    G_spec = G.specialize(rec.M, rec.Nexp)
+    # F and G_k from one pass, which takes each Q(n) once, specialized as ints
+    g = kronecker.grading(sys.d, order)
+    F_spec, G_spec = (
+        specialize_form(g, order, form, rec.M, rec.Nexp)
+        for form in coefficient_forms(sys, order, [rec.k - 1])
+    )
     checks = []
 
     mismatch = next(

@@ -73,7 +73,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from . import kronecker
@@ -328,20 +328,8 @@ class MSeries:
             raise ValueError("multipliers must be nonzero")
         if any(n < 1 for n in Nexp):
             raise ValueError("exponents must be positive")
-        data: dict[Exponent, Fraction] = {}
-        for v, c in self._terms.items():
-            n = sum(e * w for e, w in zip(v, Nexp))
-            if n > self.order:
-                continue
-            scale = 1
-            for m, e in zip(M, v):
-                scale *= m**e
-            s = data.get((n,), Fraction(0)) + c * scale
-            if s:
-                data[(n,)] = s
-            elif (n,) in data:
-                del data[(n,)]
-        return MSeries._trusted(1, self.order, data)
+        g = kronecker.grading(self.d, self.order)
+        return specialize_form(g, self.order, self._numerators(), M, Nexp)
 
     # -- serialization -----------------------------------------------------------
 
@@ -425,6 +413,20 @@ def _emit(g: kronecker.Grading, order: int, D: int, ints: dict[int, int]) -> MSe
     exp = g.exp
     terms = {exp[k]: Fraction(c, D) for k, c in ints.items()}
     return MSeries._trusted(g.d, order, terms)
+
+
+def specialize_form(g: kronecker.Grading, order: int, form, M, Nexp) -> MSeries:
+    """``MSeries.specialize`` of the integer form (D, key -> numerator) on
+    the grading g: numerators are summed as ints, then emitted once."""
+    D, ints = form
+    out: dict[int, int] = {}
+    for k, c in ints.items():
+        v = g.exp[k]
+        n = sum(map(mul, v, Nexp))
+        if n <= order:
+            out[n] = out.get(n, 0) + c * math.prod(map(pow, M, v))
+    # in one variable the Kronecker key of t^n is n
+    return _emit(kronecker.grading(1, order), order, D, {n: c for n, c in out.items() if c})
 
 
 def _emit_slices(g: kronecker.Grading, order: int, xs, dens) -> MSeries:
@@ -637,61 +639,46 @@ class LogSeries:
     def __add__(self, other: "LogSeries") -> "LogSeries":
         return LogSeries(self.regular + other.regular, self.logpart + other.logpart)
 
-    def __sub__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries(self.regular - other.regular, self.logpart - other.logpart)
-
-    def __mul__(self, c) -> "LogSeries":
-        return LogSeries(self.regular * c, self.logpart * c)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return not self.regular and not self.logpart
 
-    def truncate(self, order: int) -> "LogSeries":
-        return LogSeries(self.regular.truncate(order), self.logpart.truncate(order))
 
-
-def theta(s):
-    """Apply theta = z d/dz; accepts a univariate MSeries or a LogSeries.
-
-    On monomials theta(z^n) = n z^n; on the log pair the product rule gives
-    theta(A + B log z) = (theta A + B) + (theta B) log z.
-    """
-    if isinstance(s, LogSeries):
-        return LogSeries(theta(s.regular) + s.logpart, theta(s.logpart))
-    if s.d != 1:
-        raise ValueError("theta acts on univariate series")
-    return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
+def _at(P: Sequence[int], n: int) -> int:
+    """The integer polynomial with coefficients P (low to high) at n."""
+    acc = 0
+    for c in reversed(P):
+        acc = acc * n + c
+    return acc
 
 
 def apply_theta_poly(polys: Sequence[Sequence[int]], s: LogSeries) -> LogSeries:
-    """Apply sum_i z^i P_i(theta) to a log-series.
+    """Apply sum_i z^i P_i(theta) to a log-series, coefficient by coefficient.
 
     ``polys[i]`` lists the integer coefficients of P_i from degree 0 up.
-    The result is truncated to order N - v, where v = len(polys) - 1, the
-    largest power of z multiplied in.
+    As theta z^n = n z^n and theta(z^n log z) = n z^n log z + z^n,
+
+        P(theta) z^n = P(n) z^n,  P(theta)(z^n log z) = P(n) z^n log z + P'(n) z^n,
+
+    and z^i moves each term from n to n + i.  The result is truncated to
+    order N - v, where v = len(polys) - 1, the largest power of z
+    multiplied in.
     """
     if not polys:
         raise ValueError("at least one coefficient polynomial is required")
-    v = len(polys) - 1
-    order = s.order
-    if order < v:
+    top = s.order - (len(polys) - 1)
+    if top < 0:
         raise ValueError("series order too small for this operator")
-    max_theta = max((len(p) - 1 for p in polys), default=0)
-    theta_pow = [s]
-    for _ in range(max_theta):
-        theta_pow.append(theta(theta_pow[-1]))
-    zero = MSeries.zero(1, order)
-    acc = LogSeries(zero, zero)
-    zpow = MSeries.one(1, order)
-    zvar = MSeries.variable(1, order, 0)
-    for i, p in enumerate(polys):
-        if i:
-            zpow = zpow * zvar
-        part = LogSeries(zero, zero)
-        for j, c in enumerate(p):
-            if c:
-                part = part + theta_pow[j] * c
-        acc = acc + LogSeries(zpow * part.regular, zpow * part.logpart)
-    return acc.truncate(order - v)
+    regular: dict[Exponent, Fraction] = {}
+    logpart: dict[Exponent, Fraction] = {}
+    for i, P in enumerate(polys):
+        dP = [j * c for j, c in enumerate(P)][1:]
+        for (n,), a in s.regular._terms.items():
+            if n + i <= top:
+                regular[(n + i,)] = regular.get((n + i,), 0) + _at(P, n) * a
+        for (n,), b in s.logpart._terms.items():
+            if n + i <= top:
+                logpart[(n + i,)] = logpart.get((n + i,), 0) + _at(P, n) * b
+                regular[(n + i,)] = regular.get((n + i,), 0) + _at(dP, n) * b
+    return LogSeries(
+        *(MSeries._trusted(1, top, {v: c for v, c in t.items() if c}) for t in (regular, logpart))
+    )

@@ -1,13 +1,15 @@
 """Command-line driver: job parsing, exit codes, caching, determinism."""
 
 import hashlib
+import importlib.util
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mirrorint import cli
+from mirrorint import cli, mirror
 from mirrorint.cli import (
     EXIT_BUDGET,
     EXIT_CACHE,
@@ -22,7 +24,10 @@ from mirrorint.cli import (
 from mirrorint.dwork import PadicContext, q_ratio_congruence_sweep
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
-from mirrorint.systems import CENTRAL_BINOMIAL
+from mirrorint.mirror import exponents_upto
+from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
+
+from test_mirror import count_the_pass
 
 
 def write_job(tmp_path, name, doc):
@@ -513,7 +518,20 @@ ONE = {"d": 1, "order": 6, "terms": [{"exp": [0], "num": "1", "den": "1"}]}
 Z = {"d": 1, "order": 6, "terms": [{"exp": [1], "num": "1", "den": "1"}]}
 Z2 = {"d": 2, "order": 6, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}
 # the recorded digests of the benchmark's report jobs
-REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+REFERENCES = BENCH / "references.json"
+
+
+def bench_tree_digest(root) -> str:
+    """``tree_digest`` of ``bench/workloads.py``: the rule the recorded cache
+    digests were taken by, loaded read-only from its file."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / "workloads.py")
+        # its dataclasses resolve their annotations through sys.modules
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].tree_digest(str(root))
 
 
 class TestDwork:
@@ -588,6 +606,41 @@ class TestDwork:
             assert run(capsys, ["dwork", job, *flags])[:2] == (code, out)
         assert not (tmp_path / ".mirrorint-cache").exists()
 
+    @pytest.mark.parametrize("where", ["job", "flag"])
+    def test_order_on_a_fixture_exits_2(self, tmp_path, capsys, where):
+        doc = {"fixture": {"F": ONE, "G": Z}, "primes": [2]}
+        flags = ["--order", "1"] if where == "flag" else []
+        if where == "job":
+            doc["order"] = 2
+        code, out, err = run(capsys, ["dwork", write_job(tmp_path, "a.json", doc), *flags])
+        assert code == EXIT_SCHEMA
+        assert out == "" and len(err.splitlines()) == 1
+        assert "order" in err
+
+    def test_non_p_integral_fixture_F_comes_before_a_constant_G(self, tmp_path, capsys):
+        # F = 1 + z/2 at p = 2 and G = 1 + z: both inputs are wrong, F is named
+        F = {"d": 1, "order": 6, "terms": [{"exp": [0], "num": "1", "den": "1"},
+                                           {"exp": [1], "num": "1", "den": "2"}]}
+        G = {"d": 1, "order": 6, "terms": [{"exp": [0], "num": "1", "den": "1"},
+                                           {"exp": [1], "num": "1", "den": "1"}]}
+        job = write_job(tmp_path, "a.json", {"fixture": {"F": F, "G": G}, "primes": [2]})
+        code, out, err = run(capsys, ["dwork", job])
+        assert code == EXIT_SCHEMA and out == ""
+        assert err == (
+            "schema error: dwork cannot check this input:"
+            " F has a non p-integral coefficient at (1,)\n"
+        )
+
+    def test_one_coefficient_pass_per_job_for_any_number_of_primes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls, seen = count_the_pass(monkeypatch, mirror, cli)
+        doc = {"system": {"name": "cubic-2d"}, "order": 6, "primes": [2, 3, 5, 7]}
+        code, out, _ = run(capsys, ["dwork", write_job(tmp_path, "a.json", doc)])
+        assert code == EXIT_OK and {json.loads(l)["prime"] for l in out.splitlines()} == {2, 3, 5, 7}
+        assert calls == [(CUBIC_2D, 6)]
+        assert seen == list(exponents_upto(2, 6))
+
     @pytest.mark.parametrize("name", ["cubic-2d", "cubic-split", "central-binomial", "case30"])
     def test_prints_the_recorded_bytes(self, tmp_path, capsys, monkeypatch, name):
         recorded = json.loads(REFERENCES.read_text())["warm-reports"][f"dwork/{name}"]
@@ -597,6 +650,26 @@ class TestDwork:
         assert code == recorded["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == recorded["stdout"]
         assert list(tmp_path.iterdir()) == [tmp_path / "a.json"]
+
+    def test_case30_prints_the_recorded_bytes(self, tmp_path, capsys, monkeypatch):
+        recorded = json.loads(REFERENCES.read_text())["warm-reports"]["case/case30"]
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["case", write_job(tmp_path, "a.json", {"case": "case30"})])
+        assert code == recorded["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded["stdout"]
+
+    @pytest.mark.parametrize(
+        "name, order", [("cubic-2d", 12), ("case30", 10), ("central-binomial", 32)]
+    )
+    def test_cold_scan_writes_the_recorded_cache(self, tmp_path, capsys, name, order):
+        recorded = json.loads(REFERENCES.read_text())["bundle-cold"][f"scan/{name}/{order}"]
+        job = write_job(tmp_path, "a.json", {"system": {"name": name}, "order": order})
+        cache = tmp_path / "cold"
+        cache.mkdir()
+        code, out, _ = run(capsys, ["scan", job, "--cache-dir", str(cache)])
+        assert code == recorded["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded["stdout"]
+        assert bench_tree_digest(cache) == recorded["cache"]
 
 
 class TestCongruences:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorint import dwork
+from mirrorint import dwork, kronecker, series
 from mirrorint.dwork import (
     CongruenceRanges,
     CongruenceReport,
@@ -17,6 +17,7 @@ from mirrorint.dwork import (
     _Units,
     _Worst,
     dieudonne_dwork_check,
+    dieudonne_dwork_forms,
     excluded_indices,
     good_residues,
     harmonic_obstruction,
@@ -35,8 +36,8 @@ from mirrorint.forms import (
     vp_of_rational,
     vp_ratio_legendre,
 )
-from mirrorint.landau import in_jump_region
-from mirrorint.mirror import build_F, build_GL, build_Gk, exponents_upto
+from mirrorint.landau import enumerate_weight_vectors, in_jump_region
+from mirrorint.mirror import build_F, build_GL, build_Gk, coefficient_forms, exponents_upto
 from mirrorint.series import MSeries
 from mirrorint.systems import (
     BUNDLED,
@@ -46,6 +47,8 @@ from mirrorint.systems import (
     CUBIC_SPLIT,
     INVERSE_BINOMIAL,
 )
+
+from test_mirror import family_jobs
 
 
 def report_line(rep):
@@ -541,6 +544,46 @@ def test_dieudonne_dwork_matches_the_fraction_oracle(case):
     assert got == oracle_dieudonne_dwork(F, G, p)
     if cancel:
         assert not any(all(e % p == 0 for e in r.locus[0]) for r in got)
+
+
+def outcome(check, *args):
+    """The reports of ``check(*args)``, or the message of its ValueError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_jobs(), st.sampled_from([2, 3, 5, 7]))
+@example((CUBIC_2D, 6), 2)
+@example((INVERSE_BINOMIAL, 4), 2)  # F is not 2-integral
+@example((FormSystem([(1, 0), (0, 1)], [(1, 1)]), 5), 3)
+def test_integer_path_matches_the_series_check_and_the_oracle(job, p):
+    """``dieudonne_dwork_forms`` on the forms of one pass, for every G_k and
+    G_L, against ``dieudonne_dwork_check`` on the same series built as
+    MSeries, and against the Fraction oracle where F passes its checks."""
+    sys, order = job
+    g = kronecker.grading(sys.d, order)
+    f, *hs = coefficient_forms(sys, order, range(sys.d), enumerate_weight_vectors(sys))
+    F = series._emit(g, order, *f)
+    for h in hs:
+        G = series._emit(g, order, *h)
+        got = outcome(dieudonne_dwork_forms, g, order, f, h, p)
+        assert got == outcome(dieudonne_dwork_check, F, G, p)
+        if not isinstance(got, str):
+            assert got == oracle_dieudonne_dwork(F, G, p)
+
+
+def test_a_non_p_integral_F_is_named_before_a_constant_G():
+    # D_F = 4: the numerator 2 of z/2 is even, yet z/2 is not 2-integral
+    F = MSeries(1, 4, {(0,): 1, (1,): Fraction(1, 2), (3,): Fraction(1, 4)})
+    G = MSeries(1, 4, {(0,): 1, (1,): 1})
+    g = kronecker.grading(1, 4)
+    for check, args in ((dieudonne_dwork_check, (F, G)),
+                        (dieudonne_dwork_forms, (g, 4, F._numerators(), G._numerators()))):
+        with pytest.raises(ValueError, match=r"^F has a non p-integral coefficient at \(1,\)$"):
+            check(*args, 2)
 
 
 class TestCoefficientFormulas:

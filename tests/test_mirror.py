@@ -1,11 +1,12 @@
 """Named series families, bundles, factorization identity, scans."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorint import mirror
+from mirrorint import kronecker, mirror, series
 from mirrorint.forms import (
     FormSystem,
     dot,
@@ -60,19 +61,32 @@ def oracle_build_GL(sys, L, order):
 @st.composite
 def family_jobs(draw):
     """A raw system in d = 1 or 2 (zero vectors, overlaps and non-integral
-    Q allowed) and an order in 0..8."""
+    Q allowed) and an order in 0..8.  In the swapped mode f is the one
+    vector sum of e, so Q(n) is one over a multinomial coefficient: not an
+    integer once two vectors of e meet n, and D_F > 1."""
     d = draw(st.integers(1, 2))
     vec = st.tuples(*[st.integers(0, 2)] * d)
     e = draw(st.lists(vec, min_size=1, max_size=3))
-    f = draw(st.lists(vec, min_size=0, max_size=3))
+    if draw(st.booleans()):
+        f = [tuple(map(sum, zip(*e)))]
+    else:
+        f = draw(st.lists(vec, min_size=0, max_size=3))
     return FormSystem(e, f, raw=True), draw(st.integers(0, 8))
 
 
+def emitted(sys, order, ks=(), Ls=()):
+    """The forms of one coefficient pass, as series."""
+    g = kronecker.grading(sys.d, order)
+    return [series._emit(g, order, *form) for form in mirror.coefficient_forms(sys, order, ks, Ls)]
+
+
 class TestOnePassAgainstOracle:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(family_jobs())
     @example((FormSystem([(1,)], [(2,)]), 8))  # Q(n) = 1 / C(2n, n)
     @example((FormSystem([(2, 1)], [(1, 1), (1, 0)]), 8))
+    @example((FormSystem([(1, 0), (0, 1)], [(1, 1)]), 6))  # swapped; L = (1, 0)
+    @example((FormSystem([(0, 0), (2, 1), (1, 2)], [(0, 0), (1, 0)], raw=True), 5))
     def test_families_match_per_series_loops(self, job):
         sys, order = job
         F = oracle_build_F(sys, order).to_dict()
@@ -87,19 +101,47 @@ class TestOnePassAgainstOracle:
         assert [g.to_dict() for g in b.G] == G
         assert list(b.GL) == Ls
         assert {L: g.to_dict() for L, g in b.GL.items()} == GL
+        # the pass itself: D_F is the least common denominator of the Q(n)
+        D_F = mirror.coefficient_forms(sys, order)[0][0]
+        assert D_F == math.lcm(*(int(t["den"]) for t in F["terms"]))
+        Fs, *Gs = emitted(sys, order, range(sys.d), Ls)
+        assert Fs.to_dict() == F
+        assert [g.to_dict() for g in Gs] == G + list(GL.values())
+
+    def test_the_swapped_example_has_D_F_above_1_and_an_L_with_a_zero_entry(self):
+        swapped = FormSystem([(1, 0), (0, 1)], [(1, 1)])
+        assert mirror.coefficient_forms(swapped, 6)[0][0] == 60  # lcm of the C(n, k), n <= 6
+        assert (1, 0) in enumerate_weight_vectors(swapped)
 
     def test_bundle_takes_each_factorial_ratio_once(self, monkeypatch):
-        seen = []
-
-        def counting(sys, n):
-            seen.append(tuple(n))
-            return factorial_ratio(sys, n)
-
-        monkeypatch.setattr(mirror, "factorial_ratio", counting)
+        # one coefficient pass per bundle, visiting each exponent once
+        calls, seen = count_the_pass(monkeypatch, mirror)
         for sys, order in ((CUBIC_2D, 6), (CENTRAL_BINOMIAL, 10)):
-            seen.clear()
+            calls.clear(), seen.clear()
             build_bundle(sys, order)
+            assert calls == [(sys, order)]
             assert seen == list(exponents_upto(sys.d, order))
+
+
+def count_the_pass(monkeypatch, *modules):
+    """Record each call of ``coefficient_forms`` under its name in ``modules``
+    as (system, order), and each exponent the pass visits; returns both lists."""
+    calls, seen = [], []
+    the_pass, upto = mirror.coefficient_forms, mirror.exponents_upto
+
+    def counting(sys, order, *rest):
+        calls.append((sys, order))
+        return the_pass(sys, order, *rest)
+
+    def visiting(d, order):
+        for v in upto(d, order):
+            seen.append(v)
+            yield v
+
+    for module in modules:
+        monkeypatch.setattr(module, "coefficient_forms", counting)
+    monkeypatch.setattr(mirror, "exponents_upto", visiting)
+    return calls, seen
 
 
 class TestBuildF:

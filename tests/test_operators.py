@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from mirrorint import mirror
-from mirrorint.forms import factorial_ratio, harmonic
+from mirrorint import mirror, operators
+from mirrorint.forms import harmonic
 from mirrorint.landau import Tag, classify, delta_at, in_jump_region
 from mirrorint.mirror import build_Gk, exponents_upto
 from mirrorint.operators import (
@@ -20,6 +20,8 @@ from mirrorint.operators import (
 )
 from mirrorint.series import LogSeries, MSeries
 from mirrorint.systems import CASE30
+
+from test_mirror import count_the_pass
 
 
 def case30_log_coefficient(n: int) -> Fraction:
@@ -123,14 +125,10 @@ class TestCase30:
         ]
 
     def test_verification_takes_each_factorial_ratio_once(self, monkeypatch):
-        seen = []
-
-        def counting(sys, n):
-            seen.append(tuple(n))
-            return factorial_ratio(sys, n)
-
-        monkeypatch.setattr(mirror, "factorial_ratio", counting)
+        # one coefficient pass per verification, visiting each exponent once
+        calls, seen = count_the_pass(monkeypatch, mirror, operators)
         assert verify_annihilation(case30_record(), 8).ok
+        assert calls == [(CASE30, 8)]
         assert seen == list(exponents_upto(2, 8))
 
     def test_log_companion_closed_form_matches_construction(self):

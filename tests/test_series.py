@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorint import kronecker, series
 from mirrorint.series import (
@@ -26,7 +26,6 @@ from mirrorint.series import (
     apply_theta_poly,
     compose,
     invert_diagonal,
-    theta,
 )
 
 
@@ -361,6 +360,80 @@ class TestInversion:
         z = MSeries.variable(1, N, 0)
         with pytest.raises(ValueError):
             invert_diagonal([2 * z])
+
+
+def theta(s):
+    """Apply theta = z d/dz; accepts a univariate MSeries or a LogSeries.
+
+    On monomials theta(z^n) = n z^n; on the log pair the product rule gives
+    theta(A + B log z) = (theta A + B) + (theta B) log z.
+    """
+    if isinstance(s, LogSeries):
+        return LogSeries(theta(s.regular) + s.logpart, theta(s.logpart))
+    if s.d != 1:
+        raise ValueError("theta acts on univariate series")
+    return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
+
+
+def oracle_apply_theta_poly(polys, s):
+    """apply_theta_poly from theta powers of s, each P_i(theta) s shifted by
+    z^i through a series product, then truncated by the z-degree."""
+    if not polys:
+        raise ValueError("at least one coefficient polynomial is required")
+    v = len(polys) - 1
+    order = s.order
+    if order < v:
+        raise ValueError("series order too small for this operator")
+    max_theta = max((len(p) - 1 for p in polys), default=0)
+    theta_pow = [s]
+    for _ in range(max_theta):
+        theta_pow.append(theta(theta_pow[-1]))
+    zero = MSeries.zero(1, order)
+    acc = LogSeries(zero, zero)
+    zpow = MSeries.one(1, order)
+    zvar = MSeries.variable(1, order, 0)
+    for i, p in enumerate(polys):
+        if i:
+            zpow = zpow * zvar
+        part = LogSeries(zero, zero)
+        for j, c in enumerate(p):
+            if c:
+                part = part + LogSeries(theta_pow[j].regular * c, theta_pow[j].logpart * c)
+        acc = acc + LogSeries(zpow * part.regular, zpow * part.logpart)
+    return LogSeries(acc.regular.truncate(order - v), acc.logpart.truncate(order - v))
+
+
+@st.composite
+def operator_inputs(draw):
+    """Polynomials sum_i z^i P_i (some zero or constant, z-degree up to the
+    order) and a log-series with Fraction coefficients, its log part
+    sometimes empty."""
+    order = draw(st.integers(0, 7))
+    poly = st.one_of(
+        st.just(()),
+        st.lists(st.just(0), min_size=1, max_size=3),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=1),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    )
+    polys = draw(st.lists(poly, min_size=1, max_size=order + 1))
+    coeffs = st.dictionaries(
+        st.tuples(st.integers(0, order)), st.fractions(max_denominator=30), max_size=order + 1
+    )
+    regular = MSeries(1, order, draw(coeffs))
+    logpart = MSeries(1, order, draw(st.one_of(st.just({}), coeffs)))
+    return polys, LogSeries(regular, logpart)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_inputs())
+@example(([(1, 2, 3)] * 7, LogSeries.pure(MSeries(1, 6, {(0,): Fraction(1, 3), (6,): 2}))))
+@example(([()], LogSeries(MSeries.zero(1, 0), MSeries.one(1, 0))))
+def test_apply_theta_poly_matches_the_theta_power_oracle(case):
+    polys, s = case
+    got, want = apply_theta_poly(polys, s), oracle_apply_theta_poly(polys, s)
+    assert got.order == want.order == s.order - (len(polys) - 1)
+    assert got.regular.to_dict() == want.regular.to_dict()
+    assert got.logpart.to_dict() == want.logpart.to_dict()
 
 
 class TestThetaOps:
