@@ -19,37 +19,34 @@ All sweeps are deterministic: each report carries the first locus, in
 the lexicographic order of its tuples, with the least margin.
 
 The formal-congruence harness compares p-adic valuations with finite
-bounds, so its hot loops avoid the big rationals they would otherwise
-build and throw away.  Every reported ``achieved`` value is still exact:
+bounds, so its hot loops are flat list passes that avoid the big rationals
+they would otherwise build.  Every reported ``achieved`` value is exact:
 
-  * Jump-region tests are integer tests: for 0 <= u < q, the point {u/q}
-    lies in the jump region exactly when some form w has w.u >= q.  The
-    weight mu and the good-residue and excluded-index sets use it.
-  * Q(n) is written p^v * u with u a p-adic unit.  v is a Legendre sum;
-    u is known mod p^R (R is the private constant ``_R``).  The unit part
-    of N! is prod_(i >= 0) F[floor(N/p^i)], where F[M] is the product of
-    the k <= M prime to p, that is |Gamma_p(M+1)| for Morita's Gamma_p.
-    One prefix table of F and of its inverse per context gives the unit
-    parts of every Q(n) and their inverses.
+  * Jump-region tests are integer: for 0 <= u < q, {u/q} is in the jump
+    region exactly when some form w has w.u >= q.
+  * Q(n) is written p^v * u with u a p-adic unit.  v is a Legendre sum; u
+    is known mod p^R (R is the private constant ``_R``): the unit part of
+    N! is prod_(i >= 0) F[floor(N/p^i)], where F[M] is the product of the
+    k <= M prime to p, that is |Gamma_p(M+1)| for Morita's Gamma_p.  The
+    ratio sweeps read v and u over a whole m box from prefix tables of F.
   * p^e1 x1 - p^e2 x2 has valuation min(e1, e2) when e1 != e2, and
     e + v_p(t) when e1 = e2 = e and the unit difference t is nonzero mod
-    p^R; then v_p(t) < R is exact too.  Only t = 0 mod p^R is undecided,
-    and those loci are recomputed with exact Fractions.  So R sets how
-    often the exact path runs, never a report byte.
-  * The conclusion runs on exact values.  An integral Q(n) is kept as an
-    int; a non-integral system stays on Fractions with the same formulas.
-    The box [0, K] and its blocks depend on K alone, so they are indexed
-    once per K and serve every residue a.  Block sums are built by level:
-    a level-(s+1) block is the sum of the p^d level-s blocks under it, so
-    each level is one pass over the level below.  Only the nonempty
-    blocks, m <= K // p^s, are visited.  An empty block sums to zero, an
-    INFINITY valuation changes a worst-locus tracker only as its first
-    update, and the first update, at (a, K, s, m) = 0, is a nonempty
-    block; so skipping empty blocks changes no report.  The blocks of one
-    level partition [0, K], so the telescoping total is the sum of the
-    whole table for every s and is computed once per (a, K).  Once a worst
-    margin M is known, a block sum that is 0 mod p^(required + M) cannot
-    set a new one, and its valuation is not taken.
+    p^R; then v_p(t) < R is gcd(t, p^R) read as a power of p.  At m = 0
+    the difference is 1 - 1 = 0; any other t = 0 mod p^R is recomputed
+    with exact Fractions.  So R sets how often that runs, never a byte.
+  * The conclusion runs on exact values from one factorial table: an
+    integral Q(n) is an int, any other a Fraction.  Places in the boxes
+    [0, K] and in their blocks are sums of per-coordinate strides, shared
+    by every residue a.  A level-(s+1) block sums the level-s blocks under
+    it; only blocks with m <= K // p^s are visited, since an empty one
+    sums to zero and is never a tracker's first update.  Once a margin M
+    is known, one pass over the visited blocks drops every sum in
+    p^(required + M) Z: its margin is at least M, so it sets no new worst.
+  * Telescoping: j -> K - j swaps Q(a + p(K-j)) Q(j) and Q(K-j) Q(a + pj),
+    so their difference is odd under it.  Level 0 is a first half and that
+    half negated, and the total over [0, K], the sum of every level, is
+    zero identically: like the weight shift, the telescoping check cannot
+    fail, but it is still computed and reported.
   * The conclusion visits K outermost, yet its loci are ordered by
     (a, K, s, m).  Each residue a has its own tracker, which sees its
     (K, s, m) in order and so holds the first least margin of a.  Merged
@@ -70,7 +67,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from . import kronecker
@@ -94,9 +91,8 @@ Valuation = Union[int, PadicInfinity]
 # ---------------------------------------------------------------------------
 # ambient context
 
-# p-adic digits carried by the unit parts of Q.  A difference whose unit
-# part vanishes mod p^_R is recomputed with exact rationals, so this
-# constant sets how often that happens, never what a report says.
+# p-adic digits carried by the unit parts of Q.  A difference whose unit part
+# vanishes mod p^_R is recomputed exactly: this sets how often, never a byte.
 _R = 30
 
 Rational = Union[int, Fraction]
@@ -106,12 +102,10 @@ class _Units:
     """v_p(Q(n)) and the unit part of Q(n) mod p^_R, read off tables of N!.
 
     With F[M] the product of the k <= M prime to p (that is |Gamma_p(M+1)|),
-    N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].  The tables hold
-    v_p(N!), that unit part mod p^_R and its inverse for N <= top; Q(n) is
-    the product of (w.n)!^k over the distinct forms w with net multiplicity
-    k (count in e minus count in f), so the inverse of a unit part costs no
-    modular inversion.
-    """
+    N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].  Q(n) is the product
+    of (w.n)!^k over the distinct forms w with net multiplicity k (count in
+    e minus count in f); per form, a table holds k v_p(N!) and the k-th power
+    of that unit part mod p^_R for N <= top, built by prefix passes."""
 
     def __init__(self, p: int, terms: list[tuple[IntVec, int]], top: int):
         mod = p**_R
@@ -122,44 +116,30 @@ class _Units:
         Finv[top] = pow(F[top], -1, mod)
         for k in range(top, 0, -1):
             Finv[k - 1] = Finv[k] * k % mod if k % p else Finv[k]
-        vf, uf, ui = [0] * (top + 1), [1] * (top + 1), [1] * (top + 1)
-        for N in range(1, top + 1):
-            M = N // p
-            vf[N] = M + vf[M]
-            uf[N] = F[N] * uf[M] % mod
-            ui[N] = Finv[N] * ui[M] % mod
+        vf, uf, ui = [0], [1], [1]
+        while len(vf) <= top:
+            # N // p < len(vf) for every N below len(vf) * p
+            Ns = range(len(vf), min(len(vf) * p, top + 1))
+            vf += [N // p + vf[N // p] for N in Ns]
+            uf += [F[N] * uf[N // p] % mod for N in Ns]
+            ui += [Finv[N] * ui[N // p] % mod for N in Ns]
         self.mod, self.top = mod, top
-        # (w, k v_p(N!), unit^k, unit^-k), the last three indexed by N = w.n
-        self.tables = []
-        for w, k in terms:
-            up, down = (uf, ui) if k > 0 else (ui, uf)
-            if abs(k) != 1:
-                up = [pow(x, abs(k), mod) for x in up]
-                down = [pow(x, abs(k), mod) for x in down]
-            self.tables.append((w, [k * x for x in vf], up, down))
+        # (w, k v_p(N!), unit^k), the last two indexed by N = w.n
+        unit = {1: uf, -1: ui}
+        self.tables = [
+            (w, [k * x for x in vf], unit.get(k) or [x ** abs(k) % mod for x in unit[k // abs(k)]])
+            for w, k in terms
+        ]
 
-    def dots(self, n: IntVec) -> tuple[int, ...]:
-        """The form values w.n, one per table."""
-        return tuple(sum(map(mul, w, n)) for w, _, _, _ in self.tables)
-
-    def inverse(self, n: IntVec) -> tuple[int, int]:
-        """(v_p(Q(n)), inverse of the unit part mod p^_R) for n >= 0."""
-        mod = self.mod
-        v, ui = 0, 1
-        for w, V, _, D in self.tables:
-            N = sum(map(mul, w, n))
-            v += V[N]
-            ui = ui * D[N] % mod
-        return v, ui
-
-    def shifted(self, base: tuple[int, ...], q: int, md: tuple[int, ...]) -> tuple[int, int]:
-        """(v_p, unit part) of Q at the index with form values base + q * md."""
-        mod = self.mod
-        v, u = 0, 1
-        for (_, V, U, _), b, x in zip(self.tables, base, md):
-            N = b + q * x
-            v += V[N]
-            u = u * U[N] % mod
+    def column(self, n: IntVec, q: int, mdots: list, size: int) -> tuple[list, list]:
+        """(v_p, unit part) of Q(n + q m) over a list of ``size`` m >= 0, one
+        list each, with ``mdots`` listing the values w.m per table; the unit
+        parts are products of table entries, not reduced mod p^_R."""
+        v, u = [0] * size, [1] * size
+        for (w, V, U), col in zip(self.tables, mdots):
+            b = sum(map(mul, w, n))
+            v = list(map(add, v, map(V[b::q].__getitem__, col)))
+            u = list(map(mul, u, map(U[b::q].__getitem__, col)))
         return v, u
 
 
@@ -188,10 +168,8 @@ class PadicContext:
         self._unit_tables: Optional[_Units] = None
 
     def Q(self, n: Sequence[int]) -> Rational:
-        """Factorial ratio extended by zero on vectors with a negative entry.
-
-        An integral value is an ``int``, any other a ``Fraction``.
-        """
+        """Factorial ratio extended by zero on vectors with a negative entry;
+        an integral value is an ``int``, any other a ``Fraction``."""
         n = tuple(int(c) for c in n)
         out = self._q_cache.get(n)
         if out is None:
@@ -201,6 +179,29 @@ class PadicContext:
                 x = factorial_ratio(self.sys, n)
                 out = x.numerator if x.denominator == 1 else x
             self._q_cache[n] = out
+        return out
+
+    def _q_boxes(self, starts: list, bound: int) -> list[list[Rational]]:
+        """The values ``Q`` gives at a + q x, x over the box [0, bound] listed
+        lexicographically, one list per (a, q) in ``starts``: quotients of
+        entries of one factorial table, as in ``mirror.coefficient_forms``."""
+        terms, span, n = self._terms, range(bound + 1), (bound + 1) ** self.sys.d
+        # per start, the form values w.(a + q x) of each net term
+        dots = [
+            [_over_box([[c * (b + q * x) for x in span] for c, b in zip(w, a)]) for w, _ in terms]
+            for a, q in starts
+        ]
+        tops = [max((max(cols[t]) for cols in dots), default=0) for t in range(len(terms))]
+        fact = list(itertools.accumulate(range(1, max(tops, default=0) + 1), mul, initial=1))
+        powers = [[c ** abs(k) for c in fact[: top + 1]] for (_, k), top in zip(terms, tops)]
+        out = []
+        for cols in dots:
+            num, den = [1] * n, [1] * n
+            for (_, k), power, col in zip(terms, powers, cols):
+                side = num if k > 0 else den
+                side[:] = map(mul, side, map(power.__getitem__, col))
+            pairs = zip(num, den)
+            out.append([Fraction(x, y) if r else z for x, y in pairs for z, r in [divmod(x, y)]])
         return out
 
     def _units(self, bound: int) -> _Units:
@@ -236,33 +237,27 @@ class PadicContext:
 
 
 def _in_region_scaled(ctx: PadicContext, u: IntVec, q: int) -> bool:
-    """Whether {u/q} lies in the jump region, for 0 <= u < q componentwise.
-
-    Integer form of the test: w.(u/q) >= 1 exactly when w.u >= q.
-    """
+    """Whether {u/q} lies in the jump region, for 0 <= u < q componentwise:
+    w.(u/q) >= 1 exactly when w.u >= q."""
     return any(sum(map(mul, w, u)) >= q for w in ctx._forms)
 
 
 def good_residues(ctx: PadicContext, s: int) -> list[IntVec]:
     """All good residues mod p^s, lexicographically."""
-    return [
-        u
-        for u in itertools.product(range(ctx.p**s), repeat=ctx.sys.d)
-        if not _in_region_scaled(ctx, u, ctx.p**s)
-    ]
+    q = ctx.p**s
+    box = itertools.product(range(q), repeat=ctx.sys.d)
+    return [u for u in box if not _in_region_scaled(ctx, u, q)]
 
 
 def excluded_indices(ctx: PadicContext, t_max: int) -> list[tuple[IntVec, int]]:
     """Pairs (n, t), t <= t_max, whose first t rescalings stay in the jump region."""
-    out = []
-    for t in range(1, t_max + 1):
-        for n in itertools.product(range(ctx.p**t), repeat=ctx.sys.d):
-            if all(
-                _in_region_scaled(ctx, tuple(c % ctx.p**l for c in n), ctx.p**l)
-                for l in range(1, t + 1)
-            ):
-                out.append((n, t))
-    return out
+    p = ctx.p
+    return [
+        (n, t)
+        for t in range(1, t_max + 1)
+        for n in itertools.product(range(p**t), repeat=ctx.sys.d)
+        if all(_in_region_scaled(ctx, tuple(c % p**l for c in n), p**l) for l in range(1, t + 1))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +281,9 @@ class CongruenceReport:
 
     def to_dict(self) -> dict:
         """The report line, with INFINITY written as ``"inf"``."""
-        def enc(v):
-            return "inf" if v is INFINITY else v
-
-        return {
-            "check": self.check,
-            "locus": self.locus,
-            "required": enc(self.required),
-            "achieved": enc(self.achieved),
-            "pass": self.passed,
-        }
+        req, ach = ("inf" if v is INFINITY else v for v in (self.required, self.achieved))
+        return {"check": self.check, "locus": self.locus, "required": req, "achieved": ach,
+                "pass": self.passed}
 
 
 class _Worst:
@@ -322,18 +310,41 @@ class _Worst:
             self.locus, self.required, self.achieved = locus, required, achieved
 
     def update_value(self, locus: tuple, required: int, x: Rational, p: int):
-        """``update`` with achieved = v_p(x), for a finite ``required``.
-
-        Once a margin M is known, an integer x = 0 mod p^(required + M) has
-        a margin of at least M and cannot become the worst, so its exact
-        valuation is never taken; only such x skip ``update``.
-        """
+        """``update`` with achieved = v_p(x), for a finite ``required``; once a
+        margin M is known, an int x = 0 mod p^(required + M) cannot become the
+        worst, so its valuation is never taken: only such x skip ``update``."""
         if self.margin is not None and type(x) is int:
             limit = required + self.margin
             if limit <= 0 or x % p**limit == 0:
                 self.count += 1
                 return
         self.update(locus, required, _vp(x, p))
+
+    def update_row(self, head: tuple, tails: list, required: list, achieved: list):
+        """``update`` at the loci head + tail, tail in ``tails``, in order.  Only
+        the first entry of least margin can change the tracker (the first
+        entry, when no margin is finite), so only it goes to ``update``."""
+        # INFINITY, greater than every int, stands for an infinite achieved value
+        margins = [
+            INFINITY if a is INFINITY else -(10**9) if r is INFINITY else a - r
+            for r, a in zip(required, achieved)
+        ]
+        if margins:
+            i = margins.index(min(margins))
+            self.update(head + tails[i], required[i], achieved[i])
+            self.count += len(margins) - 1
+
+    def update_values(self, head: tuple, tails: list, required: list, xs: list, p: int):
+        """``update_value`` at the loci head + tail, tail in ``tails``, in order,
+        once a margin M is known only for the x outside p^(required + M) Z (Z
+        when required + M <= 0): the others would only be counted."""
+        keep = range(len(xs))
+        if self.margin is not None:
+            mods = {r: p ** max(r + self.margin, 0) for r in set(required)}
+            keep = [i for i, r, x in zip(keep, required, xs) if x % mods[r]]
+            self.count += len(xs) - len(keep)
+        for i in keep:
+            self.update_value(head + tails[i], required[i], xs[i], p)
 
     def extend(self, later: "_Worst"):
         """Continue this sweep with ``later``'s, whose loci all come after
@@ -421,44 +432,36 @@ def _box(hi: IntVec):
     return itertools.product(*(range(c + 1) for c in hi))
 
 
-def _position(top: IntVec, m: IntVec) -> int:
-    """The place of m in the lexicographic listing of the box [0, top]."""
-    i = 0
-    for c, t in zip(m, top):
-        i = i * (t + 1) + c
-    return i
+def _over_box(cols: list) -> list[int]:
+    """sum_i cols[i][j_i] over the box 0 <= j_i < len(cols[i]), listed
+    lexicographically: one flat pass per coordinate."""
+    out = [0]
+    for col in cols:
+        out = [x + c for x in out for c in col]
+    return out
 
 
-class _Blocks:
-    """The box [0, K] and its blocks, level by level, for one K >= 0.
+def _places(box: IntVec, top: IntVec, div: int = 1) -> list[int]:
+    """The place of j // div in the lexicographic listing of the box [0, top],
+    for j over the box [0, box] listed lexicographically."""
+    strides = [math.prod(c + 1 for c in top[i + 1 :]) for i in range(len(top))]
+    return _over_box([[c // div * st for c in range(b + 1)] for b, st in zip(box, strides)])
 
-    ``js`` lists the box lexicographically, so that reversed it lists K - j.
-    The level-s blocks m p^s <= j <= (m+1) p^s - 1 that meet the box are
-    those with m in [0, ``tops[s]``], ``tops[s]`` = K // p^s; a level lists
-    them lexicographically, and ``up[s]`` maps each level-s block to the
-    place of the level-(s+1) block that holds it.
-    """
 
-    def __init__(self, K: IntVec, p: int, s_max: int):
-        self.js = list(_box(K))
-        self.tops = [K]
-        self.up = []
-        for _ in range(s_max):
-            below = self.tops[-1]
-            top = tuple(c // p for c in below)
-            self.up.append([_position(top, tuple(c // p for c in m)) for m in _box(below)])
-            self.tops.append(top)
-
-    def sums(self, P: list, Q: list) -> list[list]:
-        """The block sums of Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) by level,
-        from P = Q(a + pj) and Q = Q(j) listed like ``js``."""
-        levels = [[pk * qj - qk * pj for pk, qj, qk, pj in zip(reversed(P), Q, reversed(Q), P)]]
-        for up, top in zip(self.up, self.tops[1:]):
-            level = [0] * math.prod(c + 1 for c in top)
-            for i, x in zip(up, levels[-1]):
-                level[i] += x
-            levels.append(level)
-        return levels
+def _block_sums(P: list, Q: list, ups: list) -> list[list]:
+    """The block sums of Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) by level, from
+    P = Q(a + pj) and Q = Q(j) listed like the box [0, K]; reversed, the box
+    lists K - j.  The level-s block m p^s <= j <= (m+1) p^s - 1 is listed
+    like m over [0, K // p^s]; ``ups[s]`` gives the place of its parent."""
+    n = len(Q)
+    half = [a * b - c * d for a, b, c, d in zip(reversed(P), Q, reversed(Q), P[: (n + 1) // 2])]
+    levels = [half + [-x for x in reversed(half[: n // 2])]]
+    for up in ups:
+        level = [0] * (up[-1] + 1)
+        for i, x in zip(up, levels[-1]):
+            level[i] += x
+        levels.append(level)
+    return levels
 
 
 @dataclass
@@ -486,13 +489,10 @@ def verify_formal_congruences(
     Instantiated with the constant sequence A_r = Q and g_r = p^mu, and
     with the excluded-index set built from the jump region.  Produces one
     aggregated report per check, each carrying the worst locus found:
-
-      * value-at-zero is a p-adic unit;
-      * Q(m) lies in g(m) O;
-      * the three ratio congruences (general, good-residue, excluded);
-      * the weight shift for excluded indices;
-      * the conclusion for the block sums;
-      * the exact telescoping cancellation of complete block sums.
+    value-at-zero is a p-adic unit; Q(m) lies in g(m) O; the three ratio
+    congruences (general, good-residue, excluded); the weight shift for
+    excluded indices; the conclusion for the block sums; the exact
+    telescoping cancellation of complete block sums.
     """
     if ranges is None:
         ranges = CongruenceRanges()
@@ -509,8 +509,7 @@ def verify_formal_congruences(
     reports.append(CongruenceReport("unit-at-zero", ((0,) * d,), 0, v0, passed=(v0 == 0)))
 
     w = _Worst("weight-lower-bound")
-    for m, mu_m in zip(mbox, mus):
-        w.update((m,), mu_m, vp_ratio_legendre(ctx.sys, m, p))
+    w.update_row((), [(m,) for m in mbox], mus, [vp_ratio_legendre(ctx.sys, m, p) for m in mbox])
     reports.append(w.report())
 
     reports.extend(_ratio_reports(ctx, s_max, m_bound, mus))
@@ -525,7 +524,7 @@ def verify_formal_congruences(
         w.update((n, t, mbox[i]), t + mus[i], t + ctx._levels(mbox[i], c))
     reports.append(w.report())
 
-    reports.extend(_conclusion_reports(ctx, s_max, k_bound, m_bound, dict(zip(mbox, mus))))
+    reports.extend(_conclusion_reports(ctx, s_max, k_bound, m_bound, mus))
     return reports
 
 
@@ -537,37 +536,39 @@ class _Ratios:
         self.ctx = ctx
         self.units = ctx._units((m_bound + 1) * ctx.p ** (s_max + 1))
         self.mbox = list(_box((m_bound,) * ctx.sys.d))
-        self.mdots = [self.units.dots(m) for m in self.mbox]
+        self.tails = [(m,) for m in self.mbox]
+        span = range(m_bound + 1)
+        self.mdots = [_over_box([[c * x for x in span] for c in w]) for w, *_ in self.units.tables]
+        # v_p(t) of a unit difference t != 0 mod p^_R, read off gcd(t, p^_R)
+        self.vps = {ctx.p**i: i for i in range(_R)}
 
     def differences(self, s: int, lo: IntVec, his: list) -> tuple[list, list]:
         """(e, rows): e lists e_m = v_p(Q(lo + m p^s) / Q(lo)) over the m box,
         and rows holds, per hi in ``his``, v_p(Q(hi)) and the valuations of
         the difference over the m box."""
-        ctx, units = self.ctx, self.units
-        p, mod = ctx.p, units.mod
+        ctx, units, mbox, vps = self.ctx, self.units, self.mbox, self.vps
+        p, mod, gcd = ctx.p, units.mod, math.gcd
         q0, q1 = p**s, p ** (s + 1)
-        v_lo, ui_lo = units.inverse(lo)
-        base_lo = units.dots(lo)
-        low = [units.shifted(base_lo, q0, md) for md in self.mdots]
-        e = [v_b - v_lo for v_b, _ in low]
-        x_lo = [x_b * ui_lo for _, x_b in low]
+        # m = 0 comes first: its entries are v_p and the unit part of Q(lo)
+        v_b, x_b = units.column(lo, q0, self.mdots, len(mbox))
+        ui_lo = pow(x_b[0], -1, mod)
+        e, x_lo = [v - v_b[0] for v in v_b], [x * ui_lo for x in x_b]
         rows = []
         for hi in his:
-            v_hi, ui_hi = units.inverse(hi)
-            base_hi = units.dots(hi)
-            row = []
-            for m, md, e_b, x_b in zip(self.mbox, self.mdots, e, x_lo):
-                v_a, x_a = units.shifted(base_hi, q1, md)
-                e_a = v_a - v_hi
-                if e_a != e_b:
-                    row.append(min(e_a, e_b))
-                elif t := (x_a * ui_hi - x_b) % mod:
-                    row.append(e_a + vp_int(t, p))
-                else:
-                    top = tuple(x + q1 * y for x, y in zip(hi, m))
-                    bot = tuple(x + q0 * y for x, y in zip(lo, m))
-                    diff = Fraction(ctx.Q(top)) / ctx.Q(hi) - Fraction(ctx.Q(bot)) / ctx.Q(lo)
-                    row.append(_vp(diff, p))
+            v_a, x_a = units.column(hi, q1, self.mdots, len(mbox))
+            v_hi, ui_hi = v_a[0], pow(x_a[0], -1, mod)
+            # None marks a unit difference = 0 mod p^_R, taken exactly below
+            row = [
+                min(e_a, e_b) if e_a != e_b
+                else e_a + vps[gcd(t, mod)] if (t := (xa * ui_hi - xb) % mod)
+                else None
+                for e_a, e_b, xa, xb in zip([v - v_hi for v in v_a], e, x_a, x_lo)
+            ]
+            row[0] = INFINITY  # m = 0: Q(hi) / Q(hi) - Q(lo) / Q(lo) = 0
+            for i in [i for i, x in enumerate(row) if x is None]:
+                top = tuple(x + q1 * y for x, y in zip(hi, mbox[i]))
+                bot = tuple(x + q0 * y for x, y in zip(lo, mbox[i]))
+                row[i] = _vp(Fraction(ctx.Q(top), ctx.Q(hi)) - Fraction(ctx.Q(bot), ctx.Q(lo)), p)
             rows.append((v_hi, row))
         return e, rows
 
@@ -578,55 +579,59 @@ def _ratio_reports(ctx: PadicContext, s_max: int, m_bound: int, mus: list) -> li
     p, d = ctx.p, ctx.sys.d
     ratios = _Ratios(ctx, s_max, m_bound)
     vs = list(itertools.product(range(p), repeat=d))
-    wa = _Worst("ratio-congruence")
-    wa1 = _Worst("ratio-congruence-good")
-    wa2 = _Worst("ratio-congruence-excluded")
+    wa, wa1, wa2 = (_Worst(f"ratio-congruence{c}") for c in ("", "-good", "-excluded"))
     for s in range(s_max + 1):
         for u in good_residues(ctx, s):
             vups = [tuple(x + p * y for x, y in zip(v, u)) for v in vs]
             e, rows = ratios.differences(s, u, vups)
             for v, vup, (v_vup, row) in zip(vs, vups, rows):
-                good_next = not _in_region_scaled(ctx, vup, p ** (s + 1))
-                mu_vup = ctx.mu(vup)
-                for m, mu_m, e_b, ach in zip(ratios.mbox, mus, e, row):
-                    locus = (s, u, v, m)
-                    wa.update(locus, s + 1 + mu_m - v_vup, ach)
-                    if good_next:
-                        wa1.update(locus, s + 1 + mu_m - mu_vup, ach)
-                    else:
-                        wa2.update(locus, s + 1 + mu_m - mu_vup, e_b)
+                head = (s, u, v)
+                wa.update_row(head, ratios.tails, [s + 1 + mu - v_vup for mu in mus], row)
+                c = s + 1 - ctx.mu(vup)
+                required = [c + mu for mu in mus]
+                if not _in_region_scaled(ctx, vup, p ** (s + 1)):
+                    wa1.update_row(head, ratios.tails, required, row)
+                else:
+                    wa2.update_row(head, ratios.tails, required, e)
     return [wa.report(), wa1.report(), wa2.report()]
 
 
 def _conclusion_reports(
-    ctx: PadicContext, s_max: int, k_bound: int, m_bound: int, mu: dict
+    ctx: PadicContext, s_max: int, k_bound: int, m_bound: int, mus: list
 ) -> list:
     """The conclusion for every block sum and the telescoping of complete
     ones, K outermost with one tracker per residue (see the module notes)."""
     p, d = ctx.p, ctx.sys.d
-    top = (k_bound,) * d
-    kbox = list(_box(top))
+    top, mtop = (k_bound,) * d, (m_bound,) * d
     residues = list(itertools.product(range(p), repeat=d))
-    # Q(x) and, per residue a, Q(a + px), listed like the K box
-    Q = [ctx.Q(x) for x in kbox]
-    P = [[ctx.Q(tuple(c + p * y for c, y in zip(a, x))) for x in kbox] for a in residues]
-    wc = [_Worst("conclusion") for _ in residues]
-    wt = [_Worst("telescoping") for _ in residues]
-    for K in kbox:
-        blocks = _Blocks(K, p, s_max)
-        at = [_position(top, j) for j in blocks.js]
-        QK = [Q[i] for i in at]
-        # per level: (m, its place in the level, the required valuation)
-        visits = [
-            [(m, _position(t, m), s + 1 + mu[m]) for m in _box(tuple(min(c, m_bound) for c in t))]
-            for s, t in enumerate(blocks.tops)
-        ]
+    # Q(x), then Q(a + px) per residue a, each listed like the K box
+    Q, *P = ctx._q_boxes([((0,) * d, 1), *((a, p) for a in residues)], k_bound)
+
+    def shape(s: int, T: IntVec) -> tuple:
+        """The level-s box [0, T]: up map, visited places, their (s, m), required valuations."""
+        V = tuple(min(c, m_bound) for c in T)
+        return (_places(T, tuple(c // p for c in T), p), _places(V, T), [(s, m) for m in _box(V)],
+                [s + 1 + mus[i] for i in _places(V, mtop)])
+
+    # the boxes of levels s >= 1 recur across K; level 0 is K's own
+    shapes = {
+        (s, T): shape(s, T) for s in range(1, s_max + 1) for T in _box((k_bound // p**s,) * d)
+    }
+
+    wc, wt = ([_Worst(check) for _ in residues] for check in ("conclusion", "telescoping"))
+    for K in _box(top):
+        at = _places(K, top)
+        QK = list(map(Q.__getitem__, at))
+        levels = [shape(0, K)]
+        levels += [shapes[s, tuple(c // p**s for c in K)] for s in range(1, s_max + 1)]
+        tails = [t for *_, ts, _ in levels for t in ts]
+        required = [r for *_, rs in levels for r in rs]
         for a, Pa, wc_a, wt_a in zip(residues, P, wc, wt):
-            levels = blocks.sums([Pa[i] for i in at], QK)
-            total = _vp(sum(levels[0]), p)
-            for s, (level, visit) in enumerate(zip(levels, visits)):
-                for m, i, required in visit:
-                    wc_a.update_value((a, K, s, m), required, level[i], p)
+            sums = _block_sums(list(map(Pa.__getitem__, at)), QK, [up for up, *_ in levels[:-1]])
+            picked = [x for sm, (_, pl, *_) in zip(sums, levels) for x in map(sm.__getitem__, pl)]
+            wc_a.update_values((a, K), tails, required, picked, p)
+            total = _vp(sum(sums[-1]), p)  # each level partitions [0, K]
+            for s in range(s_max + 1):
                 wt_a.update((a, K, s), INFINITY, total)
     for trackers in (wc, wt):
         for later in trackers[1:]:
@@ -653,8 +658,8 @@ def q_ratio_congruence_sweep(
         for c in itertools.product(range(p**s), repeat=d):
             cp = tuple(x * p for x in c)
             e, [(_, row)] = ratios.differences(s, c, [cp])
-            for m, e_b, gap in zip(ratios.mbox, e, row):
-                w.update((s, c, m), s + 1, gap if gap is INFINITY else gap - e_b)
+            gaps = [gap if gap is INFINITY else gap - e_b for e_b, gap in zip(e, row)]
+            w.update_row((s, c), ratios.tails, [s + 1] * len(gaps), gaps)
     return w.report()
 
 
@@ -686,16 +691,13 @@ def obstruction_ratio(sys: FormSystem, k: int, witness: Sequence, X: int) -> Fra
     if X < 0:
         raise ValueError("argument must be nonnegative")
     witness = tuple(Fraction(c) for c in witness)
-    kk = k - 1
-    num = Fraction(1)
-    for v in sys.e:
-        for j in range(1, math.floor(dot(v, witness)) + 1):
-            num *= 1 + Fraction(v[kk] * X, j)
-    den = Fraction(1)
-    for v in sys.f:
-        for j in range(1, math.floor(dot(v, witness)) + 1):
-            den *= 1 + Fraction(v[kk] * X, j)
-    return num / den
+
+    def side(vs):
+        floors = [(v[k - 1] * X, math.floor(dot(v, witness))) for v in vs]
+        terms = (1 + Fraction(c, j) for c, f in floors for j in range(1, f + 1))
+        return math.prod(terms, start=Fraction(1))
+
+    return side(sys.e) / side(sys.f)
 
 
 def landau_negative_witness(
@@ -710,10 +712,7 @@ def landau_negative_witness(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     hi = (bound if bound is not None else p,) * sys.d
-    for n in _box(hi):
-        if not any(n):
-            continue
-        v = vp_ratio_legendre(sys, n, p)
-        if v <= -1:
+    for n in itertools.islice(_box(hi), 1, None):  # n = 0 comes first
+        if (v := vp_ratio_legendre(sys, n, p)) <= -1:
             return n, v
     return None

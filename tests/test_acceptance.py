@@ -207,7 +207,7 @@ def test_criterion_07_gamma_identities_and_unit_ratio():
         # of N! is the product of |Gamma_p(floor(N/p^i) + 1)|
         for p in (2, 3, 5):
             units = _Units(p, [((1,), 1)], 200)
-            (_, _, U, _), = units.tables
+            (_, _, U), = units.tables
             for N in range(201):
                 gamma = 1
                 for i in range(N.bit_length()):

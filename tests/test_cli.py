@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -840,3 +842,18 @@ def test_cli_contract_has_no_tracebacks(
     if code in (EXIT_SCHEMA, EXIT_CACHE, EXIT_BUDGET):
         # refused input, a bad cache and a budget exit print no partial report
         assert out == "" and len(err.splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m mirrorint` exits with the code `cli.main` returns
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "mirrorint", "classify", "-"],
+        input=json.dumps({"system": {"name": "cubic-2d"}}),
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])

@@ -13,9 +13,11 @@ from mirrorint.dwork import (
     CongruenceRanges,
     CongruenceReport,
     PadicContext,
-    _Blocks,
     _Units,
     _Worst,
+    _block_sums,
+    _over_box,
+    _places,
     dieudonne_dwork_check,
     dieudonne_dwork_forms,
     excluded_indices,
@@ -116,6 +118,11 @@ class _OracleContext:
 def _obox(hi, lo=None):
     lo = lo or (0,) * len(hi)
     return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+
+
+def _obox_place(m, top):
+    """The place of m in the lexicographic listing of the box [0, top]."""
+    return list(_obox(top)).index(m)
 
 
 def oracle_block_table(ctx, a, K):
@@ -343,39 +350,35 @@ class TestGammaP:
         units = _Units(p, [((1,), 1), ((1,), -1), ((1,), 2)], top)
         mod = units.mod
         assert mod == p**dwork._R and units.top == top
-        (_, V, U, D), (_, Vi, Ui, Di), (_, V2, U2, D2) = units.tables
+        (_, V, U), (_, Vi, Ui), (_, V2, U2) = units.tables
         for N in range(top + 1):
             v, u = _split(math.factorial(N), p)
             assert V[N] == v
             assert U[N] == u % mod
-            assert U[N] * D[N] % mod == 1
             gamma = math.prod(
                 abs(oracle_gamma_p(N // p**i + 1, p)) for i in range(N.bit_length())
             )
             assert U[N] == gamma % mod
-            assert (Vi[N], Ui[N], Di[N]) == (-v, D[N], U[N])
+            assert (Vi[N], U[N] * Ui[N] % mod) == (-v, 1)
             assert (V2[N], U2[N]) == (2 * v, u * u % mod)
-            assert U2[N] * D2[N] % mod == 1
 
     @pytest.mark.parametrize("sys", [CUBIC_2D, CUBIC_SPLIT, INVERSE_BINOMIAL, CASE30])
     def test_unit_parts_of_Q(self, sys):
-        # inverse(n) and shifted(n + q m) against Q itself, on every index of a box
+        # column(n, q) over an m box that starts at m = 0, against Q itself
         for p in (2, 3, 5, 7):
             ctx = PadicContext(p, sys)
             units = ctx._units(12)
             mod = units.mod
+            mbox = list(_obox((1,) * sys.d))
+            mdots = [[dot(w, m) for m in mbox] for w, *_ in units.tables]
             for n in _obox((5,) * sys.d):
-                v, u = _split(factorial_ratio(sys, n), p)
-                assert units.inverse(n)[0] == v
-                got = units.inverse(n)[1] * u.numerator % mod
-                assert got == u.denominator % mod
                 for q in (1, p):
-                    m = tuple(c % 2 for c in n)
-                    shifted = tuple(x + q * y for x, y in zip(n, m))
-                    v, u = _split(factorial_ratio(sys, shifted), p)
-                    vs, us = units.shifted(units.dots(n), q, units.dots(m))
-                    assert vs == v
-                    assert us * u.denominator % mod == u.numerator % mod
+                    vs, us = units.column(n, q, mdots, len(mbox))
+                    for m, vm, um in zip(mbox, vs, us):
+                        shifted = tuple(x + q * y for x, y in zip(n, m))
+                        v, u = _split(factorial_ratio(sys, shifted), p)
+                        assert vm == v
+                        assert um * u.denominator % mod == u.numerator % mod
 
 
 class TestWeights:
@@ -632,14 +635,20 @@ class TestCoefficientFormulas:
             assert engine.get(a) == (vp_of_rational(expected, p) if expected else None)
 
 
+def box_levels(K, p, s_max):
+    """The up maps of ``_block_sums`` and the level boxes [0, K // p^s]."""
+    tops = [tuple(c // p**s for c in K) for s in range(s_max + 1)]
+    return [_places(T, up, p) for T, up in zip(tops, tops[1:])], tops
+
+
 class TestConvolutionSums:
     def test_complete_sum_telescopes_to_zero(self):
         ctx = PadicContext(2, CUBIC_2D)
         a = (1, 0)
         for K in ((1, 1), (2, 3), (4, 0)):
-            blocks = _Blocks(K, 2, 1)
-            P = [ctx.Q(tuple(c + 2 * y for c, y in zip(a, j))) for j in blocks.js]
-            levels = blocks.sums(P, [ctx.Q(j) for j in blocks.js])
+            js = list(_obox(K))
+            P = [ctx.Q(tuple(c + 2 * y for c, y in zip(a, j))) for j in js]
+            levels = _block_sums(P, [ctx.Q(j) for j in js], box_levels(K, 2, 1)[0])
             for s in (0, 1):
                 assert sum(levels[s]) == 0
 
@@ -654,17 +663,40 @@ class TestConvolutionSums:
         ctx = _OracleContext(p, sys)
         s_max = 2
         for K in _obox((4,) * sys.d if sys.d == 2 else (12,)):
-            blocks = _Blocks(K, p, s_max)
-            assert blocks.js == list(_obox(K))
-            assert blocks.tops == [tuple(c // p**s for c in K) for s in range(s_max + 1)]
+            js = list(_obox(K))
+            ups, tops = box_levels(K, p, s_max)
+            for up, T in zip(ups, tops):
+                assert up == [_obox_place(tuple(c // p for c in m), tuple(c // p for c in T))
+                              for m in _obox(T)]
             for a in itertools.product(range(p), repeat=sys.d):
-                P = [ctx.Q(tuple(c + p * y for c, y in zip(a, j))) for j in blocks.js]
-                levels = blocks.sums(P, [ctx.Q(j) for j in blocks.js])
+                P = [ctx.Q(tuple(c + p * y for c, y in zip(a, j))) for j in js]
+                levels = _block_sums(P, [ctx.Q(j) for j in js], ups)
                 table = oracle_block_table(ctx, a, K)
                 assert sum(table.values()) == 0
-                for s, (level, top) in enumerate(zip(levels, blocks.tops)):
+                for s, (level, top) in enumerate(zip(levels, tops)):
                     assert level == [oracle_block(table, p, K, s, m) for m in _obox(top)]
                     assert sum(level) == 0
+
+    @pytest.mark.parametrize(
+        "sys", [CUBIC_2D, CASE30, INVERSE_BINOMIAL, FormSystem([(1, 0)], [(1, 0)], raw=True)],
+        ids=["cubic-2d", "case30", "inverse-binomial", "Q = 1"],
+    )
+    def test_factorial_table_gives_the_values_of_Q(self, sys):
+        # Q(a + q x) over a box, per start, with the same value and type as Q
+        ctx = PadicContext(3, sys)
+        starts = [((0,) * sys.d, 1), ((2,) + (1,) * (sys.d - 1), 3)]
+        got = ctx._q_boxes(starts, 4)
+        want = [[ctx.Q(tuple(c + q * y for c, y in zip(a, x))) for x in _obox((4,) * sys.d)]
+                for a, q in starts]
+        assert [[(type(v), v) for v in row] for row in got] == \
+            [[(type(v), v) for v in row] for row in want]
+
+    @pytest.mark.parametrize("box, top", [((0,), (0,)), ((3,), (5,)), ((2, 0, 1), (2, 3, 1))])
+    def test_places_and_box_sums_follow_the_listing(self, box, top):
+        listing = list(_obox(top))
+        assert _places(box, top) == [listing.index(j) for j in _obox(box)]
+        cols = [[7 * i + c for c in range(b + 1)] for i, b in enumerate(box)]
+        assert _over_box(cols) == [sum(col[c] for col, c in zip(cols, j)) for j in _obox(box)]
 
     def test_harness_passes_on_main_system(self):
         # quick ranges here; the full sweep runs in the acceptance suite
@@ -809,6 +841,85 @@ class TestHarnessAgainstOracle:
     def test_bundled_systems_at_default_ranges(self):
         for p, sys in ((2, CUBIC_SPLIT), (3, CENTRAL_BINOMIAL), (3, INVERSE_BINOMIAL)):
             self.assert_same(p, sys, CongruenceRanges())
+
+
+# verify_formal_congruences and q_ratio_congruence_sweep on cubic-2d at p=5,
+# s_max 2 and k, m <= 20, as the residue-arithmetic harness printed them
+# before the flat passes; the default ranges (k, m <= 25) give the same lines
+CUBIC_2D_AT_FIVE = """\
+{"check": "unit-at-zero", "locus": [[0, 0]], "required": 0, "achieved": 0, "pass": true}
+{"check": "weight-lower-bound", "locus": [[0, 0]], "required": 0, "achieved": 0, "pass": true}
+{"check": "ratio-congruence", "locus": [0, [0, 0], [0, 1], [1, 0]], "required": 1, "achieved": 1, "pass": true}
+{"check": "ratio-congruence-good", "locus": [0, [0, 0], [0, 1], [1, 0]], "required": 1, "achieved": 1, "pass": true}
+{"check": "ratio-congruence-excluded", "locus": [0, [0, 0], [0, 2], [0, 0]], "required": 0, "achieved": 0, "pass": true}
+{"check": "weight-shift", "locus": [[0, 2], 1, [0, 0]], "required": 1, "achieved": 1, "pass": true}
+{"check": "conclusion", "locus": [[0, 1], [1, 0], 0, [0, 0]], "required": 1, "achieved": 1, "pass": true}
+{"check": "telescoping", "locus": [[0, 0], [0, 0], 0], "required": "inf", "achieved": "inf", "pass": true}
+{"check": "unit-ratio-congruence", "locus": [0, [0, 0], [0, 1]], "required": 1, "achieved": 3, "pass": true}
+"""
+
+
+def test_cubic_2d_at_five_prints_the_recorded_lines():
+    ctx = PadicContext(5, CUBIC_2D)
+    reports = verify_formal_congruences(ctx, CongruenceRanges(2, 20, 20))
+    reports.append(q_ratio_congruence_sweep(ctx, 2, 20))
+    assert "".join(report_line(r) + "\n" for r in reports) == CUBIC_2D_AT_FIVE
+
+
+def tracker_state(w):
+    return (w.locus, w.required, w.achieved, w.margin, w.count)
+
+
+valuations = st.one_of(st.integers(-3, 6), st.just(INFINITY))
+
+
+@st.composite
+def tracker_rows(draw):
+    """(p, prefix, row): a few ``update`` calls that set a tracker's state
+    (none, only infinite ones, or a known margin), then a row of loci with
+    (required, achieved) valuations and (required, value) pairs.  Small
+    ranges give ties; values include 0, ints deep in p and Fractions with p
+    in the denominator or not."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    prefix = draw(st.lists(st.tuples(valuations, valuations), max_size=3))
+    n = draw(st.integers(0, 8))
+    value = st.one_of(
+        st.just(0),
+        st.builds(lambda u, k: u * p**k, st.integers(-4, 4), st.integers(0, 6)),
+        st.builds(lambda u, k, d: Fraction(u * p**k, d), st.integers(-4, 4),
+                  st.integers(0, 4), st.sampled_from([1, 2, 3, 4, 5, 9])),
+    )
+    row = draw(st.lists(st.tuples(valuations, valuations, st.integers(-3, 4), value),
+                        min_size=n, max_size=n))
+    return p, prefix, row
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracker_rows())
+@example((2, [], [(1, INFINITY, 1, 0), (1, 0, 1, 2)]))  # INFINITY first, then finite
+@example((3, [(0, 1)], [(0, INFINITY, 0, 0), (INFINITY, 2, -3, 3), (2, 2, 2, 9)]))
+@example((5, [(2, 1)], [(1, 0, 1, 1), (2, 1, 2, 5), (-2, -3, 0, Fraction(1, 5))]))  # ties
+def test_bulk_updates_match_sequential_ones(case):
+    p, prefix, row = case
+    head, tails = ("h",), [(i,) for i in range(len(row))]
+
+    def fresh():
+        w = _Worst("c")
+        for r, a in prefix:
+            w.update(("pre",), r, a)
+        return w
+
+    bulk, one = fresh(), fresh()
+    bulk.update_row(head, tails, [r for r, *_ in row], [a for _, a, *_ in row])
+    for tail, (r, a, *_) in zip(tails, row):
+        one.update(head + tail, r, a)
+    assert tracker_state(bulk) == tracker_state(one)
+
+    bulk, one = fresh(), fresh()
+    bulk.update_values(head, tails, [r for *_, r, _ in row], [x for *_, x in row], p)
+    for tail, (*_, r, x) in zip(tails, row):
+        one.update_value(head + tail, r, x, p)
+    assert tracker_state(bulk) == tracker_state(one)
 
 
 class TestWeightShift:
