@@ -10,12 +10,7 @@
 
 from fractions import Fraction
 
-from mirrorint import (
-    classify,
-    delta_at,
-    in_jump_region,
-    univariate_jump_profile,
-)
+from mirrorint import FormSystem, classify, delta_at, in_jump_region
 from mirrorint.systems import BUNDLED
 
 print("=== classifying the bundled systems ===")
@@ -38,11 +33,10 @@ print(f"delta at {w} = {delta_at(split, w)}  (in jump region: {in_jump_region(sp
 print("so (3a)!/((2a)! a!) is integral, but its canonical coordinate is not.")
 
 print()
-print("=== univariate jump profiles ===")
-# delta of E=(3), F=(2,1) jumps at quarters of the unit interval:
-prof = univariate_jump_profile([3], [2, 1])
-for g, m in zip(prof.abscissas, prof.amplitudes):
-    print(f"  jump at {g}: amplitude {m:+d}")
-values = [prof.prefix_value(i) for i in range(1, len(prof.abscissas) + 1)]
-print(f"values from each jump on: {values}")
+print("=== the Landau function of one variable ===")
+# delta of E=(3), F=(2,1) changes only at thirds and halves of the unit interval:
+one = FormSystem([(3,)], [(2,), (1,)])
+points = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+values = [delta_at(one, (x,)) for x in points]
+print(f"delta at {', '.join(map(str, points))}: {values}")
 print("the 0 from 1/2 on is the jump-region zero behind cubic-split's CaseII verdict.")

@@ -19,14 +19,12 @@ from .forms import (
 from .landau import (
     BudgetExceededError,
     CriterionVerdict,
-    JumpProfile,
     SamplingStrategy,
     Tag,
     classify,
     delta_at,
     enumerate_weight_vectors,
     in_jump_region,
-    univariate_jump_profile,
 )
 from .series import (
     LogSeries,
@@ -42,7 +40,6 @@ from .mirror import (
     build_F,
     build_Gk,
     build_GL,
-    check_factorization,
     integrality_scan,
 )
 from .dwork import (

@@ -9,10 +9,11 @@ Commands: classify, bundle, scan, dwork, congruences, case.
 Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
 column sum, 20 budget exceeded / uncertified); report commands exit 0
-iff every line passes; malformed input exits 2; cache corruption (a hash
-mismatch, a manifest that does not list exactly the system's series, or a
-series file that ``MSeries.from_dict`` rejects or that has another
-dimension or order than the bundle) exits 3.  ``scan`` on a flagged
+iff every line passes; malformed input exits 2; cache corruption (a
+series file whose hash is not the manifest's, a series file that
+``MSeries.from_dict`` rejects or that has another dimension or order than
+the bundle, or a manifest that is not byte for byte the one this code
+writes for the system and order) exits 3.  ``scan`` on a flagged
 system and ``case`` run the classifier too, and exit 20 with no report
 line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
@@ -34,11 +35,12 @@ of plane subsets its exhaustive cell walk may solve, and
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
 byte-identical reports.  Every file of a cache entry is verified on every
-load (the manifest's series set, each hash, well-formedness, dimension and
-order), but only the series a command reads are built: ``scan`` reads q,
-q_L and z(q), and ``bundle`` none.  Precedence for the cache location:
---cache-dir flag, then the MIRRORINT_CACHE environment variable, then the
-job file, then ``.mirrorint-cache``.
+load (each series' hash, well-formedness, dimension and order, then the
+manifest's bytes against the ones ``_manifest`` states for the system,
+the order and those hashes), but only the series a command reads are
+built: ``scan`` reads q, q_L and z(q), and ``bundle`` none.  Precedence
+for the cache location: --cache-dir flag, then the MIRRORINT_CACHE
+environment variable, then the job file, then ``.mirrorint-cache``.
 
 ``dwork`` needs only F and the G_k, which one integer coefficient pass
 gives for less than a cache read and without the rest of a bundle; so it
@@ -125,7 +127,6 @@ class Job:
     system: Optional[FormSystem]
     order: Optional[int]
     primes: list[int]
-    commands: Optional[list[str]]
     strategy: SamplingStrategy
     cache_dir: Optional[str]
     case: Optional[str]
@@ -147,31 +148,22 @@ def _nonnegative_int(value) -> bool:
 
 
 def _parse_system(spec) -> FormSystem:
-    if not isinstance(spec, dict):
-        _fail_schema("system must be an object")
-    if "name" in spec:
-        extra = set(spec) - {"name"}
-        if extra:
-            _fail_schema(f"unknown system keys: {sorted(extra)}")
+    """A bundled system by name, or what ``FormSystem.from_dict`` reads with
+    e and f both non-empty."""
+    if isinstance(spec, dict) and "name" in spec:
         name = spec["name"]
-        if name not in BUNDLED:
+        if set(spec) != {"name"}:
+            _fail_schema(f"unknown system keys: {sorted(set(spec) - {'name'})}")
+        if not isinstance(name, str) or name not in BUNDLED:
             _fail_schema(f"unknown bundled system {name!r}; have {sorted(BUNDLED)}")
         return BUNDLED[name]
-    extra = set(spec) - {"e", "f", "raw"}
-    if extra:
-        _fail_schema(f"unknown system keys: {sorted(extra)}")
-    for side in ("e", "f"):
-        if side not in spec or not isinstance(spec[side], list) or not spec[side]:
-            _fail_schema(f"system.{side} must be a non-empty array of integer vectors")
-        for v in spec[side]:
-            if not isinstance(v, list) or not v or not all(map(_nonnegative_int, v)):
-                _fail_schema(f"system.{side} entries must be arrays of nonnegative integers")
-    if not isinstance(spec.get("raw", False), bool):
-        _fail_schema("system.raw must be true or false")
     try:
-        return FormSystem(spec["e"], spec["f"], raw=spec.get("raw", False))
+        system = FormSystem.from_dict(spec)
     except ValueError as exc:
-        _fail_schema(str(exc))
+        _fail_schema(f"bad system: {exc}")
+    if not (system.e and system.f):
+        _fail_schema("system.e and system.f must be non-empty")
+    return system
 
 
 def parse_job(doc: dict, command: str) -> Job:
@@ -232,7 +224,6 @@ def parse_job(doc: dict, command: str) -> Job:
         system=system,
         order=order,
         primes=list(primes),
-        commands=commands,
         strategy=strategy,
         cache_dir=cache_dir,
         case=case,
@@ -250,7 +241,7 @@ def _read_job(path: Optional[str]) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail_schema(f"cannot read job file: {exc}")
     try:
         return json.loads(text)
@@ -290,6 +281,17 @@ def _series_table(sys_: FormSystem) -> list[tuple[str, str, object]]:
     )
 
 
+def _manifest(sys_: FormSystem, order: int, digests: dict[str, str]) -> dict:
+    """The manifest of a cache entry: the system, the order, whether the
+    system is flagged, and each series' file and sha256 digest by name."""
+    return {
+        "system": sys_.to_dict(),
+        "order": order,
+        "flagged": sys_.sum_e != sys_.sum_f,
+        "series": {name: {"file": name + ".json", "sha256": h} for name, h in digests.items()},
+    }
+
+
 def _series_of(bundle: MirrorBundle, field: str, key) -> MSeries:
     value = getattr(bundle, field)
     return value if key is None else value[key]
@@ -317,18 +319,12 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
     key = _cache_key(bundle.sys, bundle.order)
     root = os.path.join(cache_dir, key)
     os.makedirs(root, exist_ok=True)
-    files = {}
+    digests = {}
     for name, field, key in _series_table(bundle.sys):
         blob = _canonical(_series_of(bundle, field, key).to_dict())
-        fname = name + ".json"
-        _write_atomic(os.path.join(root, fname), blob)
-        files[name] = {"file": fname, "sha256": hashlib.sha256(blob).hexdigest()}
-    manifest = {
-        "system": bundle.sys.to_dict(),
-        "order": bundle.order,
-        "flagged": bundle.flagged,
-        "series": files,
-    }
+        _write_atomic(os.path.join(root, name + ".json"), blob)
+        digests[name] = hashlib.sha256(blob).hexdigest()
+    manifest = _manifest(bundle.sys, bundle.order, digests)
     _write_atomic(os.path.join(root, "manifest.json"), _canonical(manifest))
     return manifest
 
@@ -340,37 +336,30 @@ def load_bundle(
     table order, and the manifest, from cache; None on miss.
 
     Every file of the entry is verified on every load, and only the series
-    read are built.  Raises CacheCorruptionError on a hash mismatch, on a
-    manifest that does not list the system's series, and on a series file
-    that is malformed or of another dimension or order than the bundle."""
+    read are built.  Raises CacheCorruptionError on a series file whose
+    hash is not the manifest's or that is malformed or of another dimension
+    or order than the bundle, and on a manifest whose bytes are not those
+    of ``_manifest`` for the system, the order and the files' hashes."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
         return None
     try:
         with open(manifest_path, "rb") as fh:
-            manifest = json.loads(fh.read())
-        entries = {name: (e["file"], e["sha256"]) for name, e in manifest["series"].items()}
-        manifest["flagged"]  # scan and bundle read it
+            stored = fh.read()
+        recorded = {name: e["sha256"] for name, e in json.loads(stored)["series"].items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CacheCorruptionError(f"unreadable manifest {manifest_path}: {exc!r}") from None
-    table = _series_table(sys_)
-    expected = {name for name, _, _ in table}
-    if set(entries) != expected:
-        raise CacheCorruptionError(
-            f"manifest {manifest_path} does not list this system's series (missing"
-            f" {sorted(expected - set(entries))}, unexpected {sorted(set(entries) - expected)})"
-        )
-    series = {}
-    for name, field, _ in table:
-        fname, digest = entries[name]
-        path = os.path.join(root, fname)
+    series, digests = {}, {}
+    for name, field, _ in _series_table(sys_):
+        path = os.path.join(root, name + ".json")
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError as exc:
             raise CacheCorruptionError(f"missing cache file {path}: {exc}") from None
-        if hashlib.sha256(blob).hexdigest() != digest:
+        digests[name] = hashlib.sha256(blob).hexdigest()
+        if recorded.get(name) != digests[name]:
             raise CacheCorruptionError(f"hash mismatch for {path}")
         try:
             d, got, *terms = check_dict(json.loads(blob))
@@ -383,6 +372,11 @@ def load_bundle(
             )
         if field in reads:
             series[name] = MSeries.from_checked(d, order, *terms)
+    manifest = _manifest(sys_, order, digests)
+    if stored != _canonical(manifest):
+        raise CacheCorruptionError(
+            f"manifest {manifest_path} is not the one written for this system and order"
+        )
     return series, manifest
 
 
@@ -408,12 +402,7 @@ def _bundle_for(job: Job, args, reads) -> tuple[dict[str, MSeries], dict]:
             return cached
     bundle = build_bundle(job.system, job.order)
     if args.no_cache:
-        manifest = {
-            "system": job.system.to_dict(),
-            "order": job.order,
-            "flagged": bundle.flagged,
-            "series": {},
-        }
+        manifest = _manifest(job.system, job.order, {})
     else:
         manifest = save_bundle(bundle, cache_dir)
     series = {

@@ -103,11 +103,11 @@ class _Units:
 
     With F[M] the product of the k <= M prime to p (that is |Gamma_p(M+1)|),
     N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].  Q(n) is the product
-    of (w.n)!^k over the distinct forms w with net multiplicity k (count in
-    e minus count in f); per form, a table holds k v_p(N!) and the k-th power
-    of that unit part mod p^_R for N <= top, built by prefix passes."""
+    of (w.n)!^k over the (w, k) of the system's ``net``; per form, a table
+    holds k v_p(N!) and the k-th power of that unit part mod p^_R for
+    N <= top, built by prefix passes."""
 
-    def __init__(self, p: int, terms: list[tuple[IntVec, int]], top: int):
+    def __init__(self, p: int, terms: Sequence[tuple[IntVec, int]], top: int):
         mod = p**_R
         F = [1] * (top + 1)
         for k in range(1, top + 1):
@@ -163,8 +163,6 @@ class PadicContext:
         self._q_cache: dict[IntVec, Rational] = {}
         self._mu_cache: dict[IntVec, int] = {}
         self._forms = tuple(dict.fromkeys(sys.forms))
-        net = {w: sys.e.count(w) - sys.f.count(w) for w in self._forms}
-        self._terms = [(w, k) for w, k in net.items() if k]
         self._unit_tables: Optional[_Units] = None
 
     def Q(self, n: Sequence[int]) -> Rational:
@@ -185,7 +183,7 @@ class PadicContext:
         """The values ``Q`` gives at a + q x, x over the box [0, bound] listed
         lexicographically, one list per (a, q) in ``starts``: quotients of
         entries of one factorial table, as in ``mirror.coefficient_forms``."""
-        terms, span, n = self._terms, range(bound + 1), (bound + 1) ** self.sys.d
+        terms, span, n = self.sys.net, range(bound + 1), (bound + 1) ** self.sys.d
         # per start, the form values w.(a + q x) of each net term
         dots = [
             [_over_box([[c * (b + q * x) for x in span] for c, b in zip(w, a)]) for w, _ in terms]
@@ -206,9 +204,9 @@ class PadicContext:
 
     def _units(self, bound: int) -> _Units:
         """Unit-part tables covering every index with entries <= bound."""
-        top = max((sum(w) for w, _ in self._terms), default=0) * bound
+        top = max((sum(w) for w, _ in self.sys.net), default=0) * bound
         if self._unit_tables is None or self._unit_tables.top < top:
-            self._unit_tables = _Units(self.p, self._terms, top)
+            self._unit_tables = _Units(self.p, self.sys.net, top)
         return self._unit_tables
 
     def mu(self, m: Sequence[int]) -> int:

@@ -7,9 +7,12 @@ integer vectors in dimension ``d``.  The associated family of rationals is
 
     Q(n) = (e_1.n)! ... (e_q1.n)! / ((f_1.n)! ... (f_q2.n)!),
 
-indexed by nonnegative integer vectors ``n``.  Everything in this module is
-an immutable value and every operation is a pure function, so concurrent
-use from any number of threads is safe.
+indexed by nonnegative integer vectors ``n``.  A system also states, once,
+its net multiplicities ``net``: each distinct form w with its count in ``e``
+less its count in ``f``, where that is nonzero, so Q(n) is the product of
+(w.n)!^m over (w, m) in ``net``.  Everything in this module is an
+immutable value and every operation is a pure function, so concurrent use
+from any number of threads is safe.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class FormSystem:
     (needed for witness constructions and for preprocessed subsequences).
     """
 
-    __slots__ = ("d", "e", "f", "raw", "sum_e", "sum_f")
+    __slots__ = ("d", "e", "f", "raw", "sum_e", "sum_f", "net")
 
     def __init__(self, e: Sequence[Iterable[int]], f: Sequence[Iterable[int]], raw: bool = False):
         e = tuple(_as_intvec(v) for v in e)
@@ -122,6 +125,9 @@ class FormSystem:
         object.__setattr__(self, "raw", bool(raw))
         object.__setattr__(self, "sum_e", tuple(sum(v[i] for v in e) for i in range(d)))
         object.__setattr__(self, "sum_f", tuple(sum(v[i] for v in f) for i in range(d)))
+        # each distinct form, first seen first, with its nonzero count in e less count in f
+        net = ((w, e.count(w) - f.count(w)) for w in dict.fromkeys(e + f))
+        object.__setattr__(self, "net", tuple((w, m) for w, m in net if m))
 
     def __setattr__(self, name, value):
         raise AttributeError("FormSystem is immutable")

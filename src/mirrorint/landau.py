@@ -24,10 +24,10 @@ Every evaluation is integer arithmetic.  A point x = i/D is given by
 integer numerators i over one common denominator D > 0; each form v
 contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
 lies on the jump region iff some t >= D.  ``delta_at``,
-``in_jump_region``, the classifier's vertices, cell points and samples,
-and the univariate jump profiles all go through this one kernel.  Every
-vertex, at every level of the walk, comes from one loop of fraction-free
-(Bareiss) eliminations on integer plane rows.
+``in_jump_region`` and the classifier's vertices, cell points and samples
+all go through this one kernel.  Every vertex, at every level of the
+walk, comes from one loop of fraction-free (Bareiss) eliminations on
+integer plane rows.
 """
 
 from __future__ import annotations
@@ -118,55 +118,6 @@ def enumerate_weight_vectors(sys: FormSystem) -> list[tuple[int, ...]]:
         if any(all(L[i] <= v[i] for i in range(sys.d)) for v in sys.forms):
             out.append(L)
     return out
-
-
-# ---------------------------------------------------------------------------
-# univariate jump profiles
-
-
-@dataclass(frozen=True)
-class JumpProfile:
-    """Jump abscissas and amplitudes of a univariate Landau function on (0, 1].
-
-    ``sum(amplitudes[:i])`` equals the function value at ``abscissas[i-1]``
-    (the function is right-continuous and vanishes left of the first jump).
-    """
-
-    abscissas: tuple[Fraction, ...]
-    amplitudes: tuple[int, ...]
-
-    def prefix_value(self, i: int) -> int:
-        """Function value at abscissas[i-1] (i is 1-based)."""
-        return sum(self.amplitudes[:i])
-
-
-def univariate_jump_profile(E: Sequence[int], F: Sequence[int]) -> JumpProfile:
-    """Jump profile of the univariate Landau function of integers E, F.
-
-    E and F must be disjoint sequences of positive integers.  The abscissas
-    are all fractions j/a with a in E+F and 1 <= j <= a; amplitudes are the
-    exact jumps there, computed by evaluating the function on both sides.
-    """
-    E = [int(c) for c in E]
-    F = [int(c) for c in F]
-    if any(c < 1 for c in E + F):
-        raise ValueError("all entries must be positive integers")
-    if set(E) & set(F):
-        raise ValueError("E and F must be disjoint")
-    if not E and not F:
-        raise ValueError("at least one entry is required")
-    # every abscissa j/a is n/L over the common denominator L
-    L = math.lcm(*E, *F)
-    nums = sorted({j * (L // a) for a in E + F for j in range(1, a + 1)})
-    e = [(c,) for c in E]
-    f = [(c,) for c in F]
-    amplitudes = []
-    prev = 0
-    for n in nums:
-        val = _delta_jump(e, f, (n,), L)[0]
-        amplitudes.append(val - prev)
-        prev = val
-    return JumpProfile(tuple(Fraction(n, L) for n in nums), tuple(amplitudes))
 
 
 # ---------------------------------------------------------------------------

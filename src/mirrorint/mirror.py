@@ -22,16 +22,15 @@ and ``case`` read these forms as integers; ``build_F/Gk/GL`` and
 
 The canonical coordinate factors through the mirror-type maps: q_k / z_k
 equals the product of q_(e_i) to the power e_i[k] divided by the product
-of q_(f_j) to the power f_j[k]; ``check_factorization`` verifies this as
-truncated series.  ``integrality_scan`` reports coefficients that fail to
-be integers (or p-adic integers for a given prime).
+of q_(f_j) to the power f_j[k]; the tests check this identity on built
+bundles.  ``integrality_scan`` reports coefficients that fail to be
+integers (or p-adic integers for a given prime).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -57,18 +56,16 @@ def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[i
     ``ks`` and of G_L for each L in ``Ls``, keyed on the Kronecker grading.
 
     One pass over the exponents takes each Q(n) once, as a quotient of
-    entries of one factorial table: a form w of net multiplicity m (count in
-    e less count in f) gives (w.n)!^m.  F's D is the least common
-    denominator D_F of the Q(n), 1 when all are integers.  With lam =
-    lcm(1..top), top the largest form value, H_j = h_j / lam with integers
-    h_j, so over D_F lam the numerators are Q(n) D_F sum_w m w[k] h_(w.n)
-    for G_k and Q(n) D_F h_(L.n) for G_L (L.n <= top: L is dominated by a
-    form vector).  Only nonzero numerators are kept.
+    entries of one factorial table: each (w, m) of ``sys.net`` gives
+    (w.n)!^m.  F's D is the least common denominator D_F of the Q(n), 1
+    when all are integers.  With lam = lcm(1..top), top the largest form
+    value, H_j = h_j / lam with integers h_j, so over D_F lam the numerators
+    are Q(n) D_F sum_w m w[k] h_(w.n) for G_k and Q(n) D_F h_(L.n) for G_L
+    (L.n <= top: L is dominated by a form vector).  Only nonzero numerators
+    are kept.
     """
     g = kronecker.grading(sys.d, order)
-    net = Counter(sys.e)
-    net.subtract(sys.f)
-    forms = [(w, m) for w, m in net.items() if m]
+    forms = sys.net
     top = order * max(map(max, sys.forms))
     fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
     lam = math.lcm(*range(1, top + 1))
@@ -176,49 +173,6 @@ def build_bundle(sys: FormSystem, order: int) -> MirrorBundle:
         zofq=zofq,
         flagged=sys.sum_e != sys.sum_f,
     )
-
-
-@dataclass(frozen=True)
-class FactorizationResult:
-    """Outcome of the product identity check; falsy when a side differs."""
-
-    ok: bool
-    coordinate: Optional[int] = None
-    exponent: Optional[Exponent] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_factorization(bundle: MirrorBundle) -> FactorizationResult:
-    """Verify q_k / z_k = prod q_(e_i)^(e_i[k]) / prod q_(f_j)^(f_j[k]).
-
-    Both sides are expanded independently as truncated series for every
-    coordinate; the first differing coefficient, if any, is reported.
-    The left side is rebuilt as exp(G_k / F) so that both sides carry the
-    full truncation order (the stored q_k, being z_k times the unit, only
-    determines the unit one order down).
-    """
-    sys = bundle.sys
-    recip_F = bundle.F.reciprocal()
-    for k in range(sys.d):
-        lhs = (bundle.G[k] * recip_F).exp()
-        weights: Counter = Counter()
-        for v in sys.e:
-            if v[k]:
-                weights[v] += v[k]
-        for v in sys.f:
-            if v[k]:
-                weights[v] -= v[k]
-        rhs = MSeries.one(sys.d, bundle.order)
-        for form, power in sorted(weights.items()):
-            if power:
-                rhs = rhs * (bundle.qL[form] ** power)
-        if lhs != rhs:
-            diff = lhs - rhs
-            exponent = diff.items()[0][0]
-            return FactorizationResult(False, coordinate=k + 1, exponent=exponent)
-    return FactorizationResult(True)
 
 
 @dataclass(frozen=True)

@@ -636,9 +636,6 @@ class LogSeries:
     def pure(cls, regular: MSeries) -> "LogSeries":
         return cls(regular, MSeries.zero(1, regular.order))
 
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries(self.regular + other.regular, self.logpart + other.logpart)
-
     def is_zero(self) -> bool:
         return not self.regular and not self.logpart
 

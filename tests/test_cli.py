@@ -221,9 +221,11 @@ class TestSchema:
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, _ = run(capsys, ["classify", str(path)])
-        assert code == EXIT_SCHEMA
+        for blob in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            path.write_bytes(blob)
+            code, out, err = run(capsys, ["classify", str(path)])
+            assert code == EXIT_SCHEMA
+            assert out == "" and len(err.splitlines()) == 1
 
     def test_unknown_bundled_name(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": {"name": "nope"}})
@@ -319,13 +321,35 @@ class TestScanAndCache:
         assert code == EXIT_OK
         manifest = next((tmp_path / "cache").rglob("manifest.json"))
         intact = manifest.read_bytes()
+        # the edits below rewrite the manifest canonically, so each changes one thing
+        assert cli._canonical(json.loads(intact)) == intact
+
+        def edited(edit):
+            doc = json.loads(intact)
+            edit(doc)
+            return cli._canonical(doc)
+
         without_z1 = json.loads(intact)
         del without_z1["series"]["z_1"]
-        for broken in (intact[:40], b'{"series": 3}', json.dumps(without_z1).encode()):
+        for broken in (
+            intact[:40],
+            b'{"series": 3}',
+            json.dumps(without_z1).encode(),
+            edited(lambda doc: doc.update(flagged=True)),
+            edited(lambda doc: doc.update(flagged=0)),  # 0 == False, but not its bytes
+            edited(lambda doc: doc.update(flagged=1)),
+            edited(lambda doc: doc.update(order=99)),
+            edited(lambda doc: doc.update(order=6.0)),
+            edited(lambda doc: doc.update(system=CUBIC_2D.to_dict())),
+            edited(lambda doc: doc.update(note="extra")),
+            # qL_1 listed under qL_2's file, with that file's hash
+            edited(lambda doc: doc["series"].update(qL_1=doc["series"]["qL_2"])),
+        ):
             manifest.write_bytes(broken)
-            code, _, err = run(capsys, ["scan", job, *cache_args])
-            assert code == EXIT_CACHE
-            assert "cache corruption" in err
+            for command in ("scan", "bundle"):
+                code, out, err = run(capsys, [command, job, *cache_args])
+                assert code == EXIT_CACHE
+                assert out == "" and "cache corruption" in err
         code, _, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK
 
@@ -417,10 +441,10 @@ class TestScanAndCache:
         manifest = next((tmp_path / "cache").rglob("manifest.json"))
         doc = json.loads(manifest.read_text())
         doc["series"]["qL_3"] = doc["series"]["qL_2"]
-        manifest.write_text(json.dumps(doc))
+        manifest.write_bytes(cli._canonical(doc))
         code, out, err = run(capsys, ["scan", job, *cache_args])
         assert code == EXIT_CACHE
-        assert out == "" and "qL_3" in err
+        assert out == "" and f"manifest {manifest} is not the one written" in err
 
     def test_writes_are_renamed_into_place_manifest_last(
         self, tmp_path, capsys, cache_args, monkeypatch
@@ -826,6 +850,7 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
         ("scan", {"system": {"name": "cubic-2d"}, "order": 0}, [], None, EXIT_OK),
         ("case", {"case": "case30", "order": 0}, [], None, EXIT_SCHEMA),
         ("scan", {"system": {"name": "central-binomial"}, "order": 4}, [], "qL_1", EXIT_CACHE),
+        ("classify", {"system": {"name": ["cubic-2d"]}}, [], None, EXIT_SCHEMA),
     ],
 )
 def test_cli_contract_has_no_tracebacks(

@@ -166,6 +166,12 @@ class TestFormSystem:
         with pytest.raises(AttributeError):
             CUBIC_2D.d = 3
 
+    def test_net_multiplicities(self):
+        assert CUBIC_2D.net == (((3, 3), 1), ((1, 0), -3), ((0, 1), -3))
+        assert FormSystem([(2,)], [(2,)], raw=True).net == ()
+        raw = FormSystem([(1, 0), (2, 1), (1, 0)], [(2, 1), (0, 1)], raw=True)
+        assert raw.net == (((1, 0), 2), ((0, 1), -1))
+
     def test_dict_round_trip(self):
         for sys in (CUBIC_2D, INVERSE_BINOMIAL):
             assert FormSystem.from_dict(sys.to_dict()) == sys
@@ -216,6 +222,15 @@ def test_valuation_identity_random(sys, p, data):
     if exact is INFINITY:
         return
     assert got == exact
+
+
+@given(sys=small_raw_systems(), data=st.data())
+def test_net_multiplicities_give_the_factorial_ratio(sys, data):
+    n = data.draw(st.tuples(*[st.integers(0, 6)] * sys.d))
+    counts = {w: sys.e.count(w) - sys.f.count(w) for w in dict.fromkeys(sys.forms)}
+    assert sys.net == tuple((w, m) for w, m in counts.items() if m)
+    want = math.prod(Fraction(math.factorial(sum(map(int.__mul__, w, n)))) ** m for w, m in sys.net)
+    assert factorial_ratio(sys, n) == want
 
 
 def test_is_prime_small():

@@ -1,4 +1,4 @@
-"""Landau function, jump profiles and the dichotomy classifier."""
+"""Landau function and the dichotomy classifier."""
 
 import itertools
 import math
@@ -22,7 +22,6 @@ from mirrorint.landau import (
     grid_denominator,
     grid_points,
     in_jump_region,
-    univariate_jump_profile,
     vertex_candidates,
     _Budget,
     _box_vertices,
@@ -267,6 +266,25 @@ class TestDelta:
                 if not in_jump_region(sys, x):
                     assert delta_at(sys, x) == 0
 
+    def test_one_variable_three_over_two_one(self):
+        # (3a)!/((2a)! a!) jumps up at thirds and down at halves
+        sys = FormSystem([(3,)], [(2,), (1,)])
+        points = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+        assert [delta_at(sys, (x,)) for x in points] == [1, 0, 1, 0]
+
+
+@given(
+    e=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    f=st.lists(st.integers(1, 6), min_size=0, max_size=3),
+)
+def test_one_variable_delta_is_constant_between_breakpoints(e, f):
+    f = [c for c in f if c not in set(e)]
+    sys = FormSystem([(c,) for c in e], [(c,) for c in f])
+    breaks = sorted({Fraction(j, a) for a in e + f for j in range(a + 1)})
+    for left, right in zip(breaks, breaks[1:]):
+        assert delta_at(sys, (left,)) == oracle_delta(sys, (left,))
+        assert delta_at(sys, ((left + right) / 2,)) == delta_at(sys, (left,))
+
 
 class TestJumpRegion:
     def test_split_system_boundary(self):
@@ -301,53 +319,6 @@ class TestWeightVectors:
     def test_main_system_full_box(self):
         got = enumerate_weight_vectors(CUBIC_2D)
         assert len(got) == 15  # everything under (3, 3) except zero
-
-
-class TestJumpProfile:
-    def test_binomial_profile(self):
-        prof = univariate_jump_profile([2], [1, 1])
-        assert prof.abscissas == (Fraction(1, 2), Fraction(1))
-        assert prof.amplitudes == (1, -1)
-
-    def test_single_entry(self):
-        prof = univariate_jump_profile([1], [])
-        assert prof.abscissas == (Fraction(1),)
-        assert prof.amplitudes == (1,)
-
-    def test_three_two_one(self):
-        prof = univariate_jump_profile([3], [2, 1])
-        assert prof.abscissas == (
-            Fraction(1, 3),
-            Fraction(1, 2),
-            Fraction(2, 3),
-            Fraction(1),
-        )
-        assert prof.amplitudes == (1, -1, 1, -1)
-
-    def test_prefix_sums_match_direct_evaluation(self):
-        prof = univariate_jump_profile([4, 1, 1], [2, 3])
-        for i, g in enumerate(prof.abscissas, start=1):
-            direct = sum(math.floor(c * g) for c in (4, 1, 1)) - sum(
-                math.floor(c * g) for c in (2, 3)
-            )
-            assert prof.prefix_value(i) == direct
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            univariate_jump_profile([2, 3], [3])
-
-
-@given(
-    e=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    f=st.lists(st.integers(1, 6), min_size=0, max_size=3),
-)
-def test_profile_prefix_invariant_random(e, f):
-    f = [c for c in f if c not in set(e)]
-    prof = univariate_jump_profile(e, f)
-    assert prof.abscissas == tuple(sorted({Fraction(j, a) for a in e + f for j in range(1, a + 1)}))
-    for i, g in enumerate(prof.abscissas, start=1):
-        direct = sum(math.floor(c * g) for c in e) - sum(math.floor(c * g) for c in f)
-        assert prof.prefix_value(i) == direct
 
 
 class TestClassifier:

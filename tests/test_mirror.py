@@ -1,7 +1,9 @@
 """Named series families, bundles, factorization identity, scans."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +23,6 @@ from mirrorint.mirror import (
     build_GL,
     build_Gk,
     build_bundle,
-    check_factorization,
     exponents_upto,
     integrality_scan,
 )
@@ -234,6 +235,47 @@ class TestBundle:
         assert b.flagged
         # the theory predicts p-adic failures here; denominators show up
         assert not integrality_scan(b.q[0]).ok
+
+
+# ---------------------------------------------------------------------------
+# the product identity, the oracle that checks build_bundle from outside:
+# q_k / z_k is built a second time as exp(G_k / F) and compared with the
+# product of the mirror-type maps
+
+
+@dataclass(frozen=True)
+class FactorizationResult:
+    """Outcome of the product identity check; falsy when a side differs."""
+
+    ok: bool
+    coordinate: Optional[int] = None
+    exponent: Optional[tuple[int, ...]] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_factorization(bundle) -> FactorizationResult:
+    """Verify q_k / z_k = prod q_w^(m w[k]) over the (w, m) of ``sys.net``.
+
+    Both sides are expanded independently as truncated series for every
+    coordinate; the first differing coefficient, if any, is reported.  The
+    left side is rebuilt as exp(G_k / F) so that both sides carry the full
+    truncation order (the stored q_k, being z_k times the unit, only
+    determines the unit one order down).
+    """
+    sys = bundle.sys
+    recip_F = bundle.F.reciprocal()
+    for k in range(sys.d):
+        lhs = (bundle.G[k] * recip_F).exp()
+        rhs = MSeries.one(sys.d, bundle.order)
+        for w, m in sys.net:
+            if w[k]:
+                rhs = rhs * bundle.qL[w] ** (m * w[k])
+        if lhs != rhs:
+            exponent = (lhs - rhs).items()[0][0]
+            return FactorizationResult(False, coordinate=k + 1, exponent=exponent)
+    return FactorizationResult(True)
 
 
 class TestFactorization:

@@ -375,6 +375,11 @@ def theta(s):
     return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
 
 
+def log_add(a, b):
+    """The sum of two log-series, part by part."""
+    return LogSeries(a.regular + b.regular, a.logpart + b.logpart)
+
+
 def oracle_apply_theta_poly(polys, s):
     """apply_theta_poly from theta powers of s, each P_i(theta) s shifted by
     z^i through a series product, then truncated by the z-degree."""
@@ -398,8 +403,8 @@ def oracle_apply_theta_poly(polys, s):
         part = LogSeries(zero, zero)
         for j, c in enumerate(p):
             if c:
-                part = part + LogSeries(theta_pow[j].regular * c, theta_pow[j].logpart * c)
-        acc = acc + LogSeries(zpow * part.regular, zpow * part.logpart)
+                part = log_add(part, LogSeries(theta_pow[j].regular * c, theta_pow[j].logpart * c))
+        acc = log_add(acc, LogSeries(zpow * part.regular, zpow * part.logpart))
     return LogSeries(acc.regular.truncate(order - v), acc.logpart.truncate(order - v))
 
 
@@ -479,8 +484,8 @@ class TestThetaOps:
         polys = [(0, 0, 1), (1, 2)]
         a = LogSeries(MSeries(1, N, {(1,): 1}), MSeries(1, N, {(2,): 3}))
         b = LogSeries(MSeries(1, N, {(0,): 2}), MSeries(1, N, {(1,): -1}))
-        lhs = apply_theta_poly(polys, a) + apply_theta_poly(polys, b)
-        rhs = apply_theta_poly(polys, a + b)
+        lhs = log_add(apply_theta_poly(polys, a), apply_theta_poly(polys, b))
+        rhs = apply_theta_poly(polys, log_add(a, b))
         assert lhs.regular == rhs.regular and lhs.logpart == rhs.logpart
 
 
