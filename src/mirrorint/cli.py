@@ -29,7 +29,7 @@ is not set, the hypotheses and the conclusion run m up to p^2 but the
 unit-ratio sweep keeps its own default of 4.
 
 The classifier takes ``strategy.budget`` (also ``--budget``), the number
-of plane subsets its exhaustive cell walk may solve, and
+of plane subsets its exhaustive cell walk may charge, and
 ``strategy.allow_fallback``; the sampled fallback's size and seed are fixed.
 
 The cache directory stores bundle series as canonical JSON with a

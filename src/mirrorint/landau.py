@@ -16,7 +16,7 @@ then at one point of every open cell, found by a cylindrical
 (slice-and-recurse) walk.  A point with delta < 0, or with delta = 0 on
 the jump region, proves the verdict it gives; every value delta takes on
 the box is taken on an open cell, so Case I is proven when no cell point
-refutes it.  Beyond its budget of solved plane subsets the classifier
+refutes it.  Beyond its budget of plane subsets the classifier
 evaluates ``RANDOM_SAMPLES`` points seeded with ``SAMPLE_SEED``, over
 denominators built from ``GRID_MULTIPLIER``, all fixed constants.
 
@@ -25,9 +25,13 @@ integer numerators i over one common denominator D > 0; each form v
 contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
 lies on the jump region iff some t >= D.  ``delta_at``,
 ``in_jump_region`` and the classifier's vertices, cell points and samples
-all go through this one kernel.  Every vertex, at every level of the
-walk, comes from one loop of fraction-free (Bareiss) eliminations on
-integer plane rows.
+all go through this one kernel.  At every level of the walk the planes
+are grouped by normal vector, and one fraction-free (Bareiss) elimination
+per set of k distinct normals A gives adj(A) and det A; each choice b of
+the planes' constants then gives the vertex adj(A) b / det A.  The cut
+and cell points are integer numerators over one denominator, and a
+Fraction is built only for a point a verdict prints.  The budget still
+counts plane subsets, C(rows, k) at each level of k variables.
 """
 
 from __future__ import annotations
@@ -171,14 +175,14 @@ SAMPLE_SEED = 0
 
 @dataclass
 class SamplingStrategy:
-    """The plane subsets the exhaustive walk may solve, and the fallback switch."""
+    """The plane subsets the exhaustive walk may charge, and the fallback switch."""
 
     budget: int = 2_000_000
     allow_fallback: bool = True
 
 
 class _Budget:
-    """A running count of solved plane subsets against a limit."""
+    """A running count of charged plane subsets against a limit."""
 
     def __init__(self, limit: int):
         self.limit, self.spent = limit, 0
@@ -206,14 +210,16 @@ def _planes(sys: FormSystem) -> list[tuple[int, ...]]:
     return _distinct((*v, m) for v in set(sys.forms) for m in range(1, sum(v)))
 
 
-def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[int], int]]:
-    """Solve the d x d system with augmented integer rows, fraction-free.
+def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[list[int]], int]]:
+    """Solve A X = B for the d x d integer matrix A, given the rows [A | B].
 
-    Bareiss's Gauss-Jordan elimination keeps every entry an integer (each
-    division is exact); it returns the numerators and the positive common
-    denominator of the solution, or None when the system is singular.
+    Bareiss's fraction-free Gauss-Jordan elimination keeps every entry an
+    integer (each division is exact).  It returns the numerator rows of X
+    over one positive common denominator, or None when A is singular; with
+    B = I these are sign(det A) adj(A) over |det A|.
     """
     d = len(rows)
+    width = len(rows[0])
     m = [list(r) for r in rows]
     prev = 1
     for k in range(d):
@@ -227,63 +233,87 @@ def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[int],
             if i != k:
                 row = m[i]
                 a = row[k]
-                for j in range(k + 1, d + 1):
+                for j in range(k + 1, width):
                     row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
         prev = pivot
-    num = [row[d] for row in m]
     if prev < 0:
-        return [-c for c in num], -prev
-    return num, prev
+        return [[-c for c in row[d:]] for row in m], -prev
+    return [row[d:] for row in m], prev
 
 
 def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) -> set[Scaled]:
     """Every vertex in [0,1]^k of ``planes`` and the faces x_i = 0, x_i = 1,
-    as numerators over a positive denominator in lowest terms; the number
-    of k-subsets solved is charged to ``budget`` first."""
+    as numerators over a positive denominator in lowest terms.
+
+    The budget is charged the C(rows, k) plane subsets first.  Rows sharing
+    a normal are parallel, so a vertex takes k distinct normals: one
+    elimination on [A | I] per k-subset A of them gives adj(A)/det A, and
+    the vertex of each choice b of their constants is adj(A) b / det A.
+    """
     faces = [(*(int(j == i) for j in range(k)), b) for b in (0, 1) for i in range(k)]
     rows = [*planes, *faces]
     budget.spend(math.comb(len(rows), k))
+    constants: dict[tuple[int, ...], list[int]] = {}
+    for row in rows:
+        constants.setdefault(row[:k], []).append(row[k])
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     pts = set()
-    for subset in itertools.combinations(rows, k):
-        solved = _solve_bareiss(subset)
+    for normals in itertools.combinations(constants, k):
+        solved = _solve_bareiss([(*n, *u) for n, u in zip(normals, unit)])
         if solved is None:
             continue
-        num, den = solved
-        if all(0 <= c <= den for c in num):
-            g = math.gcd(den, *num)
-            pts.add((tuple(c // g for c in num), den // g))
+        adj, den = solved
+        # the numerators adj(A) b, summed one normal's constants at a time
+        nums = [(0,) * k]
+        for j, n in enumerate(normals):
+            col = [row[j] for row in adj]
+            nums = [tuple(c + b * a for c, a in zip(num, col)) for num in nums for b in constants[n]]
+        for num in nums:
+            if all(0 <= c <= den for c in num):
+                g = math.gcd(den, *num)
+                pts.add((tuple(c // g for c in num), den // g))
     return pts
 
 
-def _half_open(vertices: Iterable[Scaled]) -> list[Point]:
-    """The vertices inside [0,1)^d as sorted Fraction points."""
-    inside = ((num, den) for num, den in vertices if all(c < den for c in num))
-    return sorted(tuple(Fraction(c, den) for c in num) for num, den in inside)
+def _half_open(vertices: Iterable[Scaled]) -> list[Scaled]:
+    """The vertices inside [0,1)^d, sorted lexicographically by value."""
+    inside = [(num, den) for num, den in vertices if all(c < den for c in num)]
+    # unpack a list: a long generator unpacked into a call grows the peak
+    # RSS with every call on CPython 3.11 (tuple resizing)
+    D = math.lcm(*[den for _, den in inside])
+    return sorted(inside, key=lambda v: tuple(c * (D // v[1]) for c in v[0]))
 
 
 def vertex_candidates(sys: FormSystem) -> list[Point]:
     """All vertices of the floor arrangement inside [0,1)^d, where delta
     takes its value on the cell immediately up-right.  A plane v.x = 0
     adds none: in [0,1)^d it is the face x_j = 0 for each j in supp v."""
-    return _half_open(_box_vertices(_planes(sys), sys.d, _Budget(math.inf)))
+    vertices = _half_open(_box_vertices(_planes(sys), sys.d, _Budget(math.inf)))
+    return [tuple(Fraction(c, den) for c in num) for num, den in vertices]
 
 
 def _cell_points(
-    planes: Sequence[tuple[int, ...]], k: int, budget: _Budget, vertices: Iterable[Scaled]
-) -> Iterator[Point]:
+    planes: Sequence[tuple[int, ...]], k: int, budget: _Budget, vertices: set[Scaled]
+) -> Iterator[Scaled]:
     """One point in every open cell of ``planes`` and the faces in (0,1)^k,
-    in lexicographic order, given their ``vertices`` in [0,1]^k; on the
-    slice x_1 = p/q a plane a.x = b is the row (q a_2, ..., q a_k, q b - p a_1)."""
-    cuts = sorted({Fraction(num[0], den) for num, den in vertices})
-    for c in ((a + b) / 2 for a, b in itertools.pairwise(cuts)):
+    in lexicographic order, as numerators over a positive denominator,
+    given their ``vertices`` in [0,1]^k.
+
+    The cut points are the vertices' x_1 numerators over one common
+    denominator L, so the midpoint of two cuts a < b is p/q = (a + b)/(2L);
+    on that slice a plane a.x = b is the row (q a_2, ..., q a_k, q b - p a_1).
+    """
+    L = math.lcm(*[den for _, den in vertices])  # a list, as in _half_open
+    cuts = sorted({num[0] * (L // den) for num, den in vertices})
+    q = 2 * L
+    for p in map(sum, itertools.pairwise(cuts)):
         if k == 1:
-            yield (c,)
+            yield (p,), q
             continue
-        p, q = c.numerator, c.denominator
         slice_rows = ((*(q * a for a in row[1:-1]), q * row[-1] - p * row[0]) for row in planes)
         rest = _distinct(row for row in slice_rows if 0 < row[-1] < sum(row[:-1]))
-        for tail in _cell_points(rest, k - 1, budget, _box_vertices(rest, k - 1, budget)):
-            yield (c, *tail)
+        for tail, D in _cell_points(rest, k - 1, budget, _box_vertices(rest, k - 1, budget)):
+            yield (p * D, *(q * c for c in tail)), q * D
 
 
 def grid_denominator(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> int:
@@ -387,9 +417,13 @@ def classify(
       open cell;
     * so every (delta, jump) value taken on [0,1)^d is taken at a cell point.
 
-    The budget counts the plane subsets the exhaustive path solves, at
-    every level.  Beyond it the classifier evaluates ``RANDOM_SAMPLES``
-    points drawn with seed ``SAMPLE_SEED``, marked sampled; with
+    The budget counts plane subsets, C(rows, k) at each level of k
+    variables (the rows being the planes and the 2k faces), charged when
+    the walk reaches the level.  The vertices themselves come from one
+    Bareiss elimination per set of k distinct plane normals, so a singular
+    set of normals is skipped once, not once per choice of its planes.
+    Beyond the budget the classifier evaluates ``RANDOM_SAMPLES`` points
+    drawn with seed ``SAMPLE_SEED``, marked sampled; with
     ``allow_fallback=False`` it raises ``BudgetExceededError`` instead.
     """
     if strategy is None:
@@ -400,7 +434,7 @@ def classify(
     try:
         top = _box_vertices(planes, sys.d, budget)
         cells = _cell_points(planes, sys.d, budget, top)
-        return _verdict(sys, map(_scale, _half_open(top)), False, map(_scale, cells))
+        return _verdict(sys, _half_open(top), False, cells)
     except BudgetExceededError:
         if not strategy.allow_fallback:
             raise

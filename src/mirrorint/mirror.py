@@ -134,9 +134,7 @@ class MirrorBundle:
     """All series of one system at one truncation order.
 
     ``q[k]`` is z_k times a unit, ``qL[L]`` a unit with constant term 1,
-    and ``zofq`` inverts the q map up to the order.  ``flagged`` marks the
-    regime where the column sums of e and f differ (the same formulas are
-    used; the integrality theory then predicts p-adic failures).
+    and ``zofq`` inverts the q map up to the order.
     """
 
     sys: FormSystem
@@ -147,7 +145,6 @@ class MirrorBundle:
     q: tuple[MSeries, ...]
     qL: dict[Exponent, MSeries]
     zofq: tuple[MSeries, ...]
-    flagged: bool = False
 
 
 def build_bundle(sys: FormSystem, order: int) -> MirrorBundle:
@@ -171,7 +168,6 @@ def build_bundle(sys: FormSystem, order: int) -> MirrorBundle:
         q=q,
         qL=qL,
         zofq=zofq,
-        flagged=sys.sum_e != sys.sum_f,
     )
 
 

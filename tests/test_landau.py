@@ -99,6 +99,25 @@ def oracle_vertex_candidates(sys):
     return sorted(pts)
 
 
+def oracle_box_vertices(planes, k, budget):
+    """Every vertex in [0,1]^k of the integer rows ``planes`` and the faces,
+    in lowest terms, one elimination per k-subset of rows: the walk's vertex
+    path before it grouped the rows by normal.  Charges C(rows, k) first."""
+    faces = [(*(int(j == i) for j in range(k)), b) for b in (0, 1) for i in range(k)]
+    rows = [*planes, *faces]
+    budget.spend(math.comb(len(rows), k))
+    pts = set()
+    for subset in itertools.combinations(rows, k):
+        solved = _solve_bareiss(subset)
+        if solved is None:
+            continue
+        num, den = [row[0] for row in solved[0]], solved[1]
+        if all(0 <= c <= den for c in num):
+            g = math.gcd(den, *num)
+            pts.add((tuple(c // g for c in num), den // g))
+    return pts
+
+
 def _oracle_primitive(normal, offset):
     g = math.gcd(*normal)
     return tuple(c // g for c in normal), offset / g
@@ -506,17 +525,69 @@ def test_kernel_matches_fraction_evaluation(data):
 @given(st.data())
 def test_bareiss_matches_fraction_elimination(data):
     d = data.draw(st.integers(1, 3))
-    row = st.tuples(*[st.integers(-4, 4)] * (d + 1))
+    r = data.draw(st.integers(1, 4))  # right-hand columns
+    row = st.tuples(*[st.integers(-4, 4)] * (d + r))
     rows = data.draw(st.lists(row, min_size=d, max_size=d))
-    if data.draw(st.booleans()):  # a repeated row makes the system singular
-        rows[-1] = rows[0]
-    expected = _solve_exact([(r[:-1], r[-1]) for r in rows])
+    if data.draw(st.booleans()):  # a repeated left-hand row makes A singular
+        rows[-1] = rows[0][:d] + rows[-1][d:]
+    if data.draw(st.booleans()):  # [A | I], as the vertex path runs it
+        rows = [(*row[:d], *(int(i == j) for j in range(d))) for i, row in enumerate(rows)]
+        r = d
     got = _solve_bareiss(rows)
-    if expected is None:
+    columns = [_solve_exact([(row[:d], row[d + j]) for row in rows]) for j in range(r)]
+    if columns[0] is None:
         assert got is None
     else:
         num, den = got
-        assert den > 0 and tuple(Fraction(c, den) for c in num) == expected
+        assert den > 0 and len(num) == d and all(len(x) == r for x in num)
+        for j, expected in enumerate(columns):
+            assert tuple(Fraction(x[j], den) for x in num) == expected
+
+
+@st.composite
+def _parallel_rows(draw, k):
+    """Integer rows (a, b) with normals a >= 0 and 0 < b < sum(a), as the
+    cell walk's slices give them.  Each normal comes at a second scale too,
+    so parallel normals of different scale meet, as (3, 0, 1) meets the
+    face (1, 0, 1)."""
+    out = []
+    for a in draw(st.lists(st.tuples(*[st.integers(0, 4)] * k).filter(any), max_size=4)):
+        scale = draw(st.integers(1, 3))
+        for v in (a, tuple(scale * c for c in a)):
+            out += [(*v, b) for b in draw(st.sets(st.integers(1, sum(v)), max_size=3)) if b < sum(v)]
+    return list(dict.fromkeys(out))
+
+
+def _check_box_vertices(planes, k, limit):
+    budget, oracle_budget = _Budget(limit), _Budget(limit)
+    try:
+        got = _box_vertices(planes, k, budget)
+    except BudgetExceededError:
+        got = None
+    try:
+        expected = oracle_box_vertices(planes, k, oracle_budget)
+    except BudgetExceededError:
+        expected = None
+    assert got == expected
+    assert budget.spent == oracle_budget.spent
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_or_standard_systems(max_d=3, max_forms=3), st.integers(0, 400))
+@example(FormSystem([(3, 0)], [(1, 1)]), 400)  # 3x = 1 and 3x = 2 beside the face x = 1
+@example(FormSystem([(3, 0, 1), (1, 0, 1)], [(0, 0, 0), (2, 0, 2)], raw=True), 400)
+@example(FormSystem([(2, 3, 3)], [(1, 1, 1), (1, 2, 2)]), math.inf)
+def test_box_vertices_match_the_per_subset_oracle(sys, limit):
+    _check_box_vertices(_planes(sys), sys.d, limit)
+    _check_box_vertices(_planes(sys), sys.d, math.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_box_vertices_match_the_oracle_on_parallel_rows(data):
+    k = data.draw(st.integers(1, 3))
+    planes = data.draw(_parallel_rows(k))
+    _check_box_vertices(planes, k, math.inf)
 
 
 # the oracle solves ~10^4 subsets a second, so at most two vectors a side
@@ -548,9 +619,11 @@ _ORACLE_SUBSETS = 2000
 def test_cell_points_take_every_value_of_the_box(sys):
     planes, budget = _planes(sys), _Budget(math.inf)
     cells = list(_cell_points(planes, sys.d, budget, _box_vertices(planes, sys.d, budget)))
+    assert all(D > 0 and all(0 < c < D for c in num) for num, D in cells)
     if budget.spent <= _ORACLE_SUBSETS:
-        assert cells == list(oracle_cell_points(sys, math.inf, []))
-    pairs = {_pair(sys, *_scale(x)) for x in cells}
+        as_fractions = [tuple(Fraction(c, D) for c in num) for num, D in cells]
+        assert as_fractions == list(oracle_cell_points(sys, math.inf, []))
+    pairs = {_pair(sys, num, D) for num, D in cells}
     # below 1/D no form value or coordinate of x + eps*1 reaches the next
     # multiple of 1/D, so the probe lies in an open cell
     K = 2 * (max(sum(v) for v in sys.forms) + 1)
@@ -565,6 +638,7 @@ def test_cell_points_take_every_value_of_the_box(sys):
 @example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # a cell zero refutes the vertices
 @example(FormSystem([(0, 1)], [(1, 1)]))  # closed-box corner
 @example(RAW_2D)
+@example(FormSystem([(2, 3, 3)], [(0, 1, 0), (2, 1, 2), (0, 1, 1)]))  # classify-batch's 3-D head
 def test_classify_matches_fraction_oracle(sys):
     # sampled alone, the top level solved and the first slice over budget,
     # then one subset short of the whole walk and the whole walk
