@@ -27,9 +27,7 @@ from .landau import (
     in_jump_region,
 )
 from .series import (
-    LogSeries,
     MSeries,
-    apply_theta_poly,
     compose,
     invert_diagonal,
 )

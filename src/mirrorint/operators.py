@@ -1,13 +1,13 @@
 """Differential operators in theta form and the case-study engine.
 
 A :class:`ThetaOperator` is sum_i z^i P_i(theta) with integer coefficient
-polynomials P_i, acting formally on univariate log-series A + B log z.
-A :class:`CaseRecord` ties an operator to a form system, a specialization
-z_i = M_i t^(N_i) and a registered closed form for the holomorphic
-solution; ``verify_annihilation`` replays the whole story to finite order:
-the specialized series matches the closed form, the operator kills both it
-and its log companion, and the associated q-parameter has integer
-coefficients.
+polynomials P_i, acting on A + B log z given as the coefficient lists of
+A and B.  A :class:`CaseRecord` ties an operator to a form system, a
+specialization z_i = M_i t^(N_i) and a registered closed form for the
+holomorphic solution; ``verify_annihilation`` replays the whole story to
+finite order on the integers of one coefficient pass: the specialized
+series matches the closed form, the operator kills both it and its log
+companion, and the associated q-parameter has integer coefficients.
 
 Records are plain JSON, so further catalog cases can be ingested without
 code changes; the one bundled here is catalog case 30.
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 from . import kronecker
 from .forms import FormSystem, _int_list
 from .mirror import coefficient_forms, integrality_scan
-from .series import LogSeries, MSeries, apply_theta_poly, specialize_form
+from .series import MSeries, _emit, specialize_form
 from .systems import CASE30
 
 
@@ -45,7 +45,11 @@ def poly_from_factors(scale: int, factors: Sequence[Sequence[int]]) -> tuple[int
 
 @dataclass(frozen=True)
 class ThetaOperator:
-    """sum_i z^i P_i(theta); polys[i] holds the coefficients of P_i, low to high."""
+    """sum_i z^i P_i(theta); polys[i] holds the coefficients of P_i, low to high.
+
+    At least one P_i must be nonzero: the zero operator annihilates every
+    series, so a check against it would certify nothing.
+    """
 
     polys: tuple[tuple[int, ...], ...]
 
@@ -55,13 +59,41 @@ class ThetaOperator:
         object.__setattr__(
             self, "polys", tuple(tuple(int(c) for c in p) for p in self.polys)
         )
+        if not any(map(any, self.polys)):
+            raise ValueError("the zero operator annihilates everything")
 
     @property
     def z_degree(self) -> int:
         return len(self.polys) - 1
 
-    def __call__(self, s: LogSeries) -> LogSeries:
-        return apply_theta_poly(self.polys, s)
+    def __call__(self, a: Sequence, b: Sequence = ()) -> tuple[list, list]:
+        """The operator applied to A + B log z, on coefficient lists.
+
+        a[n] and b[n] are the coefficients of z^n in A and B (ints or
+        Fractions) up to the order N = len(a) - 1; an empty b is B = 0.  As
+        theta z^n = n z^n and theta(z^n log z) = n z^n log z + z^n,
+
+            P(theta) z^n = P(n) z^n,  P(theta)(z^n log z) = P(n) z^n log z + P'(n) z^n,
+
+        and z^i moves each term from n to n + i.  Returns the regular and
+        log coefficient lists up to the order N - z_degree:
+
+            r_n = sum_i P_i(n-i) a_(n-i) + P_i'(n-i) b_(n-i),  l_n = sum_i P_i(n-i) b_(n-i).
+        """
+        top = len(a) - 1 - self.z_degree
+        if top < 0:
+            raise ValueError("series order too small for this operator")
+        if b and len(b) != len(a):
+            raise ValueError("A and B must share one truncation order")
+        r, l = [0] * (top + 1), [0] * (top + 1)
+        for i, P in enumerate(self.polys):
+            for m in range(top + 1 - i):
+                p = sum(c * m**j for j, c in enumerate(P))
+                r[m + i] += p * a[m]
+                if b:
+                    r[m + i] += sum(j * c * m ** (j - 1) for j, c in enumerate(P) if j) * b[m]
+                    l[m + i] += p * b[m]
+        return r, l
 
     def to_dict(self) -> list[list[int]]:
         return [list(p) for p in self.polys]
@@ -131,8 +163,9 @@ class CaseRecord:
         """The record ``to_dict`` wrote; anything else raises ValueError.
 
         Besides the shape, the fields must fit together: M holds d nonzero
-        and N d positive integers for the system's d, k lies in 1..d, and
-        ``closed_form`` names a registered closed form.
+        and N d positive integers for the system's d, k lies in 1..d,
+        ``closed_form`` names a registered closed form, and ``theta_op`` is
+        not the zero operator.
         """
         if not isinstance(data, dict) or set(data) != _RECORD_KEYS:
             raise ValueError(f"a case record is an object with exactly {sorted(_RECORD_KEYS)}")
@@ -227,50 +260,44 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     the specialized log companion; and the q-parameter built from the two
     specialized series has integer coefficients.  Any mismatch reports its
     first failing order.
+
+    F and G_k come from one pass, which takes each Q(n) once, and are
+    specialized as numerators over D_F and D_G.  The first three checks run
+    on those integers: F matches the closed form where f_n = closed(n) D_F;
+    the operator is linear, so it kills F where it kills F's numerators, and
+    G + F log z where it kills the numerators of G and F over one common
+    denominator.  Fractions are made only for the q-parameter.
     """
     sys = rec.system
     evaluator = closed_form(rec.closed_form)
-    # F and G_k from one pass, which takes each Q(n) once, specialized as ints
     g = kronecker.grading(sys.d, order)
-    F_spec, G_spec = (
+    (DF, F), (DG, G) = (
         specialize_form(g, order, form, rec.M, rec.Nexp)
         for form in coefficient_forms(sys, order, [rec.k - 1])
     )
-    checks = []
+    f = [F.get(n, 0) for n in range(order + 1)]
+    D = math.lcm(DF, DG)
 
-    mismatch = next(
-        (n for n in range(order + 1) if F_spec.coeff((n,)) != evaluator(n)), None
-    )
-    checks.append(
+    mismatch = next((n for n in range(order + 1) if f[n] != evaluator(n) * DF), None)
+    checks = [
         CheckResult(
             "closed-form",
             mismatch is None,
             None if mismatch is None else f"first mismatch at order {mismatch}",
         )
-    )
+    ]
 
-    killed_f = rec.operator(LogSeries.pure(F_spec))
-    checks.append(
-        CheckResult(
-            "annihilates-series",
-            killed_f.is_zero(),
-            None
-            if killed_f.is_zero()
-            else f"nonzero through order {killed_f.order}",
-        )
-    )
+    top = order - rec.operator.z_degree
+    log_companion = [G.get(n, 0) * (D // DG) for n in range(order + 1)], [c * (D // DF) for c in f]
+    for name, parts in (
+        ("annihilates-series", rec.operator(f)),
+        ("annihilates-log-companion", rec.operator(*log_companion)),
+    ):
+        killed = not any(map(any, parts))
+        checks.append(CheckResult(name, killed, None if killed else f"nonzero through order {top}"))
 
-    killed_g = rec.operator(LogSeries(G_spec, F_spec))
-    checks.append(
-        CheckResult(
-            "annihilates-log-companion",
-            killed_g.is_zero(),
-            None
-            if killed_g.is_zero()
-            else f"nonzero through order {killed_g.order}",
-        )
-    )
-
+    t = kronecker.grading(1, order)
+    F_spec, G_spec = _emit(t, order, DF, F), _emit(t, order, DG, G)
     unit = (G_spec * F_spec.reciprocal()).exp()
     q = MSeries.variable(1, order, 0) * unit
     scan = integrality_scan(q)
@@ -284,4 +311,3 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
         )
     )
     return AnnihilationReport(rec.name, order, tuple(checks))
-

@@ -61,16 +61,16 @@ result once, when it emits it.
   every slice of R, E and M is integral over its denominator.  Each step
   sums its products as Kronecker ints of one slot width that bounds the
   whole sum.
-
-``LogSeries`` is the univariate pair A(z) + log(z) B(z) needed for formal
-checks of differential operators written in powers of theta = z d/dz.
+* **Specialization.**  ``specialize_form`` takes an integer form along
+  z_i = M_i t^(N_i) to the univariate integer form (D, n -> numerator of
+  t^n); ``MSeries.specialize`` emits it, and ``operators`` applies theta
+  operators to its numerators as coefficient lists.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, mul
@@ -329,7 +329,8 @@ class MSeries:
         if any(n < 1 for n in Nexp):
             raise ValueError("exponents must be positive")
         g = kronecker.grading(self.d, self.order)
-        return specialize_form(g, self.order, self._numerators(), M, Nexp)
+        form = specialize_form(g, self.order, self._numerators(), M, Nexp)
+        return _emit(kronecker.grading(1, self.order), self.order, *form)
 
     # -- serialization -----------------------------------------------------------
 
@@ -415,9 +416,10 @@ def _emit(g: kronecker.Grading, order: int, D: int, ints: dict[int, int]) -> MSe
     return MSeries._trusted(g.d, order, terms)
 
 
-def specialize_form(g: kronecker.Grading, order: int, form, M, Nexp) -> MSeries:
-    """``MSeries.specialize`` of the integer form (D, key -> numerator) on
-    the grading g: numerators are summed as ints, then emitted once."""
+def specialize_form(g: kronecker.Grading, order: int, form, M, Nexp) -> tuple[int, dict]:
+    """The integer form (D, key -> numerator) on the grading g under
+    z_i = M_i t^(N_i): the univariate form (D, n -> numerator of t^n), its
+    numerators summed as ints.  In one variable the Kronecker key of t^n is n."""
     D, ints = form
     out: dict[int, int] = {}
     for k, c in ints.items():
@@ -425,8 +427,7 @@ def specialize_form(g: kronecker.Grading, order: int, form, M, Nexp) -> MSeries:
         n = sum(map(mul, v, Nexp))
         if n <= order:
             out[n] = out.get(n, 0) + c * math.prod(map(pow, M, v))
-    # in one variable the Kronecker key of t^n is n
-    return _emit(kronecker.grading(1, order), order, D, {n: c for n, c in out.items() if c})
+    return D, {n: c for n, c in out.items() if c}
 
 
 def _emit_slices(g: kronecker.Grading, order: int, xs, dens) -> MSeries:
@@ -610,72 +611,3 @@ def invert_diagonal(qs: Sequence[MSeries]) -> list[MSeries]:
         if compose(q, zs) != MSeries.variable(d, order, k):
             raise ArithmeticError(f"inversion check failed: q_{k}(z(q)) != q_{k}")
     return zs
-
-
-# -- univariate log-series -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogSeries:
-    """Univariate pair A(z) + log(z) * B(z) with a shared truncation order."""
-
-    regular: MSeries
-    logpart: MSeries
-
-    def __post_init__(self):
-        if self.regular.d != 1 or self.logpart.d != 1:
-            raise ValueError("log-series parts must be univariate")
-        if self.regular.order != self.logpart.order:
-            raise ValueError("both parts must share one truncation order")
-
-    @property
-    def order(self) -> int:
-        return self.regular.order
-
-    @classmethod
-    def pure(cls, regular: MSeries) -> "LogSeries":
-        return cls(regular, MSeries.zero(1, regular.order))
-
-    def is_zero(self) -> bool:
-        return not self.regular and not self.logpart
-
-
-def _at(P: Sequence[int], n: int) -> int:
-    """The integer polynomial with coefficients P (low to high) at n."""
-    acc = 0
-    for c in reversed(P):
-        acc = acc * n + c
-    return acc
-
-
-def apply_theta_poly(polys: Sequence[Sequence[int]], s: LogSeries) -> LogSeries:
-    """Apply sum_i z^i P_i(theta) to a log-series, coefficient by coefficient.
-
-    ``polys[i]`` lists the integer coefficients of P_i from degree 0 up.
-    As theta z^n = n z^n and theta(z^n log z) = n z^n log z + z^n,
-
-        P(theta) z^n = P(n) z^n,  P(theta)(z^n log z) = P(n) z^n log z + P'(n) z^n,
-
-    and z^i moves each term from n to n + i.  The result is truncated to
-    order N - v, where v = len(polys) - 1, the largest power of z
-    multiplied in.
-    """
-    if not polys:
-        raise ValueError("at least one coefficient polynomial is required")
-    top = s.order - (len(polys) - 1)
-    if top < 0:
-        raise ValueError("series order too small for this operator")
-    regular: dict[Exponent, Fraction] = {}
-    logpart: dict[Exponent, Fraction] = {}
-    for i, P in enumerate(polys):
-        dP = [j * c for j, c in enumerate(P)][1:]
-        for (n,), a in s.regular._terms.items():
-            if n + i <= top:
-                regular[(n + i,)] = regular.get((n + i,), 0) + _at(P, n) * a
-        for (n,), b in s.logpart._terms.items():
-            if n + i <= top:
-                logpart[(n + i,)] = logpart.get((n + i,), 0) + _at(P, n) * b
-                regular[(n + i,)] = regular.get((n + i,), 0) + _at(dP, n) * b
-    return LogSeries(
-        *(MSeries._trusted(1, top, {v: c for v, c in t.items() if c}) for t in (regular, logpart))
-    )

@@ -1,11 +1,13 @@
-"""Every module-level function in ``src/mirrorint`` has a caller there.
+"""Every module-level function and class in ``src/mirrorint`` has a caller there.
 
-A function stays in the package only if a command or a verdict path uses
-it; a second algorithm lives in ``tests/`` as an oracle.  The audit parses
-the modules (``__init__`` and ``__main__`` aside, since re-exporting or
-running a name is not using it) and asks of each module-level ``def`` that
-its name is loaded somewhere in them outside its own body, or that the
-benchmark's tracer wraps it by name, or that it is a listed exception.
+A function or class stays in the package only if a command or a verdict
+path uses it; a second algorithm lives in ``tests/`` as an oracle.  The
+audit parses the modules (``__init__`` and ``__main__`` aside, since
+re-exporting or running a name is not using it) and asks of each
+module-level ``def`` that its name is loaded somewhere in them outside its
+own body, or that the benchmark's tracer wraps it by name, or that it is a
+listed exception; and of each module-level ``class`` that its name is
+loaded somewhere in them outside its own body.
 """
 
 import ast
@@ -54,11 +56,20 @@ def _callers(modules):
     return out
 
 
-def _defs(modules):
+def _defs(modules, kind=ast.FunctionDef):
     for module, tree in modules.items():
         for stmt in tree.body:
-            if isinstance(stmt, ast.FunctionDef):
+            if isinstance(stmt, kind):
                 yield module, stmt.name
+
+
+def _unloaded_classes(modules):
+    callers = _callers(modules)
+    return [
+        f"{module}.{name}"
+        for module, name in _defs(modules, ast.ClassDef)
+        if not callers.get(name, set()) - {(module, name)}
+    ]
 
 
 def test_every_module_level_function_has_a_caller():
@@ -80,3 +91,19 @@ def test_every_exception_is_a_function_with_no_caller():
     for (module, name), reason in EXCEPTIONS.items():
         assert reason and (module, name) in defs, f"{module}.{name} is gone"
         assert not callers.get(name, set()) - {(module, name)}, f"{module}.{name} has a caller"
+
+
+def test_every_module_level_class_is_loaded_outside_its_body():
+    assert _unloaded_classes(_modules()) == []
+
+
+def test_the_class_audit_flags_a_class_only_its_own_body_loads():
+    # a class whose only loads are in its own methods is flagged
+    orphan = """
+class UnusedPair:
+    @classmethod
+    def pure(cls, regular):
+        return UnusedPair(regular, None)
+"""
+    modules = _modules() | {"extra": ast.parse(orphan)}
+    assert _unloaded_classes(modules) == ["extra.UnusedPair"]

@@ -27,6 +27,7 @@ from mirrorint.dwork import PadicContext, q_ratio_congruence_sweep
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.mirror import exponents_upto
+from mirrorint.operators import case30_record
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
 
 from test_mirror import count_the_pass
@@ -757,8 +758,6 @@ class TestCase:
         assert lines[-1]["check"] == "landau-dichotomy"
 
     def test_record_from_file(self, tmp_path, capsys):
-        from mirrorint.operators import case30_record
-
         rec_path = tmp_path / "rec.json"
         rec_path.write_text(json.dumps(case30_record().to_dict()))
         job = write_job(tmp_path, "a.json", {"case": str(rec_path), "order": 6})
@@ -797,8 +796,6 @@ class TestCase:
         ],
     )
     def test_malformed_record_exits_2(self, tmp_path, capsys, edit):
-        from mirrorint.operators import case30_record
-
         rec_path = tmp_path / "rec.json"
         rec_path.write_text(json.dumps(edit(case30_record().to_dict())))
         job = write_job(tmp_path, "a.json", {"case": str(rec_path), "order": 6})
@@ -851,11 +848,20 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
         ("case", {"case": "case30", "order": 0}, [], None, EXIT_SCHEMA),
         ("scan", {"system": {"name": "central-binomial"}, "order": 4}, [], "qL_1", EXIT_CACHE),
         ("classify", {"system": {"name": ["cubic-2d"]}}, [], None, EXIT_SCHEMA),
+        # the zero operator kills every series, so a record with it certifies nothing
+        *(
+            ("case", {"case": {**case30_record().to_dict(), "theta_op": polys}, "order": 8},
+             [], None, EXIT_SCHEMA)
+            for polys in ([[0]], [[]], [[], [0, 0]])
+        ),
     ],
 )
 def test_cli_contract_has_no_tracebacks(
     tmp_path, capsys, cache_args, command, doc, flags, broken_series, expected
 ):
+    if isinstance(doc.get("case"), dict):
+        # a case record goes to a file of its own, which the job names
+        doc = {**doc, "case": write_job(tmp_path, "record.json", doc["case"])}
     job = write_job(tmp_path, "a.json", doc)
     if broken_series is not None:
         assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK

@@ -1,9 +1,16 @@
-"""Theta operators and the bundled catalog case."""
+"""Theta operators and the bundled catalog case.
+
+``theta`` and ``oracle_theta_operator`` are the direct algorithm: theta
+powers of a pair of series (A, B), standing for A + B log z, each P_i(theta)
+shifted by z^i through a series product.  The property test checks the
+operator's action on coefficient lists against it.
+"""
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorint import mirror, operators
 from mirrorint.forms import harmonic
@@ -18,11 +25,10 @@ from mirrorint.operators import (
     poly_from_factors,
     verify_annihilation,
 )
-from mirrorint.series import LogSeries, MSeries
+from mirrorint.series import MSeries
 from mirrorint.systems import CASE30
 
 from test_mirror import count_the_pass
-from test_series import log_add
 
 
 def case30_log_coefficient(n: int) -> Fraction:
@@ -68,46 +74,178 @@ class TestOperatorConstruction:
         assert again == rec
 
 
+def series(coeffs):
+    """The univariate series at order len(coeffs) - 1 with these coefficients."""
+    return MSeries(1, len(coeffs) - 1, {(n,): c for n, c in enumerate(coeffs)})
+
+
+def theta(s):
+    """Apply theta = z d/dz to a univariate MSeries or to a pair (A, B).
+
+    On monomials theta(z^n) = n z^n; on the pair, standing for A + B log z,
+    the product rule gives theta(A + B log z) = (theta A + B) + (theta B) log z.
+    """
+    if isinstance(s, tuple):
+        a, b = s
+        return theta(a) + b, theta(b)
+    if s.d != 1:
+        raise ValueError("theta acts on univariate series")
+    return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
+
+
+def oracle_theta_operator(polys, a, b):
+    """sum_i z^i P_i(theta) on the pair (A, B) from theta powers of it, each
+    P_i(theta)(A, B) shifted by z^i through a series product, then
+    truncated by the z-degree."""
+    v, order = len(polys) - 1, a.order
+    if order < v:
+        raise ValueError("series order too small for this operator")
+    powers = [(a, b)]
+    for _ in range(max(len(p) for p in polys) - 1):
+        powers.append(theta(powers[-1]))
+    zero = MSeries.zero(1, order)
+    z = MSeries.variable(1, order, 0)
+    regular, logpart = zero, zero
+    for i, p in enumerate(polys):
+        for c, (pa, pb) in zip(p, powers):
+            regular += z**i * pa * c
+            logpart += z**i * pb * c
+    return regular.truncate(order - v), logpart.truncate(order - v)
+
+
+@st.composite
+def operator_inputs(draw):
+    """A nonzero operator sum_i z^i P_i (some P_i zero or constant, z-degree
+    up to the order) and the coefficient lists of A and B, all ints or all
+    Fractions, B sometimes empty."""
+    order = draw(st.integers(0, 7))
+    poly = st.one_of(
+        st.just(()),
+        st.lists(st.just(0), min_size=1, max_size=3),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=1),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    )
+    nonzero = st.lists(poly, min_size=1, max_size=order + 1).filter(lambda ps: any(map(any, ps)))
+    op = ThetaOperator(tuple(map(tuple, draw(nonzero))))
+    entry = draw(st.sampled_from([st.integers(-99, 99), st.fractions(max_denominator=30)]))
+    coeffs = st.lists(entry, min_size=order + 1, max_size=order + 1)
+    return op, draw(coeffs), draw(st.one_of(st.just([]), coeffs))
+
+
+@settings(max_examples=250, deadline=None)
+@given(operator_inputs())
+@example((ThetaOperator(((1, 2, 3),) * 7), [Fraction(1, 3), 0, 0, 0, 0, 0, 2], []))
+@example((ThetaOperator(((), (0, 0), (5,))), [1, 2, 3], [4, 5, 6]))
+@example((ThetaOperator(((2,),)), [0], [1]))
+def test_theta_operator_matches_the_theta_power_oracle(case):
+    op, a, b = case
+    r, l = op(a, b)
+    want = oracle_theta_operator(op.polys, series(a), series(b or [0] * len(a)))
+    assert len(r) == len(l) == len(a) - op.z_degree
+    assert (series(r), series(l)) == want
+    if all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in r + l)
+
+
+class TestThetaOps:
+    def test_theta_on_monomial(self):
+        s = MSeries(1, 5, {(3,): 2})
+        assert theta(s) == MSeries(1, 5, {(3,): 6})
+
+    def test_theta_product_rule_with_log(self):
+        N = 5
+        s = MSeries.zero(1, N), MSeries(1, N, {(2,): 1})  # z^2 log z
+        assert theta(s) == (MSeries(1, N, {(2,): 1}), MSeries(1, N, {(2,): 2}))
+
+    def test_theta_squared_kills_log(self):
+        zero = MSeries.zero(1, 4)
+        assert theta(theta((zero, MSeries.one(1, 4)))) == (zero, zero)  # log z
+
+    def test_theta_is_derivation_on_pure_series(self):
+        N = 6
+        a = MSeries(1, N, {(1,): 2, (3,): -1})
+        b = MSeries(1, N, {(0,): 1, (2,): 5})
+        assert theta(a * b) == theta(a) * b + a * theta(b)
+
+    def test_apply_poly_matches_scalar_evaluation(self):
+        # P(theta) z^n = P(n) z^n
+        poly = (3, -2, 1, 4)
+        N = 6
+        for n in range(N + 1):
+            r, l = ThetaOperator((poly,))([int(m == n) for m in range(N + 1)])
+            val = sum(c * n**j for j, c in enumerate(poly))
+            assert r == [val * (m == n) for m in range(N + 1)]
+            assert l == [0] * (N + 1)
+
+    def test_apply_poly_truncates_by_z_degree(self):
+        r, l = ThetaOperator(((0, 1), (1,), (1,)))([1] * 7)
+        assert len(r) == len(l) == 5
+
+    def test_linearity(self):
+        op = ThetaOperator(((0, 0, 1), (1, 2)))
+        a = ([0, 1, 0, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0, 0])
+        b = ([2, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0])
+        total = [[x + y for x, y in zip(*parts)] for parts in zip(a, b)]
+        lhs = [[x + y for x, y in zip(*parts)] for parts in zip(op(*a), op(*b))]
+        assert lhs == list(op(*total))
+
+
 class TestApplyOperator:
     def test_theta_on_power(self):
-        op = ThetaOperator(((0, 1),))
-        s = LogSeries.pure(MSeries(1, 5, {(3,): 1}))
-        out = op(s)
-        assert out.regular == MSeries(1, 5, {(3,): 3})
+        r, l = ThetaOperator(((0, 1),))([0, 0, 0, 1, 0, 0])
+        assert r == [0, 0, 0, 3, 0, 0] and l == [0] * 6
 
     def test_theta_squared_on_log(self):
-        op = ThetaOperator(((0, 0, 1),))
-        s = LogSeries(MSeries.zero(1, 5), MSeries.one(1, 5))
-        assert op(s).is_zero()
+        r, l = ThetaOperator(((0, 0, 1),))([0] * 6, [1, 0, 0, 0, 0, 0])
+        assert r == l == [0] * 6
 
     def test_theta_kills_constants(self):
-        op = ThetaOperator(((0, 1),))
-        assert op(LogSeries.pure(MSeries.one(1, 4))).is_zero()
+        r, l = ThetaOperator(((0, 1),))([1, 0, 0, 0, 0])
+        assert r == l == [0] * 5
 
     def test_case30_on_plain_variable(self):
-        out = case30_operator()(LogSeries.pure(MSeries.variable(1, 8, 0)))
-        assert out.regular.coeff((1,)) == 1  # theta^4 z = z; z P_1(theta) adds z^2 up
-        assert not out.logpart
+        r, l = case30_operator()([0, 1, 0, 0, 0, 0, 0, 0, 0])
+        assert r[1] == 1  # theta^4 z = z; z P_1(theta) adds z^2 up
+        assert l == [0] * 7
 
     def test_linearity(self):
         op = case30_operator()
-        a = LogSeries(MSeries(1, 8, {(1,): 2}), MSeries(1, 8, {(2,): 1}))
-        b = LogSeries(MSeries(1, 8, {(3,): -5}), MSeries(1, 8, {(0,): 1}))
-        lhs = log_add(op(a), op(b))
-        rhs = op(log_add(a, b))
-        assert lhs.regular == rhs.regular and lhs.logpart == rhs.logpart
+        a = ([0, 2, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0])
+        b = ([0, 0, 0, -5, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0])
+        total = [[x + y for x, y in zip(*parts)] for parts in zip(a, b)]
+        lhs = [[x + y for x, y in zip(*parts)] for parts in zip(op(*a), op(*b))]
+        assert lhs == list(op(*total))
+
+    def test_order_below_z_degree_raises(self):
+        with pytest.raises(ValueError):
+            case30_operator()([1, 144])
+        with pytest.raises(ValueError):
+            ThetaOperator(((0, 1),))([])
+        with pytest.raises(ValueError):
+            verify_annihilation(case30_record(), 1)
+
+    def test_log_part_of_another_order_raises(self):
+        with pytest.raises(ValueError):
+            ThetaOperator(((0, 1),))([1, 2, 3], [1, 2])
+
+    @pytest.mark.parametrize("polys", [[[0]], [[]], [[], [0, 0]]])
+    def test_zero_operator_is_rejected(self, polys):
+        # the zero operator kills every series, so it would certify nothing
+        with pytest.raises(ValueError):
+            ThetaOperator(tuple(map(tuple, polys)))
+        with pytest.raises(ValueError):
+            CaseRecord.from_dict({**case30_record().to_dict(), "theta_op": polys})
 
 
 @given(
-    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
     n=st.integers(0, 6),
 )
 def test_theta_polynomial_scales_monomials(coeffs, n):
-    op = ThetaOperator((tuple(coeffs),))
-    out = op(LogSeries.pure(MSeries(1, 6, {(n,): 1})))
+    r, l = ThetaOperator((tuple(coeffs),))([int(m == n) for m in range(7)])
     value = sum(c * n**j for j, c in enumerate(coeffs))
-    assert out.regular.coeff((n,)) == value
-    assert len(out.regular) <= 1 and not out.logpart
+    assert r == [value * (m == n) for m in range(7)]
+    assert l == [0] * 7
 
 
 class TestCase30:

@@ -17,16 +17,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mirrorint import kronecker, series
-from mirrorint.series import (
-    LogSeries,
-    MSeries,
-    apply_theta_poly,
-    compose,
-    invert_diagonal,
-)
+from mirrorint.series import MSeries, compose, invert_diagonal
 
 
 def oracle_compose(a, subs):
@@ -360,133 +354,6 @@ class TestInversion:
         z = MSeries.variable(1, N, 0)
         with pytest.raises(ValueError):
             invert_diagonal([2 * z])
-
-
-def theta(s):
-    """Apply theta = z d/dz; accepts a univariate MSeries or a LogSeries.
-
-    On monomials theta(z^n) = n z^n; on the log pair the product rule gives
-    theta(A + B log z) = (theta A + B) + (theta B) log z.
-    """
-    if isinstance(s, LogSeries):
-        return LogSeries(theta(s.regular) + s.logpart, theta(s.logpart))
-    if s.d != 1:
-        raise ValueError("theta acts on univariate series")
-    return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
-
-
-def log_add(a, b):
-    """The sum of two log-series, part by part."""
-    return LogSeries(a.regular + b.regular, a.logpart + b.logpart)
-
-
-def oracle_apply_theta_poly(polys, s):
-    """apply_theta_poly from theta powers of s, each P_i(theta) s shifted by
-    z^i through a series product, then truncated by the z-degree."""
-    if not polys:
-        raise ValueError("at least one coefficient polynomial is required")
-    v = len(polys) - 1
-    order = s.order
-    if order < v:
-        raise ValueError("series order too small for this operator")
-    max_theta = max((len(p) - 1 for p in polys), default=0)
-    theta_pow = [s]
-    for _ in range(max_theta):
-        theta_pow.append(theta(theta_pow[-1]))
-    zero = MSeries.zero(1, order)
-    acc = LogSeries(zero, zero)
-    zpow = MSeries.one(1, order)
-    zvar = MSeries.variable(1, order, 0)
-    for i, p in enumerate(polys):
-        if i:
-            zpow = zpow * zvar
-        part = LogSeries(zero, zero)
-        for j, c in enumerate(p):
-            if c:
-                part = log_add(part, LogSeries(theta_pow[j].regular * c, theta_pow[j].logpart * c))
-        acc = log_add(acc, LogSeries(zpow * part.regular, zpow * part.logpart))
-    return LogSeries(acc.regular.truncate(order - v), acc.logpart.truncate(order - v))
-
-
-@st.composite
-def operator_inputs(draw):
-    """Polynomials sum_i z^i P_i (some zero or constant, z-degree up to the
-    order) and a log-series with Fraction coefficients, its log part
-    sometimes empty."""
-    order = draw(st.integers(0, 7))
-    poly = st.one_of(
-        st.just(()),
-        st.lists(st.just(0), min_size=1, max_size=3),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=1),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-    )
-    polys = draw(st.lists(poly, min_size=1, max_size=order + 1))
-    coeffs = st.dictionaries(
-        st.tuples(st.integers(0, order)), st.fractions(max_denominator=30), max_size=order + 1
-    )
-    regular = MSeries(1, order, draw(coeffs))
-    logpart = MSeries(1, order, draw(st.one_of(st.just({}), coeffs)))
-    return polys, LogSeries(regular, logpart)
-
-
-@settings(max_examples=200, deadline=None)
-@given(operator_inputs())
-@example(([(1, 2, 3)] * 7, LogSeries.pure(MSeries(1, 6, {(0,): Fraction(1, 3), (6,): 2}))))
-@example(([()], LogSeries(MSeries.zero(1, 0), MSeries.one(1, 0))))
-def test_apply_theta_poly_matches_the_theta_power_oracle(case):
-    polys, s = case
-    got, want = apply_theta_poly(polys, s), oracle_apply_theta_poly(polys, s)
-    assert got.order == want.order == s.order - (len(polys) - 1)
-    assert got.regular.to_dict() == want.regular.to_dict()
-    assert got.logpart.to_dict() == want.logpart.to_dict()
-
-
-class TestThetaOps:
-    def test_theta_on_monomial(self):
-        s = MSeries(1, 5, {(3,): 2})
-        assert theta(s) == MSeries(1, 5, {(3,): 6})
-
-    def test_theta_product_rule_with_log(self):
-        N = 5
-        s = LogSeries(MSeries.zero(1, N), MSeries(1, N, {(2,): 1}))  # z^2 log z
-        t = theta(s)
-        assert t.regular == MSeries(1, N, {(2,): 1})
-        assert t.logpart == MSeries(1, N, {(2,): 2})
-
-    def test_theta_squared_kills_log(self):
-        s = LogSeries(MSeries.zero(1, 4), MSeries.one(1, 4))  # log z
-        assert theta(theta(s)).is_zero()
-
-    def test_theta_is_derivation_on_pure_series(self):
-        N = 6
-        a = MSeries(1, N, {(1,): 2, (3,): -1})
-        b = MSeries(1, N, {(0,): 1, (2,): 5})
-        assert theta(a * b) == theta(a) * b + a * theta(b)
-
-    def test_apply_poly_matches_scalar_evaluation(self):
-        # P(theta) z^n = P(n) z^n
-        poly = (3, -2, 1, 4)
-        N = 6
-        for n in range(N + 1):
-            s = LogSeries.pure(MSeries(1, N, {(n,): 1}))
-            out = apply_theta_poly([poly], s)
-            val = sum(c * n**j for j, c in enumerate(poly))
-            assert out.regular == MSeries(1, N, {(n,): val} if val else {})
-            assert not out.logpart
-
-    def test_apply_poly_truncates_by_z_degree(self):
-        s = LogSeries.pure(MSeries.one(1, 6))
-        out = apply_theta_poly([(0, 1), (1,), (1,)], s)
-        assert out.order == 4
-
-    def test_linearity(self):
-        N = 6
-        polys = [(0, 0, 1), (1, 2)]
-        a = LogSeries(MSeries(1, N, {(1,): 1}), MSeries(1, N, {(2,): 3}))
-        b = LogSeries(MSeries(1, N, {(0,): 2}), MSeries(1, N, {(1,): -1}))
-        lhs = log_add(apply_theta_poly(polys, a), apply_theta_poly(polys, b))
-        rhs = apply_theta_poly(polys, log_add(a, b))
-        assert lhs.regular == rhs.regular and lhs.logpart == rhs.logpart
 
 
 class TestSerialization:
