@@ -63,11 +63,9 @@ from .dwork import (
     CongruenceRanges,
     PadicContext,
     dieudonne_dwork_check,
-    dieudonne_dwork_forms,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
-from . import kronecker
 from .forms import FormSystem, is_prime
 from .landau import BudgetExceededError, SamplingStrategy, Tag, classify
 from .landau import enumerate_weight_vectors
@@ -474,11 +472,11 @@ def cmd_dwork(job: Job, args) -> int:
         checks = [("fixture", partial(dieudonne_dwork_check, F, G))]
     else:
         sys_ = _system(job)
-        g = kronecker.grading(sys_.d, job.order)
         # F and every G_k from one pass, which takes each Q(n) once
-        f, *hs = coefficient_forms(sys_, job.order, range(sys_.d))
+        forms = coefficient_forms(sys_, job.order, range(sys_.d))
+        F, *G = (MSeries.of_form(sys_.d, job.order, form) for form in forms)
         checks = [
-            (name, partial(dieudonne_dwork_forms, g, job.order, f, hs[k]))
+            (name, partial(dieudonne_dwork_check, F, G[k]))
             for name, field, k in _series_table(sys_)
             if field == "G"
         ]

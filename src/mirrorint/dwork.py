@@ -9,7 +9,7 @@ v_p(x) >= t + v_p(g).  The module provides
   * good residues mod p^s: vectors whose scaled fractional part avoids
     the jump region;
   * the Dieudonne-Dwork product test for exp(G/F), per exponent, on the
-    integer numerators of F and G;
+    integer forms of F and G;
   * the generalized formal-congruence harness: hypothesis checks and the
     conclusion sweep for the double convolution sums, with an exact
     telescoping identity;
@@ -366,59 +366,40 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
 
     exp(G/F) has p-integral coefficients iff every coefficient of the
     combination has valuation >= 1; each nonzero coefficient yields one
-    report, in lexicographic exponent order.  The test runs on the integer
-    forms of F and G (``dieudonne_dwork_forms``).
+    report, in lexicographic exponent order.  p must be prime, F = 1 + ...
+    p-integral and G without constant term, judged in that order before the
+    shapes of F and G.
+
+    On the integer forms (D_F, f) of F and (D_G, h) of G the combination is
+    (f h(z^p) - p f(z^p) h) / (D_F D_G), two Kronecker products and one sum.
+    The Kronecker key is linear, so z -> z^p maps key k to p k, and the keys
+    below the truncation stay below it exactly when the degree does.  A
+    coefficient c / D has valuation v_p(c) - v_p(D), with no precision to
+    run out of.
     """
-    g = kronecker.grading(F.d, F.order)
-    f, h = F._numerators(), G._numerators()
-    # p, F and G are judged before their shapes, in the documented order
-    _dd_inputs(g, f, h, p)
-    F._check_compatible(G)
-    return dieudonne_dwork_forms(g, F.order, f, h, p)
-
-
-def _dd_inputs(g: kronecker.Grading, f, h, p: int):
-    """Raise ValueError unless p is prime, F = 1 + ... is p-integral and G
-    has no constant term, in that order; key 0 is the constant term."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    (D_F, F), (_, G) = f, h
-    if F.get(0) != D_F:
+    # key 0 is the constant term; c / D_F is p-integral iff p^v_p(D_F) | c
+    (D_F, f), (D_G, h) = F.form, G.form
+    if f.get(0) != D_F:
         raise ValueError("F must have constant term 1")
-    # c / D_F is p-integral iff p^v_p(D_F) divides c
-    if D_F % p == 0:
-        pv = p ** vp_int(D_F, p)
-        bad = [g.exp[k] for k, c in F.items() if c % pv]
-        if bad:
-            raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
-    if 0 in G:
+    g, N = kronecker.grading(F.d, F.order), F.order
+    pv = p ** vp_int(D_F, p)
+    bad = [g.exp[k] for k, c in f.items() if c % pv] if pv > 1 else []
+    if bad:
+        raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
+    if 0 in h:
         raise ValueError("G must have constant term 0")
-
-
-def dieudonne_dwork_forms(g: kronecker.Grading, N: int, f, h, p: int) -> list[CongruenceReport]:
-    """``dieudonne_dwork_check`` on the integer forms f = (D_F, F) of F and
-    h = (D_G, G) of G, key -> numerator on the grading g at order N.
-
-    The combination is (F G(z^p) - p F(z^p) G) / (D_F D_G), two Kronecker
-    products and one sum.  The Kronecker key is linear, so z -> z^p maps
-    key k to p k, and the keys below the truncation stay below it exactly
-    when the degree does.  A coefficient c / D has valuation
-    v_p(c) - v_p(D), with no precision to run out of.
-    """
-    _dd_inputs(g, f, h, p)
+    F._check_compatible(G)
     cut = g.top * (N + 1)
-    (D_F, F), (D_G, G) = f, h
-    F_p, G_p = ({p * k: c for k, c in x.items() if p * k < cut} for x in (F, G))
+    f_p, h_p = ({p * k: c for k, c in x.items() if p * k < cut} for x in (f, h))
     D, ints = kronecker.add(
-        kronecker.multiply(g, N, f, (D_G, G_p)),
-        kronecker.multiply(g, N, (D_F, F_p), (D_G, {k: -p * c for k, c in G.items()})),
+        kronecker.multiply(g, N, (D_F, f), (D_G, h_p)),
+        kronecker.multiply(g, N, (D_F, f_p), (D_G, {k: -p * c for k, c in h.items()})),
     )
     v_D = vp_int(D, p)
-    out = []
-    for v, c in sorted((g.exp[k], c) for k, c in ints.items()):
-        ach = vp_int(c, p) - v_D
-        out.append(CongruenceReport("dieudonne-dwork", (v,), 1, ach, ach >= 1))
-    return out
+    achieved = sorted((g.exp[k], vp_int(c, p) - v_D) for k, c in ints.items())
+    return [CongruenceReport("dieudonne-dwork", (v,), 1, a, a >= 1) for v, a in achieved]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class PadicInfinity:
 INFINITY = PadicInfinity()
 
 
-def _int_list(x) -> bool:
+def is_int_list(x) -> bool:
     """A JSON list of integers (``true`` and ``false`` are not integers)."""
     return isinstance(x, list) and all(type(c) is int for c in x)
 
@@ -164,7 +164,7 @@ class FormSystem:
         """
         if not isinstance(data, dict) or not {"e", "f"} <= set(data) <= {"e", "f", "raw"}:
             raise ValueError("a system is an object with e, f and optionally raw")
-        if not all(isinstance(data[s], list) and all(map(_int_list, data[s])) for s in "ef"):
+        if not all(isinstance(data[s], list) and all(map(is_int_list, data[s])) for s in "ef"):
             raise ValueError("system e and f must be lists of integer lists")
         if not isinstance(data.get("raw", False), bool):
             raise ValueError("system raw must be true or false")

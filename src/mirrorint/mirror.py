@@ -16,9 +16,9 @@ all of them from one pass over the exponents, which computes each Q(n)
 once, on integers.  It returns each series as numerators over one
 denominator, keyed on the Kronecker grading of ``kronecker``: F over the
 least common denominator of the Q(n), the companions over that times
-lcm(1..top), with H_m = h_m / lcm(1..top) for integers h_m.  ``dwork``
-and ``case`` read these forms as integers; ``build_F/Gk/GL`` and
-``build_bundle`` make one reduced Fraction per term from them.
+lcm(1..top), with H_m = h_m / lcm(1..top) for integers h_m.  ``dwork``,
+``case``, ``build_F/Gk/GL`` and ``build_bundle`` wrap these forms as
+series with ``MSeries.of_form``.
 
 The canonical coordinate factors through the mirror-type maps: q_k / z_k
 equals the product of q_(e_i) to the power e_i[k] divided by the product
@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from . import kronecker
 from .forms import FormSystem, is_prime, vp_int
 from .landau import enumerate_weight_vectors
-from .series import MSeries, _emit, invert_diagonal
+from .series import MSeries, invert_diagonal
 
 Exponent = tuple[int, ...]
 
@@ -104,8 +104,7 @@ def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[i
 
 def _series(sys: FormSystem, order: int, ks=(), Ls=()) -> list[MSeries]:
     """F, the G_k and the G_L of ``coefficient_forms`` as series."""
-    g = kronecker.grading(sys.d, order)
-    return [_emit(g, order, *form) for form in coefficient_forms(sys, order, ks, Ls)]
+    return [MSeries.of_form(sys.d, order, form) for form in coefficient_forms(sys, order, ks, Ls)]
 
 
 def build_F(sys: FormSystem, order: int) -> MSeries:
@@ -215,17 +214,18 @@ class ScanReport:
 def integrality_scan(s: MSeries, p: Optional[int] = None, limit: int = 20) -> ScanReport:
     """Report every truncation-order coefficient that is not (p-)integral.
 
-    Coefficients are stored reduced, so the denominator decides: c is not
-    integral iff den != 1, and not p-integral iff p | den, and then
-    v_p(c) = -v_p(den).
+    The numerators over D decide: c / D is integral iff D | c, and
+    p-integral iff p^v_p(D) | c; otherwise v_p(c / D) = v_p(c) - v_p(D).
     """
-    terms = s._terms
-    if p is None:
-        bad = sorted(v for v, c in terms.items() if c.denominator != 1)
-        found = (ScanViolation(v, terms[v]) for v in bad[:limit])
-    elif is_prime(p):
-        bad = sorted(v for v, c in terms.items() if c.denominator % p == 0)
-        found = (ScanViolation(v, terms[v], -vp_int(terms[v].denominator, p)) for v in bad[:limit])
-    else:
+    if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    D, ints = s.form
+    v_D = 0 if p is None else vp_int(D, p)
+    divisor = D if p is None else p**v_D
+    exp = kronecker.grading(s.d, s.order).exp
+    bad = sorted((exp[k], c) for k, c in ints.items() if c % divisor) if divisor > 1 else []
+    found = [
+        ScanViolation(v, Fraction(c, D), None if p is None else vp_int(c, p) - v_D)
+        for v, c in bad[:limit]
+    ]
     return ScanReport(prime=p, violations=tuple(found), total=len(bad), limit=limit)

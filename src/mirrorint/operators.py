@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import kronecker
-from .forms import FormSystem, _int_list
+from .forms import FormSystem, is_int_list
 from .mirror import coefficient_forms, integrality_scan
-from .series import MSeries, _emit, specialize_form
+from .series import MSeries
 from .systems import CASE30
 
 
@@ -172,16 +171,16 @@ class CaseRecord:
         name, polys, form = data["name"], data["theta_op"], data["closed_form"]
         if not isinstance(name, str):
             raise ValueError("name must be a string")
-        if not (isinstance(polys, list) and polys and all(map(_int_list, polys))):
+        if not (isinstance(polys, list) and polys and all(map(is_int_list, polys))):
             raise ValueError("theta_op must be a non-empty list of integer lists")
         system = FormSystem.from_dict(data["system"])
         d, special = system.d, data["special"]
         if not isinstance(special, dict) or set(special) != {"M", "N", "k"}:
             raise ValueError("special is an object with exactly M, N and k")
         M, N, k = special["M"], special["N"], special["k"]
-        if not (_int_list(M) and len(M) == d and all(M)):
+        if not (is_int_list(M) and len(M) == d and all(M)):
             raise ValueError(f"special.M must list {d} nonzero integers")
-        if not (_int_list(N) and len(N) == d and min(N) >= 1):
+        if not (is_int_list(N) and len(N) == d and min(N) >= 1):
             raise ValueError(f"special.N must list {d} positive integers")
         if type(k) is not int or not 1 <= k <= d:
             raise ValueError(f"special.k must be an integer in 1..{d}")
@@ -262,19 +261,20 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     first failing order.
 
     F and G_k come from one pass, which takes each Q(n) once, and are
-    specialized as numerators over D_F and D_G.  The first three checks run
-    on those integers: F matches the closed form where f_n = closed(n) D_F;
-    the operator is linear, so it kills F where it kills F's numerators, and
-    G + F log z where it kills the numerators of G and F over one common
-    denominator.  Fractions are made only for the q-parameter.
+    specialized as series, numerators over D_F and D_G.  The first three
+    checks run on those integers: F matches the closed form where
+    f_n = closed(n) D_F; the operator is linear, so it kills F where it
+    kills F's numerators, and G + F log z where it kills the numerators of
+    G and F over one common denominator.  An operator check that fails
+    names the first order where r_n or l_n is nonzero.
     """
     sys = rec.system
     evaluator = closed_form(rec.closed_form)
-    g = kronecker.grading(sys.d, order)
-    (DF, F), (DG, G) = (
-        specialize_form(g, order, form, rec.M, rec.Nexp)
+    F_spec, G_spec = (
+        MSeries.of_form(sys.d, order, form).specialize(rec.M, rec.Nexp)
         for form in coefficient_forms(sys, order, [rec.k - 1])
     )
+    (DF, F), (DG, G) = F_spec.form, G_spec.form
     f = [F.get(n, 0) for n in range(order + 1)]
     D = math.lcm(DF, DG)
 
@@ -287,17 +287,15 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
         )
     ]
 
-    top = order - rec.operator.z_degree
     log_companion = [G.get(n, 0) * (D // DG) for n in range(order + 1)], [c * (D // DF) for c in f]
     for name, parts in (
         ("annihilates-series", rec.operator(f)),
         ("annihilates-log-companion", rec.operator(*log_companion)),
     ):
-        killed = not any(map(any, parts))
-        checks.append(CheckResult(name, killed, None if killed else f"nonzero through order {top}"))
+        first = next((n for n, rl in enumerate(zip(*parts)) if any(rl)), None)
+        detail = None if first is None else f"first nonzero at order {first}"
+        checks.append(CheckResult(name, first is None, detail))
 
-    t = kronecker.grading(1, order)
-    F_spec, G_spec = _emit(t, order, DF, F), _emit(t, order, DG, G)
     unit = (G_spec * F_spec.reciprocal()).exp()
     q = MSeries.variable(1, order, 0) * unit
     scan = integrality_scan(q)

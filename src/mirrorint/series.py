@@ -14,15 +14,17 @@ grouped monomials with shared power tables, and ``invert_diagonal`` runs a
 Newton iteration that doubles the exact order at each step and checks
 q(z(q)) = q at the end.
 
-What a series shows (``coeff``, ``items``, ``to_dict``) is a dict from
-exponent to reduced ``Fraction``.  Products, the unit operations and
-composition run on the integer kernel in ``kronecker`` instead: each
-converts its operands once, works on ints, and makes the Fractions of its
-result once, when it emits it.
+A series is stored as its integer form (``D``, ``ints``): its numerators
+over one denominator, in lowest terms, keyed on the Kronecker grading of
+``kronecker``.  Sums, products, the unit operations, composition,
+truncation and specialization hand forms to the integer kernel in
+``kronecker`` with no conversion.  Fractions are made only where a
+coefficient is read or written: ``coeff``, ``items``, ``to_dict`` and the
+violations of a scan.
 
-* **Integer form.**  A series at order N becomes its numerators over one
-  common denominator D, the lcm of its denominators, keyed by the
-  Kronecker index
+* **Integer form.**  A series at order N is its numerators over D, the
+  least common denominator of its coefficients, keyed by the Kronecker
+  index
 
       key(v) = v_0 + v_1 B + ... + v_(d-2) B^(d-2) + |v| B^(d-1),  B = N + 1,
 
@@ -61,10 +63,10 @@ result once, when it emits it.
   every slice of R, E and M is integral over its denominator.  Each step
   sums its products as Kronecker ints of one slot width that bounds the
   whole sum.
-* **Specialization.**  ``specialize_form`` takes an integer form along
-  z_i = M_i t^(N_i) to the univariate integer form (D, n -> numerator of
-  t^n); ``MSeries.specialize`` emits it, and ``operators`` applies theta
-  operators to its numerators as coefficient lists.
+* **Specialization.**  ``MSeries.specialize`` takes the form along
+  z_i = M_i t^(N_i) to the univariate form (D, n -> numerator of t^n),
+  summing numerators as ints; ``operators`` applies theta operators to
+  those numerators as coefficient lists.
 """
 
 from __future__ import annotations
@@ -93,9 +95,14 @@ def _check_length(v: Exponent, d: int):
 
 
 class MSeries:
-    """A truncated power series in ``d`` variables, exact and immutable."""
+    """A truncated power series in ``d`` variables, exact and immutable.
 
-    __slots__ = ("d", "order", "_terms")
+    Stored as its integer form: the coefficient at exponent v is
+    ``ints[key(v)] / D`` on ``kronecker.grading(d, order)``, with D > 0,
+    every numerator nonzero and gcd(D, *ints) = 1.
+    """
+
+    __slots__ = ("d", "order", "D", "ints")
 
     def __init__(self, d: int, order: int, terms=()):
         if d < 1:
@@ -109,29 +116,27 @@ class MSeries:
             _check_length(v, d)
             if any(e < 0 for e in v):
                 raise ValueError(f"negative exponent in {v}")
-            if sum(v) > order:
-                continue
-            c = _as_coeff(c)
-            if c != 0:
-                acc = data.get(v)
-                c = c if acc is None else acc + c
-                if c:
-                    data[v] = c
-                elif v in data:
-                    del data[v]
-        self._set(d, order, data)
+            if sum(v) <= order:
+                data[v] = data.get(v, 0) + _as_coeff(c)
+        key = kronecker.grading(d, order).key
+        # a list: CPython's tuple free list keeps each tuple resized from a generator
+        D = math.lcm(*[c.denominator for c in data.values()])
+        ints = {key[v]: c.numerator * (D // c.denominator) for v, c in data.items() if c}
+        self._set(d, order, D, ints)
 
-    def _set(self, d, order, terms):
+    def _set(self, d, order, D, ints):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "ints", ints)
 
     @classmethod
-    def _trusted(cls, d: int, order: int, terms: dict) -> "MSeries":
-        """A series from clean terms: exponent tuples of length d and degree
-        <= order, nonzero reduced Fractions."""
+    def of_form(cls, d: int, order: int, form) -> "MSeries":
+        """The series whose coefficient at Kronecker key k is ints[k] / D, for
+        ``form`` = (D, ints) with D > 0 and nonzero ints on keys of
+        ``kronecker.grading(d, order)``; it is stored in lowest terms."""
         s = object.__new__(cls)
-        s._set(d, order, terms)
+        s._set(d, order, *kronecker.reduced(*form))
         return s
 
     def __setattr__(self, name, value):
@@ -161,10 +166,22 @@ class MSeries:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def form(self) -> tuple[int, dict[int, int]]:
+        """The integer form (D, ints)."""
+        return self.D, self.ints
+
+    @property
+    def _terms(self) -> dict[Exponent, Fraction]:
+        """Exponent -> reduced Fraction, for every stored term."""
+        exp, D = kronecker.grading(self.d, self.order).exp, self.D
+        return {exp[k]: Fraction(c, D) for k, c in self.ints.items()}
+
     def coeff(self, v: Sequence[int]) -> Fraction:
         v = tuple(int(e) for e in v)
         _check_length(v, self.d)
-        return self._terms.get(v, Fraction(0))
+        k = kronecker.grading(self.d, self.order).key.get(v)
+        return Fraction(self.ints.get(k, 0), self.D)
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """Terms sorted lexicographically by exponent (deterministic)."""
@@ -172,27 +189,32 @@ class MSeries:
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.d, Fraction(0))
+        return Fraction(self.ints.get(0, 0), self.D)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.ints)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
+        """Equal terms; the truncation orders may differ."""
         if not isinstance(other, MSeries):
             return NotImplemented
+        if self.order == other.order:
+            return self.d == other.d and self.form == other.form
         return self.d == other.d and self._terms == other._terms
 
     def __repr__(self):
-        return f"MSeries(d={self.d}, order={self.order}, terms={len(self._terms)})"
+        return f"MSeries(d={self.d}, order={self.order}, terms={len(self.ints)})"
 
     def truncate(self, order: int) -> "MSeries":
-        if order >= self.order:
-            return MSeries._trusted(self.d, order, self._terms)
-        terms = {v: c for v, c in self._terms.items() if sum(v) <= order}
-        return MSeries._trusted(self.d, order, terms)
+        """The series at ``order``, its terms re-keyed to that order's grading."""
+        if order == self.order:
+            return self
+        exp, key = kronecker.grading(self.d, self.order).exp, kronecker.grading(self.d, order).key
+        ints = {key[v]: c for k, c in self.ints.items() if (v := exp[k]) in key}
+        return MSeries.of_form(self.d, order, (self.D, ints))
 
     def _check_compatible(self, other: "MSeries"):
         if self.d != other.d or self.order != other.order:
@@ -200,12 +222,6 @@ class MSeries:
                 f"incompatible series: (d={self.d}, order={self.order}) vs "
                 f"(d={other.d}, order={other.order})"
             )
-
-    def _numerators(self) -> tuple[int, dict[int, int]]:
-        """The integer form: (D, key -> numerator over D)."""
-        key = kronecker.grading(self.d, self.order).key
-        D = math.lcm(*(c.denominator for c in self._terms.values()))
-        return D, {key[v]: c.numerator * (D // c.denominator) for v, c in self._terms.items()}
 
     # -- ring operations ----------------------------------------------------
 
@@ -215,24 +231,15 @@ class MSeries:
         if not isinstance(other, MSeries):
             return NotImplemented
         self._check_compatible(other)
-        data = dict(self._terms)
-        for v, c in other._terms.items():
-            s = data.get(v, 0) + c
-            if s:
-                data[v] = s
-            elif v in data:
-                del data[v]
-        return MSeries._trusted(self.d, self.order, data)
+        return MSeries.of_form(self.d, self.order, kronecker.add(self.form, other.form))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MSeries._trusted(self.d, self.order, {v: -c for v, c in self._terms.items()})
+        return MSeries.of_form(self.d, self.order, (self.D, {k: -c for k, c in self.ints.items()}))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MSeries.constant(self.d, self.order, other)
-        if not isinstance(other, MSeries):
+        if not isinstance(other, (int, Fraction, MSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -242,14 +249,15 @@ class MSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             c = _as_coeff(other)
-            terms = {v: c * w for v, w in self._terms.items()} if c else {}
-            return MSeries._trusted(self.d, self.order, terms)
+            ints = {k: c.numerator * x for k, x in self.ints.items()} if c else {}
+            return MSeries.of_form(self.d, self.order, (self.D * c.denominator, ints))
         if not isinstance(other, MSeries):
             return NotImplemented
         self._check_compatible(other)
         g = kronecker.grading(self.d, self.order)
-        ints = kronecker.multiply(g, self.order, self._numerators(), other._numerators())
-        return _emit(g, self.order, *ints)
+        return MSeries.of_form(
+            self.d, self.order, kronecker.multiply(g, self.order, self.form, other.form)
+        )
 
     __rmul__ = __mul__
 
@@ -273,10 +281,9 @@ class MSeries:
         """The grading, D, and V_j = D^(j-1) U_j for each degree j, keyed
         within the degree (U_j: the degree-j numerators over D)."""
         g = kronecker.grading(self.d, self.order)
-        D, ints = self._numerators()
-        top = g.top
+        D, top = self.D, g.top
         slices: list[dict[int, int]] = [{} for _ in range(self.order + 1)]
-        for k, c in ints.items():
+        for k, c in self.ints.items():
             j = k // top
             slices[j][k - j * top] = c
         if D != 1:
@@ -286,13 +293,21 @@ class MSeries:
                 slices[j] = {k: c * scale for k, c in slices[j].items()}
         return g, D, slices
 
+    def _of_slices(self, g, xs, dens) -> "MSeries":
+        """The series of this shape whose degree-k part is xs[k] / dens[k],
+        the slices xs[k] keyed within their degree."""
+        D = math.lcm(*[den for x, den in zip(xs, dens) if x])
+        scales = [D // den for den in dens]
+        ints = {k * g.top + i: c * scales[k] for k, x in enumerate(xs) for i, c in x.items()}
+        return MSeries.of_form(self.d, self.order, (D, ints))
+
     def reciprocal(self) -> "MSeries":
         """Multiplicative inverse of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("reciprocal requires constant term 1")
         g, D, v = self._scaled_slices()
         r = kronecker.recurrence(g.local, v, {0: 1}, lambda k, j: -1)
-        return _emit_slices(g, self.order, r, [D**k for k in range(self.order + 1)])
+        return self._of_slices(g, r, [D**k for k in range(self.order + 1)])
 
     def exp(self) -> "MSeries":
         """Exponential of a series with zero constant term."""
@@ -300,8 +315,7 @@ class MSeries:
             raise ValueError("exp requires zero constant term")
         g, D, v = self._scaled_slices()
         e = kronecker.recurrence(g.local, v, {0: 1}, lambda k, j: j * math.perm(k - 1, j - 1))
-        dens = [math.factorial(k) * D**k for k in range(self.order + 1)]
-        return _emit_slices(g, self.order, e, dens)
+        return self._of_slices(g, e, [math.factorial(k) * D**k for k in range(self.order + 1)])
 
     def log(self) -> "MSeries":
         """Logarithm of a unit with constant term 1."""
@@ -310,7 +324,7 @@ class MSeries:
         g, D, v = self._scaled_slices()
         lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(v)]
         m = kronecker.recurrence(g.local, v, {}, lambda k, j: -1, lead)
-        return _emit_slices(g, self.order, m, [max(k, 1) * D**k for k in range(self.order + 1)])
+        return self._of_slices(g, m, [max(k, 1) * D**k for k in range(self.order + 1)])
 
     # -- substitutions ---------------------------------------------------------
 
@@ -318,7 +332,9 @@ class MSeries:
         """Substitute z_i = M_i * t^(N_i), collapsing to a univariate series.
 
         M must consist of nonzero integers and Nexp of positive integers,
-        one per variable; the result keeps the same truncation order.
+        one per variable; the result keeps the same truncation order.  The
+        numerators are summed as ints over the same D; in one variable the
+        Kronecker key of t^n is n.
         """
         if len(M) != self.d or len(Nexp) != self.d:
             raise ValueError("substitution data must have one entry per variable")
@@ -328,9 +344,14 @@ class MSeries:
             raise ValueError("multipliers must be nonzero")
         if any(n < 1 for n in Nexp):
             raise ValueError("exponents must be positive")
-        g = kronecker.grading(self.d, self.order)
-        form = specialize_form(g, self.order, self._numerators(), M, Nexp)
-        return _emit(kronecker.grading(1, self.order), self.order, *form)
+        exp = kronecker.grading(self.d, self.order).exp
+        out: dict[int, int] = {}
+        for k, c in self.ints.items():
+            v = exp[k]
+            n = sum(map(mul, v, Nexp))
+            if n <= self.order:
+                out[n] = out.get(n, 0) + c * math.prod(map(pow, M, v))
+        return MSeries.of_form(1, self.order, (self.D, {n: c for n, c in out.items() if c}))
 
     # -- serialization -----------------------------------------------------------
 
@@ -353,7 +374,9 @@ class MSeries:
     @classmethod
     def from_checked(cls, d: int, order: int, exps, nums, dens) -> "MSeries":
         """The series of a document that ``check_dict`` accepted, from what it returned."""
-        return cls._trusted(d, order, dict(zip(exps, map(Fraction, nums, dens))))
+        key, D = kronecker.grading(d, order).key, math.lcm(*dens)
+        ints = {key[v]: n * (D // m) for v, n, m in zip(exps, nums, dens)}
+        return cls.of_form(d, order, (D, ints))
 
 
 _TERM_KEYS = frozenset(("exp", "num", "den"))
@@ -409,36 +432,6 @@ def check_dict(data) -> tuple[int, int, list[Exponent], list[int], list[int]]:
     return d, order, vs, nums, dens
 
 
-def _emit(g: kronecker.Grading, order: int, D: int, ints: dict[int, int]) -> MSeries:
-    """The series at ``order`` whose coefficient at key k is ints[k] / D."""
-    exp = g.exp
-    terms = {exp[k]: Fraction(c, D) for k, c in ints.items()}
-    return MSeries._trusted(g.d, order, terms)
-
-
-def specialize_form(g: kronecker.Grading, order: int, form, M, Nexp) -> tuple[int, dict]:
-    """The integer form (D, key -> numerator) on the grading g under
-    z_i = M_i t^(N_i): the univariate form (D, n -> numerator of t^n), its
-    numerators summed as ints.  In one variable the Kronecker key of t^n is n."""
-    D, ints = form
-    out: dict[int, int] = {}
-    for k, c in ints.items():
-        v = g.exp[k]
-        n = sum(map(mul, v, Nexp))
-        if n <= order:
-            out[n] = out.get(n, 0) + c * math.prod(map(pow, M, v))
-    return D, {n: c for n, c in out.items() if c}
-
-
-def _emit_slices(g: kronecker.Grading, order: int, xs, dens) -> MSeries:
-    """The series whose degree-k part is xs[k] / dens[k]."""
-    exp, top = g.exp, g.top
-    terms = {
-        exp[k * top + i]: Fraction(c, dens[k]) for k, sl in enumerate(xs) for i, c in sl.items()
-    }
-    return MSeries._trusted(g.d, order, terms)
-
-
 # -- composition and inversion ---------------------------------------------
 
 
@@ -462,7 +455,7 @@ class _Substitution:
                 raise ValueError("substituents must have zero constant term")
         self.d, self.order = first.d, first.order
         self._grading = kronecker.grading(self.d, self.order)
-        self._powers = [[(1, {0: 1}), s._numerators()] for s in subs]
+        self._powers = [[(1, {0: 1}), s.form] for s in subs]
 
     def _power(self, i: int, e: int):
         """The integer form of subs[i] ** e."""
@@ -472,18 +465,19 @@ class _Substitution:
         return col[e]
 
     def compose(self, a: MSeries) -> MSeries:
-        ints = self._horner(list(a._terms.items()), 0, self.order)
-        return _emit(self._grading, self.order, *ints)
+        exp = kronecker.grading(a.d, a.order).exp
+        D, ints = self._horner([(exp[k], c) for k, c in a.ints.items()], 0, self.order)
+        return MSeries.of_form(self.d, self.order, (D * a.D, ints))
 
     def _horner(self, terms, i: int, limit: int):
-        """Sum of c * prod_(j >= i) subs[j] ** v[j] over ``terms``, to degree ``limit``."""
+        """Sum of int c * prod_(j >= i) subs[j] ** v[j] over ``terms``, to degree ``limit``."""
         if i == len(self._powers) - 1:
             parts = [(c, self._power(i, v[i])) for v, c in terms if v[i] <= limit]
-            D = math.lcm(*(c.denominator * den for c, (den, _) in parts))
+            D = math.lcm(*[den for _, (den, _) in parts])
             cut = self._grading.top * (limit + 1)
             total: dict[int, int] = {}
             for c, (den, ints) in parts:
-                w = c.numerator * (D // (c.denominator * den))
+                w = c * (D // den)
                 for k, x in ints.items():
                     if k < cut:
                         total[k] = total.get(k, 0) + w * x
@@ -520,11 +514,14 @@ def compose(a: MSeries, subs: Sequence[MSeries]) -> MSeries:
 
 def _partial(a: MSeries, j: int) -> MSeries:
     """The partial derivative of ``a`` in z_j, exact to one order less."""
-    terms = {}
-    for v, c in a._terms.items():
+    order = max(a.order - 1, 0)
+    exp, key = kronecker.grading(a.d, a.order).exp, kronecker.grading(a.d, order).key
+    ints = {}
+    for k, c in a.ints.items():
+        v = exp[k]
         if v[j]:
-            terms[v[:j] + (v[j] - 1,) + v[j + 1 :]] = v[j] * c
-    return MSeries._trusted(a.d, max(a.order - 1, 0), terms)
+            ints[key[v[:j] + (v[j] - 1,) + v[j + 1 :]]] = v[j] * c
+    return MSeries.of_form(a.d, order, (a.D, ints))
 
 
 def _solve_unit_system(J: list[list[MSeries]], r: list[MSeries]) -> list[MSeries]:
@@ -592,12 +589,12 @@ def invert_diagonal(qs: Sequence[MSeries]) -> list[MSeries]:
     if d == 0:
         raise ValueError("empty map")
     order = qs[0].order
+    exp = kronecker.grading(d, order).exp
     for k, q in enumerate(qs):
         if q.d != d or q.order != order:
             raise ValueError("all components must share dimension and order")
-        for v in q._terms:
-            if v[k] < 1:
-                raise ValueError(f"component {k} is not divisible by its variable")
+        if any(exp[key][k] < 1 for key in q.ints):
+            raise ValueError(f"component {k} is not divisible by its variable")
         # At order 0 every q_k and z_k is the zero series: z_k lies beyond it.
         if order and q.coeff(tuple(int(i == k) for i in range(d))) != 1:
             raise ValueError(f"component {k} must have unit coefficient 1 on z_{k}")

@@ -7,7 +7,8 @@ re-exporting or running a name is not using it) and asks of each
 module-level ``def`` that its name is loaded somewhere in them outside its
 own body, or that the benchmark's tracer wraps it by name, or that it is a
 listed exception; and of each module-level ``class`` that its name is
-loaded somewhere in them outside its own body.
+loaded somewhere in them outside its own body.  No module imports a
+private name from a sibling.
 """
 
 import ast
@@ -107,3 +108,20 @@ class UnusedPair:
 """
     modules = _modules() | {"extra": ast.parse(orphan)}
     assert _unloaded_classes(modules) == ["extra.UnusedPair"]
+
+
+def _private_imports(path):
+    """The ``_``-prefixed names that ``path`` imports from a mirrorint module."""
+    return [
+        f"{path.stem}: {node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("mirrorint"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a series' integer form, for one, stays behind ``series``
+    assert [name for path in sorted(PACKAGE.glob("*.py")) for name in _private_imports(path)] == []

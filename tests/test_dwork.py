@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorint import dwork, kronecker, series
+from mirrorint import dwork
 from mirrorint.dwork import (
     CongruenceRanges,
     CongruenceReport,
@@ -19,7 +19,6 @@ from mirrorint.dwork import (
     _over_box,
     _places,
     dieudonne_dwork_check,
-    dieudonne_dwork_forms,
     excluded_indices,
     good_residues,
     harmonic_obstruction,
@@ -563,30 +562,38 @@ def outcome(check, *args):
 @example((INVERSE_BINOMIAL, 4), 2)  # F is not 2-integral
 @example((FormSystem([(1, 0), (0, 1)], [(1, 1)]), 5), 3)
 def test_integer_path_matches_the_series_check_and_the_oracle(job, p):
-    """``dieudonne_dwork_forms`` on the forms of one pass, for every G_k and
-    G_L, against ``dieudonne_dwork_check`` on the same series built as
-    MSeries, and against the Fraction oracle where F passes its checks."""
+    """``dieudonne_dwork_check`` on the forms of one pass, wrapped with
+    ``MSeries.of_form``, for every G_k and G_L: the Fraction oracle's
+    reports where F passes its checks, else the message the oracle names."""
     sys, order = job
-    g = kronecker.grading(sys.d, order)
     f, *hs = coefficient_forms(sys, order, range(sys.d), enumerate_weight_vectors(sys))
-    F = series._emit(g, order, *f)
+    F = MSeries.of_form(sys.d, order, f)
     for h in hs:
-        G = series._emit(g, order, *h)
-        got = outcome(dieudonne_dwork_forms, g, order, f, h, p)
-        assert got == outcome(dieudonne_dwork_check, F, G, p)
-        if not isinstance(got, str):
-            assert got == oracle_dieudonne_dwork(F, G, p)
+        G = MSeries.of_form(sys.d, order, h)
+        want = oracle_dd_rejection(F, G, p) or oracle_dieudonne_dwork(F, G, p)
+        assert outcome(dieudonne_dwork_check, F, G, p) == want
+
+
+def oracle_dd_rejection(F, G, p):
+    """The message of the first input check that F and G fail at the prime p,
+    from their Fractions, or None."""
+    if F.constant_term != 1:
+        return "F must have constant term 1"
+    bad = [v for v, c in F.items() if c.denominator % p == 0]
+    if bad:
+        return f"F has a non p-integral coefficient at {min(bad)}"
+    if G.constant_term != 0:
+        return "G must have constant term 0"
+    return None
 
 
 def test_a_non_p_integral_F_is_named_before_a_constant_G():
     # D_F = 4: the numerator 2 of z/2 is even, yet z/2 is not 2-integral
     F = MSeries(1, 4, {(0,): 1, (1,): Fraction(1, 2), (3,): Fraction(1, 4)})
     G = MSeries(1, 4, {(0,): 1, (1,): 1})
-    g = kronecker.grading(1, 4)
-    for check, args in ((dieudonne_dwork_check, (F, G)),
-                        (dieudonne_dwork_forms, (g, 4, F._numerators(), G._numerators()))):
-        with pytest.raises(ValueError, match=r"^F has a non p-integral coefficient at \(1,\)$"):
-            check(*args, 2)
+    assert F.form == (4, {0: 4, 1: 2, 3: 1})
+    with pytest.raises(ValueError, match=r"^F has a non p-integral coefficient at \(1,\)$"):
+        dieudonne_dwork_check(F, G, 2)
 
 
 class TestCoefficientFormulas:

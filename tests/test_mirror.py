@@ -8,7 +8,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorint import kronecker, mirror, series
+from mirrorint import mirror
 from mirrorint.cli import _manifest
 from mirrorint.forms import (
     FormSystem,
@@ -78,8 +78,8 @@ def family_jobs(draw):
 
 def emitted(sys, order, ks=(), Ls=()):
     """The forms of one coefficient pass, as series."""
-    g = kronecker.grading(sys.d, order)
-    return [series._emit(g, order, *form) for form in mirror.coefficient_forms(sys, order, ks, Ls)]
+    forms = mirror.coefficient_forms(sys, order, ks, Ls)
+    return [MSeries.of_form(sys.d, order, form) for form in forms]
 
 
 class TestOnePassAgainstOracle:

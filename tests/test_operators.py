@@ -90,7 +90,7 @@ def theta(s):
         return theta(a) + b, theta(b)
     if s.d != 1:
         raise ValueError("theta acts on univariate series")
-    return MSeries._trusted(1, s.order, {v: v[0] * c for v, c in s._terms.items() if v[0]})
+    return MSeries(1, s.order, {v: v[0] * c for v, c in s.items()})
 
 
 def oracle_theta_operator(polys, a, b):
@@ -318,3 +318,8 @@ class TestCase30:
         rep = verify_annihilation(broken, 6)
         failed = {c.name for c in rep.checks if not c.passed}
         assert "annihilates-series" in failed
+        # theta F = 144 t + ... and theta(G + F log t) = F + ... at t^0: each
+        # failure names its first nonzero order, not the last order checked
+        details = {c.name: c.detail for c in rep.checks}
+        assert details["annihilates-series"] == "first nonzero at order 1"
+        assert details["annihilates-log-companion"] == "first nonzero at order 0"

@@ -578,7 +578,7 @@ def oracle_from_dict(data):
         if v in out:
             raise ValueError(f"exponent {exp} appears twice")
         out[v] = c
-    return MSeries._trusted(d, order, out)
+    return MSeries(d, order, out)
 
 
 @st.composite
@@ -657,12 +657,56 @@ KERNEL_ORDERS = {1: 12, 2: 8, 3: 5}
 
 
 def assert_canonical(s):
-    """Every stored term is an exponent of the right shape and a nonzero reduced Fraction."""
+    """The form is in lowest terms on the grading of (d, order), with no zero
+    numerator, and every term it shows is an exponent of the right shape and
+    a nonzero reduced Fraction."""
+    D, ints = s.form
+    assert set(ints) <= set(kronecker.grading(s.d, s.order).exp)
+    assert all(type(c) is int and c != 0 for c in ints.values())
+    assert type(D) is int and D > 0 and math.gcd(D, *ints.values()) == 1
     for v, c in s._terms.items():
         assert type(v) is tuple and len(v) == s.d and sum(v) <= s.order
         assert all(type(e) is int and e >= 0 for e in v)
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+@st.composite
+def form_cases(draw):
+    """Two series at d in 1..3 and order in 0..4 with terms drawn as in
+    ``series_documents``, a scalar, a lower and a higher order, and
+    specialization data."""
+    d, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    exps = [v for v in itertools.product(range(order + 1), repeat=d) if sum(v) <= order]
+    coeff = st.fractions(max_denominator=10**30).filter(bool) | st.integers().filter(bool)
+
+    def draw_series():
+        chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=8))
+        return MSeries(d, order, {v: draw(coeff) for v in chosen})
+
+    a, b = draw_series(), draw_series()
+    c = draw(coeff | st.just(0))
+    orders = draw(st.integers(0, order)), draw(st.integers(order, order + 3))
+    M = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=d, max_size=d))
+    N = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    return a, b, c, orders, M, N
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=form_cases())
+def test_the_form_is_unique_through_every_operation(case):
+    a, b, c, orders, M, N = case
+    results = [a + b, a * b, a * c, *(a.truncate(n) for n in orders), a.specialize(M, N)]
+    for s in (a, b, *results):
+        assert_canonical(s)
+        # the form of a series is a function of its terms
+        assert MSeries(s.d, s.order, dict(s.items())).form == s.form
+    terms = dict(a.items())
+    for n in orders:
+        cut = a.truncate(n)
+        assert (cut.d, cut.order) == (a.d, n)
+        assert dict(cut.items()) == {v: x for v, x in terms.items() if sum(v) <= n}
+    assert MSeries.from_dict(a.to_dict()).form == a.form
 
 
 def big_fractions():
