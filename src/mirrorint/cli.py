@@ -13,9 +13,11 @@ iff every line passes; malformed input exits 2; cache corruption (a
 series file whose hash is not the manifest's, a series file that
 ``MSeries.from_dict`` rejects or that has another dimension or order than
 the bundle, or a manifest that is not byte for byte the one this code
-writes for the system and order) exits 3.  ``scan`` on a flagged
-system and ``case`` run the classifier too, and exit 20 with no report
-line when it exceeds its budget.
+writes for the system and order) exits 3, and so does an entry that
+cannot be written (an ``OSError`` such as a full disk), with one stderr
+line naming it, no report line, and a clean miss left.  ``scan`` on a
+flagged system and ``case`` run the classifier too, and exit 20 with no
+report line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
 inverse-binomial) or on a fixture whose F and G differ in dimension or
@@ -99,6 +101,10 @@ class SchemaError(ValueError):
 
 class CacheCorruptionError(RuntimeError):
     """A cached file does not match its recorded hash."""
+
+
+class CacheWriteError(RuntimeError):
+    """A cache entry could not be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +408,11 @@ def _bundle_for(job: Job, args, reads) -> tuple[dict[str, MSeries], dict]:
     if args.no_cache:
         manifest = _manifest(job.system, job.order, {})
     else:
-        manifest = save_bundle(bundle, cache_dir)
+        try:
+            manifest = save_bundle(bundle, cache_dir)
+        except OSError as exc:
+            entry = os.path.join(cache_dir, _cache_key(job.system, job.order))
+            raise CacheWriteError(f"cannot write cache entry {entry}: {exc}") from None
     series = {
         name: _series_of(bundle, field, key)
         for name, field, key in _series_table(job.system)
@@ -623,6 +633,9 @@ def main(argv=None) -> int:
         code = EXIT_SCHEMA
     except CacheCorruptionError as exc:
         _summary(f"cache corruption: {exc} (use --rebuild-cache or --no-cache)")
+        code = EXIT_CACHE
+    except CacheWriteError as exc:
+        _summary(f"cache write failed: {exc} (use --no-cache)")
         code = EXIT_CACHE
     except BudgetExceededError as exc:
         _summary(f"budget exceeded: {exc}")

@@ -34,14 +34,17 @@ they would otherwise build.  Every reported ``achieved`` value is exact:
     p^R; then v_p(t) < R is gcd(t, p^R) read as a power of p.  At m = 0
     the difference is 1 - 1 = 0; any other t = 0 mod p^R is recomputed
     with exact Fractions.  So R sets how often that runs, never a byte.
-  * The conclusion runs on exact values from one factorial table: an
-    integral Q(n) is an int, any other a Fraction.  Places in the boxes
+  * The conclusion runs on exact integers: one call of
+    ``forms.factorial_ratios`` gives Q(x) and every Q(a + px) as numerators
+    over one denominator D, so a block sum is an int X over D^2, of
+    valuation v_p(X) - 2 v_p(D).  Places in the boxes
     [0, K] and in their blocks are sums of per-coordinate strides, shared
     by every residue a.  A level-(s+1) block sums the level-s blocks under
     it; only blocks with m <= K // p^s are visited, since an empty one
     sums to zero and is never a tracker's first update.  Once a margin M
-    is known, one pass over the visited blocks drops every sum in
-    p^(required + M) Z: its margin is at least M, so it sets no new worst.
+    is known, one pass over the visited blocks drops every X in
+    p^(required + M + 2 v_p(D)) Z: its margin is at least M, so it sets no
+    new worst.
   * Telescoping: j -> K - j swaps Q(a + p(K-j)) Q(j) and Q(K-j) Q(a + pj),
     so their difference is odd under it.  Level 0 is a first half and that
     half negated, and the total over [0, K], the sum of every level, is
@@ -77,9 +80,11 @@ from .forms import (
     PadicInfinity,
     dot,
     factorial_ratio,
+    factorial_ratios,
     harmonic_weight,
     is_prime,
     vp_int,
+    vp_of_rational,
     vp_ratio_legendre,
 )
 from .series import MSeries
@@ -94,8 +99,6 @@ Valuation = Union[int, PadicInfinity]
 # p-adic digits carried by the unit parts of Q.  A difference whose unit part
 # vanishes mod p^_R is recomputed exactly: this sets how often, never a byte.
 _R = 30
-
-Rational = Union[int, Fraction]
 
 
 class _Units:
@@ -143,15 +146,6 @@ class _Units:
         return v, u
 
 
-def _vp(x: Rational, p: int) -> Valuation:
-    """v_p of an int or a Fraction, for a prime p checked beforehand."""
-    if not x:
-        return INFINITY
-    if type(x) is int:
-        return vp_int(x, p)
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
 class PadicContext:
     """A prime together with a form system; memoizes Q values and weights."""
 
@@ -160,12 +154,12 @@ class PadicContext:
             raise ValueError(f"{p} is not prime")
         self.p = int(p)
         self.sys = sys
-        self._q_cache: dict[IntVec, Rational] = {}
+        self._q_cache: dict[IntVec, int | Fraction] = {}
         self._mu_cache: dict[IntVec, int] = {}
         self._forms = tuple(dict.fromkeys(sys.forms))
         self._unit_tables: Optional[_Units] = None
 
-    def Q(self, n: Sequence[int]) -> Rational:
+    def Q(self, n: Sequence[int]) -> int | Fraction:
         """Factorial ratio extended by zero on vectors with a negative entry;
         an integral value is an ``int``, any other a ``Fraction``."""
         n = tuple(int(c) for c in n)
@@ -177,29 +171,6 @@ class PadicContext:
                 x = factorial_ratio(self.sys, n)
                 out = x.numerator if x.denominator == 1 else x
             self._q_cache[n] = out
-        return out
-
-    def _q_boxes(self, starts: list, bound: int) -> list[list[Rational]]:
-        """The values ``Q`` gives at a + q x, x over the box [0, bound] listed
-        lexicographically, one list per (a, q) in ``starts``: quotients of
-        entries of one factorial table, as in ``mirror.coefficient_forms``."""
-        terms, span, n = self.sys.net, range(bound + 1), (bound + 1) ** self.sys.d
-        # per start, the form values w.(a + q x) of each net term
-        dots = [
-            [_over_box([[c * (b + q * x) for x in span] for c, b in zip(w, a)]) for w, _ in terms]
-            for a, q in starts
-        ]
-        tops = [max((max(cols[t]) for cols in dots), default=0) for t in range(len(terms))]
-        fact = list(itertools.accumulate(range(1, max(tops, default=0) + 1), mul, initial=1))
-        powers = [[c ** abs(k) for c in fact[: top + 1]] for (_, k), top in zip(terms, tops)]
-        out = []
-        for cols in dots:
-            num, den = [1] * n, [1] * n
-            for (_, k), power, col in zip(terms, powers, cols):
-                side = num if k > 0 else den
-                side[:] = map(mul, side, map(power.__getitem__, col))
-            pairs = zip(num, den)
-            out.append([Fraction(x, y) if r else z for x, y in pairs for z, r in [divmod(x, y)]])
         return out
 
     def _units(self, bound: int) -> _Units:
@@ -307,17 +278,6 @@ class _Worst:
             self.margin = margin
             self.locus, self.required, self.achieved = locus, required, achieved
 
-    def update_value(self, locus: tuple, required: int, x: Rational, p: int):
-        """``update`` with achieved = v_p(x), for a finite ``required``; once a
-        margin M is known, an int x = 0 mod p^(required + M) cannot become the
-        worst, so its valuation is never taken: only such x skip ``update``."""
-        if self.margin is not None and type(x) is int:
-            limit = required + self.margin
-            if limit <= 0 or x % p**limit == 0:
-                self.count += 1
-                return
-        self.update(locus, required, _vp(x, p))
-
     def update_row(self, head: tuple, tails: list, required: list, achieved: list):
         """``update`` at the loci head + tail, tail in ``tails``, in order.  Only
         the first entry of least margin can change the tracker (the first
@@ -332,17 +292,20 @@ class _Worst:
             self.update(head + tails[i], required[i], achieved[i])
             self.count += len(margins) - 1
 
-    def update_values(self, head: tuple, tails: list, required: list, xs: list, p: int):
-        """``update_value`` at the loci head + tail, tail in ``tails``, in order,
-        once a margin M is known only for the x outside p^(required + M) Z (Z
-        when required + M <= 0): the others would only be counted."""
+    def update_values(self, head: tuple, tails: list, required: list, xs: list, p: int,
+                      shift: int):
+        """``update`` at the loci head + tail, tail in ``tails``, in order, with
+        achieved = v_p(x / p^shift) for ints x and finite ``required``.  Once a
+        margin M is known, an x in p^(required + M + shift) Z (Z when that
+        power is below 1) cannot set a new worst, so it is only counted."""
         keep = range(len(xs))
         if self.margin is not None:
-            mods = {r: p ** max(r + self.margin, 0) for r in set(required)}
+            mods = {r: p ** max(r + self.margin + shift, 0) for r in set(required)}
             keep = [i for i, r, x in zip(keep, required, xs) if x % mods[r]]
             self.count += len(xs) - len(keep)
         for i in keep:
-            self.update_value(head + tails[i], required[i], xs[i], p)
+            x = xs[i]
+            self.update(head + tails[i], required[i], vp_int(x, p) - shift if x else INFINITY)
 
     def extend(self, later: "_Worst"):
         """Continue this sweep with ``later``'s, whose loci all come after
@@ -547,7 +510,9 @@ class _Ratios:
             for i in [i for i, x in enumerate(row) if x is None]:
                 top = tuple(x + q1 * y for x, y in zip(hi, mbox[i]))
                 bot = tuple(x + q0 * y for x, y in zip(lo, mbox[i]))
-                row[i] = _vp(Fraction(ctx.Q(top), ctx.Q(hi)) - Fraction(ctx.Q(bot), ctx.Q(lo)), p)
+                row[i] = vp_of_rational(
+                    Fraction(ctx.Q(top), ctx.Q(hi)) - Fraction(ctx.Q(bot), ctx.Q(lo)), p
+                )
             rows.append((v_hi, row))
         return e, rows
 
@@ -583,8 +548,19 @@ def _conclusion_reports(
     p, d = ctx.p, ctx.sys.d
     top, mtop = (k_bound,) * d, (m_bound,) * d
     residues = list(itertools.product(range(p), repeat=d))
-    # Q(x), then Q(a + px) per residue a, each listed like the K box
-    Q, *P = ctx._q_boxes([((0,) * d, 1), *((a, p) for a in residues)], k_bound)
+    # Q(x), then Q(a + px) per residue a, each listed like the K box, as
+    # numerators over one D: every block sum is an int over D^2
+    starts = [((0,) * d, 1), *((a, p) for a in residues)]
+    span, n = range(k_bound + 1), (k_bound + 1) ** d
+    # per net form w, w.(a + qx) over the box, start after start
+    cols = [
+        [y for a, q in starts
+         for y in _over_box([[c * (b + q * x) for x in span] for c, b in zip(w, a)])]
+        for w, _ in ctx.sys.net
+    ]
+    D, nums = factorial_ratios(ctx.sys, cols, n * len(starts))
+    Q, *P = (nums[i : i + n] for i in range(0, len(nums), n))
+    shift = 2 * vp_int(D, p)
 
     def shape(s: int, T: IntVec) -> tuple:
         """The level-s box [0, T]: up map, visited places, their (s, m), required valuations."""
@@ -608,8 +584,9 @@ def _conclusion_reports(
         for a, Pa, wc_a, wt_a in zip(residues, P, wc, wt):
             sums = _block_sums(list(map(Pa.__getitem__, at)), QK, [up for up, *_ in levels[:-1]])
             picked = [x for sm, (_, pl, *_) in zip(sums, levels) for x in map(sm.__getitem__, pl)]
-            wc_a.update_values((a, K), tails, required, picked, p)
-            total = _vp(sum(sums[-1]), p)  # each level partitions [0, K]
+            wc_a.update_values((a, K), tails, required, picked, p, shift)
+            total = sum(sums[-1])  # each level partitions [0, K]
+            total = vp_int(total, p) - shift if total else INFINITY
             for s in range(s_max + 1):
                 wt_a.update((a, K, s), INFINITY, total)
     for trackers in (wc, wt):

@@ -10,15 +10,20 @@ integer vectors in dimension ``d``.  The associated family of rationals is
 indexed by nonnegative integer vectors ``n``.  A system also states, once,
 its net multiplicities ``net``: each distinct form w with its count in ``e``
 less its count in ``f``, where that is nonzero, so Q(n) is the product of
-(w.n)!^m over (w, m) in ``net``.  Everything in this module is an
+(w.n)!^m over (w, m) in ``net``.  ``factorial_ratios`` gives Q at many
+points as integers over one denominator, from one factorial table: the
+series families and the congruence conclusion read Q from it, and
+``factorial_ratio`` evaluates one point.  Everything in this module is an
 immutable value and every operation is a pure function, so concurrent use
 from any number of threads is safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -201,6 +206,27 @@ def factorial_ratio(sys: FormSystem, n: Sequence[int]) -> Fraction:
     for v in sys.f:
         den *= math.factorial(dot(v, n))
     return Fraction(num, den)
+
+
+def factorial_ratios(
+    sys: FormSystem, cols: Sequence[Sequence[int]], size: int
+) -> tuple[int, list[int]]:
+    """(D, nums) with Q(n_i) = nums[i] / D for i < ``size``, D the least
+    common denominator of the Q(n_i).
+
+    ``cols[t][i]`` is w_t.n_i for the t-th (w_t, m_t) of ``sys.net``; a
+    system with no net term has Q = 1 everywhere.  Every (w.n)! is read
+    from one table of factorials up to the largest value in ``cols``.
+    """
+    top = max(itertools.chain(*cols), default=0)
+    fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
+    num, den = [1] * size, [1] * size
+    for (_, m), col in zip(sys.net, cols):
+        power = fact if abs(m) == 1 else [c ** abs(m) for c in fact[: max(col, default=0) + 1]]
+        side = num if m > 0 else den
+        side[:] = map(mul, side, map(power.__getitem__, col))
+    D = math.lcm(*[y // math.gcd(x, y) for x, y in zip(num, den) if x % y])
+    return D, [x * D // y for x, y in zip(num, den)]
 
 
 _HARMONIC: list[Fraction] = [Fraction(0)]

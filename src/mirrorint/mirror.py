@@ -12,13 +12,13 @@ From a :class:`~mirrorint.forms.FormSystem` this module expands
   * mirror-type maps q_L = exp(G_L / F).
 
 F, G_k and G_L share the factorial ratio Q(n): ``coefficient_forms`` takes
-all of them from one pass over the exponents, which computes each Q(n)
-once, on integers.  It returns each series as numerators over one
-denominator, keyed on the Kronecker grading of ``kronecker``: F over the
-least common denominator of the Q(n), the companions over that times
-lcm(1..top), with H_m = h_m / lcm(1..top) for integers h_m.  ``dwork``,
-``case``, ``build_F/Gk/GL`` and ``build_bundle`` wrap these forms as
-series with ``MSeries.of_form``.
+all of them from one pass over the exponents, which reads each Q(n) once,
+on integers, from ``forms.factorial_ratios``.  It returns each series as
+numerators over one denominator, keyed on the Kronecker grading of
+``kronecker``: F over the least common denominator of the Q(n), the
+companions over that times lcm(1..top), with H_m = h_m / lcm(1..top) for
+integers h_m.  ``dwork``, ``case``, ``build_F/Gk/GL`` and ``build_bundle``
+wrap these forms as series with ``MSeries.of_form``.
 
 The canonical coordinate factors through the mirror-type maps: q_k / z_k
 equals the product of q_(e_i) to the power e_i[k] divided by the product
@@ -37,7 +37,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import kronecker
-from .forms import FormSystem, is_prime, vp_int
+from .forms import FormSystem, factorial_ratios, is_prime, vp_int
 from .landau import enumerate_weight_vectors
 from .series import MSeries, invert_diagonal
 
@@ -55,51 +55,32 @@ def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[i
     """Integer forms (D, key -> numerator) of F, of G_k for each 0-based k in
     ``ks`` and of G_L for each L in ``Ls``, keyed on the Kronecker grading.
 
-    One pass over the exponents takes each Q(n) once, as a quotient of
-    entries of one factorial table: each (w, m) of ``sys.net`` gives
-    (w.n)!^m.  F's D is the least common denominator D_F of the Q(n), 1
-    when all are integers.  With lam = lcm(1..top), top the largest form
-    value, H_j = h_j / lam with integers h_j, so over D_F lam the numerators
-    are Q(n) D_F sum_w m w[k] h_(w.n) for G_k and Q(n) D_F h_(L.n) for G_L
-    (L.n <= top: L is dominated by a form vector).  Only nonzero numerators
-    are kept.
+    ``forms.factorial_ratios`` gives every Q(n) from the columns w.n of the
+    (w, m) of ``sys.net``, as numerators over their least common
+    denominator D_F (1 when all are integers); that is F.  With
+    lam = lcm(1..top), top the largest form value, H_j = h_j / lam with
+    integers h_j, so over D_F lam the numerators are Q(n) D_F
+    sum_w m w[k] h_(w.n) for G_k and Q(n) D_F h_(L.n) for G_L (L.n <= top:
+    L is dominated by a form vector).  Only nonzero numerators are kept.
     """
     g = kronecker.grading(sys.d, order)
-    forms = sys.net
+    vs = list(exponents_upto(sys.d, order))
+    cols = [[sum(map(mul, w, v)) for v in vs] for w, _ in sys.net]
+    D, nums = factorial_ratios(sys, cols, len(vs))
     top = order * max(map(max, sys.forms))
-    fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
     lam = math.lcm(*range(1, top + 1))
     h = list(itertools.accumulate((lam // j for j in range(1, top + 1)), initial=0))
-    powers = [fact if abs(m) == 1 else [c ** abs(m) for c in fact] for _, m in forms]
-    ups = [i for i, (_, m) in enumerate(forms) if m > 0]
-    downs = [i for i, (_, m) in enumerate(forms) if m < 0]
-    rows, D = [], 1
-    for v in exponents_upto(sys.d, order):
-        x = [sum(map(mul, w, v)) for w, _ in forms]
-        num = den = 1
-        for i in ups:
-            num *= powers[i][x[i]]
-        for i in downs:
-            den *= powers[i][x[i]]
-        Q, r = divmod(num, den)
-        if r:
-            D = math.lcm(D, den // math.gcd(num, den))
-        rows.append((g.key[v], v, x, Q, num, den))
-    weights = [[m * w[k] for w, m in forms] for k in ks]
-    F: dict[int, int] = {}
-    Gs: list[dict[int, int]] = [{} for _ in (*ks, *Ls)]
-    for key, v, x, Q, num, den in rows:
-        if D != 1:
-            Q = num * D // den
-        F[key] = Q
-        hx = [h[c] for c in x]
-        for c, G in zip(weights, Gs):
-            if s := sum(map(mul, c, hx)):
-                G[key] = Q * s
-        for L, G in zip(Ls, Gs[len(weights) :]):
-            if s := h[sum(map(mul, L, v))]:
-                G[key] = Q * s
-    return [(D, F), *(kronecker.reduced(D * lam, G) for G in Gs)]
+    weights = []  # per companion, its harmonic numerator at each exponent
+    for k in ks:
+        s = [0] * len(vs)
+        for (w, m), col in zip(sys.net, cols):
+            if c := m * w[k]:
+                s = [x + c * h[y] for x, y in zip(s, col)]
+        weights.append(s)
+    weights += [[h[sum(map(mul, L, v))] for v in vs] for L in Ls]
+    keys = [g.key[v] for v in vs]
+    Gs = ({k: Q * s for k, Q, s in zip(keys, nums, ws) if s} for ws in weights)
+    return [(D, dict(zip(keys, nums))), *(kronecker.reduced(D * lam, G) for G in Gs)]
 
 
 def _series(sys: FormSystem, order: int, ks=(), Ls=()) -> list[MSeries]:

@@ -116,8 +116,9 @@ class MSeries:
             _check_length(v, d)
             if any(e < 0 for e in v):
                 raise ValueError(f"negative exponent in {v}")
+            c = _as_coeff(c)  # a float is refused at any degree
             if sum(v) <= order:
-                data[v] = data.get(v, 0) + _as_coeff(c)
+                data[v] = data.get(v, 0) + c
         key = kronecker.grading(d, order).key
         # a list: CPython's tuple free list keeps each tuple resized from a generator
         D = math.lcm(*[c.denominator for c in data.values()])

@@ -482,8 +482,11 @@ class TestScanAndCache:
             tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 6}
         )
         monkeypatch.setattr(cli.os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            main(["bundle", job, *cache_args])
+        code, out, err = run(capsys, ["bundle", job, *cache_args])
+        assert code == EXIT_CACHE
+        [entry] = (tmp_path / "cache").iterdir()
+        assert out == "" and err.count("\n") == 1
+        assert str(entry) in err and "disk full" in err
         monkeypatch.setattr(cli.os, "replace", real_replace)
         names = [p.name for p in (tmp_path / "cache").rglob("*") if p.is_file()]
         assert len(names) == 2 and "manifest.json" not in names
@@ -491,6 +494,35 @@ class TestScanAndCache:
         assert code == EXIT_OK
         code, fresh, _ = run(capsys, ["scan", job, "--no-cache"])
         assert warm == fresh
+
+    def test_unwritable_cache_dir_exits_with_the_cache_code(self, tmp_path, capsys):
+        # a regular file where the cache directory should be
+        (tmp_path / "cache").write_text("")
+        job = write_job(tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4})
+        code, out, err = run(capsys, ["scan", job, "--cache-dir", str(tmp_path / "cache")])
+        assert code == EXIT_CACHE
+        assert out == "" and len(err.splitlines()) == 1 and "cannot write cache entry" in err
+
+    def test_two_writers_on_one_entry(self, tmp_path, capsys, cache_args, monkeypatch):
+        # two processes, since _write_atomic names its temporary files by pid
+        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}, "order": 8})
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "mirrorint", "bundle", job, *cache_args]
+        writers = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE) for _ in range(2)]
+        outs = [w.communicate(timeout=120)[0] for w in writers]
+        assert [w.returncode for w in writers] == [EXIT_OK, EXIT_OK]
+        assert outs[0] == outs[1]
+        names = [p.name for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+        assert "manifest.json" in names and not [n for n in names if n.endswith(".tmp")]
+
+        def no_build(*args):
+            raise AssertionError("the entry was rebuilt, not read")
+
+        monkeypatch.setattr(cli, "build_bundle", no_build)
+        code, warm, _ = run(capsys, ["scan", job, *cache_args])
+        monkeypatch.undo()
+        assert code == EXIT_OK
+        assert warm == run(capsys, ["scan", job, "--no-cache"])[1]
 
     def test_no_cache_leaves_no_files(self, tmp_path, capsys):
         job = write_job(

@@ -1,15 +1,18 @@
 """Exact-arithmetic kernel tests: ratios, harmonics, valuations."""
 
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorint.forms import (
     INFINITY,
     FormSystem,
     factorial_ratio,
+    factorial_ratios,
     harmonic,
     is_prime,
     vp_of_rational,
@@ -231,6 +234,37 @@ def test_net_multiplicities_give_the_factorial_ratio(sys, data):
     assert sys.net == tuple((w, m) for w, m in counts.items() if m)
     want = math.prod(Fraction(math.factorial(sum(map(int.__mul__, w, n)))) ** m for w, m in sys.net)
     assert factorial_ratio(sys, n) == want
+
+
+@st.composite
+def ratio_boxes(draw):
+    """(sys, points): a raw system in d = 1..3 and the points a + q x, x over
+    a box, lexicographically.  Besides free draws, f is e itself (an empty
+    net: Q = 1) or the one vector sum of e (Q is one over a multinomial
+    coefficient, so D > 1 once two vectors of e meet a point)."""
+    d = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 3)] * d)
+    e = draw(st.lists(vec, min_size=1, max_size=3))
+    f = draw(st.one_of(st.lists(vec, min_size=1, max_size=3), st.just(e),
+                       st.just([tuple(map(sum, zip(*e)))])))
+    a = draw(st.tuples(*[st.integers(0, 3)] * d))
+    q = draw(st.integers(1, 3))
+    hi = draw(st.tuples(*[st.integers(0, 4 - d)] * d))
+    xs = itertools.product(*(range(c + 1) for c in hi))
+    return FormSystem(e, f, raw=True), [tuple(b + q * c for b, c in zip(a, x)) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio_boxes())
+@example((FormSystem([(0,)], [(0,)], raw=True), [(0,), (3,)]))  # empty net
+@example((FormSystem([(1, 0), (0, 1)], [(1, 1)], raw=True), [(0, 0), (1, 1), (2, 1)]))  # D = 6
+def test_factorial_ratios_give_the_values_of_Q(case):
+    sys, points = case
+    cols = [[sum(map(mul, w, n)) for n in points] for w, _ in sys.net]
+    D, nums = factorial_ratios(sys, cols, len(points))
+    want = [brute_ratio(sys, n) for n in points]
+    assert [Fraction(x, D) for x in nums] == want
+    assert D == math.lcm(*[x.denominator for x in want])
 
 
 def test_is_prime_small():

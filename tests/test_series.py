@@ -176,8 +176,9 @@ class TestRingOps:
             MSeries.one(1, 3) * MSeries.one(2, 3)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            MSeries(1, 2, {(1,): 0.5})
+        for terms in ({(1,): 0.5}, {(5,): 0.5}):  # within the order and past it
+            with pytest.raises(TypeError):
+                MSeries(1, 2, terms)
 
     def test_truncation_drops_high_degrees(self):
         a = MSeries(1, 5, {(k,): 1 for k in range(6)})
