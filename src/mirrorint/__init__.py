@@ -19,7 +19,6 @@ from .forms import (
 from .landau import (
     BudgetExceededError,
     CriterionVerdict,
-    SamplingStrategy,
     Tag,
     classify,
     delta_at,

@@ -8,7 +8,7 @@ Commands: classify, bundle, scan, dwork, congruences, case.
 
 Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
-column sum, 20 budget exceeded / uncertified); report commands exit 0
+column sum, 20 budget exceeded, with no report line); report commands exit 0
 iff every line passes; malformed input exits 2; cache corruption (a
 series file whose hash is not the manifest's, a series file that
 ``MSeries.from_dict`` rejects or that has another dimension or order than
@@ -31,8 +31,8 @@ is not set, the hypotheses and the conclusion run m up to p^2 but the
 unit-ratio sweep keeps its own default of 4.
 
 The classifier takes ``strategy.budget`` (also ``--budget``), the number
-of plane subsets its exhaustive cell walk may charge, and
-``strategy.allow_fallback``; the sampled fallback's size and seed are fixed.
+of plane subsets its cell walk may charge; every verdict it prints is
+proven by the complete walk.
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
@@ -69,8 +69,7 @@ from .dwork import (
     verify_formal_congruences,
 )
 from .forms import FormSystem, is_prime
-from .landau import BudgetExceededError, SamplingStrategy, Tag, classify
-from .landau import enumerate_weight_vectors
+from .landau import BUDGET, BudgetExceededError, Tag, classify, enumerate_weight_vectors
 from .mirror import MirrorBundle, build_bundle, coefficient_forms, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
 from .series import MSeries, check_dict
@@ -122,7 +121,7 @@ _TOP_KEYS = {
     "fixture",
     "ranges",
 }
-_STRATEGY_KEYS = {"budget", "allow_fallback"}
+_STRATEGY_KEYS = {"budget"}
 _RANGE_KEYS = {"s_max", "k_bound", "m_bound"}
 
 
@@ -131,7 +130,7 @@ class Job:
     system: Optional[FormSystem]
     order: Optional[int]
     primes: list[int]
-    strategy: SamplingStrategy
+    budget: int
     cache_dir: Optional[str]
     case: Optional[str]
     fixture: Optional[tuple[MSeries, MSeries]]
@@ -197,11 +196,9 @@ def parse_job(doc: dict, command: str) -> Job:
     sdoc = doc.get("strategy", {})
     if not isinstance(sdoc, dict) or set(sdoc) - _STRATEGY_KEYS:
         _fail_schema(f"strategy keys must be a subset of {sorted(_STRATEGY_KEYS)}")
-    if "budget" in sdoc and not _nonnegative_int(sdoc["budget"]):
+    budget = sdoc.get("budget", BUDGET)
+    if not _nonnegative_int(budget):
         _fail_schema("strategy.budget must be a nonnegative integer")
-    if not isinstance(sdoc.get("allow_fallback", True), bool):
-        _fail_schema("strategy.allow_fallback must be true or false")
-    strategy = SamplingStrategy(**sdoc)
     cache_dir = doc.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
         _fail_schema("cache_dir must be a string")
@@ -228,7 +225,7 @@ def parse_job(doc: dict, command: str) -> Job:
         system=system,
         order=order,
         primes=list(primes),
-        strategy=strategy,
+        budget=budget,
         cache_dir=cache_dir,
         case=case,
         fixture=fixture,
@@ -436,11 +433,9 @@ def _summary(msg: str):
 def cmd_classify(job: Job, args) -> int:
     if job.system is None:
         _fail_schema("classify needs a system")
-    verdict = classify(job.system, job.strategy)
+    verdict = classify(job.system, job.budget)
     _emit(verdict.to_dict())
-    _summary(f"classification: {verdict.tag.value}" + (" (sampled)" if verdict.sampled else ""))
-    if verdict.sampled and verdict.tag in (Tag.CASE_I, Tag.E_STRICTLY_BIGGER):
-        return EXIT_BUDGET
+    _summary(f"classification: {verdict.tag.value}")
     return _TAG_EXIT[verdict.tag]
 
 
@@ -460,7 +455,7 @@ def cmd_scan(job: Job, args) -> int:
     targets, manifest = _bundle_for(job, args, reads=("q", "qL", "zofq"))
     failures = 0
     if manifest["flagged"]:
-        verdict = classify(job.system, job.strategy)
+        verdict = classify(job.system, job.budget)
         _emit({"classifier": verdict.to_dict()})
     primes: list[Optional[int]] = [None] + job.primes
     for name, series in targets.items():
@@ -551,7 +546,7 @@ def cmd_case(job: Job, args) -> int:
         )
     report = verify_annihilation(rec, order)
     # classified before the first line, so a budget exit prints no report
-    verdict = classify(rec.system, job.strategy)
+    verdict = classify(rec.system, job.budget)
     for c in report.checks:
         _emit(
             {"case": rec.name, "order": order, "check": c.name, "pass": c.passed}
@@ -587,9 +582,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None)
         p.add_argument("--prime", type=int, action="append", default=None)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument(
-            "--strategy", choices=("auto", "exhaustive", "sampled"), default="auto"
-        )
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--rebuild-cache", action="store_true")
@@ -613,12 +605,7 @@ def _apply_flags(job: Job, args) -> Job:
     if args.budget is not None:
         if args.budget < 0:
             _fail_schema("--budget must be nonnegative")
-        job.strategy.budget = args.budget
-    if args.strategy == "exhaustive":
-        job.strategy.allow_fallback = False
-    elif args.strategy == "sampled":
-        job.strategy.budget = 0
-        job.strategy.allow_fallback = True
+        job.budget = args.budget
     return job
 
 

@@ -84,7 +84,6 @@ from .forms import (
     harmonic_weight,
     is_prime,
     vp_int,
-    vp_of_rational,
     vp_ratio_legendre,
 )
 from .series import MSeries
@@ -510,8 +509,9 @@ class _Ratios:
             for i in [i for i, x in enumerate(row) if x is None]:
                 top = tuple(x + q1 * y for x, y in zip(hi, mbox[i]))
                 bot = tuple(x + q0 * y for x, y in zip(lo, mbox[i]))
-                row[i] = vp_of_rational(
-                    Fraction(ctx.Q(top), ctx.Q(hi)) - Fraction(ctx.Q(bot), ctx.Q(lo)), p
+                diff = Fraction(ctx.Q(top), ctx.Q(hi)) - Fraction(ctx.Q(bot), ctx.Q(lo))
+                row[i] = (
+                    vp_int(diff.numerator, p) - vp_int(diff.denominator, p) if diff else INFINITY
                 )
             rows.append((v_hi, row))
         return e, rows

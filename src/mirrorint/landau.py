@@ -16,16 +16,15 @@ then at one point of every open cell, found by a cylindrical
 (slice-and-recurse) walk.  A point with delta < 0, or with delta = 0 on
 the jump region, proves the verdict it gives; every value delta takes on
 the box is taken on an open cell, so Case I is proven when no cell point
-refutes it.  Beyond its budget of plane subsets the classifier
-evaluates ``RANDOM_SAMPLES`` points seeded with ``SAMPLE_SEED``, over
-denominators built from ``GRID_MULTIPLIER``, all fixed constants.
+refutes it.  Every verdict is proven: a walk that would charge more plane
+subsets than its budget raises ``BudgetExceededError`` and gives none.
 
 Every evaluation is integer arithmetic.  A point x = i/D is given by
 integer numerators i over one common denominator D > 0; each form v
 contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
 lies on the jump region iff some t >= D.  ``delta_at``,
-``in_jump_region`` and the classifier's vertices, cell points and samples
-all go through this one kernel.  At every level of the walk the planes
+``in_jump_region`` and the classifier's vertices and cell points all go
+through this one kernel.  At every level of the walk the planes
 are grouped by normal vector, and one fraction-free (Bareiss) elimination
 per set of k distinct normals A gives adj(A) and det A; each choice b of
 the planes' constants then gives the vertex adj(A) b / det A.  The cut
@@ -40,7 +39,6 @@ import enum
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -52,7 +50,7 @@ Scaled = tuple[tuple[int, ...], int]  # numerators over one positive denominator
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when exhaustive candidate enumeration would exceed its budget."""
+    """Raised when the cell walk would charge more plane subsets than its budget."""
 
 
 def _as_point(sys: FormSystem, x: Sequence) -> Point:
@@ -142,15 +140,16 @@ class CriterionVerdict:
     Exactly the fields appropriate to the tag are populated: a witness
     point with delta < 0 for NOT_NONNEGATIVE, a zero of delta on the jump
     region for CASE_II, the 1-based coordinate for E_STRICTLY_BIGGER, and
-    the evaluated sample list for CASE_I.  ``sampled`` marks verdicts
-    produced by the non-exhaustive fallback.
+    the vertex values on the jump region for CASE_I.  Every verdict rests
+    on the complete cell walk, so ``sampled`` is always False; it stays in
+    ``to_dict`` for the report's schema.
     """
 
     tag: Tag
     witness: Optional[Point] = None
     coordinate: Optional[int] = None
     certificate: Optional[tuple[tuple[Point, int], ...]] = None
-    sampled: bool = False
+    sampled = False
 
     def to_dict(self) -> dict:
         out: dict = {"tag": self.tag.value, "sampled": self.sampled}
@@ -167,18 +166,8 @@ class CriterionVerdict:
         return out
 
 
-# the sampled fallback; the fixed seed makes sampled verdicts reproducible
-GRID_MULTIPLIER = 4
-RANDOM_SAMPLES = 512
-SAMPLE_SEED = 0
-
-
-@dataclass
-class SamplingStrategy:
-    """The plane subsets the exhaustive walk may charge, and the fallback switch."""
-
-    budget: int = 2_000_000
-    allow_fallback: bool = True
+# the plane subsets the cell walk may charge by default
+BUDGET = 2_000_000
 
 
 class _Budget:
@@ -316,14 +305,13 @@ def _cell_points(
             yield (p * D, *(q * c for c in tail)), q * D
 
 
-def grid_denominator(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> int:
-    """Lcm of the form entries times a multiplier: with the default, the
-    sampled fallback's base denominator."""
+def grid_denominator(sys: FormSystem, multiplier: int = 4) -> int:
+    """Lcm of the form entries times a multiplier."""
     entries = [c for v in sys.forms for c in v if c != 0]
     return math.lcm(*entries) * multiplier
 
 
-def grid_points(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> list[Point]:
+def grid_points(sys: FormSystem, multiplier: int = 4) -> list[Point]:
     """The full denominator-N grid of [0,1)^d, N = ``grid_denominator``: a
     brute-force reference point set, which the classifier does not walk."""
     N = grid_denominator(sys, multiplier)
@@ -331,25 +319,10 @@ def grid_points(sys: FormSystem, multiplier: int = GRID_MULTIPLIER) -> list[Poin
     return [tuple(p) for p in itertools.product(axis, repeat=sys.d)]
 
 
-def _sample_points(sys: FormSystem) -> list[Scaled]:
-    """The sampled fallback's points, sorted, over one common denominator:
-    ``RANDOM_SAMPLES`` seeded draws of denominator N*k, N the
-    ``grid_denominator`` and 1 <= k <= 8."""
-    N = grid_denominator(sys)
-    D = N * math.lcm(*range(1, 9))
-    rng = random.Random(SAMPLE_SEED)
-    pts = set()
-    for _ in range(RANDOM_SAMPLES):
-        den = N * rng.randint(1, 8)
-        pts.add(tuple(rng.randrange(den) * (D // den) for _ in range(sys.d)))
-    return [(num, D) for num in sorted(pts)]
-
-
 def _verdict(
     sys: FormSystem,
     points: Iterable[tuple[Sequence[int], int]],
-    sampled: bool,
-    refuters: Iterable[tuple[Sequence[int], int]] = (),
+    refuters: Iterable[tuple[Sequence[int], int]],
 ) -> CriterionVerdict:
     """The verdict delta proves at ``points``, then at ``refuters``, each
     given as (numerators, denominator) pairs; the first witness found wins,
@@ -364,7 +337,7 @@ def _verdict(
     for num, D in points:
         val, jump = _delta_jump(e, f, num, D)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D), sampled=sampled)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
         if jump:
             if val == 0:
                 if zero_witness is None:
@@ -377,27 +350,25 @@ def _verdict(
     for k in range(sys.d):
         if sys.sum_e[k] < sys.sum_f[k]:
             corner = tuple(Fraction(int(i == k)) for i in range(sys.d))
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner, sampled=sampled)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner)
     for num, D in refuters:
         val, jump = _delta_jump(e, f, num, D)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D), sampled=sampled)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
         if zero_witness is None and val == 0 and jump:
             zero_witness = point(num, D)
     if sys.sum_e != sys.sum_f:
         k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
-        return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1, sampled=sampled)
+        return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1)
     if zero_witness is not None:
-        return CriterionVerdict(Tag.CASE_II, witness=zero_witness, sampled=sampled)
-    return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate), sampled=sampled)
+        return CriterionVerdict(Tag.CASE_II, witness=zero_witness)
+    return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate))
 
 
-def classify(
-    sys: FormSystem, strategy: Optional[SamplingStrategy] = None
-) -> CriterionVerdict:
+def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     """Decide the integrality dichotomy for a form system.
 
-    The exhaustive path evaluates delta at the arrangement vertices in
+    The classifier evaluates delta at the arrangement vertices in
     [0,1)^d, then answers a smaller e-column sum with its closed-box
     corner, then at one point of every open cell; the first exact witness
     settles the verdict, and a Case I certificate lists the vertex values.
@@ -422,20 +393,11 @@ def classify(
     the walk reaches the level.  The vertices themselves come from one
     Bareiss elimination per set of k distinct plane normals, so a singular
     set of normals is skipped once, not once per choice of its planes.
-    Beyond the budget the classifier evaluates ``RANDOM_SAMPLES`` points
-    drawn with seed ``SAMPLE_SEED``, marked sampled; with
-    ``allow_fallback=False`` it raises ``BudgetExceededError`` instead.
+    A walk that would charge more than ``budget`` subsets raises
+    ``BudgetExceededError``, so every verdict returned is proven.
     """
-    if strategy is None:
-        strategy = SamplingStrategy()
-    budget = _Budget(strategy.budget)
+    meter = _Budget(budget)
     planes = _planes(sys)
+    top = _box_vertices(planes, sys.d, meter)
     # the walk is lazy, so the budget can run out inside _verdict
-    try:
-        top = _box_vertices(planes, sys.d, budget)
-        cells = _cell_points(planes, sys.d, budget, top)
-        return _verdict(sys, _half_open(top), False, cells)
-    except BudgetExceededError:
-        if not strategy.allow_fallback:
-            raise
-        return _verdict(sys, _sample_points(sys), sampled=True)
+    return _verdict(sys, _half_open(top), _cell_points(planes, sys.d, meter, top))

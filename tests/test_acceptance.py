@@ -264,7 +264,7 @@ def test_criterion_09_inversion_round_trips_and_equivalence():
 def test_criterion_10_strategy_agreement():
     with Criterion(10, "vertex and grid strategies agree on bundled systems", 60):
         for name, sys in BUNDLED.items():
-            vertex = oracle_verdict(sys, vertex_candidates(sys), sampled=False)
-            grid = oracle_verdict(sys, grid_points(sys), sampled=False)
+            vertex = oracle_verdict(sys, vertex_candidates(sys))
+            grid = oracle_verdict(sys, grid_points(sys))
             assert vertex.tag is grid.tag, name
             assert classify(sys).tag is vertex.tag, name

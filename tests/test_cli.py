@@ -1,9 +1,11 @@
 """Command-line driver: job parsing, exit codes, caching, determinism."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -53,7 +55,14 @@ def cache_args(tmp_path):
 # the vertices miss its delta = 0 cell on the jump region; the cell walk meets it
 ITEM_ONE = {"e": [[2, 1]], "f": [[1, 1], [1, 0]]}
 FLAGGED = {"e": [[2, 1]], "f": [[1, 0], [0, 1]]}
-STRICT_ZERO_BUDGET = ["--strategy", "exhaustive", "--budget", "0"]
+# two d = 6 systems, e with f = c_i copies of u_i for c the column sums of
+# e: the walk's top level charges 1,947,792 subsets and its first slice
+# passes the default budget of 2,000,000
+D6_SYSTEMS = [
+    {"e": e, "f": [[int(j == i) for j in range(6)] for i, c in enumerate(map(sum, zip(*e)))
+                   for _ in range(c)]}
+    for e in ([[3, 2, 2, 2, 2, 2], [3, 2, 1, 3, 2, 2]], [[1, 3, 3, 2, 3, 2], [2, 3, 3, 1, 0, 3]])
+]
 
 
 def drop_from_manifest(cache_root, name):
@@ -144,19 +153,8 @@ class TestClassify:
         job = write_job(
             tmp_path, "a.json", {"system": {"name": "cubic-2d"}, "strategy": {"budget": 1}}
         )
-        code, _, err = run(capsys, ["classify", job, "--strategy", "exhaustive"])
+        code, _, err = run(capsys, ["classify", job])
         assert code == EXIT_BUDGET
-
-    def test_sampled_case_i_is_not_certified(self, tmp_path, capsys):
-        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
-        code, out, _ = run(capsys, ["classify", job, "--strategy", "sampled"])
-        assert code == EXIT_BUDGET
-        assert json.loads(out)["sampled"] is True
-
-    def test_witness_verdicts_survive_sampling(self, tmp_path, capsys):
-        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-split"}})
-        code, out, _ = run(capsys, ["classify", job, "--strategy", "sampled"])
-        assert code == EXIT_CASE_II
 
 
     def test_zero_found_by_the_grid_alone_is_case_ii(self, tmp_path, capsys):
@@ -244,6 +242,7 @@ class TestSchema:
             ("classify", {"strategy": {"grid_multiplier": 0}}),
             ("classify", {"strategy": {"seed": False}}),
             ("classify", {"strategy": {"allow_fallback": 1}}),
+            ("classify", {"strategy": {"allow_fallback": False}}),  # not a knob
             ("classify", {"budget": True}),
             ("scan", {"order": True}),
             ("scan", {"primes": [True]}),
@@ -872,9 +871,15 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
 @pytest.mark.parametrize(
     "command, doc, flags, broken_series, expected",
     [
-        ("scan", {"system": FLAGGED, "order": 3}, ["--no-cache", *STRICT_ZERO_BUDGET], None,
+        ("scan", {"system": FLAGGED, "order": 3}, ["--no-cache", "--budget", "0"], None,
          EXIT_BUDGET),
-        ("case", {"case": "case30"}, STRICT_ZERO_BUDGET, None, EXIT_BUDGET),
+        ("case", {"case": "case30"}, ["--budget", "0"], None, EXIT_BUDGET),
+        # a system with a witness exits 20 too when its walk cannot start
+        *(
+            ("classify", {"system": {"name": name}}, ["--budget", "0"], None, EXIT_BUDGET)
+            for name in ("cubic-split", "inverse-binomial")
+        ),
+        *(("classify", {"system": system}, [], None, EXIT_BUDGET) for system in D6_SYSTEMS),
         ("classify", {"system": ITEM_ONE}, [], None, EXIT_CASE_II),
         ("scan", {"system": {"name": "cubic-2d"}, "order": 0}, [], None, EXIT_OK),
         ("case", {"case": "case30", "order": 0}, [], None, EXIT_SCHEMA),
@@ -920,3 +925,22 @@ def test_python_dash_m_runs_the_cli():
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+def test_readme_names_every_flag_and_job_knob():
+    # the backticked flags of the README are the subcommands' option strings
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)[^`]*`", readme))
+    (subcommands,) = [
+        a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    offered = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert documented == offered
+    for key in cli._STRATEGY_KEYS | cli._RANGE_KEYS:
+        assert f'"{key}"' in readme, key

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mirrorint.forms import FormSystem, dot
 from mirrorint.landau import (
-    RANDOM_SAMPLES,
-    SAMPLE_SEED,
+    BUDGET,
     BudgetExceededError,
     CriterionVerdict,
-    SamplingStrategy,
     Tag,
     classify,
     delta_at,
@@ -163,17 +160,7 @@ def oracle_cell_points(sys, budget, ledger):
     return walk(planes, sys.d, cuts(planes, sys.d))
 
 
-def oracle_random_points(sys):
-    rng = random.Random(SAMPLE_SEED)
-    base = grid_denominator(sys)
-    pts = set()
-    for _ in range(RANDOM_SAMPLES):
-        den = base * rng.randint(1, 8)
-        pts.add(tuple(Fraction(rng.randrange(den), den) for _ in range(sys.d)))
-    return sorted(pts)
-
-
-def oracle_verdict(sys, points, sampled, refuters=()):
+def oracle_verdict(sys, points, refuters=()):
     """The verdict delta proves at ``points``, then at ``refuters``; the
     first witness found wins, and a Case I certificate lists ``points`` only."""
     zero_witness = None
@@ -181,7 +168,7 @@ def oracle_verdict(sys, points, sampled, refuters=()):
     for x in points:
         val = oracle_delta(sys, x)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x)
         if oracle_in_jump_region(sys, x):
             if val == 0:
                 if zero_witness is None:
@@ -191,33 +178,27 @@ def oracle_verdict(sys, points, sampled, refuters=()):
     for k in range(sys.d):
         if sys.sum_e[k] < sys.sum_f[k]:
             corner = tuple(Fraction(int(i == k)) for i in range(sys.d))
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner, sampled=sampled)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner)
     for x in refuters:
         val = oracle_delta(sys, x)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x, sampled=sampled)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=x)
         if zero_witness is None and val == 0 and oracle_in_jump_region(sys, x):
             zero_witness = x
     if sys.sum_e != sys.sum_f:
         k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
-        return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1, sampled=sampled)
+        return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1)
     if zero_witness is not None:
-        return CriterionVerdict(Tag.CASE_II, witness=zero_witness, sampled=sampled)
-    return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate), sampled=sampled)
+        return CriterionVerdict(Tag.CASE_II, witness=zero_witness)
+    return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate))
 
 
-def oracle_classify(sys, strategy=None, ledger=None):
+def oracle_classify(sys, budget=BUDGET, ledger=None):
     """The classifier's contract in Fractions: vertices, closed-box corner,
-    then the cell points; once the walk's subset counts (appended to
-    ``ledger``) pass the budget, the seeded random points, marked sampled."""
-    strategy = strategy or SamplingStrategy()
-    try:
-        cells = oracle_cell_points(sys, strategy.budget, [] if ledger is None else ledger)
-        return oracle_verdict(sys, oracle_vertex_candidates(sys), False, cells)
-    except BudgetExceededError:
-        if not strategy.allow_fallback:
-            raise
-        return oracle_verdict(sys, oracle_random_points(sys), sampled=True)
+    then the cell points; raises ``BudgetExceededError`` once the walk's
+    subset counts (appended to ``ledger``) pass ``budget``."""
+    cells = oracle_cell_points(sys, budget, [] if ledger is None else ledger)
+    return oracle_verdict(sys, oracle_vertex_candidates(sys), cells)
 
 
 @st.composite
@@ -384,18 +365,14 @@ class TestClassifier:
         assert v.witness == (Fraction(0), Fraction(1))
         assert delta_at(sys, v.witness) < 0
 
-    def test_budget_fallback_and_strict_mode(self):
-        tight = SamplingStrategy(budget=2)
-        v = classify(CUBIC_2D, tight)
-        assert v.sampled
-        assert v.tag is Tag.CASE_I
+    def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):
-            classify(CUBIC_2D, SamplingStrategy(budget=2, allow_fallback=False))
+            classify(CUBIC_2D, budget=2)
 
     def test_vertex_and_grid_strategies_agree_on_bundled(self):
         for sys in BUNDLED.values():
-            vertex = oracle_verdict(sys, vertex_candidates(sys), sampled=False)
-            grid = oracle_verdict(sys, grid_points(sys), sampled=False)
+            vertex = oracle_verdict(sys, vertex_candidates(sys))
+            grid = oracle_verdict(sys, grid_points(sys))
             assert vertex.tag is grid.tag
 
     def test_up_right_constancy_at_candidates(self):
@@ -413,19 +390,19 @@ class TestClassifier:
     def test_classifier_agrees_with_dense_grid_oracle(self):
         # brute force: exhaustive denominator-N grid with a larger multiplier
         for sys in BUNDLED.values():
-            expected = oracle_verdict(sys, grid_points(sys, 6), sampled=False)
+            expected = oracle_verdict(sys, grid_points(sys, 6))
             assert classify(sys).tag is expected.tag
 
     def test_bundled_verdicts_are_the_vertex_verdicts(self):
         # the grid refutes none of them, so the one-pass verdict keeps its bytes
         for sys in BUNDLED.values():
-            vertex = oracle_verdict(sys, vertex_candidates(sys), False)
+            vertex = oracle_verdict(sys, vertex_candidates(sys))
             assert classify(sys).to_dict() == vertex.to_dict()
 
     def test_grid_zero_refutes_a_vertex_case_i(self):
         # the vertices miss the delta = 0 cell; a cell point's exact zero settles it
         sys = FormSystem([(2, 1)], [(1, 1), (1, 0)])
-        assert oracle_verdict(sys, vertex_candidates(sys), False).tag is Tag.CASE_I
+        assert oracle_verdict(sys, vertex_candidates(sys)).tag is Tag.CASE_I
         v = classify(sys)
         assert v.tag is Tag.CASE_II
         assert in_jump_region(sys, v.witness) and delta_at(sys, v.witness) == 0
@@ -482,7 +459,7 @@ def _check_one_pass(e, f):
     assert not v.sampled
     _assert_exact(sys, v)
     for points in (vertex_candidates(sys), grid_points(sys)):
-        alone = oracle_verdict(sys, points, False)
+        alone = oracle_verdict(sys, points)
         _assert_exact(sys, alone)
         assert _STRENGTH[v.tag] >= _STRENGTH[alone.tag]
 
@@ -640,27 +617,24 @@ def test_cell_points_take_every_value_of_the_box(sys):
 @example(RAW_2D)
 @example(FormSystem([(2, 3, 3)], [(0, 1, 0), (2, 1, 2), (0, 1, 1)]))  # classify-batch's 3-D head
 def test_classify_matches_fraction_oracle(sys):
-    # sampled alone, the top level solved and the first slice over budget,
-    # then one subset short of the whole walk and the whole walk
+    # every budget below the oracle walk's count raises, naming the running
+    # count that first passes it; the count itself gives the oracle's verdict
     ledger = []
     try:
-        exhaustive = oracle_classify(sys, SamplingStrategy(_ORACLE_SUBSETS, False), ledger)
+        exhaustive = oracle_classify(sys, _ORACLE_SUBSETS, ledger)
     except BudgetExceededError:
         exhaustive = None
-    spent = sum(ledger)
+    running = list(itertools.accumulate(ledger))
+    spent = running[-1]
+    # the walk stops only where a level's count is charged, so each running
+    # count and one short of it stand for every budget below the total
+    for budget in sorted({0} | {b for r in running for b in (r - 1, r) if b < spent}):
+        first_past = next(r for r in running if r > budget)
+        message = f"^{first_past} plane subsets exceed the budget of {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            classify(sys, budget)
     if exhaustive is not None:
-        budgets = {0, ledger[0], spent - 1, spent}
-        with pytest.raises(BudgetExceededError):
-            classify(sys, SamplingStrategy(budget=spent - 1, allow_fallback=False))
-    else:
-        budgets = {0} | ({ledger[0]} if len(ledger) > 1 else set())
-    # the oracle walk falls back exactly when the budget is below its count
-    sampled = oracle_verdict(sys, oracle_random_points(sys), sampled=True)
-    for budget in budgets:
-        expected = exhaustive if exhaustive is not None and budget >= spent else sampled
-        assert classify(sys, SamplingStrategy(budget=budget)).to_dict() == expected.to_dict()
-    with pytest.raises(BudgetExceededError):
-        classify(sys, SamplingStrategy(budget=0, allow_fallback=False))
+        assert classify(sys, spent).to_dict() == exhaustive.to_dict()
 
 
 def test_budget_counts_the_subsets_of_every_level():
@@ -668,12 +642,8 @@ def test_budget_counts_the_subsets_of_every_level():
     # top; x cuts at 0, 1/3, 2/3, 1, and each of the three slices holds
     # three planes y = j/3 - x and two faces, 5 subsets of one row
     ledger = []
-    exhaustive = oracle_classify(CUBIC_2D, SamplingStrategy(), ledger)
+    exhaustive = oracle_classify(CUBIC_2D, ledger=ledger)
     assert ledger == [36, 5, 5, 5]
-    v = classify(CUBIC_2D, SamplingStrategy(budget=51))
-    assert not v.sampled and v.to_dict() == exhaustive.to_dict()
-    v = classify(CUBIC_2D, SamplingStrategy(budget=50))
-    assert v.sampled
-    assert v.to_dict() == oracle_verdict(CUBIC_2D, oracle_random_points(CUBIC_2D), True).to_dict()
+    assert classify(CUBIC_2D, 51).to_dict() == exhaustive.to_dict()
     with pytest.raises(BudgetExceededError, match="plane subsets"):
-        classify(CUBIC_2D, SamplingStrategy(budget=50, allow_fallback=False))
+        classify(CUBIC_2D, 50)
