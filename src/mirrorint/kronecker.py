@@ -129,35 +129,54 @@ def add(a, b) -> tuple[int, dict[int, int]]:
     return reduced(D, out)
 
 
-def recurrence(local, v, x0, weight, lead=None) -> list[dict[int, int]]:
-    """Integer slices x_0 = x0 and, for k >= 1,
+def recurrence(local, v, D, x0, weight, scale, lead=None):
+    """Slices x_k = X_k / d_k in lowest terms: x_0 = x0 (integral, d_0 = 1)
+    and, for k >= 1,
 
-        x_k = lead_k + sum_(j=1..k) weight(k, j) v_j x_(k-j),
+        scale(k) x_k = lead_k + sum_(j=1..k) weight(k, j) v_j x_(k-j),
 
-    where v_j, x_k and lead_k are homogeneous slices keyed within their
-    degree (``local[k]`` lists the keys of degree k), and k runs to the last
-    slice of ``v``.  Each step is one sum of Kronecker products at one slot
-    width, which bounds the whole sum.
+    where v_j = V_j / D and lead_k = L_k / D are given by their numerators
+    V_j and L_k.  All are homogeneous slices keyed within their degree
+    (``local[k]`` lists the keys of degree k), and k runs to the last slice
+    of ``v``.  Returns the X_k and the d_k.
+
+    With E the lcm of the d_(k-j) that step k reads, it sums
+    L_k E + sum_j weight(k, j) (E / d_(k-j)) V_j X_(k-j) as Kronecker ints
+    of one slot width that bounds the whole sum, and divides by
+    scale(k) D E with one gcd.  The width is taken from the bound but at
+    least doubles when it grows, and each slice is packed once per width.
     """
-    xs, xmax = [x0], [max(map(abs, x0.values()), default=0)]
+    xs, dens = [x0], [1]
+    xmax = [max(map(abs, x0.values()), default=0)]
     vmax = [max(map(abs, sl.values()), default=0) for sl in v]
+    nb, packed_v, packed_x = 0, {}, {}
     for k in range(1, len(v)):
         base = lead[k] if lead else {}
-        bound = max(map(abs, base.values()), default=0)
-        pairs = []
-        for j in range(1, k + 1):
-            a, b = v[j], xs[k - j]
-            if a and b:
-                w = weight(k, j)
-                bound += abs(w) * vmax[j] * xmax[k - j] * min(len(a), len(b))
-                pairs.append((w, a, b))
-        x: dict[int, int] = {}
+        pairs = [(j, k - j) for j in range(1, k + 1) if v[j] and xs[k - j]]
+        E = math.lcm(*[dens[i] for _, i in pairs])
+        terms = [(weight(k, j) * (E // dens[i]), j, i) for j, i in pairs]
+        bound = E * max(map(abs, base.values()), default=0)
+        for w, j, i in terms:
+            bound += abs(w) * vmax[j] * xmax[i] * min(len(v[j]), len(xs[i]))
+        x, den = {}, 1
         if bound:
-            nb = width(bound)
-            acc = pack(base, nb) if base else 0
-            for w, a, b in pairs:
-                acc += w * (pack(a, nb) * pack(b, nb))
+            if width(bound) > nb:
+                nb, packed_v, packed_x = max(width(bound), 2 * nb), {}, {}
+            acc = E * pack(base, nb) if base else 0
+            for w, j, i in terms:
+                if j not in packed_v:
+                    packed_v[j] = pack(v[j], nb)
+                if i not in packed_x:
+                    packed_x[i] = pack(xs[i], nb)
+                acc += w * (packed_v[j] * packed_x[i])
             x = unpack(acc, nb, local[k])
+            if x:
+                den = scale(k) * D * E
+                g = math.gcd(den, *x.values())
+                if g > 1:
+                    x = {key: c // g for key, c in x.items()}
+                    den //= g
         xs.append(x)
+        dens.append(den)
         xmax.append(max(map(abs, x.values()), default=0))
-    return xs
+    return xs, dens

@@ -19,8 +19,8 @@ over one denominator, in lowest terms, keyed on the Kronecker grading of
 ``kronecker``.  Sums, products, the unit operations, composition,
 truncation and specialization hand forms to the integer kernel in
 ``kronecker`` with no conversion.  Fractions are made only where a
-coefficient is read or written: ``coeff``, ``items``, ``to_dict`` and the
-violations of a scan.
+coefficient is read: ``coeff``, ``items`` and the violations of a scan;
+``to_dict`` writes each term from the form with one gcd.
 
 * **Integer form.**  A series at order N is its numerators over D, the
   least common denominator of its coefficients, keyed by the Kronecker
@@ -48,21 +48,28 @@ violations of a scan.
   can still reach the truncation given the other's valuation.
 * **Unit operations.**  ``reciprocal``, ``exp`` and ``log`` run their
   graded recursions on integer slices, the homogeneous parts keyed within
-  their degree.  With U_j the numerators of the degree-j part u_j over D
-  and V_j = U_j D^(j-1), so that u_j = V_j / D^j:
+  their degree.  With U_j the numerators of the degree-j part u_j over D,
+  the recursions are
 
-      reciprocal  r_k = R_k / D^k,       R_k = -sum_(j=1..k) V_j R_(k-j)
-      exp         e_k = E_k / (k! D^k),  E_k = sum_(j=1..k) j (k-1)!/(k-j)! V_j E_(k-j)
-      log         l_k = M_k / (k D^k),   M_k = k V_k - sum_(j=1..k-1) V_j M_(k-j)
+      reciprocal  r_k = -sum_(j=1..k) u_j r_(k-j)
+      exp         k e_k = sum_(j=1..k) j u_j e_(k-j)
+      log         k l_k = k u_k + sum_(j=1..k) (j - k) u_j l_(k-j)
 
-  These are the Fraction recursions r_k = -sum u_j r_(k-j),
-  k e_k = sum j u_j e_(k-j) and, from u E(l) = E(u) with E the operator
-  that multiplies degree j by j, k l_k = k u_k - sum_(j<k) u_j (k-j) l_(k-j),
-  multiplied through by D^k, k! D^k and D^k.  The weights -1, k and
-  j (k-1)!/(k-j)! = j (k-1)(k-2)...(k-j+1) are integers, so by induction
-  every slice of R, E and M is integral over its denominator.  Each step
-  sums its products as Kronecker ints of one slot width that bounds the
-  whole sum.
+  (log from u E(l) = E(u), with E the operator that multiplies degree j
+  by j).  Each result slice x_k is kept in lowest terms, X_k / d_k with
+  d_0 = 1.  Step k takes E, the lcm of the d_(k-j) it reads, and sums the
+  integer slice
+
+      S_k = L_k E + sum_j w(k, j) (E / d_(k-j)) U_j X_(k-j)
+
+  (w = -1, j or j - k; L_k = k U_k for log, else 0), so that
+  x_k = S_k / (s_k D E), with s_k = 1 for reciprocal and k for exp and
+  log; one gcd reduces it.  The sum is taken as Kronecker ints at one
+  slot width that bounds it.  When the result is integral, as exp(G_k/F)
+  is in Case I, every d_k is 1 and the slots track the coefficients;
+  scaled by k! D^k instead, they would widen by D's bit length at every
+  degree.  The width is taken from the bound but at least doubles when it
+  must grow, so each slice is packed once per width.
 * **Specialization.**  ``MSeries.specialize`` takes the form along
   z_i = M_i t^(N_i) to the univariate form (D, n -> numerator of t^n),
   summing numerators as ints; ``operators`` applies theta operators to
@@ -278,21 +285,15 @@ class MSeries:
 
     # -- unit operations -----------------------------------------------------
 
-    def _scaled_slices(self):
-        """The grading, D, and V_j = D^(j-1) U_j for each degree j, keyed
-        within the degree (U_j: the degree-j numerators over D)."""
+    def _slices(self):
+        """The grading and the numerators over D of each degree-j part,
+        keyed within the degree."""
         g = kronecker.grading(self.d, self.order)
-        D, top = self.D, g.top
         slices: list[dict[int, int]] = [{} for _ in range(self.order + 1)]
         for k, c in self.ints.items():
-            j = k // top
-            slices[j][k - j * top] = c
-        if D != 1:
-            scale = 1
-            for j in range(2, self.order + 1):
-                scale *= D
-                slices[j] = {k: c * scale for k, c in slices[j].items()}
-        return g, D, slices
+            j = k // g.top
+            slices[j][k - j * g.top] = c
+        return g, slices
 
     def _of_slices(self, g, xs, dens) -> "MSeries":
         """The series of this shape whose degree-k part is xs[k] / dens[k],
@@ -306,26 +307,26 @@ class MSeries:
         """Multiplicative inverse of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("reciprocal requires constant term 1")
-        g, D, v = self._scaled_slices()
-        r = kronecker.recurrence(g.local, v, {0: 1}, lambda k, j: -1)
-        return self._of_slices(g, r, [D**k for k in range(self.order + 1)])
+        g, u = self._slices()
+        r = kronecker.recurrence(g.local, u, self.D, {0: 1}, lambda k, j: -1, lambda k: 1)
+        return self._of_slices(g, *r)
 
     def exp(self) -> "MSeries":
         """Exponential of a series with zero constant term."""
         if self.constant_term != 0:
             raise ValueError("exp requires zero constant term")
-        g, D, v = self._scaled_slices()
-        e = kronecker.recurrence(g.local, v, {0: 1}, lambda k, j: j * math.perm(k - 1, j - 1))
-        return self._of_slices(g, e, [math.factorial(k) * D**k for k in range(self.order + 1)])
+        g, u = self._slices()
+        e = kronecker.recurrence(g.local, u, self.D, {0: 1}, lambda k, j: j, lambda k: k)
+        return self._of_slices(g, *e)
 
     def log(self) -> "MSeries":
         """Logarithm of a unit with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("log requires constant term 1")
-        g, D, v = self._scaled_slices()
-        lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(v)]
-        m = kronecker.recurrence(g.local, v, {}, lambda k, j: -1, lead)
-        return self._of_slices(g, m, [max(k, 1) * D**k for k in range(self.order + 1)])
+        g, u = self._slices()
+        lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(u)]
+        m = kronecker.recurrence(g.local, u, self.D, {}, lambda k, j: j - k, lambda k: k, lead)
+        return self._of_slices(g, *m)
 
     # -- substitutions ---------------------------------------------------------
 
@@ -357,14 +358,14 @@ class MSeries:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "order": self.order,
-            "terms": [
-                {"exp": list(v), "num": str(c.numerator), "den": str(c.denominator)}
-                for v, c in self.items()
-            ],
-        }
+        """Terms sorted by exponent, each reduced by one gcd with D."""
+        exp, D = kronecker.grading(self.d, self.order).exp, self.D
+        terms = []
+        for k in sorted(self.ints, key=exp.__getitem__):
+            c = self.ints[k]
+            g = math.gcd(c, D)
+            terms.append({"exp": list(exp[k]), "num": str(c // g), "den": str(D // g)})
+        return {"d": self.d, "order": self.order, "terms": terms}
 
     @classmethod
     def from_dict(cls, data) -> "MSeries":

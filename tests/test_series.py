@@ -6,9 +6,12 @@ tests check the grouped composition and the Newton inversion against them.
 Likewise ``oracle_mul`` (every pair of terms, with a degree test per pair)
 and the Fraction recursions ``oracle_reciprocal``, ``oracle_exp`` and
 ``oracle_log`` check the integer kernel (``mirrorint.kronecker``): its
-Kronecker products and its integer graded recursions.
+Kronecker products and its integer graded recursions.  ``oracle_scaled``
+keeps the recursion on slices scaled by D^k (k! D^k for exp) that the unit
+operations ran before they kept lowest terms, as a second oracle.
 """
 
+import contextlib
 import copy
 import itertools
 import json
@@ -20,7 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorint import kronecker, series
+from mirrorint.mirror import build_F, build_Gk
 from mirrorint.series import MSeries, compose, invert_diagonal
+from mirrorint.systems import CENTRAL_BINOMIAL
 
 
 def oracle_compose(a, subs):
@@ -814,3 +819,230 @@ def test_kernel_products_past_the_order_vanish():
     b = MSeries(2, 5, {(0, 3): 5})
     assert a * b == MSeries.zero(2, 5)
     assert (a * b)._terms == {}
+
+
+# -- lowest-terms slices in the unit operations ---------------------------------
+
+
+def _scaled_recurrence(local, v, x0, weight, lead=None):
+    """The integer recursion the unit operations ran before their slices were
+    kept in lowest terms: x_k = lead_k + sum_(j=1..k) weight(k, j) v_j x_(k-j)
+    on integer slices, each step packing every slice it reads at its width."""
+    xs, xmax = [x0], [max(map(abs, x0.values()), default=0)]
+    vmax = [max(map(abs, sl.values()), default=0) for sl in v]
+    for k in range(1, len(v)):
+        base = lead[k] if lead else {}
+        bound = max(map(abs, base.values()), default=0)
+        pairs = []
+        for j in range(1, k + 1):
+            a, b = v[j], xs[k - j]
+            if a and b:
+                w = weight(k, j)
+                bound += abs(w) * vmax[j] * xmax[k - j] * min(len(a), len(b))
+                pairs.append((w, a, b))
+        x = {}
+        if bound:
+            nb = kronecker.width(bound)
+            acc = kronecker.pack(base, nb) if base else 0
+            for w, a, b in pairs:
+                acc += w * (kronecker.pack(a, nb) * kronecker.pack(b, nb))
+            x = kronecker.unpack(acc, nb, local[k])
+        xs.append(x)
+        xmax.append(max(map(abs, x.values()), default=0))
+    return xs
+
+
+def oracle_scaled(a, op):
+    """``op`` ("reciprocal", "exp" or "log") of ``a`` on scaled slices: the
+    degree-j numerators U_j over D as V_j = D^(j-1) U_j, and slice k of the
+    result over D^k, k! D^k or k D^k."""
+    g = kronecker.grading(a.d, a.order)
+    D, N = a.D, a.order
+    v = [{} for _ in range(N + 1)]
+    for key, c in a.ints.items():
+        j = key // g.top
+        v[j][key - j * g.top] = c * D ** max(j - 1, 0)
+    if op == "reciprocal":
+        xs = _scaled_recurrence(g.local, v, {0: 1}, lambda k, j: -1)
+        dens = [D**k for k in range(N + 1)]
+    elif op == "exp":
+        xs = _scaled_recurrence(g.local, v, {0: 1}, lambda k, j: j * math.perm(k - 1, j - 1))
+        dens = [math.factorial(k) * D**k for k in range(N + 1)]
+    else:
+        lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(v)]
+        xs = _scaled_recurrence(g.local, v, {}, lambda k, j: -1, lead)
+        dens = [max(k, 1) * D**k for k in range(N + 1)]
+    L = math.lcm(*[den for x, den in zip(xs, dens) if x])
+    ints = {k * g.top + i: c * (L // dens[k]) for k, x in enumerate(xs) for i, c in x.items()}
+    return MSeries.of_form(a.d, N, (L, ints))
+
+
+ORACLES = {"reciprocal": oracle_reciprocal, "exp": oracle_exp, "log": oracle_log}
+
+
+def assert_unit_op(a, op, want=None):
+    """``op`` of ``a`` has the form of both oracles (and of ``want``), canonically."""
+    got = getattr(a, op)()
+    assert got.form == oracle_scaled(a, op).form == ORACLES[op](a).form
+    if want is not None:
+        assert got.form == want.form
+    assert_canonical(got)
+    return got
+
+
+@st.composite
+def integral_nils(draw, min_degree=1):
+    """An integral series with zero constant term at d = 1-3 (orders 2-12, 2-8, 2-5)."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(2, KERNEL_ORDERS[d]))
+    coeffs = st.integers(-(2**40), 2**40).filter(bool)
+    return draw(kernel_series(d, order, coeffs, min_degree=min_degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=integral_nils())
+def test_unit_operations_with_integral_results_over_a_denominator(a):
+    # Case I shape: exp(log(1 + a)) and log(exp(a)) are integral, while with
+    # z_0 in a the z_0^2 coefficient of log(1 + a) and exp(a) is c -/+ 1/2
+    d, order = a.d, a.order
+    a = MSeries(d, order, {**dict(a.items()), (1,) + (0,) * (d - 1): 1})
+    unit = MSeries.one(d, order) + a
+    lg = assert_unit_op(unit, "log")
+    assert_unit_op(lg, "exp", unit)
+    e = assert_unit_op(a, "exp")
+    assert_unit_op(e, "log", a)
+    assert lg.D > 1 and e.D > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=integral_nils(min_degree=2), m=st.integers(2, 9))
+def test_unit_operations_whose_denominators_grow_with_the_degree(a, m):
+    # Case II shape: with z_0 / m in the argument and no other pure z_0
+    # term, the z_0^N coefficient is (-1/m)^N, 1/(N! m^N) or
+    # (-1)^(N+1)/(N m^N), so D grows with every degree
+    d, order = a.d, a.order
+    rest = {v: c for v, c in a.items() if any(v[1:])}
+    nil = MSeries(d, order, {**rest, (1,) + (0,) * (d - 1): 1}) * Fraction(1, m)
+    unit = MSeries.one(d, order) + nil
+    for s, op in ((unit, "reciprocal"), (nil, "exp"), (unit, "log")):
+        assert assert_unit_op(s, op).D % m**order == 0
+
+
+@st.composite
+def homogeneous_nils(draw):
+    """A series of one degree m >= 1 at an order >= 2m + 1, so slices of
+    degree m + 1 .. order that are not multiples of m vanish, and the
+    recursions below cancel their degree-2m sums to zero."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(3, KERNEL_ORDERS[d]))
+    m = draw(st.integers(1, (order - 1) // 2))
+    exps = [v for v in itertools.product(range(m + 1), repeat=d) if sum(v) == m]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, unique=True))
+    coeff = st.sampled_from([fractions_nonintegral(), st.integers(-9, 9).filter(bool)])
+    coeffs = draw(coeff)
+    return MSeries(d, order, {v: draw(coeffs) for v in chosen}), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=homogeneous_nils())
+def test_unit_operations_with_slices_that_cancel_to_zero(case):
+    # 1/(1/(1 - a)) = 1 - a, exp(log(1 + a)) = 1 + a and log(exp(a)) = a,
+    # where a has degree m: every slice past m sums to zero
+    a, m = case
+    d, order = a.d, a.order
+    one = MSeries.one(d, order)
+    for s, op, want in (
+        (oracle_reciprocal(one - a), "reciprocal", one - a),
+        (oracle_log(one + a), "exp", one + a),
+        (oracle_exp(a), "log", a),
+    ):
+        got = assert_unit_op(s, op, want)
+        top = kronecker.grading(d, order).top
+        assert {k // top for k in got.ints} <= {0, m}
+        assert any(k // top == 2 * m for k in s.ints)
+
+
+@contextlib.contextmanager
+def packed_widths():
+    """The slot width of each ``kronecker.pack`` call made inside."""
+    widths, pack = [], kronecker.pack
+
+    def spy(terms, nb, shift=0):
+        widths.append(nb)
+        return pack(terms, nb, shift)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kronecker, "pack", spy)
+        yield widths
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    small=st.integers(-3, 3).filter(bool),
+    big=st.integers(2**300, 2**400),
+    sign=st.sampled_from([1, -1]),
+)
+def test_unit_operations_across_a_more_than_doubling_width(d, small, big, sign):
+    # small slices up to degree 3, then a slice of 38-51 bytes at degree 4:
+    # the slot width at step 4 must more than double
+    order = 6
+    terms = {(i,) + (0,) * (d - 1): small for i in range(1, 4)}
+    terms[(4,) + (0,) * (d - 1)] = sign * big
+    terms[(0,) * (d - 1) + (1,)] = Fraction(small, 3)
+    nil = MSeries(d, order, terms)
+    unit = MSeries.one(d, order) + nil
+    for s, op in ((unit, "reciprocal"), (nil, "exp"), (unit, "log")):
+        with packed_widths() as widths:
+            getattr(s, op)()
+        assert any(b > 2 * a for a, b in zip(widths, widths[1:]))
+        assert_unit_op(s, op)
+
+
+def test_exp_packs_narrow_slots_on_an_integral_mirror_map():
+    # exp(G_1/F) for C(2n, n) at order 100 is integral (Case I).  Over k! D^k
+    # its slots reach 1774 bytes in 10100 packs; over lowest terms, 72 in 362.
+    arg = build_Gk(CENTRAL_BINOMIAL, 1, 100) * build_F(CENTRAL_BINOMIAL, 100).reciprocal()
+    with packed_widths() as widths:
+        q = arg.exp()
+    assert q.D == 1
+    assert max(widths) <= 128 and len(widths) <= 1000
+
+
+@st.composite
+def serializable_series(draw):
+    """Series at d = 1-3, order 0-4, with mixed-sign coefficients over
+    denominators that share factors, so most terms reduce against D."""
+    d, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    exps = [v for v in itertools.product(range(order + 1), repeat=d) if sum(v) <= order]
+    chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=10))
+    numerators = st.integers(-(2**70), 2**70).filter(bool)
+    denominators = st.sampled_from([1, 2, 3, 4, 6, 12, 2**64])
+    coeff = st.builds(Fraction, numerators, denominators) | st.fractions(
+        max_denominator=10**30
+    ).filter(bool)
+    return MSeries(d, order, {v: draw(coeff) for v in chosen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=serializable_series())
+def test_to_dict_writes_the_fraction_document(s):
+    want = {
+        "d": s.d,
+        "order": s.order,
+        "terms": [
+            {"exp": list(v), "num": str(c.numerator), "den": str(c.denominator)}
+            for v, c in s.items()
+        ],
+    }
+    got = s.to_dict()
+    assert got == want and json.dumps(got) == json.dumps(want)
+
+
+def test_to_dict_reduces_each_term_against_D():
+    terms = {(0, 0): Fraction(-1, 6), (1, 0): Fraction(3, 4), (0, 1): -5, (1, 1): Fraction(7, 12)}
+    s = MSeries(2, 2, terms)
+    assert s.D == 12
+    assert [(t["num"], t["den"]) for t in s.to_dict()["terms"]] == [
+        ("-1", "6"), ("-5", "1"), ("3", "4"), ("7", "12")
+    ]
