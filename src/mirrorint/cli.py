@@ -4,7 +4,13 @@
 (from a path or stdin), orchestrates the library and emits machine
 readable reports: JSON lines on stdout, a human summary on stderr.
 
-Commands: classify, bundle, scan, dwork, congruences, case.
+Commands: classify, bundle, scan, dwork, congruences, case.  A job that
+lists ``commands`` must name the one being run.  ``--order``, ``--prime``
+and ``--budget`` set the job keys ``order``, ``primes`` and
+``strategy.budget`` and are checked by those keys' rules; the keys the
+job file gives are checked too, flag or no flag.  Without an order,
+``bundle``, ``scan`` and ``dwork`` run at 12 in one variable and at 8
+otherwise, and ``case`` at 12.
 
 Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
@@ -30,9 +36,9 @@ A job's ``ranges`` bound the formal-congruence sweeps.  Where ``m_bound``
 is not set, the hypotheses and the conclusion run m up to p^2 but the
 unit-ratio sweep keeps its own default of 4.
 
-The classifier takes ``strategy.budget`` (also ``--budget``), the number
-of plane subsets its cell walk may charge; every verdict it prints is
-proven by the complete walk.
+The classifier takes ``strategy.budget``, the number of plane subsets its
+cell walk may charge; every verdict it prints is proven by the complete
+walk.
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
@@ -137,10 +143,6 @@ class Job:
     ranges: CongruenceRanges
 
 
-def _fail_schema(msg: str):
-    raise SchemaError(msg)
-
-
 def _is_int(value) -> bool:
     """A JSON integer: ``true`` and ``false`` are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -156,70 +158,70 @@ def _parse_system(spec) -> FormSystem:
     if isinstance(spec, dict) and "name" in spec:
         name = spec["name"]
         if set(spec) != {"name"}:
-            _fail_schema(f"unknown system keys: {sorted(set(spec) - {'name'})}")
+            raise SchemaError(f"unknown system keys: {sorted(set(spec) - {'name'})}")
         if not isinstance(name, str) or name not in BUNDLED:
-            _fail_schema(f"unknown bundled system {name!r}; have {sorted(BUNDLED)}")
+            raise SchemaError(f"unknown bundled system {name!r}; have {sorted(BUNDLED)}")
         return BUNDLED[name]
     try:
         system = FormSystem.from_dict(spec)
     except ValueError as exc:
-        _fail_schema(f"bad system: {exc}")
+        raise SchemaError(f"bad system: {exc}")
     if not (system.e and system.f):
-        _fail_schema("system.e and system.f must be non-empty")
+        raise SchemaError("system.e and system.f must be non-empty")
     return system
 
 
 def parse_job(doc: dict, command: str) -> Job:
     if not isinstance(doc, dict):
-        _fail_schema("job document must be a JSON object")
+        raise SchemaError("job document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        _fail_schema(f"unknown job keys: {sorted(unknown)}")
+        raise SchemaError(f"unknown job keys: {sorted(unknown)}")
     commands = doc.get("commands")
     if commands is not None:
         if not isinstance(commands, list) or not all(isinstance(c, str) for c in commands):
-            _fail_schema("commands must be an array of strings")
+            raise SchemaError("commands must be an array of strings")
         bad = [c for c in commands if c not in COMMANDS]
         if bad:
-            _fail_schema(f"unknown commands: {bad}")
+            raise SchemaError(f"unknown commands: {bad}")
         if command not in commands:
-            _fail_schema(f"job does not list command {command!r}")
+            raise SchemaError(f"job does not list command {command!r}")
     system = _parse_system(doc["system"]) if "system" in doc else None
     order = doc.get("order")
     if order is not None and not _nonnegative_int(order):
-        _fail_schema("order must be a nonnegative integer")
+        raise SchemaError("order must be a nonnegative integer")
     primes = doc.get("primes", [2, 3, 5])
     if not isinstance(primes, list) or not all(
         _is_int(p) and is_prime(p) for p in primes
     ):
-        _fail_schema("primes must be an array of prime numbers")
+        raise SchemaError("primes must be an array of prime numbers")
     sdoc = doc.get("strategy", {})
     if not isinstance(sdoc, dict) or set(sdoc) - _STRATEGY_KEYS:
-        _fail_schema(f"strategy keys must be a subset of {sorted(_STRATEGY_KEYS)}")
+        raise SchemaError(f"strategy keys must be a subset of {sorted(_STRATEGY_KEYS)}")
     budget = sdoc.get("budget", BUDGET)
     if not _nonnegative_int(budget):
-        _fail_schema("strategy.budget must be a nonnegative integer")
+        raise SchemaError("strategy.budget must be a nonnegative integer")
     cache_dir = doc.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
-        _fail_schema("cache_dir must be a string")
+        raise SchemaError("cache_dir must be a string")
     case = doc.get("case")
     if case is not None and not isinstance(case, str):
-        _fail_schema("case must be a string (bundled name or record path)")
+        raise SchemaError("case must be a string (bundled name or record path)")
     fixture = None
     if "fixture" in doc:
         fdoc = doc["fixture"]
         if not isinstance(fdoc, dict) or set(fdoc) != {"F", "G"}:
-            _fail_schema("fixture must be an object with series F and G")
+            raise SchemaError("fixture must be an object with series F and G")
         try:
             fixture = (MSeries.from_dict(fdoc["F"]), MSeries.from_dict(fdoc["G"]))
         except Exception as exc:
-            _fail_schema(f"bad fixture series: {exc}")
+            raise SchemaError(f"bad fixture series: {exc}")
     rdoc = doc.get("ranges", {})
     if not isinstance(rdoc, dict) or set(rdoc) - _RANGE_KEYS:
-        _fail_schema(f"ranges keys must be a subset of {sorted(_RANGE_KEYS)}")
+        raise SchemaError(f"ranges keys must be a subset of {sorted(_RANGE_KEYS)}")
     for key, value in rdoc.items():
         if not _nonnegative_int(value):
-            _fail_schema(f"ranges.{key} must be a nonnegative integer")
+            raise SchemaError(f"ranges.{key} must be a nonnegative integer")
     ranges = CongruenceRanges(**rdoc)
     return Job(
         system=system,
@@ -236,18 +238,18 @@ def parse_job(doc: dict, command: str) -> Job:
 def _read_job(path: Optional[str]) -> dict:
     if path in (None, "-"):
         if _sys.stdin.isatty():
-            _fail_schema("no job document: pass a path or pipe JSON on stdin")
+            raise SchemaError("no job document: pass a path or pipe JSON on stdin")
         text = _sys.stdin.read()
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            _fail_schema(f"cannot read job file: {exc}")
+            raise SchemaError(f"cannot read job file: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        _fail_schema(f"invalid JSON: {exc}")
+        raise SchemaError(f"invalid JSON: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,7 @@ def load_bundle(
 def _system(job: Job) -> FormSystem:
     """The job's system, with ``job.order`` resolved to its default when unset."""
     if job.system is None:
-        _fail_schema("this command needs a system")
+        raise SchemaError("this command needs a system")
     if job.order is None:
         job.order = default_order(job.system)
     return job.system
@@ -431,9 +433,7 @@ def _summary(msg: str):
 
 
 def cmd_classify(job: Job, args) -> int:
-    if job.system is None:
-        _fail_schema("classify needs a system")
-    verdict = classify(job.system, job.budget)
+    verdict = classify(_system(job), job.budget)
     _emit(verdict.to_dict())
     _summary(f"classification: {verdict.tag.value}")
     return _TAG_EXIT[verdict.tag]
@@ -470,9 +470,9 @@ def cmd_scan(job: Job, args) -> int:
 def cmd_dwork(job: Job, args) -> int:
     if job.fixture is not None:
         if job.system is not None:
-            _fail_schema("dwork takes a system or a fixture, not both")
+            raise SchemaError("dwork takes a system or a fixture, not both")
         if job.order is not None:
-            _fail_schema("a fixture has the order of its series: drop order and --order")
+            raise SchemaError("a fixture has the order of its series: drop order and --order")
         F, G = job.fixture
         checks = [("fixture", partial(dieudonne_dwork_check, F, G))]
     else:
@@ -502,15 +502,14 @@ def cmd_dwork(job: Job, args) -> int:
 
 
 def cmd_congruences(job: Job, args) -> int:
-    if job.system is None:
-        _fail_schema("congruences needs a system")
+    sys_ = _system(job)
     # an unset m_bound is p^2 for the harness but the sweep's own 4 here
     sweep = {"s_max": job.ranges.s_max}
     if job.ranges.m_bound is not None:
         sweep["m_bound"] = job.ranges.m_bound
     failures = 0
     for p in job.primes:
-        ctx = PadicContext(p, job.system)
+        ctx = PadicContext(p, sys_)
         try:
             reports = verify_formal_congruences(ctx, job.ranges)
         except ValueError as exc:
@@ -525,7 +524,7 @@ def cmd_congruences(job: Job, args) -> int:
 
 def _load_case(job: Job) -> CaseRecord:
     if job.case is None:
-        _fail_schema("case command needs a case name or record path")
+        raise SchemaError("case command needs a case name or record path")
     if job.case in BUNDLED_CASES:
         return BUNDLED_CASES[job.case]()
     if os.path.exists(job.case):
@@ -533,25 +532,22 @@ def _load_case(job: Job) -> CaseRecord:
             with open(job.case, "r", encoding="utf-8") as fh:
                 return CaseRecord.from_dict(json.load(fh))
         except (OSError, ValueError) as exc:
-            _fail_schema(f"bad case record: {exc}")
-    _fail_schema(f"unknown case {job.case!r} (not bundled, not a readable path)")
+            raise SchemaError(f"bad case record: {exc}")
+    raise SchemaError(f"unknown case {job.case!r} (not bundled, not a readable path)")
 
 
 def cmd_case(job: Job, args) -> int:
     rec = _load_case(job)
     order = job.order if job.order is not None else 12
     if order < rec.operator.z_degree:
-        _fail_schema(
+        raise SchemaError(
             f"case {rec.name} needs order >= {rec.operator.z_degree}, the z-degree of its operator"
         )
     report = verify_annihilation(rec, order)
     # classified before the first line, so a budget exit prints no report
     verdict = classify(rec.system, job.budget)
-    for c in report.checks:
-        _emit(
-            {"case": rec.name, "order": order, "check": c.name, "pass": c.passed}
-            | ({"detail": c.detail} if c.detail else {})
-        )
+    for line in report.lines():
+        _emit(line)
     landau_ok = verdict.tag is Tag.CASE_I
     _emit({"case": rec.name, "check": "landau-dichotomy", "pass": landau_ok}
           | {"tag": verdict.tag.value})
@@ -592,28 +588,18 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _apply_flags(job: Job, args) -> Job:
-    if args.order is not None:
-        if args.order < 0:
-            _fail_schema("--order must be nonnegative")
-        job.order = args.order
-    if args.prime:
-        for p in args.prime:
-            if not is_prime(p):
-                _fail_schema(f"--prime {p} is not prime")
-        job.primes = list(args.prime)
-    if args.budget is not None:
-        if args.budget < 0:
-            _fail_schema("--budget must be nonnegative")
-        job.budget = args.budget
-    return job
-
-
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         doc = _read_job(args.job)
-        job = _apply_flags(parse_job(doc, args.command), args)
+        job = parse_job(doc, args.command)
+        # a flag sets its job key, and the job is parsed again under that key's rule
+        flags = {"order": args.order, "primes": args.prime}
+        if args.budget is not None:
+            flags["strategy"] = doc.get("strategy", {}) | {"budget": args.budget}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        if flags:
+            job = parse_job(doc | flags, args.command)
         code = _DISPATCH[args.command](job, args)
     except SchemaError as exc:
         _summary(f"schema error: {exc}")

@@ -3,11 +3,13 @@
 A :class:`ThetaOperator` is sum_i z^i P_i(theta) with integer coefficient
 polynomials P_i, acting on A + B log z given as the coefficient lists of
 A and B.  A :class:`CaseRecord` ties an operator to a form system, a
-specialization z_i = M_i t^(N_i) and a registered closed form for the
-holomorphic solution; ``verify_annihilation`` replays the whole story to
-finite order on the integers of one coefficient pass: the specialized
-series matches the closed form, the operator kills both it and its log
-companion, and the associated q-parameter has integer coefficients.
+specialization z_i = M_i t^(N_i) and a closed form for the holomorphic
+solution, named ``builtin:<name>`` after its entry in ``_CLOSED_FORMS``;
+``verify_annihilation`` replays the whole story to finite order on the
+integers of one coefficient pass: the specialized series matches the
+closed form, the operator kills both it and its log companion, and the
+associated q-parameter has integer coefficients.  Its report's
+``lines()`` are the check lines ``mirrorint case`` prints.
 
 Records are plain JSON, so further catalog cases can be ingested without
 code changes; the one bundled here is catalog case 30.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .forms import FormSystem, is_int_list
 from .mirror import coefficient_forms, integrality_scan
@@ -101,8 +103,6 @@ class ThetaOperator:
 # ---------------------------------------------------------------------------
 # closed-form registry
 
-ClosedForm = Callable[[int], Fraction]
-
 
 def case30_coefficient(n: int) -> Fraction:
     """(4n)! / ((n!)^2 (2n)!) times sum_k 4^k C(2(n-k), n-k)^2 C(2k, k)."""
@@ -116,15 +116,7 @@ def case30_coefficient(n: int) -> Fraction:
     return head * tail
 
 
-_CLOSED_FORMS: dict[str, ClosedForm] = {"case30": case30_coefficient}
-
-
-def closed_form(name: str) -> ClosedForm:
-    key = name.removeprefix("builtin:")
-    try:
-        return _CLOSED_FORMS[key]
-    except KeyError:
-        raise KeyError(f"no registered closed form {name!r}") from None
+_CLOSED_FORMS = {"case30": case30_coefficient}
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +230,13 @@ class AnnihilationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "order": self.order,
-            "pass": self.ok,
-            "checks": [
-                {"name": c.name, "pass": c.passed}
-                | ({"detail": c.detail} if c.detail else {})
-                for c in self.checks
-            ],
-        }
+    def lines(self) -> list[dict]:
+        """One report line per check, as ``mirrorint case`` prints it."""
+        return [
+            {"case": self.case, "order": self.order, "check": c.name, "pass": c.passed}
+            | ({"detail": c.detail} if c.detail else {})
+            for c in self.checks
+        ]
 
 
 def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
@@ -269,7 +257,7 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     names the first order where r_n or l_n is nonzero.
     """
     sys = rec.system
-    evaluator = closed_form(rec.closed_form)
+    evaluator = _CLOSED_FORMS[rec.closed_form.removeprefix("builtin:")]
     F_spec, G_spec = (
         MSeries.of_form(sys.d, order, form).specialize(rec.M, rec.Nexp)
         for form in coefficient_forms(sys, order, [rec.k - 1])

@@ -223,7 +223,7 @@ def test_criterion_08_case30():
     with Criterion(8, "catalog case 30: closed form, annihilation, q integral", 120):
         rec = case30_record()
         report = verify_annihilation(rec, 12)
-        assert report.ok, report.to_dict()
+        assert report.ok, report.lines()
         F_spec = build_F(rec.system, 12).specialize(rec.M, rec.Nexp)
         assert F_spec.coeff((1,)) == 144
         # annihilation holds through order 8 (order-12 input, degree margin)

@@ -29,7 +29,7 @@ from mirrorint.dwork import PadicContext, q_ratio_congruence_sweep
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.mirror import exponents_upto
-from mirrorint.operators import case30_record
+from mirrorint.operators import case30_record, verify_annihilation
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
 
 from test_mirror import count_the_pass
@@ -217,6 +217,34 @@ class TestSchema:
         job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
         code, _, _ = run(capsys, ["classify", job, "--budget", "-1"])
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--order", "-1"], {"order": -1}),
+            (["--prime", "6"], {"primes": [6]}),
+            (["--budget", "-1"], {"strategy": {"budget": -1}}),
+        ],
+    )
+    def test_a_flag_is_checked_by_the_rule_of_its_key(self, tmp_path, capsys, flags, key):
+        doc = {"system": {"name": "central-binomial"}}
+        by_flag = run(capsys, ["scan", write_job(tmp_path, "a.json", doc), "--no-cache", *flags])
+        by_key = run(capsys, ["scan", write_job(tmp_path, "b.json", doc | key), "--no-cache"])
+        assert by_flag[:2] == (EXIT_SCHEMA, "") and len(by_flag[2].splitlines()) == 1
+        assert by_flag == by_key
+
+    def test_a_bad_key_exits_2_under_the_flag_that_sets_it(self, tmp_path, capsys):
+        doc = {"system": {"name": "central-binomial"}, "order": -1}
+        job = write_job(tmp_path, "a.json", doc)
+        code, out, err = run(capsys, ["scan", job, "--no-cache", "--order", "3"])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == "schema error: order must be a nonnegative integer\n"
+
+    @pytest.mark.parametrize("command", ["classify", "bundle", "scan", "dwork", "congruences"])
+    def test_every_system_command_needs_a_system(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, [command, write_job(tmp_path, "a.json", {}), "--no-cache"])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == "schema error: this command needs a system\n"
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -787,6 +815,8 @@ class TestCase:
         lines = [json.loads(l) for l in out.splitlines()]
         assert all(l["pass"] for l in lines)
         assert lines[-1]["check"] == "landau-dichotomy"
+        # the check lines are the report's, in its one format
+        assert lines[:-1] == verify_annihilation(case30_record(), 8).lines()
 
     def test_record_from_file(self, tmp_path, capsys):
         rec_path = tmp_path / "rec.json"
@@ -942,5 +972,5 @@ def test_readme_names_every_flag_and_job_knob():
         for option in action.option_strings
     }
     assert documented == offered
-    for key in cli._STRATEGY_KEYS | cli._RANGE_KEYS:
+    for key in cli._TOP_KEYS | cli._STRATEGY_KEYS | cli._RANGE_KEYS:
         assert f'"{key}"' in readme, key

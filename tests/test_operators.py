@@ -323,3 +323,9 @@ class TestCase30:
         details = {c.name: c.detail for c in rep.checks}
         assert details["annihilates-series"] == "first nonzero at order 1"
         assert details["annihilates-log-companion"] == "first nonzero at order 0"
+        # one report line per check, as `mirrorint case` prints it
+        assert rep.lines()[:2] == [
+            {"case": "broken-op", "order": 6, "check": "closed-form", "pass": True},
+            {"case": "broken-op", "order": 6, "check": "annihilates-series", "pass": False,
+             "detail": "first nonzero at order 1"},
+        ]
