@@ -4,13 +4,16 @@
 (from a path or stdin), orchestrates the library and emits machine
 readable reports: JSON lines on stdout, a human summary on stderr.
 
-Commands: classify, bundle, scan, dwork, congruences, case.  A job that
-lists ``commands`` must name the one being run.  ``--order``, ``--prime``
-and ``--budget`` set the job keys ``order``, ``primes`` and
-``strategy.budget`` and are checked by those keys' rules; the keys the
-job file gives are checked too, flag or no flag.  Without an order,
-``bundle``, ``scan`` and ``dwork`` run at 12 in one variable and at 8
-otherwise, and ``case`` at 12.
+Commands: classify, bundle, scan, dwork, congruences, case.  ``parse_job``
+settles a job for one command, and is the one place that states its
+rules and defaults: a job that lists ``commands`` must name the one being
+run; ``case`` needs a case, ``dwork`` a system or a fixture, the others a
+system; primes default to [2, 3, 5], the budget to ``landau.BUDGET``, and
+an unset order to ``systems.default_order`` (12 in one variable, 8
+otherwise) for ``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``.
+``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
+``primes`` and ``strategy.budget`` and are checked by those keys' rules;
+the keys the job file gives are checked too, flag or no flag.
 
 Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
@@ -32,9 +35,9 @@ order or that comes with an order (the job's or ``--order``), ``congruences`` on
 that ``CaseRecord.from_dict`` rejects.  JSON ``true`` and ``false`` are
 never taken for integers.
 
-A job's ``ranges`` bound the formal-congruence sweeps.  Where ``m_bound``
-is not set, the hypotheses and the conclusion run m up to p^2 but the
-unit-ratio sweep keeps its own default of 4.
+A job's ``ranges`` bound the formal-congruence sweeps.  An unset bound
+is p^2 for the hypotheses and the conclusion (``CongruenceRanges.resolved``)
+but m <= 4 for the unit-ratio sweep (``q_ratio_congruence_sweep``).
 
 The classifier takes ``strategy.budget``, the number of plane subsets its
 cell walk may charge; every verdict it prints is proven by the complete
@@ -133,6 +136,9 @@ _RANGE_KEYS = {"s_max", "k_bound", "m_bound"}
 
 @dataclass
 class Job:
+    """A job settled for one command: ``order`` is the one it runs at, None
+    for ``classify``, ``congruences`` and a ``dwork`` fixture."""
+
     system: Optional[FormSystem]
     order: Optional[int]
     primes: list[int]
@@ -223,6 +229,24 @@ def parse_job(doc: dict, command: str) -> Job:
         if not _nonnegative_int(value):
             raise SchemaError(f"ranges.{key} must be a nonnegative integer")
     ranges = CongruenceRanges(**rdoc)
+    # what the command needs, and the order it runs at
+    if command == "case":
+        if case is None:
+            raise SchemaError("case command needs a case name or record path")
+        order = 12 if order is None else order
+    elif command == "dwork" and fixture is not None:
+        if system is not None:
+            raise SchemaError("dwork takes a system or a fixture, not both")
+        if order is not None:
+            raise SchemaError("a fixture has the order of its series: drop order and --order")
+    elif system is None:
+        raise SchemaError("this command needs a system")
+    elif command == "congruences" and primes and system.sum_e != system.sum_f:
+        # the harness refuses such a system at the first prime it runs at
+        raise SchemaError("congruences cannot check this system:"
+                          " the congruence harness needs equal column sums")
+    elif command in ("bundle", "scan", "dwork") and order is None:
+        order = default_order(system)
     return Job(
         system=system,
         order=order,
@@ -383,19 +407,9 @@ def load_bundle(
     return series, manifest
 
 
-def _system(job: Job) -> FormSystem:
-    """The job's system, with ``job.order`` resolved to its default when unset."""
-    if job.system is None:
-        raise SchemaError("this command needs a system")
-    if job.order is None:
-        job.order = default_order(job.system)
-    return job.system
-
-
 def _bundle_for(job: Job, args, reads) -> tuple[dict[str, MSeries], dict]:
     """The series of the fields in ``reads`` by name, and the manifest, from
-    the cache or built; resolves ``job.order`` to the default when unset."""
-    _system(job)
+    the cache or built."""
     cache_dir = args.cache_dir or os.environ.get("MIRRORINT_CACHE") or job.cache_dir
     if cache_dir is None:
         cache_dir = ".mirrorint-cache"
@@ -433,7 +447,7 @@ def _summary(msg: str):
 
 
 def cmd_classify(job: Job, args) -> int:
-    verdict = classify(_system(job), job.budget)
+    verdict = classify(job.system, job.budget)
     _emit(verdict.to_dict())
     _summary(f"classification: {verdict.tag.value}")
     return _TAG_EXIT[verdict.tag]
@@ -469,14 +483,10 @@ def cmd_scan(job: Job, args) -> int:
 
 def cmd_dwork(job: Job, args) -> int:
     if job.fixture is not None:
-        if job.system is not None:
-            raise SchemaError("dwork takes a system or a fixture, not both")
-        if job.order is not None:
-            raise SchemaError("a fixture has the order of its series: drop order and --order")
         F, G = job.fixture
         checks = [("fixture", partial(dieudonne_dwork_check, F, G))]
     else:
-        sys_ = _system(job)
+        sys_ = job.system
         # F and every G_k from one pass, which takes each Q(n) once
         forms = coefficient_forms(sys_, job.order, range(sys_.d))
         F, *G = (MSeries.of_form(sys_.d, job.order, form) for form in forms)
@@ -502,19 +512,11 @@ def cmd_dwork(job: Job, args) -> int:
 
 
 def cmd_congruences(job: Job, args) -> int:
-    sys_ = _system(job)
-    # an unset m_bound is p^2 for the harness but the sweep's own 4 here
-    sweep = {"s_max": job.ranges.s_max}
-    if job.ranges.m_bound is not None:
-        sweep["m_bound"] = job.ranges.m_bound
     failures = 0
     for p in job.primes:
-        ctx = PadicContext(p, sys_)
-        try:
-            reports = verify_formal_congruences(ctx, job.ranges)
-        except ValueError as exc:
-            raise SchemaError(f"congruences cannot check this system: {exc}") from None
-        reports.append(q_ratio_congruence_sweep(ctx, **sweep))
+        ctx = PadicContext(p, job.system)
+        reports = verify_formal_congruences(ctx, job.ranges)
+        reports.append(q_ratio_congruence_sweep(ctx, job.ranges.s_max, job.ranges.m_bound))
         for rep in reports:
             failures += 0 if rep.passed else 1
             _emit({"prime": p} | rep.to_dict())
@@ -523,8 +525,6 @@ def cmd_congruences(job: Job, args) -> int:
 
 
 def _load_case(job: Job) -> CaseRecord:
-    if job.case is None:
-        raise SchemaError("case command needs a case name or record path")
     if job.case in BUNDLED_CASES:
         return BUNDLED_CASES[job.case]()
     if os.path.exists(job.case):
@@ -538,12 +538,11 @@ def _load_case(job: Job) -> CaseRecord:
 
 def cmd_case(job: Job, args) -> int:
     rec = _load_case(job)
-    order = job.order if job.order is not None else 12
-    if order < rec.operator.z_degree:
+    if job.order < rec.operator.z_degree:
         raise SchemaError(
             f"case {rec.name} needs order >= {rec.operator.z_degree}, the z-degree of its operator"
         )
-    report = verify_annihilation(rec, order)
+    report = verify_annihilation(rec, job.order)
     # classified before the first line, so a budget exit prints no report
     verdict = classify(rec.system, job.budget)
     for line in report.lines():

@@ -442,18 +442,18 @@ def verify_formal_congruences(
         raise ValueError("the congruence harness needs equal column sums")
     p, d = ctx.p, ctx.sys.d
     s_max, k_bound, m_bound = ranges.resolved(p)
-    mbox = list(_box((m_bound,) * d))
+    ratios = _Ratios(ctx, s_max, m_bound)
+    mbox = ratios.mbox
     mus = [ctx.mu(m) for m in mbox]
-    reports = []
-
-    v0 = vp_ratio_legendre(ctx.sys, (0,) * d, p)
-    reports.append(CongruenceReport("unit-at-zero", ((0,) * d,), 0, v0, passed=(v0 == 0)))
+    # v_p(Q(m)) over the m box, m = 0 first, from the unit tables
+    vq, _ = ratios.units.column((0,) * d, 1, ratios.mdots, len(mbox))
+    reports = [CongruenceReport("unit-at-zero", ((0,) * d,), 0, vq[0], passed=(vq[0] == 0))]
 
     w = _Worst("weight-lower-bound")
-    w.update_row((), [(m,) for m in mbox], mus, [vp_ratio_legendre(ctx.sys, m, p) for m in mbox])
+    w.update_row((), ratios.tails, mus, vq)
     reports.append(w.report())
 
-    reports.extend(_ratio_reports(ctx, s_max, m_bound, mus))
+    reports.extend(_ratio_reports(ratios, s_max, mus))
 
     w = _Worst("weight-shift")
     first = {}  # carry c -> place in mbox of the first least margin kappa_c(m) - mu(m)
@@ -517,11 +517,10 @@ class _Ratios:
         return e, rows
 
 
-def _ratio_reports(ctx: PadicContext, s_max: int, m_bound: int, mus: list) -> list:
+def _ratio_reports(ratios: _Ratios, s_max: int, mus: list) -> list:
     """The three ratio congruences: Q(vup + m p^(s+1)) / Q(vup) against
     Q(u + m p^s) / Q(u), for good u mod p^s, v mod p and vup = v + p u."""
-    p, d = ctx.p, ctx.sys.d
-    ratios = _Ratios(ctx, s_max, m_bound)
+    ctx, p, d = ratios.ctx, ratios.ctx.p, ratios.ctx.sys.d
     vs = list(itertools.product(range(p), repeat=d))
     wa, wa1, wa2 = (_Worst(f"ratio-congruence{c}") for c in ("", "-good", "-excluded"))
     for s in range(s_max + 1):
@@ -596,10 +595,10 @@ def _conclusion_reports(
 
 
 def q_ratio_congruence_sweep(
-    ctx: PadicContext, s_max: int = 2, m_bound: int = 4
+    ctx: PadicContext, s_max: int = 2, m_bound: Optional[int] = None
 ) -> CongruenceReport:
     """Exact check that Q(c) Q(cp + m p^(s+1)) / (Q(cp) Q(c + m p^s))
-    lies in 1 + p^(s+1) Z_p, over all c mod p^s and bounded m.
+    lies in 1 + p^(s+1) Z_p, over all c mod p^s and m <= m_bound (4 if unset).
 
     Requires equal column sums of e and f.  Returns one aggregated report
     with the worst locus.  The ratio less 1 is the difference
@@ -608,7 +607,7 @@ def q_ratio_congruence_sweep(
     if ctx.sys.sum_e != ctx.sys.sum_f:
         raise ValueError("the congruence needs equal column sums")
     p, d = ctx.p, ctx.sys.d
-    ratios = _Ratios(ctx, s_max, m_bound)
+    ratios = _Ratios(ctx, s_max, 4 if m_bound is None else m_bound)
     w = _Worst("unit-ratio-congruence")
     for s in range(s_max + 1):
         for c in itertools.product(range(p**s), repeat=d):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mirrorint import cli, mirror
+from mirrorint import cli, dwork, mirror
 from mirrorint.cli import (
     EXIT_BUDGET,
     EXIT_CACHE,
@@ -25,7 +25,7 @@ from mirrorint.cli import (
     EXIT_SCHEMA,
     main,
 )
-from mirrorint.dwork import PadicContext, q_ratio_congruence_sweep
+from mirrorint.dwork import CongruenceRanges, PadicContext, q_ratio_congruence_sweep
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.mirror import exponents_upto
@@ -208,28 +208,22 @@ class TestSchema:
         code, _, err = run(capsys, ["classify", job])
         assert code == EXIT_SCHEMA
 
-    def test_bad_prime_flag(self, tmp_path, capsys):
-        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
-        code, _, _ = run(capsys, ["scan", job, "--prime", "6", "--no-cache"])
-        assert code == EXIT_SCHEMA
-
-    def test_negative_budget_flag(self, tmp_path, capsys):
-        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
-        code, _, _ = run(capsys, ["classify", job, "--budget", "-1"])
-        assert code == EXIT_SCHEMA
-
     @pytest.mark.parametrize(
-        "flags, key",
+        "command, name, flags, key",
         [
-            (["--order", "-1"], {"order": -1}),
-            (["--prime", "6"], {"primes": [6]}),
-            (["--budget", "-1"], {"strategy": {"budget": -1}}),
+            ("scan", "central-binomial", ["--order", "-1"], {"order": -1}),
+            ("scan", "central-binomial", ["--prime", "6"], {"primes": [6]}),
+            ("scan", "central-binomial", ["--budget", "-1"], {"strategy": {"budget": -1}}),
+            ("scan", "cubic-2d", ["--prime", "6"], {"primes": [6]}),
+            ("classify", "cubic-2d", ["--budget", "-1"], {"strategy": {"budget": -1}}),
         ],
     )
-    def test_a_flag_is_checked_by_the_rule_of_its_key(self, tmp_path, capsys, flags, key):
-        doc = {"system": {"name": "central-binomial"}}
-        by_flag = run(capsys, ["scan", write_job(tmp_path, "a.json", doc), "--no-cache", *flags])
-        by_key = run(capsys, ["scan", write_job(tmp_path, "b.json", doc | key), "--no-cache"])
+    def test_a_flag_is_checked_by_the_rule_of_its_key(
+        self, tmp_path, capsys, command, name, flags, key
+    ):
+        doc = {"system": {"name": name}}
+        by_flag = run(capsys, [command, write_job(tmp_path, "a.json", doc), "--no-cache", *flags])
+        by_key = run(capsys, [command, write_job(tmp_path, "b.json", doc | key), "--no-cache"])
         assert by_flag[:2] == (EXIT_SCHEMA, "") and len(by_flag[2].splitlines()) == 1
         assert by_flag == by_key
 
@@ -774,20 +768,22 @@ class TestCongruences:
         checks = [json.loads(l)["check"] for l in out.splitlines()]
         assert "conclusion" in checks and "unit-ratio-congruence" in checks
 
-    @pytest.mark.parametrize("m_bound", [0, 1, 2])
+    @pytest.mark.parametrize("m_bound", [0, 1, 2, None])
     def test_unit_ratio_sweep_honours_m_bound(self, tmp_path, capsys, m_bound):
-        ranges = {"s_max": 1, "k_bound": 0, "m_bound": m_bound}
+        # None: the default ranges, whose unset m_bound goes to the sweep as it is
+        ranges = {} if m_bound is None else {"s_max": 1, "k_bound": 0, "m_bound": m_bound}
+        r = CongruenceRanges(**ranges)
         doc = {"system": {"name": "central-binomial"}, "primes": [2, 3], "ranges": ranges}
         code, out, _ = run(capsys, ["congruences", write_job(tmp_path, "a.json", doc)])
         assert code == EXIT_OK
         sweeps = [l for l in map(json.loads, out.splitlines())
                   if l["check"] == "unit-ratio-congruence"]
-        assert len(sweeps) == 2
+        assert [line["prime"] for line in sweeps] == [2, 3]
         for line in sweeps:
             _, _, m = line["locus"]
-            assert max(m) <= m_bound
+            assert m_bound is None or max(m) <= m_bound
             ctx = PadicContext(line["prime"], CENTRAL_BINOMIAL)
-            expected = q_ratio_congruence_sweep(ctx, s_max=1, m_bound=m_bound)
+            expected = q_ratio_congruence_sweep(ctx, r.s_max, r.m_bound)
             assert line == {"prime": line["prime"]} | json.loads(json.dumps(expected.to_dict()))
 
     def test_unit_ratio_sweep_keeps_its_default_m_bound(self, tmp_path, capsys):
@@ -921,6 +917,19 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
              [], None, EXIT_SCHEMA)
             for polys in ([[0]], [[]], [[], [0, 0]])
         ),
+        # what a command needs is checked on the job file before a flag's value;
+        # a string is the schema error's stderr text
+        ("classify", {}, ["--prime", "6"], None, "this command needs a system"),
+        ("scan", {}, ["--order", "-1"], None, "this command needs a system"),
+        ("case", {}, ["--budget", "-1"], None, "case command needs a case name or record path"),
+        ("dwork", {"system": {"name": "cubic-2d"}, "fixture": {"F": ONE, "G": Z}},
+         ["--prime", "6"], None, "dwork takes a system or a fixture, not both"),
+        ("dwork", {"fixture": {"F": ONE, "G": Z}, "order": 2}, ["--prime", "6"], None,
+         "a fixture has the order of its series: drop order and --order"),
+        ("congruences", {"system": {"e": [[2]], "f": [[1]]}}, ["--budget", "-1"], None,
+         "congruences cannot check this system: the congruence harness needs equal column sums"),
+        # with no prime no check runs, so none refuses the system
+        ("congruences", {"system": {"e": [[2]], "f": [[1]]}, "primes": []}, [], None, EXIT_OK),
     ],
 )
 def test_cli_contract_has_no_tracebacks(
@@ -933,6 +942,9 @@ def test_cli_contract_has_no_tracebacks(
     if broken_series is not None:
         assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK
         drop_from_manifest(tmp_path / "cache", broken_series)
+    message = expected if isinstance(expected, str) else None
+    if message is not None:
+        expected = EXIT_SCHEMA
     code, out, err = run(capsys, [command, job, *flags, *cache_args])
     assert code in DOCUMENTED_EXITS
     assert code == expected
@@ -940,6 +952,36 @@ def test_cli_contract_has_no_tracebacks(
     if code in (EXIT_SCHEMA, EXIT_CACHE, EXIT_BUDGET):
         # refused input, a bad cache and a budget exit print no partial report
         assert out == "" and len(err.splitlines()) == 1
+    if message is not None:
+        assert err == f"schema error: {message}\n"
+
+
+ONE_VARIABLE = {"system": {"name": "central-binomial"}, "primes": [2]}
+TWO_VARIABLES = {"system": {"name": "cubic-2d"}, "primes": [2]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, order",
+    [
+        *((c, ONE_VARIABLE, 12) for c in ("bundle", "scan", "dwork")),
+        *((c, TWO_VARIABLES, 8) for c in ("bundle", "scan", "dwork")),
+        ("case", {"case": "case30"}, 12),
+        # None: the command takes no order
+        *((c, job, None) for c in ("classify", "congruences")
+          for job in (ONE_VARIABLE, TWO_VARIABLES)),
+        ("dwork", {"fixture": {"F": ONE, "G": Z}, "primes": [2]}, None),
+    ],
+)
+def test_parse_job_settles_the_order_the_command_runs_at(tmp_path, capsys, command, doc, order):
+    assert cli.parse_job(doc, command).order == order
+    if "fixture" in doc:
+        return  # a fixture job refuses any order
+    # the job prints what it prints with that order written in; one without
+    # an order prints the same under any
+    ran = run(capsys, [command, write_job(tmp_path, "a.json", doc), "--no-cache"])
+    pinned = doc | {"order": 3 if order is None else order}
+    assert run(capsys, [command, write_job(tmp_path, "b.json", pinned), "--no-cache"]) == ran
+    assert ran[0] == EXIT_OK
 
 
 def test_python_dash_m_runs_the_cli():
@@ -974,3 +1016,37 @@ def test_readme_names_every_flag_and_job_knob():
     assert documented == offered
     for key in cli._TOP_KEYS | cli._STRATEGY_KEYS | cli._RANGE_KEYS:
         assert f'"{key}"' in readme, key
+
+
+def test_readme_states_the_defaults_the_code_resolves(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = " ".join(readme.split())
+    # the orders parse_job settles
+    one, two, case = map(int, re.search(
+        r"`bundle`, `scan` and `dwork` run at order (\d+) in one variable and (\d+)"
+        r" otherwise \(`systems.default_order`\), and `case` at (\d+)\.", readme
+    ).groups())
+    for command in ("bundle", "scan", "dwork"):
+        assert cli.parse_job(ONE_VARIABLE, command).order == one
+        assert cli.parse_job(TWO_VARIABLES, command).order == two
+    assert cli.parse_job({"case": "case30"}, "case").order == case
+    primes = re.search(r"`primes` default to \[([\d, ]+)\]", readme).group(1)
+    budget = re.search(r"\(default (\d+), `landau.BUDGET`\)", readme).group(1)
+    job = cli.parse_job({"system": {"name": "cubic-2d"}}, "classify")
+    assert (job.primes, job.budget) == (json.loads(f"[{primes}]"), int(budget))
+    # the box bound each formal-congruence sweep is built with, from an unset m_bound
+    power = int(re.search(r"An unset `k_bound` or `m_bound` means p\^(\d+)", readme).group(1))
+    sweep = int(re.search(r"unit-ratio sweep keeps its own default of m <= (\d+)", readme).group(1))
+    bounds = []
+
+    class Ratios(dwork._Ratios):
+        def __init__(self, ctx, s_max, m_bound):
+            bounds.append(m_bound)
+            super().__init__(ctx, s_max, m_bound)
+
+    monkeypatch.setattr(dwork, "_Ratios", Ratios)
+    ctx = PadicContext(3, CENTRAL_BINOMIAL)
+    dwork.verify_formal_congruences(ctx)
+    q_ratio_congruence_sweep(ctx)
+    assert bounds == [3**power, sweep]
+    assert CongruenceRanges().resolved(3) == (CongruenceRanges.s_max, 3**power, 3**power)
