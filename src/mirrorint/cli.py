@@ -8,9 +8,11 @@ Commands: classify, bundle, scan, dwork, congruences, case.  ``parse_job``
 settles a job for one command, and is the one place that states its
 rules and defaults: a job that lists ``commands`` must name the one being
 run; ``case`` needs a case, ``dwork`` a system or a fixture, the others a
-system; primes default to [2, 3, 5], the budget to ``landau.BUDGET``, and
-an unset order to ``systems.default_order`` (12 in one variable, 8
-otherwise) for ``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``.
+system; primes default to [2, 3, 5], and ``dwork`` and ``congruences``
+refuse an empty list (``scan`` with none scans over Z only); the budget
+defaults to ``landau.BUDGET``, and an unset order to
+``systems.default_order`` (12 in one variable, 8 otherwise) for
+``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``.
 ``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
 ``primes`` and ``strategy.budget`` and are checked by those keys' rules;
 the keys the job file gives are checked too, flag or no flag.
@@ -33,7 +35,9 @@ inverse-binomial) or on a fixture whose F and G differ in dimension or
 order or that comes with an order (the job's or ``--order``), ``congruences`` on unequal column sums of e and f,
 ``case`` at an order below the z-degree of its operator or on a record
 that ``CaseRecord.from_dict`` rejects.  JSON ``true`` and ``false`` are
-never taken for integers.
+never taken for integers.  A stdout closed by its reader (``| head``)
+ends the run with exit 141, as a shell reports for a writer that SIGPIPE
+kills, and with no traceback.
 
 A job's ``ranges`` bound the formal-congruence sweeps.  An unset bound
 is p^2 for the hypotheses and the conclusion (``CongruenceRanges.resolved``)
@@ -94,6 +98,7 @@ EXIT_CASE_II = 10
 EXIT_NOT_NONNEGATIVE = 11
 EXIT_E_BIGGER = 12
 EXIT_BUDGET = 20
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 _TAG_EXIT = {
     Tag.CASE_I: EXIT_OK,
@@ -201,6 +206,9 @@ def parse_job(doc: dict, command: str) -> Job:
         _is_int(p) and is_prime(p) for p in primes
     ):
         raise SchemaError("primes must be an array of prime numbers")
+    if not primes and command in ("dwork", "congruences"):
+        # with no prime no check would run, and the exit 0 would show nothing
+        raise SchemaError(f"{command} needs at least one prime")
     sdoc = doc.get("strategy", {})
     if not isinstance(sdoc, dict) or set(sdoc) - _STRATEGY_KEYS:
         raise SchemaError(f"strategy keys must be a subset of {sorted(_STRATEGY_KEYS)}")
@@ -241,7 +249,7 @@ def parse_job(doc: dict, command: str) -> Job:
             raise SchemaError("a fixture has the order of its series: drop order and --order")
     elif system is None:
         raise SchemaError("this command needs a system")
-    elif command == "congruences" and primes and system.sum_e != system.sum_f:
+    elif command == "congruences" and not system.equal_column_sums:
         # the harness refuses such a system at the first prime it runs at
         raise SchemaError("congruences cannot check this system:"
                           " the congruence harness needs equal column sums")
@@ -314,7 +322,7 @@ def _manifest(sys_: FormSystem, order: int, digests: dict[str, str]) -> dict:
     return {
         "system": sys_.to_dict(),
         "order": order,
-        "flagged": sys_.sum_e != sys_.sum_f,
+        "flagged": not sys_.equal_column_sums,
         "series": {name: {"file": name + ".json", "sha256": h} for name, h in digests.items()},
     }
 
@@ -600,6 +608,8 @@ def main(argv=None) -> int:
         if flags:
             job = parse_job(doc | flags, args.command)
         code = _DISPATCH[args.command](job, args)
+        # a closed stdout shows here at the latest, not at interpreter exit
+        _sys.stdout.flush()
     except SchemaError as exc:
         _summary(f"schema error: {exc}")
         code = EXIT_SCHEMA
@@ -612,6 +622,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _summary(f"budget exceeded: {exc}")
         code = EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_PIPE
     return code
 
 

@@ -91,6 +91,9 @@ from .series import MSeries
 IntVec = tuple[int, ...]
 Valuation = Union[int, PadicInfinity]
 
+# what the formal-congruence harness raises on a system that is not 1-periodic
+_UNEQUAL_SUMS = "the congruence harness needs equal column sums"
+
 
 # ---------------------------------------------------------------------------
 # ambient context
@@ -437,9 +440,9 @@ def verify_formal_congruences(
     """
     if ranges is None:
         ranges = CongruenceRanges()
-    if ctx.sys.sum_e != ctx.sys.sum_f:
+    if not ctx.sys.equal_column_sums:
         # the weight/good-residue machinery rests on 1-periodicity
-        raise ValueError("the congruence harness needs equal column sums")
+        raise ValueError(_UNEQUAL_SUMS)
     p, d = ctx.p, ctx.sys.d
     s_max, k_bound, m_bound = ranges.resolved(p)
     ratios = _Ratios(ctx, s_max, m_bound)
@@ -604,8 +607,8 @@ def q_ratio_congruence_sweep(
     with the worst locus.  The ratio less 1 is the difference
     Q(cp + m p^(s+1)) / Q(cp) - Q(c + m p^s) / Q(c) over Q(c + m p^s) / Q(c).
     """
-    if ctx.sys.sum_e != ctx.sys.sum_f:
-        raise ValueError("the congruence needs equal column sums")
+    if not ctx.sys.equal_column_sums:
+        raise ValueError(_UNEQUAL_SUMS)
     p, d = ctx.p, ctx.sys.d
     ratios = _Ratios(ctx, s_max, 4 if m_bound is None else m_bound)
     w = _Worst("unit-ratio-congruence")

@@ -138,6 +138,12 @@ class FormSystem:
         raise AttributeError("FormSystem is immutable")
 
     @property
+    def equal_column_sums(self) -> bool:
+        """Whether e and f have the same column sums, which makes delta
+        1-periodic; a system without them is flagged."""
+        return self.sum_e == self.sum_f
+
+    @property
     def forms(self) -> tuple[IntVec, ...]:
         """All form vectors of ``e`` followed by those of ``f``."""
         return self.e + self.f

@@ -24,10 +24,11 @@ integer numerators i over one common denominator D > 0; each form v
 contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
 lies on the jump region iff some t >= D.  ``delta_at``,
 ``in_jump_region`` and the classifier's vertices and cell points all go
-through this one kernel.  At every level of the walk the planes
-are grouped by normal vector, and one fraction-free (Bareiss) elimination
-per set of k distinct normals A gives adj(A) and det A; each choice b of
-the planes' constants then gives the vertex adj(A) b / det A.  The cut
+through this one kernel.  A level of one variable reads its vertices b/a
+off its rows (a, b).  At a level of k >= 2 variables the planes are
+grouped by normal vector, and one fraction-free (Bareiss) elimination per
+set of k distinct normals A gives adj(A) and det A; each choice b of the
+planes' constants then gives the vertex adj(A) b / det A.  The cut
 and cell points are integer numerators over one denominator, and a
 Fraction is built only for a point a verdict prints.  The budget still
 counts plane subsets, C(rows, k) at each level of k variables.
@@ -234,11 +235,21 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
     """Every vertex in [0,1]^k of ``planes`` and the faces x_i = 0, x_i = 1,
     as numerators over a positive denominator in lowest terms.
 
-    The budget is charged the C(rows, k) plane subsets first.  Rows sharing
-    a normal are parallel, so a vertex takes k distinct normals: one
-    elimination on [A | I] per k-subset A of them gives adj(A)/det A, and
-    the vertex of each choice b of their constants is adj(A) b / det A.
+    The budget is charged the C(rows, k) plane subsets first.  At k = 1 each
+    row (a, b) has 0 < b < a, by ``_planes`` and the slice filter of
+    ``_cell_points``, so the vertices are the points b/a and the faces.  At
+    k >= 2 rows sharing a normal are parallel, so a vertex takes k distinct
+    normals: one elimination on [A | I] per k-subset A of them gives
+    adj(A)/det A, and the vertex of each choice b of their constants is
+    adj(A) b / det A.
     """
+    if k == 1:
+        budget.spend(len(planes) + 2)
+        pts = {((0,), 1), ((1,), 1)}
+        for a, b in planes:
+            g = math.gcd(a, b)
+            pts.add(((b // g,), a // g))
+        return pts
     faces = [(*(int(j == i) for j in range(k)), b) for b in (0, 1) for i in range(k)]
     rows = [*planes, *faces]
     budget.spend(math.comb(len(rows), k))
@@ -252,15 +263,15 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
         if solved is None:
             continue
         adj, den = solved
-        # the numerators adj(A) b, summed one normal's constants at a time
-        nums = [(0,) * k]
+        # adj(A) b as one flat list per coordinate, one normal at a time
+        cols = [[0]] * k
         for j, n in enumerate(normals):
-            col = [row[j] for row in adj]
-            nums = [tuple(c + b * a for c, a in zip(num, col)) for num in nums for b in constants[n]]
-        for num in nums:
-            if all(0 <= c <= den for c in num):
+            bs = constants[n]
+            cols = [[c + b * row[j] for c in col for b in bs] for col, row in zip(cols, adj)]
+        for num in zip(*cols):
+            if min(num) >= 0 and max(num) <= den:
                 g = math.gcd(den, *num)
-                pts.add((tuple(c // g for c in num), den // g))
+                pts.add((num, den) if g == 1 else (tuple(c // g for c in num), den // g))
     return pts
 
 
@@ -357,7 +368,7 @@ def _verdict(
             return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
         if zero_witness is None and val == 0 and jump:
             zero_witness = point(num, D)
-    if sys.sum_e != sys.sum_f:
+    if not sys.equal_column_sums:
         k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
         return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1)
     if zero_witness is not None:
@@ -390,9 +401,10 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
 
     The budget counts plane subsets, C(rows, k) at each level of k
     variables (the rows being the planes and the 2k faces), charged when
-    the walk reaches the level.  The vertices themselves come from one
+    the walk reaches the level.  At k >= 2 the vertices come from one
     Bareiss elimination per set of k distinct plane normals, so a singular
-    set of normals is skipped once, not once per choice of its planes.
+    set of normals is skipped once, not once per choice of its planes; at
+    k = 1 they are the points b/a of the rows (a, b) and the faces.
     A walk that would charge more than ``budget`` subsets raises
     ``BudgetExceededError``, so every verdict returned is proven.
     """

@@ -22,6 +22,7 @@ from mirrorint.cli import (
     EXIT_FAIL,
     EXIT_NOT_NONNEGATIVE,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_SCHEMA,
     main,
 )
@@ -602,16 +603,21 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 REFERENCES = BENCH / "references.json"
 
 
-def bench_tree_digest(root) -> str:
-    """``tree_digest`` of ``bench/workloads.py``: the rule the recorded cache
-    digests were taken by, loaded read-only from its file."""
+def bench_workloads():
+    """``bench/workloads.py``, loaded read-only from its file."""
     name = "bench_workloads"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(name, BENCH / "workloads.py")
         # its dataclasses resolve their annotations through sys.modules
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].tree_digest(str(root))
+    return sys.modules[name]
+
+
+def bench_tree_digest(root) -> str:
+    """``tree_digest`` of the benchmark: the rule the recorded cache digests
+    were taken by."""
+    return bench_workloads().tree_digest(str(root))
 
 
 class TestDwork:
@@ -891,7 +897,7 @@ class TestCase:
 
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
-                    EXIT_NOT_NONNEGATIVE, EXIT_E_BIGGER, EXIT_BUDGET}
+                    EXIT_NOT_NONNEGATIVE, EXIT_E_BIGGER, EXIT_BUDGET, EXIT_PIPE}
 
 
 @pytest.mark.parametrize(
@@ -928,8 +934,17 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
          "a fixture has the order of its series: drop order and --order"),
         ("congruences", {"system": {"e": [[2]], "f": [[1]]}}, ["--budget", "-1"], None,
          "congruences cannot check this system: the congruence harness needs equal column sums"),
-        # with no prime no check runs, so none refuses the system
-        ("congruences", {"system": {"e": [[2]], "f": [[1]]}, "primes": []}, [], None, EXIT_OK),
+        # with no prime no check would run, so an empty list is refused
+        ("congruences", {"system": {"e": [[2]], "f": [[1]]}, "primes": []}, [], None, EXIT_SCHEMA),
+        ("congruences", {"system": {"name": "cubic-2d"}, "primes": []}, [], None,
+         "congruences needs at least one prime"),
+        ("dwork", {"system": {"name": "cubic-2d"}, "primes": []}, [], None,
+         "dwork needs at least one prime"),
+        ("dwork", {"fixture": {"F": ONE, "G": Z}, "primes": []}, [], None,
+         "dwork needs at least one prime"),
+        # scan with no prime still scans over Z
+        ("scan", {"system": {"name": "central-binomial"}, "order": 3, "primes": []}, [], None,
+         EXIT_OK),
     ],
 )
 def test_cli_contract_has_no_tracebacks(
@@ -997,6 +1012,22 @@ def test_python_dash_m_runs_the_cli():
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command", ["dwork", "classify"])
+def test_a_closed_stdout_exits_without_a_traceback(tmp_path, command):
+    # the reader is gone before the first line: dwork fails inside a write,
+    # classify's one line only at the flush
+    job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}, "primes": [2]})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "mirrorint", command, job],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert proc.returncode == EXIT_PIPE and proc.returncode in DOCUMENTED_EXITS
+    # at most the summary a command wrote before its stdout failed
+    assert b"Traceback" not in err and len(err.splitlines()) <= 1
 
 
 def test_readme_names_every_flag_and_job_knob():

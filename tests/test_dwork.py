@@ -729,8 +729,11 @@ class TestUnitRatioCongruence:
                 assert rep.passed
 
     def test_requires_equal_sums(self):
-        with pytest.raises(ValueError):
-            q_ratio_congruence_sweep(PadicContext(2, FormSystem([(2,)], [(1,)])))
+        # the sweep and the harness refuse the system with one message
+        ctx = PadicContext(2, FormSystem([(2,)], [(1,)]))
+        for check in (q_ratio_congruence_sweep, verify_formal_congruences):
+            with pytest.raises(ValueError, match="^the congruence harness needs equal column sums$"):
+                check(ctx)
 
 
 class TestObstructions:

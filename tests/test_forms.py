@@ -165,6 +165,11 @@ class TestFormSystem:
         assert CUBIC_2D.sum_f == (3, 3)
         assert CUBIC_SPLIT.sum_e == CUBIC_SPLIT.sum_f == (3, 0)
 
+    def test_equal_column_sums(self):
+        assert CUBIC_2D.equal_column_sums and CUBIC_SPLIT.equal_column_sums
+        assert not FormSystem([(2, 1)], [(1, 0), (0, 1)]).equal_column_sums
+        assert not FormSystem([(2,)], [(1,)]).equal_column_sums
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             CUBIC_2D.d = 3
