@@ -12,7 +12,9 @@ system; primes default to [2, 3, 5], and ``dwork`` and ``congruences``
 refuse an empty list (``scan`` with none scans over Z only); the budget
 defaults to ``landau.BUDGET``, and an unset order to
 ``systems.default_order`` (12 in one variable, 8 otherwise) for
-``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``.
+``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``; ``dwork``
+refuses an order of 0 (a system's or a fixture's), where no coefficient
+would be checked.
 ``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
 ``primes`` and ``strategy.budget`` and are checked by those keys' rules;
 the keys the job file gives are checked too, flag or no flag.
@@ -255,6 +257,9 @@ def parse_job(doc: dict, command: str) -> Job:
                           " the congruence harness needs equal column sums")
     elif command in ("bundle", "scan", "dwork") and order is None:
         order = default_order(system)
+    if command == "dwork" and (order if fixture is None else fixture[0].order) == 0:
+        # the combination has no coefficient at order 0, so no check would run
+        raise SchemaError("dwork needs an order of at least 1")
     return Job(
         system=system,
         order=order,

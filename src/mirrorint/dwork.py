@@ -86,6 +86,7 @@ from .forms import (
     vp_int,
     vp_ratio_legendre,
 )
+from .mirror import integrality_scan
 from .series import MSeries
 
 IntVec = tuple[int, ...]
@@ -344,15 +345,13 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    # key 0 is the constant term; c / D_F is p-integral iff p^v_p(D_F) | c
     (D_F, f), (D_G, h) = F.form, G.form
-    if f.get(0) != D_F:
+    if f.get(0) != D_F:  # key 0 is the constant term
         raise ValueError("F must have constant term 1")
+    scan = integrality_scan(F, p, limit=1)
+    if scan.violations:
+        raise ValueError(f"F has a non p-integral coefficient at {scan.violations[0].exponent}")
     g, N = kronecker.grading(F.d, F.order), F.order
-    pv = p ** vp_int(D_F, p)
-    bad = [g.exp[k] for k, c in f.items() if c % pv] if pv > 1 else []
-    if bad:
-        raise ValueError(f"F has a non p-integral coefficient at {min(bad)}")
     if 0 in h:
         raise ValueError("G must have constant term 0")
     F._check_compatible(G)

@@ -526,44 +526,21 @@ def _partial(a: MSeries, j: int) -> MSeries:
     return MSeries.of_form(a.d, order, (a.D, ints))
 
 
-def _solve_unit_system(J: list[list[MSeries]], r: list[MSeries]) -> list[MSeries]:
-    """Solve J x = r by Gauss-Jordan elimination over series, with J(0) = I.
-
-    Every pivot then has constant term 1, so it is a unit and ``reciprocal``
-    applies.  J may carry a lower order than r; its products with r are
-    formed at the order of r, which is exact when the terms J lacks can only
-    meet terms of r beyond that order.
-    """
-    d, order = len(r), r[0].order
-    J = [list(row) for row in J]
-    x = list(r)
-    for c in range(d):
-        inv = J[c][c].reciprocal()
-        J[c] = [entry * inv for entry in J[c]]
-        x[c] = x[c] * inv.truncate(order)
-        for i in range(d):
-            f = J[i][c]
-            if i != c and f:
-                J[i] = [a - f * b for a, b in zip(J[i], J[c])]
-                x[i] = x[i] - f.truncate(order) * x[c]
-    return x
-
-
 def _newton_step(qs: Sequence[MSeries], zs: list[MSeries], n: int, m: int) -> list[MSeries]:
     """From z(w) exact to order n, the inverse exact to order m <= 2n."""
     d = len(qs)
     z_m = [z.truncate(m) for z in zs]
     at_z = _Substitution(z_m)
-    residual = [
-        at_z.compose(q.truncate(m)) - MSeries.variable(d, m, k) for k, q in enumerate(qs)
-    ]
-    # The residual has valuation > n, so the Jacobian matters only below
-    # degree m - n, where z is already exact.
-    p = m - n - 1
-    at_zp = _Substitution([z.truncate(p) for z in zs])
-    jac = [[at_zp.compose(_partial(q.truncate(p + 1), j)) for j in range(d)] for q in qs]
-    step = _solve_unit_system(jac, residual)
-    return [z - s for z, s in zip(z_m, step)]
+    residual = [at_z.compose(q.truncate(m)) - MSeries.variable(d, m, k) for k, q in enumerate(qs)]
+    # The residual has valuation > n, so dz/dw matters only below degree
+    # m - n, where z is already exact.
+    out = []
+    for z, z_n in zip(z_m, zs):
+        low = z_n.truncate(m - n)
+        for j, r in enumerate(residual):
+            z = z - _partial(low, j).truncate(m) * r
+        out.append(z)
+    return out
 
 
 def invert_diagonal(qs: Sequence[MSeries]) -> list[MSeries]:
@@ -573,16 +550,18 @@ def invert_diagonal(qs: Sequence[MSeries]) -> list[MSeries]:
     gives z as a series in the q variables with q(z(q)) = q up to the
     truncation order N.
 
-    Write w for the q variables and z* for the exact inverse.  The start
-    z = w is exact to order 1.  If z is exact to order n, its error
-    e = z - z* has valuation n + 1, and q(z) - w = J e + O(e^2), where J is
-    the Jacobian dq_k/dz_j at z*.  The Newton step z <- z - J^-1 (q(z) - w)
-    leaves an error of valuation 2n + 2, so the exact order doubles at each
-    step: 1 -> 2 -> 4 -> ... -> N.  Because q(z) - w has valuation n + 1, a
-    step to order m <= 2n needs the residual at order m but J only at order
-    m - n - 1 < n, below which z is already exact; J is evaluated there.
-    J(0) = I, so the linear system is solved by elimination with unit
-    pivots, for any number of variables.
+    Write w for the q variables, z* for the exact inverse and J for the
+    Jacobian dq_k/dz_j at z*.  The start z = w is exact to order 1.  If z is
+    exact to order n, its error e = z - z* has valuation >= n + 1, and the
+    residual is r = q(z) - w = J e + O(e^2).  The step corrects z by the
+    Jacobian of the inverse it already holds, z <- z - (dz/dw) r.  Since
+    dz*/dw = J^-1, dz/dw = J^-1 + de/dw, and de/dw has valuation >= n, so
+    the new error is -(de/dw) J e + O(e^2), of valuation >= 2n + 1: the
+    step is exact to order 2n, and the exact order doubles,
+    1 -> 2 -> 4 -> ... -> N.  A step to order m <= 2n needs r at order m,
+    but dz/dw only below degree m - n, where z is already exact; so dz/dw
+    is read off z by differentiation, with no composition and no linear
+    solve, for any number of variables.
 
     At the end q_k(z) = w_k is checked once for every k; a failure raises
     ArithmeticError instead of returning an unconverged map.

@@ -598,6 +598,8 @@ class TestLowOrders:
 ONE = {"d": 1, "order": 6, "terms": [{"exp": [0], "num": "1", "den": "1"}]}
 Z = {"d": 1, "order": 6, "terms": [{"exp": [1], "num": "1", "den": "1"}]}
 Z2 = {"d": 2, "order": 6, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}
+ONE_AT_0 = {"d": 1, "order": 0, "terms": [{"exp": [0], "num": "1", "den": "1"}]}
+ZERO_AT_0 = {"d": 1, "order": 0, "terms": []}
 # the recorded digests of the benchmark's report jobs
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 REFERENCES = BENCH / "references.json"
@@ -945,6 +947,18 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
         # scan with no prime still scans over Z
         ("scan", {"system": {"name": "central-binomial"}, "order": 3, "primes": []}, [], None,
          EXIT_OK),
+        # order 0 and zero ranges: a command checks something or is refused
+        *((c, {"system": {"name": "cubic-2d"}, "order": 0}, [], None, EXIT_OK)
+          for c in ("bundle", "scan")),
+        ("dwork", {"system": {"name": "cubic-2d"}, "order": 0}, [], None,
+         "dwork needs an order of at least 1"),
+        ("dwork", {"system": {"name": "central-binomial"}}, ["--order", "0"], None,
+         "dwork needs an order of at least 1"),
+        ("dwork", {"fixture": {"F": ONE_AT_0, "G": ZERO_AT_0}, "primes": [2]}, [], None,
+         "dwork needs an order of at least 1"),
+        *(("congruences", {"system": {"name": name}, "primes": [2],
+                           "ranges": {"s_max": 0, "k_bound": 0, "m_bound": 0}}, [], None, EXIT_OK)
+          for name in ("cubic-2d", "central-binomial")),
     ],
 )
 def test_cli_contract_has_no_tracebacks(
@@ -967,6 +981,9 @@ def test_cli_contract_has_no_tracebacks(
     if code in (EXIT_SCHEMA, EXIT_CACHE, EXIT_BUDGET):
         # refused input, a bad cache and a budget exit print no partial report
         assert out == "" and len(err.splitlines()) == 1
+    if code in (EXIT_OK, EXIT_FAIL):
+        # an exit 0 or 1 stands on at least one check
+        assert out.splitlines()
     if message is not None:
         assert err == f"schema error: {message}\n"
 

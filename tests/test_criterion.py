@@ -1,7 +1,8 @@
 """The integrality criterion in one direction, over Z: a system that
 ``classify`` puts in Case I has integral q_k, q_L and z(q).
 
-Two sources of systems: Hypothesis draws of small balanced systems, and
+Three sources of systems: Hypothesis draws of small balanced systems in
+one, two and three variables; cubic-3d, (3a+3b+3c)!/(a!^3 b!^3 c!^3); and
 the one-variable hypergeometric Calabi-Yau families whose mirror maps are
 published as integral (Lian-Yau; Krattenthaler-Rivoal, Duke Math. J. 2010).
 """
@@ -58,6 +59,19 @@ def test_case_i_is_integral_in_one_variable(sys):
 @given(balanced_systems(2, max_entry=3, max_e=2, max_f=6))
 def test_case_i_is_integral_in_two_variables(sys):
     _check_case_i_is_integral(sys, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(balanced_systems(3, max_entry=2, max_e=2, max_f=6))
+def test_case_i_is_integral_in_three_variables(sys):
+    _check_case_i_is_integral(sys, 4)
+
+
+def test_cubic_3d_is_case_i_and_integral():
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+    sys = FormSystem([(3, 3, 3)], [u for u in units for _ in range(3)])
+    assert classify(sys).tag is Tag.CASE_I
+    _assert_integral_bundle(sys, 8)
 
 
 HYPERGEOMETRIC_CY = {

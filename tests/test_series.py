@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorint import kronecker, series
 from mirrorint.mirror import build_F, build_Gk
@@ -441,13 +441,22 @@ def diagonal_unit_maps(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(qs=diagonal_unit_maps())
+# order 5 runs 1 -> 2 -> 4 -> 5, a last step with m < 2n
+@example(qs=[MSeries(2, 5, {(1, 0): 1, (1, 1): 3}), MSeries(2, 5, {(0, 1): 1, (1, 1): -2})])
 def test_newton_inversion_matches_fixed_point(qs):
     d, order = qs[0].d, qs[0].order
-    got = invert_diagonal(qs)
     if order == 0:
-        assert got == [MSeries.zero(d, 0)] * d
-    else:
-        assert got == oracle_invert_diagonal(qs)
+        assert invert_diagonal(qs) == [MSeries.zero(d, 0)] * d
+        return
+    want = oracle_invert_diagonal(qs)
+    # every step on its own is exact to its order m
+    n, zs = 1, [MSeries.variable(d, 1, k) for k in range(d)]
+    while n < order:
+        m = min(2 * n, order)
+        zs = series._newton_step(qs, zs, n, m)
+        assert zs == [z.truncate(m) for z in want], (n, m)
+        n = m
+    assert invert_diagonal(qs) == want
 
 
 @st.composite
