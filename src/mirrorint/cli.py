@@ -13,8 +13,8 @@ refuse an empty list (``scan`` with none scans over Z only); the budget
 defaults to ``landau.BUDGET``, and an unset order to
 ``systems.default_order`` (12 in one variable, 8 otherwise) for
 ``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``; ``dwork``
-refuses an order of 0 (a system's or a fixture's), where no coefficient
-would be checked.
+refuses an order of 0 (a system's or a fixture's) and a fixture whose G
+is zero, where no coefficient would be checked.
 ``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
 ``primes`` and ``strategy.budget`` and are checked by those keys' rules;
 the keys the job file gives are checked too, flag or no flag.
@@ -46,8 +46,12 @@ is p^2 for the hypotheses and the conclusion (``CongruenceRanges.resolved``)
 but m <= 4 for the unit-ratio sweep (``q_ratio_congruence_sweep``).
 
 The classifier takes ``strategy.budget``, the number of plane subsets its
-cell walk may charge; every verdict it prints is proven by the complete
-walk.
+cell walk may charge; every verdict it prints is proven.  The walk stops
+once the verdict is fixed: when the f vectors split under the e vectors,
+floor(a) + floor(b) <= floor(a + b) proves delta >= 0, so unequal column
+sums or the first zero on the jump region settle it, and a budget that
+the complete walk would pass can still print such a verdict.  The top
+level is charged first, so a budget of 0 always exits 20.
 
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
@@ -260,6 +264,10 @@ def parse_job(doc: dict, command: str) -> Job:
     if command == "dwork" and (order if fixture is None else fixture[0].order) == 0:
         # the combination has no coefficient at order 0, so no check would run
         raise SchemaError("dwork needs an order of at least 1")
+    if command == "dwork" and fixture is not None and not fixture[1]:
+        # a nonzero G keeps its lowest term h_n in the combination as -p h_n,
+        # since h(z^p) starts at degree p|n|; a zero G leaves nothing to check
+        raise SchemaError("dwork needs a nonzero fixture G")
     return Job(
         system=system,
         order=order,

@@ -16,8 +16,11 @@ then at one point of every open cell, found by a cylindrical
 (slice-and-recurse) walk.  A point with delta < 0, or with delta = 0 on
 the jump region, proves the verdict it gives; every value delta takes on
 the box is taken on an open cell, so Case I is proven when no cell point
-refutes it.  Every verdict is proven: a walk that would charge more plane
-subsets than its budget raises ``BudgetExceededError`` and gives none.
+refutes it.  When the f vectors split under the e vectors, floor(a) +
+floor(b) <= floor(a + b) proves delta >= 0 (``_split``), and the walk
+stops once the verdict is fixed.  Every verdict is proven: a walk that
+would charge more plane subsets than its budget before then raises
+``BudgetExceededError`` and gives none.
 
 Every evaluation is integer arithmetic.  A point x = i/D is given by
 integer numerators i over one common denominator D > 0; each form v
@@ -142,8 +145,9 @@ class CriterionVerdict:
     point with delta < 0 for NOT_NONNEGATIVE, a zero of delta on the jump
     region for CASE_II, the 1-based coordinate for E_STRICTLY_BIGGER, and
     the vertex values on the jump region for CASE_I.  Every verdict rests
-    on the complete cell walk, so ``sampled`` is always False; it stays in
-    ``to_dict`` for the report's schema.
+    on the cell walk, complete or stopped once a split of f under e has
+    fixed a CASE_II or E_STRICTLY_BIGGER verdict, so ``sampled`` is always
+    False; it stays in ``to_dict`` for the report's schema.
     """
 
     tag: Tag
@@ -330,14 +334,35 @@ def grid_points(sys: FormSystem, multiplier: int = 4) -> list[Point]:
     return [tuple(p) for p in itertools.product(axis, repeat=sys.d)]
 
 
+def _split(sys: FormSystem) -> bool:
+    """Whether first fit, in decreasing order of sum, places each f vector
+    in the componentwise room the e vectors have left.
+
+    If it does, the f_j placed in each e_i sum to at most e_i, so for x >= 0
+    sum_(j->i) floor(f_j.x) <= floor(sum_(j->i) f_j.x) <= floor(e_i.x), and
+    delta >= 0 on the closed box.  A split first fit misses only leaves the
+    verdict to the complete walk.
+    """
+    room = [list(v) for v in sys.e]
+    for v in sorted(sys.f, key=sum, reverse=True):
+        r = next((r for r in room if all(map(operator.le, v, r))), None)
+        if r is None:
+            return False
+        r[:] = map(operator.sub, r, v)
+    return True
+
+
 def _verdict(
     sys: FormSystem,
     points: Iterable[tuple[Sequence[int], int]],
     refuters: Iterable[tuple[Sequence[int], int]],
+    nonnegative: bool = False,
 ) -> CriterionVerdict:
     """The verdict delta proves at ``points``, then at ``refuters``, each
     given as (numerators, denominator) pairs; the first witness found wins,
-    and a Case I certificate lists ``points`` only."""
+    and a Case I certificate lists ``points`` only.  With equal column sums
+    and delta known to be ``nonnegative``, the first zero on the jump
+    region is the Case II witness and ends the walk."""
     e, f = sys.e, sys.f
 
     def point(num, D) -> Point:
@@ -351,6 +376,8 @@ def _verdict(
             return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
         if jump:
             if val == 0:
+                if nonnegative:
+                    return CriterionVerdict(Tag.CASE_II, witness=point(num, D))
                 if zero_witness is None:
                     zero_witness = point(num, D)
             else:
@@ -368,6 +395,8 @@ def _verdict(
             return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
         if zero_witness is None and val == 0 and jump:
             zero_witness = point(num, D)
+            if nonnegative:
+                break
     if not sys.equal_column_sums:
         k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
         return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1)
@@ -399,17 +428,28 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
       open cell;
     * so every (delta, jump) value taken on [0,1)^d is taken at a cell point.
 
+    When ``_split`` proves delta >= 0, the walk stops once the verdict is
+    fixed: unequal column sums give E_STRICTLY_BIGGER after the top level,
+    and the first zero on the jump region, in the complete walk's order,
+    gives CASE_II with that walk's witness.  Case I, and every system
+    without a split, takes the complete walk.
+
     The budget counts plane subsets, C(rows, k) at each level of k
     variables (the rows being the planes and the 2k faces), charged when
-    the walk reaches the level.  At k >= 2 the vertices come from one
+    the walk reaches the level, so a walk stopped early charges a prefix
+    of the complete walk's levels.  At k >= 2 the vertices come from one
     Bareiss elimination per set of k distinct plane normals, so a singular
     set of normals is skipped once, not once per choice of its planes; at
     k = 1 they are the points b/a of the rows (a, b) and the faces.
-    A walk that would charge more than ``budget`` subsets raises
-    ``BudgetExceededError``, so every verdict returned is proven.
+    A walk that would charge more than ``budget`` subsets before its
+    verdict is fixed raises ``BudgetExceededError``, so every verdict
+    returned is proven.
     """
     meter = _Budget(budget)
     planes = _planes(sys)
     top = _box_vertices(planes, sys.d, meter)
+    split = _split(sys)
+    if split and not sys.equal_column_sums:
+        return _verdict(sys, (), (), split)  # delta >= 0, so the sums decide
     # the walk is lazy, so the budget can run out inside _verdict
-    return _verdict(sys, _half_open(top), _cell_points(planes, sys.d, meter, top))
+    return _verdict(sys, _half_open(top), _cell_points(planes, sys.d, meter, top), split)

@@ -157,6 +157,15 @@ class TestClassify:
         code, _, err = run(capsys, ["classify", job])
         assert code == EXIT_BUDGET
 
+    def test_a_split_case_ii_stops_within_its_top_level_budget(self, tmp_path, capsys):
+        # f = (2,0), (1,0) fits under e = (3,0), so delta >= 0 is proven and
+        # the vertex zero (1/2, 0) fixes Case II after the 21 top-level
+        # subsets; the complete walk would charge 29
+        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-split"}})
+        code, out, _ = run(capsys, ["classify", job, "--budget", "21"])
+        assert code == EXIT_CASE_II
+        assert json.loads(out)["witness"] == ["1/2", "0"]
+        assert run(capsys, ["classify", job, "--budget", "20"])[:2] == (EXIT_BUDGET, "")
 
     def test_zero_found_by_the_grid_alone_is_case_ii(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": ITEM_ONE})
@@ -600,6 +609,7 @@ Z = {"d": 1, "order": 6, "terms": [{"exp": [1], "num": "1", "den": "1"}]}
 Z2 = {"d": 2, "order": 6, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}
 ONE_AT_0 = {"d": 1, "order": 0, "terms": [{"exp": [0], "num": "1", "den": "1"}]}
 ZERO_AT_0 = {"d": 1, "order": 0, "terms": []}
+ZERO = {"d": 1, "order": 6, "terms": []}  # the zero series at order 6
 # the recorded digests of the benchmark's report jobs
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 REFERENCES = BENCH / "references.json"
@@ -956,6 +966,9 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
          "dwork needs an order of at least 1"),
         ("dwork", {"fixture": {"F": ONE_AT_0, "G": ZERO_AT_0}, "primes": [2]}, [], None,
          "dwork needs an order of at least 1"),
+        # a zero G leaves no nonzero coefficient of the combination to check
+        ("dwork", {"fixture": {"F": ONE, "G": ZERO}, "primes": [2]}, [], None,
+         "dwork needs a nonzero fixture G"),
         *(("congruences", {"system": {"name": name}, "primes": [2],
                            "ranges": {"s_max": 0, "k_bound": 0, "m_bound": 0}}, [], None, EXIT_OK)
           for name in ("cubic-2d", "central-binomial")),

@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -31,6 +33,7 @@ from mirrorint.landau import (
     _planes,
     _scale,
     _solve_bareiss,
+    _split,
 )
 from mirrorint.systems import (
     BUNDLED,
@@ -44,6 +47,9 @@ from mirrorint.systems import (
 from test_cli import bench_workloads
 
 RAW_2D = FormSystem([(1, 1)], [(2, 0)], raw=True)
+# Chebyshev's (30n)! n! / ((15n)! (10n)! (6n)!): delta >= 0, yet no e vector
+# has room for f = (6,) once (15,) and (10,) sit in (30,)
+CHEBYSHEV = FormSystem([(30,), (1,)], [(15,), (10,), (6,)])
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +625,49 @@ def test_cell_points_take_every_value_of_the_box(sys):
         assert probe in pairs
 
 
+def _classify_charging(sys, budget):
+    """classify's verdict under ``budget``, or None when it raises, and the
+    subset counts it charged, level by level."""
+    charges = []
+    spend = _Budget.spend
+
+    def spy(meter, n):
+        charges.append(n)
+        spend(meter, n)
+
+    with mock.patch.object(_Budget, "spend", spy):
+        try:
+            return classify(sys, budget), charges
+        except BudgetExceededError:
+            return None, charges
+
+
 @settings(max_examples=30, deadline=None)
 @given(raw_or_standard_systems(max_forms=2))
-@example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # a cell zero refutes the vertices
+@example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # a cell zero: [21, 4, 4] -> [21, 4]
 @example(FormSystem([(0, 1)], [(1, 1)]))  # closed-box corner
 @example(RAW_2D)
 @example(FormSystem([(2, 3, 3)], [(0, 1, 0), (2, 1, 2), (0, 1, 1)]))  # classify-batch's 3-D head
+@example(CUBIC_SPLIT)  # a vertex zero: [21, 2, 2, 2, 2] -> [21]
+@example(FormSystem([(2, 1)], [(1, 0), (0, 1)]))  # flagged: [15, 3, 3] -> [15]
+@example(CHEBYSHEV)  # no split: the complete walk
 def test_classify_matches_fraction_oracle(sys):
-    # every budget below the oracle walk's count raises, naming the running
-    # count that first passes it; the count itself gives the oracle's verdict
     ledger = []
     try:
         exhaustive = oracle_classify(sys, _ORACLE_SUBSETS, ledger)
     except BudgetExceededError:
         exhaustive = None
-    running = list(itertools.accumulate(ledger))
+    verdict, charges = _classify_charging(sys, _ORACLE_SUBSETS)
+    # classify charges a prefix of the oracle walk's counts, and stops short
+    # of its end only where a split of f under e fixes the verdict
+    assert charges == ledger[: len(charges)]
+    if len(charges) < len(ledger):
+        assert _split(sys) and verdict.tag in (Tag.CASE_II, Tag.E_STRICTLY_BIGGER)
+    else:
+        assert (verdict is None) == (exhaustive is None)
+    # every budget below classify's own count raises, naming the running
+    # count that first passes it; the count itself gives the oracle's verdict
+    running = list(itertools.accumulate(charges))
     spent = running[-1]
     # the walk stops only where a level's count is charged, so each running
     # count and one short of it stand for every budget below the total
@@ -644,6 +678,45 @@ def test_classify_matches_fraction_oracle(sys):
             classify(sys, budget)
     if exhaustive is not None:
         assert classify(sys, spent).to_dict() == exhaustive.to_dict()
+
+
+# first fit places f only in decreasing order of sum: (1, 0) first would
+# take the room (2, 1) needs
+DECREASING = FormSystem([(2, 1), (1, 1)], [(1, 0), (2, 1), (0, 1), (0, 0)], raw=True)
+
+
+def test_first_fit_takes_f_in_decreasing_order_of_sum():
+    assert _split(DECREASING)
+    assert _classify_charging(DECREASING, BUDGET)[1] == [21]
+
+
+# the Fraction oracle evaluates every vertex and the cell points of its walk
+# up to _ORACLE_SUBSETS subsets
+@settings(max_examples=40, deadline=None)
+@given(raw_or_standard_systems(max_forms=2))
+@example(DECREASING)
+@example(CHEBYSHEV)  # delta >= 0 with no split
+def test_a_split_proves_delta_nonnegative_on_the_closed_box(sys):
+    if not _split(sys):
+        return
+    assert all(map(operator.ge, sys.sum_e, sys.sum_f))  # the unit corners
+    points = oracle_vertex_candidates(sys)
+    try:
+        for x in oracle_cell_points(sys, _ORACLE_SUBSETS, []):
+            points.append(x)
+    except BudgetExceededError:
+        pass  # the points walked within the oracle's budget
+    assert min(oracle_delta(sys, x) for x in points) >= 0
+
+
+def test_a_split_stops_the_classify_batch_walks_early():
+    # a seed-1 classify-batch draw charged 12,769 subsets in 610 level counts
+    # with every walk complete, 9,410 in 195 with the split's stops; dropping
+    # either stop (CaseII or EStrictlyBigger) charges more than 290 counts
+    charges = []
+    for e, f in bench_workloads().classify_systems(1):
+        charges += _classify_charging(FormSystem(e, f), BUDGET)[1]
+    assert len(charges) <= 200
 
 
 # sha256 of classify's stdout over the classify-batch draws of seeds 1-3
