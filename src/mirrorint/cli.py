@@ -89,7 +89,7 @@ from .dwork import (
 )
 from .forms import FormSystem, is_prime
 from .landau import BUDGET, BudgetExceededError, Tag, classify, enumerate_weight_vectors
-from .mirror import MirrorBundle, build_bundle, coefficient_forms, integrality_scan
+from .mirror import MirrorBundle, build_bundle, coefficient_series, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
 from .series import MSeries, check_dict
 from .systems import BUNDLED, default_order
@@ -259,7 +259,9 @@ def parse_job(doc: dict, command: str) -> Job:
         # the harness refuses such a system at the first prime it runs at
         raise SchemaError("congruences cannot check this system:"
                           " the congruence harness needs equal column sums")
-    elif command in ("bundle", "scan", "dwork") and order is None:
+    elif command in ("classify", "congruences"):
+        order = None  # neither runs at an order; a given one was checked above
+    elif order is None:  # bundle, scan, dwork
         order = default_order(system)
     if command == "dwork" and (order if fixture is None else fixture[0].order) == 0:
         # the combination has no coefficient at order 0, so no check would run
@@ -509,8 +511,7 @@ def cmd_dwork(job: Job, args) -> int:
     else:
         sys_ = job.system
         # F and every G_k from one pass, which takes each Q(n) once
-        forms = coefficient_forms(sys_, job.order, range(sys_.d))
-        F, *G = (MSeries.of_form(sys_.d, job.order, form) for form in forms)
+        F, *G = coefficient_series(sys_, job.order, range(sys_.d))
         checks = [
             (name, partial(dieudonne_dwork_check, F, G[k]))
             for name, field, k in _series_table(sys_)

@@ -18,6 +18,17 @@ v_p(x) >= t + v_p(g).  The module provides
 All sweeps are deterministic: each report carries the first locus, in
 the lexicographic order of its tuples, with the least margin.
 
+The weight lemma ties the harness to the Landau function delta.  By
+Legendre, v_p(Q(m)) = sum_(l >= 1) delta(m / p^l); with equal column sums
+delta is 1-periodic, and mu_p(m) counts the l with {m / p^l} in the jump
+region, so
+
+    v_p(Q(m)) - mu_p(m) = sum_l (delta({m/p^l}) - [{m/p^l} in the jump region]).
+
+In Case I every term is >= 0, so ``weight-lower-bound`` cannot fail at any
+m or p; a failing m has an l where delta({m/p^l}) < 0, or = 0 on the jump
+region: a Landau witness.
+
 The formal-congruence harness compares p-adic valuations with finite
 bounds, so its hot loops are flat list passes that avoid the big rationals
 they would otherwise build.  Every reported ``achieved`` value is exact:
@@ -31,9 +42,10 @@ they would otherwise build.  Every reported ``achieved`` value is exact:
     ratio sweeps read v and u over a whole m box from prefix tables of F.
   * p^e1 x1 - p^e2 x2 has valuation min(e1, e2) when e1 != e2, and
     e + v_p(t) when e1 = e2 = e and the unit difference t is nonzero mod
-    p^R; then v_p(t) < R is gcd(t, p^R) read as a power of p.  At m = 0
-    the difference is 1 - 1 = 0; any other t = 0 mod p^R is recomputed
-    with exact Fractions.  So R sets how often that runs, never a byte.
+    p^R; then v_p(t) < R is gcd(t, p^R) read as a power of p.  Where
+    w.m = 0 for every net form w (at m = 0, among others), the ratio
+    differences are 1 - 1 = 0; any other t = 0 mod p^R is recomputed with
+    exact Fractions.  So R sets how often that runs, never a byte.
   * The conclusion runs on exact integers: one call of
     ``forms.factorial_ratios`` gives Q(x) and every Q(a + px) as numerators
     over one denominator D, so a block sum is an int X over D^2, of
@@ -82,7 +94,7 @@ from .forms import (
     factorial_ratio,
     factorial_ratios,
     harmonic_weight,
-    is_prime,
+    require_prime,
     vp_int,
     vp_ratio_legendre,
 )
@@ -153,9 +165,7 @@ class PadicContext:
     """A prime together with a form system; memoizes Q values and weights."""
 
     def __init__(self, p: int, sys: FormSystem):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = int(p)
+        self.p = require_prime(p)
         self.sys = sys
         self._q_cache: dict[IntVec, int | Fraction] = {}
         self._mu_cache: dict[IntVec, int] = {}
@@ -282,14 +292,12 @@ class _Worst:
             self.locus, self.required, self.achieved = locus, required, achieved
 
     def update_row(self, head: tuple, tails: list, required: list, achieved: list):
-        """``update`` at the loci head + tail, tail in ``tails``, in order.  Only
-        the first entry of least margin can change the tracker (the first
-        entry, when no margin is finite), so only it goes to ``update``."""
+        """``update`` at the loci head + tail, tail in ``tails``, in order, for
+        finite ``required``.  Only the first entry of least margin can change
+        the tracker (the first entry, when no margin is finite), so only it
+        goes to ``update``."""
         # INFINITY, greater than every int, stands for an infinite achieved value
-        margins = [
-            INFINITY if a is INFINITY else -(10**9) if r is INFINITY else a - r
-            for r, a in zip(required, achieved)
-        ]
+        margins = [INFINITY if a is INFINITY else a - r for r, a in zip(required, achieved)]
         if margins:
             i = margins.index(min(margins))
             self.update(head + tails[i], required[i], achieved[i])
@@ -343,8 +351,7 @@ def dieudonne_dwork_check(F: MSeries, G: MSeries, p: int) -> list[CongruenceRepo
     coefficient c / D has valuation v_p(c) - v_p(D), with no precision to
     run out of.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = require_prime(p)
     (D_F, f), (D_G, h) = F.form, G.form
     if f.get(0) != D_F:  # key 0 is the constant term
         raise ValueError("F must have constant term 1")
@@ -482,6 +489,8 @@ class _Ratios:
         self.tails = [(m,) for m in self.mbox]
         span = range(m_bound + 1)
         self.mdots = [_over_box([[c * x for x in span] for c in w]) for w, *_ in self.units.tables]
+        # the m with w.m = 0 for every net form w, where Q(n + q m) = Q(n)
+        self.zeros = [i for i in range(len(self.mbox)) if not any(col[i] for col in self.mdots)]
         # v_p(t) of a unit difference t != 0 mod p^_R, read off gcd(t, p^_R)
         self.vps = {ctx.p**i: i for i in range(_R)}
 
@@ -507,7 +516,8 @@ class _Ratios:
                 else None
                 for e_a, e_b, xa, xb in zip([v - v_hi for v in v_a], e, x_a, x_lo)
             ]
-            row[0] = INFINITY  # m = 0: Q(hi) / Q(hi) - Q(lo) / Q(lo) = 0
+            for i in self.zeros:  # Q(hi) / Q(hi) - Q(lo) / Q(lo) = 0
+                row[i] = INFINITY
             for i in [i for i, x in enumerate(row) if x is None]:
                 top = tuple(x + q1 * y for x, y in zip(hi, mbox[i]))
                 bot = tuple(x + q0 * y for x, y in zip(lo, mbox[i]))
@@ -666,8 +676,7 @@ def landau_negative_witness(
     the first index whose factorial ratio is not a p-adic integer, with
     its valuation; None when the box contains no witness.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = require_prime(p)
     hi = (bound if bound is not None else p,) * sys.d
     for n in itertools.islice(_box(hi), 1, None):  # n = 0 comes first
         if (v := vp_ratio_legendre(sys, n, p)) <= -1:

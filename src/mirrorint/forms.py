@@ -118,12 +118,8 @@ class FormSystem:
             for v in e + f:
                 if not any(v):
                     raise ValueError("zero form vector (use raw=True to allow)")
-            common = set(e) & set(f)
-            for v in common:
-                if min(e.count(v), f.count(v)) > 0:
-                    raise ValueError(
-                        "e and f overlap as multisets (use raw=True to allow)"
-                    )
+            if set(e) & set(f):
+                raise ValueError("e and f overlap as multisets (use raw=True to allow)")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
@@ -277,7 +273,8 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> int:
+def require_prime(p: int) -> int:
+    """``p`` as an int; raises ValueError when it is not prime."""
     p = int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -298,7 +295,7 @@ def vp_int(n: int, p: int) -> int | PadicInfinity:
 
 def vp_of_rational(x, p: int) -> int | PadicInfinity:
     """p-adic valuation of an exact rational; INFINITY for zero."""
-    p = _require_prime(p)
+    p = require_prime(p)
     x = Fraction(x)
     if x == 0:
         return INFINITY
@@ -321,7 +318,7 @@ def vp_ratio_legendre(sys: FormSystem, n: Sequence[int], p: int) -> int:
     Sums Legendre terms over the linear-form values; the sum is finite
     because every floor vanishes once p^l exceeds the largest form value.
     """
-    p = _require_prime(p)
+    p = require_prime(p)
     n = _check_index(sys, n)
     v = 0
     for w in sys.e:

@@ -70,6 +70,11 @@ def _scale(x: Point) -> Scaled:
     return tuple(c.numerator * (D // c.denominator) for c in x), D
 
 
+def _point(num: Sequence[int], D: int) -> Point:
+    """The point num/D as Fractions."""
+    return tuple(Fraction(c, D) for c in num)
+
+
 def _delta_jump(
     e: Sequence[Sequence[int]], f: Sequence[Sequence[int]], num: Sequence[int], D: int
 ) -> tuple[int, bool]:
@@ -293,7 +298,7 @@ def vertex_candidates(sys: FormSystem) -> list[Point]:
     takes its value on the cell immediately up-right.  A plane v.x = 0
     adds none: in [0,1)^d it is the face x_j = 0 for each j in supp v."""
     vertices = _half_open(_box_vertices(_planes(sys), sys.d, _Budget(math.inf)))
-    return [tuple(Fraction(c, den) for c in num) for num, den in vertices]
+    return [_point(num, den) for num, den in vertices]
 
 
 def _cell_points(
@@ -354,64 +359,48 @@ def _split(sys: FormSystem) -> bool:
 
 def _verdict(
     sys: FormSystem,
-    points: Iterable[tuple[Sequence[int], int]],
-    refuters: Iterable[tuple[Sequence[int], int]],
+    vertices: list[Scaled],
+    cells: Iterable[Scaled],
     nonnegative: bool = False,
 ) -> CriterionVerdict:
-    """The verdict delta proves at ``points``, then at ``refuters``, each
-    given as (numerators, denominator) pairs; the first witness found wins,
-    and a Case I certificate lists ``points`` only.  With equal column sums
-    and delta known to be ``nonnegative``, the first zero on the jump
-    region is the Case II witness and ends the walk."""
-    e, f = sys.e, sys.f
-
-    def point(num, D) -> Point:
-        return tuple(Fraction(c, D) for c in num)
-
-    zero_witness = None
-    certificate = []
-    for num, D in points:
+    """The verdict delta proves on one stream of points: the ``vertices``,
+    then the first unit corner whose e-column sum is smaller, then the
+    ``cells``.  At the k-th unit corner delta is the k-th column margin,
+    so a smaller e-column sum is a negative value the half-open box cannot
+    show.  The first negative value wins, then the first zero on the jump
+    region, and a Case I certificate lists the vertices only.  With equal
+    column sums and delta known to be ``nonnegative``, that first zero is
+    the Case II witness and ends the walk."""
+    e, f, d = sys.e, sys.f, sys.d
+    smaller = [k for k in range(d) if sys.sum_e[k] < sys.sum_f[k]]
+    corners = [(tuple(int(i == k) for i in range(d)), 1) for k in smaller[:1]]
+    zero, certificate = None, []
+    for i, (num, D) in enumerate(itertools.chain(vertices, corners, cells)):
         val, jump = _delta_jump(e, f, num, D)
         if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
-        if jump:
-            if val == 0:
-                if nonnegative:
-                    return CriterionVerdict(Tag.CASE_II, witness=point(num, D))
-                if zero_witness is None:
-                    zero_witness = point(num, D)
-            else:
-                certificate.append((point(num, D), val))
-    # Closed-box corners: at the k-th unit corner delta equals the
-    # coordinate margin, so a strictly smaller e-column sum is a negativity
-    # witness the half-open box cannot show.
-    for k in range(sys.d):
-        if sys.sum_e[k] < sys.sum_f[k]:
-            corner = tuple(Fraction(int(i == k)) for i in range(sys.d))
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=corner)
-    for num, D in refuters:
-        val, jump = _delta_jump(e, f, num, D)
-        if val < 0:
-            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=point(num, D))
-        if zero_witness is None and val == 0 and jump:
-            zero_witness = point(num, D)
+            return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=_point(num, D))
+        if jump and val and i < len(vertices):
+            certificate.append((_point(num, D), val))
+        elif jump and not val and zero is None:
+            zero = _point(num, D)
             if nonnegative:
                 break
     if not sys.equal_column_sums:
-        k = next(i for i in range(sys.d) if sys.sum_e[i] > sys.sum_f[i])
+        k = next(i for i in range(d) if sys.sum_e[i] > sys.sum_f[i])
         return CriterionVerdict(Tag.E_STRICTLY_BIGGER, coordinate=k + 1)
-    if zero_witness is not None:
-        return CriterionVerdict(Tag.CASE_II, witness=zero_witness)
+    if zero is not None:
+        return CriterionVerdict(Tag.CASE_II, witness=zero)
     return CriterionVerdict(Tag.CASE_I, certificate=tuple(certificate))
 
 
 def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     """Decide the integrality dichotomy for a form system.
 
-    The classifier evaluates delta at the arrangement vertices in
-    [0,1)^d, then answers a smaller e-column sum with its closed-box
-    corner, then at one point of every open cell; the first exact witness
-    settles the verdict, and a Case I certificate lists the vertex values.
+    The classifier evaluates delta in one pass over one stream of points:
+    the arrangement vertices in [0,1)^d, the closed-box corner of a
+    smaller e-column sum, then one point of every open cell; the first
+    exact witness settles the verdict, and a Case I certificate lists the
+    vertex values.
     The cell walk is cylindrical: the cut points are the x_1-coordinates
     of every vertex, in the closed box, of the planes v.x = m
     (0 < m < sum(v)) and the faces x_i = 0, x_i = 1; the midpoint of each
@@ -450,6 +439,6 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     top = _box_vertices(planes, sys.d, meter)
     split = _split(sys)
     if split and not sys.equal_column_sums:
-        return _verdict(sys, (), (), split)  # delta >= 0, so the sums decide
+        return _verdict(sys, [], (), split)  # delta >= 0, so the sums decide
     # the walk is lazy, so the budget can run out inside _verdict
     return _verdict(sys, _half_open(top), _cell_points(planes, sys.d, meter, top), split)

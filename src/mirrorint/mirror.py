@@ -17,8 +17,8 @@ on integers, from ``forms.factorial_ratios``.  It returns each series as
 numerators over one denominator, keyed on the Kronecker grading of
 ``kronecker``: F over the least common denominator of the Q(n), the
 companions over that times lcm(1..top), with H_m = h_m / lcm(1..top) for
-integers h_m.  ``dwork``, ``case``, ``build_F/Gk/GL`` and ``build_bundle``
-wrap these forms as series with ``MSeries.of_form``.
+integers h_m.  ``coefficient_series`` wraps these forms as series, for
+``dwork``, ``case``, ``build_F/Gk/GL`` and ``build_bundle``.
 
 The canonical coordinate factors through the mirror-type maps: q_k / z_k
 equals the product of q_(e_i) to the power e_i[k] divided by the product
@@ -37,18 +37,11 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import kronecker
-from .forms import FormSystem, factorial_ratios, is_prime, vp_int
+from .forms import FormSystem, factorial_ratios, require_prime, vp_int
 from .landau import enumerate_weight_vectors
 from .series import MSeries, invert_diagonal
 
 Exponent = tuple[int, ...]
-
-
-def exponents_upto(d: int, order: int):
-    """All exponent vectors of total degree <= order, lexicographically."""
-    for v in itertools.product(range(order + 1), repeat=d):
-        if sum(v) <= order:
-            yield v
 
 
 def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[int, dict]]:
@@ -62,9 +55,10 @@ def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[i
     integers h_j, so over D_F lam the numerators are Q(n) D_F
     sum_w m w[k] h_(w.n) for G_k and Q(n) D_F h_(L.n) for G_L (L.n <= top:
     L is dominated by a form vector).  Only nonzero numerators are kept.
+    The exponents are those of the grading's ``key``, lexicographically.
     """
-    g = kronecker.grading(sys.d, order)
-    vs = list(exponents_upto(sys.d, order))
+    key = kronecker.grading(sys.d, order).key
+    vs = list(key)
     cols = [[sum(map(mul, w, v)) for v in vs] for w, _ in sys.net]
     D, nums = factorial_ratios(sys, cols, len(vs))
     top = order * max(map(max, sys.forms))
@@ -78,19 +72,19 @@ def coefficient_forms(sys: FormSystem, order: int, ks=(), Ls=()) -> list[tuple[i
                 s = [x + c * h[y] for x, y in zip(s, col)]
         weights.append(s)
     weights += [[h[sum(map(mul, L, v))] for v in vs] for L in Ls]
-    keys = [g.key[v] for v in vs]
+    keys = list(key.values())
     Gs = ({k: Q * s for k, Q, s in zip(keys, nums, ws) if s} for ws in weights)
     return [(D, dict(zip(keys, nums))), *(kronecker.reduced(D * lam, G) for G in Gs)]
 
 
-def _series(sys: FormSystem, order: int, ks=(), Ls=()) -> list[MSeries]:
+def coefficient_series(sys: FormSystem, order: int, ks=(), Ls=()) -> list[MSeries]:
     """F, the G_k and the G_L of ``coefficient_forms`` as series."""
     return [MSeries.of_form(sys.d, order, form) for form in coefficient_forms(sys, order, ks, Ls)]
 
 
 def build_F(sys: FormSystem, order: int) -> MSeries:
     """The series whose coefficient at z^n is the factorial ratio Q(n)."""
-    return _series(sys, order)[0]
+    return coefficient_series(sys, order)[0]
 
 
 def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
@@ -98,7 +92,7 @@ def build_Gk(sys: FormSystem, k: int, order: int) -> MSeries:
     weight sum(e_i[k] H(e_i.n)) - sum(f_j[k] H(f_j.n))."""
     if not 1 <= k <= sys.d:
         raise ValueError(f"coordinate {k} out of range 1..{sys.d}")
-    return _series(sys, order, [k - 1])[1]
+    return coefficient_series(sys, order, [k - 1])[1]
 
 
 def build_GL(sys: FormSystem, L: Sequence[int], order: int) -> MSeries:
@@ -106,7 +100,7 @@ def build_GL(sys: FormSystem, L: Sequence[int], order: int) -> MSeries:
     L = tuple(int(c) for c in L)
     if L not in set(enumerate_weight_vectors(sys)):
         raise ValueError(f"{L} is not dominated by any form vector")
-    return _series(sys, order, Ls=[L])[1]
+    return coefficient_series(sys, order, Ls=[L])[1]
 
 
 @dataclass
@@ -130,7 +124,7 @@ class MirrorBundle:
 def build_bundle(sys: FormSystem, order: int) -> MirrorBundle:
     """Construct every series of the bundle, mutually consistent."""
     Ls = enumerate_weight_vectors(sys)
-    F, *companions = _series(sys, order, range(sys.d), Ls)
+    F, *companions = coefficient_series(sys, order, range(sys.d), Ls)
     G, GL = tuple(companions[: sys.d]), dict(zip(Ls, companions[sys.d :]))
     recip_F = F.reciprocal()
     q = tuple(
@@ -198,8 +192,8 @@ def integrality_scan(s: MSeries, p: Optional[int] = None, limit: int = 20) -> Sc
     The numerators over D decide: c / D is integral iff D | c, and
     p-integral iff p^v_p(D) | c; otherwise v_p(c / D) = v_p(c) - v_p(D).
     """
-    if p is not None and not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if p is not None:
+        p = require_prime(p)
     D, ints = s.form
     v_D = 0 if p is None else vp_int(D, p)
     divisor = D if p is None else p**v_D

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import FormSystem, is_int_list
-from .mirror import coefficient_forms, integrality_scan
+from .mirror import coefficient_series, integrality_scan
 from .series import MSeries
 from .systems import CASE30
 
@@ -259,8 +259,7 @@ def verify_annihilation(rec: CaseRecord, order: int) -> AnnihilationReport:
     sys = rec.system
     evaluator = _CLOSED_FORMS[rec.closed_form.removeprefix("builtin:")]
     F_spec, G_spec = (
-        MSeries.of_form(sys.d, order, form).specialize(rec.M, rec.Nexp)
-        for form in coefficient_forms(sys, order, [rec.k - 1])
+        s.specialize(rec.M, rec.Nexp) for s in coefficient_series(sys, order, [rec.k - 1])
     )
     (DF, F), (DG, G) = F_spec.form, G_spec.form
     f = [F.get(n, 0) for n in range(order + 1)]

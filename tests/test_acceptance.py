@@ -35,7 +35,6 @@ from mirrorint.mirror import (
     build_GL,
     build_Gk,
     build_bundle,
-    exponents_upto,
     integrality_scan,
 )
 from mirrorint.operators import case30_record, verify_annihilation
@@ -56,7 +55,7 @@ from test_dwork import (
     oracle_pth_power,
 )
 from test_landau import oracle_verdict  # the Fraction verdict loop
-from test_mirror import check_factorization  # the product identity
+from test_mirror import check_factorization, exponents_upto  # the product identity
 
 
 class Criterion:

@@ -1,6 +1,7 @@
 """Command-line driver: job parsing, exit codes, caching, determinism."""
 
 import argparse
+import ast
 import hashlib
 import importlib.util
 import json
@@ -10,10 +11,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from mirrorint import cli, dwork, mirror
+from mirrorint import cli, dwork, kronecker
 from mirrorint.cli import (
     EXIT_BUDGET,
     EXIT_CACHE,
@@ -29,7 +31,6 @@ from mirrorint.cli import (
 from mirrorint.dwork import CongruenceRanges, PadicContext, q_ratio_congruence_sweep
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
-from mirrorint.mirror import exponents_upto
 from mirrorint.operators import case30_record, verify_annihilation
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
 
@@ -732,12 +733,12 @@ class TestDwork:
     def test_one_coefficient_pass_per_job_for_any_number_of_primes(
         self, tmp_path, capsys, monkeypatch
     ):
-        calls, seen = count_the_pass(monkeypatch, mirror, cli)
+        calls, seen = count_the_pass(monkeypatch)
         doc = {"system": {"name": "cubic-2d"}, "order": 6, "primes": [2, 3, 5, 7]}
         code, out, _ = run(capsys, ["dwork", write_job(tmp_path, "a.json", doc)])
         assert code == EXIT_OK and {json.loads(l)["prime"] for l in out.splitlines()} == {2, 3, 5, 7}
         assert calls == [(CUBIC_2D, 6)]
-        assert seen == list(exponents_upto(2, 6))
+        assert seen == list(kronecker.grading(2, 6).key)
 
     @pytest.mark.parametrize("name", ["cubic-2d", "cubic-split", "central-binomial", "case30"])
     def test_prints_the_recorded_bytes(self, tmp_path, capsys, monkeypatch, name):
@@ -972,6 +973,42 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
         *(("congruences", {"system": {"name": name}, "primes": [2],
                            "ranges": {"s_max": 0, "k_bound": 0, "m_bound": 0}}, [], None, EXIT_OK)
           for name in ("cubic-2d", "central-binomial")),
+        # one row per refusal of the job's shape, each with its stderr line
+        ("classify", {"system": {"name": "cubic-2d", "x": 1}}, [], None,
+         "unknown system keys: ['x']"),
+        ("classify", {"system": {"name": "nope"}}, [], None,
+         "unknown bundled system 'nope'; have"
+         " ['case30', 'central-binomial', 'cubic-2d', 'cubic-split', 'inverse-binomial']"),
+        ("classify", {"system": {"e": [[1]], "f": [[1, 2]]}}, [], None,
+         "bad system: all form vectors must share one dimension"),
+        ("classify", {"system": {"e": [], "f": [[1]]}}, [], None,
+         "system.e and system.f must be non-empty"),
+        ("classify", {"system": {"name": "cubic-2d"}, "x": 1}, [], None,
+         "unknown job keys: ['x']"),
+        ("classify", {"system": {"name": "cubic-2d"}, "commands": "classify"}, [], None,
+         "commands must be an array of strings"),
+        ("classify", {"system": {"name": "cubic-2d"}, "commands": ["classify", "nope"]}, [], None,
+         "unknown commands: ['nope']"),
+        ("classify", {"system": {"name": "cubic-2d"}, "commands": ["scan"]}, [], None,
+         "job does not list command 'classify'"),
+        ("classify", {"system": {"name": "cubic-2d"}}, ["--order", "-1"], None,
+         "order must be a nonnegative integer"),
+        ("classify", {"system": {"name": "cubic-2d"}}, ["--prime", "4"], None,
+         "primes must be an array of prime numbers"),
+        ("classify", {"system": {"name": "cubic-2d"}, "strategy": {"x": 1}}, [], None,
+         "strategy keys must be a subset of ['budget']"),
+        ("classify", {"system": {"name": "cubic-2d"}}, ["--budget", "-1"], None,
+         "strategy.budget must be a nonnegative integer"),
+        ("classify", {"system": {"name": "cubic-2d"}, "cache_dir": 3}, [], None,
+         "cache_dir must be a string"),
+        ("case", {"case": 3}, [], None, "case must be a string (bundled name or record path)"),
+        ("dwork", {"fixture": 3}, [], None, "fixture must be an object with series F and G"),
+        ("dwork", {"fixture": {"F": ONE, "G": 3}}, [], None,
+         "bad fixture series: a series is an object with exactly d, order and terms"),
+        ("congruences", {"system": {"name": "cubic-2d"}, "ranges": {"x": 1}}, [], None,
+         "ranges keys must be a subset of ['k_bound', 'm_bound', 's_max']"),
+        ("congruences", {"system": {"name": "cubic-2d"}, "ranges": {"s_max": -1}}, [], None,
+         "ranges.s_max must be a nonnegative integer"),
     ],
 )
 def test_cli_contract_has_no_tracebacks(
@@ -1001,6 +1038,71 @@ def test_cli_contract_has_no_tracebacks(
         assert err == f"schema error: {message}\n"
 
 
+# a job file that holds no job, by its text (None: no file at the path)
+NOT_A_JOB = [
+    ("[]", "job document must be a JSON object"),
+    ("{", "invalid JSON: "),
+    (None, "cannot read job file: "),
+]
+NO_JOB = "no job document: pass a path or pipe JSON on stdin"
+
+
+@pytest.mark.parametrize("text, message", NOT_A_JOB)
+def test_a_file_without_a_job_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "a.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err.startswith(f"schema error: {message}") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_no_job_from_a_terminal_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(isatty=lambda: True))
+    assert run(capsys, ["classify"]) == (EXIT_SCHEMA, "", f"schema error: {NO_JOB}\n")
+
+
+def test_a_deleted_series_file_exits_3(tmp_path, capsys, cache_args):
+    job = write_job(tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4})
+    assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK
+    next((tmp_path / "cache").rglob("qL_1.json")).unlink()  # the manifest stays intact
+    code, out, err = run(capsys, ["scan", job, *cache_args])
+    assert (code, out) == (EXIT_CACHE, "")
+    assert err.startswith("cache corruption: missing cache file") and len(err.splitlines()) == 1
+
+
+def _schema_refusals():
+    """(function, template) of each ``SchemaError`` raised in ``parse_job``,
+    ``_parse_system`` and ``_read_job``: the message as a regular expression,
+    each formatted field standing for any text."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    out = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("parse_job", "_parse_system", "_read_job"):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "SchemaError"):
+                    msg = node.exc.args[0]
+                    parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+                    out.append((fn.name, "".join(
+                        re.escape(p.value) if isinstance(p, ast.Constant) else ".*" for p in parts
+                    )))
+    return out
+
+
+def test_every_schema_refusal_has_a_contract_row():
+    # a new refusal fails here until a row expects its message
+    [rows] = [m.args[1] for m in test_cli_contract_has_no_tracebacks.pytestmark
+              if m.name == "parametrize"]
+    expected = [row[-1] for row in rows if isinstance(row[-1], str)]
+    expected += [message for _, message in NOT_A_JOB] + [NO_JOB]
+    refusals = _schema_refusals()
+    assert refusals
+    missing = [r for r in refusals if not any(re.fullmatch(r[1], m) for m in expected)]
+    assert missing == []
+
+
 ONE_VARIABLE = {"system": {"name": "central-binomial"}, "primes": [2]}
 TWO_VARIABLES = {"system": {"name": "cubic-2d"}, "primes": [2]}
 
@@ -1015,6 +1117,7 @@ TWO_VARIABLES = {"system": {"name": "cubic-2d"}, "primes": [2]}
         *((c, job, None) for c in ("classify", "congruences")
           for job in (ONE_VARIABLE, TWO_VARIABLES)),
         ("dwork", {"fixture": {"F": ONE, "G": Z}, "primes": [2]}, None),
+        *((c, TWO_VARIABLES | {"order": 5}, None) for c in ("classify", "congruences")),
     ],
 )
 def test_parse_job_settles_the_order_the_command_runs_at(tmp_path, capsys, command, doc, order):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorint import dwork
+from mirrorint import dwork, kronecker
 from mirrorint.dwork import (
     CongruenceRanges,
     CongruenceReport,
@@ -37,8 +37,8 @@ from mirrorint.forms import (
     vp_of_rational,
     vp_ratio_legendre,
 )
-from mirrorint.landau import enumerate_weight_vectors, in_jump_region
-from mirrorint.mirror import build_F, build_GL, build_Gk, coefficient_forms, exponents_upto
+from mirrorint.landau import Tag, classify, delta_at, enumerate_weight_vectors, in_jump_region
+from mirrorint.mirror import build_F, build_GL, build_Gk, coefficient_forms
 from mirrorint.series import MSeries
 from mirrorint.systems import (
     BUNDLED,
@@ -513,7 +513,7 @@ def dd_inputs(draw):
     d = draw(st.integers(1, 2))
     order = draw(st.integers(1, 7))
     cancel = draw(st.booleans())
-    exps = list(exponents_upto(d, order))[1:]
+    exps = list(kronecker.grading(d, order).key)[1:]
     p_free = st.integers(1, 9).filter(lambda x: x % p)
 
     def coefficient(den):
@@ -619,7 +619,7 @@ class TestCoefficientFormulas:
             GL = build_GL(CUBIC_2D, (2, 1), N)
             comboL = F * oracle_pth_power(GL, p) - p * oracle_pth_power(F, p) * GL
             engine = engine_valuations(F, G1, p)
-            for w in exponents_upto(2, N):
+            for w in kronecker.grading(2, N).key:
                 a = tuple(c % p for c in w)
                 K = tuple((c - r) // p for c, r in zip(w, a))
                 c = oracle_dd_coefficient_k(p, CUBIC_2D, 1, a, K)
@@ -834,6 +834,17 @@ class TestHarnessAgainstOracle:
     def test_cubic_2d_at_five(self):
         self.assert_same(5, CUBIC_2D, CongruenceRanges(1, 4, 4))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_exact_zeros_take_no_fraction(self, monkeypatch, p):
+        # where w.m = 0 for every net form, both ratios are 1: no Q is built
+        calls = []
+        Q = PadicContext.Q
+        monkeypatch.setattr(PadicContext, "Q", lambda ctx, n: calls.append(n) or Q(ctx, n))
+        ctx = PadicContext(p, CUBIC_SPLIT)
+        verify_formal_congruences(ctx)
+        q_ratio_congruence_sweep(ctx)
+        assert calls == []
+
     def test_bundled_systems_at_default_ranges(self):
         for p, sys in ((2, CUBIC_SPLIT), (3, CENTRAL_BINOMIAL), (3, INVERSE_BINOMIAL)):
             self.assert_same(p, sys, CongruenceRanges())
@@ -873,8 +884,8 @@ valuations = st.one_of(st.integers(-3, 6), st.just(INFINITY))
 def tracker_rows(draw):
     """(p, prefix, shift, row): a few ``update`` calls that set a tracker's
     state (none, only infinite ones, or a known margin), a shift, then a row
-    of loci with (required, achieved) valuations and (required, value)
-    pairs, a value x standing for x / p^shift.  Small ranges give ties;
+    of loci with (required, achieved) valuations, required finite, and
+    (required, value) pairs, a value x standing for x / p^shift.  Small ranges give ties;
     values include 0, ints deep in p and ints prime to p."""
     p = draw(st.sampled_from([2, 3, 5]))
     prefix = draw(st.lists(st.tuples(valuations, valuations), max_size=3))
@@ -884,7 +895,7 @@ def tracker_rows(draw):
         st.just(0),
         st.builds(lambda u, k: u * p**k, st.integers(-4, 4), st.integers(0, 9)),
     )
-    row = draw(st.lists(st.tuples(valuations, valuations, st.integers(-3, 4), value),
+    row = draw(st.lists(st.tuples(st.integers(-3, 6), valuations, st.integers(-3, 4), value),
                         min_size=n, max_size=n))
     return p, prefix, shift, row
 
@@ -892,7 +903,7 @@ def tracker_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(tracker_rows())
 @example((2, [], 0, [(1, INFINITY, 1, 0), (1, 0, 1, 2)]))  # INFINITY first, then finite
-@example((3, [(0, 1)], 0, [(0, INFINITY, 0, 0), (INFINITY, 2, -3, 3), (2, 2, 2, 9)]))
+@example((3, [(0, 1)], 0, [(0, INFINITY, 0, 0), (6, 2, -3, 3), (2, 2, 2, 9)]))
 @example((5, [(2, 1)], 1, [(1, 0, 1, 5), (2, 1, 2, 25), (-2, -3, 0, 1)]))  # ties
 def test_bulk_updates_match_sequential_ones(case):
     p, prefix, shift, row = case
@@ -979,3 +990,42 @@ class TestWeightShift:
         s_max, _, m_bound = ranges.resolved(p)
         rows = oracle_weight_shift_rows(_OracleContext(p, sys), s_max, m_bound)
         assert updates == [min(r, key=lambda row: row[2] - row[1]) for r in rows]
+
+
+@st.composite
+def periodic_systems(draw):
+    """Systems of d <= 2 variables with equal column sums: e and f drawn,
+    then the smaller side padded with unit vectors.  Half the draws take f
+    empty before padding, so Q(n) is a product of multinomials (Case I)."""
+    d = draw(st.integers(1, 2))
+    vec = st.tuples(*[st.integers(0, 3)] * d).filter(any)
+    e = draw(st.lists(vec, min_size=1, max_size=2))
+    f = [] if draw(st.booleans()) else draw(st.lists(vec, max_size=3))
+    for i in range(d):
+        gap = sum(v[i] for v in e) - sum(v[i] for v in f)
+        unit = tuple(int(j == i) for j in range(d))
+        (f if gap > 0 else e).extend([unit] * abs(gap))
+    return FormSystem(e, f, raw=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_systems(), st.sampled_from([2, 3]))
+@example(CUBIC_SPLIT, 2)
+@example(CUBIC_2D, 3)
+def test_weight_lemma(sys, p):
+    # v_p(Q(m)) - mu_p(m) = sum_l (delta({m/p^l}) - [{m/p^l} in the jump region])
+    ctx = PadicContext(p, sys)
+    case_one = classify(sys).tag is Tag.CASE_I
+    for m in itertools.product(range(p * p + 1), repeat=sys.d):
+        top = max(dot(w, m) for w in sys.forms)
+        terms = []
+        q = p
+        while q <= top:
+            x = [Fraction(c % q, q) for c in m]
+            terms.append((delta_at(sys, x), in_jump_region(sys, x)))
+            q *= p
+        gap = vp_ratio_legendre(sys, m, p) - ctx.mu(m)
+        assert gap == sum(val - jump for val, jump in terms)
+        if gap < 0:  # m fails Q(m) in p^mu(m) Z_p
+            assert not case_one
+            assert any(val < 0 or (val == 0 and jump) for val, jump in terms)

@@ -1,14 +1,17 @@
 """Named series families, bundles, factorization identity, scans."""
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorint import mirror
+from mirrorint import kronecker, mirror
 from mirrorint.cli import _manifest
 from mirrorint.forms import (
     FormSystem,
@@ -24,7 +27,6 @@ from mirrorint.mirror import (
     build_GL,
     build_Gk,
     build_bundle,
-    exponents_upto,
     integrality_scan,
 )
 from mirrorint.series import MSeries, compose
@@ -35,6 +37,13 @@ from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D, CUBIC_SPLIT
 # the per-series loops, the oracle the one-pass builder must match: each
 # family walks the exponents on its own, takes Q(n) afresh and goes through
 # the validating MSeries constructor
+
+
+def exponents_upto(d, order):
+    """All exponent vectors of total degree <= order, lexicographically."""
+    for v in itertools.product(range(order + 1), repeat=d):
+        if sum(v) <= order:
+            yield v
 
 
 def oracle_build_F(sys, order):
@@ -117,7 +126,7 @@ class TestOnePassAgainstOracle:
 
     def test_bundle_takes_each_factorial_ratio_once(self, monkeypatch):
         # one coefficient pass per bundle, visiting each exponent once
-        calls, seen = count_the_pass(monkeypatch, mirror)
+        calls, seen = count_the_pass(monkeypatch)
         for sys, order in ((CUBIC_2D, 6), (CENTRAL_BINOMIAL, 10)):
             calls.clear(), seen.clear()
             build_bundle(sys, order)
@@ -125,24 +134,32 @@ class TestOnePassAgainstOracle:
             assert seen == list(exponents_upto(sys.d, order))
 
 
-def count_the_pass(monkeypatch, *modules):
-    """Record each call of ``coefficient_forms`` under its name in ``modules``
-    as (system, order), and each exponent the pass visits; returns both lists."""
+def count_the_pass(monkeypatch):
+    """Record each call of ``mirror.coefficient_forms`` as (system, order),
+    and each exponent the pass visits in the grading's ``key``; returns both
+    lists."""
     calls, seen = [], []
-    the_pass, upto = mirror.coefficient_forms, mirror.exponents_upto
+    the_pass, grading = mirror.coefficient_forms, kronecker.grading
 
     def counting(sys, order, *rest):
         calls.append((sys, order))
         return the_pass(sys, order, *rest)
 
-    def visiting(d, order):
-        for v in upto(d, order):
-            seen.append(v)
-            yield v
+    class Visited(dict):
+        def __iter__(self):
+            for v in super().__iter__():
+                seen.append(v)
+                yield v
 
-    for module in modules:
-        monkeypatch.setattr(module, "coefficient_forms", counting)
-    monkeypatch.setattr(mirror, "exponents_upto", visiting)
+    def visiting(d, order):
+        g = copy.copy(grading(d, order))
+        g.key = Visited(g.key)
+        return g
+
+    monkeypatch.setattr(mirror, "coefficient_forms", counting)
+    # only mirror's own gradings are watched
+    watched = SimpleNamespace(**vars(kronecker) | {"grading": visiting})
+    monkeypatch.setattr(mirror, "kronecker", watched)
     return calls, seen
 
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import mirrorint
-from mirrorint import cli
+from mirrorint import cli, dwork
 from mirrorint.systems import BUNDLED
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -66,7 +66,10 @@ def _run_all(tmp_path, capsys, cache):
     return results
 
 
-def test_traced_commands_print_what_untraced_ones_do(tmp_path, capsys):
+def test_traced_commands_print_what_untraced_ones_do(tmp_path, capsys, monkeypatch):
+    # with one p-adic digit, unit differences at p = 2 all vanish mod p, so
+    # the ratio sweeps take their exact fallback through PadicContext.Q
+    monkeypatch.setattr(dwork, "_R", 1)
     tracing = _tracing()
     plain = _run_all(tmp_path, capsys, "plain")
     before = _names()
@@ -81,7 +84,7 @@ def test_traced_commands_print_what_untraced_ones_do(tmp_path, capsys):
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
     # the spans and hooks ran: the CLI, the cache, and PadicContext.Q with its
-    # cache-hit hook (the exact fallback of cubic-split's ratio sweep at p = 2)
+    # cache-hit hook (the exact fallback of the ratio sweeps)
     assert tracer.calls["cli.main"] == len(plain)
     assert tracer.counters["cli.load_bundle.hits"] == len(BUNDLED)
     assert tracer.calls["dwork.PadicContext.Q"] > tracer.counters["dwork.PadicContext.Q.hits"] > 0
