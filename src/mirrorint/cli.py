@@ -8,9 +8,9 @@ Commands: classify, bundle, scan, dwork, congruences, case.  ``parse_job``
 settles a job for one command, and is the one place that states its
 rules and defaults: a job that lists ``commands`` must name the one being
 run; ``case`` needs a case, ``dwork`` a system or a fixture, the others a
-system; primes default to [2, 3, 5], and ``dwork`` and ``congruences``
-refuse an empty list (``scan`` with none scans over Z only); the budget
-defaults to ``landau.BUDGET``, and an unset order to
+system; primes default to [2, 3, 5], none may repeat, and ``dwork`` and
+``congruences`` refuse an empty list (``scan`` with none scans over Z
+only); the budget defaults to ``landau.BUDGET``, and an unset order to
 ``systems.default_order`` (12 in one variable, 8 otherwise) for
 ``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``; ``dwork``
 refuses an order of 0 (a system's or a fixture's) and a fixture whose G
@@ -23,12 +23,12 @@ Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
 column sum, 20 budget exceeded, with no report line); report commands exit 0
 iff every line passes; malformed input exits 2; cache corruption (a
-series file whose hash is not the manifest's, a series file that
-``MSeries.from_dict`` rejects or that has another dimension or order than
-the bundle, or a manifest that is not byte for byte the one this code
-writes for the system and order) exits 3, and so does an entry that
-cannot be written (an ``OSError`` such as a full disk), with one stderr
-line naming it, no report line, and a clean miss left.  ``scan`` on a
+series file whose hash is not the manifest's, a series file that is not
+byte for byte what ``MSeries.to_bytes`` writes for a series of the
+bundle's dimension and order, or a manifest that is not byte for byte the
+one this code writes for the system and order) exits 3, and so does an
+entry that cannot be written (an ``OSError`` such as a full disk), with
+one stderr line naming it, no report line, and a clean miss left.  ``scan`` on a
 flagged system and ``case`` run the classifier too, and exit 20 with no
 report line when it exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
@@ -56,12 +56,14 @@ level is charged first, so a budget of 0 always exits 20.
 The cache directory stores bundle series as canonical JSON with a
 hash-carrying manifest; re-running a command against a warm cache yields
 byte-identical reports.  Every file of a cache entry is verified on every
-load (each series' hash, well-formedness, dimension and order, then the
-manifest's bytes against the ones ``_manifest`` states for the system,
-the order and those hashes), but only the series a command reads are
-built: ``scan`` reads q, q_L and z(q), and ``bundle`` none.  Precedence
-for the cache location: --cache-dir flag, then the MIRRORINT_CACHE
-environment variable, then the job file, then ``.mirrorint-cache``.
+load (each series' hash, then its bytes against the ones ``to_bytes``
+writes for the bundle's dimension and order, read without a JSON tree by
+``series.from_bytes``, then the manifest's bytes against the ones
+``_manifest`` states for the system, the order and those hashes), but
+only the series a command reads are built: ``scan`` reads q, q_L and
+z(q), and ``bundle`` none.  Precedence for the cache location:
+--cache-dir flag, then the MIRRORINT_CACHE environment variable, then the
+job file, then ``.mirrorint-cache``.
 
 ``dwork`` needs only F and the G_k, which one integer coefficient pass
 gives for less than a cache read and without the rest of a bundle; so it
@@ -91,7 +93,7 @@ from .forms import FormSystem, is_prime
 from .landau import BUDGET, BudgetExceededError, Tag, classify, enumerate_weight_vectors
 from .mirror import MirrorBundle, build_bundle, coefficient_series, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
-from .series import MSeries, check_dict
+from .series import MSeries, from_bytes
 from .systems import BUNDLED, default_order
 
 COMMANDS = ("classify", "bundle", "scan", "dwork", "congruences", "case")
@@ -212,6 +214,9 @@ def parse_job(doc: dict, command: str) -> Job:
         _is_int(p) and is_prime(p) for p in primes
     ):
         raise SchemaError("primes must be an array of prime numbers")
+    if len(set(primes)) != len(primes):
+        # a repeated prime would repeat its reports and its work
+        raise SchemaError("primes must not repeat")
     if not primes and command in ("dwork", "congruences"):
         # with no prime no check would run, and the exit 0 would show nothing
         raise SchemaError(f"{command} needs at least one prime")
@@ -361,7 +366,7 @@ def _write_atomic(path: str, blob: bytes):
 
 
 def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
-    """Write every series as canonical JSON plus a manifest with hashes.
+    """Write every series' ``to_bytes`` plus a manifest with hashes.
 
     Each file appears whole or not at all, and the manifest comes last, so
     a crashed writer leaves a cache miss rather than a half-written bundle.
@@ -371,7 +376,7 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
     os.makedirs(root, exist_ok=True)
     digests = {}
     for name, field, key in _series_table(bundle.sys):
-        blob = _canonical(_series_of(bundle, field, key).to_dict())
+        blob = _series_of(bundle, field, key).to_bytes()
         _write_atomic(os.path.join(root, name + ".json"), blob)
         digests[name] = hashlib.sha256(blob).hexdigest()
     manifest = _manifest(bundle.sys, bundle.order, digests)
@@ -387,9 +392,10 @@ def load_bundle(
 
     Every file of the entry is verified on every load, and only the series
     read are built.  Raises CacheCorruptionError on a series file whose
-    hash is not the manifest's or that is malformed or of another dimension
-    or order than the bundle, and on a manifest whose bytes are not those
-    of ``_manifest`` for the system, the order and the files' hashes."""
+    hash is not the manifest's or whose bytes are not those ``to_bytes``
+    writes for a series of the bundle's dimension and order, and on a
+    manifest whose bytes are not those of ``_manifest`` for the system, the
+    order and the files' hashes."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -412,16 +418,13 @@ def load_bundle(
         if recorded.get(name) != digests[name]:
             raise CacheCorruptionError(f"hash mismatch for {path}")
         try:
-            d, got, *terms = check_dict(json.loads(blob))
+            s = from_bytes(blob, sys_.d, order, build=field in reads)
         except ValueError as exc:
-            raise CacheCorruptionError(f"malformed series in {path}: {exc}") from None
-        if d != sys_.d or got != order:
             raise CacheCorruptionError(
-                f"{path} holds a series with d={d}, order={got};"
-                f" expected d={sys_.d}, order={order}"
-            )
-        if field in reads:
-            series[name] = MSeries.from_checked(d, order, *terms)
+                f"series file {path} is not what the cache writes: {exc}"
+            ) from None
+        if s is not None:
+            series[name] = s
     manifest = _manifest(sys_, order, digests)
     if stored != _canonical(manifest):
         raise CacheCorruptionError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class Grading:
@@ -21,6 +21,7 @@ class Grading:
     and top = B^(d-1).  ``key`` and ``exp`` map exponents to keys and back;
     ``keys`` lists every key in ascending order, those of degree k starting
     at ``keys[first[k]]``; ``local[k]`` lists the degree-k keys less k top.
+    ``key`` runs over the exponents in lexicographic order.
     """
 
     def __init__(self, d: int, order: int):
@@ -38,6 +39,15 @@ class Grading:
             [key - k * self.top for key in self.keys[self.first[k] : self.first[k + 1]]]
             for k in range(base)
         ]
+
+    @cached_property
+    def texts(self) -> dict[str, tuple[int, int]]:
+        """The JSON text of each exponent, such as ``[0,2]``, to its rank in
+        lexicographic order and its key; in that order."""
+        return {
+            f"[{','.join(map(str, v))}]": (rank, k)
+            for rank, (v, k) in enumerate(self.key.items())
+        }
 
 
 @lru_cache(maxsize=64)

@@ -20,7 +20,10 @@ over one denominator, in lowest terms, keyed on the Kronecker grading of
 truncation and specialization hand forms to the integer kernel in
 ``kronecker`` with no conversion.  Fractions are made only where a
 coefficient is read: ``coeff``, ``items`` and the violations of a scan;
-``to_dict`` writes each term from the form with one gcd.
+``to_dict`` and ``to_bytes`` write each term from the form with one gcd.
+A cache file is the bytes ``to_bytes`` writes and nothing else:
+``from_bytes`` reads them with one pattern and no JSON tree, while
+``from_dict`` reads a job fixture's document, terms in any order.
 
 * **Integer form.**  A series at order N is its numerators over D, the
   least common denominator of its coefficients, keyed by the Kronecker
@@ -82,8 +85,8 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter, mul
-from typing import Mapping, Sequence
+from operator import itemgetter, lt, mul
+from typing import Mapping, Optional, Sequence
 
 from . import kronecker
 
@@ -367,18 +370,73 @@ class MSeries:
             terms.append({"exp": list(exp[k]), "num": str(c // g), "den": str(D // g)})
         return {"d": self.d, "order": self.order, "terms": terms}
 
-    @classmethod
-    def from_dict(cls, data) -> "MSeries":
-        """The series ``to_dict`` wrote; anything else raises ValueError
-        (see ``check_dict``)."""
-        return cls.from_checked(*check_dict(data))
+    def to_bytes(self) -> bytes:
+        """``to_dict`` as compact JSON with sorted keys and a newline, the
+        bytes of a cache file, written straight from the form."""
+        D, ints = self.D, self.ints
+        terms = []
+        for text, (_, k) in kronecker.grading(self.d, self.order).texts.items():
+            c = ints.get(k)
+            if c:
+                g = math.gcd(c, D)
+                terms.append(f'{{"den":"{D // g}","exp":{text},"num":"{c // g}"}}')
+        return (_HEAD.format(self.d, self.order) + ",".join(terms) + _TAIL).encode()
 
     @classmethod
-    def from_checked(cls, d: int, order: int, exps, nums, dens) -> "MSeries":
-        """The series of a document that ``check_dict`` accepted, from what it returned."""
+    def from_dict(cls, data) -> "MSeries":
+        """The series of a document in ``to_dict``'s shape with its terms in
+        any order, as a job fixture is written by hand; anything else raises
+        ValueError (see ``check_dict``).  A cache file is read by
+        ``from_bytes``, which takes only ``to_bytes``'s bytes."""
+        d, order, exps, nums, dens = check_dict(data)
         key, D = kronecker.grading(d, order).key, math.lcm(*dens)
         ints = {key[v]: n * (D // m) for v, n, m in zip(exps, nums, dens)}
         return cls.of_form(d, order, (D, ints))
+
+
+# a cache file: the head, the terms joined by commas, the tail
+_HEAD, _TAIL = '{{"d":{},"order":{},"terms":[', "]}\n"
+# a term and the comma after it, or the last term, right before the tail
+_TERM = re.compile(
+    r'\{"den":"([1-9][0-9]*)","exp":(\[[0-9,]*\]),"num":"(-?[1-9][0-9]*)"\}'
+    r"(?:,|(?=\]\}\n\Z))"
+)
+_TERM_BYTES = 27  # the bytes of a term and its comma besides den, exp and num
+
+
+def from_bytes(blob: bytes, d: int, order: int, build: bool = True) -> Optional[MSeries]:
+    """The series in d variables at ``order`` whose ``to_bytes`` is ``blob``,
+    or None when not ``build``; raises ValueError on any other bytes.
+
+    The head must give this d and order before any grading is made.  The
+    terms are the matches of one pattern, which must cover every byte; each
+    exponent text is looked up in the grading for its lexicographic rank
+    and key, the ranks must increase strictly (so no exponent repeats), and
+    each num/den must be a nonzero reduced fraction with den > 0.
+    """
+    text, head = blob.decode(), _HEAD.format(d, order)  # UnicodeDecodeError is a ValueError
+    if not text.startswith(head):
+        raise ValueError(f"its head is not that of a series with d={d}, order={order}")
+    found = _TERM.findall(text, len(head))
+    # each match but the last holds its comma, so they tile the terms iff they add up
+    size = sum(map(len, chain.from_iterable(found))) + _TERM_BYTES * len(found) - bool(found)
+    if len(head) + size + len(_TAIL) != len(text) or not text.endswith(_TAIL):
+        raise ValueError("the terms are not as to_bytes writes them")
+    dens, exps, nums = zip(*found) if found else ((), (), ())
+    ranked = list(map(kronecker.grading(d, order).texts.get, exps))
+    if None in ranked:
+        raise ValueError(f"an exponent is not {d} nonnegative ints of degree <= {order}")
+    ranks = list(map(itemgetter(0), ranked))
+    if not all(map(lt, ranks, ranks[1:])):
+        raise ValueError("the exponents are not in strictly increasing order")
+    nums, dens = list(map(int, nums)), list(map(int, dens))
+    if set(map(math.gcd, nums, dens)) - {1}:
+        raise ValueError("a fraction is not reduced")
+    if not build:
+        return None
+    D = math.lcm(*dens)
+    ints = {k: n * (D // m) for (_, k), n, m in zip(ranked, nums, dens)}
+    return MSeries.of_form(d, order, (D, ints))
 
 
 _TERM_KEYS = frozenset(("exp", "num", "den"))
@@ -388,7 +446,11 @@ _DENS = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 
 
 def check_dict(data) -> tuple[int, int, list[Exponent], list[int], list[int]]:
-    """Check that ``data`` is a series document as ``MSeries.to_dict`` writes it.
+    """Check that ``data`` is a series document in ``MSeries.to_dict``'s shape.
+
+    This is the contract of a job fixture, which people write: its terms
+    may come in any order.  A cache file has another one, the exact bytes
+    of ``MSeries.to_bytes``, and ``from_bytes`` checks it.
 
     ``d`` and ``order`` are ints, each term an object with exactly ``exp``,
     ``num`` and ``den``; ``exp`` is a list of d nonnegative ints of degree

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,6 +33,7 @@ from mirrorint.dwork import CongruenceRanges, PadicContext, q_ratio_congruence_s
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.operators import case30_record, verify_annihilation
+from mirrorint.series import MSeries, from_bytes
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
 
 from test_mirror import count_the_pass
@@ -74,18 +76,23 @@ def drop_from_manifest(cache_root, name):
     manifest.write_text(json.dumps(doc))
 
 
+def edited_bytes(series, edit):
+    """The bytes of a series document after ``edit``, which changes the
+    document, written back canonically, or returns the bytes to write."""
+    blob = edit(series)
+    return blob if isinstance(blob, bytes) else cli._canonical(series)
+
+
 def reseal(cache_root, name, edit):
     """Apply ``edit`` to one series file of a cache entry and record its new hash,
     so that only the reader's own checks can catch the change."""
     manifest = next(cache_root.rglob("manifest.json"))
     doc = json.loads(manifest.read_text())
     path = manifest.parent / doc["series"][name]["file"]
-    series = json.loads(path.read_text())
-    edit(series)
-    blob = json.dumps(series).encode()
+    blob = edited_bytes(json.loads(path.read_text()), edit)
     path.write_bytes(blob)
     doc["series"][name]["sha256"] = hashlib.sha256(blob).hexdigest()
-    manifest.write_text(json.dumps(doc))
+    manifest.write_bytes(cli._canonical(doc))
 
 
 def _set_first_term(key, value):
@@ -115,9 +122,29 @@ MALFORMED_SERIES = {
     "bool exp": _set_first_term("exp", [True]),
     "no terms": lambda series: series.pop("terms"),
     "repeated exp": lambda series: series["terms"].append(dict(series["terms"][0])),
+    "leading zero num": _set_first_term("num", "01"),
+    "plus sign num": _set_first_term("num", "+1"),
 }
 # well-formed series of another shape than the cached bundle
 MISFIT_SERIES = {"lower order": _lower_order, "another dimension": _add_a_variable}
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    return [_reversed_keys(v) for v in value] if isinstance(value, list) else value
+
+
+# series that MSeries.from_dict accepts but that are not the bytes the cache writes
+NONCANONICAL_SERIES = {
+    "whitespace": lambda series: json.dumps(series).encode(),
+    "another key order": lambda series: json.dumps(
+        _reversed_keys(series), separators=(",", ":")).encode() + b"\n",
+    "terms out of order": lambda series: series["terms"].reverse(),
+    "trailing bytes": lambda series: cli._canonical(series) + b"\n",
+}
+# every edit of a series file that a warm load refuses
+CACHE_REJECTS = {**MALFORMED_SERIES, **MISFIT_SERIES, **NONCANONICAL_SERIES}
 # on central-binomial: series each cache-reading command verifies but does not build,
 # and series dwork, which builds F and G_k itself and reads no cache, never opens
 UNREAD_SERIES = {
@@ -386,10 +413,7 @@ class TestScanAndCache:
         code, _, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize(
-        "edit", [*MALFORMED_SERIES.values(), *MISFIT_SERIES.values()],
-        ids=[*MALFORMED_SERIES, *MISFIT_SERIES],
-    )
+    @pytest.mark.parametrize("edit", CACHE_REJECTS.values(), ids=CACHE_REJECTS)
     def test_malformed_series_file_exits_3(self, tmp_path, capsys, cache_args, edit):
         job = write_job(
             tmp_path, "a.json", {"system": {"name": "central-binomial"}, "order": 4}
@@ -403,14 +427,32 @@ class TestScanAndCache:
         code, warm, _ = run(capsys, ["scan", job, "--rebuild-cache", *cache_args])
         assert code == EXIT_OK and warm == cold
 
+    @pytest.mark.parametrize("name", NONCANONICAL_SERIES)
+    def test_noncanonical_series_are_well_formed(self, name):
+        # so the rule each one breaks is the cache's byte format, and no other
+        s = MSeries(2, 3, {(1, 1): Fraction(-3, 4), (0, 2): 2, (0, 0): 5})
+        blob = edited_bytes(s.to_dict(), NONCANONICAL_SERIES[name])
+        assert blob != s.to_bytes()
+        assert MSeries.from_dict(json.loads(blob)) == s
+        with pytest.raises(ValueError):
+            from_bytes(blob, 2, 3)
+
+    def test_a_claimed_huge_order_exits_3_at_once(self, tmp_path, capsys, cache_args):
+        # the head is compared with the bundle's shape before any grading is made
+        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-split"}, "order": 4})
+        assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK
+        reseal(tmp_path / "cache", "F", lambda series: series.update(order=10**6))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["scan", job, *cache_args])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_CACHE, "")
+        assert len(err.splitlines()) == 1 and "/F.json" in err
+
     @pytest.mark.parametrize(
         "command, name",
         [(c, n) for c, names in UNREAD_SERIES.items() for n in names],
     )
-    @pytest.mark.parametrize(
-        "edit", [*MALFORMED_SERIES.values(), *MISFIT_SERIES.values()],
-        ids=[*MALFORMED_SERIES, *MISFIT_SERIES],
-    )
+    @pytest.mark.parametrize("edit", CACHE_REJECTS.values(), ids=CACHE_REJECTS)
     def test_series_a_command_does_not_read_is_still_verified(
         self, tmp_path, capsys, cache_args, command, name, edit
     ):
@@ -1009,6 +1051,13 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
          "ranges keys must be a subset of ['k_bound', 'm_bound', 's_max']"),
         ("congruences", {"system": {"name": "cubic-2d"}, "ranges": {"s_max": -1}}, [], None,
          "ranges.s_max must be a nonnegative integer"),
+        # a repeated prime would print its reports, or run its harness, twice
+        ("scan", {"system": {"name": "central-binomial"}, "primes": [2, 2]}, [], None,
+         "primes must not repeat"),
+        ("dwork", {"system": {"name": "central-binomial"}}, ["--prime", "2", "--prime", "2"],
+         None, "primes must not repeat"),
+        ("congruences", {"system": {"name": "cubic-2d"}, "primes": [3, 2, 3]}, [], None,
+         "primes must not repeat"),
     ],
 )
 def test_cli_contract_has_no_tracebacks(

@@ -638,6 +638,79 @@ def test_each_edit_is_rejected_at_every_term(name):
         assert _outcome(MSeries.from_dict, doc) == "rejected"
 
 
+# -- the cache file format: to_bytes and from_bytes ------------------------------
+
+
+@st.composite
+def byte_series(draw):
+    """A series at d in 1..3 and order in 0..6, possibly empty, with
+    mixed-sign numerators and denominators up to 10^40."""
+    d, order = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    exps = [v for v in itertools.product(range(order + 1), repeat=d) if sum(v) <= order]
+    chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=10))
+    coeff = st.fractions(max_denominator=10**40).filter(bool) | st.integers().filter(bool)
+    return MSeries(d, order, {v: draw(coeff) for v in chosen})
+
+
+# bytes a canonical file holds, and a few it never does
+EDIT_BYTES = st.sampled_from(b'0123456789-+,:"[]{}dnx \n') | st.integers(0, 255)
+
+
+@st.composite
+def byte_edits(draw, blob):
+    """``blob`` after one or two random inserts, deletions and replacements;
+    half of them put a digit for a digit, which can leave a series that the
+    reader takes."""
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(blob)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]) | st.just("digit"))
+        if kind == "insert":
+            blob.insert(i, draw(EDIT_BYTES))
+        elif kind == "delete" and i < len(blob):
+            del blob[i]
+        elif kind == "replace" and i < len(blob):
+            blob[i] = draw(EDIT_BYTES)
+        elif kind == "digit" and (digits := [j for j, c in enumerate(blob) if chr(c).isdigit()]):
+            blob[draw(st.sampled_from(digits))] = draw(st.sampled_from(b"0123456789"))
+    return bytes(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=byte_series())
+def test_to_bytes_writes_the_canonical_json_of_to_dict(s):
+    blob = s.to_bytes()
+    assert blob == (json.dumps(s.to_dict(), separators=(",", ":"), sort_keys=True) + "\n").encode()
+    assert series.from_bytes(blob, s.d, s.order).form == s.form
+    assert series.from_bytes(blob, s.d, s.order, build=False) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), s=byte_series())
+def test_from_bytes_accepts_only_what_check_dict_accepts(data, s):
+    # check_dict is the oracle: an edit the reader takes must be a series
+    # document it takes too, and both must read the same series from it
+    blob = data.draw(byte_edits(s.to_bytes()))
+    try:
+        got = series.from_bytes(blob, s.d, s.order)
+    except ValueError:
+        with pytest.raises(ValueError):
+            series.from_bytes(blob, s.d, s.order, build=False)
+        return
+    assert series.from_bytes(blob, s.d, s.order, build=False) is None
+    want = MSeries.from_dict(json.loads(blob))
+    assert (want.d, want.order) == (s.d, s.order)
+    assert got.form == want.form
+    assert_canonical(got)
+
+
+def test_from_bytes_checks_the_shape_before_the_grading(monkeypatch):
+    blob = MSeries(2, 3, {(1, 1): 1}).to_bytes().replace(b'"order":3', b'"order":1000000')
+    monkeypatch.setattr(kronecker, "grading", None)  # any grading made would raise
+    with pytest.raises(ValueError, match="with d=2, order=3"):
+        series.from_bytes(blob, 2, 3)
+
+
 class TestAccessAndSerializationChecks:
     def test_coeff_rejects_an_exponent_of_the_wrong_length(self):
         s = MSeries(2, 3, {(1, 0): 1})
