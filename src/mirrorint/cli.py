@@ -21,20 +21,22 @@ the keys the job file gives are checked too, flag or no flag.
 
 Exit codes: classify maps its verdict (0 certified everywhere >= 1,
 10 zero on the jump region, 11 negative somewhere, 12 strictly bigger
-column sum, 20 budget exceeded, with no report line); report commands exit 0
-iff every line passes; malformed input exits 2; cache corruption (a
-series file whose hash is not the manifest's, a series file that is not
-byte for byte what ``MSeries.to_bytes`` writes for a series of the
-bundle's dimension and order, or a manifest that is not byte for byte the
-one this code writes for the system and order) exits 3, and so does an
-entry that cannot be written (an ``OSError`` such as a full disk), with
-one stderr line naming it, no report line, and a clean miss left.  ``scan`` on a
-flagged system and ``case`` run the classifier too, and exit 20 with no
-report line when it exceeds its budget.
+column sum, 20 budget exceeded, with no report line); report commands
+exit 0 iff every line passes; malformed input exits 2; cache corruption
+(a series file whose hash is not the manifest's, a series file that
+``series.from_bytes`` refuses at the bundle's dimension and order, or a
+manifest that is not byte for byte the one this code writes for the
+system and order) exits 3, and so does an entry that cannot be written
+(an ``OSError`` such as a full disk), with one stderr line naming it, no
+report line, and a clean miss left.  ``scan`` on a flagged system and
+``case`` run the classifier too, and exit 20 with no report line when it
+exceeds its budget.
 Input a check cannot take also exits 2, with one line on stderr and no
 report line: ``dwork`` on a system whose F is not p-integral (such as
-inverse-binomial) or on a fixture whose F and G differ in dimension or
-order or that comes with an order (the job's or ``--order``), ``congruences`` on unequal column sums of e and f,
+inverse-binomial) or whose every G_k is zero (raw e = f = [[1]]: no
+coefficient would be checked), or on a fixture whose F and G differ in
+dimension or order or that comes with an order (the job's or
+``--order``), ``congruences`` on unequal column sums of e and f,
 ``case`` at an order below the z-degree of its operator or on a record
 that ``CaseRecord.from_dict`` rejects.  JSON ``true`` and ``false`` are
 never taken for integers.  A stdout closed by its reader (``| head``)
@@ -53,17 +55,18 @@ sums or the first zero on the jump region settle it, and a budget that
 the complete walk would pass can still print such a verdict.  The top
 level is charged first, so a budget of 0 always exits 20.
 
-The cache directory stores bundle series as canonical JSON with a
-hash-carrying manifest; re-running a command against a warm cache yields
-byte-identical reports.  Every file of a cache entry is verified on every
-load (each series' hash, then its bytes against the ones ``to_bytes``
-writes for the bundle's dimension and order, read without a JSON tree by
-``series.from_bytes``, then the manifest's bytes against the ones
-``_manifest`` states for the system, the order and those hashes), but
-only the series a command reads are built: ``scan`` reads q, q_L and
-z(q), and ``bundle`` none.  Precedence for the cache location:
---cache-dir flag, then the MIRRORINT_CACHE environment variable, then the
-job file, then ``.mirrorint-cache``.
+The cache directory stores bundle series and a hash-carrying manifest as
+``series.canonical`` bytes, so a warm rerun prints byte-identical
+reports.  ``MSeries.to_bytes`` is the one writer of a series file and
+``series.from_bytes`` the one reader, which reads a job fixture too once
+``MSeries.from_dict`` has sorted its terms.  Every file of a cache entry
+is verified on every load (each series' hash, then its bytes by
+``from_bytes`` at the bundle's dimension and order, then the manifest's
+bytes against ``canonical`` of ``_manifest`` for the system, the order
+and those hashes), but only the series a command reads are built:
+``scan`` reads q, q_L and z(q), and ``bundle`` none.  Precedence for the
+cache location: --cache-dir flag, then the MIRRORINT_CACHE environment
+variable, then the job file, then ``.mirrorint-cache``.
 
 ``dwork`` needs only F and the G_k, which one integer coefficient pass
 gives for less than a cache read and without the rest of a bundle; so it
@@ -89,11 +92,11 @@ from .dwork import (
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
-from .forms import FormSystem, is_prime
+from .forms import FormSystem, is_int, is_prime
 from .landau import BUDGET, BudgetExceededError, Tag, classify, enumerate_weight_vectors
 from .mirror import MirrorBundle, build_bundle, coefficient_series, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
-from .series import MSeries, from_bytes
+from .series import MSeries, canonical, from_bytes
 from .systems import BUNDLED, default_order
 
 COMMANDS = ("classify", "bundle", "scan", "dwork", "congruences", "case")
@@ -162,13 +165,8 @@ class Job:
     ranges: CongruenceRanges
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: ``true`` and ``false`` are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _nonnegative_int(value) -> bool:
-    return _is_int(value) and value >= 0
+    return is_int(value) and value >= 0
 
 
 def _parse_system(spec) -> FormSystem:
@@ -211,7 +209,7 @@ def parse_job(doc: dict, command: str) -> Job:
         raise SchemaError("order must be a nonnegative integer")
     primes = doc.get("primes", [2, 3, 5])
     if not isinstance(primes, list) or not all(
-        _is_int(p) and is_prime(p) for p in primes
+        is_int(p) and is_prime(p) for p in primes
     ):
         raise SchemaError("primes must be an array of prime numbers")
     if len(set(primes)) != len(primes):
@@ -308,13 +306,9 @@ def _read_job(path: Optional[str]) -> dict:
 # bundle cache
 
 
-def _canonical(data) -> bytes:
-    return (json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n").encode()
-
-
 def _cache_key(sys_: FormSystem, order: int) -> str:
     return hashlib.sha256(
-        _canonical({"system": sys_.to_dict(), "order": order})
+        canonical({"system": sys_.to_dict(), "order": order})
     ).hexdigest()[:24]
 
 
@@ -366,7 +360,7 @@ def _write_atomic(path: str, blob: bytes):
 
 
 def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
-    """Write every series' ``to_bytes`` plus a manifest with hashes.
+    """Write every series' ``to_bytes`` plus a ``canonical`` manifest with hashes.
 
     Each file appears whole or not at all, and the manifest comes last, so
     a crashed writer leaves a cache miss rather than a half-written bundle.
@@ -380,7 +374,7 @@ def save_bundle(bundle: MirrorBundle, cache_dir: str) -> dict:
         _write_atomic(os.path.join(root, name + ".json"), blob)
         digests[name] = hashlib.sha256(blob).hexdigest()
     manifest = _manifest(bundle.sys, bundle.order, digests)
-    _write_atomic(os.path.join(root, "manifest.json"), _canonical(manifest))
+    _write_atomic(os.path.join(root, "manifest.json"), canonical(manifest))
     return manifest
 
 
@@ -392,10 +386,10 @@ def load_bundle(
 
     Every file of the entry is verified on every load, and only the series
     read are built.  Raises CacheCorruptionError on a series file whose
-    hash is not the manifest's or whose bytes are not those ``to_bytes``
-    writes for a series of the bundle's dimension and order, and on a
-    manifest whose bytes are not those of ``_manifest`` for the system, the
-    order and the files' hashes."""
+    hash is not the manifest's or that ``from_bytes`` refuses at the
+    bundle's dimension and order, and on a manifest whose bytes are not
+    ``canonical`` of ``_manifest`` for the system, the order and the files'
+    hashes."""
     root = os.path.join(cache_dir, _cache_key(sys_, order))
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -426,7 +420,7 @@ def load_bundle(
         if s is not None:
             series[name] = s
     manifest = _manifest(sys_, order, digests)
-    if stored != _canonical(manifest):
+    if stored != canonical(manifest):
         raise CacheCorruptionError(
             f"manifest {manifest_path} is not the one written for this system and order"
         )
@@ -515,18 +509,17 @@ def cmd_dwork(job: Job, args) -> int:
         sys_ = job.system
         # F and every G_k from one pass, which takes each Q(n) once
         F, *G = coefficient_series(sys_, job.order, range(sys_.d))
-        checks = [
-            (name, partial(dieudonne_dwork_check, F, G[k]))
-            for name, field, k in _series_table(sys_)
-            if field == "G"
-        ]
+        if not any(G):
+            # as for a zero fixture G, no coefficient of any combination is checked
+            raise SchemaError("dwork needs a system with a nonzero G_k")
+        checks = [(name, partial(dieudonne_dwork_check, F, G[k]))
+                  for name, field, k in _series_table(sys_) if field == "G"]
     # every check runs before the first line, so a rejected input prints none
     try:
         runs = [(p, name, check(p)) for p in job.primes for name, check in checks]
     except ValueError as exc:
         raise SchemaError(f"dwork cannot check this input: {exc}") from None
-    failures = 0
-    lines = 0
+    failures = lines = 0
     for p, name, reports in runs:
         for rep in reports:
             lines += 1

@@ -77,9 +77,14 @@ class PadicInfinity:
 INFINITY = PadicInfinity()
 
 
+def is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not integers here."""
+    return type(x) is int
+
+
 def is_int_list(x) -> bool:
-    """A JSON list of integers (``true`` and ``false`` are not integers)."""
-    return isinstance(x, list) and all(type(c) is int for c in x)
+    """A JSON list of integers."""
+    return isinstance(x, list) and all(map(is_int, x))
 
 
 def _as_intvec(v: Iterable[int]) -> IntVec:

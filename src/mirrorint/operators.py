@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .forms import FormSystem, is_int_list
+from .forms import FormSystem, is_int, is_int_list
 from .mirror import coefficient_series, integrality_scan
 from .series import MSeries
 from .systems import CASE30
@@ -174,7 +174,7 @@ class CaseRecord:
             raise ValueError(f"special.M must list {d} nonzero integers")
         if not (is_int_list(N) and len(N) == d and min(N) >= 1):
             raise ValueError(f"special.N must list {d} positive integers")
-        if type(k) is not int or not 1 <= k <= d:
+        if not (is_int(k) and 1 <= k <= d):
             raise ValueError(f"special.k must be an integer in 1..{d}")
         if not (isinstance(form, str) and form.startswith("builtin:")
                 and form.removeprefix("builtin:") in _CLOSED_FORMS):

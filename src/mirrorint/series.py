@@ -19,11 +19,11 @@ over one denominator, in lowest terms, keyed on the Kronecker grading of
 ``kronecker``.  Sums, products, the unit operations, composition,
 truncation and specialization hand forms to the integer kernel in
 ``kronecker`` with no conversion.  Fractions are made only where a
-coefficient is read: ``coeff``, ``items`` and the violations of a scan;
-``to_dict`` and ``to_bytes`` write each term from the form with one gcd.
-A cache file is the bytes ``to_bytes`` writes and nothing else:
-``from_bytes`` reads them with one pattern and no JSON tree, while
-``from_dict`` reads a job fixture's document, terms in any order.
+coefficient is read: ``coeff``, ``items`` and the violations of a scan.
+A series document is its ``canonical`` bytes, which ``to_bytes`` writes
+from the form with one gcd a term and ``from_bytes`` reads with one
+pattern and no JSON tree, for a cache file as it is and for a job fixture,
+terms in any order, once ``from_dict`` has sorted and written it so.
 
 * **Integer form.**  A series at order N is its numerators over D, the
   least common denominator of its coefficients, keyed by the Kronecker
@@ -81,6 +81,7 @@ A cache file is the bytes ``to_bytes`` writes and nothing else:
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -89,6 +90,7 @@ from operator import itemgetter, lt, mul
 from typing import Mapping, Optional, Sequence
 
 from . import kronecker
+from .forms import is_int, is_int_list
 
 Exponent = tuple[int, ...]
 
@@ -360,19 +362,10 @@ class MSeries:
 
     # -- serialization -----------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Terms sorted by exponent, each reduced by one gcd with D."""
-        exp, D = kronecker.grading(self.d, self.order).exp, self.D
-        terms = []
-        for k in sorted(self.ints, key=exp.__getitem__):
-            c = self.ints[k]
-            g = math.gcd(c, D)
-            terms.append({"exp": list(exp[k]), "num": str(c // g), "den": str(D // g)})
-        return {"d": self.d, "order": self.order, "terms": terms}
-
     def to_bytes(self) -> bytes:
-        """``to_dict`` as compact JSON with sorted keys and a newline, the
-        bytes of a cache file, written straight from the form."""
+        """The ``canonical`` bytes of this series' document, a cache file:
+        each term ``{"exp", "num", "den"}`` reduced by one gcd with D, in
+        lexicographic exponent order, written straight from the form."""
         D, ints = self.D, self.ints
         terms = []
         for text, (_, k) in kronecker.grading(self.d, self.order).texts.items():
@@ -384,14 +377,28 @@ class MSeries:
 
     @classmethod
     def from_dict(cls, data) -> "MSeries":
-        """The series of a document in ``to_dict``'s shape with its terms in
-        any order, as a job fixture is written by hand; anything else raises
-        ValueError (see ``check_dict``).  A cache file is read by
-        ``from_bytes``, which takes only ``to_bytes``'s bytes."""
-        d, order, exps, nums, dens = check_dict(data)
-        key, D = kronecker.grading(d, order).key, math.lcm(*dens)
-        ints = {key[v]: n * (D // m) for v, n, m in zip(exps, nums, dens)}
-        return cls.of_form(d, order, (D, ints))
+        """The series of a document written by hand, as a job fixture is, its
+        terms in any order; anything else raises ValueError.  Its shape
+        checked and its terms sorted by exponent, it is read from its
+        ``canonical`` bytes by ``from_bytes``; ``json.dumps`` escapes
+        quotes, so no string in a term can forge another."""
+        if not isinstance(data, dict) or set(data) != {"d", "order", "terms"}:
+            raise ValueError("a series is an object with exactly d, order and terms")
+        d, order, terms = data["d"], data["order"], data["terms"]
+        if not (is_int(d) and d >= 1 and is_int(order) and order >= 0):
+            raise ValueError("d must be a positive and order a nonnegative integer")
+        # sorted() would take an object's keys, and json.dumps writes a tuple as a list
+        if not (isinstance(terms, list)
+                and all(isinstance(t, dict) and is_int_list(t.get("exp")) for t in terms)):
+            raise ValueError("a term is not an object with exp, num and den, exp a list of ints")
+        terms = sorted(terms, key=itemgetter("exp"))
+        return from_bytes(canonical({"d": d, "order": order, "terms": terms}), d, order)
+
+
+def canonical(data) -> bytes:
+    """``data`` as canonical bytes: compact JSON with sorted keys and a final
+    newline.  Cache files, manifests and the cache key are written so."""
+    return (json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n").encode()
 
 
 # a cache file: the head, the terms joined by commas, the tail
@@ -406,13 +413,15 @@ _TERM_BYTES = 27  # the bytes of a term and its comma besides den, exp and num
 
 def from_bytes(blob: bytes, d: int, order: int, build: bool = True) -> Optional[MSeries]:
     """The series in d variables at ``order`` whose ``to_bytes`` is ``blob``,
-    or None when not ``build``; raises ValueError on any other bytes.
+    or None when not ``build``; raises ValueError on any other bytes.  A
+    cache file comes here as it is, a job fixture through ``from_dict``.
 
     The head must give this d and order before any grading is made.  The
     terms are the matches of one pattern, which must cover every byte; each
     exponent text is looked up in the grading for its lexicographic rank
     and key, the ranks must increase strictly (so no exponent repeats), and
-    each num/den must be a nonzero reduced fraction with den > 0.
+    each num/den must be a nonzero reduced fraction with den > 0.  No term,
+    no grading, whatever order the head claims.
     """
     text, head = blob.decode(), _HEAD.format(d, order)  # UnicodeDecodeError is a ValueError
     if not text.startswith(head):
@@ -421,14 +430,16 @@ def from_bytes(blob: bytes, d: int, order: int, build: bool = True) -> Optional[
     # each match but the last holds its comma, so they tile the terms iff they add up
     size = sum(map(len, chain.from_iterable(found))) + _TERM_BYTES * len(found) - bool(found)
     if len(head) + size + len(_TAIL) != len(text) or not text.endswith(_TAIL):
-        raise ValueError("the terms are not as to_bytes writes them")
+        raise ValueError("a term is not exactly exp, a list of ints, and num and den, decimal"
+                         " strings of a nonzero fraction with den > 0, in canonical JSON")
     dens, exps, nums = zip(*found) if found else ((), (), ())
-    ranked = list(map(kronecker.grading(d, order).texts.get, exps))
+    ranked = list(map(kronecker.grading(d, order).texts.get, exps)) if found else []
     if None in ranked:
         raise ValueError(f"an exponent is not {d} nonnegative ints of degree <= {order}")
     ranks = list(map(itemgetter(0), ranked))
     if not all(map(lt, ranks, ranks[1:])):
-        raise ValueError("the exponents are not in strictly increasing order")
+        fault = "repeats" if len(set(ranks)) < len(ranks) else "is out of order"
+        raise ValueError(f"an exponent {fault}")
     nums, dens = list(map(int, nums)), list(map(int, dens))
     if set(map(math.gcd, nums, dens)) - {1}:
         raise ValueError("a fraction is not reduced")
@@ -437,63 +448,6 @@ def from_bytes(blob: bytes, d: int, order: int, build: bool = True) -> Optional[
     D = math.lcm(*dens)
     ints = {k: n * (D // m) for (_, k), n, m in zip(ranked, nums, dens)}
     return MSeries.of_form(d, order, (D, ints))
-
-
-_TERM_KEYS = frozenset(("exp", "num", "den"))
-# comma-joined decimal strings: nonzero numerators, positive denominators
-_NUMS = re.compile(r"-?[1-9][0-9]*(?:,-?[1-9][0-9]*)*")
-_DENS = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
-
-
-def check_dict(data) -> tuple[int, int, list[Exponent], list[int], list[int]]:
-    """Check that ``data`` is a series document in ``MSeries.to_dict``'s shape.
-
-    This is the contract of a job fixture, which people write: its terms
-    may come in any order.  A cache file has another one, the exact bytes
-    of ``MSeries.to_bytes``, and ``from_bytes`` checks it.
-
-    ``d`` and ``order`` are ints, each term an object with exactly ``exp``,
-    ``num`` and ``den``; ``exp`` is a list of d nonnegative ints of degree
-    <= order, and ``num``/``den`` are the decimal strings of a nonzero
-    reduced fraction with ``den`` > 0.  No exponent appears twice.  Each
-    check is one pass over all terms: an exponent must be a key of the
-    Kronecker grading at (d, order), and each column of strings must match
-    one pattern when joined by commas.
-
-    Returns d, order, the exponent tuples and the numerators and
-    denominators as ints; raises ValueError on anything else.
-    """
-    if not isinstance(data, dict) or set(data) != {"d", "order", "terms"}:
-        raise ValueError("a series is an object with exactly d, order and terms")
-    d, order, terms = data["d"], data["order"], data["terms"]
-    if type(d) is not int or d < 1 or type(order) is not int or order < 0:
-        raise ValueError("d must be a positive and order a nonnegative integer")
-    if not isinstance(terms, list):
-        raise ValueError("terms must be a list")
-    if set(map(type, terms)) - {dict} or set(map(frozenset, terms)) - {_TERM_KEYS}:
-        raise ValueError("a term is an object with exactly exp, num and den")
-    exps = list(map(itemgetter("exp"), terms))
-    # bool and float keys would hash like ints, so the types go first
-    if set(map(type, exps)) - {list} or set(map(type, chain.from_iterable(exps))) - {int}:
-        raise ValueError("an exponent is not a list of ints")
-    vs = list(map(tuple, exps))
-    distinct = set(vs)
-    if distinct and not kronecker.grading(d, order).key.keys() >= distinct:
-        raise ValueError(f"an exponent is not {d} nonnegative ints of degree <= {order}")
-    if len(distinct) != len(vs):
-        raise ValueError("an exponent appears twice")
-    nums = list(map(itemgetter("num"), terms))
-    dens = list(map(itemgetter("den"), terms))
-    if set(map(type, nums + dens)) - {str}:
-        raise ValueError("num and den must be decimal integer strings")
-    for strings, pattern in ((nums, _NUMS), (dens, _DENS)):
-        if strings and not pattern.fullmatch(",".join(strings)):
-            raise ValueError("num must be a nonzero and den a positive decimal integer string")
-    # a string with a comma of its own passes the pattern, but int() rejects it
-    nums, dens = list(map(int, nums)), list(map(int, dens))
-    if set(map(math.gcd, nums, dens)) - {1}:
-        raise ValueError("a fraction is not reduced")
-    return d, order, vs, nums, dens
 
 
 # -- composition and inversion ---------------------------------------------

@@ -8,7 +8,8 @@ module-level ``def`` that its name is loaded somewhere in them outside its
 own body, or that the benchmark's tracer wraps it by name, or that it is a
 listed exception; and of each module-level ``class`` that its name is
 loaded somewhere in them outside its own body.  No module imports a
-private name from a sibling.
+private name from a sibling, and one function states the canonical JSON
+bytes of a cache file, a manifest and a cache key.
 """
 
 import ast
@@ -125,3 +126,40 @@ def _private_imports(path):
 def test_no_module_imports_a_private_name_from_a_sibling():
     # a series' integer form, for one, stays behind ``series``
     assert [name for path in sorted(PACKAGE.glob("*.py")) for name in _private_imports(path)] == []
+
+
+def _canonical_dumps(modules):
+    """(module, function) of each ``json.dumps(..., separators=(",", ":"),
+    sort_keys=True)`` call: compact JSON with sorted keys."""
+    out = []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "dumps"):
+                    continue
+                kwargs = {k.arg: k.value for k in node.keywords}
+                if ("separators" in kwargs and "sort_keys" in kwargs
+                        and ast.literal_eval(kwargs["separators"]) == (",", ":")
+                        and ast.literal_eval(kwargs["sort_keys"]) is True):
+                    out.append((module, getattr(stmt, "name", None)))
+    return out
+
+
+def test_canonical_json_is_written_in_one_place():
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _canonical_dumps(modules) == [("series", "canonical")]
+
+
+def test_the_canonical_json_audit_flags_a_second_writer():
+    second = """
+import json
+
+def manifest_bytes(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+"""
+    modules = _modules() | {"extra": ast.parse(second)}
+    assert sorted(_canonical_dumps(modules)) == [
+        ("extra", "manifest_bytes"), ("series", "canonical")
+    ]

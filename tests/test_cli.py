@@ -33,7 +33,7 @@ from mirrorint.dwork import CongruenceRanges, PadicContext, q_ratio_congruence_s
 from mirrorint.forms import FormSystem
 from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.operators import case30_record, verify_annihilation
-from mirrorint.series import MSeries, from_bytes
+from mirrorint.series import MSeries, canonical, from_bytes
 from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
 
 from test_mirror import count_the_pass
@@ -80,7 +80,7 @@ def edited_bytes(series, edit):
     """The bytes of a series document after ``edit``, which changes the
     document, written back canonically, or returns the bytes to write."""
     blob = edit(series)
-    return blob if isinstance(blob, bytes) else cli._canonical(series)
+    return blob if isinstance(blob, bytes) else canonical(series)
 
 
 def reseal(cache_root, name, edit):
@@ -92,7 +92,7 @@ def reseal(cache_root, name, edit):
     blob = edited_bytes(json.loads(path.read_text()), edit)
     path.write_bytes(blob)
     doc["series"][name]["sha256"] = hashlib.sha256(blob).hexdigest()
-    manifest.write_bytes(cli._canonical(doc))
+    manifest.write_bytes(canonical(doc))
 
 
 def _set_first_term(key, value):
@@ -141,7 +141,7 @@ NONCANONICAL_SERIES = {
     "another key order": lambda series: json.dumps(
         _reversed_keys(series), separators=(",", ":")).encode() + b"\n",
     "terms out of order": lambda series: series["terms"].reverse(),
-    "trailing bytes": lambda series: cli._canonical(series) + b"\n",
+    "trailing bytes": lambda series: canonical(series) + b"\n",
 }
 # every edit of a series file that a warm load refuses
 CACHE_REJECTS = {**MALFORMED_SERIES, **MISFIT_SERIES, **NONCANONICAL_SERIES}
@@ -382,12 +382,12 @@ class TestScanAndCache:
         manifest = next((tmp_path / "cache").rglob("manifest.json"))
         intact = manifest.read_bytes()
         # the edits below rewrite the manifest canonically, so each changes one thing
-        assert cli._canonical(json.loads(intact)) == intact
+        assert canonical(json.loads(intact)) == intact
 
         def edited(edit):
             doc = json.loads(intact)
             edit(doc)
-            return cli._canonical(doc)
+            return canonical(doc)
 
         without_z1 = json.loads(intact)
         del without_z1["series"]["z_1"]
@@ -431,7 +431,7 @@ class TestScanAndCache:
     def test_noncanonical_series_are_well_formed(self, name):
         # so the rule each one breaks is the cache's byte format, and no other
         s = MSeries(2, 3, {(1, 1): Fraction(-3, 4), (0, 2): 2, (0, 0): 5})
-        blob = edited_bytes(s.to_dict(), NONCANONICAL_SERIES[name])
+        blob = edited_bytes(json.loads(s.to_bytes()), NONCANONICAL_SERIES[name])
         assert blob != s.to_bytes()
         assert MSeries.from_dict(json.loads(blob)) == s
         with pytest.raises(ValueError):
@@ -516,7 +516,7 @@ class TestScanAndCache:
         manifest = next((tmp_path / "cache").rglob("manifest.json"))
         doc = json.loads(manifest.read_text())
         doc["series"]["qL_3"] = doc["series"]["qL_2"]
-        manifest.write_bytes(cli._canonical(doc))
+        manifest.write_bytes(canonical(doc))
         code, out, err = run(capsys, ["scan", job, *cache_args])
         assert code == EXIT_CACHE
         assert out == "" and f"manifest {manifest} is not the one written" in err
@@ -1012,6 +1012,19 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
         # a zero G leaves no nonzero coefficient of the combination to check
         ("dwork", {"fixture": {"F": ONE, "G": ZERO}, "primes": [2]}, [], None,
          "dwork needs a nonzero fixture G"),
+        # and so does a system whose every G_k is zero
+        *(("dwork", {"system": {"e": e, "f": f, "raw": True}, "primes": [2]}, ["--no-cache"],
+           None, "dwork needs a system with a nonzero G_k")
+          for e, f in (([[1]], [[1]]), ([[0, 0]], [[0, 0]]), ([[1, 0], [0, 0]], [[1, 0]]))),
+        # refusals made once the command has its input
+        ("dwork", {"system": {"name": "inverse-binomial"}, "primes": [2]}, [], None,
+         "dwork cannot check this input: F has a non p-integral coefficient at (1,)"),
+        ("case", {"case": "nope"}, [], None,
+         "unknown case 'nope' (not bundled, not a readable path)"),
+        ("case", {"case": "case30", "order": 0}, [], None,
+         "case case30 needs order >= 2, the z-degree of its operator"),
+        ("case", {"case": {**case30_record().to_dict(), "theta_op": [[0]]}, "order": 8}, [], None,
+         "bad case record: the zero operator annihilates everything"),
         *(("congruences", {"system": {"name": name}, "primes": [2],
                            "ranges": {"s_max": 0, "k_bound": 0, "m_bound": 0}}, [], None, EXIT_OK)
           for name in ("cubic-2d", "central-binomial")),
@@ -1122,13 +1135,13 @@ def test_a_deleted_series_file_exits_3(tmp_path, capsys, cache_args):
 
 
 def _schema_refusals():
-    """(function, template) of each ``SchemaError`` raised in ``parse_job``,
-    ``_parse_system`` and ``_read_job``: the message as a regular expression,
-    each formatted field standing for any text."""
+    """(function, template) of each ``SchemaError`` raised in a function of
+    ``cli``: the message as a regular expression, each formatted field
+    standing for any text."""
     tree = ast.parse(Path(cli.__file__).read_text())
     out = []
     for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("parse_job", "_parse_system", "_read_job"):
+        if isinstance(fn, ast.FunctionDef):
             for node in ast.walk(fn):
                 if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                         and getattr(node.exc.func, "id", None) == "SchemaError"):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,24 +101,24 @@ class TestOnePassAgainstOracle:
     @example((FormSystem([(0, 0), (2, 1), (1, 2)], [(0, 0), (1, 0)], raw=True), 5))
     def test_families_match_per_series_loops(self, job):
         sys, order = job
-        F = oracle_build_F(sys, order).to_dict()
-        G = [oracle_build_Gk(sys, k, order).to_dict() for k in range(1, sys.d + 1)]
+        F = oracle_build_F(sys, order).to_bytes()
+        G = [oracle_build_Gk(sys, k, order).to_bytes() for k in range(1, sys.d + 1)]
         Ls = enumerate_weight_vectors(sys)
-        GL = {L: oracle_build_GL(sys, L, order).to_dict() for L in Ls}
-        assert build_F(sys, order).to_dict() == F
-        assert [build_Gk(sys, k, order).to_dict() for k in range(1, sys.d + 1)] == G
-        assert {L: build_GL(sys, L, order).to_dict() for L in Ls} == GL
+        GL = {L: oracle_build_GL(sys, L, order).to_bytes() for L in Ls}
+        assert build_F(sys, order).to_bytes() == F
+        assert [build_Gk(sys, k, order).to_bytes() for k in range(1, sys.d + 1)] == G
+        assert {L: build_GL(sys, L, order).to_bytes() for L in Ls} == GL
         b = build_bundle(sys, order)
-        assert b.F.to_dict() == F
-        assert [g.to_dict() for g in b.G] == G
+        assert b.F.to_bytes() == F
+        assert [g.to_bytes() for g in b.G] == G
         assert list(b.GL) == Ls
-        assert {L: g.to_dict() for L, g in b.GL.items()} == GL
+        assert {L: g.to_bytes() for L, g in b.GL.items()} == GL
         # the pass itself: D_F is the least common denominator of the Q(n)
         D_F = mirror.coefficient_forms(sys, order)[0][0]
-        assert D_F == math.lcm(*(int(t["den"]) for t in F["terms"]))
+        assert D_F == math.lcm(*(int(t["den"]) for t in json.loads(F)["terms"]))
         Fs, *Gs = emitted(sys, order, range(sys.d), Ls)
-        assert Fs.to_dict() == F
-        assert [g.to_dict() for g in Gs] == G + list(GL.values())
+        assert Fs.to_bytes() == F
+        assert [g.to_bytes() for g in Gs] == G + list(GL.values())
 
     def test_the_swapped_example_has_D_F_above_1_and_an_L_with_a_zero_entry(self):
         swapped = FormSystem([(1, 0), (0, 1)], [(1, 1)])

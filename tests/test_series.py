@@ -365,17 +365,17 @@ class TestInversion:
 class TestSerialization:
     def test_round_trip(self):
         s = MSeries(2, 5, {(1, 0): Fraction(-3, 7), (0, 5): 11})
-        assert MSeries.from_dict(s.to_dict()) == s
+        assert MSeries.from_dict(json.loads(s.to_bytes())) == s
 
     def test_canonical_order_and_strings(self):
         s = MSeries(2, 3, {(1, 0): 2, (0, 1): Fraction(1, 3)})
-        data = s.to_dict()
+        data = json.loads(s.to_bytes())
         assert data["terms"] == [
             {"exp": [0, 1], "num": "1", "den": "3"},
             {"exp": [1, 0], "num": "2", "den": "1"},
         ]
         # deterministic bytes
-        assert json.dumps(data) == json.dumps(MSeries.from_dict(data).to_dict())
+        assert MSeries.from_dict(data).to_bytes() == s.to_bytes()
 
 
 @st.composite
@@ -512,7 +512,7 @@ def _term(**fields):
     return lambda doc, i=0: doc["terms"][i].update(fields)
 
 
-# edits of a series document into something to_dict never writes; the
+# edits of a series document into something to_bytes never writes; the
 # per-term ones take the index of the term they change
 NOT_WRITTEN_BY_TO_DICT = {
     "float num": _term(num=1.5),
@@ -559,7 +559,16 @@ NOT_WRITTEN_BY_TO_DICT = {
     "true in exp": _term(exp=[True, 0]),
     "degree above order": _term(exp=[2, 2]),
     "exp past order in one variable": _term(exp=[0, 4]),
+    # json.dumps escapes the quotes, so a string cannot close its term and open another
+    "num carrying a second term": _term(num='1"},{"den":"1","exp":[0,3],"num":"1'),
 }
+
+
+def document(s):
+    """The series document of ``s``, built from its terms in exponent order."""
+    terms = [{"exp": list(v), "num": str(c.numerator), "den": str(c.denominator)}
+             for v, c in s.items()]
+    return {"d": s.d, "order": s.order, "terms": terms}
 
 
 def oracle_from_dict(data):
@@ -598,13 +607,15 @@ def oracle_from_dict(data):
 
 @st.composite
 def series_documents(draw):
-    """A ``to_dict`` document, at d in 1..3 and order in 0..4, with any
-    coefficients, possibly after one edit at a random term."""
+    """A series document, at d in 1..3 and order in 0..4, with any
+    coefficients and its terms in any order, possibly after one edit at a
+    random term."""
     d, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     exps = [v for v in itertools.product(range(order + 1), repeat=d) if sum(v) <= order]
     chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=8))
     coeff = st.fractions(max_denominator=10**30).filter(bool) | st.integers().filter(bool)
-    doc = MSeries(d, order, {v: draw(coeff) for v in chosen}).to_dict()
+    doc = json.loads(MSeries(d, order, {v: draw(coeff) for v in chosen}).to_bytes())
+    doc["terms"] = draw(st.permutations(doc["terms"]))
     if chosen:
         name = draw(st.none() | st.sampled_from(sorted(NOT_WRITTEN_BY_TO_DICT)))
         if name is not None:
@@ -632,7 +643,7 @@ def test_bulk_checks_match_the_per_term_oracle(doc):
 def test_each_edit_is_rejected_at_every_term(name):
     terms = {(0, 0): 1, (1, 0): Fraction(-3, 4), (0, 1): 5, (1, 1): Fraction(7, 9), (0, 2): 2}
     for i in range(len(terms)):
-        doc = MSeries(2, 3, terms).to_dict()
+        doc = json.loads(MSeries(2, 3, terms).to_bytes())
         NOT_WRITTEN_BY_TO_DICT[name](doc, i)
         assert _outcome(oracle_from_dict, doc) == "rejected"
         assert _outcome(MSeries.from_dict, doc) == "rejected"
@@ -680,7 +691,7 @@ def byte_edits(draw, blob):
 @given(s=byte_series())
 def test_to_bytes_writes_the_canonical_json_of_to_dict(s):
     blob = s.to_bytes()
-    assert blob == (json.dumps(s.to_dict(), separators=(",", ":"), sort_keys=True) + "\n").encode()
+    assert blob == (json.dumps(document(s), separators=(",", ":"), sort_keys=True) + "\n").encode()
     assert series.from_bytes(blob, s.d, s.order).form == s.form
     assert series.from_bytes(blob, s.d, s.order, build=False) is None
 
@@ -688,8 +699,8 @@ def test_to_bytes_writes_the_canonical_json_of_to_dict(s):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), s=byte_series())
 def test_from_bytes_accepts_only_what_check_dict_accepts(data, s):
-    # check_dict is the oracle: an edit the reader takes must be a series
-    # document it takes too, and both must read the same series from it
+    # the per-term reader is the oracle: an edit the reader takes must be a
+    # series document it takes too, and both must read the same series from it
     blob = data.draw(byte_edits(s.to_bytes()))
     try:
         got = series.from_bytes(blob, s.d, s.order)
@@ -698,7 +709,7 @@ def test_from_bytes_accepts_only_what_check_dict_accepts(data, s):
             series.from_bytes(blob, s.d, s.order, build=False)
         return
     assert series.from_bytes(blob, s.d, s.order, build=False) is None
-    want = MSeries.from_dict(json.loads(blob))
+    want = oracle_from_dict(json.loads(blob))
     assert (want.d, want.order) == (s.d, s.order)
     assert got.form == want.form
     assert_canonical(got)
@@ -723,12 +734,13 @@ class TestAccessAndSerializationChecks:
 
     def test_from_dict_reads_what_to_dict_writes(self):
         s = MSeries(3, 4, {(1, 0, 2): Fraction(-5, 12), (0, 0, 0): 7, (4, 0, 0): Fraction(1, 3)})
-        assert MSeries.from_dict(json.loads(json.dumps(s.to_dict()))) == s
-        assert MSeries.from_dict(MSeries.zero(2, 0).to_dict()) == MSeries.zero(2, 0)
+        assert MSeries.from_dict(document(s)) == s
+        assert MSeries.from_dict(json.loads(s.to_bytes())) == s
+        assert MSeries.from_dict(document(MSeries.zero(2, 0))) == MSeries.zero(2, 0)
 
     @pytest.mark.parametrize("edit", NOT_WRITTEN_BY_TO_DICT.values(), ids=NOT_WRITTEN_BY_TO_DICT)
     def test_from_dict_rejects_anything_else(self, edit):
-        doc = MSeries(2, 3, {(1, 1): Fraction(-3, 4), (0, 2): 2}).to_dict()
+        doc = document(MSeries(2, 3, {(1, 1): Fraction(-3, 4), (0, 2): 2}))
         edit(doc)
         with pytest.raises(ValueError):
             MSeries.from_dict(doc)
@@ -794,7 +806,7 @@ def test_the_form_is_unique_through_every_operation(case):
         cut = a.truncate(n)
         assert (cut.d, cut.order) == (a.d, n)
         assert dict(cut.items()) == {v: x for v, x in terms.items() if sum(v) <= n}
-    assert MSeries.from_dict(a.to_dict()).form == a.form
+    assert MSeries.from_dict(document(a)).form == a.form
 
 
 def big_fractions():
@@ -1109,22 +1121,13 @@ def serializable_series(draw):
 @settings(max_examples=200, deadline=None)
 @given(s=serializable_series())
 def test_to_dict_writes_the_fraction_document(s):
-    want = {
-        "d": s.d,
-        "order": s.order,
-        "terms": [
-            {"exp": list(v), "num": str(c.numerator), "den": str(c.denominator)}
-            for v, c in s.items()
-        ],
-    }
-    got = s.to_dict()
-    assert got == want and json.dumps(got) == json.dumps(want)
+    assert json.loads(s.to_bytes()) == document(s)
 
 
 def test_to_dict_reduces_each_term_against_D():
     terms = {(0, 0): Fraction(-1, 6), (1, 0): Fraction(3, 4), (0, 1): -5, (1, 1): Fraction(7, 12)}
     s = MSeries(2, 2, terms)
     assert s.D == 12
-    assert [(t["num"], t["den"]) for t in s.to_dict()["terms"]] == [
+    assert [(t["num"], t["den"]) for t in json.loads(s.to_bytes())["terms"]] == [
         ("-1", "6"), ("-5", "1"), ("3", "4"), ("7", "12")
     ]
