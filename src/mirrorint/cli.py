@@ -8,13 +8,14 @@ Commands: classify, bundle, scan, dwork, congruences, case.  ``parse_job``
 settles a job for one command, and is the one place that states its
 rules and defaults: a job that lists ``commands`` must name the one being
 run; ``case`` needs a case, ``dwork`` a system or a fixture, the others a
-system; primes default to [2, 3, 5], none may repeat, and ``dwork`` and
-``congruences`` refuse an empty list (``scan`` with none scans over Z
-only); the budget defaults to ``landau.BUDGET``, and an unset order to
-``systems.default_order`` (12 in one variable, 8 otherwise) for
-``bundle``, ``scan`` and ``dwork`` and to 12 for ``case``; ``dwork``
-refuses an order of 0 (a system's or a fixture's) and a fixture whose G
-is zero, where no coefficient would be checked.
+system; primes default to [2, 3, 5], each below 2^64 (``forms.is_prime``)
+and none repeated, and ``dwork`` and ``congruences`` refuse an empty list
+(``scan`` with none scans over Z only); the budget defaults to
+``landau.BUDGET``, and an unset order to ``systems.default_order`` (12 in
+one variable, 8 otherwise) for ``bundle``, ``scan`` and ``dwork`` and to
+12 for ``case``; ``dwork`` refuses an order of 0 (a system's or a
+fixture's) and a fixture whose G is zero, where no coefficient would be
+checked.
 ``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
 ``primes`` and ``strategy.budget`` and are checked by those keys' rules;
 the keys the job file gives are checked too, flag or no flag.
@@ -208,9 +209,11 @@ def parse_job(doc: dict, command: str) -> Job:
     if order is not None and not _nonnegative_int(order):
         raise SchemaError("order must be a nonnegative integer")
     primes = doc.get("primes", [2, 3, 5])
-    if not isinstance(primes, list) or not all(
-        is_int(p) and is_prime(p) for p in primes
-    ):
+    try:
+        prime_list = isinstance(primes, list) and all(is_int(p) and is_prime(p) for p in primes)
+    except ValueError as exc:  # a prime past the bound of is_prime
+        raise SchemaError(f"primes: {exc}")
+    if not prime_list:
         raise SchemaError("primes must be an array of prime numbers")
     if len(set(primes)) != len(primes):
         # a repeated prime would repeat its reports and its work
@@ -297,9 +300,18 @@ def _read_job(path: Optional[str]) -> dict:
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read job file: {exc}")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return _decode(text)
+    except ValueError as exc:
         raise SchemaError(f"invalid JSON: {exc}")
+
+
+def _decode(text):
+    """``json.loads``, with a document nested too deep to decode refused as
+    ValueError, as invalid JSON is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the document is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,7 @@ def load_bundle(
     try:
         with open(manifest_path, "rb") as fh:
             stored = fh.read()
-        recorded = {name: e["sha256"] for name, e in json.loads(stored)["series"].items()}
+        recorded = {name: e["sha256"] for name, e in _decode(stored)["series"].items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CacheCorruptionError(f"unreadable manifest {manifest_path}: {exc!r}") from None
     series, digests = {}, {}
@@ -548,7 +560,7 @@ def _load_case(job: Job) -> CaseRecord:
     if os.path.exists(job.case):
         try:
             with open(job.case, "r", encoding="utf-8") as fh:
-                return CaseRecord.from_dict(json.load(fh))
+                return CaseRecord.from_dict(_decode(fh.read()))
         except (OSError, ValueError) as exc:
             raise SchemaError(f"bad case record: {exc}")
     raise SchemaError(f"unknown case {job.case!r} (not bundled, not a readable path)")

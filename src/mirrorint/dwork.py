@@ -16,7 +16,10 @@ v_p(x) >= t + v_p(g).  The module provides
   * the obstruction functionals used by the non-integrality witnesses.
 
 All sweeps are deterministic: each report carries the first locus, in
-the lexicographic order of its tuples, with the least margin.
+the lexicographic order of its tuples, with the least margin.  A tracker
+replaces its held locus only for a strictly smaller margin, ranked on
+PadicInfinity's order: an infinite achieved value has margin INFINITY,
+and a finite one against an infinite demand the least margin of all.
 
 The weight lemma ties the harness to the Landau function delta.  By
 Legendre, v_p(Q(m)) = sum_(l >= 1) delta(m / p^l); with equal column sums
@@ -61,7 +64,8 @@ they would otherwise build.  Every reported ``achieved`` value is exact:
     so their difference is odd under it.  Level 0 is a first half and that
     half negated, and the total over [0, K], the sum of every level, is
     zero identically: like the weight shift, the telescoping check cannot
-    fail, but it is still computed and reported.
+    fail, but it is still computed and reported.  As each level partitions
+    [0, K], every (a, K, s) has that total, so (a, K, 0) is its only update.
   * The conclusion visits K outermost, yet its loci are ordered by
     (a, K, s, m).  Each residue a has its own tracker, which sees its
     (K, s, m) in order and so holds the first least margin of a.  Merged
@@ -96,6 +100,7 @@ from .forms import (
     harmonic_weight,
     require_prime,
     vp_int,
+    vp_of_rational,
     vp_ratio_legendre,
 )
 from .mirror import integrality_scan
@@ -168,7 +173,6 @@ class PadicContext:
         self.p = require_prime(p)
         self.sys = sys
         self._q_cache: dict[IntVec, int | Fraction] = {}
-        self._mu_cache: dict[IntVec, int] = {}
         self._forms = tuple(dict.fromkeys(sys.forms))
         self._unit_tables: Optional[_Units] = None
 
@@ -195,11 +199,7 @@ class PadicContext:
 
     def mu(self, m: Sequence[int]) -> int:
         """Number of l >= 1 with the fractional part of m / p^l in the jump region."""
-        m = tuple(int(c) for c in m)
-        out = self._mu_cache.get(m)
-        if out is None:
-            out = self._mu_cache[m] = self._levels(m, (0,) * len(self._forms))
-        return out
+        return self._levels(tuple(int(c) for c in m), (0,) * len(self._forms))
 
     def _levels(self, m: IntVec, carry: IntVec) -> int:
         """kappa_c(m): the number of l >= 1 with w.(m mod p^l) >= p^l - c_w for some
@@ -268,66 +268,58 @@ class CongruenceReport:
                 "pass": self.passed}
 
 
+# the margin of a finite valuation against an exact-zero demand, which it never meets
+_UNMET = -(10**9)
+
+
+def _margins(required: list, achieved: list) -> list:
+    """achieved - required per entry, INFINITY for an infinite achieved value
+    and ``_UNMET`` for a finite one against an infinite demand."""
+    return [INFINITY if a is INFINITY else _UNMET if r is INFINITY else a - r
+            for r, a in zip(required, achieved)]
+
+
 class _Worst:
-    """Tracks the minimal margin (achieved - required) over a sweep."""
+    """Holds the first least margin (achieved - required) of a sweep."""
 
     def __init__(self, check: str):
         self.check = check
         self.locus: tuple = ()
         self.required: Valuation = 0
         self.achieved: Valuation = INFINITY
-        self.margin: Optional[int] = None  # None means every case was infinite
-        self.count = 0
+        self.margin: Optional[Valuation] = None  # None until the first update
 
     def update(self, locus: tuple, required: Valuation, achieved: Valuation):
-        self.count += 1
-        if achieved is INFINITY:
-            if self.count == 1:
-                self.locus, self.required, self.achieved = locus, required, achieved
-            return
-        # a finite valuation can never reach an exact-zero demand
-        margin = -(10**9) if required is INFINITY else achieved - required
+        [margin] = _margins([required], [achieved])
         if self.margin is None or margin < self.margin:
             self.margin = margin
             self.locus, self.required, self.achieved = locus, required, achieved
 
     def update_row(self, head: tuple, tails: list, required: list, achieved: list):
-        """``update`` at the loci head + tail, tail in ``tails``, in order, for
-        finite ``required``.  Only the first entry of least margin can change
-        the tracker (the first entry, when no margin is finite), so only it
-        goes to ``update``."""
-        # INFINITY, greater than every int, stands for an infinite achieved value
-        margins = [INFINITY if a is INFINITY else a - r for r, a in zip(required, achieved)]
+        """``update`` at the loci head + tail, tail in ``tails``, in order.
+        Only the first entry of least margin can change the tracker, so only
+        it goes to ``update``."""
+        margins = _margins(required, achieved)
         if margins:
             i = margins.index(min(margins))
             self.update(head + tails[i], required[i], achieved[i])
-            self.count += len(margins) - 1
 
     def update_values(self, head: tuple, tails: list, required: list, xs: list, p: int,
                       shift: int):
         """``update`` at the loci head + tail, tail in ``tails``, in order, with
         achieved = v_p(x / p^shift) for ints x and finite ``required``.  Once a
-        margin M is known, an x in p^(required + M + shift) Z (Z when that
-        power is below 1) cannot set a new worst, so it is only counted."""
+        finite margin M is held, an x in p^(required + M + shift) Z (Z when
+        that power is below 1) cannot set a new worst, so it is skipped."""
         keep = range(len(xs))
-        if self.margin is not None:
+        if isinstance(self.margin, int):
             mods = {r: p ** max(r + self.margin + shift, 0) for r in set(required)}
             keep = [i for i, r, x in zip(keep, required, xs) if x % mods[r]]
-            self.count += len(xs) - len(keep)
         for i in keep:
             x = xs[i]
             self.update(head + tails[i], required[i], vp_int(x, p) - shift if x else INFINITY)
 
-    def extend(self, later: "_Worst"):
-        """Continue this sweep with ``later``'s, whose loci all come after
-        this one's: its result, fed to ``update``, wins only where one sweep
-        over both would have taken it."""
-        if later.count:
-            self.update(later.locus, later.required, later.achieved)
-            self.count += later.count - 1
-
     def report(self) -> CongruenceReport:
-        passed = self.margin is None or self.achieved >= self.required
+        passed = self.achieved >= self.required
         return CongruenceReport(self.check, self.locus, self.required, self.achieved, passed)
 
 
@@ -522,9 +514,7 @@ class _Ratios:
                 top = tuple(x + q1 * y for x, y in zip(hi, mbox[i]))
                 bot = tuple(x + q0 * y for x, y in zip(lo, mbox[i]))
                 diff = Fraction(ctx.Q(top), ctx.Q(hi)) - Fraction(ctx.Q(bot), ctx.Q(lo))
-                row[i] = (
-                    vp_int(diff.numerator, p) - vp_int(diff.denominator, p) if diff else INFINITY
-                )
+                row[i] = vp_of_rational(diff, p)
             rows.append((v_hi, row))
         return e, rows
 
@@ -596,13 +586,12 @@ def _conclusion_reports(
             sums = _block_sums(list(map(Pa.__getitem__, at)), QK, [up for up, *_ in levels[:-1]])
             picked = [x for sm, (_, pl, *_) in zip(sums, levels) for x in map(sm.__getitem__, pl)]
             wc_a.update_values((a, K), tails, required, picked, p, shift)
-            total = sum(sums[-1])  # each level partitions [0, K]
-            total = vp_int(total, p) - shift if total else INFINITY
-            for s in range(s_max + 1):
-                wt_a.update((a, K, s), INFINITY, total)
+            total = sum(sums[-1])  # each level partitions [0, K]: s = 0 is the first locus
+            wt_a.update((a, K, 0), INFINITY, vp_int(total, p) - shift if total else INFINITY)
     for trackers in (wc, wt):
+        # a later residue's held worst wins only where one sweep over both would take it
         for later in trackers[1:]:
-            trackers[0].extend(later)
+            trackers[0].update(later.locus, later.required, later.achieved)
     return [wc[0].report(), wt[0].report()]
 
 

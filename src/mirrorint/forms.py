@@ -262,24 +262,39 @@ def harmonic_weight(sys: FormSystem, k: int, x: Sequence) -> Fraction:
     return total
 
 
-def is_prime(p: int) -> bool:
-    """Trial-division primality test, ample for desk-scale primes."""
-    if p < 2:
+# Miller-Rabin on these bases decides every n < 3.3 * 10^24 (Sorenson and
+# Webster 2015); primality is decided below 2^_PRIME_BITS only.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BITS = 64
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly, by deterministic Miller-Rabin on the
+    first 12 primes; raises ValueError for n >= 2^64."""
+    if n >= 1 << _PRIME_BITS:
+        raise ValueError(f"{n} is not below 2^{_PRIME_BITS}, the bound on primes")
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    k = 3
-    while k * k <= p:
-        if p % k == 0:
+    if any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in _BASES:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
 def require_prime(p: int) -> int:
-    """``p`` as an int; raises ValueError when it is not prime."""
+    """``p`` as an int; raises ValueError when it is not a prime below 2^64."""
     p = int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -20,8 +20,8 @@ class Grading:
     key(v) = v_0 + v_1 B + ... + v_(d-2) B^(d-2) + |v| top, with B = order + 1
     and top = B^(d-1).  ``key`` and ``exp`` map exponents to keys and back;
     ``keys`` lists every key in ascending order, those of degree k starting
-    at ``keys[first[k]]``; ``local[k]`` lists the degree-k keys less k top.
-    ``key`` runs over the exponents in lexicographic order.
+    at ``keys[first[k]]``, none below k top.  ``key`` runs over the
+    exponents in lexicographic order.
     """
 
     def __init__(self, d: int, order: int):
@@ -35,10 +35,6 @@ class Grading:
         self.exp = {k: v for v, k in self.key.items()}
         self.keys = sorted(self.exp)
         self.first = [bisect_left(self.keys, k * self.top) for k in range(order + 2)]
-        self.local = [
-            [key - k * self.top for key in self.keys[self.first[k] : self.first[k + 1]]]
-            for k in range(base)
-        ]
 
     @cached_property
     def texts(self) -> dict[str, tuple[int, int]]:
@@ -139,23 +135,25 @@ def add(a, b) -> tuple[int, dict[int, int]]:
     return reduced(D, out)
 
 
-def recurrence(local, v, D, x0, weight, scale, lead=None):
+def recurrence(grid: Grading, v, D, x0, weight, scale, lead=None):
     """Slices x_k = X_k / d_k in lowest terms: x_0 = x0 (integral, d_0 = 1)
     and, for k >= 1,
 
         scale(k) x_k = lead_k + sum_(j=1..k) weight(k, j) v_j x_(k-j),
 
     where v_j = V_j / D and lead_k = L_k / D are given by their numerators
-    V_j and L_k.  All are homogeneous slices keyed within their degree
-    (``local[k]`` lists the keys of degree k), and k runs to the last slice
-    of ``v``.  Returns the X_k and the d_k.
+    V_j and L_k.  All are homogeneous slices on the keys of ``grid``, slice
+    k on its degree-k keys, and k runs to the last slice of ``v``.  Returns
+    the X_k and the d_k.
 
     With E the lcm of the d_(k-j) that step k reads, it sums
     L_k E + sum_j weight(k, j) (E / d_(k-j)) V_j X_(k-j) as Kronecker ints
-    of one slot width that bounds the whole sum, and divides by
-    scale(k) D E with one gcd.  The width is taken from the bound but at
+    of one slot width that bounds the whole sum, slice j packed from shift
+    j top as ``multiply`` packs an operand from its valuation, and divides
+    by scale(k) D E with one gcd.  The width is taken from the bound but at
     least doubles when it grows, and each slice is packed once per width.
     """
+    top, keys, first = grid.top, grid.keys, grid.first
     xs, dens = [x0], [1]
     xmax = [max(map(abs, x0.values()), default=0)]
     vmax = [max(map(abs, sl.values()), default=0) for sl in v]
@@ -172,14 +170,14 @@ def recurrence(local, v, D, x0, weight, scale, lead=None):
         if bound:
             if width(bound) > nb:
                 nb, packed_v, packed_x = max(width(bound), 2 * nb), {}, {}
-            acc = E * pack(base, nb) if base else 0
+            acc = E * pack(base, nb, k * top) if base else 0
             for w, j, i in terms:
                 if j not in packed_v:
-                    packed_v[j] = pack(v[j], nb)
+                    packed_v[j] = pack(v[j], nb, j * top)
                 if i not in packed_x:
-                    packed_x[i] = pack(xs[i], nb)
+                    packed_x[i] = pack(xs[i], nb, i * top)
                 acc += w * (packed_v[j] * packed_x[i])
-            x = unpack(acc, nb, local[k])
+            x = unpack(acc, nb, keys[first[k] : first[k + 1]], k * top)
             if x:
                 den = scale(k) * D * E
                 g = math.gcd(den, *x.values())

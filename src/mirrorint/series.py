@@ -50,8 +50,8 @@ terms in any order, once ``from_dict`` has sorted and written it so.
   off the bytes of the int.  Operands are cut first to the degrees that
   can still reach the truncation given the other's valuation.
 * **Unit operations.**  ``reciprocal``, ``exp`` and ``log`` run their
-  graded recursions on integer slices, the homogeneous parts keyed within
-  their degree.  With U_j the numerators of the degree-j part u_j over D,
+  graded recursions on integer slices, the homogeneous parts on their own
+  Kronecker keys.  With U_j the numerators of the degree-j part u_j over D,
   the recursions are
 
       reciprocal  r_k = -sum_(j=1..k) u_j r_(k-j)
@@ -68,11 +68,12 @@ terms in any order, once ``from_dict`` has sorted and written it so.
   (w = -1, j or j - k; L_k = k U_k for log, else 0), so that
   x_k = S_k / (s_k D E), with s_k = 1 for reciprocal and k for exp and
   log; one gcd reduces it.  The sum is taken as Kronecker ints at one
-  slot width that bounds it.  When the result is integral, as exp(G_k/F)
-  is in Case I, every d_k is 1 and the slots track the coefficients;
-  scaled by k! D^k instead, they would widen by D's bit length at every
-  degree.  The width is taken from the bound but at least doubles when it
-  must grow, so each slice is packed once per width.
+  slot width that bounds it, slice j packed from key j B^(d-1), the least
+  of degree j.  When the result is integral, as exp(G_k/F) is in Case I,
+  every d_k is 1 and the slots track the coefficients; scaled by k! D^k
+  instead, they would widen by D's bit length at every degree.  The width
+  is taken from the bound but at least doubles when it must grow, so each
+  slice is packed once per width.
 * **Specialization.**  ``MSeries.specialize`` takes the form along
   z_i = M_i t^(N_i) to the univariate form (D, n -> numerator of t^n),
   summing numerators as ints; ``operators`` applies theta operators to
@@ -291,21 +292,18 @@ class MSeries:
     # -- unit operations -----------------------------------------------------
 
     def _slices(self):
-        """The grading and the numerators over D of each degree-j part,
-        keyed within the degree."""
+        """The grading and the numerators over D of each degree-j part."""
         g = kronecker.grading(self.d, self.order)
         slices: list[dict[int, int]] = [{} for _ in range(self.order + 1)]
         for k, c in self.ints.items():
-            j = k // g.top
-            slices[j][k - j * g.top] = c
+            slices[k // g.top][k] = c
         return g, slices
 
-    def _of_slices(self, g, xs, dens) -> "MSeries":
-        """The series of this shape whose degree-k part is xs[k] / dens[k],
-        the slices xs[k] keyed within their degree."""
+    def _of_slices(self, xs, dens) -> "MSeries":
+        """The series of this shape whose degree-k part is xs[k] / dens[k]."""
         D = math.lcm(*[den for x, den in zip(xs, dens) if x])
         scales = [D // den for den in dens]
-        ints = {k * g.top + i: c * scales[k] for k, x in enumerate(xs) for i, c in x.items()}
+        ints = {i: c * scales[k] for k, x in enumerate(xs) for i, c in x.items()}
         return MSeries.of_form(self.d, self.order, (D, ints))
 
     def reciprocal(self) -> "MSeries":
@@ -313,16 +311,16 @@ class MSeries:
         if self.constant_term != 1:
             raise ValueError("reciprocal requires constant term 1")
         g, u = self._slices()
-        r = kronecker.recurrence(g.local, u, self.D, {0: 1}, lambda k, j: -1, lambda k: 1)
-        return self._of_slices(g, *r)
+        r = kronecker.recurrence(g, u, self.D, {0: 1}, lambda k, j: -1, lambda k: 1)
+        return self._of_slices(*r)
 
     def exp(self) -> "MSeries":
         """Exponential of a series with zero constant term."""
         if self.constant_term != 0:
             raise ValueError("exp requires zero constant term")
         g, u = self._slices()
-        e = kronecker.recurrence(g.local, u, self.D, {0: 1}, lambda k, j: j, lambda k: k)
-        return self._of_slices(g, *e)
+        e = kronecker.recurrence(g, u, self.D, {0: 1}, lambda k, j: j, lambda k: k)
+        return self._of_slices(*e)
 
     def log(self) -> "MSeries":
         """Logarithm of a unit with constant term 1."""
@@ -330,8 +328,8 @@ class MSeries:
             raise ValueError("log requires constant term 1")
         g, u = self._slices()
         lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(u)]
-        m = kronecker.recurrence(g.local, u, self.D, {}, lambda k, j: j - k, lambda k: k, lead)
-        return self._of_slices(g, *m)
+        m = kronecker.recurrence(g, u, self.D, {}, lambda k, j: j - k, lambda k: k, lead)
+        return self._of_slices(*m)
 
     # -- substitutions ---------------------------------------------------------
 

@@ -39,9 +39,24 @@ from mirrorint.systems import CENTRAL_BINOMIAL, CUBIC_2D
 from test_mirror import count_the_pass
 
 
+class Text:
+    """A file's text as it is, where a JSON document would be written; not
+    a str, so that a test id does not spell it out."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+# deeper than the JSON decoder can recurse
+NESTED = Text("[" * 100_000 + "]" * 100_000)
+# the least prime past 2^64, and what a job that lists it is told
+PAST_THE_BOUND = 2**64 + 13
+PAST_THE_BOUND_MESSAGE = f"primes: {PAST_THE_BOUND} is not below 2^64, the bound on primes"
+
+
 def write_job(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc.text if isinstance(doc, Text) else json.dumps(doc))
     return str(path)
 
 
@@ -1071,18 +1086,37 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
          None, "primes must not repeat"),
         ("congruences", {"system": {"name": "cubic-2d"}, "primes": [3, 2, 3]}, [], None,
          "primes must not repeat"),
+        # a document nested too deep to decode: a job file, a manifest (written
+        # over the one the bundle left) and a case record
+        ("classify", NESTED, [], None, EXIT_SCHEMA),
+        ("scan", {"system": {"name": "central-binomial"}, "order": 4}, [], NESTED, EXIT_CACHE),
+        ("case", {"case": NESTED}, [], None, EXIT_SCHEMA),
+        # a prime below 2^64 is decided at once, a larger one refused
+        *((c, {"system": {"name": "cubic-2d"}, "order": 3, "primes": [2**61 - 1]}, [], None,
+           EXIT_OK) for c in ("classify", "scan", "dwork")),
+        ("congruences", {"system": {"name": "cubic-2d"}, "primes": [PAST_THE_BOUND]}, [], None,
+         PAST_THE_BOUND_MESSAGE),
+        ("scan", {"system": {"name": "cubic-2d"}}, ["--prime", str(PAST_THE_BOUND)], None,
+         PAST_THE_BOUND_MESSAGE),
+        # strong pseudoprimes to the bases 2-7 and 2-23, and a Carmichael number
+        *(("congruences", {"system": {"name": "cubic-2d"}, "primes": [n]}, [], None,
+           "primes must be an array of prime numbers")
+          for n in (3215031751, 3825123056546413051, 41041)),
     ],
 )
 def test_cli_contract_has_no_tracebacks(
     tmp_path, capsys, cache_args, command, doc, flags, broken_series, expected
 ):
-    if isinstance(doc.get("case"), dict):
+    if isinstance(doc, dict) and isinstance(doc.get("case"), (dict, Text)):
         # a case record goes to a file of its own, which the job names
         doc = {**doc, "case": write_job(tmp_path, "record.json", doc["case"])}
     job = write_job(tmp_path, "a.json", doc)
     if broken_series is not None:
         assert run(capsys, ["bundle", job, *cache_args])[0] == EXIT_OK
-        drop_from_manifest(tmp_path / "cache", broken_series)
+        if isinstance(broken_series, Text):  # the manifest's new text
+            next((tmp_path / "cache").rglob("manifest.json")).write_text(broken_series.text)
+        else:
+            drop_from_manifest(tmp_path / "cache", broken_series)
     message = expected if isinstance(expected, str) else None
     if message is not None:
         expected = EXIT_SCHEMA

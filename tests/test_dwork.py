@@ -874,10 +874,36 @@ def test_cubic_2d_at_five_prints_the_recorded_lines():
 
 
 def tracker_state(w):
-    return (w.locus, w.required, w.achieved, w.margin, w.count)
+    """The held worst and its margin."""
+    return (w.locus, w.required, w.achieved, w.margin)
 
 
 valuations = st.one_of(st.integers(-3, 6), st.just(INFINITY))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(valuations, valuations), max_size=8))
+@example([(1, INFINITY), (2, 1), (0, 0)])  # INFINITY first, then finite
+@example([(0, 1), (3, 4), (1, 0), (2, 1)])  # ties
+@example([(INFINITY, INFINITY), (2, -3), (INFINITY, 5), (INFINITY, 0)])  # infinite demands
+def test_report_is_the_first_least_margin_of_the_stream(stream):
+    w = _Worst("c")
+    for i, (r, a) in enumerate(stream):
+        w.update((i,), r, a)
+
+    def rank(i):
+        """An infinite achieved value ranks last, a finite one against an
+        infinite demand first, and the rest by achieved - required."""
+        r, a = stream[i]
+        return (2, 0) if a is INFINITY else (0, 0) if r is INFINITY else (1, a - r)
+
+    if stream:
+        i = min(range(len(stream)), key=rank)
+        r, a = stream[i]
+        passed = a is INFINITY or (r is not INFINITY and a >= r)
+        assert w.report() == CongruenceReport("c", (i,), r, a, passed)
+    else:
+        assert w.report() == CongruenceReport("c", (), 0, INFINITY, True)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from mirrorint.forms import (
     factorial_ratios,
     harmonic,
     is_prime,
+    require_prime,
     vp_of_rational,
     vp_ratio_legendre,
 )
@@ -275,3 +276,42 @@ def test_factorial_ratios_give_the_values_of_Q(case):
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10, 10**6))
+@example(561)  # Carmichael numbers
+@example(41041)
+@example(2047)  # the least strong pseudoprime to base 2
+@example(999983)  # the largest prime below 10^6
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_division(n)
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (3215031751, (151, 751, 28351)),  # a strong pseudoprime to the bases 2, 3, 5, 7
+        (3825123056546413051, (149491, 747451, 34233211)),  # to every base up to 23
+        (2**64 - 1, (3, 5, 17, 257, 641, 65537, 6700417)),
+    ],
+)
+def test_is_prime_refuses_strong_pseudoprimes(n, factors):
+    assert math.prod(factors) == n and all(map(trial_division, factors))
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 10**12 + 39, 2**64 - 59])
+def test_is_prime_decides_large_primes(p):
+    assert is_prime(p) and require_prime(p) == p
+
+
+@pytest.mark.parametrize("n", [2**64, 2**64 + 13, 10**40])
+def test_primes_stop_below_2_to_the_64(n):
+    for check in (is_prime, require_prime):
+        with pytest.raises(ValueError, match="is not below 2\\^64"):
+            check(n)

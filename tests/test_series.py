@@ -949,22 +949,25 @@ def _scaled_recurrence(local, v, x0, weight, lead=None):
 def oracle_scaled(a, op):
     """``op`` ("reciprocal", "exp" or "log") of ``a`` on scaled slices: the
     degree-j numerators U_j over D as V_j = D^(j-1) U_j, and slice k of the
-    result over D^k, k! D^k or k D^k."""
+    result over D^k, k! D^k or k D^k.  Its slices are keyed within their
+    degree: ``local[k]`` lists the degree-k keys less k top."""
     g = kronecker.grading(a.d, a.order)
     D, N = a.D, a.order
+    local = [[key - k * g.top for key in g.keys[g.first[k] : g.first[k + 1]]]
+             for k in range(N + 1)]
     v = [{} for _ in range(N + 1)]
     for key, c in a.ints.items():
         j = key // g.top
         v[j][key - j * g.top] = c * D ** max(j - 1, 0)
     if op == "reciprocal":
-        xs = _scaled_recurrence(g.local, v, {0: 1}, lambda k, j: -1)
+        xs = _scaled_recurrence(local, v, {0: 1}, lambda k, j: -1)
         dens = [D**k for k in range(N + 1)]
     elif op == "exp":
-        xs = _scaled_recurrence(g.local, v, {0: 1}, lambda k, j: j * math.perm(k - 1, j - 1))
+        xs = _scaled_recurrence(local, v, {0: 1}, lambda k, j: j * math.perm(k - 1, j - 1))
         dens = [math.factorial(k) * D**k for k in range(N + 1)]
     else:
         lead = [{i: k * c for i, c in sl.items()} for k, sl in enumerate(v)]
-        xs = _scaled_recurrence(g.local, v, {}, lambda k, j: -1, lead)
+        xs = _scaled_recurrence(local, v, {}, lambda k, j: -1, lead)
         dens = [max(k, 1) * D**k for k in range(N + 1)]
     L = math.lcm(*[den for x, den in zip(xs, dens) if x])
     ints = {k * g.top + i: c * (L // dens[k]) for k, x in enumerate(xs) for i, c in x.items()}
