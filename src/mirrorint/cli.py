@@ -15,7 +15,10 @@ and none repeated, and ``dwork`` and ``congruences`` refuse an empty list
 one variable, 8 otherwise) for ``bundle``, ``scan`` and ``dwork`` and to
 12 for ``case``; ``dwork`` refuses an order of 0 (a system's or a
 fixture's) and a fixture whose G is zero, where no coefficient would be
-checked.
+checked.  An order whose grading ``kronecker.check_size`` refuses (a
+system's; a fixture's, as its series are read; a case's, once its record
+is loaded) and a prime at which ``dwork.harness_sizes`` refuses the
+``congruences`` harness exit 2 before anything is built.
 ``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
 ``primes`` and ``strategy.budget`` and are checked by those keys' rules;
 the keys the job file gives are checked too, flag or no flag.
@@ -86,10 +89,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
+from . import kronecker
 from .dwork import (
     CongruenceRanges,
     PadicContext,
     dieudonne_dwork_check,
+    harness_sizes,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
@@ -238,9 +243,9 @@ def parse_job(doc: dict, command: str) -> Job:
         fdoc = doc["fixture"]
         if not isinstance(fdoc, dict) or set(fdoc) != {"F", "G"}:
             raise SchemaError("fixture must be an object with series F and G")
-        try:
+        try:  # a series is read on the grading of its order, which check_size bounds
             fixture = (MSeries.from_dict(fdoc["F"]), MSeries.from_dict(fdoc["G"]))
-        except Exception as exc:
+        except ValueError as exc:
             raise SchemaError(f"bad fixture series: {exc}")
     rdoc = doc.get("ranges", {})
     if not isinstance(rdoc, dict) or set(rdoc) - _RANGE_KEYS:
@@ -269,6 +274,18 @@ def parse_job(doc: dict, command: str) -> Job:
         order = None  # neither runs at an order; a given one was checked above
     elif order is None:  # bundle, scan, dwork
         order = default_order(system)
+    if order is not None and system is not None:  # bundle, scan, dwork on a system
+        try:
+            kronecker.check_size(system.d, order)
+        except ValueError as exc:
+            raise SchemaError(f"order too large: {exc}") from None
+    if command == "congruences":
+        # every prime's harness is sized before the first one prints a line
+        for p in primes:
+            try:
+                harness_sizes(system, p, *ranges.resolved(p))
+            except ValueError as exc:
+                raise SchemaError(f"congruences cannot run {exc}") from None
     if command == "dwork" and (order if fixture is None else fixture[0].order) == 0:
         # the combination has no coefficient at order 0, so no check would run
         raise SchemaError("dwork needs an order of at least 1")
@@ -572,6 +589,10 @@ def cmd_case(job: Job, args) -> int:
         raise SchemaError(
             f"case {rec.name} needs order >= {rec.operator.z_degree}, the z-degree of its operator"
         )
+    try:
+        kronecker.check_size(rec.system.d, job.order)
+    except ValueError as exc:
+        raise SchemaError(f"order too large for case {rec.name}: {exc}") from None
     report = verify_annihilation(rec, job.order)
     # classified before the first line, so a budget exit prints no report
     verdict = classify(rec.system, job.budget)

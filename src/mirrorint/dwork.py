@@ -37,7 +37,9 @@ bounds, so its hot loops are flat list passes that avoid the big rationals
 they would otherwise build.  Every reported ``achieved`` value is exact:
 
   * Jump-region tests are integer: for 0 <= u < q, {u/q} is in the jump
-    region exactly when some form w has w.u >= q.
+    region exactly when some form w of ``counts`` (zero count included) has w.u >= q.
+  * ``harness_sizes`` states how large each table and box is at a prime,
+    and the sweeps and ``cli.parse_job`` refuse any past ``HARNESS_BOUND``.
   * Q(n) is written p^v * u with u a p-adic unit.  v is a Legendre sum; u
     is known mod p^R (R is the private constant ``_R``): the unit part of
     N! is prod_(i >= 0) F[floor(N/p^i)], where F[M] is the product of the
@@ -173,7 +175,7 @@ class PadicContext:
         self.p = require_prime(p)
         self.sys = sys
         self._q_cache: dict[IntVec, int | Fraction] = {}
-        self._forms = tuple(dict.fromkeys(sys.forms))
+        self._forms = tuple(w for w, _ in sys.counts)
         self._unit_tables: Optional[_Units] = None
 
     def Q(self, n: Sequence[int]) -> int | Fraction:
@@ -190,9 +192,8 @@ class PadicContext:
             self._q_cache[n] = out
         return out
 
-    def _units(self, bound: int) -> _Units:
-        """Unit-part tables covering every index with entries <= bound."""
-        top = max((sum(w) for w, _ in self.sys.net), default=0) * bound
+    def _units(self, top: int) -> _Units:
+        """Unit-part tables covering every N <= top."""
         if self._unit_tables is None or self._unit_tables.top < top:
             self._unit_tables = _Units(self.p, self.sys.net, top)
         return self._unit_tables
@@ -202,14 +203,12 @@ class PadicContext:
         return self._levels(tuple(int(c) for c in m), (0,) * len(self._forms))
 
     def _levels(self, m: IntVec, carry: IntVec) -> int:
-        """kappa_c(m): the number of l >= 1 with w.(m mod p^l) >= p^l - c_w for some
-        form w, carries c_w listed like the forms; none past the largest w.m + c_w."""
-        forms = list(zip(self._forms, carry))
-        top = max((sum(map(mul, w, m)) + c for w, c in forms), default=0)
+        """kappa_c(m): the number of l >= 1 at which m mod p^l meets the jump region
+        under the carries c, listed like the forms; none past the largest w.m + c_w."""
+        top = max(map(add, (sum(map(mul, w, m)) for w in self._forms), carry), default=0)
         count, q = 0, self.p
         while q <= top:
-            u = [x % q for x in m]
-            count += any(sum(map(mul, w, u)) + c >= q for w, c in forms)
+            count += _in_region_scaled(self, [x % q for x in m], q, carry)
             q *= self.p
         return count
 
@@ -218,10 +217,12 @@ class PadicContext:
 # good residues
 
 
-def _in_region_scaled(ctx: PadicContext, u: IntVec, q: int) -> bool:
+def _in_region_scaled(ctx: PadicContext, u: Sequence[int], q: int, carry=None) -> bool:
     """Whether {u/q} lies in the jump region, for 0 <= u < q componentwise:
-    w.(u/q) >= 1 exactly when w.u >= q."""
-    return any(sum(map(mul, w, u)) >= q for w in ctx._forms)
+    w.(u/q) >= 1 exactly when w.u >= q.  With carries c_w, listed like the
+    forms, whether some w.u >= q - c_w."""
+    carry = carry or itertools.repeat(0)
+    return any(sum(map(mul, w, u)) + c >= q for w, c in zip(ctx._forms, carry))
 
 
 def good_residues(ctx: PadicContext, s: int) -> list[IntVec]:
@@ -423,6 +424,38 @@ class CongruenceRanges:
         return self.s_max, kb, mb
 
 
+# the most entries one table or box of the formal-congruence harness holds
+HARNESS_BOUND = 1 << 22
+
+
+def harness_sizes(sys: FormSystem, p: int, s_max: int, k_bound: int, m_bound: int) -> dict:
+    """The entries of each table and box the formal-congruence harness builds
+    at the prime p, by name; raises ValueError when one passes
+    ``HARNESS_BOUND``, before any is built.
+
+    The unit tables run over N <= top, top the largest net form sum times
+    (m_bound + 1) p^(s_max + 1); the m box is [0, m_bound]^d; the residues
+    mod p^s_max number p^(s_max d); the conclusion reads Q on the K box
+    [0, k_bound]^d from each of its 1 + p^d starts.
+    """
+    # past these caps a size passes the bound alone (p^(s d) >= 2^s), so no
+    # larger power is formed
+    s_max = min(s_max, HARNESS_BOUND.bit_length())
+    k_bound, m_bound = min(k_bound, HARNESS_BOUND), min(m_bound, HARNESS_BOUND)
+    top = max((sum(w) for w, _ in sys.net), default=0) * (m_bound + 1) * p ** (s_max + 1)
+    sizes = {
+        "unit tables": top + 1,
+        "m box": (m_bound + 1) ** sys.d,
+        "residues": p ** (s_max * sys.d),
+        "conclusion": (k_bound + 1) ** sys.d * (1 + p**sys.d),
+    }
+    for name, size in sizes.items():
+        if size > HARNESS_BOUND:
+            raise ValueError(f"at p = {p}: the {name} would pass the harness bound"
+                             f" of {HARNESS_BOUND} entries")
+    return sizes
+
+
 def verify_formal_congruences(
     ctx: PadicContext, ranges: Optional[CongruenceRanges] = None
 ) -> list[CongruenceReport]:
@@ -434,7 +467,8 @@ def verify_formal_congruences(
     value-at-zero is a p-adic unit; Q(m) lies in g(m) O; the three ratio
     congruences (general, good-residue, excluded); the weight shift for
     excluded indices; the conclusion for the block sums; the exact
-    telescoping cancellation of complete block sums.
+    telescoping cancellation of complete block sums.  Raises ValueError
+    when ``harness_sizes`` refuses the ranges at this prime.
     """
     if ranges is None:
         ranges = CongruenceRanges()
@@ -443,6 +477,7 @@ def verify_formal_congruences(
         raise ValueError(_UNEQUAL_SUMS)
     p, d = ctx.p, ctx.sys.d
     s_max, k_bound, m_bound = ranges.resolved(p)
+    harness_sizes(ctx.sys, p, s_max, k_bound, m_bound)  # refuses a harness past the bound
     ratios = _Ratios(ctx, s_max, m_bound)
     mbox = ratios.mbox
     mus = [ctx.mu(m) for m in mbox]
@@ -476,7 +511,8 @@ class _Ratios:
 
     def __init__(self, ctx: PadicContext, s_max: int, m_bound: int):
         self.ctx = ctx
-        self.units = ctx._units((m_bound + 1) * ctx.p ** (s_max + 1))
+        # the ratio sweeps read no conclusion box: k_bound = 0
+        self.units = ctx._units(harness_sizes(ctx.sys, ctx.p, s_max, 0, m_bound)["unit tables"] - 1)
         self.mbox = list(_box((m_bound,) * ctx.sys.d))
         self.tails = [(m,) for m in self.mbox]
         span = range(m_bound + 1)
@@ -601,7 +637,8 @@ def q_ratio_congruence_sweep(
     """Exact check that Q(c) Q(cp + m p^(s+1)) / (Q(cp) Q(c + m p^s))
     lies in 1 + p^(s+1) Z_p, over all c mod p^s and m <= m_bound (4 if unset).
 
-    Requires equal column sums of e and f.  Returns one aggregated report
+    Requires equal column sums of e and f, and ranges that
+    ``harness_sizes`` admits at p.  Returns one aggregated report
     with the worst locus.  The ratio less 1 is the difference
     Q(cp + m p^(s+1)) / Q(cp) - Q(c + m p^s) / Q(c) over Q(c + m p^s) / Q(c).
     """
@@ -648,12 +685,11 @@ def obstruction_ratio(sys: FormSystem, k: int, witness: Sequence, X: int) -> Fra
         raise ValueError("argument must be nonnegative")
     witness = tuple(Fraction(c) for c in witness)
 
-    def side(vs):
-        floors = [(v[k - 1] * X, math.floor(dot(v, witness))) for v in vs]
-        terms = (1 + Fraction(c, j) for c, f in floors for j in range(1, f + 1))
-        return math.prod(terms, start=Fraction(1))
+    def factor(w):
+        terms = range(1, math.floor(dot(w, witness)) + 1)
+        return math.prod((1 + Fraction(w[k - 1] * X, j) for j in terms), start=Fraction(1))
 
-    return side(sys.e) / side(sys.f)
+    return math.prod((factor(w) ** m for w, m in sys.net), start=Fraction(1))
 
 
 def landau_negative_witness(

@@ -7,15 +7,15 @@ integer vectors in dimension ``d``.  The associated family of rationals is
 
     Q(n) = (e_1.n)! ... (e_q1.n)! / ((f_1.n)! ... (f_q2.n)!),
 
-indexed by nonnegative integer vectors ``n``.  A system also states, once,
-its net multiplicities ``net``: each distinct form w with its count in ``e``
-less its count in ``f``, where that is nonzero, so Q(n) is the product of
-(w.n)!^m over (w, m) in ``net``.  ``factorial_ratios`` gives Q at many
-points as integers over one denominator, from one factorial table: the
-series families and the congruence conclusion read Q from it, and
-``factorial_ratio`` evaluates one point.  Everything in this module is an
-immutable value and every operation is a pure function, so concurrent use
-from any number of threads is safe.
+indexed by nonnegative integer vectors ``n``.  A system states it once, as
+``counts``: each distinct form w, first seen first, with its count in ``e``
+less its count in ``f``; a zero count stays, as a shared form still bounds
+the jump region.  Its nonzero part ``net`` gives Q(n) as the product of
+(w.n)!^m over (w, m) in ``net``, and Q, v_p(Q) and the harmonic weights
+walk it; ``factorial_ratios`` gives Q at many points as integers over one
+denominator.  Everything in this module is an immutable value and every
+operation is a pure function, so concurrent use from any number of
+threads is safe.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class FormSystem:
     (needed for witness constructions and for preprocessed subsequences).
     """
 
-    __slots__ = ("d", "e", "f", "raw", "sum_e", "sum_f", "net")
+    __slots__ = ("d", "e", "f", "raw", "sum_e", "sum_f", "counts", "net")
 
     def __init__(self, e: Sequence[Iterable[int]], f: Sequence[Iterable[int]], raw: bool = False):
         e = tuple(_as_intvec(v) for v in e)
@@ -131,9 +131,10 @@ class FormSystem:
         object.__setattr__(self, "raw", bool(raw))
         object.__setattr__(self, "sum_e", tuple(sum(v[i] for v in e) for i in range(d)))
         object.__setattr__(self, "sum_f", tuple(sum(v[i] for v in f) for i in range(d)))
-        # each distinct form, first seen first, with its nonzero count in e less count in f
-        net = ((w, e.count(w) - f.count(w)) for w in dict.fromkeys(e + f))
-        object.__setattr__(self, "net", tuple((w, m) for w, m in net if m))
+        # each distinct form, first seen first, with its count in e less its count in f
+        counts = tuple((w, e.count(w) - f.count(w)) for w in dict.fromkeys(e + f))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "net", tuple((w, m) for w, m in counts if m))
 
     def __setattr__(self, name, value):
         raise AttributeError("FormSystem is immutable")
@@ -206,13 +207,8 @@ def factorial_ratio(sys: FormSystem, n: Sequence[int]) -> Fraction:
     system is nonnegative on the unit box; in general an exact rational.
     """
     n = _check_index(sys, n)
-    num = 1
-    for v in sys.e:
-        num *= math.factorial(dot(v, n))
-    den = 1
-    for v in sys.f:
-        den *= math.factorial(dot(v, n))
-    return Fraction(num, den)
+    num = math.prod(math.factorial(dot(w, n)) ** m for w, m in sys.net if m > 0)
+    return Fraction(num, math.prod(math.factorial(dot(w, n)) ** -m for w, m in sys.net if m < 0))
 
 
 def factorial_ratios(
@@ -236,30 +232,23 @@ def factorial_ratios(
     return D, [x * D // y for x, y in zip(num, den)]
 
 
-_HARMONIC: list[Fraction] = [Fraction(0)]
-
-
 def harmonic(m: int) -> Fraction:
-    """m-th harmonic number H_m = 1 + 1/2 + ... + 1/m, with H_0 = 0."""
+    """m-th harmonic number H_m = 1 + 1/2 + ... + 1/m, with H_0 = 0, as
+    num/den with den = m!, reduced once."""
     if m < 0:
         raise ValueError("harmonic index must be nonnegative")
-    while len(_HARMONIC) <= m:
-        k = len(_HARMONIC)
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
-    return _HARMONIC[m]
+    num, den = 0, 1
+    for k in range(1, m + 1):
+        num, den = num * k + den, den * k
+    return Fraction(num, den)
 
 
 def harmonic_weight(sys: FormSystem, k: int, x: Sequence) -> Fraction:
     """sum_i e_i[k] H(floor(e_i.x)) - sum_j f_j[k] H(floor(f_j.x)), the
-    harmonic weight of coordinate k (0-based) at a point x >= 0, exact."""
-    total = Fraction(0)
-    for v in sys.e:
-        if v[k]:
-            total += v[k] * harmonic(math.floor(dot(v, x)))
-    for v in sys.f:
-        if v[k]:
-            total -= v[k] * harmonic(math.floor(dot(v, x)))
-    return total
+    harmonic weight of coordinate k (0-based) at a point x >= 0, exact:
+    the sum of m w[k] H(floor(w.x)) over the (w, m) of ``sys.net``."""
+    terms = (m * w[k] * harmonic(math.floor(dot(w, x))) for w, m in sys.net if w[k])
+    return sum(terms, Fraction(0))
 
 
 # Miller-Rabin on these bases decides every n < 3.3 * 10^24 (Sorenson and
@@ -340,9 +329,4 @@ def vp_ratio_legendre(sys: FormSystem, n: Sequence[int], p: int) -> int:
     """
     p = require_prime(p)
     n = _check_index(sys, n)
-    v = 0
-    for w in sys.e:
-        v += vp_factorial(dot(w, n), p)
-    for w in sys.f:
-        v -= vp_factorial(dot(w, n), p)
-    return v
+    return sum(m * vp_factorial(dot(w, n), p) for w, m in sys.net)

@@ -8,10 +8,31 @@ slice denominators are exact.  Nothing here knows about ``Fraction``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from functools import cached_property, lru_cache
+
+
+# the most exponents a grading holds: a job whose order asks for more is refused
+MAX_KEYS = 1 << 16
+
+
+def check_size(d: int, order: int) -> None:
+    """Raise ValueError when the C(order + d, d) exponents of total degree
+    <= order in d variables are more than ``MAX_KEYS``."""
+    size = math.comb(order + d, d)
+    if size > MAX_KEYS:
+        raise ValueError(f"{size} exponents of degree <= {order} in d = {d}"
+                         f" pass the {MAX_KEYS} a grading holds")
+
+
+def _exponents(d: int, order: int) -> list[tuple[int, ...]]:
+    """The exponents of total degree <= order in d variables, lexicographically:
+    each prefix, in order, extended by every entry its degree leaves room for."""
+    out = [()]
+    for _ in range(d):
+        out = [(*v, i) for v in out for i in range(order + 1 - sum(v))]
+    return out
 
 
 class Grading:
@@ -21,16 +42,17 @@ class Grading:
     and top = B^(d-1).  ``key`` and ``exp`` map exponents to keys and back;
     ``keys`` lists every key in ascending order, those of degree k starting
     at ``keys[first[k]]``, none below k top.  ``key`` runs over the
-    exponents in lexicographic order.
+    exponents in lexicographic order.  ``check_size`` refuses a grading of
+    more than ``MAX_KEYS`` exponents before any is listed.
     """
 
     def __init__(self, d: int, order: int):
+        check_size(d, order)
         base = order + 1
         self.d, self.top = d, base ** (d - 1)
         self.key = {
             v: sum(e * base**i for i, e in enumerate(v[:-1])) + sum(v) * self.top
-            for v in itertools.product(range(base), repeat=d)
-            if sum(v) <= order
+            for v in _exponents(d, order)
         }
         self.exp = {k: v for v, k in self.key.items()}
         self.keys = sorted(self.exp)

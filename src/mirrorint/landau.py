@@ -23,11 +23,12 @@ would charge more plane subsets than its budget before then raises
 ``BudgetExceededError`` and gives none.
 
 Every evaluation is integer arithmetic.  A point x = i/D is given by
-integer numerators i over one common denominator D > 0; each form v
-contributes one dot product t = v.i, floor(v.x) = t // D exactly, and x
-lies on the jump region iff some t >= D.  ``delta_at``,
-``in_jump_region`` and the classifier's vertices and cell points all go
-through this one kernel.  A level of one variable reads its vertices b/a
+integer numerators i over one common denominator D > 0.  Each (v, m) of
+the system's ``counts`` takes one dot product t = v.i, floor(v.x) = t // D
+exactly, delta sums m (t // D), and x lies on the jump region iff some
+t >= D, a form with m = 0 included.  ``delta_at``, ``in_jump_region``
+and the classifier's vertices and cell points all go through this one
+kernel.  A level of one variable reads its vertices b/a
 off its rows (a, b).  At a level of k >= 2 variables the planes are
 grouped by normal vector, and one fraction-free (Bareiss) elimination per
 set of k distinct normals A gives adj(A) and det A; each choice b of the
@@ -76,21 +77,15 @@ def _point(num: Sequence[int], D: int) -> Point:
 
 
 def _delta_jump(
-    e: Sequence[Sequence[int]], f: Sequence[Sequence[int]], num: Sequence[int], D: int
+    counts: Sequence[tuple[Sequence[int], int]], num: Sequence[int], D: int
 ) -> tuple[int, bool]:
-    """Landau value and jump-region membership at the point num/D.
-
-    With t = v.num for each form v, floor(v.x) = t // D exactly, and the
-    point reaches the jump region iff some t >= D.
-    """
+    """Landau value and jump-region membership at the point num/D: with
+    t = v.num per (v, m) of ``counts``, the sum of m (t // D), and whether
+    some t >= D, whatever its m."""
     delta = top = 0
-    for v in e:
+    for v, m in counts:
         t = sum(map(operator.mul, v, num))
-        delta += t // D
-        top = max(top, t)
-    for v in f:
-        t = sum(map(operator.mul, v, num))
-        delta -= t // D
+        delta += m * (t // D)
         top = max(top, t)
     return delta, top >= D
 
@@ -100,7 +95,7 @@ def delta_at(sys: FormSystem, x: Sequence) -> int:
     x = _as_point(sys, x)
     if any(c < 0 for c in x):
         raise ValueError("delta is evaluated at componentwise nonnegative points")
-    return _delta_jump(sys.e, sys.f, *_scale(x))[0]
+    return _delta_jump(sys.counts, *_scale(x))[0]
 
 
 def in_jump_region(sys: FormSystem, x: Sequence) -> bool:
@@ -112,7 +107,7 @@ def in_jump_region(sys: FormSystem, x: Sequence) -> bool:
     x = _as_point(sys, x)
     if any(c < 0 or c >= 1 for c in x):
         raise ValueError("membership is defined for points of [0,1)^d")
-    return _delta_jump(sys.e, sys.f, *_scale(x))[1]
+    return _delta_jump(sys.counts, *_scale(x))[1]
 
 
 def enumerate_weight_vectors(sys: FormSystem) -> list[tuple[int, ...]]:
@@ -371,12 +366,12 @@ def _verdict(
     region, and a Case I certificate lists the vertices only.  With equal
     column sums and delta known to be ``nonnegative``, that first zero is
     the Case II witness and ends the walk."""
-    e, f, d = sys.e, sys.f, sys.d
+    d, counts = sys.d, sys.counts
     smaller = [k for k in range(d) if sys.sum_e[k] < sys.sum_f[k]]
     corners = [(tuple(int(i == k) for i in range(d)), 1) for k in smaller[:1]]
     zero, certificate = None, []
     for i, (num, D) in enumerate(itertools.chain(vertices, corners, cells)):
-        val, jump = _delta_jump(e, f, num, D)
+        val, jump = _delta_jump(counts, num, D)
         if val < 0:
             return CriterionVerdict(Tag.NOT_NONNEGATIVE, witness=_point(num, D))
         if jump and val and i < len(vertices):

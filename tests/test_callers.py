@@ -8,8 +8,10 @@ module-level ``def`` that its name is loaded somewhere in them outside its
 own body, or that the benchmark's tracer wraps it by name, or that it is a
 listed exception; and of each module-level ``class`` that its name is
 loaded somewhere in them outside its own body.  No module imports a
-private name from a sibling, and one function states the canonical JSON
-bytes of a cache file, a manifest and a cache key.
+private name from a sibling, one function states the canonical JSON
+bytes of a cache file, a manifest and a cache key, and a system's ``e``
+and ``f`` are read apart only where the two sides differ in kind: every
+other reader of the factorial ratio walks its signed form counts.
 """
 
 import ast
@@ -163,3 +165,35 @@ def manifest_bytes(doc):
     assert sorted(_canonical_dumps(modules)) == [
         ("extra", "manifest_bytes"), ("series", "canonical")
     ]
+
+
+# where a system's e and f are read apart: the class that states its counts,
+# the split of f under e, and the CLI's check that neither side is empty
+EF_READERS = {("forms", "FormSystem"), ("landau", "_split"), ("cli", "_parse_system")}
+
+
+def _ef_readers(modules):
+    """(module, owner) of each load of an attribute ``e`` or ``f``, the owner
+    being the module-level def or class around it."""
+    return {
+        (module, getattr(stmt, "name", None))
+        for module, tree in modules.items()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr in ("e", "f")
+        and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_e_and_f_are_read_apart_only_where_they_differ():
+    assert _ef_readers(_modules()) == EF_READERS
+
+
+def test_the_e_f_audit_flags_a_second_walk():
+    second = """
+def vp_ratio(sys, n, p):
+    return (sum(vp_factorial(dot(v, n), p) for v in sys.e)
+            - sum(vp_factorial(dot(v, n), p) for v in sys.f))
+"""
+    modules = _modules() | {"extra": ast.parse(second)}
+    assert _ef_readers(modules) == EF_READERS | {("extra", "vp_ratio")}

@@ -51,6 +51,15 @@ class Text:
 NESTED = Text("[" * 100_000 + "]" * 100_000)
 # the least prime past 2^64, and what a job that lists it is told
 PAST_THE_BOUND = 2**64 + 13
+# an order no grading holds in two variables, and its refusal's reason
+HUGE_ORDER = 100_000
+HUGE_GRADING = "5000150001 exponents of degree <= 100000 in d = 2 pass the 65536 a grading holds"
+# a fixture of one-term series at that order
+HUGE_FIXTURE = {
+    s: {"d": 2, "order": HUGE_ORDER, "terms": [{"exp": exp, "num": "1", "den": "1"}]}
+    for s, exp in (("F", [0, 0]), ("G", [1, 0]))
+}
+CUBIC_3D = {"e": [[3, 3, 3]], "f": [[1, 0, 0]] * 3 + [[0, 1, 0]] * 3 + [[0, 0, 1]] * 3}
 PAST_THE_BOUND_MESSAGE = f"primes: {PAST_THE_BOUND} is not below 2^64, the bound on primes"
 
 
@@ -1098,6 +1107,25 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
          PAST_THE_BOUND_MESSAGE),
         ("scan", {"system": {"name": "cubic-2d"}}, ["--prime", str(PAST_THE_BOUND)], None,
          PAST_THE_BOUND_MESSAGE),
+        # an order whose grading would not fit is refused before any is built,
+        # for a system, a fixture and a case
+        ("scan", {"system": {"name": "cubic-2d"}, "order": HUGE_ORDER}, ["--no-cache"], None,
+         f"order too large: {HUGE_GRADING}"),
+        ("bundle", {"system": {"name": "central-binomial"}, "order": 65536}, [], None,
+         "order too large: 65537 exponents of degree <= 65536 in d = 1 pass the 65536 a"
+         " grading holds"),
+        ("dwork", {"fixture": HUGE_FIXTURE}, [], None, f"bad fixture series: {HUGE_GRADING}"),
+        ("case", {"case": "case30", "order": HUGE_ORDER}, [], None,
+         f"order too large for case case30: {HUGE_GRADING}"),
+        # a harness past its bound at any prime is refused before the first line
+        *(("congruences", {"system": {"name": "central-binomial"}, "primes": primes}, [], None,
+           f"congruences cannot run at p = {primes[-1]}: the unit tables would pass the"
+           " harness bound of 4194304 entries")
+          for primes in ([1009], [2**61 - 1], [2, 1009])),
+        ("congruences", {"system": {"name": "cubic-2d"}, "primes": [2],
+                         "ranges": {"s_max": 10**12}}, [], None,
+         "congruences cannot run at p = 2: the unit tables would pass the harness bound of"
+         " 4194304 entries"),
         # strong pseudoprimes to the bases 2-7 and 2-23, and a Carmichael number
         *(("congruences", {"system": {"name": "cubic-2d"}, "primes": [n]}, [], None,
            "primes must be an array of prime numbers")
@@ -1226,6 +1254,24 @@ def test_parse_job_settles_the_order_the_command_runs_at(tmp_path, capsys, comma
     pinned = doc | {"order": 3 if order is None else order}
     assert run(capsys, [command, write_job(tmp_path, "b.json", pinned), "--no-cache"]) == ran
     assert ran[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # the orders and primes the ROADMAP's targets run at
+        ("scan", {"system": {"name": "cubic-2d"}, "order": 100}),
+        ("dwork", {"system": {"name": "central-binomial"}, "order": 300}),
+        ("bundle", {"system": CUBIC_3D, "order": 8}),
+        ("congruences", {"system": {"name": "cubic-2d"}, "primes": [7]}),
+        ("congruences", {"system": CUBIC_3D, "primes": [5]}),
+        # the largest orders a grading holds in one and two variables
+        ("scan", {"system": {"name": "central-binomial"}, "order": 65535}),
+        ("dwork", {"system": {"name": "cubic-2d"}, "order": 360}),
+    ],
+)
+def test_parse_job_admits_the_targets_within_the_bounds(command, doc):
+    assert cli.parse_job(doc, command).system is not None
 
 
 def test_python_dash_m_runs_the_cli():

@@ -366,7 +366,7 @@ class TestGammaP:
         # column(n, q) over an m box that starts at m = 0, against Q itself
         for p in (2, 3, 5, 7):
             ctx = PadicContext(p, sys)
-            units = ctx._units(12)
+            units = ctx._units(12 * max(sum(w) for w, _ in sys.net))
             mod = units.mod
             mbox = list(_obox((1,) * sys.d))
             mdots = [[dot(w, m) for m in mbox] for w, *_ in units.tables]
@@ -1032,6 +1032,36 @@ def periodic_systems(draw):
         unit = tuple(int(j == i) for j in range(d))
         (f if gap > 0 else e).extend([unit] * abs(gap))
     return FormSystem(e, f, raw=True)
+
+
+class TestHarnessSizes:
+    def test_the_sizes_are_those_of_the_tables_and_boxes_built(self):
+        sizes = dwork.harness_sizes(CUBIC_2D, 3, 1, 2, 2)
+        # top = 6 (m_bound + 1) p^(s_max + 1); 1 + p^d starts of the K box
+        assert sizes == {"unit tables": 6 * 3 * 9 + 1, "m box": 9, "residues": 9,
+                         "conclusion": 9 * 10}
+        ratios = dwork._Ratios(PadicContext(3, CUBIC_2D), 1, 2)
+        assert [len(V) for _, V, _ in ratios.units.tables] == [sizes["unit tables"]] * 3
+        assert len(ratios.mbox) == sizes["m box"]
+
+    def test_a_harness_past_the_bound_is_refused_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(dwork, "_Units", None)  # any unit table built would raise
+        for p in (1009, 2**61 - 1):
+            ctx = PadicContext(p, CENTRAL_BINOMIAL)
+            for sweep in (verify_formal_congruences, q_ratio_congruence_sweep):
+                with pytest.raises(ValueError, match=f"at p = {p}: the unit tables would pass"):
+                    sweep(ctx)
+        # with no net form the unit tables stay small, and the residues mod p^s_max
+        # pass the bound at an s_max whose power is never formed
+        ctx = PadicContext(2, FormSystem([(1,)], [(1,)], raw=True))
+        with pytest.raises(ValueError, match="at p = 2: the residues would pass"):
+            verify_formal_congruences(ctx, CongruenceRanges(s_max=10**12))
+
+    def test_cubic_2d_at_7_and_cubic_3d_at_5_fit(self):
+        cubic_3d = FormSystem([(3, 3, 3)], [(1, 0, 0)] * 3 + [(0, 1, 0)] * 3 + [(0, 0, 1)] * 3)
+        for sys, p in ((CUBIC_2D, 7), (cubic_3d, 5)):
+            sizes = dwork.harness_sizes(sys, p, *CongruenceRanges().resolved(p))
+            assert max(sizes.values()) <= dwork.HARNESS_BOUND
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import mul
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,7 @@ from mirrorint.forms import (
     vp_of_rational,
     vp_ratio_legendre,
 )
-from mirrorint.landau import delta_at
+from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.systems import CUBIC_2D, CENTRAL_BINOMIAL, CUBIC_SPLIT, INVERSE_BINOMIAL
 
 
@@ -76,6 +78,20 @@ class TestHarmonic:
     def test_negative(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+    def test_threads_get_the_direct_sum(self):
+        # indices no other test reaches, each asked for by several threads at
+        # once, with a thread switch forced every microsecond
+        ms = [m for m in range(300, 360) for _ in range(4)]
+        want = {m: sum(Fraction(1, i) for i in range(1, m + 1)) for m in set(ms)}
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(harmonic, ms))
+        finally:
+            setswitchinterval(interval)
+        assert got == [want[m] for m in ms]
 
 
 class TestValuations:
@@ -233,13 +249,25 @@ def test_valuation_identity_random(sys, p, data):
     assert got == exact
 
 
-@given(sys=small_raw_systems(), data=st.data())
-def test_net_multiplicities_give_the_factorial_ratio(sys, data):
-    n = data.draw(st.tuples(*[st.integers(0, 6)] * sys.d))
+@st.composite
+def raw_system_points(draw):
+    """A small raw system and an index n, read also as the point n/12 of [0,1)^d."""
+    sys = draw(small_raw_systems())
+    return sys, draw(st.tuples(*[st.integers(0, 11)] * sys.d))
+
+
+@given(raw_system_points())
+# a form that e and f share puts n/12 on the jump region, though net drops it
+@example((FormSystem([(1, 1)], [(1, 1)], raw=True), (6, 9)))
+@example((FormSystem([(2, 1), (1, 0)], [(2, 1), (0, 1)], raw=True), (6, 3)))
+def test_net_multiplicities_give_the_factorial_ratio(case):
+    sys, n = case
     counts = {w: sys.e.count(w) - sys.f.count(w) for w in dict.fromkeys(sys.forms)}
+    assert sys.counts == tuple(counts.items())
     assert sys.net == tuple((w, m) for w, m in counts.items() if m)
-    want = math.prod(Fraction(math.factorial(sum(map(int.__mul__, w, n)))) ** m for w, m in sys.net)
-    assert factorial_ratio(sys, n) == want
+    assert factorial_ratio(sys, n) == brute_ratio(sys, n)
+    x = tuple(Fraction(c, 12) for c in n)
+    assert in_jump_region(sys, x) is any(sum(map(mul, v, x)) >= 1 for v in sys.forms)
 
 
 @st.composite

@@ -496,18 +496,22 @@ def test_one_pass_verdict_is_exact_and_never_weaker_3d(ef):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_kernel_matches_fraction_evaluation(data):
-    sys = data.draw(raw_or_standard_systems())
-    x = data.draw(_rationals(sys.d))
+@given(raw_or_standard_systems().flatmap(lambda s: st.tuples(st.just(s), _rationals(s.d))),
+       st.integers(1, 5))
+# a form that e and f share decides jump membership: delta is 0 there, and
+# the point is on the jump region only through that form
+@example((FormSystem([(1, 1)], [(1, 1)], raw=True), (Fraction(1, 2), Fraction(3, 4))), 1)
+@example((FormSystem([(2, 1), (1, 0)], [(2, 1), (0, 1)], raw=True),
+          (Fraction(1, 2), Fraction(1, 4))), 2)
+def test_kernel_matches_fraction_evaluation(case, scale):
+    sys, x = case
     assert delta_at(sys, x) == oracle_delta(sys, x)
     box = tuple(c - math.floor(c) for c in x)
     assert in_jump_region(sys, box) is oracle_in_jump_region(sys, box)
     # any common denominator gives the same values, not only the lcm
-    scale = data.draw(st.integers(1, 5))
     D = math.lcm(*(c.denominator for c in box)) * scale
     num = tuple(int(c * D) for c in box)
-    assert _delta_jump(sys.e, sys.f, num, D) == (oracle_delta(sys, box), oracle_in_jump_region(sys, box))
+    assert _delta_jump(sys.counts, num, D) == (oracle_delta(sys, box), oracle_in_jump_region(sys, box))
 
 
 @settings(max_examples=150, deadline=None)
@@ -591,7 +595,7 @@ def test_vertex_candidates_match_oracle(sys):
 
 
 def _pair(sys, num, D):
-    return _delta_jump(sys.e, sys.f, num, D)
+    return _delta_jump(sys.counts, num, D)
 
 
 # the Fraction oracle solves ~10^4 subsets a second, so it walks at most

@@ -715,6 +715,24 @@ def test_from_bytes_accepts_only_what_check_dict_accepts(data, s):
     assert_canonical(got)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_a_grading_lists_its_exponents_lexicographically(d):
+    for order in range(6):
+        box = itertools.product(range(order + 1), repeat=d)
+        assert list(kronecker.grading(d, order).key) == [v for v in box if sum(v) <= order]
+
+
+def test_a_grading_past_the_bound_is_refused_before_any_exponent(monkeypatch):
+    # C(362, 2) = 65341 exponents fit in MAX_KEYS = 65536, C(363, 2) = 65703 do not
+    assert len(kronecker.Grading(2, 360).keys) == 65341
+    monkeypatch.setattr(kronecker, "_exponents", None)  # listing any would raise
+    with pytest.raises(ValueError, match="65703 exponents of degree <= 361 in d = 2 pass"):
+        kronecker.Grading(2, 361)
+    with pytest.raises(ValueError, match="in d = 2 pass the 65536 a grading holds"):
+        MSeries.from_dict({"d": 2, "order": 10**6, "terms": [{"exp": [0, 0], "num": "1",
+                                                              "den": "1"}]})
+
+
 def test_from_bytes_checks_the_shape_before_the_grading(monkeypatch):
     blob = MSeries(2, 3, {(1, 1): 1}).to_bytes().replace(b'"order":3', b'"order":1000000')
     monkeypatch.setattr(kronecker, "grading", None)  # any grading made would raise
