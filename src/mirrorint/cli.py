@@ -56,8 +56,10 @@ cell walk may charge; every verdict it prints is proven.  The walk stops
 once the verdict is fixed: when the f vectors split under the e vectors,
 floor(a) + floor(b) <= floor(a + b) proves delta >= 0, so unequal column
 sums or the first zero on the jump region settle it, and a budget that
-the complete walk would pass can still print such a verdict.  The top
-level is charged first, so a budget of 0 always exits 20.
+the complete walk would pass can still print such a verdict.  When every
+f vector is a unit vector, delta >= 1 on the jump region and the top
+level decides, with no cell walked.  The top level is charged first, so
+a budget of 0 always exits 20.
 
 The cache directory stores bundle series and a hash-carrying manifest as
 ``series.canonical`` bytes, so a warm rerun prints byte-identical

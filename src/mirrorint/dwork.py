@@ -123,6 +123,15 @@ _UNEQUAL_SUMS = "the congruence harness needs equal column sums"
 _R = 30
 
 
+def _digit_products(F: list, top: int, p: int, mod: int) -> list:
+    """prod_(i >= 0) F[floor(N / p^i)] mod ``mod``, for N <= top."""
+    out = [1]
+    while len(out) <= top:
+        # N // p < len(out) for every N below len(out) * p
+        out += [F[N] * out[N // p] % mod for N in range(len(out), min(len(out) * p, top + 1))]
+    return out
+
+
 class _Units:
     """v_p(Q(n)) and the unit part of Q(n) mod p^_R, read off tables of N!.
 
@@ -130,31 +139,44 @@ class _Units:
     N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].  Q(n) is the product
     of (w.n)!^k over the (w, k) of the system's ``net``; per form, a table
     holds k v_p(N!) and the k-th power of that unit part mod p^_R for
-    N <= top, built by prefix passes."""
+    N <= sum(w) scale, the values w.n reaches for n <= scale componentwise.
+    The shared tables, v_p(N!) and the unit parts of N! and 1/N!, are built
+    by prefix passes up to the largest N a form of that sign of k reads,
+    and a form with k = +-1 reads them as they are."""
 
-    def __init__(self, p: int, terms: Sequence[tuple[IntVec, int]], top: int):
+    def __init__(self, p: int, terms: Sequence[tuple[IntVec, int]], scale: int):
         mod = p**_R
+        # the largest N read by a form of positive k (at 1), of negative k (at -1)
+        tops = {1: 0, -1: 0}
+        for w, k in terms:
+            sign = 1 if k > 0 else -1
+            tops[sign] = max(tops[sign], sum(w) * scale)
+        top = max(tops.values())
         F = [1] * (top + 1)
         for k in range(1, top + 1):
             F[k] = F[k - 1] * k % mod if k % p else F[k - 1]
-        Finv = [1] * (top + 1)
-        Finv[top] = pow(F[top], -1, mod)
-        for k in range(top, 0, -1):
+        t = tops[-1]
+        Finv = [1] * (t + 1)
+        Finv[t] = pow(F[t], -1, mod)
+        for k in range(t, 0, -1):
             Finv[k - 1] = Finv[k] * k % mod if k % p else Finv[k]
-        vf, uf, ui = [0], [1], [1]
+        vf = [0]
         while len(vf) <= top:
             # N // p < len(vf) for every N below len(vf) * p
-            Ns = range(len(vf), min(len(vf) * p, top + 1))
-            vf += [N // p + vf[N // p] for N in Ns]
-            uf += [F[N] * uf[N // p] % mod for N in Ns]
-            ui += [Finv[N] * ui[N // p] % mod for N in Ns]
-        self.mod, self.top = mod, top
+            vf += [N // p + vf[N // p] for N in range(len(vf), min(len(vf) * p, top + 1))]
+        # the unit parts of N! and of 1/N!
+        unit = {1: _digit_products(F, tops[1], p, mod), -1: _digit_products(Finv, t, p, mod)}
+        self.mod, self.scale = mod, scale
         # (w, k v_p(N!), unit^k), the last two indexed by N = w.n
-        unit = {1: uf, -1: ui}
-        self.tables = [
-            (w, [k * x for x in vf], unit.get(k) or [x ** abs(k) % mod for x in unit[k // abs(k)]])
-            for w, k in terms
-        ]
+        self.tables = []
+        for w, k in terms:
+            reach = range(sum(w) * scale + 1)
+            U = unit[1 if k > 0 else -1]
+            self.tables.append((
+                w,
+                vf if k == 1 else [k * vf[N] for N in reach],
+                U if abs(k) == 1 else [U[N] ** abs(k) % mod for N in reach],
+            ))
 
     def column(self, n: IntVec, q: int, mdots: list, size: int) -> tuple[list, list]:
         """(v_p, unit part) of Q(n + q m) over a list of ``size`` m >= 0, one
@@ -192,10 +214,10 @@ class PadicContext:
             self._q_cache[n] = out
         return out
 
-    def _units(self, top: int) -> _Units:
-        """Unit-part tables covering every N <= top."""
-        if self._unit_tables is None or self._unit_tables.top < top:
-            self._unit_tables = _Units(self.p, self.sys.net, top)
+    def _units(self, scale: int) -> _Units:
+        """Unit-part tables covering every w.n with n <= scale componentwise."""
+        if self._unit_tables is None or self._unit_tables.scale < scale:
+            self._unit_tables = _Units(self.p, self.sys.net, scale)
         return self._unit_tables
 
     def mu(self, m: Sequence[int]) -> int:
@@ -512,7 +534,9 @@ class _Ratios:
     def __init__(self, ctx: PadicContext, s_max: int, m_bound: int):
         self.ctx = ctx
         # the ratio sweeps read no conclusion box: k_bound = 0
-        self.units = ctx._units(harness_sizes(ctx.sys, ctx.p, s_max, 0, m_bound)["unit tables"] - 1)
+        harness_sizes(ctx.sys, ctx.p, s_max, 0, m_bound)
+        # they read Q(hi + m p^(s+1)) with hi < p^(s+1) and m <= m_bound
+        self.units = ctx._units((m_bound + 1) * ctx.p ** (s_max + 1))
         self.mbox = list(_box((m_bound,) * ctx.sys.d))
         self.tails = [(m,) for m in self.mbox]
         span = range(m_bound + 1)

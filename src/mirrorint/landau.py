@@ -18,7 +18,9 @@ the jump region, proves the verdict it gives; every value delta takes on
 the box is taken on an open cell, so Case I is proven when no cell point
 refutes it.  When the f vectors split under the e vectors, floor(a) +
 floor(b) <= floor(a + b) proves delta >= 0 (``_split``), and the walk
-stops once the verdict is fixed.  Every verdict is proven: a walk that
+stops once the verdict is fixed; when every f vector is a unit vector,
+delta >= 1 on the jump region (``_unit_f``), and the vertices decide
+without a walk.  Every verdict is proven: a walk that
 would charge more plane subsets than its budget before then raises
 ``BudgetExceededError`` and gives none.
 
@@ -30,9 +32,10 @@ t >= D, a form with m = 0 included.  ``delta_at``, ``in_jump_region``
 and the classifier's vertices and cell points all go through this one
 kernel.  A level of one variable reads its vertices b/a
 off its rows (a, b).  At a level of k >= 2 variables the planes are
-grouped by normal vector, and one fraction-free (Bareiss) elimination per
-set of k distinct normals A gives adj(A) and det A; each choice b of the
-planes' constants then gives the vertex adj(A) b / det A.  The cut
+grouped by normal vector, and each set of k distinct normals A gives
+adj(A) and det A, written down at k = 2 and from one fraction-free
+(Bareiss) elimination at k >= 3; each choice b of the planes' constants
+then gives the vertex adj(A) b / det A.  The cut
 and cell points are integer numerators over one denominator, and a
 Fraction is built only for a point a verdict prints.  The budget still
 counts plane subsets, C(rows, k) at each level of k variables.
@@ -144,9 +147,10 @@ class CriterionVerdict:
     Exactly the fields appropriate to the tag are populated: a witness
     point with delta < 0 for NOT_NONNEGATIVE, a zero of delta on the jump
     region for CASE_II, the 1-based coordinate for E_STRICTLY_BIGGER, and
-    the vertex values on the jump region for CASE_I.  Every verdict rests
-    on the cell walk, complete or stopped once a split of f under e has
-    fixed a CASE_II or E_STRICTLY_BIGGER verdict, so ``sampled`` is always
+    the vertex values on the jump region for CASE_I.  Every verdict is
+    proven, by the complete cell walk, by one stopped once a split of f
+    under e has fixed a CASE_II or E_STRICTLY_BIGGER verdict, or by the
+    vertices alone where every f is a unit vector, so ``sampled`` is always
     False; it stays in ``to_dict`` for the report's schema.
     """
 
@@ -243,9 +247,12 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
     row (a, b) has 0 < b < a, by ``_planes`` and the slice filter of
     ``_cell_points``, so the vertices are the points b/a and the faces.  At
     k >= 2 rows sharing a normal are parallel, so a vertex takes k distinct
-    normals: one elimination on [A | I] per k-subset A of them gives
-    adj(A)/det A, and the vertex of each choice b of their constants is
-    adj(A) b / det A.
+    normals A, and the vertex of each choice c of their constants is
+    adj(A) c / det A.  At k = 2 that is written down: for normals (a1, b1),
+    (a2, b2) ordered so that det = a1 b2 - a2 b1 > 0, the vertex of
+    constants (c1, c2) is (c1 b2 - c2 b1, a1 c2 - a2 c1) / det, one scalar
+    loop over the constants.  At k >= 3 one elimination on [A | I] per
+    k-subset A of the normals gives adj(A) and det A.
     """
     if k == 1:
         budget.spend(len(planes) + 2)
@@ -260,8 +267,24 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
     constants: dict[tuple[int, ...], list[int]] = {}
     for row in rows:
         constants.setdefault(row[:k], []).append(row[k])
-    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     pts = set()
+    if k == 2:
+        for n1, n2 in itertools.combinations(constants, 2):
+            det = n1[0] * n2[1] - n2[0] * n1[1]
+            if det < 0:  # swapping the two rows negates det, not the vertices
+                n1, n2, det = n2, n1, -det
+            elif not det:
+                continue
+            (a1, b1), (a2, b2), cs2 = n1, n2, constants[n2]
+            for c1 in constants[n1]:
+                x1, y1 = c1 * b2, a2 * c1
+                for c2 in cs2:
+                    x, y = x1 - c2 * b1, a1 * c2 - y1
+                    if 0 <= x <= det and 0 <= y <= det:
+                        g = math.gcd(det, x, y)
+                        pts.add(((x, y), det) if g == 1 else ((x // g, y // g), det // g))
+        return pts
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     for normals in itertools.combinations(constants, k):
         solved = _solve_bareiss([(*n, *u) for n, u in zip(normals, unit)])
         if solved is None:
@@ -352,6 +375,24 @@ def _split(sys: FormSystem) -> bool:
     return True
 
 
+def _unit_f(sys: FormSystem) -> bool:
+    """Whether every form whose count is not positive is a unit or zero
+    vector: the unit-f setting of Krattenthaler and Rivoal, where each f_j
+    is one, and any system whose other f vectors are cancelled by e.
+
+    If so, delta is >= 0 on [0,1)^d and >= 1 on its jump region, so no cell
+    point can refute Case I.  For x in [0,1)^d and u a unit or zero vector,
+    0 <= u.x < 1, so floor(u.x) = 0: delta is the sum of m floor(w.x) over
+    the forms of count m > 0, which is >= 0, and a form that reaches 1 at x
+    has count m > 0, so delta(x) >= m >= 1 on the jump region.  The verdict
+    is then the one the vertices and the unit corner give: Case I with
+    equal column sums, its certificate the vertex values the complete walk
+    would list; else the corner of a smaller e-column sum, or
+    EStrictlyBigger.
+    """
+    return all(sum(v) <= 1 for v, m in sys.counts if m <= 0)
+
+
 def _verdict(
     sys: FormSystem,
     vertices: list[Scaled],
@@ -415,16 +456,22 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     When ``_split`` proves delta >= 0, the walk stops once the verdict is
     fixed: unequal column sums give E_STRICTLY_BIGGER after the top level,
     and the first zero on the jump region, in the complete walk's order,
-    gives CASE_II with that walk's witness.  Case I, and every system
-    without a split, takes the complete walk.
+    gives CASE_II with that walk's witness.  When ``_unit_f`` holds (every
+    f vector a unit vector, as in cubic-2d), delta >= 1 on the jump region,
+    so no cell point can refute Case I: the vertices and the unit corner
+    give the complete walk's verdict, and no cell is walked.  Every other
+    system takes the complete walk.
 
     The budget counts plane subsets, C(rows, k) at each level of k
     variables (the rows being the planes and the 2k faces), charged when
     the walk reaches the level, so a walk stopped early charges a prefix
-    of the complete walk's levels.  At k >= 2 the vertices come from one
-    Bareiss elimination per set of k distinct plane normals, so a singular
-    set of normals is skipped once, not once per choice of its planes; at
-    k = 1 they are the points b/a of the rows (a, b) and the faces.
+    of the complete walk's levels, and a unit-f system its top level only.
+    At k >= 2 the vertices come from one adjugate per set of k distinct
+    plane normals, written down at k = 2 (the top level of every
+    two-variable system and every two-variable slice) and from one Bareiss
+    elimination at k >= 3, so a singular set of normals is skipped once,
+    not once per choice of its planes; at k = 1 they are the points b/a of
+    the rows (a, b) and the faces.
     A walk that would charge more than ``budget`` subsets before its
     verdict is fixed raises ``BudgetExceededError``, so every verdict
     returned is proven.
@@ -435,5 +482,7 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     split = _split(sys)
     if split and not sys.equal_column_sums:
         return _verdict(sys, [], (), split)  # delta >= 0, so the sums decide
-    # the walk is lazy, so the budget can run out inside _verdict
-    return _verdict(sys, _half_open(top), _cell_points(planes, sys.d, meter, top), split)
+    # with unit f, delta >= 1 on the jump region: no cell point refutes Case I;
+    # else the walk is lazy, so the budget can run out inside _verdict
+    cells = () if _unit_f(sys) else _cell_points(planes, sys.d, meter, top)
+    return _verdict(sys, _half_open(top), cells, split)

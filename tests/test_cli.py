@@ -84,8 +84,9 @@ def cache_args(tmp_path):
 ITEM_ONE = {"e": [[2, 1]], "f": [[1, 1], [1, 0]]}
 FLAGGED = {"e": [[2, 1]], "f": [[1, 0], [0, 1]]}
 # two d = 6 systems, e with f = c_i copies of u_i for c the column sums of
-# e: the walk's top level charges 1,947,792 subsets and its first slice
-# passes the default budget of 2,000,000
+# e: the top level charges 1,947,792 subsets, within the default budget of
+# 2,000,000, and as every f is a unit vector it decides Case I with no walk
+# (whose first slice would pass the budget)
 D6_SYSTEMS = [
     {"e": e, "f": [[int(j == i) for j in range(6)] for i, c in enumerate(map(sum, zip(*e)))
                    for _ in range(c)]}
@@ -218,6 +219,16 @@ class TestClassify:
         assert code == EXIT_CASE_II
         assert json.loads(out)["witness"] == ["1/2", "0"]
         assert run(capsys, ["classify", job, "--budget", "20"])[:2] == (EXIT_BUDGET, "")
+
+    def test_unit_f_case_i_stops_within_its_top_level_budget(self, tmp_path, capsys):
+        # every f of cubic-2d is a unit vector, so delta >= 1 on the jump
+        # region and its 36 top-level subsets prove Case I; the complete
+        # walk would charge 51
+        job = write_job(tmp_path, "a.json", {"system": {"name": "cubic-2d"}})
+        code, out, _ = run(capsys, ["classify", job, "--budget", "36"])
+        assert code == EXIT_OK
+        assert json.loads(out)["tag"] == "CaseI"
+        assert run(capsys, ["classify", job, "--budget", "35"])[:2] == (EXIT_BUDGET, "")
 
     def test_zero_found_by_the_grid_alone_is_case_ii(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": ITEM_ONE})
@@ -990,7 +1001,7 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
             ("classify", {"system": {"name": name}}, ["--budget", "0"], None, EXIT_BUDGET)
             for name in ("cubic-split", "inverse-binomial")
         ),
-        *(("classify", {"system": system}, [], None, EXIT_BUDGET) for system in D6_SYSTEMS),
+        *(("classify", {"system": system}, [], None, EXIT_OK) for system in D6_SYSTEMS),
         ("classify", {"system": ITEM_ONE}, [], None, EXIT_CASE_II),
         ("scan", {"system": {"name": "cubic-2d"}, "order": 0}, [], None, EXIT_OK),
         ("case", {"case": "case30", "order": 0}, [], None, EXIT_SCHEMA),

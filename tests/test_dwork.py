@@ -348,7 +348,9 @@ class TestGammaP:
         top = 3 * p * p + 5
         units = _Units(p, [((1,), 1), ((1,), -1), ((1,), 2)], top)
         mod = units.mod
-        assert mod == p**dwork._R and units.top == top
+        assert mod == p**dwork._R
+        # a form of sum 1 reads N <= top, k = 1 from the shared tables
+        assert [(len(V), len(U)) for _, V, U in units.tables] == [(top + 1, top + 1)] * 3
         (_, V, U), (_, Vi, Ui), (_, V2, U2) = units.tables
         for N in range(top + 1):
             v, u = _split(math.factorial(N), p)
@@ -366,7 +368,7 @@ class TestGammaP:
         # column(n, q) over an m box that starts at m = 0, against Q itself
         for p in (2, 3, 5, 7):
             ctx = PadicContext(p, sys)
-            units = ctx._units(12 * max(sum(w) for w, _ in sys.net))
+            units = ctx._units(12)  # n + q m <= 5 + 7 componentwise
             mod = units.mod
             mbox = list(_obox((1,) * sys.d))
             mdots = [[dot(w, m) for m in mbox] for w, *_ in units.tables]
@@ -1041,7 +1043,11 @@ class TestHarnessSizes:
         assert sizes == {"unit tables": 6 * 3 * 9 + 1, "m box": 9, "residues": 9,
                          "conclusion": 9 * 10}
         ratios = dwork._Ratios(PadicContext(3, CUBIC_2D), 1, 2)
-        assert [len(V) for _, V, _ in ratios.units.tables] == [sizes["unit tables"]] * 3
+        # each form's tables reach sum(w) (m_bound + 1) p^(s_max + 1): (3, 3)'s
+        # are the unit tables, (1, 0)'s and (0, 1)'s a sixth of them
+        assert [(len(V), len(U)) for _, V, U in ratios.units.tables] == [
+            (sizes["unit tables"],) * 2, (28, 28), (28, 28)
+        ]
         assert len(ratios.mbox) == sizes["m box"]
 
     def test_a_harness_past_the_bound_is_refused_before_any_table(self, monkeypatch):

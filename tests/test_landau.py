@@ -34,6 +34,7 @@ from mirrorint.landau import (
     _scale,
     _solve_bareiss,
     _split,
+    _unit_f,
 )
 from mirrorint.systems import (
     BUNDLED,
@@ -586,6 +587,65 @@ def test_box_vertices_match_the_oracle_on_parallel_rows(k_planes):
     _check_box_vertices(planes, k, math.inf)
 
 
+def oracle_pair_vertices(rows):
+    """Every point in [0,1]^2 where two rows (a, b, c), a x + b y = c, of
+    distinct normals meet, in Fractions, as numerators over a denominator
+    in lowest terms."""
+    pts = set()
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
+        x = _solve_exact([((a1, b1), c1), ((a2, b2), c2)])
+        if x is not None and all(0 <= c <= 1 for c in x):
+            D = math.lcm(*(c.denominator for c in x))
+            pts.add((tuple(int(c * D) for c in x), D))
+    return pts
+
+
+@st.composite
+def _rows_2d(draw):
+    """Rows (a, b, c) of either sign: some at random, some at a second
+    scale of one of them (parallel), and some through one drawn point P of
+    [0,1]^2 (three or more concurrent lines, on an edge or a corner when P
+    is), in drawn order, so a normal's constants need not ascend and the
+    normals meet at determinants of both signs."""
+    entry = st.integers(-3, 4)
+    rows = draw(st.lists(st.tuples(entry, entry, st.integers(-2, 8)), max_size=5))
+    for a, b, _ in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []:
+        s = draw(st.integers(2, 3))
+        rows.append((s * a, s * b, draw(st.integers(-2, 3 * s))))
+    D = draw(st.integers(1, 6))
+    p, q = draw(st.integers(0, D)), draw(st.integers(0, D))  # P = (p, q) / D
+    for a, b in draw(st.lists(st.tuples(entry, entry), max_size=4)):
+        rows.append((a * D, b * D, a * p + b * q))
+    return draw(st.permutations(rows))
+
+
+# the rows the kernel sees beside the faces x = 0, y = 0, x = 1, y = 1
+_FACES_2D = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_2d())
+@example([(1, 1, 1), (2, 2, 1), (2, 2, 3)])  # parallel rows; corners (1, 0), (0, 1)
+@example([(4, 2, 3), (1, 3, 2), (1, 1, 1)])  # three lines through (1/2, 1/2)
+@example([(3, 0, 2), (3, 0, 1), (1, 2, 1)])  # descending constants of one normal
+@example([(0, 1, 1), (1, 0, 0), (2, 1, 2), (1, 2, 0)])  # det < 0; faces repeated
+def test_two_variable_vertices_match_the_pairwise_oracle(rows):
+    charges = []
+
+    class Meter(_Budget):
+        def spend(self, n):
+            charges.append(n)
+            super().spend(n)
+
+    got = _box_vertices(rows, 2, Meter(math.inf))
+    assert got == oracle_pair_vertices([*rows, *_FACES_2D])
+    n = math.comb(len(rows) + 4, 2)
+    assert charges == [n]
+    # one pair short of the charge raises before any vertex is returned
+    with pytest.raises(BudgetExceededError, match=f"^{n} plane subsets exceed the budget of {n - 1}$"):
+        _box_vertices(rows, 2, _Budget(n - 1))
+
+
 # the oracle solves ~10^4 subsets a second, so at most two vectors a side
 @settings(max_examples=40, deadline=None)
 @given(raw_or_standard_systems(max_forms=2))
@@ -665,8 +725,10 @@ def test_classify_matches_fraction_oracle(sys):
     # classify charges a prefix of the oracle walk's counts, and stops short
     # of its end only where a split of f under e fixes the verdict
     assert charges == ledger[: len(charges)]
-    if len(charges) < len(ledger):
+    if len(charges) < len(ledger) and not _unit_f(sys):
         assert _split(sys) and verdict.tag in (Tag.CASE_II, Tag.E_STRICTLY_BIGGER)
+    elif len(charges) < len(ledger):
+        assert len(charges) == 1  # delta >= 1 on the jump region: the top level decides
     else:
         assert (verdict is None) == (exhaustive is None)
     # every budget below classify's own count raises, naming the running
@@ -713,6 +775,49 @@ def test_a_split_proves_delta_nonnegative_on_the_closed_box(sys):
     assert min(oracle_delta(sys, x) for x in points) >= 0
 
 
+@st.composite
+def unit_f_systems(draw):
+    """Systems of one to three variables whose f vectors are unit vectors:
+    e at random, f as many unit vectors as e's column sums, give or take
+    one, so the column sums may differ either way.  A raw draw may add a
+    zero vector or a form that e and f share."""
+    d = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 3 if d < 3 else 2)] * d).filter(any)
+    e = draw(st.lists(vec, min_size=1, max_size=3 if d < 3 else 1))
+    f = []
+    for i, total in enumerate(map(sum, zip(*e))):
+        unit = tuple(int(j == i) for j in range(d))
+        f += [unit] * max(0, total + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    raw = draw(st.booleans()) or bool(set(e) & set(f))
+    if raw:
+        extra = draw(st.lists(st.sampled_from([(0,) * d, *e]), max_size=2))
+        e, f = e + extra, f + extra
+    assume(f)
+    return FormSystem(e, f, raw=raw)
+
+
+def _complete_walk(sys):
+    """classify's verdict and ledger with neither stop: the complete walk."""
+    with mock.patch("mirrorint.landau._unit_f", return_value=False), \
+            mock.patch("mirrorint.landau._split", return_value=False):
+        return _classify_charging(sys, BUDGET)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_f_systems())
+@example(CUBIC_2D)
+@example(FormSystem([(3, 3, 3)], [(1, 0, 0)] * 3 + [(0, 1, 0)] * 3 + [(0, 0, 1)] * 3))
+@example(FormSystem([(2, 1)], [(1, 0), (0, 1)]))  # EStrictlyBigger
+@example(FormSystem([(1, 1)], [(1, 0), (1, 0), (0, 1)]))  # a smaller e-column sum
+@example(FormSystem([(1, 1), (1, 1)], [(1, 1), (1, 0), (0, 1)], raw=True))  # e cancels (1, 1)
+def test_unit_f_decides_at_the_top_level_as_the_complete_walk(sys):
+    assert _unit_f(sys)
+    walked, ledger = _complete_walk(sys)
+    verdict, charges = _classify_charging(sys, BUDGET)
+    assert verdict.to_dict() == walked.to_dict()
+    assert charges == ledger[:1]
+
+
 def test_a_split_stops_the_classify_batch_walks_early():
     # a seed-1 classify-batch draw charged 12,769 subsets in 610 level counts
     # with every walk complete, 9,410 in 195 with the split's stops; dropping
@@ -747,6 +852,16 @@ def test_budget_counts_the_subsets_of_every_level():
     ledger = []
     exhaustive = oracle_classify(CUBIC_2D, ledger=ledger)
     assert ledger == [36, 5, 5, 5]
-    assert classify(CUBIC_2D, 51).to_dict() == exhaustive.to_dict()
+    # every f of cubic-2d is a unit vector, so classify walks no cell
+    assert classify(CUBIC_2D, 36).to_dict() == exhaustive.to_dict()
     with pytest.raises(BudgetExceededError, match="plane subsets"):
-        classify(CUBIC_2D, 50)
+        classify(CUBIC_2D, 35)
+    # with f = (1, 1) the complete walk charges every level: x + y = 1/2,
+    # 1, 3/2 and four faces give C(7, 2) = 21 pairs, then two slices of 4
+    sys = FormSystem([(2, 2)], [(1, 1), (1, 0), (0, 1)])
+    ledger = []
+    exhaustive = oracle_classify(sys, ledger=ledger)
+    assert ledger == [21, 4, 4] and exhaustive.tag is Tag.CASE_I
+    assert classify(sys, 29).to_dict() == exhaustive.to_dict()
+    with pytest.raises(BudgetExceededError, match="plane subsets"):
+        classify(sys, 28)
