@@ -45,9 +45,6 @@ from .dwork import (
     PadicContext,
     dieudonne_dwork_check,
     good_residues,
-    harmonic_obstruction,
-    landau_negative_witness,
-    obstruction_ratio,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )

@@ -2,7 +2,8 @@
 
 Everything here works over rationals with p-free denominators, so that
 membership in p^t * g * O turns into the valuation inequality
-v_p(x) >= t + v_p(g).  The module provides
+v_p(x) >= t + v_p(g).  It holds only checks whose outcome depends on Q;
+values of Q, exact or mod p^R, come from ``forms``.  It provides
 
   * the weight mu_p counting how many p-adic rescalings of an index land
     in the jump region, with g_p = p^mu_p;
@@ -11,9 +12,8 @@ v_p(x) >= t + v_p(g).  The module provides
   * the Dieudonne-Dwork product test for exp(G/F), per exponent, on the
     integer forms of F and G;
   * the generalized formal-congruence harness: hypothesis checks and the
-    conclusion sweep for the double convolution sums, with an exact
-    telescoping identity;
-  * the obstruction functionals used by the non-integrality witnesses.
+    conclusion sweep for the double convolution sums, and the telescoping
+    line, which holds by construction.
 
 All sweeps are deterministic: each report carries the first locus, in
 the lexicographic order of its tuples, with the least margin.  A tracker
@@ -40,11 +40,10 @@ they would otherwise build.  Every reported ``achieved`` value is exact:
     region exactly when some form w of ``counts`` (zero count included) has w.u >= q.
   * ``harness_sizes`` states how large each table and box is at a prime,
     and the sweeps and ``cli.parse_job`` refuse any past ``HARNESS_BOUND``.
-  * Q(n) is written p^v * u with u a p-adic unit.  v is a Legendre sum; u
-    is known mod p^R (R is the private constant ``_R``): the unit part of
-    N! is prod_(i >= 0) F[floor(N/p^i)], where F[M] is the product of the
-    k <= M prime to p, that is |Gamma_p(M+1)| for Morita's Gamma_p.  The
-    ratio sweeps read v and u over a whole m box from prefix tables of F.
+  * Q(n) is written p^v * u with u a p-adic unit, known mod p^R (R is the
+    private constant ``_R``).  The ratio sweeps read v and u over a whole
+    m box from one ``forms.UnitTables`` per prime, built from Gamma_p
+    prefix tables, with columns w.n + q w.m per net form w.
   * p^e1 x1 - p^e2 x2 has valuation min(e1, e2) when e1 != e2, and
     e + v_p(t) when e1 = e2 = e and the unit difference t is nonzero mod
     p^R; then v_p(t) < R is gcd(t, p^R) read as a power of p.  Where
@@ -62,12 +61,8 @@ they would otherwise build.  Every reported ``achieved`` value is exact:
     is known, one pass over the visited blocks drops every X in
     p^(required + M + 2 v_p(D)) Z: its margin is at least M, so it sets no
     new worst.
-  * Telescoping: j -> K - j swaps Q(a + p(K-j)) Q(j) and Q(K-j) Q(a + pj),
-    so their difference is odd under it.  Level 0 is a first half and that
-    half negated, and the total over [0, K], the sum of every level, is
-    zero identically: like the weight shift, the telescoping check cannot
-    fail, but it is still computed and reported.  As each level partitions
-    [0, K], every (a, K, s) has that total, so (a, K, 0) is its only update.
+  * Telescoping: the total over [0, K] is zero for every Q (the argument
+    is in ``_conclusion_reports``), so its line is built, not summed.
   * The conclusion visits K outermost, yet its loci are ordered by
     (a, K, s, m).  Each residue a has its own tracker, which sees its
     (K, s, m) in order and so holds the first least margin of a.  Merged
@@ -96,14 +91,12 @@ from .forms import (
     INFINITY,
     FormSystem,
     PadicInfinity,
-    dot,
+    UnitTables,
     factorial_ratio,
     factorial_ratios,
-    harmonic_weight,
     require_prime,
     vp_int,
     vp_of_rational,
-    vp_ratio_legendre,
 )
 from .mirror import integrality_scan
 from .series import MSeries
@@ -123,73 +116,6 @@ _UNEQUAL_SUMS = "the congruence harness needs equal column sums"
 _R = 30
 
 
-def _digit_products(F: list, top: int, p: int, mod: int) -> list:
-    """prod_(i >= 0) F[floor(N / p^i)] mod ``mod``, for N <= top."""
-    out = [1]
-    while len(out) <= top:
-        # N // p < len(out) for every N below len(out) * p
-        out += [F[N] * out[N // p] % mod for N in range(len(out), min(len(out) * p, top + 1))]
-    return out
-
-
-class _Units:
-    """v_p(Q(n)) and the unit part of Q(n) mod p^_R, read off tables of N!.
-
-    With F[M] the product of the k <= M prime to p (that is |Gamma_p(M+1)|),
-    N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].  Q(n) is the product
-    of (w.n)!^k over the (w, k) of the system's ``net``; per form, a table
-    holds k v_p(N!) and the k-th power of that unit part mod p^_R for
-    N <= sum(w) scale, the values w.n reaches for n <= scale componentwise.
-    The shared tables, v_p(N!) and the unit parts of N! and 1/N!, are built
-    by prefix passes up to the largest N a form of that sign of k reads,
-    and a form with k = +-1 reads them as they are."""
-
-    def __init__(self, p: int, terms: Sequence[tuple[IntVec, int]], scale: int):
-        mod = p**_R
-        # the largest N read by a form of positive k (at 1), of negative k (at -1)
-        tops = {1: 0, -1: 0}
-        for w, k in terms:
-            sign = 1 if k > 0 else -1
-            tops[sign] = max(tops[sign], sum(w) * scale)
-        top = max(tops.values())
-        F = [1] * (top + 1)
-        for k in range(1, top + 1):
-            F[k] = F[k - 1] * k % mod if k % p else F[k - 1]
-        t = tops[-1]
-        Finv = [1] * (t + 1)
-        Finv[t] = pow(F[t], -1, mod)
-        for k in range(t, 0, -1):
-            Finv[k - 1] = Finv[k] * k % mod if k % p else Finv[k]
-        vf = [0]
-        while len(vf) <= top:
-            # N // p < len(vf) for every N below len(vf) * p
-            vf += [N // p + vf[N // p] for N in range(len(vf), min(len(vf) * p, top + 1))]
-        # the unit parts of N! and of 1/N!
-        unit = {1: _digit_products(F, tops[1], p, mod), -1: _digit_products(Finv, t, p, mod)}
-        self.mod, self.scale = mod, scale
-        # (w, k v_p(N!), unit^k), the last two indexed by N = w.n
-        self.tables = []
-        for w, k in terms:
-            reach = range(sum(w) * scale + 1)
-            U = unit[1 if k > 0 else -1]
-            self.tables.append((
-                w,
-                vf if k == 1 else [k * vf[N] for N in reach],
-                U if abs(k) == 1 else [U[N] ** abs(k) % mod for N in reach],
-            ))
-
-    def column(self, n: IntVec, q: int, mdots: list, size: int) -> tuple[list, list]:
-        """(v_p, unit part) of Q(n + q m) over a list of ``size`` m >= 0, one
-        list each, with ``mdots`` listing the values w.m per table; the unit
-        parts are products of table entries, not reduced mod p^_R."""
-        v, u = [0] * size, [1] * size
-        for (w, V, U), col in zip(self.tables, mdots):
-            b = sum(map(mul, w, n))
-            v = list(map(add, v, map(V[b::q].__getitem__, col)))
-            u = list(map(mul, u, map(U[b::q].__getitem__, col)))
-        return v, u
-
-
 class PadicContext:
     """A prime together with a form system; memoizes Q values and weights."""
 
@@ -198,7 +124,7 @@ class PadicContext:
         self.sys = sys
         self._q_cache: dict[IntVec, int | Fraction] = {}
         self._forms = tuple(w for w, _ in sys.counts)
-        self._unit_tables: Optional[_Units] = None
+        self._unit_tables: Optional[UnitTables] = None
 
     def Q(self, n: Sequence[int]) -> int | Fraction:
         """Factorial ratio extended by zero on vectors with a negative entry;
@@ -214,10 +140,11 @@ class PadicContext:
             self._q_cache[n] = out
         return out
 
-    def _units(self, scale: int) -> _Units:
-        """Unit-part tables covering every w.n with n <= scale componentwise."""
+    def _units(self, scale: int) -> UnitTables:
+        """Unit tables mod p^_R covering every w.n with n <= scale
+        componentwise, shared by the sweeps at this prime."""
         if self._unit_tables is None or self._unit_tables.scale < scale:
-            self._unit_tables = _Units(self.p, self.sys.net, scale)
+            self._unit_tables = UnitTables(self.sys, self.p, scale, _R)
         return self._unit_tables
 
     def mu(self, m: Sequence[int]) -> int:
@@ -504,7 +431,7 @@ def verify_formal_congruences(
     mbox = ratios.mbox
     mus = [ctx.mu(m) for m in mbox]
     # v_p(Q(m)) over the m box, m = 0 first, from the unit tables
-    vq, _ = ratios.units.column((0,) * d, 1, ratios.mdots, len(mbox))
+    vq, _ = ratios.units.read(ratios.qm[1], len(mbox))
     reports = [CongruenceReport("unit-at-zero", ((0,) * d,), 0, vq[0], passed=(vq[0] == 0))]
 
     w = _Worst("weight-lower-bound")
@@ -540,26 +467,34 @@ class _Ratios:
         self.mbox = list(_box((m_bound,) * ctx.sys.d))
         self.tails = [(m,) for m in self.mbox]
         span = range(m_bound + 1)
-        self.mdots = [_over_box([[c * x for x in span] for c in w]) for w, *_ in self.units.tables]
+        # per stride q = p^s the sweeps read, q w.m over the m box per net form w
+        self.qm = {q: [_over_box([[q * c * x for x in span] for c in w]) for w, _ in ctx.sys.net]
+                   for q in (ctx.p**s for s in range(s_max + 2))}
         # the m with w.m = 0 for every net form w, where Q(n + q m) = Q(n)
-        self.zeros = [i for i in range(len(self.mbox)) if not any(col[i] for col in self.mdots)]
+        self.zeros = [i for i in range(len(self.mbox)) if not any(col[i] for col in self.qm[1])]
         # v_p(t) of a unit difference t != 0 mod p^_R, read off gcd(t, p^_R)
         self.vps = {ctx.p**i: i for i in range(_R)}
+
+    def _read(self, n: IntVec, q: int) -> tuple[list, list]:
+        """(v_p, unit part) of Q(n + q m) over the m box, from w.n + q w.m."""
+        bs = [sum(map(mul, w, n)) for w, _ in self.ctx.sys.net]
+        cols = [list(map(b.__add__, col)) for b, col in zip(bs, self.qm[q])]
+        return self.units.read(cols, len(self.mbox))
 
     def differences(self, s: int, lo: IntVec, his: list) -> tuple[list, list]:
         """(e, rows): e lists e_m = v_p(Q(lo + m p^s) / Q(lo)) over the m box,
         and rows holds, per hi in ``his``, v_p(Q(hi)) and the valuations of
         the difference over the m box."""
-        ctx, units, mbox, vps = self.ctx, self.units, self.mbox, self.vps
-        p, mod, gcd = ctx.p, units.mod, math.gcd
+        ctx, mbox, vps = self.ctx, self.mbox, self.vps
+        p, mod, gcd = ctx.p, self.units.mod, math.gcd
         q0, q1 = p**s, p ** (s + 1)
         # m = 0 comes first: its entries are v_p and the unit part of Q(lo)
-        v_b, x_b = units.column(lo, q0, self.mdots, len(mbox))
+        v_b, x_b = self._read(lo, q0)
         ui_lo = pow(x_b[0], -1, mod)
         e, x_lo = [v - v_b[0] for v in v_b], [x * ui_lo for x in x_b]
         rows = []
         for hi in his:
-            v_a, x_a = units.column(hi, q1, self.mdots, len(mbox))
+            v_a, x_a = self._read(hi, q1)
             v_hi, ui_hi = v_a[0], pow(x_a[0], -1, mod)
             # None marks a unit difference = 0 mod p^_R, taken exactly below
             row = [
@@ -604,8 +539,15 @@ def _ratio_reports(ratios: _Ratios, s_max: int, mus: list) -> list:
 def _conclusion_reports(
     ctx: PadicContext, s_max: int, k_bound: int, m_bound: int, mus: list
 ) -> list:
-    """The conclusion for every block sum and the telescoping of complete
-    ones, K outermost with one tracker per residue (see the module notes)."""
+    """The conclusion for every block sum, K outermost with one tracker per
+    residue (see the module notes), then the telescoping line.
+
+    The total over [0, K] of Q(a + p(K-j)) Q(j) - Q(K-j) Q(a + pj) is zero
+    for every a, K and Q: j -> K - j maps each term to its negative, so
+    ``_block_sums`` builds level 0 as a first half followed by that half
+    negated, and for an odd count the middle term is P Q - Q P = 0.  Every
+    level partitions [0, K] and so has that total.  The telescoping line
+    is therefore its first locus (a, K, s) = (0, 0, 0), valuation infinite."""
     p, d = ctx.p, ctx.sys.d
     top, mtop = (k_bound,) * d, (m_bound,) * d
     residues = list(itertools.product(range(p), repeat=d))
@@ -634,7 +576,7 @@ def _conclusion_reports(
         (s, T): shape(s, T) for s in range(1, s_max + 1) for T in _box((k_bound // p**s,) * d)
     }
 
-    wc, wt = ([_Worst(check) for _ in residues] for check in ("conclusion", "telescoping"))
+    wc = [_Worst("conclusion") for _ in residues]
     for K in _box(top):
         at = _places(K, top)
         QK = list(map(Q.__getitem__, at))
@@ -642,17 +584,15 @@ def _conclusion_reports(
         levels += [shapes[s, tuple(c // p**s for c in K)] for s in range(1, s_max + 1)]
         tails = [t for *_, ts, _ in levels for t in ts]
         required = [r for *_, rs in levels for r in rs]
-        for a, Pa, wc_a, wt_a in zip(residues, P, wc, wt):
+        for a, Pa, wc_a in zip(residues, P, wc):
             sums = _block_sums(list(map(Pa.__getitem__, at)), QK, [up for up, *_ in levels[:-1]])
             picked = [x for sm, (_, pl, *_) in zip(sums, levels) for x in map(sm.__getitem__, pl)]
             wc_a.update_values((a, K), tails, required, picked, p, shift)
-            total = sum(sums[-1])  # each level partitions [0, K]: s = 0 is the first locus
-            wt_a.update((a, K, 0), INFINITY, vp_int(total, p) - shift if total else INFINITY)
-    for trackers in (wc, wt):
-        # a later residue's held worst wins only where one sweep over both would take it
-        for later in trackers[1:]:
-            trackers[0].update(later.locus, later.required, later.achieved)
-    return [wc[0].report(), wt[0].report()]
+    # a later residue's held worst wins only where one sweep over both would take it
+    for later in wc[1:]:
+        wc[0].update(later.locus, later.required, later.achieved)
+    locus = ((0,) * d, (0,) * d, 0)  # (a, K, s): the telescoping line's first locus
+    return [wc[0].report(), CongruenceReport("telescoping", locus, INFINITY, INFINITY, True)]
 
 
 def q_ratio_congruence_sweep(
@@ -678,56 +618,3 @@ def q_ratio_congruence_sweep(
             gaps = [gap if gap is INFINITY else gap - e_b for e_b, gap in zip(e, row)]
             w.update_row((s, c), ratios.tails, [s + 1] * len(gaps), gaps)
     return w.report()
-
-
-# ---------------------------------------------------------------------------
-# obstruction functionals and negativity witnesses
-
-
-def harmonic_obstruction(sys: FormSystem, k: int, x: Sequence) -> Fraction:
-    """sum_i e_i[k] H(floor(e_i.x)) - sum_j f_j[k] H(floor(f_j.x)), exact.
-
-    Nonvanishing at a zero of the Landau function on the jump region is
-    what produces p-adic failures of the k-th canonical coordinate
-    (k is 1-based).
-    """
-    if not 1 <= k <= sys.d:
-        raise ValueError(f"coordinate {k} out of range")
-    return harmonic_weight(sys, k - 1, tuple(Fraction(c) for c in x))
-
-
-def obstruction_ratio(sys: FormSystem, k: int, witness: Sequence, X: int) -> Fraction:
-    """The rational function prod_i prod_(j<=alpha_i) (1 + e_i[k] X / j)
-    over prod_i prod_(j<=beta_i) (1 + f_i[k] X / j), with the floors
-    alpha, beta taken from the witness point.  Nonconstant exactly when
-    the harmonic obstruction is nonzero; no factor can vanish for X >= 0.
-    """
-    if not 1 <= k <= sys.d:
-        raise ValueError(f"coordinate {k} out of range")
-    X = int(X)
-    if X < 0:
-        raise ValueError("argument must be nonnegative")
-    witness = tuple(Fraction(c) for c in witness)
-
-    def factor(w):
-        terms = range(1, math.floor(dot(w, witness)) + 1)
-        return math.prod((1 + Fraction(w[k - 1] * X, j) for j in terms), start=Fraction(1))
-
-    return math.prod((factor(w) ** m for w, m in sys.net), start=Fraction(1))
-
-
-def landau_negative_witness(
-    sys: FormSystem, p: int, bound: Optional[int] = None
-) -> Optional[tuple[IntVec, int]]:
-    """Search a box for an index with v_p(Q(n)) <= -1.
-
-    Scans 0 <= n <= bound (default p) in lexicographic order and returns
-    the first index whose factorial ratio is not a p-adic integer, with
-    its valuation; None when the box contains no witness.
-    """
-    p = require_prime(p)
-    hi = (bound if bound is not None else p,) * sys.d
-    for n in itertools.islice(_box(hi), 1, None):  # n = 0 comes first
-        if (v := vp_ratio_legendre(sys, n, p)) <= -1:
-            return n, v
-    return None

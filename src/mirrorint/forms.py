@@ -11,11 +11,14 @@ indexed by nonnegative integer vectors ``n``.  A system states it once, as
 ``counts``: each distinct form w, first seen first, with its count in ``e``
 less its count in ``f``; a zero count stays, as a shared form still bounds
 the jump region.  Its nonzero part ``net`` gives Q(n) as the product of
-(w.n)!^m over (w, m) in ``net``, and Q, v_p(Q) and the harmonic weights
-walk it; ``factorial_ratios`` gives Q at many points as integers over one
-denominator.  Everything in this module is an immutable value and every
-operation is a pure function, so concurrent use from any number of
-threads is safe.
+(w.n)!^m over (w, m) in ``net``.  This module alone turns net forms into
+values of Q: ``factorial_ratio`` and ``vp_ratio_legendre`` at one point;
+``factorial_ratios`` at many points, as integers over one denominator; and
+``UnitTables`` at many points as v_p(Q) and the unit part of Q mod p^R,
+read off prefix tables of Morita's Gamma_p.  Everything else in this
+module is an immutable value or a pure function, and a ``UnitTables`` is
+not changed once built, so concurrent use from any number of threads is
+safe.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -211,6 +214,11 @@ def factorial_ratio(sys: FormSystem, n: Sequence[int]) -> Fraction:
     return Fraction(num, math.prod(math.factorial(dot(w, n)) ** -m for w, m in sys.net if m < 0))
 
 
+# points per slice of ``factorial_ratios``: only one slice's full products
+# are held at a time
+_SLICE = 4096
+
+
 def factorial_ratios(
     sys: FormSystem, cols: Sequence[Sequence[int]], size: int
 ) -> tuple[int, list[int]]:
@@ -219,17 +227,98 @@ def factorial_ratios(
 
     ``cols[t][i]`` is w_t.n_i for the t-th (w_t, m_t) of ``sys.net``; a
     system with no net term has Q = 1 everywhere.  Every (w.n)! is read
-    from one table of factorials up to the largest value in ``cols``.
+    from one table of factorials up to the largest value in ``cols``.  The
+    points are divided slice by slice, each over its own least denominator,
+    and a slice is rescaled to D, the lcm of those, once all are known.
     """
     top = max(itertools.chain(*cols), default=0)
     fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
-    num, den = [1] * size, [1] * size
-    for (_, m), col in zip(sys.net, cols):
-        power = fact if abs(m) == 1 else [c ** abs(m) for c in fact[: max(col, default=0) + 1]]
-        side = num if m > 0 else den
-        side[:] = map(mul, side, map(power.__getitem__, col))
-    D = math.lcm(*[y // math.gcd(x, y) for x, y in zip(num, den) if x % y])
-    return D, [x * D // y for x, y in zip(num, den)]
+    powers = [
+        (m > 0, fact if abs(m) == 1 else [c ** abs(m) for c in fact[: max(col, default=0) + 1]])
+        for (_, m), col in zip(sys.net, cols)
+    ]
+    starts = range(0, size, _SLICE)
+    D, nums, dens = 1, [], []
+    for lo in starts:
+        hi = min(lo + _SLICE, size)
+        num, den = [1] * (hi - lo), [1] * (hi - lo)
+        for (positive, power), col in zip(powers, cols):
+            side = num if positive else den
+            side[:] = map(mul, side, map(power.__getitem__, col[lo:hi]))
+        d = math.lcm(*[y // math.gcd(x, y) for x, y in zip(num, den) if x % y])
+        nums += [x * d // y for x, y in zip(num, den)]
+        dens.append(d)
+        D = math.lcm(D, d)
+    for lo, d in zip(starts, dens):
+        if d != D:
+            nums[lo : lo + _SLICE] = [x * (D // d) for x in nums[lo : lo + _SLICE]]
+    return D, nums
+
+
+def _digit_products(F: list, top: int, p: int, mod: int) -> list:
+    """prod_(i >= 0) F[floor(N / p^i)] mod ``mod``, for N <= top."""
+    out = [1]
+    while len(out) <= top:
+        # N // p < len(out) for every N below len(out) * p
+        out += [F[N] * out[N // p] % mod for N in range(len(out), min(len(out) * p, top + 1))]
+    return out
+
+
+class UnitTables:
+    """v_p(Q(n)) and the unit part of Q(n) mod p^digits, read off tables of N!.
+
+    With F[M] the product of the k <= M prime to p (that is |Gamma_p(M+1)|,
+    Morita's Gamma_p), N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].
+    Q(n) is the product of (w.n)!^m over the (w, m) of ``sys.net``; per
+    form, ``tables`` holds m v_p(N!) and the m-th power of that unit part
+    mod p^digits for N <= sum(w) scale, the values w.n reaches for
+    n <= scale componentwise.  The shared tables, v_p(N!) and the unit
+    parts of N! and 1/N!, are built by prefix passes up to the largest N a
+    form of that sign of m reads, and a form with m = +-1 reads them as
+    they are."""
+
+    def __init__(self, sys: FormSystem, p: int, scale: int, digits: int):
+        mod = p**digits
+        # the largest N read by a form of positive m (at 1), of negative m (at -1)
+        tops = {1: 0, -1: 0}
+        for w, m in sys.net:
+            sign = 1 if m > 0 else -1
+            tops[sign] = max(tops[sign], sum(w) * scale)
+        top = max(tops.values())
+        F = [1] * (top + 1)
+        for k in range(1, top + 1):
+            F[k] = F[k - 1] * k % mod if k % p else F[k - 1]
+        t = tops[-1]
+        Finv = [1] * (t + 1)
+        Finv[t] = pow(F[t], -1, mod)
+        for k in range(t, 0, -1):
+            Finv[k - 1] = Finv[k] * k % mod if k % p else Finv[k]
+        vf = [0]
+        while len(vf) <= top:
+            # N // p < len(vf) for every N below len(vf) * p
+            vf += [N // p + vf[N // p] for N in range(len(vf), min(len(vf) * p, top + 1))]
+        # the unit parts of N! and of 1/N!
+        unit = {1: _digit_products(F, tops[1], p, mod), -1: _digit_products(Finv, t, p, mod)}
+        self.mod, self.scale = mod, scale
+        # per net form, (m v_p(N!), unit^m), indexed by N = w.n
+        self.tables = []
+        for w, m in sys.net:
+            reach = range(sum(w) * scale + 1)
+            U = unit[1 if m > 0 else -1]
+            self.tables.append((
+                vf if m == 1 else [m * vf[N] for N in reach],
+                U if abs(m) == 1 else [U[N] ** abs(m) % mod for N in reach],
+            ))
+
+    def read(self, cols: Sequence[Sequence[int]], size: int) -> tuple[list, list]:
+        """(v_p, unit part) of Q(n_i) for i < ``size``, one list each, with
+        ``cols`` as in ``factorial_ratios``; the unit parts are products of
+        table entries, not reduced mod p^digits."""
+        v, u = itertools.repeat(0, size), itertools.repeat(1, size)
+        for (V, U), col in zip(self.tables, cols):
+            v = map(add, v, map(V.__getitem__, col))
+            u = map(mul, u, map(U.__getitem__, col))
+        return list(v), list(u)
 
 
 def harmonic(m: int) -> Fraction:
@@ -241,14 +330,6 @@ def harmonic(m: int) -> Fraction:
     for k in range(1, m + 1):
         num, den = num * k + den, den * k
     return Fraction(num, den)
-
-
-def harmonic_weight(sys: FormSystem, k: int, x: Sequence) -> Fraction:
-    """sum_i e_i[k] H(floor(e_i.x)) - sum_j f_j[k] H(floor(f_j.x)), the
-    harmonic weight of coordinate k (0-based) at a point x >= 0, exact:
-    the sum of m w[k] H(floor(w.x)) over the (w, m) of ``sys.net``."""
-    terms = (m * w[k] * harmonic(math.floor(dot(w, x))) for w, m in sys.net if w[k])
-    return sum(terms, Fraction(0))
 
 
 # Miller-Rabin on these bases decides every n < 3.3 * 10^24 (Sorenson and

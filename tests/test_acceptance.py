@@ -9,16 +9,17 @@ criterion.
 import time
 from fractions import Fraction
 
+from mirrorint import dwork
 from mirrorint.dwork import (
     CongruenceRanges,
     PadicContext,
-    _Units,
     dieudonne_dwork_check,
-    landau_negative_witness,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
 from mirrorint.forms import (
+    FormSystem,
+    UnitTables,
     factorial_ratio,
     vp_of_rational,
     vp_ratio_legendre,
@@ -48,6 +49,7 @@ from mirrorint.systems import (
     INVERSE_BINOMIAL,
 )
 from test_dwork import (
+    negative_witness,
     oracle_dd_coefficient_k,
     oracle_dd_coefficient_L,
     oracle_gamma_p,
@@ -90,7 +92,7 @@ def test_criterion_01_landau_integrality():
             for n in exponents_upto(2, 10):
                 assert factorial_ratio(sys, n).denominator == 1
         for p in (5, 7, 11, 13, 17, 19, 23):
-            found = landau_negative_witness(INVERSE_BINOMIAL, p)
+            found = negative_witness(INVERSE_BINOMIAL, p)
             assert found is not None and found[1] <= -1
         assert vp_ratio_legendre(INVERSE_BINOMIAL, (3,), 5) == -1
 
@@ -205,8 +207,8 @@ def test_criterion_07_gamma_identities_and_unit_ratio():
         # the harness's unit tables rest on the first identity: the unit part
         # of N! is the product of |Gamma_p(floor(N/p^i) + 1)|
         for p in (2, 3, 5):
-            units = _Units(p, [((1,), 1)], 200)
-            (_, _, U), = units.tables
+            units = UnitTables(FormSystem([(1,)], [], raw=True), p, 200, dwork._R)
+            (_, U), = units.tables
             for N in range(201):
                 gamma = 1
                 for i in range(N.bit_length()):

@@ -22,9 +22,6 @@ PACKAGE = ROOT / "src" / "mirrorint"
 TRACING = ROOT / "bench" / "tracing.py"
 
 EXCEPTIONS = {
-    ("dwork", "harmonic_obstruction"): "the Case II certificate work (ROADMAP item 3) decides",
-    ("dwork", "obstruction_ratio"): "the Case II certificate work (ROADMAP item 3) decides",
-    ("dwork", "landau_negative_witness"): "the Case II certificate work (ROADMAP item 3) decides",
     ("landau", "in_jump_region"): "the public check of a Case II witness; tests and demo 01 use it",
 }
 

@@ -30,7 +30,7 @@ from mirrorint.cli import (
     main,
 )
 from mirrorint.dwork import CongruenceRanges, PadicContext, q_ratio_congruence_sweep
-from mirrorint.forms import FormSystem
+from mirrorint.forms import FormSystem, UnitTables
 from mirrorint.landau import delta_at, in_jump_region
 from mirrorint.operators import case30_record, verify_annihilation
 from mirrorint.series import MSeries, canonical, from_bytes
@@ -890,6 +890,22 @@ class TestCongruences:
         line = json.loads(out.splitlines()[-1])
         expected = q_ratio_congruence_sweep(PadicContext(2, CENTRAL_BINOMIAL), s_max=1)
         assert line == {"prime": 2} | json.loads(json.dumps(expected.to_dict()))
+
+    def test_both_sweeps_of_a_prime_share_one_unit_table(self, tmp_path, capsys, monkeypatch):
+        # verify_formal_congruences builds the prime's table, and
+        # q_ratio_congruence_sweep, whose m box is smaller, reads the same one
+        built = []
+
+        class Counted(UnitTables):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dwork, "UnitTables", Counted)
+        doc = {"system": {"name": "cubic-2d"}, "primes": [3]}
+        code, _, _ = run(capsys, ["congruences", write_job(tmp_path, "a.json", doc)])
+        assert code == EXIT_OK
+        assert len(built) == 1
 
     def test_unequal_column_sums_exit_2(self, tmp_path, capsys):
         job = write_job(tmp_path, "a.json", {"system": {"e": [[2]], "f": [[1]]}})

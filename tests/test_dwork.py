@@ -1,4 +1,4 @@
-"""p-adic engine: unit tables, weights, residues, product test, congruences."""
+"""p-adic engine: Gamma_p, weights, residues, product test, congruences."""
 
 import itertools
 import json
@@ -13,7 +13,6 @@ from mirrorint.dwork import (
     CongruenceRanges,
     CongruenceReport,
     PadicContext,
-    _Units,
     _Worst,
     _block_sums,
     _over_box,
@@ -21,9 +20,6 @@ from mirrorint.dwork import (
     dieudonne_dwork_check,
     excluded_indices,
     good_residues,
-    harmonic_obstruction,
-    landau_negative_witness,
-    obstruction_ratio,
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
@@ -33,7 +29,6 @@ from mirrorint.forms import (
     dot,
     factorial_ratio,
     harmonic,
-    harmonic_weight,
     vp_of_rational,
     vp_ratio_legendre,
 )
@@ -49,7 +44,7 @@ from mirrorint.systems import (
     INVERSE_BINOMIAL,
 )
 
-from test_mirror import family_jobs
+from test_mirror import family_jobs, harmonic_weight
 
 
 def report_line(rep):
@@ -297,16 +292,10 @@ def oracle_dd_coefficient_L(p, sys, L, a, K):
     return total
 
 
-def _split(x, p):
-    """(v_p(x), x / p^v_p(x)) for a nonzero int or Fraction."""
-    x = Fraction(x)
-    v = vp_of_rational(x, p)
-    return v, x / Fraction(p) ** v
-
-
 class TestGammaP:
-    """The Gamma_p oracle, and the unit tables of Q that rest on its identity:
-    the unit part of N! is the product of |Gamma_p(floor(N/p^i) + 1)|."""
+    """The Gamma_p oracle; ``forms.UnitTables`` rests on its identity, the
+    unit part of N! is the product of |Gamma_p(floor(N/p^i) + 1)| (see
+    tests/test_forms.py)."""
 
     def test_values(self):
         assert oracle_gamma_p(0, 5) == 1
@@ -340,46 +329,6 @@ class TestGammaP:
         for k in range(10):
             for n in range(5):
                 assert oracle_gamma_p_check(n, k, 1, 2)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_unit_tables_match_exact_factorials(self, p):
-        # one form (1,) with net multiplicities 1, -1 and 2: the tables of
-        # N!, 1/N! and (N!)^2
-        top = 3 * p * p + 5
-        units = _Units(p, [((1,), 1), ((1,), -1), ((1,), 2)], top)
-        mod = units.mod
-        assert mod == p**dwork._R
-        # a form of sum 1 reads N <= top, k = 1 from the shared tables
-        assert [(len(V), len(U)) for _, V, U in units.tables] == [(top + 1, top + 1)] * 3
-        (_, V, U), (_, Vi, Ui), (_, V2, U2) = units.tables
-        for N in range(top + 1):
-            v, u = _split(math.factorial(N), p)
-            assert V[N] == v
-            assert U[N] == u % mod
-            gamma = math.prod(
-                abs(oracle_gamma_p(N // p**i + 1, p)) for i in range(N.bit_length())
-            )
-            assert U[N] == gamma % mod
-            assert (Vi[N], U[N] * Ui[N] % mod) == (-v, 1)
-            assert (V2[N], U2[N]) == (2 * v, u * u % mod)
-
-    @pytest.mark.parametrize("sys", [CUBIC_2D, CUBIC_SPLIT, INVERSE_BINOMIAL, CASE30])
-    def test_unit_parts_of_Q(self, sys):
-        # column(n, q) over an m box that starts at m = 0, against Q itself
-        for p in (2, 3, 5, 7):
-            ctx = PadicContext(p, sys)
-            units = ctx._units(12)  # n + q m <= 5 + 7 componentwise
-            mod = units.mod
-            mbox = list(_obox((1,) * sys.d))
-            mdots = [[dot(w, m) for m in mbox] for w, *_ in units.tables]
-            for n in _obox((5,) * sys.d):
-                for q in (1, p):
-                    vs, us = units.column(n, q, mdots, len(mbox))
-                    for m, vm, um in zip(mbox, vs, us):
-                        shifted = tuple(x + q * y for x, y in zip(n, m))
-                        v, u = _split(factorial_ratio(sys, shifted), p)
-                        assert vm == v
-                        assert um * u.denominator % mod == u.numerator % mod
 
 
 class TestWeights:
@@ -661,6 +610,23 @@ class TestConvolutionSums:
             for s in (0, 1):
                 assert sum(levels[s]) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_level_sums_to_zero_whatever_the_values(self, data):
+        # the telescoping line rests on this: for any values P(j), Q(j), not
+        # only values of Q, level 0 is P(K-j) Q(j) - Q(K-j) P(j) and every
+        # level of blocks adds up to zero
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        K = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple))
+        s_max = data.draw(st.integers(0, 2))
+        n = math.prod(c + 1 for c in K)
+        values = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+        P, Q = data.draw(values), data.draw(values)
+        levels = _block_sums(P, Q, box_levels(K, p, s_max)[0])
+        assert levels[0] == [P[n - 1 - i] * Q[i] - Q[n - 1 - i] * P[i] for i in range(n)]
+        assert len(levels) == s_max + 1
+        assert all(sum(level) == 0 for level in levels)
+
     @pytest.mark.parametrize(
         "p, sys", [(2, CUBIC_2D), (3, CUBIC_2D), (3, CUBIC_SPLIT), (2, INVERSE_BINOMIAL),
                    (5, CENTRAL_BINOMIAL)]
@@ -738,41 +704,28 @@ class TestUnitRatioCongruence:
                 check(ctx)
 
 
-class TestObstructions:
-    def test_zero_floors_give_trivial_values(self):
-        x = (Fraction(1, 10), Fraction(1, 10))
-        assert harmonic_obstruction(CUBIC_2D, 1, x) == 0
-        assert obstruction_ratio(CUBIC_2D, 1, x, 5) == 1
-
-    def test_split_witness(self):
-        w = (Fraction(1, 2), Fraction(0))
-        assert harmonic_obstruction(CUBIC_SPLIT, 1, w) == 1
-        assert obstruction_ratio(CUBIC_SPLIT, 1, w, 1) == Fraction(4, 3)
-        assert obstruction_ratio(CUBIC_SPLIT, 1, w, 0) == 1
-
-    def test_second_coordinate_unobstructed(self):
-        w = (Fraction(1, 2), Fraction(0))
-        assert harmonic_obstruction(CUBIC_SPLIT, 2, w) == 0
-        assert obstruction_ratio(CUBIC_SPLIT, 2, w, 3) == 1
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            obstruction_ratio(CUBIC_SPLIT, 1, (Fraction(1, 2), 0), -1)
+def negative_witness(sys, p, bound=None):
+    """The first n in the box [0, bound]^d (bound p if unset) with
+    v_p(Q(n)) <= -1, with that valuation; None when the box has none."""
+    for n in itertools.product(range((p if bound is None else bound) + 1), repeat=sys.d):
+        if (v := vp_ratio_legendre(sys, n, p)) <= -1:
+            return n, v
+    return None
 
 
 class TestNegativityWitness:
     def test_concrete_instance(self):
-        got = landau_negative_witness(INVERSE_BINOMIAL, 5)
+        got = negative_witness(INVERSE_BINOMIAL, 5)
         assert got == ((3,), -1)
         assert vp_ratio_legendre(INVERSE_BINOMIAL, (3,), 5) == -1
 
     def test_all_primes_in_range(self):
         for p in (5, 7, 11, 13, 17, 19, 23):
-            got = landau_negative_witness(INVERSE_BINOMIAL, p)
+            got = negative_witness(INVERSE_BINOMIAL, p)
             assert got is not None and got[1] <= -1
 
     def test_integral_system_has_no_witness(self):
-        assert landau_negative_witness(CENTRAL_BINOMIAL, 5, bound=8) is None
+        assert negative_witness(CENTRAL_BINOMIAL, 5, bound=8) is None
 
 
 class TestHarnessAgainstOracle:
@@ -1045,13 +998,13 @@ class TestHarnessSizes:
         ratios = dwork._Ratios(PadicContext(3, CUBIC_2D), 1, 2)
         # each form's tables reach sum(w) (m_bound + 1) p^(s_max + 1): (3, 3)'s
         # are the unit tables, (1, 0)'s and (0, 1)'s a sixth of them
-        assert [(len(V), len(U)) for _, V, U in ratios.units.tables] == [
+        assert [(len(V), len(U)) for V, U in ratios.units.tables] == [
             (sizes["unit tables"],) * 2, (28, 28), (28, 28)
         ]
         assert len(ratios.mbox) == sizes["m box"]
 
     def test_a_harness_past_the_bound_is_refused_before_any_table(self, monkeypatch):
-        monkeypatch.setattr(dwork, "_Units", None)  # any unit table built would raise
+        monkeypatch.setattr(dwork, "UnitTables", None)  # any unit table built would raise
         for p in (1009, 2**61 - 1):
             ctx = PadicContext(p, CENTRAL_BINOMIAL)
             for sweep in (verify_formal_congruences, q_ratio_congruence_sweep):

@@ -1,4 +1,4 @@
-"""Exact-arithmetic kernel tests: ratios, harmonics, valuations."""
+"""Exact-arithmetic kernel tests: ratios, unit tables, harmonics, valuations."""
 
 import itertools
 import math
@@ -6,13 +6,17 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import mul
 from sys import getswitchinterval, setswitchinterval
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mirrorint import dwork, forms
 from mirrorint.forms import (
     INFINITY,
     FormSystem,
+    UnitTables,
+    dot,
     factorial_ratio,
     factorial_ratios,
     harmonic,
@@ -22,7 +26,9 @@ from mirrorint.forms import (
     vp_ratio_legendre,
 )
 from mirrorint.landau import delta_at, in_jump_region
-from mirrorint.systems import CUBIC_2D, CENTRAL_BINOMIAL, CUBIC_SPLIT, INVERSE_BINOMIAL
+from mirrorint.systems import CASE30, CUBIC_2D, CENTRAL_BINOMIAL, CUBIC_SPLIT, INVERSE_BINOMIAL
+
+from test_dwork import oracle_gamma_p
 
 
 def brute_ratio(sys, n):
@@ -299,6 +305,124 @@ def test_factorial_ratios_give_the_values_of_Q(case):
     want = [brute_ratio(sys, n) for n in points]
     assert [Fraction(x, D) for x in nums] == want
     assert D == math.lcm(*[x.denominator for x in want])
+
+
+def oracle_factorial_ratios(sys, cols, size):
+    """``factorial_ratios`` in one piece: every full product of every point,
+    then one division over the least common denominator."""
+    top = max(itertools.chain(*cols), default=0)
+    fact = [math.factorial(N) for N in range(top + 1)]
+    num, den = [1] * size, [1] * size
+    for (_, m), col in zip(sys.net, cols):
+        side = num if m > 0 else den
+        side[:] = [x * fact[N] ** abs(m) for x, N in zip(side, col)]
+    D = math.lcm(*[y // math.gcd(x, y) for x, y in zip(num, den) if x % y])
+    return D, [x * D // y for x, y in zip(num, den)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio_boxes(), st.integers(1, 4))
+# 1/C(2n, n) in slices of two: each slice has its own D > 1 (2, 60, 1260, ...)
+@example((INVERSE_BINOMIAL, [(n,) for n in range(9)]), 2)
+@example((CUBIC_SPLIT, [(0, 0)]), 1)
+def test_sliced_factorial_ratios_match_the_unsliced_kernel(case, width):
+    sys, points = case
+    cols = [[dot(w, n) for n in points] for w, _ in sys.net]
+    with patch.object(forms, "_SLICE", width):
+        got = factorial_ratios(sys, cols, len(points))
+    assert got == oracle_factorial_ratios(sys, cols, len(points))
+
+
+def _split(x, p):
+    """(v_p(x), x / p^v_p(x)) for a nonzero int or Fraction."""
+    x = Fraction(x)
+    v = vp_of_rational(x, p)
+    return v, x / Fraction(p) ** v
+
+
+class TestUnitTables:
+    """``UnitTables`` against exact factorials and Q.  The tables rest on the
+    identity that the unit part of N! is the product of
+    |Gamma_p(floor(N/p^i) + 1)|."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_unit_tables_match_exact_factorials(self, p):
+        # three unit forms with net multiplicities 1, 2 and -1: the tables
+        # of N!, (N!)^2 and 1/N!
+        sys = FormSystem([(1, 0, 0), (0, 0, 1), (0, 0, 1)], [(0, 1, 0)], raw=True)
+        assert [m for _, m in sys.net] == [1, 2, -1]
+        top = 3 * p * p + 5
+        units = UnitTables(sys, p, top, dwork._R)
+        mod = units.mod
+        assert mod == p**dwork._R
+        # a form of sum 1 reads N <= top, m = +-1 from the shared tables
+        assert [(len(V), len(U)) for V, U in units.tables] == [(top + 1, top + 1)] * 3
+        (V, U), (V2, U2), (Vi, Ui) = units.tables
+        for N in range(top + 1):
+            v, u = _split(math.factorial(N), p)
+            assert V[N] == v
+            assert U[N] == u % mod
+            gamma = math.prod(
+                abs(oracle_gamma_p(N // p**i + 1, p)) for i in range(N.bit_length())
+            )
+            assert U[N] == gamma % mod
+            assert (Vi[N], U[N] * Ui[N] % mod) == (-v, 1)
+            assert (V2[N], U2[N]) == (2 * v, u * u % mod)
+
+    @pytest.mark.parametrize("sys", [CUBIC_2D, CUBIC_SPLIT, INVERSE_BINOMIAL, CASE30])
+    def test_unit_parts_of_Q(self, sys):
+        # Q(n + q m) over an m box that starts at m = 0, against Q itself
+        for p in (2, 3, 5, 7):
+            units = UnitTables(sys, p, 12, dwork._R)  # n + q m <= 5 + 7 componentwise
+            mod = units.mod
+            mbox = list(itertools.product(range(2), repeat=sys.d))
+            for n in itertools.product(range(6), repeat=sys.d):
+                for q in (1, p):
+                    points = [tuple(x + q * y for x, y in zip(n, m)) for m in mbox]
+                    cols = [[dot(w, x) for x in points] for w, _ in sys.net]
+                    vs, us = units.read(cols, len(mbox))
+                    for x, vm, um in zip(points, vs, us):
+                        v, u = _split(factorial_ratio(sys, x), p)
+                        assert vm == v
+                        assert um * u.denominator % mod == u.numerator % mod
+
+
+@st.composite
+def unit_table_cases(draw):
+    """(sys, p, digits, points): a raw system in d = 1 or 2 built from
+    distinct forms with counts in -3..3, so |m| >= 2, negative m, and a
+    zero count (the form put in both e and f) all occur; a prime; a
+    precision; and points in [0, 6]^d, where a form with a zero entry,
+    or n = 0, gives w.n = 0."""
+    d = draw(st.integers(1, 2))
+    forms_ = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3,
+                           unique=True))
+    counts = draw(st.lists(st.integers(-3, 3), min_size=len(forms_), max_size=len(forms_)))
+    e = [w for w, m in zip(forms_, counts) for _ in range(max(m, 0) + (m == 0))]
+    f = [w for w, m in zip(forms_, counts) for _ in range(max(-m, 0) + (m == 0))]
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * d), min_size=1, max_size=8))
+    return FormSystem(e, f, raw=True), p, draw(st.integers(1, 6)), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_table_cases())
+# 1/C(2n, n) at p = 2: p divides D
+@example((INVERSE_BINOMIAL, 2, 3, [(0,), (1,), (5,), (6,)]))
+# a shared form (1, 1) of count 0 beside counts 2 and -3; points with w.n = 0
+@example((FormSystem([(1, 1), (2, 0), (2, 0)], [(1, 1), (0, 1), (0, 1), (0, 1)], raw=True),
+          3, 2, [(0, 0), (0, 4), (5, 0), (6, 6)]))
+def test_unit_tables_read_the_valuation_and_unit_part_of_Q(case):
+    sys, p, digits, points = case
+    units = UnitTables(sys, p, max(map(max, points)), digits)
+    cols = [[dot(w, n) for n in points] for w, _ in sys.net]
+    vs, us = units.read(cols, len(points))
+    D, nums = factorial_ratios(sys, cols, len(points))
+    mod = p**digits
+    for v, u, x in zip(vs, us, nums):
+        vq, unit = _split(Fraction(x, D), p)
+        assert v == vq
+        assert u * unit.denominator % mod == unit.numerator % mod
 
 
 def test_is_prime_small():

@@ -19,7 +19,6 @@ from mirrorint.forms import (
     dot,
     factorial_ratio,
     harmonic,
-    harmonic_weight,
     vp_of_rational,
 )
 from mirrorint.landau import enumerate_weight_vectors
@@ -45,6 +44,14 @@ def exponents_upto(d, order):
     for v in itertools.product(range(order + 1), repeat=d):
         if sum(v) <= order:
             yield v
+
+
+def harmonic_weight(sys, k, x):
+    """sum_i e_i[k] H(floor(e_i.x)) - sum_j f_j[k] H(floor(f_j.x)), the
+    harmonic weight of coordinate k (0-based) at a point x >= 0, exact:
+    the sum of m w[k] H(floor(w.x)) over the (w, m) of ``sys.net``."""
+    terms = (m * w[k] * harmonic(math.floor(dot(w, x))) for w, m in sys.net if w[k])
+    return sum(terms, Fraction(0))
 
 
 def oracle_build_F(sys, order):
