@@ -17,8 +17,13 @@ one variable, 8 otherwise) for ``bundle``, ``scan`` and ``dwork`` and to
 fixture's) and a fixture whose G is zero, where no coefficient would be
 checked.  An order whose grading ``kronecker.check_size`` refuses (a
 system's; a fixture's, as its series are read; a case's, once its record
-is loaded) and a prime at which ``dwork.harness_sizes`` refuses the
-``congruences`` harness exit 2 before anything is built.
+is loaded), an order whose largest form value, the order times the
+largest form entry, passes ``forms.FACTORIAL_BOUND`` (a system's; a
+case's, once its record is loaded), a system whose box of weight vectors
+(the product of each coordinate's largest entry plus one) passes
+``kronecker.MAX_KEYS`` in ``bundle``, ``scan`` and ``dwork``, and a prime
+at which ``dwork.harness_sizes`` refuses the ``congruences`` harness
+exit 2 before anything is built.
 ``--order``, ``--prime`` and ``--budget`` set the job keys ``order``,
 ``primes`` and ``strategy.budget`` and are checked by those keys' rules;
 the keys the job file gives are checked too, flag or no flag.
@@ -85,6 +90,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -100,7 +106,7 @@ from .dwork import (
     q_ratio_congruence_sweep,
     verify_formal_congruences,
 )
-from .forms import FormSystem, is_int, is_prime
+from .forms import FormSystem, check_factorials, is_int, is_prime
 from .landau import BUDGET, BudgetExceededError, Tag, classify, enumerate_weight_vectors
 from .mirror import MirrorBundle, build_bundle, coefficient_series, integrality_scan
 from .operators import BUNDLED_CASES, CaseRecord, verify_annihilation
@@ -279,8 +285,15 @@ def parse_job(doc: dict, command: str) -> Job:
     if order is not None and system is not None:  # bundle, scan, dwork on a system
         try:
             kronecker.check_size(system.d, order)
+            check_factorials(order * max(map(max, system.forms)))
         except ValueError as exc:
             raise SchemaError(f"order too large: {exc}") from None
+        # the box enumerate_weight_vectors walks: each bundle lists the
+        # mirror-type maps in it, and dwork names the series by them
+        box = math.prod(max(c) + 1 for c in zip(*system.forms))
+        if box > kronecker.MAX_KEYS:
+            raise SchemaError(f"the weight vectors of this system fill a box of {box},"
+                              f" past the {kronecker.MAX_KEYS} a job may walk")
     if command == "congruences":
         # every prime's harness is sized before the first one prints a line
         for p in primes:
@@ -593,6 +606,7 @@ def cmd_case(job: Job, args) -> int:
         )
     try:
         kronecker.check_size(rec.system.d, job.order)
+        check_factorials(job.order * max(map(max, rec.system.forms)))
     except ValueError as exc:
         raise SchemaError(f"order too large for case {rec.name}: {exc}") from None
     report = verify_annihilation(rec, job.order)

@@ -39,11 +39,14 @@ they would otherwise build.  Every reported ``achieved`` value is exact:
   * Jump-region tests are integer: for 0 <= u < q, {u/q} is in the jump
     region exactly when some form w of ``counts`` (zero count included) has w.u >= q.
   * ``harness_sizes`` states how large each table and box is at a prime,
-    and the sweeps and ``cli.parse_job`` refuse any past ``HARNESS_BOUND``.
+    and the sweeps and ``cli.parse_job`` refuse any past ``HARNESS_BOUND``,
+    and a conclusion that would read factorials past
+    ``forms.FACTORIAL_BOUND``.
   * Q(n) is written p^v * u with u a p-adic unit, known mod p^R (R is the
     private constant ``_R``).  The ratio sweeps read v and u over a whole
-    m box from one ``forms.UnitTables`` per prime, built from Gamma_p
-    prefix tables, with columns w.n + q w.m per net form w.
+    m box from one ``forms.UnitTables`` per prime, built by prefix passes
+    over the p-free parts of 1, ..., N, with columns w.n + q w.m per net
+    form w.
   * p^e1 x1 - p^e2 x2 has valuation min(e1, e2) when e1 != e2, and
     e + v_p(t) when e1 = e2 = e and the unit difference t is nonzero mod
     p^R; then v_p(t) < R is gcd(t, p^R) read as a power of p.  Where
@@ -92,6 +95,7 @@ from .forms import (
     FormSystem,
     PadicInfinity,
     UnitTables,
+    check_factorials,
     factorial_ratio,
     factorial_ratios,
     require_prime,
@@ -380,12 +384,14 @@ HARNESS_BOUND = 1 << 22
 def harness_sizes(sys: FormSystem, p: int, s_max: int, k_bound: int, m_bound: int) -> dict:
     """The entries of each table and box the formal-congruence harness builds
     at the prime p, by name; raises ValueError when one passes
-    ``HARNESS_BOUND``, before any is built.
+    ``HARNESS_BOUND``, or the conclusion's factorials pass
+    ``forms.FACTORIAL_BOUND``, before any is built.
 
     The unit tables run over N <= top, top the largest net form sum times
     (m_bound + 1) p^(s_max + 1); the m box is [0, m_bound]^d; the residues
     mod p^s_max number p^(s_max d); the conclusion reads Q on the K box
-    [0, k_bound]^d from each of its 1 + p^d starts.
+    [0, k_bound]^d from each of its 1 + p^d starts, the largest w.(a + p K)
+    with a < p being the largest net form sum times p - 1 + p k_bound.
     """
     # past these caps a size passes the bound alone (p^(s d) >= 2^s), so no
     # larger power is formed
@@ -402,6 +408,10 @@ def harness_sizes(sys: FormSystem, p: int, s_max: int, k_bound: int, m_bound: in
         if size > HARNESS_BOUND:
             raise ValueError(f"at p = {p}: the {name} would pass the harness bound"
                              f" of {HARNESS_BOUND} entries")
+    try:
+        check_factorials(max((sum(w) for w, _ in sys.net), default=0) * (p - 1 + p * k_bound))
+    except ValueError as exc:
+        raise ValueError(f"at p = {p}: the conclusion's {exc}") from None
     return sizes
 
 

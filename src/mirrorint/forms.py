@@ -15,10 +15,10 @@ the jump region.  Its nonzero part ``net`` gives Q(n) as the product of
 values of Q: ``factorial_ratio`` and ``vp_ratio_legendre`` at one point;
 ``factorial_ratios`` at many points, as integers over one denominator; and
 ``UnitTables`` at many points as v_p(Q) and the unit part of Q mod p^R,
-read off prefix tables of Morita's Gamma_p.  Everything else in this
-module is an immutable value or a pure function, and a ``UnitTables`` is
-not changed once built, so concurrent use from any number of threads is
-safe.
+read off prefix passes over the p-free parts of 1, ..., N.  Everything
+else in this module is an immutable value or a pure function, and a
+``UnitTables`` is not changed once built, so concurrent use from any
+number of threads is safe.
 """
 
 from __future__ import annotations
@@ -218,6 +218,19 @@ def factorial_ratio(sys: FormSystem, n: Sequence[int]) -> Fraction:
 # are held at a time
 _SLICE = 4096
 
+# the largest N a job may take N! of: ``factorial_ratios`` tabulates every
+# N! up to its largest argument; with the cubes cubic-2d takes, that took
+# 0.3 s and 23 MB peak RSS at 2048, 2.2 s and 56 MB at 4096, and 16 s and
+# 200 MB at 8192 (Python 3.11 on 2 shared vCPUs, one run each)
+FACTORIAL_BOUND = 1 << 12
+
+
+def check_factorials(top: int) -> None:
+    """Raise ValueError when a table of N! for N <= ``top`` passes
+    ``FACTORIAL_BOUND``."""
+    if top > FACTORIAL_BOUND:
+        raise ValueError(f"factorials up to {top} pass the {FACTORIAL_BOUND} a table holds")
+
 
 def factorial_ratios(
     sys: FormSystem, cols: Sequence[Sequence[int]], size: int
@@ -255,27 +268,20 @@ def factorial_ratios(
     return D, nums
 
 
-def _digit_products(F: list, top: int, p: int, mod: int) -> list:
-    """prod_(i >= 0) F[floor(N / p^i)] mod ``mod``, for N <= top."""
-    out = [1]
-    while len(out) <= top:
-        # N // p < len(out) for every N below len(out) * p
-        out += [F[N] * out[N // p] % mod for N in range(len(out), min(len(out) * p, top + 1))]
-    return out
-
-
 class UnitTables:
     """v_p(Q(n)) and the unit part of Q(n) mod p^digits, read off tables of N!.
 
-    With F[M] the product of the k <= M prime to p (that is |Gamma_p(M+1)|,
-    Morita's Gamma_p), N! = p^v_p(N!) * prod_(i >= 0) F[floor(N / p^i)].
-    Q(n) is the product of (w.n)!^m over the (w, m) of ``sys.net``; per
-    form, ``tables`` holds m v_p(N!) and the m-th power of that unit part
-    mod p^digits for N <= sum(w) scale, the values w.n reaches for
-    n <= scale componentwise.  The shared tables, v_p(N!) and the unit
-    parts of N! and 1/N!, are built by prefix passes up to the largest N a
-    form of that sign of m reads, and a form with m = +-1 reads them as
-    they are."""
+    N! is the product of p^v_p(k) free(k) over k <= N, free(k) the p-free
+    part of k, so v_p(N!) is the prefix sum of v_p(k) and the unit part of
+    N! the prefix product of free(k) mod p^digits; k = p j has v_p(j) + 1
+    and free(j).  The unit part of 1/N! is read downward from the inverse
+    at t, the largest N a form of negative m reads, as the unit part of
+    1/(N-1)! is that of 1/N! times free(N).  Q(n) is the product of
+    (w.n)!^m over the (w, m) of ``sys.net``; per form, ``tables`` holds
+    m v_p(N!) and the m-th power of that unit part mod p^digits for
+    N <= sum(w) scale, the values w.n reaches for n <= scale
+    componentwise, and a form with m = +-1 reads the shared tables as they
+    are."""
 
     def __init__(self, sys: FormSystem, p: int, scale: int, digits: int):
         mod = p**digits
@@ -284,27 +290,25 @@ class UnitTables:
         for w, m in sys.net:
             sign = 1 if m > 0 else -1
             tops[sign] = max(tops[sign], sum(w) * scale)
-        top = max(tops.values())
-        F = [1] * (top + 1)
+        top, t = max(tops.values()), tops[-1]
+        # v_p(k) and free(k); only a multiple of p differs from k
+        vk, free = [0] * (top + 1), list(range(top + 1))
+        for k in range(p, top + 1, p):
+            vk[k], free[k] = vk[k // p] + 1, free[k // p]
+        vf = list(itertools.accumulate(vk))
+        unit = [1] * (top + 1)
         for k in range(1, top + 1):
-            F[k] = F[k - 1] * k % mod if k % p else F[k - 1]
-        t = tops[-1]
-        Finv = [1] * (t + 1)
-        Finv[t] = pow(F[t], -1, mod)
+            unit[k] = unit[k - 1] * free[k] % mod
+        inv = [1] * (t + 1)
+        inv[t] = pow(unit[t], -1, mod)
         for k in range(t, 0, -1):
-            Finv[k - 1] = Finv[k] * k % mod if k % p else Finv[k]
-        vf = [0]
-        while len(vf) <= top:
-            # N // p < len(vf) for every N below len(vf) * p
-            vf += [N // p + vf[N // p] for N in range(len(vf), min(len(vf) * p, top + 1))]
-        # the unit parts of N! and of 1/N!
-        unit = {1: _digit_products(F, tops[1], p, mod), -1: _digit_products(Finv, t, p, mod)}
+            inv[k - 1] = inv[k] * free[k] % mod
         self.mod, self.scale = mod, scale
         # per net form, (m v_p(N!), unit^m), indexed by N = w.n
         self.tables = []
         for w, m in sys.net:
             reach = range(sum(w) * scale + 1)
-            U = unit[1 if m > 0 else -1]
+            U = unit if m > 0 else inv
             self.tables.append((
                 vf if m == 1 else [m * vf[N] for N in reach],
                 U if abs(m) == 1 else [U[N] ** abs(m) % mod for N in reach],

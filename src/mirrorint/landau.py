@@ -185,12 +185,23 @@ class _Budget:
     def __init__(self, limit: int):
         self.limit, self.spent = limit, 0
 
-    def spend(self, n: int) -> None:
-        self.spent += n
-        if self.spent > self.limit:
+    def check(self, n: int) -> None:
+        """Raise BudgetExceededError when n more subsets would pass the limit."""
+        if self.spent + n > self.limit:
             raise BudgetExceededError(
-                f"{self.spent} plane subsets exceed the budget of {self.limit}"
+                f"{self.spent + n} plane subsets exceed the budget of {self.limit}"
             )
+
+    def spend(self, n: int) -> None:
+        self.check(n)
+        self.spent += n
+
+
+def _charge(rows: int, k: int) -> int:
+    """The plane subsets a level of k variables charges for ``rows`` planes:
+    C(rows + 2k, k) with the 2k faces, and rows + 2 at k = 1, where the
+    vertices are read off the rows one at a time."""
+    return rows + 2 if k == 1 else math.comb(rows + 2 * k, k)
 
 
 def _distinct(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -202,10 +213,18 @@ def _distinct(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return list(out)
 
 
-def _planes(sys: FormSystem) -> list[tuple[int, ...]]:
+def _planes(sys: FormSystem, budget: _Budget) -> list[tuple[int, ...]]:
     """The planes v.x = m that cross the open box, 0 < m < sum(v), as
-    integer rows (v_1, ..., v_d, m)."""
-    return _distinct((*v, m) for v in set(sys.forms) for m in range(1, sum(v)))
+    integer rows (v_1, ..., v_d, m).  The top level's charge only grows
+    with its rows, so the listing raises BudgetExceededError as soon as the
+    rows listed so far would charge past ``budget``."""
+    out = {}
+    for v in set(sys.forms):
+        for m in range(1, sum(v)):
+            budget.check(_charge(len(out), sys.d))
+            g = math.gcd(*v, m)
+            out[(*v, m) if g == 1 else tuple(c // g for c in (*v, m))] = None
+    return list(out)
 
 
 def _solve_bareiss(rows: Sequence[tuple[int, ...]]) -> Optional[tuple[list[list[int]], int]]:
@@ -243,7 +262,7 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
     """Every vertex in [0,1]^k of ``planes`` and the faces x_i = 0, x_i = 1,
     as numerators over a positive denominator in lowest terms.
 
-    The budget is charged the C(rows, k) plane subsets first.  At k = 1 each
+    The budget is charged ``_charge`` of the planes first.  At k = 1 each
     row (a, b) has 0 < b < a, by ``_planes`` and the slice filter of
     ``_cell_points``, so the vertices are the points b/a and the faces.  At
     k >= 2 rows sharing a normal are parallel, so a vertex takes k distinct
@@ -254,8 +273,8 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
     loop over the constants.  At k >= 3 one elimination on [A | I] per
     k-subset A of the normals gives adj(A) and det A.
     """
+    budget.spend(_charge(len(planes), k))
     if k == 1:
-        budget.spend(len(planes) + 2)
         pts = {((0,), 1), ((1,), 1)}
         for a, b in planes:
             g = math.gcd(a, b)
@@ -263,7 +282,6 @@ def _box_vertices(planes: Sequence[tuple[int, ...]], k: int, budget: _Budget) ->
         return pts
     faces = [(*(int(j == i) for j in range(k)), b) for b in (0, 1) for i in range(k)]
     rows = [*planes, *faces]
-    budget.spend(math.comb(len(rows), k))
     constants: dict[tuple[int, ...], list[int]] = {}
     for row in rows:
         constants.setdefault(row[:k], []).append(row[k])
@@ -315,7 +333,8 @@ def vertex_candidates(sys: FormSystem) -> list[Point]:
     """All vertices of the floor arrangement inside [0,1)^d, where delta
     takes its value on the cell immediately up-right.  A plane v.x = 0
     adds none: in [0,1)^d it is the face x_j = 0 for each j in supp v."""
-    vertices = _half_open(_box_vertices(_planes(sys), sys.d, _Budget(math.inf)))
+    budget = _Budget(math.inf)
+    vertices = _half_open(_box_vertices(_planes(sys, budget), sys.d, budget))
     return [_point(num, den) for num, den in vertices]
 
 
@@ -466,6 +485,9 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     variables (the rows being the planes and the 2k faces), charged when
     the walk reaches the level, so a walk stopped early charges a prefix
     of the complete walk's levels, and a unit-f system its top level only.
+    The top level's count is checked as its planes are listed, so a budget
+    too small for it stops the listing, naming the count of the planes
+    listed so far.
     At k >= 2 the vertices come from one adjugate per set of k distinct
     plane normals, written down at k = 2 (the top level of every
     two-variable system and every two-variable slice) and from one Bareiss
@@ -477,7 +499,7 @@ def classify(sys: FormSystem, budget: int = BUDGET) -> CriterionVerdict:
     returned is proven.
     """
     meter = _Budget(budget)
-    planes = _planes(sys)
+    planes = _planes(sys, meter)
     top = _box_vertices(planes, sys.d, meter)
     split = _split(sys)
     if split and not sys.equal_column_sums:

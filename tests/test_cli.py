@@ -1144,6 +1144,28 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_FAIL, EXIT_SCHEMA, EXIT_CACHE, EXIT_CASE_II,
         ("dwork", {"fixture": HUGE_FIXTURE}, [], None, f"bad fixture series: {HUGE_GRADING}"),
         ("case", {"case": "case30", "order": HUGE_ORDER}, [], None,
          f"order too large for case case30: {HUGE_GRADING}"),
+        # and so is an order whose largest form value, the order times the
+        # largest form entry, would take a table of factorials past their bound
+        ("scan", {"system": {"name": "central-binomial"}, "order": 2049}, ["--no-cache"], None,
+         "order too large: factorials up to 4098 pass the 4096 a table holds"),
+        ("scan", {"system": {"name": "central-binomial"}, "order": 65535}, ["--no-cache"], None,
+         "order too large: factorials up to 131070 pass the 4096 a table holds"),
+        ("scan", {"system": {"e": [[10**6]], "f": [[999999], [1]]}, "order": 8}, ["--no-cache"],
+         None, "order too large: factorials up to 8000000 pass the 4096 a table holds"),
+        ("dwork", {"system": {"name": "central-binomial"}}, ["--order", "2049"], None,
+         "order too large: factorials up to 4098 pass the 4096 a table holds"),
+        ("case", {"case": {**case30_record().to_dict(),
+                           "system": {"e": [[5000, 0]], "f": [[4999, 0], [1, 0]]}},
+                  "order": 8}, [], None,
+         "order too large for case case30: factorials up to 40000 pass the 4096 a table holds"),
+        ("congruences", {"system": {"name": "central-binomial"}, "primes": [2],
+                         "ranges": {"s_max": 0, "m_bound": 0, "k_bound": 10**6}}, [], None,
+         "congruences cannot run at p = 2: the conclusion's factorials up to 4000002 pass the"
+         " 4096 a table holds"),
+        # a box of weight vectors past the bound, within the factorial bound
+        *((c, {"system": {"e": [[4096, 4096]], "f": [[4096, 0], [0, 4096]]}, "order": 1},
+           ["--no-cache"], None, "the weight vectors of this system fill a box of 16785409,"
+           " past the 65536 a job may walk") for c in ("bundle", "scan", "dwork")),
         # a harness past its bound at any prime is refused before the first line
         *(("congruences", {"system": {"name": "central-binomial"}, "primes": primes}, [], None,
            f"congruences cannot run at p = {primes[-1]}: the unit tables would pass the"
@@ -1292,8 +1314,9 @@ def test_parse_job_settles_the_order_the_command_runs_at(tmp_path, capsys, comma
         ("bundle", {"system": CUBIC_3D, "order": 8}),
         ("congruences", {"system": {"name": "cubic-2d"}, "primes": [7]}),
         ("congruences", {"system": CUBIC_3D, "primes": [5]}),
-        # the largest orders a grading holds in one and two variables
-        ("scan", {"system": {"name": "central-binomial"}, "order": 65535}),
+        # the largest one-variable order the factorial bound admits, 2048 * 2 =
+        # 4096, and the largest two-variable order a grading holds
+        ("scan", {"system": {"name": "central-binomial"}, "order": 2048}),
         ("dwork", {"system": {"name": "cubic-2d"}, "order": 360}),
     ],
 )

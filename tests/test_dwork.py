@@ -293,8 +293,8 @@ def oracle_dd_coefficient_L(p, sys, L, a, K):
 
 
 class TestGammaP:
-    """The Gamma_p oracle; ``forms.UnitTables`` rests on its identity, the
-    unit part of N! is the product of |Gamma_p(floor(N/p^i) + 1)| (see
+    """The Gamma_p oracle; its identity, the unit part of N! is the product
+    of |Gamma_p(floor(N/p^i) + 1)|, checks ``forms.UnitTables`` (see
     tests/test_forms.py)."""
 
     def test_values(self):

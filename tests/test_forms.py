@@ -341,9 +341,10 @@ def _split(x, p):
 
 
 class TestUnitTables:
-    """``UnitTables`` against exact factorials and Q.  The tables rest on the
-    identity that the unit part of N! is the product of
-    |Gamma_p(floor(N/p^i) + 1)|."""
+    """``UnitTables`` against exact factorials and Q.  The tables are prefix
+    passes over N! = prod_(k <= N) p^v_p(k) free(k), free(k) the p-free part
+    of k; the Gamma_p identity, the unit part of N! is the product of
+    |Gamma_p(floor(N/p^i) + 1)|, checks them as a second algorithm."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_unit_tables_match_exact_factorials(self, p):
@@ -412,6 +413,14 @@ def unit_table_cases(draw):
 # a shared form (1, 1) of count 0 beside counts 2 and -3; points with w.n = 0
 @example((FormSystem([(1, 1), (2, 0), (2, 0)], [(1, 1), (0, 1), (0, 1), (0, 1)], raw=True),
           3, 2, [(0, 0), (0, 4), (5, 0), (6, 6)]))
+# no negative count: the table of 1/N! holds N = 0 only
+@example((FormSystem([(1,), (2,), (2,)], [], raw=True), 3, 2, [(0,), (4,), (9,)]))
+# only negative counts: the table of 1/N! is read from the top down
+@example((FormSystem([], [(1,), (2,), (2,)], raw=True), 2, 3, [(0,), (5,), (8,)]))
+# w.n at 2^j and 2^j - 1 on both sides: 7, 8, 15, 16, 31
+@example((FormSystem([(1, 1)], [(1, 0), (0, 1)]), 2, 4, [(4, 4), (3, 4), (8, 8), (7, 8), (16, 15)]))
+# one p-adic digit
+@example((CUBIC_2D, 5, 1, [(5, 0), (4, 1), (25, 25)]))
 def test_unit_tables_read_the_valuation_and_unit_part_of_Q(case):
     sys, p, digits, points = case
     units = UnitTables(sys, p, max(map(max, points)), digits)

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mirrorint import cli
+from mirrorint import cli, landau
 from mirrorint.forms import FormSystem, dot
 from mirrorint.landau import (
     BUDGET,
@@ -29,6 +29,7 @@ from mirrorint.landau import (
     _Budget,
     _box_vertices,
     _cell_points,
+    _charge,
     _delta_jump,
     _planes,
     _scale,
@@ -575,8 +576,9 @@ def _check_box_vertices(planes, k, limit):
 @example(FormSystem([(3, 0, 1), (1, 0, 1)], [(0, 0, 0), (2, 0, 2)], raw=True), 400)
 @example(FormSystem([(2, 3, 3)], [(1, 1, 1), (1, 2, 2)]), math.inf)
 def test_box_vertices_match_the_per_subset_oracle(sys, limit):
-    _check_box_vertices(_planes(sys), sys.d, limit)
-    _check_box_vertices(_planes(sys), sys.d, math.inf)
+    planes = _planes(sys, _Budget(math.inf))
+    _check_box_vertices(planes, sys.d, limit)
+    _check_box_vertices(planes, sys.d, math.inf)
 
 
 @settings(max_examples=100, deadline=None)
@@ -673,7 +675,8 @@ _ORACLE_SUBSETS = 2000
 @example(FormSystem([(0, 1)], [(1, 1)]))  # the vertices miss the negative cells
 @example(FormSystem([(2, 1)], [(1, 1), (1, 0)]))  # the vertices miss the zero cell
 def test_cell_points_take_every_value_of_the_box(sys):
-    planes, budget = _planes(sys), _Budget(math.inf)
+    budget = _Budget(math.inf)
+    planes = _planes(sys, budget)
     cells = list(_cell_points(planes, sys.d, budget, _box_vertices(planes, sys.d, budget)))
     assert all(D > 0 and all(0 < c < D for c in num) for num, D in cells)
     if budget.spent <= _ORACLE_SUBSETS:
@@ -691,7 +694,8 @@ def test_cell_points_take_every_value_of_the_box(sys):
 
 def _classify_charging(sys, budget):
     """classify's verdict under ``budget``, or None when it raises, and the
-    subset counts it charged, level by level."""
+    subset counts it charged, level by level; a top level past the budget
+    stops as its planes are listed, and its count stands for its charge."""
     charges = []
     spend = _Budget.spend
 
@@ -703,7 +707,7 @@ def _classify_charging(sys, budget):
         try:
             return classify(sys, budget), charges
         except BudgetExceededError:
-            return None, charges
+            return None, charges or [_charge(len(_planes(sys, _Budget(math.inf))), sys.d)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -715,6 +719,8 @@ def _classify_charging(sys, budget):
 @example(CUBIC_SPLIT)  # a vertex zero: [21, 2, 2, 2, 2] -> [21]
 @example(FormSystem([(2, 1)], [(1, 0), (0, 1)]))  # flagged: [15, 3, 3] -> [15]
 @example(CHEBYSHEV)  # no split: the complete walk
+# the top level alone passes the budget: the listing of its planes stops
+@example(FormSystem([(2, 4, 4), (3, 4, 3)], [(0, 1, 1)], raw=True))
 def test_classify_matches_fraction_oracle(sys):
     ledger = []
     try:
@@ -737,8 +743,11 @@ def test_classify_matches_fraction_oracle(sys):
     spent = running[-1]
     # the walk stops only where a level's count is charged, so each running
     # count and one short of it stand for every budget below the total
+    # below the top level's count, the listing of its planes stops at the
+    # first count of the planes listed so far that passes the budget
+    listed = [_charge(n, sys.d) for n in range(len(_planes(sys, _Budget(math.inf))) + 1)]
     for budget in sorted({0} | {b for r in running for b in (r - 1, r) if b < spent}):
-        first_past = next(r for r in running if r > budget)
+        first_past = next(r for r in listed + running if r > budget)
         message = f"^{first_past} plane subsets exceed the budget of {budget}$"
         with pytest.raises(BudgetExceededError, match=message):
             classify(sys, budget)
@@ -754,6 +763,29 @@ DECREASING = FormSystem([(2, 1), (1, 1)], [(1, 0), (2, 1), (0, 1), (0, 0)], raw=
 def test_first_fit_takes_f_in_decreasing_order_of_sum():
     assert _split(DECREASING)
     assert _classify_charging(DECREASING, BUDGET)[1] == [21]
+
+
+@pytest.mark.parametrize("sys, listed", [
+    # one plane x = m / N per m < N, and x = m / (N - 1): 6 * 10^6 rows in all
+    (FormSystem([(3 * 10**6,)], [(3 * 10**6 - 1,), (1,)]), 9),
+    # about 4 * 10^6 rows, each charge C(rows + 4, 2)
+    (FormSystem([(10**6, 10**6)], [(10**6, 0), (0, 10**6)]), 2),
+])
+def test_a_budget_stops_the_listing_of_planes(monkeypatch, sys, listed):
+    # every row listed takes one gcd; a spy stops a listing that runs on
+    budget, rows = 10, []
+
+    def gcd(*args):
+        rows.append(args)
+        assert len(rows) <= budget + 1, "the planes were listed past the budget"
+        return math.gcd(*args)
+
+    spy = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+    monkeypatch.setattr(landau, "math", mock.Mock(**spy | {"gcd": gcd}))
+    message = f"^{_charge(listed, sys.d)} plane subsets exceed the budget of {budget}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        classify(sys, budget)
+    assert len(rows) == listed
 
 
 # the Fraction oracle evaluates every vertex and the cell points of its walk
